@@ -163,6 +163,14 @@ impl Samples {
 
 /// The engine-wide counter snapshot as a JSON object, one key per
 /// counter in registry order (the names are the schema).
+/// The paged engine under a database built with `Database::paged`.
+fn engine(db: &rqs::Database) -> &storage::StorageEngine {
+    db.backend()
+        .as_paged()
+        .expect("the storage experiments run on the paged engine")
+        .engine()
+}
+
 fn metrics_json(snap: storage::MetricsSnapshot) -> JsonObj {
     snap.counters()
         .into_iter()
@@ -585,7 +593,7 @@ fn s1_storage() -> JsonObj {
             range_scan.metrics.page_reads - range_indexed.metrics.page_reads,
         )
         .obj("latency", lat.finish())
-        .obj("engine_metrics", metrics_json(db.backend().metrics()))
+        .obj("engine_metrics", metrics_json(engine(&db).metrics()))
 }
 
 /// S2 — the shared server: N concurrent sessions on one database.
@@ -609,14 +617,12 @@ fn s2_concurrency() -> JsonObj {
                 .expect("ddl runs");
         }
         setup
-            .execute("CREATE TABLE hot (a INT, b TEXT)")
+            .execute("CREATE TABLE hot (k INT, v INT)")
             .expect("ddl runs");
+        setup
+            .execute("INSERT INTO hot VALUES (0, 0)")
+            .expect("insert runs");
     }
-    // Phases 1 and 2 stay pinned to table-granular locking so their
-    // numbers remain comparable across the committed benchmark
-    // trajectory; phase 3 turns row locking back on to measure what the
-    // finer granularity buys.
-    shared.set_row_locking(false);
     let per_thread = 500;
     // Per-statement wall times across every phase, merged thread-local
     // batches; rendered as the section's latency percentiles.
@@ -641,24 +647,23 @@ fn s2_concurrency() -> JsonObj {
         }
     });
     let disjoint = t0.elapsed();
-    // Phase 2: one hot table — writers serialize through its lock, and
-    // wait-die losers retry. Run it twice: a hot spin (retry the moment
-    // the Conflict lands, the pre-backoff behavior), then with
-    // `server::Backoff`'s bounded exponential delays + jitter, which
-    // collapses the futile-retry count.
+    // Phase 2: one hot row — every session increments the same row, so
+    // writers serialize through its row lock and the losers (row locks
+    // never block) retry. Run it twice: a hot spin (retry the moment
+    // the Conflict lands), then with `server::Backoff`'s bounded
+    // exponential delays + jitter.
     let spin_retries = AtomicU64::new(0);
     let t0 = Instant::now();
     std::thread::scope(|scope| {
-        for t in 0..threads {
+        for _ in 0..threads {
             let shared = shared.clone();
             let spin_retries = &spin_retries;
             scope.spawn(move || {
                 let mut s = shared.session();
                 let mut local = Vec::with_capacity(per_thread);
-                for i in 0..per_thread {
-                    let key = t * per_thread + i;
+                for _ in 0..per_thread {
                     loop {
-                        match s.execute(&format!("INSERT INTO hot VALUES ({key}, 'spin')")) {
+                        match s.execute("UPDATE hot SET v = v + 1 WHERE k = 0") {
                             Ok(r) => {
                                 local.push(r.metrics.elapsed_nanos);
                                 break;
@@ -687,15 +692,14 @@ fn s2_concurrency() -> JsonObj {
                 let mut s = shared.session();
                 let mut backoff = server::Backoff::new(t as u64);
                 let mut local = Vec::with_capacity(per_thread);
-                for i in 0..per_thread {
-                    let key = threads * per_thread + t * per_thread + i;
+                for _ in 0..per_thread {
                     let r = s
                         .execute_with_backoff(
-                            &format!("INSERT INTO hot VALUES ({key}, 'backoff')"),
+                            "UPDATE hot SET v = v + 1 WHERE k = 0",
                             &mut backoff,
                             u64::MAX,
                         )
-                        .expect("insert runs");
+                        .expect("update runs");
                     local.push(r.metrics.elapsed_nanos);
                 }
                 latencies.lock().unwrap().extend(local);
@@ -708,15 +712,14 @@ fn s2_concurrency() -> JsonObj {
     let hot_backoff = t0.elapsed();
     let total_rows = (threads * per_thread) as u64;
     let mut check = shared.session();
-    let count = check
-        .execute("SELECT v.a FROM hot v")
+    let hot = check
+        .execute("SELECT h.v FROM hot h")
         .expect("query runs")
-        .rows
-        .len();
+        .rows;
     assert_eq!(
-        count,
-        2 * threads * per_thread,
-        "no row lost under contention"
+        hot,
+        vec![vec![Datum::Int((2 * threads * per_thread) as i64)]],
+        "no increment lost under contention"
     );
     // Phase 3: row-granular locking — every session increments its own
     // row of one table inside explicit BEGIN/UPDATE/COMMIT
@@ -745,77 +748,69 @@ fn s2_concurrency() -> JsonObj {
                 .expect("insert runs");
         }
     }
-    let run_disjoint_rows = |label: &'static str| {
-        let retries = AtomicU64::new(0);
-        let t0 = Instant::now();
-        std::thread::scope(|scope| {
-            for t in 0..row_threads {
-                let shared = shared.clone();
-                let retries = &retries;
-                scope.spawn(move || {
-                    let mut s = shared.session();
-                    let mut backoff = server::Backoff::new(t as u64);
-                    let mut local = Vec::with_capacity(row_txns);
-                    let update = format!("UPDATE acct SET v = v + 1 WHERE k = {t}");
-                    for _ in 0..row_txns {
-                        // A conflict anywhere rolls the whole
-                        // transaction back, so the retry unit is the
-                        // transaction, not the statement.
-                        loop {
-                            let outcome = (|| {
-                                s.execute("BEGIN")?;
-                                let r = s.execute(&update)?;
-                                local.push(r.metrics.elapsed_nanos);
-                                std::thread::sleep(think);
-                                s.execute("COMMIT")
-                            })();
-                            match outcome {
-                                Ok(_) => break,
-                                Err(e) if e.is_retryable() => {
-                                    retries.fetch_add(1, Ordering::Relaxed);
-                                    std::thread::sleep(backoff.next_delay());
-                                }
-                                Err(e) => panic!("unexpected under {label}: {e}"),
+    let row_retries = AtomicU64::new(0);
+    let t0 = Instant::now();
+    std::thread::scope(|scope| {
+        for t in 0..row_threads {
+            let shared = shared.clone();
+            let row_retries = &row_retries;
+            scope.spawn(move || {
+                let mut s = shared.session();
+                let mut backoff = server::Backoff::new(t as u64);
+                let mut local = Vec::with_capacity(row_txns);
+                let update = format!("UPDATE acct SET v = v + 1 WHERE k = {t}");
+                for _ in 0..row_txns {
+                    // A conflict anywhere rolls the whole transaction
+                    // back, so the retry unit is the transaction, not
+                    // the statement.
+                    loop {
+                        let outcome = (|| {
+                            s.execute("BEGIN")?;
+                            let r = s.execute(&update)?;
+                            local.push(r.metrics.elapsed_nanos);
+                            std::thread::sleep(think);
+                            s.execute("COMMIT")
+                        })();
+                        match outcome {
+                            Ok(_) => break,
+                            Err(e) if e.is_retryable() => {
+                                row_retries.fetch_add(1, Ordering::Relaxed);
+                                std::thread::sleep(backoff.next_delay());
                             }
+                            Err(e) => panic!("unexpected: {e}"),
                         }
                     }
-                    latencies.lock().unwrap().extend(local);
-                });
-            }
-        });
-        (t0.elapsed(), retries.load(Ordering::Relaxed))
-    };
-    let (tablelock_time, tablelock_retries) = run_disjoint_rows("table locks");
-    shared.set_row_locking(true);
-    let (rowlock_time, rowlock_retries) = run_disjoint_rows("row locks");
-    assert_eq!(rowlock_retries, 0, "disjoint-row writers must not conflict");
+                }
+                latencies.lock().unwrap().extend(local);
+            });
+        }
+    });
+    let row_time = t0.elapsed();
+    let row_retries = row_retries.load(Ordering::Relaxed);
+    assert_eq!(row_retries, 0, "disjoint-row writers must not conflict");
     let balances = check
         .execute("SELECT v.k, v.v FROM acct v")
         .expect("query runs");
     for row in &balances.rows {
         assert_eq!(
             row[1],
-            Datum::Int(2 * row_txns as i64),
+            Datum::Int(row_txns as i64),
             "every increment of {} must land exactly once",
             row[0]
         );
     }
-    let row_stmts = (row_threads * row_txns * 3) as f64;
-    let tablelock_rate = row_stmts / tablelock_time.as_secs_f64();
-    let rowlock_rate = row_stmts / rowlock_time.as_secs_f64();
+    let row_rate = (row_threads * row_txns * 3) as f64 / row_time.as_secs_f64();
     measured(&format!(
         "{row_threads} sessions x {row_txns} disjoint-row BEGIN/UPDATE/COMMIT \
-         transactions ({think:?} front-end think time before COMMIT): table locks \
-         {tablelock_rate:.0} stmts/s ({tablelock_retries} wait-die retries) vs row \
-         locks {rowlock_rate:.0} stmts/s ({rowlock_retries} retries) — {:.1}x",
-        rowlock_rate / tablelock_rate,
+         transactions ({think:?} front-end think time before COMMIT): \
+         {row_rate:.0} stmts/s, {row_retries} retries",
     ));
     measured(&format!(
-        "{threads} sessions x {per_thread} autocommit inserts: disjoint tables \
-         {:.0} stmts/s aggregate ({:.0}/session); one hot table {:.0} stmts/s \
-         hot-spinning ({} wait-die retries) vs {:.0} stmts/s with \
-         capped-exponential backoff + jitter ({} retries); all {} rows present \
-         ({:.2?} total)",
+        "{threads} sessions x {per_thread} autocommit statements: inserts into \
+         disjoint tables {:.0} stmts/s aggregate ({:.0}/session); increments of \
+         one hot row {:.0} stmts/s hot-spinning ({} retries) vs {:.0} stmts/s \
+         with capped-exponential backoff + jitter ({} retries); all {} \
+         increments landed ({:.2?} total)",
         total_rows as f64 / disjoint.as_secs_f64(),
         total_rows as f64 / disjoint.as_secs_f64() / threads as f64,
         total_rows as f64 / hot_spin.as_secs_f64(),
@@ -825,15 +820,13 @@ fn s2_concurrency() -> JsonObj {
         2 * total_rows,
         secs_budget.elapsed(),
     ));
-    // Phase 4: mixed readers vs writers on one table — the MVCC
-    // headline. Writers run disjoint-row BEGIN/UPDATE/COMMIT
-    // transactions (think time before COMMIT, as in phase 3); readers
-    // scan the whole table as fast as they can until the writers
-    // finish. Under the table-`S` baseline every scan queues behind
-    // whichever rows are intent-locked across a think gap (or dies
-    // wait-die young and retries); under snapshot reads the scans take
-    // no locks at all and never wait, so read throughput decouples
-    // from writer think time.
+    // Phase 4: mixed readers vs writers on one table. Writers run
+    // disjoint-row BEGIN/UPDATE/COMMIT transactions (think time before
+    // COMMIT, as in phase 3); readers scan the whole table until the
+    // writers finish. The scans are snapshot reads: they take no locks
+    // at all and never wait, so read throughput is decoupled from
+    // writer think time — asserted below as zero reader retries and
+    // zero lock waits.
     let mix_writers = 4usize;
     let mix_readers = 4usize;
     let mix_txns = 40usize;
@@ -849,7 +842,7 @@ fn s2_concurrency() -> JsonObj {
                 .expect("insert runs");
         }
     }
-    let run_mixed = |label: &'static str| {
+    let (mix_time, mix_scans, mix_reader_retries, mix_waits) = {
         let waits_before = shared.metrics().expect("server metrics").lock_waits;
         let scans = AtomicU64::new(0);
         let reader_retries = AtomicU64::new(0);
@@ -876,7 +869,7 @@ fn s2_concurrency() -> JsonObj {
                                 Err(e) if e.is_retryable() => {
                                     std::thread::sleep(backoff.next_delay());
                                 }
-                                Err(e) => panic!("unexpected under {label}: {e}"),
+                                Err(e) => panic!("unexpected: {e}"),
                             }
                         }
                     }
@@ -891,11 +884,8 @@ fn s2_concurrency() -> JsonObj {
                 scope.spawn(move || {
                     let mut s = shared.session();
                     let mut backoff = server::Backoff::new(1000 + r as u64);
-                    // Scan until the writers finish, but always land at
-                    // least one successful scan (under table-S, an
-                    // autocommit reader is always the youngest owner
-                    // and can starve outright until the writers stop —
-                    // the rate must still have a finite denominator).
+                    // Scan until the writers finish, landing at least
+                    // one scan.
                     loop {
                         let done = writers_finished.load(Ordering::Relaxed) >= mix_writers as u64;
                         match s.execute("SELECT v.k FROM mix v") {
@@ -907,7 +897,7 @@ fn s2_concurrency() -> JsonObj {
                                 }
                                 // Readers pace like the writers' front
                                 // end does; an unpaced scan loop would
-                                // measure statement-mutex hogging, not
+                                // measure statement-latch hogging, not
                                 // lock behavior.
                                 std::thread::sleep(std::time::Duration::from_micros(100));
                             }
@@ -915,7 +905,7 @@ fn s2_concurrency() -> JsonObj {
                                 reader_retries.fetch_add(1, Ordering::Relaxed);
                                 std::thread::sleep(backoff.next_delay());
                             }
-                            Err(e) => panic!("unexpected under {label}: {e}"),
+                            Err(e) => panic!("unexpected: {e}"),
                         }
                     }
                 });
@@ -930,50 +920,27 @@ fn s2_concurrency() -> JsonObj {
             waits_after - waits_before,
         )
     };
-    shared.set_snapshot_reads(false);
-    let (base_time, base_scans, base_retries, base_waits) = run_mixed("table-S readers");
-    {
-        // Reset the counters for an identical second run.
-        let mut setup = shared.session();
-        setup
-            .execute("UPDATE mix SET v = 0 WHERE k >= 0")
-            .expect("reset runs");
-    }
-    shared.set_snapshot_reads(true);
-    let (snap_time, snap_scans, snap_retries, snap_waits) = run_mixed("snapshot readers");
-    assert_eq!(snap_retries, 0, "snapshot readers must never conflict");
-    assert_eq!(snap_waits, 0, "snapshot readers must never wait");
-    let base_scan_rate = base_scans as f64 / base_time.as_secs_f64();
-    let snap_scan_rate = snap_scans as f64 / snap_time.as_secs_f64();
-    let mix_write_stmts = (mix_writers * mix_txns * 3) as f64;
+    assert_eq!(
+        mix_reader_retries, 0,
+        "snapshot readers must never conflict"
+    );
+    assert_eq!(mix_waits, 0, "snapshot readers must never wait");
+    let mix_scan_rate = mix_scans as f64 / mix_time.as_secs_f64();
+    let mix_write_rate = (mix_writers * mix_txns * 3) as f64 / mix_time.as_secs_f64();
     measured(&format!(
         "{mix_readers} scanning sessions vs {mix_writers} x {mix_txns} disjoint-row \
-         write transactions ({think:?} think time): table-S readers {base_scan_rate:.0} \
-         scans/s ({base_retries} retries, {base_waits} lock waits) vs snapshot readers \
-         {snap_scan_rate:.0} scans/s (0 retries, 0 lock waits) — {:.1}x read throughput",
-        snap_scan_rate / base_scan_rate,
+         write transactions ({think:?} think time): {mix_scan_rate:.0} scans/s \
+         (0 retries, 0 lock waits) beside {mix_write_rate:.0} write stmts/s",
     ));
     let mixed_readers_json = JsonObj::default()
         .u("readers", mix_readers as u64)
         .u("writers", mix_writers as u64)
         .u("writer_txns_per_thread", mix_txns as u64)
-        .u("tablelock_scans", base_scans)
-        .f("tablelock_scans_per_sec", base_scan_rate)
-        .u("tablelock_reader_retries", base_retries)
-        .u("tablelock_lock_waits", base_waits)
-        .f(
-            "tablelock_write_stmts_per_sec",
-            mix_write_stmts / base_time.as_secs_f64(),
-        )
-        .u("snapshot_scans", snap_scans)
-        .f("snapshot_scans_per_sec", snap_scan_rate)
-        .u("snapshot_reader_retries", snap_retries)
-        .u("snapshot_lock_waits", snap_waits)
-        .f(
-            "snapshot_write_stmts_per_sec",
-            mix_write_stmts / snap_time.as_secs_f64(),
-        )
-        .f("read_speedup", snap_scan_rate / base_scan_rate);
+        .u("snapshot_scans", mix_scans)
+        .f("snapshot_scans_per_sec", mix_scan_rate)
+        .u("snapshot_reader_retries", mix_reader_retries)
+        .u("snapshot_lock_waits", mix_waits)
+        .f("snapshot_write_stmts_per_sec", mix_write_rate);
     // Phase 5: truly parallel reads over TCP — the statement-latch
     // headline. N clients each hammer `SELECT * FROM scan` over their
     // own connection for a fixed window; every statement is an
@@ -997,7 +964,6 @@ fn s2_concurrency() -> JsonObj {
                 .expect("insert runs");
         }
     }
-    shared.set_snapshot_reads(true);
     let net = server::net::Server::start(shared.clone(), "127.0.0.1:0").expect("tcp server starts");
     let scan_window = std::time::Duration::from_millis(250);
     // Aggregate scans/s across `sessions` concurrent TCP connections,
@@ -1107,19 +1073,12 @@ fn s2_concurrency() -> JsonObj {
         )
         .u("disjoint_rows_threads", row_threads as u64)
         .u("disjoint_rows_txns_per_thread", row_txns as u64)
-        .f("disjoint_rows_tablelock_stmts_per_sec", tablelock_rate)
-        .f(
-            "disjoint_rows_tablelock_stmts_per_sec_per_session",
-            tablelock_rate / row_threads as f64,
-        )
-        .u("disjoint_rows_tablelock_retries", tablelock_retries)
-        .f("disjoint_rows_rowlock_stmts_per_sec", rowlock_rate)
+        .f("disjoint_rows_rowlock_stmts_per_sec", row_rate)
         .f(
             "disjoint_rows_rowlock_stmts_per_sec_per_session",
-            rowlock_rate / row_threads as f64,
+            row_rate / row_threads as f64,
         )
-        .u("disjoint_rows_rowlock_retries", rowlock_retries)
-        .f("disjoint_rows_speedup", rowlock_rate / tablelock_rate)
+        .u("disjoint_rows_rowlock_retries", row_retries)
         .u("lock_waits", lock_metrics.lock_waits)
         .u("lock_wait_die_aborts", lock_metrics.lock_wait_die_aborts)
         .u("row_lock_exclusive", lock_metrics.row_lock_exclusive)
@@ -1232,7 +1191,7 @@ fn s3_update() -> JsonObj {
         iters as f64 / elapsed.as_secs_f64(),
         elapsed,
     ));
-    let engine = db.backend().metrics();
+    let engine = engine(&db).metrics();
     JsonObj::default()
         .u("rows", n as u64)
         .u("point_update_fullscan_pages", touched(&full.metrics))

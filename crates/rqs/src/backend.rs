@@ -5,12 +5,15 @@
 //!
 //! * [`InMemoryBackend`] — the original representation: a `Vec<Tuple>`
 //!   per table plus `BTreeMap` secondary indexes. Zero I/O, zero page
-//!   accounting; what `Database::new()` gives you.
+//!   accounting; what `Database::new()` gives you, and the oracle the
+//!   paged engine is differentially tested against.
 //! * [`PagedBackend`] — the [`storage`] crate's engine: slotted heap
 //!   pages behind a clock-eviction buffer pool, B+-tree indexes, and a
 //!   persistent system catalog. Scans and index lookups touch pages, so
 //!   [`crate::QueryMetrics`] can report `page_reads`/`buffer_hits` — the
-//!   paper's actual cost model.
+//!   paper's actual cost model. It alone has sessions, snapshots, row
+//!   locks and durability, and it is the only backend the server
+//!   serves.
 //!
 //! Both backends answer set-oriented SQL identically (the differential
 //! test in `tests/backend_differential.rs` enforces this); they differ
@@ -19,11 +22,12 @@
 use crate::catalog::{Catalog, Column, TableConstraint};
 use crate::error::{RqsError, RqsResult};
 use crate::value::{Datum, Tuple};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::path::Path;
 use storage::engine::ColType;
-use storage::{Fault, HistogramsSnapshot, MetricsSnapshot, PoolStats, StorageEngine, StorageError};
+use storage::engine::IndexProbe;
+use storage::{Fault, PoolStats, StorageEngine, StorageError};
 
 impl From<StorageError> for RqsError {
     fn from(e: StorageError) -> RqsError {
@@ -44,7 +48,16 @@ impl From<StorageError> for RqsError {
 /// row.
 pub type RowLockHook = std::sync::Arc<dyn Fn(&str, u64) -> RqsResult<()> + Send + Sync>;
 
-/// Physical table storage: rows in, rows out, plus secondary indexes.
+/// Physical table storage — the data-access contract both backends
+/// implement: DDL, rows in, rows out, secondary indexes, predicated
+/// mutation, and one statement transaction for atomicity.
+///
+/// Everything only the paged engine has — session transactions, the
+/// row-lock hook, statement snapshots and constraint-probe mode,
+/// persisted constraints, flush/checkpoint/crash, the metrics registry —
+/// lives on [`PagedBackend`] itself, reached through
+/// [`StorageBackend::as_paged`]; the in-memory backend is the
+/// differential oracle and has none of it.
 ///
 /// Backends are `Send + Sync` so one database can be owned by the
 /// shared server, handed between session threads, and read through
@@ -53,6 +66,12 @@ pub type RowLockHook = std::sync::Arc<dyn Fn(&str, u64) -> RqsResult<()> + Send 
 pub trait StorageBackend: Send + Sync {
     /// Short human-readable backend name (shows up in diagnostics).
     fn name(&self) -> &'static str;
+
+    /// The paged engine behind this backend, `None` for the in-memory
+    /// oracle.
+    fn as_paged(&self) -> Option<&PagedBackend>;
+
+    fn as_paged_mut(&mut self) -> Option<&mut PagedBackend>;
 
     fn create_table(&mut self, name: &str, columns: &[Column]) -> RqsResult<()>;
 
@@ -84,22 +103,21 @@ pub trait StorageBackend: Send + Sync {
     fn has_index(&self, name: &str, col: usize) -> bool;
 
     /// Tuples whose `col` equals `key` via an index, or `None` when the
-    /// column has no index (caller falls back to a scan).
+    /// column has no usable index (caller falls back to a scan).
     fn index_lookup(&self, name: &str, col: usize, key: &Datum) -> RqsResult<Option<Vec<Tuple>>>;
 
     /// Tuples whose `col` falls inside `(lower, upper)` via an ordered
-    /// index cursor, or `None` when the column has no index (caller
-    /// falls back to a scan). Feeds inequality restrictions (`<`, `<=`,
-    /// `>`, `>=`, `BETWEEN`) without touching the whole table.
+    /// index cursor, or `None` when the column has no usable index
+    /// (caller falls back to a scan). Feeds inequality restrictions
+    /// (`<`, `<=`, `>`, `>=`, `BETWEEN`) without touching the whole
+    /// table.
     fn index_range(
         &self,
-        _name: &str,
-        _col: usize,
-        _lower: Bound<&Datum>,
-        _upper: Bound<&Datum>,
-    ) -> RqsResult<Option<Vec<Tuple>>> {
-        Ok(None)
-    }
+        name: &str,
+        col: usize,
+        lower: Bound<&Datum>,
+        upper: Bound<&Datum>,
+    ) -> RqsResult<Option<Vec<Tuple>>>;
 
     /// Deletes every row the access path yields that satisfies `pred`,
     /// returning how many were removed. The predicate is a pure
@@ -138,143 +156,21 @@ pub trait StorageBackend: Send + Sync {
     /// Cumulative physical I/O counters (all zero for in-memory).
     fn stats(&self) -> PoolStats;
 
-    /// Engine-wide observability snapshot: every storage-layer counter
-    /// (buffer pool, WAL, access methods). All zero for in-memory, so
-    /// both backends answer the `STATS` surface uniformly.
-    fn metrics(&self) -> MetricsSnapshot {
-        MetricsSnapshot::default()
-    }
+    /// Opens the statement transaction grouping the following mutations
+    /// into one atomic (and, on the paged engine, durable) unit.
+    fn begin(&mut self) -> RqsResult<()>;
 
-    /// Engine latency histograms (WAL fsync, commit force, fault-in).
-    /// All zero for in-memory backends — durability costs nothing there.
-    fn histograms(&self) -> HistogramsSnapshot {
-        HistogramsSnapshot::default()
-    }
+    /// Commits the active transaction (forces the WAL on the paged
+    /// engine).
+    fn commit(&mut self) -> RqsResult<()>;
 
-    /// Writes dirty pages back to durable storage (no-op in-memory).
-    fn flush(&self) -> RqsResult<()> {
-        Ok(())
-    }
-
-    /// Opens a transaction grouping the following mutations into one
-    /// atomic, durable unit and makes it the active one.
-    fn begin(&mut self) -> RqsResult<()> {
-        Ok(())
-    }
-
-    /// Commits the active transaction (forces the WAL on paged backends).
-    fn commit(&mut self) -> RqsResult<()> {
-        Ok(())
-    }
-
-    /// Rolls the active transaction back; never fails (a backend that
-    /// cannot roll back forward-errors on the mutations themselves).
-    fn abort(&mut self) {}
+    /// Rolls the active transaction back; never fails.
+    fn abort(&mut self);
 
     /// Whether a transaction is currently active (joined by mutations).
     /// `Database::execute` skips its per-statement transaction wrapper
     /// when one is — the session owning it commits or aborts instead.
-    fn in_txn(&self) -> bool {
-        false
-    }
-
-    // -- Session-scoped transactions (the shared server's API) ---------
-    //
-    // A server session opens a transaction once (`begin_session`), then
-    // resumes it before and suspends it after each of its statements;
-    // any number of sessions' transactions may be open at a time. The
-    // defaults emulate this over begin/commit/abort for backends with a
-    // single implicit transaction — correct only single-sessioned;
-    // both shipped backends override with real multi-transaction state.
-
-    /// Opens a session transaction and returns its id, leaving it
-    /// *suspended* (resume it before the first statement).
-    fn begin_session(&mut self) -> RqsResult<u64> {
-        self.begin()?;
-        Ok(0)
-    }
-
-    /// Makes an open session transaction active.
-    fn resume_session(&mut self, _id: u64) -> RqsResult<()> {
-        Ok(())
-    }
-
-    /// Suspends the active session transaction (it stays open).
-    fn suspend_session(&mut self) {}
-
-    /// Commits an open session transaction by id.
-    fn commit_session(&mut self, _id: u64) -> RqsResult<()> {
-        self.commit()
-    }
-
-    /// Rolls an open session transaction back by id.
-    fn abort_session(&mut self, _id: u64) {
-        self.abort();
-    }
-
-    /// Persists the integrity constraints of a table so they survive
-    /// reopen (paged backends only; in-memory state dies with the
-    /// process anyway).
-    fn persist_constraints(
-        &mut self,
-        _name: &str,
-        _constraints: &[TableConstraint],
-    ) -> RqsResult<()> {
-        Ok(())
-    }
-
-    /// Constraints previously persisted for a table (empty when the
-    /// backend does not persist them).
-    fn stored_constraints(&self, _name: &str) -> RqsResult<Vec<TableConstraint>> {
-        Ok(Vec::new())
-    }
-
-    /// Checkpoint: make the database file self-contained (write dirty
-    /// pages back and truncate the WAL where one exists).
-    fn checkpoint(&self) -> RqsResult<()> {
-        self.flush()
-    }
-
-    /// Test/ops helper: drop the backend as a crash would — without
-    /// flushing buffered state — so reopening must run crash recovery.
-    fn crash(self: Box<Self>) {}
-
-    /// Whether the backend identifies rows stably enough for
-    /// row-granular locks (paged backends: rids). In-memory tables use
-    /// positional indices that shift on delete, so they stay under
-    /// table-level exclusive locks.
-    fn supports_row_locks(&self) -> bool {
-        false
-    }
-
-    /// Installs (`Some`) or clears (`None`) the per-row lock hook.
-    /// Ignored by backends without row-lock support.
-    fn set_row_lock_hook(&mut self, _hook: Option<RowLockHook>) {}
-
-    /// Whether reads can run against MVCC commit-timestamp snapshots
-    /// instead of the lock manager (paged backends only; the in-memory
-    /// backend keeps strict two-phase reads).
-    fn supports_snapshot_reads(&self) -> bool {
-        false
-    }
-
-    /// Toggles snapshot reads (no-op without support). Callers toggle
-    /// only while no transactions or statement snapshots are open.
-    fn set_snapshot_reads(&mut self, _on: bool) {}
-
-    /// Opens the statement-scoped read snapshot for an autocommit
-    /// statement (no-op without snapshot support; sessions inside BEGIN
-    /// read through their transaction's snapshot instead).
-    fn open_statement_snapshot(&self) {}
-
-    /// Closes the statement snapshot and probe mode; safe to call
-    /// unconditionally, including on error paths.
-    fn close_statement_snapshot(&self) {}
-
-    /// Marks subsequent reads as constraint probes: latest committed
-    /// state plus the writer's own rows, conflicting retryably when the
-    /// probed table carries another transaction's uncommitted writes.
-    fn set_constraint_probe(&self, _on: bool) {}
+    fn in_txn(&self) -> bool;
 }
 
 /// A read view over schema + storage, what the planner and executor
@@ -406,21 +302,21 @@ fn rewind_rows(table: &mut MemTable, rows: usize) {
 }
 
 /// The original storage representation: everything in RAM, no paging.
+/// Today it is the differential oracle the paged engine is tested
+/// against, not something the server serves.
 ///
-/// It has no durability, but it *does* honor transaction atomicity so
-/// the two backends stay observationally identical through SQL: the
-/// first mutation of each table inside a transaction saves rollback
-/// state for it ([`MemSaved`], copy-on-first-touch), and abort restores
-/// exactly the touched entries. Any number of session transactions may
-/// be open at once — one per server session — with at most one active
-/// at a time, mirroring the paged engine's model.
+/// It has no durability and no concurrency, but it *does* honor
+/// statement atomicity so the two backends stay observationally
+/// identical through SQL: the first mutation of each table inside the
+/// statement transaction saves rollback state for it ([`MemSaved`],
+/// copy-on-first-touch), and abort restores exactly the touched
+/// entries.
 #[derive(Clone, Debug, Default)]
 pub struct InMemoryBackend {
     tables: BTreeMap<String, MemTable>,
-    /// txn id → (table → saved pre-transaction state).
-    txns: HashMap<u64, BTreeMap<String, MemSaved>>,
-    active: Option<u64>,
-    next_txn: u64,
+    /// Rollback state of the open statement transaction: table → saved
+    /// pre-transaction state.
+    txn: Option<BTreeMap<String, MemSaved>>,
 }
 
 impl InMemoryBackend {
@@ -442,10 +338,7 @@ impl InMemoryBackend {
 
     /// Saves `name`'s row count for rollback (appends) on first touch.
     fn touch_rows(&mut self, name: &str) {
-        let Some(id) = self.active else {
-            return;
-        };
-        let Some(touched) = self.txns.get_mut(&id) else {
+        let Some(touched) = self.txn.as_mut() else {
             return;
         };
         if !touched.contains_key(name) {
@@ -459,10 +352,7 @@ impl InMemoryBackend {
     /// it — only appends can have happened since, so that copy *is* the
     /// pre-transaction state.
     fn touch_full(&mut self, name: &str) {
-        let Some(id) = self.active else {
-            return;
-        };
-        let Some(touched) = self.txns.get_mut(&id) else {
+        let Some(touched) = self.txn.as_mut() else {
             return;
         };
         let saved = match touched.get(name) {
@@ -525,36 +415,19 @@ impl InMemoryBackend {
         hits.dedup();
         Ok(hits)
     }
-
-    /// Restores every table a transaction touched, then forgets it.
-    fn restore(&mut self, id: u64) {
-        let Some(touched) = self.txns.remove(&id) else {
-            return;
-        };
-        for (name, saved) in touched {
-            match saved {
-                MemSaved::RowCount(rows) => {
-                    if let Some(table) = self.tables.get_mut(&name) {
-                        rewind_rows(table, rows);
-                    }
-                }
-                MemSaved::Full(Some(table)) => {
-                    self.tables.insert(name, table);
-                }
-                MemSaved::Full(None) => {
-                    self.tables.remove(&name);
-                }
-            }
-        }
-        if self.active == Some(id) {
-            self.active = None;
-        }
-    }
 }
 
 impl StorageBackend for InMemoryBackend {
     fn name(&self) -> &'static str {
         "in-memory"
+    }
+
+    fn as_paged(&self) -> Option<&PagedBackend> {
+        None
+    }
+
+    fn as_paged_mut(&mut self) -> Option<&mut PagedBackend> {
+        None
     }
 
     fn create_table(&mut self, name: &str, _columns: &[Column]) -> RqsResult<()> {
@@ -587,70 +460,41 @@ impl StorageBackend for InMemoryBackend {
     }
 
     fn begin(&mut self) -> RqsResult<()> {
-        if self.active.is_some() {
+        if self.txn.is_some() {
             return Err(RqsError::Internal("transaction already active".into()));
         }
-        self.next_txn += 1;
-        let id = self.next_txn;
-        self.txns.insert(id, BTreeMap::new());
-        self.active = Some(id);
+        self.txn = Some(BTreeMap::new());
         Ok(())
     }
 
     fn commit(&mut self) -> RqsResult<()> {
-        let Some(id) = self.active.take() else {
-            return Err(RqsError::Internal("commit without begin".into()));
-        };
-        self.txns.remove(&id);
-        Ok(())
+        match self.txn.take() {
+            Some(_) => Ok(()),
+            None => Err(RqsError::Internal("commit without begin".into())),
+        }
     }
 
+    /// Restores every table the transaction touched.
     fn abort(&mut self) {
-        if let Some(id) = self.active {
-            self.restore(id);
+        for (name, saved) in self.txn.take().unwrap_or_default() {
+            match saved {
+                MemSaved::RowCount(rows) => {
+                    if let Some(table) = self.tables.get_mut(&name) {
+                        rewind_rows(table, rows);
+                    }
+                }
+                MemSaved::Full(Some(table)) => {
+                    self.tables.insert(name, table);
+                }
+                MemSaved::Full(None) => {
+                    self.tables.remove(&name);
+                }
+            }
         }
     }
 
     fn in_txn(&self) -> bool {
-        self.active.is_some()
-    }
-
-    fn begin_session(&mut self) -> RqsResult<u64> {
-        self.next_txn += 1;
-        let id = self.next_txn;
-        self.txns.insert(id, BTreeMap::new());
-        Ok(id)
-    }
-
-    fn resume_session(&mut self, id: u64) -> RqsResult<()> {
-        if !self.txns.contains_key(&id) {
-            return Err(RqsError::Internal(format!(
-                "resume of unknown transaction {id}"
-            )));
-        }
-        if self.active.is_some() && self.active != Some(id) {
-            return Err(RqsError::Internal(
-                "another transaction is active; suspend it first".into(),
-            ));
-        }
-        self.active = Some(id);
-        Ok(())
-    }
-
-    fn suspend_session(&mut self) {
-        self.active = None;
-    }
-
-    fn commit_session(&mut self, id: u64) -> RqsResult<()> {
-        self.txns.remove(&id);
-        if self.active == Some(id) {
-            self.active = None;
-        }
-        Ok(())
-    }
-
-    fn abort_session(&mut self, id: u64) {
-        self.restore(id);
+        self.txn.is_some()
     }
 
     fn insert(&mut self, name: &str, tuple: Tuple) -> RqsResult<()> {
@@ -891,38 +735,104 @@ impl PagedBackend {
         }
     }
 
+    /// The engine itself: metrics and histograms, flush and checkpoint,
+    /// statement snapshots and constraint-probe mode are its `&self`
+    /// methods.
     pub fn engine(&self) -> &StorageEngine {
         &self.engine
     }
 
+    /// Installs (`Some`) or clears (`None`) the per-row lock hook.
+    pub fn set_row_lock_hook(&mut self, hook: Option<RowLockHook>) {
+        self.row_lock_hook = hook;
+    }
+
+    // -- Session transactions (the shared server's API) ----------------
+    //
+    // A server session opens a transaction once, then resumes it before
+    // and suspends it after each of its statements; any number of
+    // sessions' transactions may be open at a time.
+
+    /// Opens a session transaction and returns its id, leaving it
+    /// *suspended* (resume it before the first statement).
+    pub fn begin_session(&mut self) -> RqsResult<u64> {
+        let id = self.engine.begin()?;
+        self.engine.suspend();
+        Ok(id)
+    }
+
+    /// Makes an open session transaction active.
+    pub fn resume_session(&mut self, id: u64) -> RqsResult<()> {
+        Ok(self.engine.resume(id)?)
+    }
+
+    /// Suspends the active session transaction (it stays open).
+    pub fn suspend_session(&mut self) {
+        self.engine.suspend();
+    }
+
+    /// Commits an open session transaction by id.
+    pub fn commit_session(&mut self, id: u64) -> RqsResult<()> {
+        Ok(self.engine.commit_txn(id)?)
+    }
+
+    /// Rolls an open session transaction back by id.
+    pub fn abort_session(&mut self, id: u64) {
+        self.engine.abort_txn(id);
+    }
+
+    /// Persists the integrity constraints of a table so they survive
+    /// reopen.
+    pub fn persist_constraints(
+        &mut self,
+        name: &str,
+        constraints: &[TableConstraint],
+    ) -> RqsResult<()> {
+        let specs: Vec<String> = constraints.iter().map(TableConstraint::to_spec).collect();
+        Ok(self.engine.set_constraints(name, &specs)?)
+    }
+
+    /// Constraints previously persisted for a table.
+    pub fn stored_constraints(&self, name: &str) -> RqsResult<Vec<TableConstraint>> {
+        self.engine
+            .constraints(name)?
+            .iter()
+            .map(|spec| TableConstraint::parse_spec(spec))
+            .collect()
+    }
+
+    /// Test/ops helper: makes the coming drop behave as a crash would —
+    /// buffered state is not flushed — so reopening must run crash
+    /// recovery. Drop the backend right after.
+    pub fn crash(&mut self) {
+        self.engine.simulate_crash();
+    }
+
     /// Candidate `(rid, tuple)` pairs for one access path; falls back to
-    /// a full scan when the named index is gone.
+    /// a full scan when the named index is gone or declines.
     fn candidates_rids(
         &self,
         name: &str,
         access: &AccessPath,
     ) -> RqsResult<Vec<(storage::heap::Rid, Tuple)>> {
-        Ok(match access {
-            AccessPath::FullScan => self.engine.scan_rids(name)?,
+        let (col, probe) = match access {
+            AccessPath::FullScan => return Ok(self.engine.scan_rids(name)?),
             AccessPath::Nothing => {
                 self.engine.table(name)?;
-                Vec::new()
+                return Ok(Vec::new());
             }
-            AccessPath::KeyEq(col, key) => match self.engine.index_lookup_rids(name, *col, key)? {
-                Some(hits) => hits,
-                None => self.engine.scan_rids(name)?,
-            },
+            AccessPath::KeyEq(col, key) => (*col, IndexProbe::Eq(key)),
             AccessPath::KeyRange(col, lower, upper) => {
                 let (lower, upper) = (lower.as_ref(), upper.as_ref());
                 if bounds_are_empty(&lower, &upper) && self.engine.has_index(name, *col) {
-                    Vec::new()
-                } else {
-                    match self.engine.index_range_rids(name, *col, lower, upper)? {
-                        Some(hits) => hits,
-                        None => self.engine.scan_rids(name)?,
-                    }
+                    return Ok(Vec::new());
                 }
+                (*col, IndexProbe::Range(lower, upper))
             }
+        };
+        Ok(match self.engine.index_read(name, col, probe)? {
+            Some(hits) => hits,
+            None => self.engine.scan_rids(name)?,
         })
     }
 }
@@ -930,6 +840,14 @@ impl PagedBackend {
 impl StorageBackend for PagedBackend {
     fn name(&self) -> &'static str {
         "paged"
+    }
+
+    fn as_paged(&self) -> Option<&PagedBackend> {
+        Some(self)
+    }
+
+    fn as_paged_mut(&mut self) -> Option<&mut PagedBackend> {
+        Some(self)
     }
 
     fn create_table(&mut self, name: &str, columns: &[Column]) -> RqsResult<()> {
@@ -1001,18 +919,6 @@ impl StorageBackend for PagedBackend {
         self.engine.pool_stats()
     }
 
-    fn metrics(&self) -> MetricsSnapshot {
-        self.engine.metrics()
-    }
-
-    fn histograms(&self) -> HistogramsSnapshot {
-        self.engine.histograms()
-    }
-
-    fn flush(&self) -> RqsResult<()> {
-        Ok(self.engine.flush()?)
-    }
-
     fn begin(&mut self) -> RqsResult<()> {
         self.engine.begin()?;
         Ok(())
@@ -1028,81 +934,6 @@ impl StorageBackend for PagedBackend {
 
     fn in_txn(&self) -> bool {
         self.engine.in_txn()
-    }
-
-    fn begin_session(&mut self) -> RqsResult<u64> {
-        let id = self.engine.begin()?;
-        self.engine.suspend();
-        Ok(id)
-    }
-
-    fn resume_session(&mut self, id: u64) -> RqsResult<()> {
-        Ok(self.engine.resume(id)?)
-    }
-
-    fn suspend_session(&mut self) {
-        self.engine.suspend();
-    }
-
-    fn commit_session(&mut self, id: u64) -> RqsResult<()> {
-        Ok(self.engine.commit_txn(id)?)
-    }
-
-    fn abort_session(&mut self, id: u64) {
-        self.engine.abort_txn(id);
-    }
-
-    fn persist_constraints(
-        &mut self,
-        name: &str,
-        constraints: &[TableConstraint],
-    ) -> RqsResult<()> {
-        let specs: Vec<String> = constraints.iter().map(TableConstraint::to_spec).collect();
-        Ok(self.engine.set_constraints(name, &specs)?)
-    }
-
-    fn stored_constraints(&self, name: &str) -> RqsResult<Vec<TableConstraint>> {
-        self.engine
-            .constraints(name)?
-            .iter()
-            .map(|spec| TableConstraint::parse_spec(spec))
-            .collect()
-    }
-
-    fn checkpoint(&self) -> RqsResult<()> {
-        Ok(self.engine.checkpoint()?)
-    }
-
-    fn crash(self: Box<Self>) {
-        self.engine.simulate_crash();
-    }
-
-    fn supports_row_locks(&self) -> bool {
-        true
-    }
-
-    fn set_row_lock_hook(&mut self, hook: Option<RowLockHook>) {
-        self.row_lock_hook = hook;
-    }
-
-    fn supports_snapshot_reads(&self) -> bool {
-        self.engine.snapshot_reads_enabled()
-    }
-
-    fn set_snapshot_reads(&mut self, on: bool) {
-        self.engine.set_snapshot_reads(on);
-    }
-
-    fn open_statement_snapshot(&self) {
-        self.engine.open_statement_snapshot();
-    }
-
-    fn close_statement_snapshot(&self) {
-        self.engine.close_statement_snapshot();
-    }
-
-    fn set_constraint_probe(&self, on: bool) {
-        self.engine.set_constraint_probe(on);
     }
 
     fn delete_where(

@@ -5,7 +5,7 @@ use crate::catalog::{self, Catalog, Column, Table};
 use crate::error::{RqsError, RqsResult};
 use crate::exec::{self, QueryMetrics};
 use crate::plan;
-use crate::sql::{self, Statement};
+use crate::sql::{self, SelectStmt, Statement};
 use crate::value::Tuple;
 use std::path::Path;
 
@@ -114,10 +114,28 @@ pub(crate) fn run_txn<T>(
     }
 }
 
+/// Runs a constraint check in probe mode (paged engine): the check
+/// judges the latest committed state plus the writer's own rows, and
+/// conflicts retryably on a concurrent writer's pending rows instead of
+/// reporting a violation against data that may roll back. The
+/// in-memory oracle has no concurrent writers and just runs the check.
+pub(crate) fn probing<T>(backend: &dyn StorageBackend, check: impl FnOnce() -> T) -> T {
+    let engine = backend.as_paged().map(PagedBackend::engine);
+    if let Some(engine) = engine {
+        engine.set_constraint_probe(true);
+    }
+    let out = check();
+    if let Some(engine) = engine {
+        engine.set_constraint_probe(false);
+    }
+    out
+}
+
 /// A relational database addressed through SQL.
 ///
 /// The schema lives in the [`Catalog`]; rows live in a pluggable
-/// [`StorageBackend`]: [`Database::new`] keeps everything in RAM,
+/// [`StorageBackend`]: [`Database::new`] keeps everything in RAM (the
+/// differential oracle — no sessions, no durability),
 /// [`Database::paged`] runs on the paged engine (slotted heap pages
 /// behind a buffer pool, B+-tree indexes), and [`Database::open_paged`]
 /// persists it all to a file whose catalog is bootstrapped back from the
@@ -216,16 +234,6 @@ impl Database {
         })
     }
 
-    /// A database over any backend implementation.
-    pub fn with_backend(backend: Box<dyn StorageBackend>) -> Self {
-        Database {
-            catalog: Catalog::new(),
-            backend,
-            last_metrics: QueryMetrics::default(),
-            last_trace: Trace::default(),
-        }
-    }
-
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
     }
@@ -260,83 +268,105 @@ impl Database {
         catalog::validate_all(&self.catalog, self.backend.as_ref())
     }
 
-    /// Writes dirty pages back (paged file-backed databases; a no-op for
-    /// in-memory backends). The WAL is left alone; see
-    /// [`Database::checkpoint`].
+    /// The paged engine, when this database runs on it.
+    fn engine(&self) -> Option<&storage::StorageEngine> {
+        self.backend.as_paged().map(PagedBackend::engine)
+    }
+
+    /// Writes dirty pages back (paged file-backed databases; the
+    /// in-memory backend has nothing to write). The WAL is left alone;
+    /// see [`Database::checkpoint`].
     pub fn flush(&self) -> RqsResult<()> {
-        self.backend.flush()
+        match self.engine() {
+            Some(engine) => Ok(engine.flush()?),
+            None => Ok(()),
+        }
     }
 
     /// Checkpoint: write dirty pages back *and* truncate the WAL, so
     /// the database file alone carries the whole state.
     pub fn checkpoint(&self) -> RqsResult<()> {
-        self.backend.checkpoint()
+        match self.engine() {
+            Some(engine) => Ok(engine.checkpoint()?),
+            None => Ok(()),
+        }
     }
 
     /// Test/ops helper simulating a crash: drops the database without
     /// flushing buffered pages. Committed statements are recovered from
     /// the WAL on the next [`Database::open_paged`].
-    pub fn crash(self) {
-        let Database { backend, .. } = self;
-        backend.crash();
+    pub fn crash(mut self) {
+        if let Some(paged) = self.backend.as_paged_mut() {
+            paged.crash();
+        }
     }
 
     // -----------------------------------------------------------------
     // Session transactions (the shared server's surface)
     // -----------------------------------------------------------------
 
+    /// The paged backend session transactions live on; the in-memory
+    /// oracle has one statement transaction and nothing to multiplex.
+    fn sessions(&mut self) -> RqsResult<&mut PagedBackend> {
+        self.backend.as_paged_mut().ok_or_else(|| {
+            RqsError::Internal(
+                "session transactions need the paged engine (Database::paged / open_paged)".into(),
+            )
+        })
+    }
+
     /// Opens a session-scoped transaction spanning several `execute`
     /// calls and returns its id (suspended; resume it per statement).
     /// DDL is not supported inside session transactions — the schema
     /// registry has no per-transaction rollback (the server enforces
-    /// this before executing).
+    /// this before executing). Errors on an in-memory database.
     pub fn begin_session_txn(&mut self) -> RqsResult<u64> {
-        self.backend.begin_session()
+        self.sessions()?.begin_session()
     }
 
     /// Makes an open session transaction active for the next statement.
     pub fn resume_session_txn(&mut self, id: u64) -> RqsResult<()> {
-        self.backend.resume_session(id)
+        self.sessions()?.resume_session(id)
     }
 
     /// Suspends the active session transaction after a statement.
     pub fn suspend_session_txn(&mut self) {
-        self.backend.suspend_session();
+        if let Ok(paged) = self.sessions() {
+            paged.suspend_session();
+        }
     }
 
     /// Commits an open session transaction.
     pub fn commit_session_txn(&mut self, id: u64) -> RqsResult<()> {
-        self.backend.commit_session(id)
+        self.sessions()?.commit_session(id)
     }
 
     /// Rolls an open session transaction back.
     pub fn abort_session_txn(&mut self, id: u64) {
-        self.backend.abort_session(id);
-    }
-
-    /// Whether the backend can lock individual rows (see
-    /// [`crate::backend::StorageBackend::supports_row_locks`]).
-    pub fn supports_row_locks(&self) -> bool {
-        self.backend.supports_row_locks()
+        if let Ok(paged) = self.sessions() {
+            paged.abort_session(id);
+        }
     }
 
     /// Installs (`Some`) or clears (`None`) the per-row lock hook the
-    /// server wraps around a DML statement.
+    /// server wraps around a DML statement (paged engine only: rids are
+    /// what the hook locks).
     pub fn set_row_lock_hook(&mut self, hook: Option<crate::backend::RowLockHook>) {
-        self.backend.set_row_lock_hook(hook);
+        if let Some(paged) = self.backend.as_paged_mut() {
+            paged.set_row_lock_hook(hook);
+        }
     }
 
-    /// Whether reads run against MVCC snapshots instead of the lock
-    /// manager (see
-    /// [`crate::backend::StorageBackend::supports_snapshot_reads`]).
-    pub fn supports_snapshot_reads(&self) -> bool {
-        self.backend.supports_snapshot_reads()
-    }
-
-    /// Toggles snapshot reads on backends that support them. Toggle
-    /// only between statements, with no session transactions open.
-    pub fn set_snapshot_reads(&mut self, on: bool) {
-        self.backend.set_snapshot_reads(on);
+    /// Opens (`true`) or closes (`false`) the statement-scoped read
+    /// snapshot an autocommit statement reads through on the paged
+    /// engine; a session inside BEGIN reads through its transaction's
+    /// snapshot instead (cut at BEGIN).
+    fn statement_snapshot(&self, open: bool) {
+        match self.engine() {
+            Some(engine) if open => engine.open_statement_snapshot(),
+            Some(engine) => engine.close_statement_snapshot(),
+            None => {}
+        }
     }
 
     /// Executes one SQL statement. Mutating statements run as one WAL
@@ -348,26 +378,37 @@ impl Database {
     /// [`Database::last_statement_metrics`].
     pub fn execute(&mut self, sql_text: &str) -> RqsResult<QueryResult> {
         let started = std::time::Instant::now();
+        let parsed = sql::parse_statement(sql_text);
+        self.run_timed(parsed, started.elapsed().as_nanos() as u64)
+    }
+
+    /// [`Database::execute`] for a caller that already parsed the text
+    /// (the server parses once, to plan locks). `parse_nanos` is what
+    /// that parse took; it is carried into the metrics and the `parse`
+    /// span so the statement's accounting stays whole.
+    pub fn execute_parsed(&mut self, stmt: Statement, parse_nanos: u64) -> RqsResult<QueryResult> {
+        self.run_timed(Ok(stmt), parse_nanos)
+    }
+
+    /// Everything after the parse: runs the statement and records its
+    /// timings and I/O deltas for both outcomes.
+    fn run_timed(
+        &mut self,
+        parsed: RqsResult<Statement>,
+        parse_nanos: u64,
+    ) -> RqsResult<QueryResult> {
+        let exec_started = std::time::Instant::now();
         let io_before = self.backend.stats();
         LAST_COMMIT.set(None);
-        let parsed = sql::parse_statement(sql_text);
-        let parse_nanos = started.elapsed().as_nanos() as u64;
-        let exec_started = std::time::Instant::now();
-        // Autocommit statements read against a snapshot cut here; a
-        // session inside BEGIN reads through its transaction's snapshot
-        // instead (cut at BEGIN). No-ops without snapshot support.
         let autocommit = !self.backend.in_txn();
         if autocommit {
-            self.backend.open_statement_snapshot();
+            self.statement_snapshot(true);
         }
-        let mut outcome = match parsed {
-            Ok(stmt) => self.run_statement(stmt),
-            Err(e) => Err(e),
-        };
+        let mut outcome = parsed.and_then(|stmt| self.run_statement(stmt));
         if autocommit {
             // Unconditional close (error paths included) releases the
             // prior versions only this statement kept alive.
-            self.backend.close_statement_snapshot();
+            self.statement_snapshot(false);
         }
         let exec_nanos = exec_started.elapsed().as_nanos() as u64;
         // Backfill I/O deltas and timings into BOTH outcomes: a failed
@@ -380,7 +421,6 @@ impl Database {
         };
         metrics.parse_nanos = parse_nanos;
         metrics.exec_nanos = exec_nanos;
-        metrics.elapsed_nanos = started.elapsed().as_nanos() as u64;
         metrics.wal_appends = io_after.wal_appends - io_before.wal_appends;
         metrics.wal_bytes = io_after.wal_bytes - io_before.wal_bytes;
         if metrics.page_reads == 0 && metrics.buffer_hits == 0 {
@@ -388,6 +428,7 @@ impl Database {
             metrics.page_reads = io_after.page_reads - io_before.page_reads;
             metrics.buffer_hits = io_after.buffer_hits - io_before.buffer_hits;
         }
+        metrics.elapsed_nanos = parse_nanos + exec_started.elapsed().as_nanos() as u64;
         self.last_trace = Self::build_trace(metrics, &io_before, &io_after, LAST_COMMIT.take());
         self.last_metrics = metrics.clone();
         outcome
@@ -487,7 +528,10 @@ impl Database {
                 table.constraints = constraints;
                 run_txn(&mut self.backend, |b| {
                     b.create_table(&name, &table.columns)?;
-                    b.persist_constraints(&name, &table.constraints)
+                    match b.as_paged_mut() {
+                        Some(paged) => paged.persist_constraints(&name, &table.constraints),
+                        None => Ok(()),
+                    }
                 })?;
                 // Only after the backend committed: the schema entry can
                 // no longer end up pointing at rolled-back storage.
@@ -511,16 +555,9 @@ impl Database {
                 let catalog = &self.catalog;
                 run_txn(&mut self.backend, |b| {
                     for row in rows {
-                        // Probe mode inside the transaction: the check
-                        // judges the latest committed state plus this
-                        // statement's own earlier rows, and conflicts
-                        // retryably on a concurrent writer's pending
-                        // rows instead of reporting a violation against
-                        // data that may roll back.
-                        b.set_constraint_probe(true);
-                        let checked = catalog::check_insert(catalog, b, &table, &row);
-                        b.set_constraint_probe(false);
-                        checked?;
+                        // Probed inside the transaction, so the check
+                        // also sees this statement's own earlier rows.
+                        probing(b, || catalog::check_insert(catalog, b, &table, &row))?;
                         b.insert(&table, row)?;
                     }
                     Ok(())
@@ -540,14 +577,13 @@ impl Database {
                 // that referencing children still point at refuses to
                 // vanish, matching predicated DELETE's restrict rule.
                 self.catalog.table(&table)?;
-                self.backend.set_constraint_probe(true);
-                let checked = crate::dml::check_truncate_constraints(
-                    &self.catalog,
-                    self.backend.as_ref(),
-                    &table,
-                );
-                self.backend.set_constraint_probe(false);
-                checked?;
+                probing(self.backend.as_ref(), || {
+                    crate::dml::check_truncate_constraints(
+                        &self.catalog,
+                        self.backend.as_ref(),
+                        &table,
+                    )
+                })?;
                 let affected = run_txn(&mut self.backend, |b| b.truncate(&table))?;
                 Ok(QueryResult {
                     affected,
@@ -750,24 +786,30 @@ impl Database {
         let started = std::time::Instant::now();
         match sql::parse_statement(sql_text)? {
             Statement::Select(select) => {
-                let parse_nanos = started.elapsed().as_nanos() as u64;
-                let exec_started = std::time::Instant::now();
-                let autocommit = !self.backend.in_txn();
-                if autocommit {
-                    self.backend.open_statement_snapshot();
-                }
-                let out = self.run_select(&select);
-                if autocommit {
-                    self.backend.close_statement_snapshot();
-                }
-                let mut out = out?;
-                out.metrics.parse_nanos = parse_nanos;
-                out.metrics.exec_nanos = exec_started.elapsed().as_nanos() as u64;
-                out.metrics.elapsed_nanos = started.elapsed().as_nanos() as u64;
-                Ok(out)
+                self.query_select(&select, started.elapsed().as_nanos() as u64)
             }
             _ => Err(RqsError::Syntax("query() accepts only SELECT".into())),
         }
+    }
+
+    /// [`Database::query`] for a caller that already parsed the text;
+    /// `parse_nanos` is what that parse took (see
+    /// [`Database::execute_parsed`]).
+    pub fn query_select(&self, select: &SelectStmt, parse_nanos: u64) -> RqsResult<QueryResult> {
+        let exec_started = std::time::Instant::now();
+        let autocommit = !self.backend.in_txn();
+        if autocommit {
+            self.statement_snapshot(true);
+        }
+        let out = self.run_select(select);
+        if autocommit {
+            self.statement_snapshot(false);
+        }
+        let mut out = out?;
+        out.metrics.parse_nanos = parse_nanos;
+        out.metrics.exec_nanos = exec_started.elapsed().as_nanos() as u64;
+        out.metrics.elapsed_nanos = parse_nanos + out.metrics.exec_nanos;
+        Ok(out)
     }
 
     fn run_select(&self, select: &sql::SelectStmt) -> RqsResult<QueryResult> {
@@ -1156,6 +1198,47 @@ mod tests {
         assert_eq!(r.metrics.rows_scanned, 1, "index survives the DML + reopen");
         std::fs::remove_file(&path).unwrap();
         let _ = std::fs::remove_file(storage::engine::wal_path(&path));
+    }
+
+    #[test]
+    fn session_transactions_need_the_paged_engine() {
+        // The in-memory oracle has one statement transaction; it refuses
+        // to pretend it can multiplex sessions.
+        let mut mem = Database::new();
+        let err = mem.begin_session_txn().unwrap_err();
+        assert!(err.to_string().contains("Database::paged"), "{err}");
+        assert!(mem.resume_session_txn(1).is_err());
+        assert!(mem.commit_session_txn(1).is_err());
+        // Statement atomicity is untouched by that.
+        mem.execute("CREATE TABLE t (a INT, CHECK (a BETWEEN 0 AND 9))")
+            .unwrap();
+        assert!(mem.execute("INSERT INTO t VALUES (1), (99)").is_err());
+        assert!(mem.query("SELECT v.a FROM t v").unwrap().rows.is_empty());
+        // The paged engine really opens one.
+        let mut paged = Database::paged(8).unwrap();
+        let txn = paged.begin_session_txn().unwrap();
+        paged.resume_session_txn(txn).unwrap();
+        paged.suspend_session_txn();
+        paged.commit_session_txn(txn).unwrap();
+    }
+
+    #[test]
+    fn execute_parsed_matches_execute_and_carries_the_parse_time() {
+        let mut db = Database::paged(8).unwrap();
+        db.execute("CREATE TABLE t (a INT)").unwrap();
+        let stmt = sql::parse_statement("INSERT INTO t VALUES (1), (2)").unwrap();
+        let r = db.execute_parsed(stmt, 1234).unwrap();
+        assert_eq!(r.affected, 2);
+        assert_eq!(r.metrics.parse_nanos, 1234);
+        assert!(r.metrics.elapsed_nanos >= 1234 + r.metrics.exec_nanos);
+        let parse = &db.last_statement_trace().spans[0];
+        assert_eq!((parse.name, parse.nanos), ("parse", 1234));
+        let Statement::Select(select) = sql::parse_statement("SELECT v.a FROM t v").unwrap() else {
+            panic!("not a select");
+        };
+        let q = db.query_select(&select, 77).unwrap();
+        assert_eq!(q.rows, db.query("SELECT v.a FROM t v").unwrap().rows);
+        assert_eq!(q.metrics.parse_nanos, 77);
     }
 
     #[test]

@@ -38,7 +38,7 @@
 
 use crate::backend::{AccessPath, Snapshot, StorageBackend};
 use crate::catalog::{self, Catalog, ColumnType, Table, TableConstraint};
-use crate::database::run_txn;
+use crate::database::{probing, run_txn};
 use crate::error::{RqsError, RqsResult};
 use crate::exec;
 use crate::plan::{self, JoinCond, Restriction};
@@ -535,17 +535,16 @@ pub(crate) fn execute_update(
     // Constraint re-checks run in probe mode: latest committed state
     // plus this transaction's own rows, conflicting retryably when the
     // probed tables carry another transaction's uncommitted writes.
-    backend.set_constraint_probe(true);
-    let checked = check_update_constraints(
-        catalog,
-        backend.as_ref(),
-        table_name,
-        &new_rows,
-        &changed,
-        &mut pred,
-    );
-    backend.set_constraint_probe(false);
-    checked?;
+    probing(backend.as_ref(), || {
+        check_update_constraints(
+            catalog,
+            backend.as_ref(),
+            table_name,
+            &new_rows,
+            &changed,
+            &mut pred,
+        )
+    })?;
     run_txn(backend, |b| {
         b.update_where(table_name, &access, &mut pred, &mut apply)
     })
@@ -582,9 +581,8 @@ pub(crate) fn execute_delete(
         return Ok(0);
     }
     // Probe mode for the restrict re-check (see `execute_update`).
-    backend.set_constraint_probe(true);
-    let checked = check_delete_constraints(catalog, backend.as_ref(), table_name, &mut pred);
-    backend.set_constraint_probe(false);
-    checked?;
+    probing(backend.as_ref(), || {
+        check_delete_constraints(catalog, backend.as_ref(), table_name, &mut pred)
+    })?;
     run_txn(backend, |b| b.delete_where(table_name, &access, &mut pred))
 }

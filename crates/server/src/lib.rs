@@ -2,23 +2,27 @@
 //!
 //! The paper couples a Prolog front-end to a *shared* relational query
 //! system; this crate is the sharing. A [`SharedDatabase`] is an
-//! `Arc`-cloneable, `Send` handle over one [`rqs::Database`] (either
-//! backend). Each client gets a [`ServerSession`], which accepts the
-//! same SQL the database does plus three session-control statements:
+//! `Arc`-cloneable, `Send` handle over one [`rqs::Database`] on the
+//! paged engine (the in-memory backend is a differential oracle for
+//! tests, not something the server serves — construction refuses it).
+//! Each client gets a [`ServerSession`], which accepts the same SQL the
+//! database does plus three session-control statements:
 //!
 //! * `BEGIN` — open an explicit transaction spanning the following
 //!   statements;
-//! * `COMMIT` — make it durable (forces the WAL on paged backends);
+//! * `COMMIT` — make it durable (forces the WAL);
 //! * `ROLLBACK` (or `ABORT`) — undo all of it.
 //!
 //! Without `BEGIN`, every statement autocommits, exactly as before.
 //!
 //! # Concurrency model
 //!
+//! There is one regime: snapshot reads plus row-granular write locks.
+//!
 //! The database sits behind a **statement latch** — a reader/writer
 //! lock, not a mutex. Mutating statements, DDL, session-transaction
 //! control, and any statement inside an explicit transaction take the
-//! exclusive side and still execute one at a time. Autocommit snapshot
+//! exclusive side and still execute one at a time. Autocommit
 //! `SELECT`s take the *shared* side and run *concurrently with each
 //! other*, end to end: each opens its own MVCC read view, descends
 //! B+-trees with latch crabbing, and hits the lock-striped buffer pool
@@ -31,21 +35,23 @@
 //! ([`storage::lock::LockManager`], `IS`/`IX`/`S`/`X` with row-granular
 //! `X` beneath `IX` — the matrix lives in its module docs):
 //!
-//! * before a statement runs, its session takes a table `S` on every
-//!   table it reads (plus the parent tables of foreign-key checks and
-//!   the children of restrict checks) and, on the paged backend, a
-//!   table `IX` on every table it writes row-granularly — then an `X`
-//!   on each individual row as execution reaches it, via a hook
+//! * before a DML statement runs, its session takes a table `IX` on the
+//!   table it writes and a table `S` on the parent tables its
+//!   foreign-key checks probe and the child tables its restrict checks
+//!   scan — those `S` locks are what keep referential integrity true
+//!   under snapshot isolation (a parent cannot be deleted while a child
+//!   referencing it is being inserted, or the reverse). Then it takes
+//!   an `X` on each individual row as execution reaches it, via a hook
 //!   installed for the statement's span. Two sessions writing
 //!   *different rows* of one table proceed concurrently; the same row
-//!   conflicts. Whole-table rewrites (bare `DELETE`) and backends
-//!   without stable rids take a table `X` instead;
-//! * DDL takes the schema pseudo-lock exclusively; every other
-//!   statement takes it shared — so DDL serializes against everything;
+//!   conflicts. A bare `DELETE` rewrites the whole table and takes a
+//!   table `X` instead;
+//! * DDL takes the schema pseudo-lock exclusively; DML and `EXPLAIN`
+//!   take it shared — so DDL serializes against every writer;
 //! * locks are held to transaction end (autocommit: statement end);
 //! * deadlocks are avoided by wait-die: older transactions wait (table
 //!   locks) or abort retryably (row locks, which never block — the
-//!   holder needs this statement mutex to commit), younger ones abort
+//!   holder needs the statement latch to commit), younger ones abort
 //!   with [`RqsError::Conflict`] and may simply retry — ideally through
 //!   [`retry::Backoff`], whose bounded exponential delays with jitter
 //!   keep losers from spinning hot on a contended row;
@@ -54,17 +60,16 @@
 //!
 //! # Snapshot reads (MVCC)
 //!
-//! Reads do not use the lock manager at all. On the paged backend the
-//! engine keeps per-row version metadata ([`storage`]'s MVCC module):
-//! every autocommit statement and every explicit transaction opens a
-//! *read view* pinned to the commit timestamp current at its start, and
-//! all reads — `SELECT` scans, DML candidate scans, constraint probes —
-//! resolve each row against that view. A `SELECT` therefore takes **no
-//! locks whatsoever** (not even the shared schema lock; the statement
-//! latch's read side excludes DDL, which takes the write side, so its
-//! catalog access is safe) and never waits on or
-//! blocks a writer; it sees exactly the committed state as of its
-//! snapshot, plus its own transaction's earlier writes
+//! Reads do not use the lock manager at all. The engine keeps per-row
+//! version metadata ([`storage`]'s MVCC module): every autocommit
+//! statement and every explicit transaction opens a *read view* pinned
+//! to the commit timestamp current at its start, and all reads —
+//! `SELECT` scans, DML candidate scans, constraint probes — resolve
+//! each row against that view. A `SELECT` therefore takes **no locks
+//! whatsoever** (not even the shared schema lock; the statement latch
+//! excludes DDL, which takes its write side, so catalog access is safe)
+//! and never waits on or blocks a writer; it sees exactly the committed
+//! state as of its snapshot, plus its own transaction's earlier writes
 //! (read-your-own-writes). Dirty reads are impossible by construction:
 //! an uncommitted row carries a pending stamp only its writer's view
 //! accepts, and a deleted-but-uncommitted row still surfaces its last
@@ -79,18 +84,19 @@
 //! * *constraint-probe mode* — uniqueness/foreign-key probes judge the
 //!   latest committed state plus the writer's own rows, and conflict
 //!   retryably when the probed table carries another transaction's
-//!   uncommitted writes. The seed's false-violation anomaly (reporting
-//!   a duplicate against a row that later rolls back) is gone: the
-//!   probe now surfaces a retryable conflict instead of a verdict.
+//!   uncommitted writes: a probe never reports a duplicate against a
+//!   row that may still roll back.
 //!
-//! Plain snapshot reads are *not* serializable across statements of one
-//! explicit transaction (each read is consistent, but write skew
-//! between two read-then-write transactions is possible); statements
-//! that need read-modify-write atomicity should mutate in one statement
-//! (`UPDATE … SET x = x + 1`), whose row locks and first-updater-wins
-//! check keep it exact. `SharedDatabase::set_snapshot_reads(false)`
-//! restores the seed's reader-takes-table-`S` regime, under which
-//! SELECT-then-write transactions serialize at table granularity.
+//! This is snapshot isolation, not serializability: each read is
+//! consistent, but cross-statement write skew is possible — two
+//! transactions can each `SELECT`, see a state the other is about to
+//! change, and both commit writes that no single serial order would
+//! allow (read the maximum, insert maximum + 1; check two tables are
+//! empty, insert into one). The remedy is single-statement
+//! read-modify-write (`UPDATE … SET x = x + 1`), whose row locks and
+//! first-updater-wins check keep it exact. Declared constraints — keys,
+//! foreign keys, `CHECK` bounds — hold regardless: they are enforced by
+//! probes and `S` locks, not by what a transaction happened to read.
 //!
 //! An error during an explicit transaction (constraint violation, lock
 //! conflict, I/O failure) aborts the *whole* transaction — the session
@@ -110,7 +116,7 @@
 //! Statements of one connection run in order (a connection is checked
 //! out by at most one worker at a time); statements of different
 //! connections run in parallel exactly as far as the statement latch
-//! above allows — which, for snapshot `SELECT`s, is all the way.
+//! above allows — which, for autocommit `SELECT`s, is all the way.
 //! In-process callers just use [`SharedDatabase::session`] directly.
 
 pub mod net;
@@ -119,13 +125,15 @@ pub mod retry;
 pub use retry::Backoff;
 
 use rqs::sql::{SelectStmt, Statement};
-use rqs::{Catalog, Database, Datum, QueryResult, RqsError, TableConstraint, TraceSpan};
+use rqs::{
+    Catalog, Database, Datum, QueryMetrics, QueryResult, RqsError, TableConstraint, TraceSpan,
+};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
-use storage::{LockManager, LockMode};
+use storage::{HistogramsSnapshot, LockManager, LockMode, MetricsSnapshot, StorageEngine};
 
 /// The pseudo-resource DDL locks exclusively and every other statement
 /// locks shared. The leading NUL keeps it out of the table namespace.
@@ -211,8 +219,8 @@ impl SlowLog {
 struct Shared {
     /// The statement latch. Writers (DML, DDL, transaction control,
     /// anything inside an explicit transaction) take the write side
-    /// and serialize; autocommit snapshot SELECTs take the read side
-    /// and run concurrently through [`Database::query`]. `None` once
+    /// and serialize; autocommit SELECTs take the read side and run
+    /// concurrently through [`Database::query_select`]. `None` once
     /// [`SharedDatabase::crash`] ran.
     db: RwLock<Option<Database>>,
     /// `Arc` so per-statement row-lock hooks can capture the manager.
@@ -221,14 +229,6 @@ struct Shared {
     next_owner: AtomicU64,
     /// Session ids (reported by the slow log).
     next_session: AtomicU64,
-    /// Whether DML takes row-granular locks (table `IX` + per-row `X`)
-    /// on backends that support them, or plain table `X` locks.
-    /// Defaults on; benchmarks pin it off for a table-lock baseline.
-    row_locks: AtomicBool,
-    /// Whether reads run against MVCC snapshots (no locks at all for
-    /// SELECT) on backends that support them, or take table `S` locks.
-    /// Defaults on; benchmarks pin it off for the 2PL-reader baseline.
-    snapshot_reads: AtomicBool,
     /// Statements slower than the threshold, oldest evicted first.
     slow: Mutex<SlowLog>,
 }
@@ -249,6 +249,35 @@ fn lock_slow(m: &Mutex<SlowLog>) -> MutexGuard<'_, SlowLog> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+impl Shared {
+    /// Runs `f` on the paged engine under the statement latch's read
+    /// side (construction refused any other backend).
+    fn with_engine<R>(&self, f: impl FnOnce(&StorageEngine) -> R) -> ServerResult<R> {
+        let slot = db_read(&self.db);
+        let db = slot.as_ref().ok_or(ServerError::Closed)?;
+        let paged = db
+            .backend()
+            .as_paged()
+            .expect("with_lock_config admits only paged databases");
+        Ok(f(paged.engine()))
+    }
+
+    /// Engine counters merged with the lock manager's (the two
+    /// registries count disjoint events).
+    fn metrics(&self) -> ServerResult<MetricsSnapshot> {
+        Ok(self
+            .with_engine(StorageEngine::metrics)?
+            .merge(self.locks.metrics()))
+    }
+
+    /// Engine histograms merged with the lock manager's lock-wait one.
+    fn histograms(&self) -> ServerResult<HistogramsSnapshot> {
+        Ok(self
+            .with_engine(StorageEngine::histograms)?
+            .merge(self.locks.histograms()))
+    }
+}
+
 /// Default slow-statement capture threshold.
 pub const DEFAULT_SLOW_THRESHOLD: Duration = Duration::from_millis(10);
 /// Default slow-statement ring-buffer capacity.
@@ -263,7 +292,16 @@ pub struct SharedDatabase {
 }
 
 impl SharedDatabase {
-    /// Shares an existing database (either backend).
+    /// Shares an existing database on the paged engine.
+    ///
+    /// # Panics
+    ///
+    /// If `db` is not on the paged engine — build it with
+    /// `Database::paged` or `Database::open_paged`. Sessions, snapshot
+    /// reads and row locks exist only there; the in-memory backend
+    /// (`Database::new`) is a differential oracle, not a server backend.
+    /// [`SharedDatabase::with_lock_timeout`] and
+    /// [`SharedDatabase::with_lock_config`] refuse it the same way.
     pub fn from_database(db: Database) -> SharedDatabase {
         Self::with_lock_timeout(db, Duration::from_secs(10))
     }
@@ -277,14 +315,17 @@ impl SharedDatabase {
     /// Full lock configuration: wait timeout plus the row-lock count at
     /// which one owner's table `IX` escalates to a table `X`.
     pub fn with_lock_config(db: Database, timeout: Duration, escalation: usize) -> SharedDatabase {
+        assert!(
+            db.backend().as_paged().is_some(),
+            "SharedDatabase serves the paged engine only: build the database with \
+             Database::paged or Database::open_paged, not Database::new"
+        );
         SharedDatabase {
             inner: Arc::new(Shared {
                 db: RwLock::new(Some(db)),
                 locks: Arc::new(LockManager::with_config(timeout, escalation)),
                 next_owner: AtomicU64::new(1),
                 next_session: AtomicU64::new(1),
-                row_locks: AtomicBool::new(true),
-                snapshot_reads: AtomicBool::new(true),
                 slow: Mutex::new(SlowLog {
                     threshold: DEFAULT_SLOW_THRESHOLD,
                     capacity: DEFAULT_SLOW_CAPACITY,
@@ -317,32 +358,6 @@ impl SharedDatabase {
             .collect()
     }
 
-    /// Toggles row-granular DML locking (on by default where the
-    /// backend supports it). Off, writers take table `X` locks — the
-    /// pre-hierarchical behavior, kept for baseline benchmarking.
-    pub fn set_row_locking(&self, on: bool) {
-        self.inner.row_locks.store(on, Ordering::Relaxed);
-    }
-
-    /// Toggles MVCC snapshot reads (on by default where the backend
-    /// supports them). On, reads resolve against a committed snapshot
-    /// and SELECT takes no locks; off, readers take table `S` locks —
-    /// the pre-MVCC regime, kept for baseline benchmarking and for the
-    /// probes that rely on reader/writer table exclusion. Clears the
-    /// engine's version metadata when turned off.
-    pub fn set_snapshot_reads(&self, on: bool) {
-        self.inner.snapshot_reads.store(on, Ordering::Relaxed);
-        let mut slot = db_write(&self.inner.db);
-        if let Some(db) = slot.as_mut() {
-            db.set_snapshot_reads(on);
-        }
-    }
-
-    /// A shared in-memory database (the original backend).
-    pub fn in_memory() -> SharedDatabase {
-        Self::from_database(Database::new())
-    }
-
     /// A shared paged database on anonymous in-memory pages.
     pub fn paged(pool_pages: usize) -> rqs::RqsResult<SharedDatabase> {
         Ok(Self::from_database(Database::paged(pool_pages)?))
@@ -369,25 +384,15 @@ impl SharedDatabase {
     /// Engine-wide counter snapshot: the database's storage metrics
     /// merged with the server's lock-manager metrics (the two
     /// registries count disjoint events).
-    pub fn metrics(&self) -> ServerResult<storage::MetricsSnapshot> {
-        let engine = {
-            let slot = db_read(&self.inner.db);
-            let db = slot.as_ref().ok_or(ServerError::Closed)?;
-            db.backend().metrics()
-        };
-        Ok(engine.merge(self.inner.locks.metrics()))
+    pub fn metrics(&self) -> ServerResult<MetricsSnapshot> {
+        self.inner.metrics()
     }
 
     /// Engine-wide latency-histogram snapshot: the database's fsync /
     /// commit / fault-in histograms merged with the lock manager's
     /// lock-wait histogram (the `STATS HISTOGRAMS` verb renders this).
-    pub fn histograms(&self) -> ServerResult<storage::HistogramsSnapshot> {
-        let engine = {
-            let slot = db_read(&self.inner.db);
-            let db = slot.as_ref().ok_or(ServerError::Closed)?;
-            db.backend().histograms()
-        };
-        Ok(engine.merge(self.inner.locks.histograms()))
+    pub fn histograms(&self) -> ServerResult<HistogramsSnapshot> {
+        self.inner.histograms()
     }
 
     /// Runs `f` with the underlying database (test assertions, ops).
@@ -548,13 +553,9 @@ impl ServerSession {
     /// per histogram × derived statistic, engine and lock-manager
     /// registries merged.
     fn histogram_rows(&mut self) -> ServerResult<QueryResult> {
-        let engine = {
-            let slot = db_read(&self.shared.db);
-            let db = slot.as_ref().ok_or(ServerError::Closed)?;
-            db.backend().histograms()
-        };
-        let merged = engine.merge(self.shared.locks.histograms());
-        let rows = merged
+        let rows = self
+            .shared
+            .histograms()?
             .histograms()
             .into_iter()
             .flat_map(|(name, h)| {
@@ -623,12 +624,7 @@ impl ServerSession {
     /// counters, one `counter`/`value` row each — the line protocol
     /// carries it like any other query result.
     fn stats_rows(&mut self) -> ServerResult<QueryResult> {
-        let engine = {
-            let slot = db_read(&self.shared.db);
-            let db = slot.as_ref().ok_or(ServerError::Closed)?;
-            db.backend().metrics()
-        };
-        let merged = engine.merge(self.shared.locks.metrics());
+        let merged = self.shared.metrics()?;
         let session = [
             ("session_statements", self.stats.statements),
             ("session_retries", self.stats.retries),
@@ -709,7 +705,10 @@ impl ServerSession {
 
     fn statement(&mut self, sql: &str) -> ServerResult<QueryResult> {
         let started = Instant::now();
+        // The one parse of this statement: it plans the locks here and
+        // is handed down to the database, which does not parse again.
         let stmt = rqs::sql::parse_statement(sql).map_err(ServerError::Statement)?;
+        let parse_nanos = started.elapsed().as_nanos() as u64;
         let ddl = matches!(
             stmt,
             Statement::CreateTable { .. }
@@ -721,46 +720,33 @@ impl ServerSession {
                 "DDL is not allowed inside an explicit transaction".into(),
             ));
         }
+
+        // An autocommit SELECT mutates nothing and resumes no
+        // transaction: it runs on the statement latch's *read* side,
+        // concurrently with every other such SELECT, and never touches
+        // the write path below. A SELECT inside an explicit transaction
+        // takes the write side — it must switch the session's backend
+        // transaction in, which needs `&mut` — but no locks either.
+        let stmt = match stmt {
+            Statement::Select(select) if self.txn.is_none() => {
+                return self.read_statement(sql, &select, parse_nanos, started);
+            }
+            other => other,
+        };
         let owner = match &self.txn {
             Some(open) => open.owner,
             None => self.shared.next_owner.fetch_add(1, Ordering::SeqCst),
         };
 
-        // A snapshot-read SELECT skips the lock manager entirely — no
-        // schema lock, no table locks. Its reads resolve against a
-        // committed MVCC snapshot, and the statement mutex alone
-        // stabilizes the catalog for the statement's duration (worst
-        // case a DROP committed since parsing makes execution fail
-        // cleanly with "no such table").
-        let snapshot_select = if matches!(stmt, Statement::Select(_))
-            && self.shared.snapshot_reads.load(Ordering::Relaxed)
-        {
-            let supported = db_read(&self.shared.db)
-                .as_ref()
-                .map(|db| db.supports_snapshot_reads());
-            match supported {
-                Some(s) => s,
-                None => return self.closed(owner),
-            }
-        } else {
-            false
-        };
-
-        // An autocommit snapshot SELECT mutates nothing and resumes no
-        // transaction: it runs on the statement latch's *read* side,
-        // concurrently with every other such SELECT, and never touches
-        // the write path below. Snapshot SELECTs inside an explicit
-        // transaction still take the write side — they must switch the
-        // session's backend transaction in, which needs `&mut`.
-        if snapshot_select && self.txn.is_none() {
-            return self.read_statement(sql, owner, started);
-        }
-
-        // Phase 1: locks, acquired *before* the statement mutex so a
+        // Phase 1: locks, acquired *before* the statement latch so a
         // waiter never blocks the session that must release it.
         // Schema first (stabilizes the catalog against DDL), then the
-        // statement's tables in name order.
-        if !snapshot_select {
+        // statement's tables in name order. A SELECT skips all of it:
+        // its reads resolve against a committed MVCC snapshot, and the
+        // statement latch alone stabilizes the catalog for the
+        // statement's duration (worst case a DROP committed since
+        // parsing makes execution fail cleanly with "no such table").
+        if !matches!(stmt, Statement::Select(_)) {
             let schema_mode = if ddl {
                 LockMode::Exclusive
             } else {
@@ -774,16 +760,9 @@ impl ServerSession {
                 return self.fail(owner, e.into());
             }
         }
-        let plan = if snapshot_select {
-            Some(BTreeMap::new())
-        } else {
-            let mut slot = db_write(&self.shared.db);
-            slot.as_mut().map(|db| {
-                let row_locks =
-                    self.shared.row_locks.load(Ordering::Relaxed) && db.supports_row_locks();
-                lock_plan(&stmt, db.catalog(), row_locks)
-            })
-        };
+        let plan = db_read(&self.shared.db)
+            .as_ref()
+            .map(|db| lock_plan(&stmt, db.catalog()));
         let Some(plan) = plan else {
             return self.closed(owner);
         };
@@ -795,12 +774,12 @@ impl ServerSession {
         // An intent-locked write target means execution must take an
         // `X` per row it touches: install the hook for this statement.
         let row_locked_write = plan.values().any(|&m| m == LockMode::IntentExclusive);
-        // Everything up to here — schema lock, lock planning, table
-        // locks — is the session-layer `locks` span (any mutex wait in
-        // Phase 2 is charged to the database spans it precedes).
-        let lock_nanos = started.elapsed().as_nanos() as u64;
+        // Schema lock, lock planning, table locks: the session-layer
+        // `locks` span (any latch wait in Phase 2 is charged to the
+        // database spans it precedes).
+        let lock_nanos = (started.elapsed().as_nanos() as u64).saturating_sub(parse_nanos);
 
-        // Phase 2: execute under the statement mutex, with the session's
+        // Phase 2: execute under the statement latch, with the session's
         // transaction (if any) switched in.
         let result = {
             let mut slot = db_write(&self.shared.db);
@@ -818,13 +797,13 @@ impl ServerSession {
             let r = match &self.txn {
                 Some(open) => match db.resume_session_txn(open.txn) {
                     Ok(()) => {
-                        let r = db.execute(sql);
+                        let r = db.execute_parsed(stmt, parse_nanos);
                         db.suspend_session_txn();
                         r
                     }
                     Err(e) => Err(e),
                 },
-                None => db.execute(sql),
+                None => db.execute_parsed(stmt, parse_nanos),
             };
             if row_locked_write {
                 db.set_row_lock_hook(None);
@@ -841,18 +820,7 @@ impl ServerSession {
             self.last_trace = spans;
             r
         };
-        let wall_nanos = started.elapsed().as_nanos() as u64;
-        {
-            let mut slow = lock_slow(&self.shared.slow);
-            if slow.capacity > 0 && wall_nanos >= slow.threshold.as_nanos() as u64 {
-                slow.push(SlowEntry {
-                    session: self.id,
-                    sql: sql.to_owned(),
-                    wall_nanos,
-                    spans: self.last_trace.clone(),
-                });
-            }
-        }
+        self.note_slow(sql, started);
         match result {
             Ok(r) => {
                 if self.txn.is_none() {
@@ -866,76 +834,71 @@ impl ServerSession {
         }
     }
 
-    /// The parallel read path: an autocommit snapshot SELECT executed
-    /// through [`Database::query`] on the statement latch's read side.
-    /// No lock-manager calls, no `&mut Database` — any number of
-    /// sessions run here at once. The span breakdown is assembled from
-    /// the query's own timings: `locks` first (the no-op lock phase,
-    /// everything before execution — the trace shape every statement
-    /// shares), then `parse` and `exec`. There is no `commit` span: a
-    /// read-only statement commits nothing.
+    /// The parallel read path: an autocommit SELECT executed through
+    /// [`Database::query_select`] on the statement latch's read side.
+    /// No lock-manager calls, no lock owner, no `&mut Database` — any
+    /// number of sessions run here at once, and a failure has nothing
+    /// to release. The span breakdown keeps the shape every statement
+    /// shares — `locks` first (the no-op lock phase), then `parse`,
+    /// `plan`, `exec` — and is assembled for both outcomes: a failed
+    /// SELECT has no metrics of its own, so its wall time is its `exec`
+    /// span with zero I/O. There is no `commit` span: a read-only
+    /// statement commits nothing.
     fn read_statement(
         &mut self,
         sql: &str,
-        owner: u64,
+        select: &SelectStmt,
+        parse_nanos: u64,
         started: Instant,
     ) -> ServerResult<QueryResult> {
-        let lock_nanos = started.elapsed().as_nanos() as u64;
-        let result = {
-            let slot = db_read(&self.shared.db);
-            let Some(db) = slot.as_ref() else {
-                drop(slot);
-                return self.closed(owner);
-            };
-            db.query(sql)
+        debug_assert!(self.txn.is_none());
+        let lock_nanos = (started.elapsed().as_nanos() as u64).saturating_sub(parse_nanos);
+        let exec_started = Instant::now();
+        let result = match db_read(&self.shared.db).as_ref() {
+            Some(db) => db.query_select(select, parse_nanos),
+            None => return Err(ServerError::Closed),
         };
-        if let Ok(r) = &result {
-            let m = &r.metrics;
-            let mut spans = vec![
-                TraceSpan {
-                    name: "locks",
-                    nanos: lock_nanos,
-                    ..Default::default()
-                },
-                TraceSpan {
-                    name: "parse",
-                    nanos: m.parse_nanos,
-                    ..Default::default()
-                },
-            ];
-            if m.plan_nanos > 0 {
-                spans.push(TraceSpan {
-                    name: "plan",
-                    nanos: m.plan_nanos.min(m.exec_nanos),
-                    ..Default::default()
-                });
-            }
-            spans.push(TraceSpan {
-                name: "exec",
-                nanos: m.exec_nanos.saturating_sub(m.plan_nanos.min(m.exec_nanos)),
-                page_reads: m.page_reads,
-                buffer_hits: m.buffer_hits,
-                ..Default::default()
-            });
-            self.last_trace = spans;
-            let wall_nanos = started.elapsed().as_nanos() as u64;
-            let mut slow = lock_slow(&self.shared.slow);
-            if slow.capacity > 0 && wall_nanos >= slow.threshold.as_nanos() as u64 {
-                slow.push(SlowEntry {
-                    session: self.id,
-                    sql: sql.to_owned(),
-                    wall_nanos,
-                    spans: self.last_trace.clone(),
-                });
-            }
+        let failed = QueryMetrics {
+            exec_nanos: exec_started.elapsed().as_nanos() as u64,
+            ..Default::default()
+        };
+        let m = match &result {
+            Ok(r) => &r.metrics,
+            Err(_) => &failed,
+        };
+        let plan_nanos = m.plan_nanos.min(m.exec_nanos);
+        let span = |name, nanos| TraceSpan {
+            name,
+            nanos,
+            ..Default::default()
+        };
+        let mut spans = vec![span("locks", lock_nanos), span("parse", parse_nanos)];
+        if plan_nanos > 0 {
+            spans.push(span("plan", plan_nanos));
         }
-        result.map_err(|e| {
-            // No locks were taken and no transaction is open (the read
-            // path requires autocommit), so failure releases nothing.
-            debug_assert!(self.txn.is_none());
-            let _ = owner;
-            ServerError::Statement(e)
-        })
+        spans.push(TraceSpan {
+            page_reads: m.page_reads,
+            buffer_hits: m.buffer_hits,
+            ..span("exec", m.exec_nanos - plan_nanos)
+        });
+        self.last_trace = spans;
+        self.note_slow(sql, started);
+        result.map_err(ServerError::Statement)
+    }
+
+    /// Feeds the slow-statement log with the statement whose spans were
+    /// just stored in `last_trace`.
+    fn note_slow(&self, sql: &str, started: Instant) {
+        let wall_nanos = started.elapsed().as_nanos() as u64;
+        let mut slow = lock_slow(&self.shared.slow);
+        if slow.capacity > 0 && wall_nanos >= slow.threshold.as_nanos() as u64 {
+            slow.push(SlowEntry {
+                session: self.id,
+                sql: sql.to_owned(),
+                wall_nanos,
+                spans: self.last_trace.clone(),
+            });
+        }
     }
 
     /// Failure path: an error inside an explicit transaction aborts the
@@ -980,47 +943,30 @@ impl Drop for ServerSession {
     }
 }
 
-/// The tables a statement touches and how: `IX` for targets of
-/// row-granular writes (`X` when `row_locks` is off — or for bare
-/// `DELETE`, whose truncation rewrites the whole table and must keep
-/// every other session out regardless), shared for reads (scans,
-/// subqueries, the parent tables foreign-key checks probe, and the
-/// child tables restrict checks scan). DDL needs no table locks — its
-/// exclusive schema lock already serializes it against every statement.
-fn lock_plan(stmt: &Statement, catalog: &Catalog, row_locks: bool) -> BTreeMap<String, LockMode> {
-    let write_mode = if row_locks {
-        LockMode::IntentExclusive
-    } else {
-        LockMode::Exclusive
-    };
+/// The table locks a statement takes: `IX` on the target of a
+/// row-granular write (`X` for a bare `DELETE`, whose truncation
+/// rewrites the whole table and must keep every other session out), and
+/// `S` on the parent tables its foreign-key checks probe and the child
+/// tables its restrict checks scan — reads that must stay true until
+/// commit, which a snapshot alone does not promise. `SELECT` and plain
+/// `EXPLAIN` read through a snapshot and lock nothing; DDL needs no
+/// table locks — its exclusive schema lock already serializes it
+/// against every writer.
+fn lock_plan(stmt: &Statement, catalog: &Catalog) -> BTreeMap<String, LockMode> {
     let mut plan: BTreeMap<String, LockMode> = BTreeMap::new();
     let read = |plan: &mut BTreeMap<String, LockMode>, table: &str| {
         plan.entry(table.to_owned()).or_insert(LockMode::Shared);
     };
     match stmt {
-        Statement::Select(s) => {
-            let mut tables = Vec::new();
-            collect_select_tables(s, &mut tables);
-            for t in tables {
-                read(&mut plan, &t);
-            }
-        }
-        Statement::Explain { stmt, analyze } => {
-            if *analyze {
-                // ANALYZE *executes* the inner statement — an analyzed
-                // UPDATE/DELETE really writes — so it locks exactly as
-                // the inner statement would (IX targets included, which
-                // also arms the per-row hook).
-                for (t, m) in lock_plan(stmt, catalog, row_locks) {
-                    plan.insert(t, m);
-                }
-            } else {
-                // Plain EXPLAIN only renders the plan: every table the
-                // inner statement would touch is only read here.
-                for t in lock_plan(stmt, catalog, row_locks).into_keys() {
-                    read(&mut plan, &t);
-                }
-            }
+        Statement::Explain {
+            stmt,
+            analyze: true,
+        } => {
+            // ANALYZE *executes* the inner statement — an analyzed
+            // UPDATE/DELETE really writes — so it locks exactly as the
+            // inner statement would (IX targets included, which also
+            // arms the per-row hook).
+            return lock_plan(stmt, catalog);
         }
         Statement::Insert { table, .. } => {
             // Constraint checks read the foreign-key parents.
@@ -1031,7 +977,7 @@ fn lock_plan(stmt: &Statement, catalog: &Catalog, row_locks: bool) -> BTreeMap<S
                     }
                 }
             }
-            plan.insert(table.clone(), write_mode);
+            plan.insert(table.clone(), LockMode::IntentExclusive);
         }
         Statement::Delete { table, filter } => {
             // Restrict semantics scan every table referencing the
@@ -1042,7 +988,7 @@ fn lock_plan(stmt: &Statement, catalog: &Catalog, row_locks: bool) -> BTreeMap<S
             // A bare DELETE truncates — rebuilding heap and indexes
             // wholesale — so it always takes the full table lock.
             let mode = if filter.is_some() {
-                write_mode
+                LockMode::IntentExclusive
             } else {
                 LockMode::Exclusive
             };
@@ -1061,28 +1007,15 @@ fn lock_plan(stmt: &Statement, catalog: &Catalog, row_locks: bool) -> BTreeMap<S
             for child in rqs::dml::referencing_table_names(catalog, table) {
                 read(&mut plan, &child);
             }
-            plan.insert(table.clone(), write_mode);
+            plan.insert(table.clone(), LockMode::IntentExclusive);
         }
-        Statement::CreateTable { .. }
+        Statement::Select(_)
+        | Statement::Explain { analyze: false, .. }
+        | Statement::CreateTable { .. }
         | Statement::DropTable { .. }
         | Statement::CreateIndex { .. } => {}
     }
     plan
-}
-
-/// Every table named anywhere in a SELECT: FROM clauses of the core,
-/// the UNION arms, and `[NOT] IN` subqueries, recursively.
-fn collect_select_tables(stmt: &SelectStmt, out: &mut Vec<String>) {
-    for core in std::iter::once(&stmt.core).chain(stmt.unions.iter()) {
-        for (table, _) in &core.from {
-            out.push(table.clone());
-        }
-        for cond in &core.conds {
-            if let rqs::sql::Condition::InSubquery { subquery, .. } = cond {
-                collect_select_tables(subquery, out);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1185,14 +1118,29 @@ mod tests {
             before.snapshot_reads + 1,
             "each snapshot SELECT opens exactly one read view"
         );
-        // With snapshot reads off, the same SELECT is back to schema-S
-        // plus table-S through the lock manager.
-        db.set_snapshot_reads(false);
-        let before = db.metrics().unwrap();
+        // A SELECT inside BEGIN takes the latch's write side but still
+        // no locks; plain EXPLAIN SELECT takes the shared schema lock
+        // and no table lock.
+        r.execute("BEGIN").unwrap();
         assert_eq!(r.execute("SELECT v.a FROM t v").unwrap().rows.len(), 2);
-        let after = db.metrics().unwrap();
-        assert_eq!(after.lock_shared, before.lock_shared + 2);
-        db.set_snapshot_reads(true);
+        r.execute("COMMIT").unwrap();
+        let in_txn = db.metrics().unwrap();
+        assert_eq!(in_txn.lock_shared, after.lock_shared, "SELECT in BEGIN");
+        assert_eq!(in_txn.lock_exclusive, after.lock_exclusive);
+        assert_eq!(in_txn.lock_intent, after.lock_intent);
+        assert!(!r
+            .execute("EXPLAIN SELECT v.a FROM t v")
+            .unwrap()
+            .rows
+            .is_empty());
+        let explained = db.metrics().unwrap();
+        assert_eq!(
+            explained.lock_shared,
+            in_txn.lock_shared + 1,
+            "plain EXPLAIN takes schema-S only"
+        );
+        assert_eq!(explained.lock_exclusive, in_txn.lock_exclusive);
+        assert_eq!(explained.lock_intent, in_txn.lock_intent);
     }
 
     #[test]
@@ -1268,18 +1216,64 @@ mod tests {
     }
 
     #[test]
-    fn in_memory_backend_shares_too() {
-        let db = SharedDatabase::in_memory();
-        let mut a = db.session();
-        let mut b = db.session();
-        a.execute("CREATE TABLE t (a INT)").unwrap();
-        a.execute("BEGIN").unwrap();
-        a.execute("INSERT INTO t VALUES (1)").unwrap();
-        a.execute("ROLLBACK").unwrap();
-        b.execute("BEGIN").unwrap();
-        b.execute("INSERT INTO t VALUES (2)").unwrap();
-        b.execute("COMMIT").unwrap();
-        let rows = a.execute("SELECT v.a FROM t v").unwrap().rows;
-        assert_eq!(rows, vec![vec![Datum::Int(2)]]);
+    #[should_panic(expected = "Database::paged")]
+    fn an_in_memory_database_is_refused_at_construction() {
+        // The in-memory backend is the differential oracle; it has no
+        // sessions, snapshots or row locks to serve with.
+        let _ = SharedDatabase::from_database(Database::new());
+    }
+
+    #[test]
+    fn lock_plan_locks_writes_and_integrity_reads_only() {
+        let mut db = Database::paged(8).unwrap();
+        db.execute("CREATE TABLE dept (dno INT, PRIMARY KEY (dno))")
+            .unwrap();
+        db.execute(
+            "CREATE TABLE empl (eno INT, dno INT, PRIMARY KEY (eno), \
+             FOREIGN KEY (dno) REFERENCES dept (dno))",
+        )
+        .unwrap();
+        let plan = |sql: &str| -> Vec<(String, LockMode)> {
+            let stmt = rqs::sql::parse_statement(sql).unwrap();
+            lock_plan(&stmt, db.catalog()).into_iter().collect()
+        };
+        let (ix, s, x) = (
+            LockMode::IntentExclusive,
+            LockMode::Shared,
+            LockMode::Exclusive,
+        );
+        let named = |pairs: &[(&str, LockMode)]| -> Vec<(String, LockMode)> {
+            pairs.iter().map(|(t, m)| (t.to_string(), *m)).collect()
+        };
+        // Child insert: IX on the child, S on the FK parent.
+        assert_eq!(
+            plan("INSERT INTO empl VALUES (1, 1)"),
+            named(&[("dept", s), ("empl", ix)])
+        );
+        // Parent delete: IX on the parent, S on the restrict child; a
+        // bare DELETE rewrites the table and takes X.
+        assert_eq!(
+            plan("DELETE FROM dept WHERE dno = 1"),
+            named(&[("dept", ix), ("empl", s)])
+        );
+        assert_eq!(plan("DELETE FROM dept"), named(&[("dept", x), ("empl", s)]));
+        assert_eq!(
+            plan("UPDATE empl SET dno = 2 WHERE eno = 1"),
+            named(&[("dept", s), ("empl", ix)])
+        );
+        // ANALYZE executes, so it locks as its inner statement does.
+        assert_eq!(
+            plan("EXPLAIN ANALYZE DELETE FROM dept WHERE dno = 1"),
+            plan("DELETE FROM dept WHERE dno = 1")
+        );
+        // Reads lock nothing.
+        for sql in [
+            "SELECT e.eno FROM empl e, dept d WHERE e.dno = d.dno",
+            "EXPLAIN SELECT e.eno FROM empl e",
+            "EXPLAIN DELETE FROM dept WHERE dno = 1",
+            "EXPLAIN ANALYZE SELECT e.eno FROM empl e",
+        ] {
+            assert!(plan(sql).is_empty(), "{sql}");
+        }
     }
 }

@@ -138,7 +138,6 @@ struct MvccState {
 /// can consult it.
 pub struct Mvcc {
     clock: AtomicU64,
-    enabled: AtomicBool,
     probe: AtomicBool,
     state: Mutex<MvccState>,
 }
@@ -147,7 +146,6 @@ impl Default for Mvcc {
     fn default() -> Self {
         Mvcc {
             clock: AtomicU64::new(0),
-            enabled: AtomicBool::new(true),
             probe: AtomicBool::new(false),
             state: Mutex::new(MvccState::default()),
         }
@@ -157,23 +155,6 @@ impl Default for Mvcc {
 impl Mvcc {
     pub fn new() -> Mvcc {
         Mvcc::default()
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns snapshot reads on or off. Turning them off drops all
-    /// version state (rows committed while disabled simply appear
-    /// "ancient" to views opened after re-enabling, which is exactly
-    /// the absence semantics). Callers toggle only while no
-    /// transactions or views are open.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-        if !on {
-            self.probe.store(false, Ordering::Relaxed);
-            *self.state.lock().unwrap() = MvccState::default();
-        }
     }
 
     /// Marks subsequent reads as constraint probes (latest committed +
@@ -186,9 +167,6 @@ impl Mvcc {
     /// probe mode wins, then the transaction's view, then the statement
     /// view; `None` means read the raw heap.
     pub fn read_view(&self, active_txn: Option<TxnId>) -> Option<View> {
-        if !self.enabled() {
-            return None;
-        }
         if self.probe.load(Ordering::Relaxed) {
             return Some(View {
                 ts: u64::MAX,
@@ -216,18 +194,12 @@ impl Mvcc {
     /// Whether any version metadata exists for `table` — the gate
     /// between the raw heap fast path and the filtered read path.
     pub fn has_metas(&self, table: i64) -> bool {
-        if !self.enabled() {
-            return false;
-        }
         let st = self.state.lock().unwrap();
         st.store.get(&table).is_some_and(|t| !t.is_empty())
     }
 
     /// Opens the transaction-scoped view at `BEGIN`.
     pub fn open_txn_view(&self, txn: TxnId, m: &StorageMetrics) {
-        if !self.enabled() {
-            return;
-        }
         let ts = self.clock.load(Ordering::SeqCst);
         let mut st = self.state.lock().unwrap();
         *st.views.entry(ts).or_insert(0) += 1;
@@ -240,9 +212,6 @@ impl Mvcc {
     /// Concurrent statements share the open slot's timestamp — see
     /// [`MvccState::stmt_view`].
     pub fn open_stmt_view(&self, m: &StorageMetrics) {
-        if !self.enabled() {
-            return;
-        }
         let ts = self.clock.load(Ordering::SeqCst);
         let mut st = self.state.lock().unwrap();
         match &mut st.stmt_view {
@@ -279,9 +248,6 @@ impl Mvcc {
     /// write to the rid is pending, or when a commit newer than the
     /// writer's snapshot already rewrote it.
     pub fn check_write(&self, txn: TxnId, table: i64, rid: Rid) -> StorageResult<()> {
-        if !self.enabled() {
-            return Ok(());
-        }
         let st = self.state.lock().unwrap();
         let Some(meta) = st.store.get(&table).and_then(|t| t.get(&rid_key(rid))) else {
             return Ok(());
@@ -311,9 +277,6 @@ impl Mvcc {
         old: Option<Tuple>,
         m: &StorageMetrics,
     ) {
-        if !self.enabled() {
-            return;
-        }
         let key = rid_key(rid);
         let mut st = self.state.lock().unwrap();
         let prev = st
@@ -355,9 +318,6 @@ impl Mvcc {
     /// Defers purging a dropped table's metadata to the drop's commit
     /// (an aborted DROP TABLE must leave history intact).
     pub fn note_drop_table(&self, txn: TxnId, table: i64) {
-        if !self.enabled() {
-            return;
-        }
         self.state
             .lock()
             .unwrap()
@@ -685,18 +645,5 @@ mod tests {
         ));
         mv.set_probe(false);
         mv.commit(1, &m);
-    }
-
-    #[test]
-    fn disabling_drops_state() {
-        let m = StorageMetrics::default();
-        let mv = Mvcc::new();
-        mv.open_txn_view(1, &m);
-        mv.note_write(1, 7, rid(1, 0), None, &m);
-        mv.set_enabled(false);
-        assert!(!mv.has_metas(7));
-        assert!(mv.read_view(Some(1)).is_none());
-        mv.set_enabled(true);
-        assert!(!mv.has_metas(7));
     }
 }

@@ -4,10 +4,11 @@
 //! hammer one database through `server::SharedDatabase`:
 //!
 //! * disjoint and overlapping tables under autocommit;
-//! * the classic isolation anomalies — lost updates and write skew —
-//!   probed with explicit transactions under hierarchical two-phase
-//!   locking (wait-die losers retry); the probes run with row-granular
-//!   DML locking on (the default), so they double as its re-runs;
+//! * the isolation guarantees the one regime (snapshot reads +
+//!   row-granular write locks) makes — no lost update for
+//!   single-statement read-modify-write, no false constraint verdict,
+//!   stable snapshots — and the one the optimizer depends on: a foreign
+//!   key never dangles, however parent deletes race child inserts;
 //! * row-granular locking itself: disjoint-row writers of one table
 //!   commit concurrently with zero conflicts, same-row writers collide
 //!   retryably, and past the escalation threshold one writer's intent
@@ -162,30 +163,40 @@ fn n_threads_overlapping_one_table_with_index() {
     assert_heap_index_agree(&db, "t", 0);
 }
 
-/// The backoff probe, instrumented: every wait-die loss a session
+/// The backoff probe, instrumented: every row-lock loss a session
 /// sleeps through must show up identically in the `Backoff` instance,
-/// the session's own counters, and the `STATS` surface.
+/// the session's own counters, and the `STATS` surface. All sessions
+/// increment one hot row; a holder transaction keeps that row locked
+/// until the lock manager has turned away at least one attempt per
+/// session, so the retry path is certain to run.
 #[test]
 fn backoff_counters_surface_in_session_stats() {
     let db = shared(64);
-    // Pin the pre-hierarchical table-X write locks: this probe exists
-    // to generate wait-die losses on one hot table, and row-granular
-    // inserts would make the contention (and the lock_exclusive
-    // accounting below) evaporate.
-    db.set_row_locking(false);
-    db.session().execute("CREATE TABLE hot (a INT)").unwrap();
+    db.session()
+        .execute("CREATE TABLE hot (k INT, a INT)")
+        .unwrap();
+    db.session()
+        .execute("INSERT INTO hot VALUES (0, 0)")
+        .unwrap();
     let n = thread_count();
     let per_thread = 50u64;
+    let before = db.metrics().unwrap();
+    let mut holder = db.session();
+    holder.execute("BEGIN").unwrap();
+    holder
+        .execute("UPDATE hot SET a = a + 1 WHERE k = 0")
+        .unwrap();
+    let total_retries = std::sync::atomic::AtomicU64::new(0);
     std::thread::scope(|scope| {
         for t in 0..n as u64 {
             let db = db.clone();
+            let total_retries = &total_retries;
             scope.spawn(move || {
                 let mut s = db.session();
                 let mut backoff = server::Backoff::new(t);
-                for i in 0..per_thread {
-                    let key = t * per_thread + i;
+                for _ in 0..per_thread {
                     s.execute_with_backoff(
-                        &format!("INSERT INTO hot VALUES ({key})"),
+                        "UPDATE hot SET a = a + 1 WHERE k = 0",
                         &mut backoff,
                         u64::MAX,
                     )
@@ -217,16 +228,29 @@ fn backoff_counters_surface_in_session_stats() {
                 );
                 assert_eq!(value("session_statements"), stats.statements + 1);
                 assert!(backoff.total_retries() == 0 || backoff.total_sleep().as_nanos() > 0);
+                total_retries.fetch_add(stats.retries, Ordering::Relaxed);
             });
         }
+        // Release the row only once it has provably been contended.
+        while db.metrics().unwrap().row_lock_conflicts < before.row_lock_conflicts + n as u64 {
+            std::thread::yield_now();
+        }
+        holder.execute("COMMIT").unwrap();
     });
     let r = db.session().execute("SELECT v.a FROM hot v").unwrap();
-    assert_eq!(r.rows.len(), n * per_thread as usize, "no insert lost");
-    // Wait-die losses retried here are aborts the lock manager counted.
+    assert_eq!(
+        r.rows,
+        vec![vec![Datum::Int(1 + (n as u64 * per_thread) as i64)]],
+        "no increment lost"
+    );
+    assert!(
+        total_retries.load(Ordering::Relaxed) >= n as u64,
+        "every row-lock conflict was retried through the backoff"
+    );
     let snap = db.metrics().unwrap();
     assert!(
-        snap.lock_exclusive >= n as u64 * per_thread,
-        "every insert took the hot table exclusively"
+        snap.row_lock_exclusive >= before.row_lock_exclusive + n as u64 * per_thread,
+        "every increment row-locked the hot row"
     );
 }
 
@@ -236,11 +260,13 @@ fn backoff_counters_surface_in_session_stats() {
 /// final counter equals the number of committed increments exactly; a
 /// lost update would leave it short.
 ///
-/// This runs under snapshot reads (the default): MVCC weakens *reads*,
-/// never the write protocol. The UPDATE's candidate scan, row `X`
-/// locks, and the engine's first-updater-wins check all happen under
-/// one statement-mutex hold, so read-modify-write in one statement
-/// stays exact even though SELECTs no longer lock.
+/// MVCC weakens *reads*, never the write protocol. The UPDATE's
+/// candidate scan, row `X` locks, and the engine's first-updater-wins
+/// check all happen under one statement-latch hold, so
+/// read-modify-write in one statement stays exact even though SELECTs
+/// do not lock. (Read-then-write across *statements* is not protected:
+/// snapshot isolation admits write skew, and the server documents
+/// single-statement read-modify-write as the remedy.)
 #[test]
 fn lost_update_probe_with_update_statement() {
     let db = shared(64);
@@ -278,140 +304,100 @@ fn lost_update_probe_with_update_statement() {
     );
 }
 
-/// The original probe kept as a second variant: each transaction reads
-/// the current maximum and inserts max+1. Under table-level 2PL every
-/// transaction serializes, so all inserted values are distinct; a lost
-/// update would show up as a duplicate.
-///
-/// Pinned to the table-`S` baseline: plain snapshot reads are not
-/// serializable across the statements of one transaction, so under
-/// them two transactions can read the same max and both insert max+1
-/// — exactly why read-modify-write belongs in one UPDATE statement
-/// (the probe above). This variant keeps exercising the 2PL-reader
-/// regime the server still offers.
+/// The guarantee the optimizer depends on (refint join elimination and
+/// the FD chase assume it): a foreign key never dangles. Snapshot
+/// isolation alone would not give it — T1 deletes a parent while T2
+/// inserts its child, each on its own snapshot, is textbook write skew
+/// — so DML takes `S` on FK parents and restrict children and runs its
+/// checks in probe mode. Here pairs of sessions race exactly that, key
+/// by key, under `BEGIN…COMMIT`: one deletes `dept k`, the other
+/// inserts an `empl` row referencing `k`. Per key exactly one side may
+/// win; whoever loses the *race* sees only retryable conflicts, and
+/// whoever arrives after the winner committed gets the constraint
+/// verdict. Afterwards every constraint holds over the stored data.
 #[test]
-fn lost_update_probe_read_max_then_insert_variant() {
+fn foreign_key_never_dangles_under_racing_delete_and_insert() {
     let db = shared(64);
-    db.set_snapshot_reads(false);
-    let n = thread_count();
-    let per_thread = 8;
-    db.session()
-        .execute("CREATE TABLE counter (v INT)")
-        .unwrap();
-    db.session()
-        .execute("INSERT INTO counter VALUES (0)")
-        .unwrap();
-    std::thread::scope(|scope| {
-        for _ in 0..n {
-            let db = db.clone();
-            scope.spawn(move || {
-                let mut s = db.session();
-                for _ in 0..per_thread {
-                    retry(|| {
-                        s.execute("BEGIN")?;
-                        let r = match s.execute("SELECT c.v FROM counter c") {
-                            Ok(r) => r,
-                            Err(e) => {
-                                // BEGIN..error already rolled back.
-                                return Err(e);
-                            }
-                        };
-                        let max = r
-                            .rows
-                            .iter()
-                            .map(|row| row[0].as_int().unwrap())
-                            .max()
-                            .unwrap();
-                        s.execute(&format!("INSERT INTO counter VALUES ({})", max + 1))?;
-                        s.execute("COMMIT")
-                    });
-                }
-            });
-        }
-    });
-    let r = db.session().execute("SELECT c.v FROM counter c").unwrap();
-    let values: Vec<i64> = r.rows.iter().map(|row| row[0].as_int().unwrap()).collect();
-    let distinct: BTreeSet<i64> = values.iter().copied().collect();
-    assert_eq!(
-        values.len(),
-        distinct.len(),
-        "duplicate counter values = lost update: {values:?}"
-    );
-    assert_eq!(values.len(), n * per_thread + 1);
-    assert_eq!(
-        *distinct.iter().max().unwrap(),
-        (n * per_thread) as i64,
-        "strictly serial increments"
-    );
-}
-
-/// Write-skew probe: every transaction reads both tables and inserts
-/// into one only if both are still empty. Serializable execution admits
-/// at most one success; write skew would let two transactions pass the
-/// check simultaneously and both insert.
-///
-/// Pinned to the table-`S` baseline for the same reason as the
-/// read-max variant above: snapshot isolation famously admits write
-/// skew (two snapshots each see "both empty", the writes touch
-/// different tables, nothing conflicts). The serializable guarantee
-/// this probes comes from readers excluding writers, which is exactly
-/// what `set_snapshot_reads(false)` restores.
-#[test]
-fn write_skew_probe_under_explicit_transactions() {
-    let db = shared(64);
-    db.set_snapshot_reads(false);
-    let n = thread_count();
+    let pairs = thread_count() / 2;
+    let keys_per_pair = 12usize;
     {
-        let mut s = db.session();
-        s.execute("CREATE TABLE oncall_a (who INT)").unwrap();
-        s.execute("CREATE TABLE oncall_b (who INT)").unwrap();
+        let mut setup = db.session();
+        setup
+            .execute("CREATE TABLE dept (dno INT, PRIMARY KEY (dno))")
+            .unwrap();
+        setup
+            .execute(
+                "CREATE TABLE empl (eno INT, dno INT, PRIMARY KEY (eno), \
+                 FOREIGN KEY (dno) REFERENCES dept (dno))",
+            )
+            .unwrap();
+        let rows: Vec<String> = (0..pairs * keys_per_pair)
+            .map(|k| format!("({k})"))
+            .collect();
+        setup
+            .execute(&format!("INSERT INTO dept VALUES {}", rows.join(", ")))
+            .unwrap();
+    }
+    // Runs one transaction to its verdict: `true` = committed, `false`
+    // = refused by the constraint (the other side already won).
+    fn settle(s: &mut server::ServerSession, stmt: &str) -> bool {
+        for _ in 0..10_000 {
+            let outcome = (|| {
+                s.execute("BEGIN")?;
+                s.execute(stmt)?;
+                s.execute("COMMIT")
+            })();
+            match outcome {
+                Ok(_) => return true,
+                Err(e) if e.is_retryable() => std::thread::sleep(Duration::from_micros(200)),
+                Err(ServerError::RolledBack(rqs::RqsError::ConstraintViolation(_))) => {
+                    return false
+                }
+                Err(e) => panic!("a race loser must see a retryable error, got: {e}"),
+            }
+        }
+        panic!("transaction kept conflicting after 10k retries");
     }
     std::thread::scope(|scope| {
-        for t in 0..n {
-            let db = db.clone();
-            scope.spawn(move || {
-                let mut s = db.session();
-                let target = if t % 2 == 0 { "oncall_a" } else { "oncall_b" };
-                // Try a few times; losing a wait-die race is fine, and
-                // finding the invariant already claimed means stop.
-                for _ in 0..200 {
-                    let outcome: Result<bool, ServerError> = (|| {
-                        s.execute("BEGIN")?;
-                        let a = s.execute("SELECT x.who FROM oncall_a x")?;
-                        let b = s.execute("SELECT x.who FROM oncall_b x")?;
-                        if a.rows.is_empty() && b.rows.is_empty() {
-                            s.execute(&format!("INSERT INTO {target} VALUES ({t})"))?;
-                            s.execute("COMMIT")?;
-                            Ok(true)
+        for pair in 0..pairs {
+            let start = std::sync::Arc::new(std::sync::Barrier::new(2));
+            for deleter in [true, false] {
+                let (db, start) = (db.clone(), start.clone());
+                scope.spawn(move || {
+                    let mut s = db.session();
+                    for i in 0..keys_per_pair {
+                        let k = pair * keys_per_pair + i;
+                        let stmt = if deleter {
+                            format!("DELETE FROM dept WHERE dno = {k}")
                         } else {
-                            s.execute("ROLLBACK")?;
-                            Ok(false)
-                        }
-                    })();
-                    match outcome {
-                        Ok(_) => return,
-                        Err(e) => {
-                            assert!(e.is_retryable(), "unexpected: {e}");
-                            std::thread::sleep(Duration::from_micros(500));
-                        }
+                            format!("INSERT INTO empl VALUES ({k}, {k})")
+                        };
+                        start.wait();
+                        settle(&mut s, &stmt);
                     }
-                }
-                panic!("probe never completed");
-            });
+                });
+            }
         }
     });
+    db.with_db(|db| db.validate_all())
+        .unwrap()
+        .expect("no dangling child may ever commit");
     let mut s = db.session();
-    let a = s
-        .execute("SELECT x.who FROM oncall_a x")
-        .unwrap()
-        .rows
-        .len();
-    let b = s
-        .execute("SELECT x.who FROM oncall_b x")
-        .unwrap()
-        .rows
-        .len();
-    assert_eq!(a + b, 1, "write skew: {a} + {b} rows violate the invariant");
+    let keys = |sql: &str, s: &mut server::ServerSession| -> BTreeSet<i64> {
+        let r = s.execute(sql).unwrap();
+        r.rows.iter().map(|row| row[0].as_int().unwrap()).collect()
+    };
+    let parents = keys("SELECT d.dno FROM dept d", &mut s);
+    let children = keys("SELECT e.dno FROM empl e", &mut s);
+    for k in 0..(pairs * keys_per_pair) as i64 {
+        assert!(
+            parents.contains(&k) == children.contains(&k),
+            "key {k}: exactly one of delete-parent / insert-child must win \
+             (parent present: {}, child present: {})",
+            parents.contains(&k),
+            children.contains(&k)
+        );
+    }
 }
 
 /// The false-violation regression (the documented anomaly this PR
@@ -874,8 +860,8 @@ fn row_lock_escalation_takes_the_whole_table() {
 /// wait-die aborts, no row conflicts, no retries (every execute
 /// unwraps). This is the "hot table, disjoint rows" workload the old
 /// table-level write locks fully serialized with thousands of aborts
-/// (see `backoff_counters_surface_in_session_stats`, which pins the
-/// old mode to keep measuring exactly that).
+/// (`backoff_counters_surface_in_session_stats` is the same-row
+/// counterpart).
 #[test]
 fn disjoint_row_autocommit_writers_never_conflict() {
     let db = shared(64);
@@ -897,7 +883,7 @@ fn disjoint_row_autocommit_writers_never_conflict() {
                 let mut s = db.session();
                 for _ in 0..per_thread {
                     // Autocommit statements commit inside the statement
-                    // mutex, so even same-page rows never trip the
+                    // latch, so even same-page rows never trip the
                     // pool's ownership backstop — and disjoint rows
                     // never trip the lock manager. Direct unwrap.
                     let r = s

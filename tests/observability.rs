@@ -14,6 +14,8 @@
 //!   same events, counted at the same sites, reduced two ways);
 //! * a statement's trace spans vs. its own `elapsed_nanos` (the spans
 //!   partition the statement);
+//! * a server statement's `locks`/`parse`/`plan`/`exec`/`commit` spans
+//!   vs. its wall clock at the session, for successes and failures;
 //! * `lock_waits` stays zero when concurrent sessions touch disjoint
 //!   tables (nothing to wait for);
 //! * `EXPLAIN ANALYZE` actual page reads: indexed point lookup must
@@ -21,9 +23,9 @@
 //!   measured rather than estimated) — and under ANALYZE, UPDATE and
 //!   predicated DELETE really execute and report the same actuals.
 
-use rqs::{Database, Datum};
+use rqs::{Database, Datum, RqsError};
 use server::net::{Client, Server};
-use server::SharedDatabase;
+use server::{ServerError, SharedDatabase};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -69,7 +71,7 @@ fn registry_and_pool_stats_agree_on_page_fetches() {
         db.execute(&format!("SELECT v.sal FROM empl v WHERE v.nam = '{probe}'"))
             .unwrap();
     }
-    let snap = db.backend().metrics();
+    let snap = db.backend().as_paged().unwrap().engine().metrics();
     let stats = db.backend().stats();
     // Two independent counting sites must tell the same story: every
     // fetch is exactly one fault-in or one hit.
@@ -92,7 +94,7 @@ fn wal_counters_match_the_file_on_disk() {
         db.execute("UPDATE t SET b = 'rewritten' WHERE a >= 40")
             .unwrap();
         db.execute("DELETE FROM t WHERE a < 5").unwrap();
-        let snap = db.backend().metrics();
+        let snap = db.backend().as_paged().unwrap().engine().metrics();
         let stats = db.backend().stats();
         assert!(snap.wal_appends > 0, "DML must log");
         assert!(snap.wal_fsyncs > 0, "commits must force the log");
@@ -398,8 +400,8 @@ fn fsync_histogram_count_matches_the_counter() {
             db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
         }
         db.execute("UPDATE t SET a = 99 WHERE a < 5").unwrap();
-        let snap = db.backend().metrics();
-        let hist = db.backend().histograms();
+        let snap = db.backend().as_paged().unwrap().engine().metrics();
+        let hist = db.backend().as_paged().unwrap().engine().histograms();
         // Same events, two reductions: every fsync bumps the counter
         // and records one histogram sample, at the same call site.
         assert!(snap.wal_fsyncs > 0, "commits must force the log");
@@ -422,19 +424,16 @@ fn fsync_histogram_count_matches_the_counter() {
 #[test]
 fn lock_wait_histogram_totals_match_the_counter() {
     let shared = SharedDatabase::paged(64).unwrap();
-    // This test manufactures a reader-blocks-on-writer wait, which
-    // only exists in the table-`S` regime — under snapshot reads the
-    // SELECT would take no locks and never wait. Pin the baseline.
-    shared.set_snapshot_reads(false);
     {
         let mut setup = shared.session();
         setup.execute("CREATE TABLE t (a INT)").unwrap();
     }
     // Wait-die: the *older* transaction waits. Session A begins first
-    // (smaller owner timestamp), B begins second and grabs the table;
-    // A's read then genuinely blocks until B commits. Two handshakes
-    // pin the order: A BEGINs before B does, and B holds its insert
-    // locks before A issues the read.
+    // (smaller owner timestamp), B begins second and takes `IX` on the
+    // table for its insert; A's bare `DELETE` needs the table `X` and
+    // genuinely blocks until B commits. Two handshakes pin the order: A
+    // BEGINs before B does, and B holds its insert locks before A
+    // issues the delete.
     let (begun_tx, begun_rx) = std::sync::mpsc::channel();
     let (held_tx, held_rx) = std::sync::mpsc::channel::<()>();
     std::thread::scope(|scope| {
@@ -444,9 +443,8 @@ fn lock_wait_histogram_totals_match_the_counter() {
             a.execute("BEGIN").unwrap();
             begun_tx.send(()).unwrap();
             held_rx.recv().unwrap();
-            // Blocks on B's insert locks until B commits.
-            let rows = a.execute("SELECT v.a FROM t v").unwrap();
-            assert_eq!(rows.rows.len(), 1);
+            // Blocks on B's intent lock until B commits.
+            a.execute("DELETE FROM t").unwrap();
             a.execute("COMMIT").unwrap();
         });
         begun_rx.recv().unwrap();
@@ -520,6 +518,93 @@ fn trace_spans_partition_statement_elapsed() {
         read.spans.iter().all(|s| s.name != "commit"),
         "reads must not report a commit span: {read:?}"
     );
+}
+
+/// The server parses a statement once, times that parse itself and
+/// reports it as the `parse` span (not folded into `locks`); the spans
+/// of a statement never add up to more than its wall clock at the
+/// session.
+#[test]
+fn server_trace_spans_fit_the_wall_clock_and_time_the_parse() {
+    let shared = SharedDatabase::paged(16).unwrap();
+    let mut s = shared.session();
+    s.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
+    let traced = |s: &mut server::ServerSession, sql: &str| -> Vec<(String, u64)> {
+        let t0 = std::time::Instant::now();
+        let r = s.execute(&format!("TRACE {sql}")).unwrap();
+        let wall = t0.elapsed().as_nanos() as u64;
+        let spans: Vec<(String, u64)> = r
+            .rows
+            .iter()
+            .map(|row| {
+                (
+                    row[0].as_text().unwrap().to_owned(),
+                    row[1].as_int().unwrap() as u64,
+                )
+            })
+            .collect();
+        let sum: u64 = spans.iter().map(|(_, nanos)| nanos).sum();
+        assert!(
+            sum <= wall,
+            "{sql}: spans sum {sum} > wall {wall}: {spans:?}"
+        );
+        let parse = spans.iter().find(|(name, _)| name == "parse").unwrap().1;
+        assert!(parse > 0, "{sql}: the parse must be timed: {spans:?}");
+        spans
+    };
+    let names = |spans: &[(String, u64)]| -> Vec<String> {
+        spans.iter().map(|(name, _)| name.clone()).collect()
+    };
+    // The write path: locks, then the database's spans.
+    let write = traced(&mut s, "INSERT INTO t VALUES (1, 'x'), (2, 'y')");
+    assert_eq!(names(&write), ["locks", "parse", "exec", "commit"]);
+    // The parallel read path assembles the same shape, minus commit.
+    let read = traced(&mut s, "SELECT v.b FROM t v WHERE v.a = 2");
+    assert_eq!(names(&read), ["locks", "parse", "plan", "exec"]);
+    // Inside a transaction a SELECT takes the write path; still no
+    // commit span (the session commits later).
+    s.execute("BEGIN").unwrap();
+    let in_txn = traced(&mut s, "SELECT v.b FROM t v WHERE v.a = 2");
+    assert_eq!(names(&in_txn), ["locks", "parse", "plan", "exec"]);
+    s.execute("COMMIT").unwrap();
+}
+
+/// A failed autocommit SELECT leaves *its own* trace behind — not the
+/// previous statement's — and can reach the slow log, exactly like a
+/// failed write does.
+#[test]
+fn failed_select_reports_its_own_trace_and_reaches_the_slow_log() {
+    let shared = SharedDatabase::paged(16).unwrap();
+    shared.set_slow_log(Duration::ZERO, 8);
+    let mut s = shared.session();
+    s.execute("CREATE TABLE t (a INT)").unwrap();
+    s.execute("INSERT INTO t VALUES (1)").unwrap();
+    assert!(
+        s.last_trace().iter().any(|sp| sp.name == "commit"),
+        "the insert's trace carries a commit span"
+    );
+    let failing = "SELECT v.a FROM nosuch v";
+    let err = s.execute(failing).unwrap_err();
+    assert!(
+        matches!(err, ServerError::Statement(RqsError::UnknownTable(_))),
+        "{err}"
+    );
+    let names: Vec<&str> = s.last_trace().iter().map(|sp| sp.name).collect();
+    assert_eq!(
+        names,
+        ["locks", "parse", "exec"],
+        "the failed SELECT's own spans, not the insert's"
+    );
+    assert!(s.last_trace()[1].nanos > 0, "its parse was timed");
+    let slow = shared.slow_entries();
+    let last = slow.last().unwrap();
+    assert_eq!(last.sql, failing, "failures reach the slow log too");
+    assert_eq!(last.spans, s.last_trace());
+    // TRACE of a failing SELECT reports the error, and the session's
+    // trace is again the failed statement's.
+    assert!(s.execute("TRACE SELECT v.zzz FROM t v").is_err());
+    assert_eq!(s.last_trace().first().unwrap().name, "locks");
+    assert!(s.last_trace().iter().all(|sp| sp.name != "commit"));
 }
 
 #[test]
