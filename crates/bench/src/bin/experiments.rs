@@ -541,6 +541,38 @@ fn s1_storage() -> JsonObj {
         scan.metrics.rows_scanned,
         indexed.metrics.rows_scanned,
     ));
+    // Indexed point reads under write churn: a parked transaction
+    // holds an uncommitted UPDATE on one row, so the table carries
+    // version metadata and every index read beside it resolves its
+    // postings through a read view. It must still be an index read —
+    // the worst of these may cost a page more than the quiescent one
+    // above (the writer's dirty page is pinned in the 8-page pool), not
+    // the table.
+    let writer = db.begin_session_txn().expect("transaction opens");
+    db.resume_session_txn(writer).expect("transaction resumes");
+    db.execute("UPDATE empl SET dno = dno + 1 WHERE nam = 'e7'")
+        .expect("update runs");
+    db.suspend_session_txn();
+    let churn_reads = 200u64;
+    let mut churn_worst = 0u64;
+    for i in 0..churn_reads {
+        let key = (i * 37 + 11) % n as u64;
+        let r = db
+            .execute(&format!("SELECT v.sal FROM empl v WHERE v.nam = 'e{key}'"))
+            .expect("query runs");
+        assert_eq!(r.rows, [[rqs::Datum::Int(10_000 + key as i64)]]);
+        assert_eq!(r.metrics.rows_scanned, 1, "an index read, not a scan");
+        churn_worst = churn_worst.max(r.metrics.page_reads);
+        lat.push(r.metrics.elapsed_nanos);
+    }
+    let versioned = engine(&db).metrics().versioned_index_reads;
+    assert_eq!(versioned, churn_reads, "every one resolved through a view");
+    db.abort_session_txn(writer);
+    measured(&format!(
+        "{churn_reads} indexed point reads beside an uncommitted UPDATE: worst \
+         {churn_worst} page_reads (quiescent: {}), {versioned} resolved through a view",
+        indexed.metrics.page_reads,
+    ));
     // Inequality restrictions ride the same tree through the ordered
     // cursor: a narrow BETWEEN touches the matching leaves, not the
     // whole heap.
@@ -582,6 +614,8 @@ fn s1_storage() -> JsonObj {
         .u("load_wal_bytes", load_wal_bytes)
         .u("point_fullscan_page_reads", scan.metrics.page_reads)
         .u("point_indexed_page_reads", indexed.metrics.page_reads)
+        .u("churn_point_reads", churn_reads)
+        .u("churn_point_indexed_page_reads", churn_worst)
         .u(
             "point_page_reads_saved",
             scan.metrics.page_reads - indexed.metrics.page_reads,

@@ -102,22 +102,22 @@ pub trait StorageBackend: Send + Sync {
 
     fn has_index(&self, name: &str, col: usize) -> bool;
 
-    /// Tuples whose `col` equals `key` via an index, or `None` when the
-    /// column has no usable index (caller falls back to a scan).
-    fn index_lookup(&self, name: &str, col: usize, key: &Datum) -> RqsResult<Option<Vec<Tuple>>>;
+    /// Tuples whose `col` equals `key`, via the index on `col`. An
+    /// unindexed column is an error: callers ask [`Self::has_index`]
+    /// (or `choose_access`) first.
+    fn index_lookup(&self, name: &str, col: usize, key: &Datum) -> RqsResult<Vec<Tuple>>;
 
-    /// Tuples whose `col` falls inside `(lower, upper)` via an ordered
-    /// index cursor, or `None` when the column has no usable index
-    /// (caller falls back to a scan). Feeds inequality restrictions
-    /// (`<`, `<=`, `>`, `>=`, `BETWEEN`) without touching the whole
-    /// table.
+    /// Tuples whose `col` falls inside `(lower, upper)`, via an ordered
+    /// cursor over the index on `col` (an error when there is none).
+    /// Feeds inequality restrictions (`<`, `<=`, `>`, `>=`, `BETWEEN`)
+    /// without touching the whole table.
     fn index_range(
         &self,
         name: &str,
         col: usize,
         lower: Bound<&Datum>,
         upper: Bound<&Datum>,
-    ) -> RqsResult<Option<Vec<Tuple>>>;
+    ) -> RqsResult<Vec<Tuple>>;
 
     /// Deletes every row the access path yields that satisfies `pred`,
     /// returning how many were removed. The predicate is a pure
@@ -251,6 +251,16 @@ struct MemTable {
     indexes: BTreeMap<usize, BTreeMap<Datum, Vec<usize>>>,
 }
 
+impl MemTable {
+    fn index(&self, name: &str, col: usize) -> RqsResult<&BTreeMap<Datum, Vec<usize>>> {
+        self.indexes.get(&col).ok_or_else(|| {
+            RqsError::Internal(format!(
+                "index read of {name} column {col}, which has no index"
+            ))
+        })
+    }
+}
+
 /// Whether `(lower, upper)` denotes an empty range. `BTreeMap::range`
 /// panics on inverted (or doubly-excluded equal) bounds; the planner
 /// can produce such ranges from contradictory restrictions.
@@ -368,27 +378,31 @@ impl InMemoryBackend {
     }
 
     /// Row ids the access path yields for one table: `None` = every row
-    /// (no usable index), `Some` = the index-narrowed candidate set.
+    /// (a full scan), `Some` = the index-narrowed candidate set.
     fn candidates(&self, name: &str, access: &AccessPath) -> RqsResult<Option<Vec<usize>>> {
         let table = self.table(name)?;
         Ok(match access {
             AccessPath::FullScan => None,
             AccessPath::Nothing => Some(Vec::new()),
-            AccessPath::KeyEq(col, key) => table
-                .indexes
-                .get(col)
-                .map(|index| index.get(key).cloned().unwrap_or_default()),
-            AccessPath::KeyRange(col, lower, upper) => table.indexes.get(col).map(|index| {
+            AccessPath::KeyEq(col, key) => Some(
+                table
+                    .index(name, *col)?
+                    .get(key)
+                    .cloned()
+                    .unwrap_or_default(),
+            ),
+            AccessPath::KeyRange(col, lower, upper) => {
+                let index = table.index(name, *col)?;
                 let (lower, upper) = (lower.as_ref(), upper.as_ref());
-                if bounds_are_empty(&lower, &upper) {
+                Some(if bounds_are_empty(&lower, &upper) {
                     Vec::new()
                 } else {
                     index
                         .range((lower, upper))
                         .flat_map(|(_, rids)| rids.iter().copied())
                         .collect()
-                }
-            }),
+                })
+            }
         })
     }
 
@@ -549,15 +563,13 @@ impl StorageBackend for InMemoryBackend {
             .is_some_and(|t| t.indexes.contains_key(&col))
     }
 
-    fn index_lookup(&self, name: &str, col: usize, key: &Datum) -> RqsResult<Option<Vec<Tuple>>> {
+    fn index_lookup(&self, name: &str, col: usize, key: &Datum) -> RqsResult<Vec<Tuple>> {
         let table = self.table(name)?;
-        let Some(index) = table.indexes.get(&col) else {
-            return Ok(None);
-        };
-        let rids = index.get(key).map(Vec::as_slice).unwrap_or(&[]);
-        Ok(Some(
-            rids.iter().map(|&rid| table.rows[rid].clone()).collect(),
-        ))
+        let rids = table
+            .index(name, col)?
+            .get(key)
+            .map_or(&[][..], Vec::as_slice);
+        Ok(rids.iter().map(|&rid| table.rows[rid].clone()).collect())
     }
 
     fn index_range(
@@ -566,19 +578,17 @@ impl StorageBackend for InMemoryBackend {
         col: usize,
         lower: Bound<&Datum>,
         upper: Bound<&Datum>,
-    ) -> RqsResult<Option<Vec<Tuple>>> {
+    ) -> RqsResult<Vec<Tuple>> {
         let table = self.table(name)?;
-        let Some(index) = table.indexes.get(&col) else {
-            return Ok(None);
-        };
+        let index = table.index(name, col)?;
         if bounds_are_empty(&lower, &upper) {
-            return Ok(Some(Vec::new()));
+            return Ok(Vec::new());
         }
         let mut out = Vec::new();
         for rids in index.range((lower, upper)).map(|(_, v)| v) {
             out.extend(rids.iter().map(|&rid| table.rows[rid].clone()));
         }
-        Ok(Some(out))
+        Ok(out)
     }
 
     fn delete_where(
@@ -808,8 +818,7 @@ impl PagedBackend {
         self.engine.simulate_crash();
     }
 
-    /// Candidate `(rid, tuple)` pairs for one access path; falls back to
-    /// a full scan when the named index is gone or declines.
+    /// Candidate `(rid, tuple)` pairs for one access path.
     fn candidates_rids(
         &self,
         name: &str,
@@ -824,16 +833,13 @@ impl PagedBackend {
             AccessPath::KeyEq(col, key) => (*col, IndexProbe::Eq(key)),
             AccessPath::KeyRange(col, lower, upper) => {
                 let (lower, upper) = (lower.as_ref(), upper.as_ref());
-                if bounds_are_empty(&lower, &upper) && self.engine.has_index(name, *col) {
+                if bounds_are_empty(&lower, &upper) {
                     return Ok(Vec::new());
                 }
                 (*col, IndexProbe::Range(lower, upper))
             }
         };
-        Ok(match self.engine.index_read(name, col, probe)? {
-            Some(hits) => hits,
-            None => self.engine.scan_rids(name)?,
-        })
+        Ok(self.engine.index_read(name, col, probe)?)
     }
 }
 
@@ -898,7 +904,7 @@ impl StorageBackend for PagedBackend {
         self.engine.has_index(name, col)
     }
 
-    fn index_lookup(&self, name: &str, col: usize, key: &Datum) -> RqsResult<Option<Vec<Tuple>>> {
+    fn index_lookup(&self, name: &str, col: usize, key: &Datum) -> RqsResult<Vec<Tuple>> {
         Ok(self.engine.index_lookup(name, col, key)?)
     }
 
@@ -908,9 +914,9 @@ impl StorageBackend for PagedBackend {
         col: usize,
         lower: Bound<&Datum>,
         upper: Bound<&Datum>,
-    ) -> RqsResult<Option<Vec<Tuple>>> {
-        if bounds_are_empty(&lower, &upper) && self.engine.has_index(name, col) {
-            return Ok(Some(Vec::new()));
+    ) -> RqsResult<Vec<Tuple>> {
+        if bounds_are_empty(&lower, &upper) {
+            return Ok(Vec::new());
         }
         Ok(self.engine.index_range(name, col, lower, upper)?)
     }
@@ -1012,26 +1018,17 @@ mod tests {
         }
         assert_eq!(backend.row_count("t").unwrap(), 200);
         assert_eq!(backend.scan("t").unwrap().len(), 200);
-        assert!(backend
-            .index_lookup("t", 0, &Datum::Int(3))
-            .unwrap()
-            .is_none());
+        assert!(backend.index_lookup("t", 0, &Datum::Int(3)).is_err());
         backend.create_index("t", 0).unwrap();
         assert!(backend.has_index("t", 0));
         assert!(!backend.has_index("t", 1));
-        let hits = backend
-            .index_lookup("t", 0, &Datum::Int(3))
-            .unwrap()
-            .unwrap();
+        let hits = backend.index_lookup("t", 0, &Datum::Int(3)).unwrap();
         assert_eq!(hits.len(), 10);
         assert!(hits.iter().all(|t| t[0] == Datum::Int(3)));
         assert_eq!(backend.truncate("t").unwrap(), 200);
         assert_eq!(backend.scan("t").unwrap().len(), 0);
         assert_eq!(
-            backend
-                .index_lookup("t", 0, &Datum::Int(3))
-                .unwrap()
-                .unwrap(),
+            backend.index_lookup("t", 0, &Datum::Int(3)).unwrap(),
             Vec::<Tuple>::new()
         );
         backend.drop_table("t").unwrap();
@@ -1073,31 +1070,19 @@ mod tests {
         assert_eq!(backend.row_count("d").unwrap(), 89);
         // Index agreement after the churn.
         assert_eq!(
-            backend
-                .index_lookup("d", 0, &Datum::Int(3))
-                .unwrap()
-                .unwrap(),
+            backend.index_lookup("d", 0, &Datum::Int(3)).unwrap(),
             Vec::<Tuple>::new()
         );
         assert_eq!(
-            backend
-                .index_lookup("d", 0, &Datum::Int(4))
-                .unwrap()
-                .unwrap()
-                .len(),
+            backend.index_lookup("d", 0, &Datum::Int(4)).unwrap().len(),
             9
         );
         assert_eq!(
-            backend
-                .index_lookup("d", 0, &Datum::Int(88))
-                .unwrap()
-                .unwrap()
-                .len(),
+            backend.index_lookup("d", 0, &Datum::Int(88)).unwrap().len(),
             20
         );
         assert!(backend
             .index_lookup("d", 0, &Datum::Int(8))
-            .unwrap()
             .unwrap()
             .is_empty());
         // Nothing path touches nothing; unknown tables error.
@@ -1120,10 +1105,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(changed, 10);
-        let fives = backend
-            .index_lookup("d", 0, &Datum::Int(5))
-            .unwrap()
-            .unwrap();
+        let fives = backend.index_lookup("d", 0, &Datum::Int(5)).unwrap();
         assert!(fives.iter().all(|t| t[1] == Datum::text("five")));
         backend.drop_table("d").unwrap();
     }

@@ -234,6 +234,23 @@ pub(crate) fn check_value_bound(
     Ok(())
 }
 
+/// Whether `table` holds a row with `values` at `cols`: through the
+/// index when one covers a single-column probe, else with an early-exit
+/// scan.
+fn row_exists(
+    backend: &dyn StorageBackend,
+    table: &str,
+    cols: &[usize],
+    values: &[Datum],
+) -> RqsResult<bool> {
+    if let ([col], [value]) = (cols, values) {
+        if backend.has_index(table, *col) {
+            return Ok(!backend.index_lookup(table, *col, value)?.is_empty());
+        }
+    }
+    backend.contains(table, cols, values)
+}
+
 /// Checks every constraint of `table_name` against one candidate tuple,
 /// reading existing rows through the backend. Called before every
 /// checked insert.
@@ -252,23 +269,8 @@ pub(crate) fn check_insert(
             }
             TableConstraint::Key { columns } => {
                 let cols = resolve_columns(table, columns, "key")?;
-                // Use an index when one covers a single-column key. The
-                // lookup may still decline (`None`) — e.g. while MVCC
-                // version metadata makes raw index postings unsafe — in
-                // which case the scan probe decides.
-                let indexed = if cols.len() == 1 && backend.has_index(table_name, cols[0]) {
-                    backend.index_lookup(table_name, cols[0], &tuple[cols[0]])?
-                } else {
-                    None
-                };
-                let dup = match indexed {
-                    Some(rows) => !rows.is_empty(),
-                    None => {
-                        let values: Vec<Datum> = cols.iter().map(|&c| tuple[c].clone()).collect();
-                        backend.contains(table_name, &cols, &values)?
-                    }
-                };
-                if dup {
+                let values: Vec<Datum> = cols.iter().map(|&c| tuple[c].clone()).collect();
+                if row_exists(backend, table_name, &cols, &values)? {
                     return Err(RqsError::ConstraintViolation(format!(
                         "duplicate key {columns:?} in {table_name}"
                     )));
@@ -283,21 +285,7 @@ pub(crate) fn check_insert(
                 let parent = catalog.table(parent_table)?;
                 let parent_cols = resolve_columns(parent, parent_columns, "fk")?;
                 let values: Vec<Datum> = child_cols.iter().map(|&c| tuple[c].clone()).collect();
-                // Probe the parent through its index when one covers a
-                // single-column reference, else with an early-exit scan
-                // (also the fallback when the lookup declines — see the
-                // key probe above).
-                let indexed =
-                    if parent_cols.len() == 1 && backend.has_index(parent_table, parent_cols[0]) {
-                        backend.index_lookup(parent_table, parent_cols[0], &values[0])?
-                    } else {
-                        None
-                    };
-                let found = match indexed {
-                    Some(rows) => !rows.is_empty(),
-                    None => backend.contains(parent_table, &parent_cols, &values)?,
-                };
-                if !found {
+                if !row_exists(backend, parent_table, &parent_cols, &values)? {
                     return Err(RqsError::ConstraintViolation(format!(
                         "{table_name}{columns:?} -> {parent_table}{parent_columns:?}: \
                          no parent for {:?}",

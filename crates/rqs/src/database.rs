@@ -868,11 +868,11 @@ impl Database {
         let mut out = String::new();
         let snap = self.snapshot();
         let resolved = plan::resolve(&snap, &select.core)?;
-        out.push_str(&plan::plan(resolved).to_string());
+        out.push_str(&plan::plan(resolved).explain(snap.backend));
         for arm in &select.unions {
             out.push_str("UNION\n");
             let resolved = plan::resolve(&snap, arm)?;
-            out.push_str(&plan::plan(resolved).to_string());
+            out.push_str(&plan::plan(resolved).explain(snap.backend));
         }
         Ok(out)
     }
@@ -1034,7 +1034,6 @@ mod tests {
                 assert_eq!(
                     db.backend()
                         .index_lookup("t", 0, &Datum::Int(k))
-                        .unwrap()
                         .unwrap()
                         .len(),
                     1,
@@ -1439,10 +1438,7 @@ mod tests {
             assert!(rows.is_empty(), "partial statement must not survive");
             for k in [1i64, 2, 3, 4] {
                 assert_eq!(
-                    db.backend()
-                        .index_lookup("t", 0, &Datum::Int(k))
-                        .unwrap()
-                        .unwrap(),
+                    db.backend().index_lookup("t", 0, &Datum::Int(k)).unwrap(),
                     Vec::<crate::value::Tuple>::new(),
                     "rolled-back posting for {k} must be gone"
                 );

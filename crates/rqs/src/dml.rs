@@ -210,15 +210,9 @@ fn matched_rows(
             backend.row_count(table)?; // surface UnknownTable
             Vec::new()
         }
-        AccessPath::KeyEq(col, key) => match backend.index_lookup(table, *col, key)? {
-            Some(rows) => rows,
-            None => backend.scan(table)?,
-        },
+        AccessPath::KeyEq(col, key) => backend.index_lookup(table, *col, key)?,
         AccessPath::KeyRange(col, lower, upper) => {
-            match backend.index_range(table, *col, lower.as_ref(), upper.as_ref())? {
-                Some(rows) => rows,
-                None => backend.scan(table)?,
-            }
+            backend.index_range(table, *col, lower.as_ref(), upper.as_ref())?
         }
         AccessPath::FullScan => backend.scan(table)?,
     };

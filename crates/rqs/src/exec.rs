@@ -342,46 +342,36 @@ fn scan_var(
             .iter()
             .all(|r| r.op.eval(row[r.col].total_cmp(&r.value)))
     };
-    let full_scan = |metrics: &mut QueryMetrics| -> RqsResult<Vec<Tuple>> {
-        // Filter over borrowed rows, cloning only the survivors.
-        let mut rows = Vec::new();
-        let mut scanned = 0u64;
-        snap.backend.for_each(&info.table, &mut |row| {
-            scanned += 1;
-            if check(row) {
-                rows.push(row.clone());
-            }
-        })?;
-        metrics.rows_scanned += scanned;
-        Ok(rows)
+    let mut index_rows = |rows: Vec<Tuple>| -> Vec<Tuple> {
+        metrics.rows_scanned += rows.len() as u64;
+        rows.into_iter().filter(check).collect()
     };
     match choose_access(snap.backend, &info.table, &restrictions) {
         AccessPath::Nothing => Ok(Vec::new()),
-        AccessPath::KeyEq(col, key) => {
-            // The lookup may decline (`None`) even though `has_index`
-            // said yes — e.g. while MVCC version metadata makes raw
-            // index postings unsafe — so fall back to the scan.
-            match snap.backend.index_lookup(&info.table, col, &key)? {
-                Some(rows) => {
-                    metrics.rows_scanned += rows.len() as u64;
-                    Ok(rows.into_iter().filter(check).collect())
+        AccessPath::KeyEq(col, key) => Ok(index_rows(snap.backend.index_lookup(
+            &info.table,
+            col,
+            &key,
+        )?)),
+        AccessPath::KeyRange(col, lower, upper) => Ok(index_rows(snap.backend.index_range(
+            &info.table,
+            col,
+            lower.as_ref(),
+            upper.as_ref(),
+        )?)),
+        AccessPath::FullScan => {
+            // Filter over borrowed rows, cloning only the survivors.
+            let mut rows = Vec::new();
+            let mut scanned = 0u64;
+            snap.backend.for_each(&info.table, &mut |row| {
+                scanned += 1;
+                if check(row) {
+                    rows.push(row.clone());
                 }
-                None => full_scan(metrics),
-            }
+            })?;
+            metrics.rows_scanned += scanned;
+            Ok(rows)
         }
-        AccessPath::KeyRange(col, lower, upper) => {
-            match snap
-                .backend
-                .index_range(&info.table, col, lower.as_ref(), upper.as_ref())?
-            {
-                Some(rows) => {
-                    metrics.rows_scanned += rows.len() as u64;
-                    Ok(rows.into_iter().filter(check).collect())
-                }
-                None => full_scan(metrics),
-            }
-        }
-        AccessPath::FullScan => full_scan(metrics),
     }
 }
 

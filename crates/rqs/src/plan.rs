@@ -8,11 +8,10 @@
 //! those is exactly the front-end optimizer's job, which is what the
 //! benchmarks measure.
 
-use crate::backend::Snapshot;
+use crate::backend::{Snapshot, StorageBackend};
 use crate::error::{RqsError, RqsResult};
 use crate::sql::ast::{CmpOp, ColumnRef, Condition, Scalar, SelectCore, SelectStmt};
 use crate::value::Datum;
-use std::fmt;
 
 /// A resolved range variable of the FROM clause.
 #[derive(Clone, Debug, PartialEq)]
@@ -299,49 +298,42 @@ pub fn plan(core: ResolvedCore) -> PhysicalPlan {
     PhysicalPlan { core, steps }
 }
 
-impl fmt::Display for PhysicalPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "Project [{} item(s)]{}",
+impl PhysicalPlan {
+    /// EXPLAIN's rendering: the join pipeline, each step with the
+    /// access path its scan takes on `backend` — the same
+    /// [`crate::exec::choose_access`] call the executor makes, so the
+    /// path printed is the path that runs.
+    pub fn explain(&self, backend: &dyn StorageBackend) -> String {
+        let mut out = format!(
+            "Project [{} item(s)]{}\n",
             self.core.items.len(),
             if self.core.distinct { " DISTINCT" } else { "" }
-        )?;
+        );
         for (depth, step) in self.steps.iter().enumerate().rev() {
             let v = &self.core.vars[step.var];
             let indent = "  ".repeat(self.steps.len() - depth);
-            let restr = self
+            let restrictions: Vec<&Restriction> = self
                 .core
                 .restrictions
                 .iter()
                 .filter(|r| r.var == step.var)
-                .count();
-            match &step.method {
-                JoinMethod::Initial => writeln!(
-                    f,
-                    "{indent}Scan {} {} [{} restriction(s)]",
-                    v.table, v.alias, restr
-                )?,
-                JoinMethod::Hash { eq, extra } => writeln!(
-                    f,
-                    "{indent}HashJoin {} {} [{} key(s), {} extra] [{} restriction(s)]",
-                    v.table,
-                    v.alias,
+                .collect();
+            let (table, alias, restr) = (&v.table, &v.alias, restrictions.len());
+            let head = match &step.method {
+                JoinMethod::Initial => format!("Scan {table} {alias}"),
+                JoinMethod::Hash { eq, extra } => format!(
+                    "HashJoin {table} {alias} [{} key(s), {} extra]",
                     eq.len(),
-                    extra.len(),
-                    restr
-                )?,
-                JoinMethod::NestedLoop { conds } => writeln!(
-                    f,
-                    "{indent}NestedLoop {} {} [{} cond(s)] [{} restriction(s)]",
-                    v.table,
-                    v.alias,
-                    conds.len(),
-                    restr
-                )?,
-            }
+                    extra.len()
+                ),
+                JoinMethod::NestedLoop { conds } => {
+                    format!("NestedLoop {table} {alias} [{} cond(s)]", conds.len())
+                }
+            };
+            let access = crate::exec::choose_access(backend, table, &restrictions);
+            out += &format!("{indent}{head} [{restr} restriction(s)] via {access}\n");
         }
-        Ok(())
+        out
     }
 }
 
@@ -459,8 +451,9 @@ mod tests {
             "SELECT v1.nam FROM empl v1, dept v2 WHERE v1.dno = v2.dno",
         )
         .unwrap();
-        let text = plan(core).to_string();
+        let text = plan(core).explain(db.backend());
         assert!(text.contains("Scan"));
         assert!(text.contains("HashJoin"));
+        assert!(text.contains("via FullScan"));
     }
 }

@@ -288,7 +288,8 @@ impl StorageEngine {
         let mut tree = BPlusTree::create(&self.pool)?;
         let mut postings: Vec<(Datum, Rid)> = Vec::new();
         self.visit_heap(heap, &mut |rid, mut tuple| {
-            postings.push((tuple.swap_remove(col), rid))
+            postings.push((tuple.swap_remove(col), rid));
+            Ok(true)
         })?;
         for (key, rid) in postings {
             tree.insert(&self.pool, &key, rid)?;

@@ -236,7 +236,10 @@ impl StorageEngine {
             // of the history.
             if let Some(txn) = eng.pool.active_txn() {
                 let mut doomed: Vec<(Rid, Tuple)> = Vec::with_capacity(info.row_count);
-                eng.visit_heap(info.heap, &mut |rid, old| doomed.push((rid, old)))?;
+                eng.visit_heap(info.heap, &mut |rid, old| {
+                    doomed.push((rid, old));
+                    Ok(true)
+                })?;
                 for (rid, old) in doomed {
                     eng.mvcc
                         .note_write(txn, table_id, rid, Some(old), eng.pool.metrics());

@@ -1,14 +1,15 @@
-//! Read paths: which MVCC view a read resolves through, one heap
-//! visitor behind every table scan, and one index reader behind every
-//! point and range lookup.
+//! Read paths: the version resolver a read goes through, one table
+//! visitor behind every scan and membership probe, and one index reader
+//! behind every point and range lookup.
 
 use super::{StorageEngine, TableInfo};
 use crate::codec::decode_tuple;
 use crate::heap::{HeapFile, Rid};
-use crate::mvcc::View;
+use crate::metrics;
+use crate::mvcc::Versions;
 use crate::value::{Datum, Tuple};
-use crate::StorageResult;
-use std::ops::Bound;
+use crate::{StorageError, StorageResult};
+use std::ops::{Bound, RangeBounds};
 
 /// What an index read asks the B+-tree for: the postings of one key, or
 /// of every key inside `(lower, upper)` in key order.
@@ -16,6 +17,18 @@ use std::ops::Bound;
 pub enum IndexProbe<'a> {
     Eq(&'a Datum),
     Range(Bound<&'a Datum>, Bound<&'a Datum>),
+}
+
+impl IndexProbe<'_> {
+    /// Whether a column value answers the probe — what the tree decides
+    /// for current keys, and what a prior version's old key is
+    /// re-checked against.
+    fn admits(&self, value: &Datum) -> bool {
+        match self {
+            IndexProbe::Eq(key) => value == *key,
+            IndexProbe::Range(lower, upper) => (*lower, *upper).contains(value),
+        }
+    }
 }
 
 impl StorageEngine {
@@ -37,71 +50,85 @@ impl StorageEngine {
 
     /// Marks subsequent reads as constraint probes: they judge the
     /// latest committed state plus the active transaction's own writes,
-    /// and conflict retryably when the probed table carries another
-    /// transaction's uncommitted writes (a violation verdict against a
-    /// row that may roll back would be a guess).
+    /// and conflict retryably when a row version that answers the
+    /// probe's predicate is another transaction's uncommitted write (a
+    /// violation verdict against a row that may roll back would be a
+    /// guess). Pending writes to rows the predicate rejects in both
+    /// their old and new version cannot change the verdict and are
+    /// ignored.
     pub fn set_constraint_probe(&self, on: bool) {
         self.mvcc.set_probe(on);
     }
 
-    /// The view reads of `table_id` should filter through, or `None`
-    /// for the raw-heap fast path (no view open, or no version metadata
-    /// on the table — absence means every row is committed long ago and
-    /// raw equals filtered).
-    fn read_view_for(&self, table_id: i64) -> Option<View> {
-        let view = self.mvcc.read_view(self.pool.active_txn())?;
-        self.mvcc.has_metas(table_id).then_some(view)
-    }
-
-    /// The `(rid, tuple)` pairs of one table as `view` sees them: raw
-    /// heap rows filtered to snapshot-visible versions, with priors
-    /// substituted for too-new content and visible-but-tombstoned rows
-    /// resurrected.
-    fn snapshot_rows(&self, info: &TableInfo, view: &View) -> StorageResult<Vec<(Rid, Tuple)>> {
-        let mut raw = Vec::with_capacity(info.row_count);
-        self.visit_heap(info.heap, &mut |rid, tuple| raw.push((rid, tuple)))?;
-        self.mvcc.visible(view, info.id, raw)
+    /// The resolver reads of `table_id` go through, or `None` when the
+    /// physical read is the snapshot (see [`crate::mvcc::Mvcc::versions`]).
+    fn versions_for(&self, table_id: i64) -> Option<Versions> {
+        self.mvcc.versions(self.pool.active_txn(), table_id)
     }
 
     // -----------------------------------------------------------------
     // Heap scans
     // -----------------------------------------------------------------
 
-    /// Decodes and visits every live record of a heap chain, in heap
-    /// order, with no visibility filtering — the raw feed under every
-    /// scan, and what index builds and truncation walk directly.
+    /// Decodes and visits the live records of a heap chain, in heap
+    /// order, with no visibility filtering, until `f` returns
+    /// `Ok(false)` or fails — the raw feed under every scan, and what
+    /// index builds and truncation walk directly.
     pub(super) fn visit_heap(
         &self,
         heap: HeapFile,
-        f: &mut dyn FnMut(Rid, Tuple),
+        f: &mut dyn FnMut(Rid, Tuple) -> StorageResult<bool>,
     ) -> StorageResult<()> {
         let mut err = None;
-        heap.scan(&self.pool, |rid, rec| match decode_tuple(rec) {
-            Ok(tuple) => f(rid, tuple),
-            Err(e) => err = Some(e),
+        heap.scan_while(&self.pool, |rid, rec| {
+            decode_tuple(rec)
+                .and_then(|tuple| f(rid, tuple))
+                .unwrap_or_else(|e| {
+                    err = Some(e);
+                    false
+                })
         })?;
         err.map_or(Ok(()), Err)
     }
 
-    /// The one table visitor: every row of `info` the current read view
-    /// may see, in heap order. Under an open read snapshot with live
-    /// version metadata the rows are the snapshot-visible versions;
-    /// otherwise this is the raw heap, streamed without materializing.
-    fn visit_rows(&self, info: &TableInfo, f: &mut dyn FnMut(Rid, Tuple)) -> StorageResult<()> {
-        if let Some(view) = self.read_view_for(info.id) {
-            for (rid, tuple) in self.snapshot_rows(info, &view)? {
-                f(rid, tuple);
+    /// The one table visitor: every row of `info` that `answers` and
+    /// that the current read view may see, until `f` returns `false`.
+    /// Rows stream off the heap in heap order, each resolved to its
+    /// visible version as it is visited; the versions the heap no
+    /// longer holds (deleted or relocated since the view was cut)
+    /// follow. Nothing is materialised on either path.
+    fn visit_rows(
+        &self,
+        info: &TableInfo,
+        answers: &dyn Fn(&Tuple) -> bool,
+        f: &mut dyn FnMut(Rid, Tuple) -> bool,
+    ) -> StorageResult<()> {
+        let Some(mut versions) = self.versions_for(info.id) else {
+            return self.visit_heap(info.heap, &mut |rid, tuple| {
+                Ok(!answers(&tuple) || f(rid, tuple))
+            });
+        };
+        let mut more = true;
+        self.visit_heap(info.heap, &mut |rid, tuple| {
+            if let Some(version) = versions.resolve(rid, tuple, answers)? {
+                more = f(rid, version);
             }
-            return Ok(());
+            Ok(more)
+        })?;
+        if more {
+            versions.unseen_priors(answers, f)?;
         }
-        self.visit_heap(info.heap, f)
+        Ok(())
     }
 
     /// All tuples of a table, in heap order.
     pub fn scan(&self, name: &str) -> StorageResult<Vec<Tuple>> {
         let info = self.table(name)?;
         let mut out = Vec::with_capacity(info.row_count);
-        self.visit_rows(info, &mut |_, tuple| out.push(tuple))?;
+        self.visit_rows(info, &|_| true, &mut |_, tuple| {
+            out.push(tuple);
+            true
+        })?;
         Ok(out)
     }
 
@@ -114,14 +141,20 @@ impl StorageEngine {
     pub fn scan_rids(&self, name: &str) -> StorageResult<Vec<(Rid, Tuple)>> {
         let info = self.table(name)?;
         let mut out = Vec::with_capacity(info.row_count);
-        self.visit_rows(info, &mut |rid, tuple| out.push((rid, tuple)))?;
+        self.visit_rows(info, &|_| true, &mut |rid, tuple| {
+            out.push((rid, tuple));
+            true
+        })?;
         Ok(out)
     }
 
     /// Visits every tuple of a table in heap order without building the
     /// intermediate `Vec` that [`StorageEngine::scan`] returns.
     pub fn for_each(&self, name: &str, f: &mut dyn FnMut(&Tuple)) -> StorageResult<()> {
-        self.visit_rows(self.table(name)?, &mut |_, tuple| f(&tuple))
+        self.visit_rows(self.table(name)?, &|_| true, &mut |_, tuple| {
+            f(&tuple);
+            true
+        })
     }
 
     pub fn row_count(&self, name: &str) -> StorageResult<usize> {
@@ -129,35 +162,15 @@ impl StorageEngine {
     }
 
     /// Whether any stored tuple matches `values` at columns `cols`.
-    /// Early-exits on the first hit instead of materializing the table.
+    /// Stops at the first hit instead of materializing the table.
     pub fn contains(&self, name: &str, cols: &[usize], values: &[Datum]) -> StorageResult<bool> {
-        let info = self.table(name)?;
         let matches = |tuple: &Tuple| cols.iter().zip(values).all(|(&c, v)| &tuple[c] == v);
-        if let Some(view) = self.read_view_for(info.id) {
-            // Versioned path: no early exit, but it only runs while the
-            // table actually carries concurrent-write metadata.
-            return Ok(self
-                .snapshot_rows(info, &view)?
-                .iter()
-                .any(|(_, tuple)| matches(tuple)));
-        }
         let mut found = false;
-        let mut err = None;
-        info.heap
-            .scan_while(&self.pool, |_, rec| match decode_tuple(rec) {
-                Ok(tuple) => {
-                    found = matches(&tuple);
-                    !found
-                }
-                Err(e) => {
-                    err = Some(e);
-                    false
-                }
-            })?;
-        match err {
-            Some(e) => Err(e),
-            None => Ok(found),
-        }
+        self.visit_rows(self.table(name)?, &matches, &mut |_, _| {
+            found = true;
+            false
+        })?;
+        Ok(found)
     }
 
     // -----------------------------------------------------------------
@@ -165,48 +178,61 @@ impl StorageEngine {
     // -----------------------------------------------------------------
 
     /// The one index reader: `(rid, tuple)` pairs of the rows whose
-    /// `col` answers `probe`, via the B+-tree — a point descent for
-    /// [`IndexProbe::Eq`], the ordered leaf chain for
-    /// [`IndexProbe::Range`] (page cost proportional to the matching
-    /// range; this is what `<`, `<=`, `>`, `>=`, `BETWEEN` ride on
-    /// instead of full heap scans). `None` when no index covers the
-    /// column, and also while the table carries version metadata: index
-    /// postings address the raw heap, which may hold versions a
-    /// snapshot must not see, so the caller falls back to a filtered
-    /// scan. The metadata drains at GC, restoring index reads.
+    /// `col` answers `probe` as the current read view sees them, via
+    /// the B+-tree — a point descent for [`IndexProbe::Eq`], the
+    /// ordered leaf chain for [`IndexProbe::Range`] (page cost
+    /// proportional to the matching range; this is what `<`, `<=`, `>`,
+    /// `>=`, `BETWEEN` ride on instead of full heap scans). Errors when
+    /// no index covers the column.
+    ///
+    /// Postings address the current heap, so on a table with version
+    /// entries each posting is resolved through the view (current
+    /// content, the covering prior if *its* key still answers, or
+    /// nothing), and the visible priors whose old key answers but whose
+    /// posting is gone — deleted, relocated, re-keyed — are unioned in
+    /// from the table's in-memory entries. The pool fetches are the
+    /// postings' either way: O(height + matches), never O(table).
     pub fn index_read(
         &self,
         name: &str,
         col: usize,
         probe: IndexProbe<'_>,
-    ) -> StorageResult<Option<Vec<(Rid, Tuple)>>> {
+    ) -> StorageResult<Vec<(Rid, Tuple)>> {
         let info = self.table(name)?;
-        if self.read_view_for(info.id).is_some() {
-            return Ok(None);
-        }
-        let Some(ix) = self.find_index(info.id, col) else {
-            return Ok(None);
-        };
+        let mut versions = self.versions_for(info.id);
+        let ix = self.find_index(info.id, col).ok_or_else(|| {
+            StorageError::Internal(format!(
+                "index read of {name} column {col}, which has no index"
+            ))
+        })?;
         let rids = match probe {
             IndexProbe::Eq(key) => ix.tree.lookup(&self.pool, key)?,
             IndexProbe::Range(lower, upper) => ix.tree.range(&self.pool, lower, upper)?,
         };
+        let answers = |tuple: &Tuple| probe.admits(&tuple[col]);
         let mut out = Vec::with_capacity(rids.len());
         for rid in rids {
-            out.push((rid, decode_tuple(&info.heap.fetch(&self.pool, rid)?)?));
+            let tuple = decode_tuple(&info.heap.fetch(&self.pool, rid)?)?;
+            let version = match &mut versions {
+                Some(versions) => versions.resolve(rid, tuple, &answers)?,
+                None => Some(tuple),
+            };
+            out.extend(version.map(|tuple| (rid, tuple)));
         }
-        Ok(Some(out))
+        if let Some(versions) = &versions {
+            metrics::bump(&self.pool.metrics().versioned_index_reads);
+            versions.unseen_priors(&answers, &mut |rid, tuple| {
+                out.push((rid, tuple));
+                true
+            })?;
+        }
+        Ok(out)
     }
 
     /// Tuples whose `col` equals `key` ([`StorageEngine::index_read`]
     /// without the rids).
-    pub fn index_lookup(
-        &self,
-        name: &str,
-        col: usize,
-        key: &Datum,
-    ) -> StorageResult<Option<Vec<Tuple>>> {
-        Ok(self.index_read(name, col, IndexProbe::Eq(key))?.map(tuples))
+    pub fn index_lookup(&self, name: &str, col: usize, key: &Datum) -> StorageResult<Vec<Tuple>> {
+        Ok(tuples(self.index_read(name, col, IndexProbe::Eq(key))?))
     }
 
     /// Tuples whose `col` falls inside `(lower, upper)`
@@ -217,10 +243,12 @@ impl StorageEngine {
         col: usize,
         lower: Bound<&Datum>,
         upper: Bound<&Datum>,
-    ) -> StorageResult<Option<Vec<Tuple>>> {
-        Ok(self
-            .index_read(name, col, IndexProbe::Range(lower, upper))?
-            .map(tuples))
+    ) -> StorageResult<Vec<Tuple>> {
+        Ok(tuples(self.index_read(
+            name,
+            col,
+            IndexProbe::Range(lower, upper),
+        )?))
     }
 }
 

@@ -1,7 +1,9 @@
 //! Engine unit tests: data, catalog and DML paths here; crash,
-//! recovery, steal and free-list scenarios in [`recovery`].
+//! recovery, steal and free-list scenarios in [`recovery`]; index reads
+//! through a read view in [`snapshot`].
 
 mod recovery;
+mod snapshot;
 
 use super::*;
 use crate::heap::Rid;
@@ -80,10 +82,7 @@ fn index_lookup_matches_scan_filter() {
     eng.create_index("empl", 3).unwrap();
     assert!(eng.has_index("empl", 3));
     assert!(!eng.has_index("empl", 0));
-    let via_index = eng
-        .index_lookup("empl", 3, &Datum::Int(7))
-        .unwrap()
-        .unwrap();
+    let via_index = eng.index_lookup("empl", 3, &Datum::Int(7)).unwrap();
     let via_scan: Vec<Tuple> = eng
         .scan("empl")
         .unwrap()
@@ -95,7 +94,8 @@ fn index_lookup_matches_scan_filter() {
         via_index.iter().map(|t| format!("{t:?}")).collect();
     let b: std::collections::BTreeSet<String> = via_scan.iter().map(|t| format!("{t:?}")).collect();
     assert_eq!(a, b);
-    assert_eq!(eng.index_lookup("empl", 0, &Datum::Int(1)).unwrap(), None);
+    // An unindexed column is the caller's bug, not an empty answer.
+    assert!(eng.index_lookup("empl", 0, &Datum::Int(1)).is_err());
 }
 
 #[test]
@@ -106,10 +106,7 @@ fn indexes_maintained_on_insert() {
         eng.insert("empl", &empl_row(i, &format!("n{}", i % 50), 20_000, 1))
             .unwrap();
     }
-    let hits = eng
-        .index_lookup("empl", 1, &Datum::text("n13"))
-        .unwrap()
-        .unwrap();
+    let hits = eng.index_lookup("empl", 1, &Datum::text("n13")).unwrap();
     assert_eq!(hits.len(), 6);
     assert!(hits.iter().all(|t| t[1] == Datum::text("n13")));
 }
@@ -122,17 +119,12 @@ fn truncate_clears_rows_and_indexes() {
     assert_eq!(eng.row_count("empl").unwrap(), 0);
     assert!(eng.scan("empl").unwrap().is_empty());
     assert_eq!(
-        eng.index_lookup("empl", 3, &Datum::Int(1))
-            .unwrap()
-            .unwrap(),
+        eng.index_lookup("empl", 3, &Datum::Int(1)).unwrap(),
         Vec::<Tuple>::new()
     );
     eng.insert("empl", &empl_row(1, "back", 30_000, 1)).unwrap();
     assert_eq!(
-        eng.index_lookup("empl", 3, &Datum::Int(1))
-            .unwrap()
-            .unwrap()
-            .len(),
+        eng.index_lookup("empl", 3, &Datum::Int(1)).unwrap().len(),
         1
     );
 }
@@ -157,10 +149,7 @@ fn works_under_8_page_pool_with_data_larger_than_pool() {
     eng.create_index("empl", 0).unwrap();
     assert_eq!(eng.scan("empl").unwrap().len(), 2000);
     for probe in [0i64, 555, 1999] {
-        let hit = eng
-            .index_lookup("empl", 0, &Datum::Int(probe))
-            .unwrap()
-            .unwrap();
+        let hit = eng.index_lookup("empl", 0, &Datum::Int(probe)).unwrap();
         assert_eq!(hit.len(), 1, "eno {probe}");
     }
     let stats = eng.pool_stats();
@@ -179,10 +168,7 @@ fn point_lookup_reads_fewer_pages_than_full_scan() {
     let _ = eng.scan("empl").unwrap();
     let scan_reads = eng.pool_stats().page_reads - before.page_reads;
     let before = eng.pool_stats();
-    let _ = eng
-        .index_lookup("empl", 0, &Datum::Int(1234))
-        .unwrap()
-        .unwrap();
+    let _ = eng.index_lookup("empl", 0, &Datum::Int(1234)).unwrap();
     let lookup_reads = eng.pool_stats().page_reads - before.page_reads;
     assert!(
         lookup_reads < scan_reads,
@@ -211,7 +197,6 @@ fn oversized_index_key_leaves_heap_and_index_consistent() {
     eng.insert("t", &[Datum::text("fine")]).unwrap();
     assert_eq!(
         eng.index_lookup("t", 0, &Datum::text("fine"))
-            .unwrap()
             .unwrap()
             .len(),
         1
@@ -338,10 +323,7 @@ fn reopen_bootstraps_catalog_from_system_pages() {
     assert_eq!(eng.row_count("empl").unwrap(), 700);
     assert_eq!(eng.row_count("dept").unwrap(), 1);
     assert!(eng.has_index("empl", 1));
-    let hit = eng
-        .index_lookup("empl", 1, &Datum::text("p456"))
-        .unwrap()
-        .unwrap();
+    let hit = eng.index_lookup("empl", 1, &Datum::text("p456")).unwrap();
     assert_eq!(hit, vec![empl_row(456, "p456", 10_456, 0)]);
     cleanup(&path);
 }
@@ -392,29 +374,18 @@ fn update_rows_rewrites_in_place_and_maintains_indexes() {
     assert_eq!(eng.update_rows("empl", &targets).unwrap(), n);
     assert_eq!(eng.row_count("empl").unwrap(), 500);
     assert_eq!(
-        eng.index_lookup("empl", 3, &Datum::Int(7))
-            .unwrap()
-            .unwrap(),
+        eng.index_lookup("empl", 3, &Datum::Int(7)).unwrap(),
         Vec::<Tuple>::new(),
         "old postings must be gone"
     );
-    let hits = eng
-        .index_lookup("empl", 3, &Datum::Int(99))
-        .unwrap()
-        .unwrap();
+    let hits = eng.index_lookup("empl", 3, &Datum::Int(99)).unwrap();
     assert_eq!(hits.len(), n);
     assert!(hits.iter().all(|t| t[1] == Datum::text("bulk")));
-    let by_name = eng
-        .index_lookup("empl", 1, &Datum::text("bulk"))
-        .unwrap()
-        .unwrap();
+    let by_name = eng.index_lookup("empl", 1, &Datum::text("bulk")).unwrap();
     assert_eq!(by_name.len(), n);
     // Unchanged keys kept their postings.
     assert_eq!(
-        eng.index_lookup("empl", 3, &Datum::Int(6))
-            .unwrap()
-            .unwrap()
-            .len(),
+        eng.index_lookup("empl", 3, &Datum::Int(6)).unwrap().len(),
         50
     );
 }
@@ -440,7 +411,7 @@ fn update_rows_relocates_grown_records_and_reposts_rids() {
     eng.update_rows("t", &grown).unwrap();
     assert_eq!(eng.row_count("t").unwrap(), 40);
     for i in 0..40i64 {
-        let hits = eng.index_lookup("t", 0, &Datum::Int(i)).unwrap().unwrap();
+        let hits = eng.index_lookup("t", 0, &Datum::Int(i)).unwrap();
         assert_eq!(hits.len(), 1, "key {i}");
         let want = if i % 4 == 0 { 2500 } else { 450 };
         assert_eq!(hits[0][1].as_text().unwrap().len(), want, "key {i}");
@@ -462,10 +433,7 @@ fn delete_rows_tombstones_and_unposts() {
     assert_eq!(eng.row_count("empl").unwrap(), 200);
     assert_eq!(eng.scan("empl").unwrap().len(), 200);
     for i in 0..300i64 {
-        let hits = eng
-            .index_lookup("empl", 0, &Datum::Int(i))
-            .unwrap()
-            .unwrap();
+        let hits = eng.index_lookup("empl", 0, &Datum::Int(i)).unwrap();
         assert_eq!(hits.len(), usize::from(i % 3 != 0), "eno {i}");
     }
     // Inserts after a delete land normally.
@@ -498,18 +466,13 @@ fn aborted_update_and_delete_roll_back_cleanly() {
     assert_eq!(eng.row_count("empl").unwrap(), 50);
     assert_eq!(eng.scan("empl").unwrap().len(), 50);
     assert_eq!(
-        eng.index_lookup("empl", 3, &Datum::Int(77))
-            .unwrap()
-            .unwrap(),
+        eng.index_lookup("empl", 3, &Datum::Int(77)).unwrap(),
         Vec::<Tuple>::new(),
         "aborted postings must be gone"
     );
     for d in 0..10i64 {
         assert_eq!(
-            eng.index_lookup("empl", 3, &Datum::Int(d))
-                .unwrap()
-                .unwrap()
-                .len(),
+            eng.index_lookup("empl", 3, &Datum::Int(d)).unwrap().len(),
             5,
             "dept {d} postings must be restored"
         );
@@ -552,7 +515,7 @@ fn updates_and_deletes_survive_crash_recovery() {
         20
     );
     for i in 0..60i64 {
-        let hits = eng.index_lookup("t", 0, &Datum::Int(i)).unwrap().unwrap();
+        let hits = eng.index_lookup("t", 0, &Datum::Int(i)).unwrap();
         assert_eq!(hits.len(), usize::from(i < 50), "key {i} after recovery");
     }
     cleanup(&path);
@@ -573,7 +536,6 @@ fn index_range_matches_scan_filter() {
             Bound::Included(&Datum::Int(10_100)),
             Bound::Excluded(&Datum::Int(10_120)),
         )
-        .unwrap()
         .unwrap();
     let via_scan: Vec<Tuple> = eng
         .scan("empl")
@@ -583,10 +545,7 @@ fn index_range_matches_scan_filter() {
         .collect();
     assert_eq!(via_range.len(), via_scan.len());
     assert_eq!(via_range.len(), 20);
-    // No index on the column → None (caller falls back to a scan).
-    assert_eq!(
-        eng.index_range("empl", 1, Bound::Unbounded, Bound::Unbounded)
-            .unwrap(),
-        None
-    );
+    assert!(eng
+        .index_range("empl", 1, Bound::Unbounded, Bound::Unbounded)
+        .is_err());
 }

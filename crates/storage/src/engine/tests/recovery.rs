@@ -17,9 +17,7 @@ fn explicit_abort_rolls_back_rows_and_catalog() {
     assert_eq!(eng.scan("empl").unwrap().len(), 3);
     assert!(!eng.has_table("tmp"));
     assert_eq!(
-        eng.index_lookup("empl", 0, &Datum::Int(100))
-            .unwrap()
-            .unwrap(),
+        eng.index_lookup("empl", 0, &Datum::Int(100)).unwrap(),
         Vec::<Tuple>::new(),
         "aborted posting must be gone"
     );
@@ -47,7 +45,7 @@ fn committed_statements_survive_a_crash_without_flush() {
     assert_eq!(eng.row_count("t").unwrap(), 50);
     assert_eq!(eng.scan("t").unwrap().len(), 50);
     assert!(eng.has_index("t", 0));
-    let hit = eng.index_lookup("t", 0, &Datum::Int(33)).unwrap().unwrap();
+    let hit = eng.index_lookup("t", 0, &Datum::Int(33)).unwrap();
     assert_eq!(hit, vec![vec![Datum::Int(33), Datum::text("v33")]]);
     cleanup(&path);
 }
@@ -94,14 +92,12 @@ fn pager_fault_mid_statement_leaves_no_stranded_row() {
     let rows = eng.scan("t").unwrap();
     assert_eq!(rows.len(), committed as usize);
     for i in 0..committed {
-        let hits = eng.index_lookup("t", 0, &Datum::Int(i)).unwrap().unwrap();
+        let hits = eng.index_lookup("t", 0, &Datum::Int(i)).unwrap();
         assert_eq!(hits.len(), 1, "row {i} must have exactly one posting");
     }
     // And the failed key is fully absent.
     assert_eq!(
-        eng.index_lookup("t", 0, &Datum::Int(committed))
-            .unwrap()
-            .unwrap(),
+        eng.index_lookup("t", 0, &Datum::Int(committed)).unwrap(),
         Vec::<Tuple>::new()
     );
     // The engine stays usable.
@@ -434,10 +430,7 @@ fn whole_table_rewrite_wider_than_the_pool_succeeds_via_steal() {
     assert_eq!(eng.row_count("empl").unwrap(), 2000);
     let rows = eng.scan("empl").unwrap();
     assert!(rows.iter().all(|t| t[3] == Datum::Int(42)));
-    let hits = eng
-        .index_lookup("empl", 3, &Datum::Int(42))
-        .unwrap()
-        .unwrap();
+    let hits = eng.index_lookup("empl", 3, &Datum::Int(42)).unwrap();
     assert_eq!(hits.len(), 2000, "postings must follow the rewrite");
 }
 
@@ -539,7 +532,7 @@ fn index_built_after_aborted_stolen_inserts_survives_recovery() {
     let eng = StorageEngine::open(&path, 8).unwrap();
     assert_eq!(eng.row_count("t").unwrap(), 100);
     for i in 0..100i64 {
-        let hits = eng.index_lookup("t", 0, &Datum::Int(i)).unwrap().unwrap();
+        let hits = eng.index_lookup("t", 0, &Datum::Int(i)).unwrap();
         assert_eq!(hits.len(), 1, "key {i}: node clobbered by recovery undo");
     }
     cleanup(&path);

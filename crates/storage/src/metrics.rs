@@ -393,6 +393,10 @@ counters! {
     /// Prior row versions garbage-collected once no open snapshot
     /// could still see them.
     versions_gc,
+    /// Index reads that resolved their postings through a read view
+    /// because the table carried version metadata (the rest read the
+    /// tree and heap as they are).
+    versioned_index_reads,
     /// Buffer-pool shard lookups that found the shard's stripe lock
     /// already held (contended `try_lock`; the caller then blocked).
     pool_shard_conflicts,

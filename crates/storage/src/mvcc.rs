@@ -6,8 +6,8 @@
 //! tracks a begin stamp for the current heap content (or tombstone) and
 //! a list of prior tuples, each bounded by `[begin, end)` commit
 //! timestamps. Absence of metadata means "committed long ago, visible
-//! to every snapshot" — after a quiet period the store drains back to
-//! empty and reads take the raw heap fast path.
+//! to every snapshot", so a table nobody has written lately carries
+//! nothing and its reads consult nothing.
 //!
 //! A [`View`] is a commit-timestamp cut: statement-scoped for
 //! autocommit (opened and closed around one statement) or
@@ -17,14 +17,26 @@
 //! write (read-your-own-writes); otherwise the priors are searched for
 //! the version whose `[begin, end)` interval covers the view.
 //!
-//! Constraint probes are the exception: uniqueness and FK checks must
-//! judge the *latest* committed state plus the writer's own pending
-//! rows, never a stale snapshot. Probe mode reads at `ts = u64::MAX`
-//! and refuses (with a retryable [`StorageError::Conflict`]) to probe
-//! a table that carries another transaction's uncommitted writes — the
-//! outcome would depend on whether that transaction commits, so the
-//! prober backs off and retries instead of reporting a violation
-//! against a row that may roll back.
+//! Every read of a table that carries metadata — heap scan, early-exit
+//! membership probe, index read — resolves through one [`Versions`]:
+//! [`Versions::resolve`] maps each `(rid, tuple)` the physical read
+//! yields to the version the view sees, and
+//! [`Versions::unseen_priors`] then surfaces the rows the physical read
+//! could not yield (tombstoned, relocated, or — for an index read —
+//! filed under another key now). Both take the read's predicate, so an
+//! index probe pays for the postings it reads plus the table's few
+//! in-memory version entries, never for the table.
+//!
+//! Constraint probes are the exception to snapshot timestamps:
+//! uniqueness and FK checks must judge the *latest* committed state
+//! plus the writer's own pending rows, never a stale snapshot. Probe
+//! mode reads at `ts = u64::MAX` and refuses (with a retryable
+//! [`StorageError::Conflict`]) an entry another transaction has pending
+//! *when a version of it answers the probe's predicate* — the verdict
+//! would depend on whether that transaction commits, so the prober
+//! backs off and retries instead of reporting a violation against a row
+//! that may roll back. Pending writes to rows that carry other keys
+//! cannot change the verdict and are ignored.
 //!
 //! Everything here is volatile by design: version metadata lives only
 //! in memory and is never WAL-logged. Crash recovery replays committed
@@ -48,7 +60,7 @@ use crate::value::Tuple;
 use crate::{StorageError, StorageResult};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Packs a rid into the map key (16 bits of slot under the page id).
 fn rid_key(rid: Rid) -> u64 {
@@ -92,10 +104,10 @@ struct RowMeta {
 /// plus `txn`'s own pending writes. `probe` marks constraint-check
 /// reads (latest committed + own, conflict on concurrent pending).
 #[derive(Clone, Copy, Debug)]
-pub struct View {
-    pub ts: u64,
-    pub txn: Option<TxnId>,
-    pub probe: bool,
+struct View {
+    ts: u64,
+    txn: Option<TxnId>,
+    probe: bool,
 }
 
 impl View {
@@ -107,11 +119,16 @@ impl View {
     }
 }
 
+/// One table's version metadata by rid key.
+type TableVersions = HashMap<u64, RowMeta>;
+
 #[derive(Default)]
 struct MvccState {
-    /// table id → rid key → version metadata. Empty per-table maps are
-    /// pruned so `has_metas` doubles as the fast-path gate.
-    store: HashMap<i64, HashMap<u64, RowMeta>>,
+    /// table id → version metadata, copy-on-write per table: a read
+    /// clones the `Arc` under the lock and resolves outside it, so
+    /// concurrent readers never serialise on the store. Empty per-table
+    /// maps are pruned — presence means "this table has entries".
+    store: HashMap<i64, Arc<TableVersions>>,
     /// Open view timestamps with refcounts; the smallest key is the GC
     /// horizon.
     views: BTreeMap<u64, usize>,
@@ -163,39 +180,28 @@ impl Mvcc {
         self.probe.store(on, Ordering::Relaxed);
     }
 
-    /// The view the next read should use, given the active transaction:
-    /// probe mode wins, then the transaction's view, then the statement
-    /// view; `None` means read the raw heap.
-    pub fn read_view(&self, active_txn: Option<TxnId>) -> Option<View> {
-        if self.probe.load(Ordering::Relaxed) {
-            return Some(View {
-                ts: u64::MAX,
-                txn: active_txn,
-                probe: true,
-            });
-        }
+    /// The resolver reads of `table` go through, given the active
+    /// transaction: probe mode wins, then the transaction's view, then
+    /// the statement view. `None` — no view open, or no version entry
+    /// on the table, where every row was committed long ago and the
+    /// physical read *is* the snapshot — means heap and index are read
+    /// as they are. One lock acquisition either way.
+    pub fn versions(&self, active_txn: Option<TxnId>, table: i64) -> Option<Versions> {
         let st = self.state.lock().unwrap();
-        if let Some(t) = active_txn {
-            if let Some(&ts) = st.txn_views.get(&t) {
-                return Some(View {
-                    ts,
-                    txn: Some(t),
-                    probe: false,
-                });
-            }
-        }
-        st.stmt_view.map(|(ts, _)| View {
-            ts,
-            txn: None,
-            probe: false,
+        let metas = Arc::clone(st.store.get(&table)?);
+        let probe = self.probe.load(Ordering::Relaxed);
+        let own_ts = active_txn.and_then(|t| st.txn_views.get(&t).copied());
+        let (ts, txn) = match (probe, own_ts) {
+            (true, _) => (u64::MAX, active_txn),
+            (false, Some(ts)) => (ts, active_txn),
+            (false, None) => (st.stmt_view?.0, None),
+        };
+        Some(Versions {
+            view: View { ts, txn, probe },
+            table,
+            metas,
+            seen: HashSet::new(),
         })
-    }
-
-    /// Whether any version metadata exists for `table` — the gate
-    /// between the raw heap fast path and the filtered read path.
-    pub fn has_metas(&self, table: i64) -> bool {
-        let st = self.state.lock().unwrap();
-        st.store.get(&table).is_some_and(|t| !t.is_empty())
     }
 
     /// Opens the transaction-scoped view at `BEGIN`.
@@ -289,10 +295,7 @@ impl Mvcc {
             .or_default()
             .entry((table, key))
             .or_insert(prev);
-        let meta = st
-            .store
-            .entry(table)
-            .or_default()
+        let meta = Arc::make_mut(st.store.entry(table).or_default())
             .entry(key)
             .or_insert(RowMeta {
                 begin: Stamp::Committed(0),
@@ -335,7 +338,11 @@ impl Mvcc {
             if !touches.is_empty() {
                 let ts = self.clock.fetch_add(1, Ordering::SeqCst) + 1;
                 for (table, key) in touches.into_keys() {
-                    let Some(meta) = st.store.get_mut(&table).and_then(|t| t.get_mut(&key)) else {
+                    let Some(meta) = st
+                        .store
+                        .get_mut(&table)
+                        .and_then(|t| Arc::make_mut(t).get_mut(&key))
+                    else {
                         continue;
                     };
                     if meta.begin == Stamp::Pending(txn) {
@@ -370,7 +377,7 @@ impl Mvcc {
         let mut st = self.state.lock().unwrap();
         if let Some(touches) = st.touches.remove(&txn) {
             for ((table, key), prev) in touches {
-                let Some(tbl) = st.store.get_mut(&table) else {
+                let Some(tbl) = st.store.get_mut(&table).map(Arc::make_mut) else {
                     continue;
                 };
                 if let Some(meta) = tbl.get_mut(&key) {
@@ -395,62 +402,90 @@ impl Mvcc {
         }
         gc(&mut st, m);
     }
+}
 
-    /// Filters one table's raw heap rows to the versions `view` may
-    /// see, substituting priors for too-new content and resurrecting
-    /// rows whose deletion the view must not observe. Probe views
-    /// conflict retryably when the table carries another transaction's
-    /// pending writes.
-    pub fn visible(
-        &self,
-        view: &View,
-        table: i64,
-        raw: Vec<(Rid, Tuple)>,
-    ) -> StorageResult<Vec<(Rid, Tuple)>> {
-        let st = self.state.lock().unwrap();
-        let Some(tbl) = st.store.get(&table) else {
-            return Ok(raw);
+/// One table's version entries as one view resolves them — the single
+/// visibility authority under heap scans, membership probes and index
+/// reads alike. Feed it every `(rid, tuple)` the physical read yields,
+/// then ask for the rows that read could not yield; each rid comes out
+/// at most once. `answers` is the read's predicate (always-true for a
+/// scan): versions failing it are dropped, and a probe view conflicts
+/// only on pending writes to versions passing it.
+pub struct Versions {
+    view: View,
+    table: i64,
+    metas: Arc<TableVersions>,
+    /// Entry-carrying rids already resolved.
+    seen: HashSet<u64>,
+}
+
+impl Versions {
+    /// The version of `rid` the view sees, when there is one and it
+    /// answers: the current heap content `tuple`, or the prior covering
+    /// the view when that content is too new (the prior may carry
+    /// other column values than the posting or predicate that led
+    /// here, hence the re-check).
+    pub fn resolve(
+        &mut self,
+        rid: Rid,
+        tuple: Tuple,
+        answers: &dyn Fn(&Tuple) -> bool,
+    ) -> StorageResult<Option<Tuple>> {
+        let key = rid_key(rid);
+        let Some(meta) = self.metas.get(&key) else {
+            return Ok(Some(tuple).filter(|t| answers(t)));
         };
-        if view.probe {
-            let pending_other = tbl.values().any(|meta| match meta.begin {
-                Stamp::Pending(t) => view.txn != Some(t),
-                Stamp::Committed(_) => false,
-            });
-            if pending_other {
-                return Err(StorageError::Conflict(format!(
-                    "constraint probe of table {table} raced an uncommitted concurrent write"
-                )));
-            }
+        self.seen.insert(key);
+        let prior = || visible_prior(meta, &self.view).map(|p| &p.tuple);
+        if self.pending_other(meta) && (answers(&tuple) || prior().is_some_and(answers)) {
+            return Err(self.probe_conflict());
         }
-        let mut out = Vec::with_capacity(raw.len());
-        let mut seen: HashSet<u64> = HashSet::with_capacity(raw.len().min(tbl.len()));
-        for (rid, tuple) in raw {
-            let key = rid_key(rid);
-            match tbl.get(&key) {
-                None => out.push((rid, tuple)),
-                Some(meta) => {
-                    seen.insert(key);
-                    if view.sees(meta.begin) {
-                        out.push((rid, tuple));
-                    } else if let Some(p) = visible_prior(meta, view) {
-                        out.push((rid, p.tuple.clone()));
-                    }
-                }
-            }
-        }
-        // Rids the heap scan did not yield are tombstoned. A visible
-        // begin stamp means the deletion itself is visible — skip; an
-        // invisible one means the view predates it — surface the prior
-        // version it should still see.
-        for (&key, meta) in tbl {
-            if seen.contains(&key) || view.sees(meta.begin) {
+        let version = if self.view.sees(meta.begin) {
+            Some(tuple)
+        } else {
+            prior().cloned()
+        };
+        Ok(version.filter(|t| answers(t)))
+    }
+
+    /// Visits the answering versions [`Versions::resolve`] was never
+    /// asked about: entries whose current state the view must not see
+    /// (a deletion, a relocation, a re-keying that moved the index
+    /// posting) but whose covering prior it must. `f` returns whether
+    /// to keep going.
+    pub fn unseen_priors(
+        &self,
+        answers: &dyn Fn(&Tuple) -> bool,
+        f: &mut dyn FnMut(Rid, Tuple) -> bool,
+    ) -> StorageResult<()> {
+        for (&key, meta) in self.metas.iter() {
+            if self.seen.contains(&key) || self.view.sees(meta.begin) {
                 continue;
             }
-            if let Some(p) = visible_prior(meta, view) {
-                out.push((key_rid(key), p.tuple.clone()));
+            let Some(p) = visible_prior(meta, &self.view).filter(|p| answers(&p.tuple)) else {
+                continue;
+            };
+            if self.pending_other(meta) {
+                return Err(self.probe_conflict());
+            }
+            if !f(key_rid(key), p.tuple.clone()) {
+                break;
             }
         }
-        Ok(out)
+        Ok(())
+    }
+
+    /// Whether this is a probe view looking at another transaction's
+    /// uncommitted write.
+    fn pending_other(&self, meta: &RowMeta) -> bool {
+        self.view.probe && matches!(meta.begin, Stamp::Pending(t) if self.view.txn != Some(t))
+    }
+
+    fn probe_conflict(&self) -> StorageError {
+        StorageError::Conflict(format!(
+            "constraint probe of table {} raced an uncommitted concurrent write",
+            self.table
+        ))
     }
 }
 
@@ -474,12 +509,12 @@ fn unregister(st: &mut MvccState, ts: u64) {
 
 /// Drops every version invisible to all open views. With no view open
 /// the horizon is infinite and the store drains completely (pending
-/// stamps excepted), restoring the raw-heap fast path.
+/// stamps excepted).
 fn gc(st: &mut MvccState, m: &StorageMetrics) {
     let horizon = st.views.keys().next().copied().unwrap_or(u64::MAX);
     let mut collected = 0u64;
     st.store.retain(|_, tbl| {
-        tbl.retain(|_, meta| {
+        Arc::make_mut(tbl).retain(|_, meta| {
             let before = meta.priors.len();
             meta.priors.retain(|p| match p.end {
                 Stamp::Committed(e) => e > horizon,
@@ -511,6 +546,32 @@ mod tests {
         vec![Datum::Int(v)]
     }
 
+    /// What a read of table 7 by `txn` resolves to when the physical
+    /// read yields `raw` and the predicate is "column 0 is in `keys`"
+    /// (`None` = a scan).
+    fn read(
+        mv: &Mvcc,
+        txn: Option<TxnId>,
+        raw: Vec<(Rid, Tuple)>,
+        keys: Option<&[i64]>,
+    ) -> StorageResult<Vec<(Rid, Tuple)>> {
+        let answers =
+            |t: &Tuple| keys.is_none_or(|keys| keys.contains(&t[0].as_int().expect("int rows")));
+        let mut out = Vec::new();
+        let Some(mut versions) = mv.versions(txn, 7) else {
+            out.extend(raw.into_iter().filter(|(_, t)| answers(t)));
+            return Ok(out);
+        };
+        for (rid, tuple) in raw {
+            out.extend(versions.resolve(rid, tuple, &answers)?.map(|t| (rid, t)));
+        }
+        versions.unseen_priors(&answers, &mut |rid, tuple| {
+            out.push((rid, tuple));
+            true
+        })?;
+        Ok(out)
+    }
+
     #[test]
     fn rid_key_roundtrips() {
         let r = rid(123_456, 789);
@@ -533,22 +594,36 @@ mod tests {
         mv.note_write(2, 7, rid(1, 0), Some(row(1)), &m);
         mv.commit(2, &m);
         // The reader's view still resolves to the old version.
-        let view = mv.read_view(None).unwrap();
-        let vis = mv.visible(&view, 7, vec![(rid(1, 0), row(2))]).unwrap();
+        let vis = read(&mv, None, vec![(rid(1, 0), row(2))], None).unwrap();
         assert_eq!(vis, vec![(rid(1, 0), row(1))]);
         // A fresh view sees the new version.
         mv.open_txn_view(3, &m);
-        let fresh = mv.read_view(Some(3)).unwrap();
-        let vis = mv.visible(&fresh, 7, vec![(rid(1, 0), row(2))]).unwrap();
+        let vis = read(&mv, Some(3), vec![(rid(1, 0), row(2))], None).unwrap();
         assert_eq!(vis, vec![(rid(1, 0), row(2))]);
         mv.commit(3, &m);
         // Closing the reader's view GCs the prior and drains the store.
         mv.close_stmt_view(&m);
-        assert!(!mv.has_metas(7));
+        mv.open_stmt_view(&m);
+        assert!(mv.versions(None, 7).is_none());
+        mv.close_stmt_view(&m);
         let snap = m.snapshot();
         assert_eq!(snap.versions_kept, 1);
         assert!(snap.versions_gc >= 1);
         assert!(snap.snapshot_reads >= 3);
+    }
+
+    #[test]
+    fn no_view_or_no_entries_means_no_resolver() {
+        let m = StorageMetrics::default();
+        let mv = Mvcc::new();
+        // Entries but no view.
+        mv.open_txn_view(1, &m);
+        mv.note_write(1, 7, rid(1, 0), None, &m);
+        assert!(mv.versions(None, 7).is_none());
+        // A view, but on a table without entries.
+        assert!(mv.versions(Some(1), 8).is_none());
+        assert!(mv.versions(Some(1), 7).is_some());
+        mv.commit(1, &m);
     }
 
     #[test]
@@ -563,15 +638,67 @@ mod tests {
         mv.open_txn_view(2, &m);
         mv.note_write(2, 7, rid(2, 3), Some(row(9)), &m);
         mv.commit(2, &m);
-        // Old view: the heap scan yields nothing, the prior resurfaces.
-        let view = mv.read_view(None).unwrap();
-        let vis = mv.visible(&view, 7, Vec::new()).unwrap();
-        assert_eq!(vis, vec![(rid(2, 3), row(9))]);
+        // Old view: the heap scan yields nothing, the prior resurfaces
+        // — for a scan and for a probe of its key, not for another key.
+        for keys in [None, Some(&[9][..])] {
+            let vis = read(&mv, None, Vec::new(), keys).unwrap();
+            assert_eq!(vis, vec![(rid(2, 3), row(9))]);
+        }
+        assert!(read(&mv, None, Vec::new(), Some(&[8])).unwrap().is_empty());
         // New view: the deletion is visible, nothing resurfaces.
         mv.open_txn_view(3, &m);
-        let fresh = mv.read_view(Some(3)).unwrap();
-        assert!(mv.visible(&fresh, 7, Vec::new()).unwrap().is_empty());
+        assert!(read(&mv, Some(3), Vec::new(), None).unwrap().is_empty());
         mv.commit(3, &m);
+        mv.close_stmt_view(&m);
+    }
+
+    #[test]
+    fn rekeyed_row_answers_old_key_for_old_view_and_new_key_for_new_view() {
+        let m = StorageMetrics::default();
+        let mv = Mvcc::new();
+        mv.open_stmt_view(&m);
+        // Under the open view a writer re-keys the row 4 -> 6 in place.
+        mv.open_txn_view(1, &m);
+        mv.note_write(1, 7, rid(1, 0), Some(row(4)), &m);
+        mv.commit(1, &m);
+        // Old view. Probe 4: the posting is gone, the prior answers.
+        let old4 = read(&mv, None, Vec::new(), Some(&[4])).unwrap();
+        assert_eq!(old4, vec![(rid(1, 0), row(4))]);
+        // Probe 6: the posting leads to a prior keyed 4 — rejected.
+        let old6 = read(&mv, None, vec![(rid(1, 0), row(6))], Some(&[6])).unwrap();
+        assert!(old6.is_empty());
+        // A range holding both keys yields the row exactly once.
+        let both = read(&mv, None, vec![(rid(1, 0), row(6))], Some(&[4, 5, 6])).unwrap();
+        assert_eq!(both, vec![(rid(1, 0), row(4))]);
+        // New view: the reverse.
+        mv.open_txn_view(2, &m);
+        assert!(read(&mv, Some(2), Vec::new(), Some(&[4]))
+            .unwrap()
+            .is_empty());
+        let new6 = read(&mv, Some(2), vec![(rid(1, 0), row(6))], Some(&[6])).unwrap();
+        assert_eq!(new6, vec![(rid(1, 0), row(6))]);
+        mv.commit(2, &m);
+        mv.close_stmt_view(&m);
+    }
+
+    #[test]
+    fn relocated_row_is_emitted_once_under_its_old_rid() {
+        let m = StorageMetrics::default();
+        let mv = Mvcc::new();
+        mv.open_stmt_view(&m);
+        // A growing update moves the row from (1,0) to (5,2).
+        mv.open_txn_view(1, &m);
+        mv.note_write(1, 7, rid(1, 0), Some(row(4)), &m);
+        mv.note_write(1, 7, rid(5, 2), None, &m);
+        // The writer sees its own new copy only; the old view sees the
+        // old copy only — before and after the commit.
+        let own = read(&mv, Some(1), vec![(rid(5, 2), row(4))], Some(&[4])).unwrap();
+        assert_eq!(own, vec![(rid(5, 2), row(4))]);
+        for _ in 0..2 {
+            let old = read(&mv, None, vec![(rid(5, 2), row(4))], Some(&[4])).unwrap();
+            assert_eq!(old, vec![(rid(1, 0), row(4))]);
+            mv.commit(1, &m);
+        }
         mv.close_stmt_view(&m);
     }
 
@@ -590,8 +717,7 @@ mod tests {
         mv.rollback(2, &m);
         // The rewritten rid's committed stamp is back, the fresh rid's
         // meta is gone, and pending marks vanished entirely.
-        let view = mv.read_view(None).unwrap();
-        let vis = mv.visible(&view, 7, vec![(rid(1, 1), row(1))]).unwrap();
+        let vis = read(&mv, None, vec![(rid(1, 1), row(1))], None).unwrap();
         assert_eq!(vis, vec![(rid(1, 1), row(1))]);
         mv.open_txn_view(3, &m);
         assert!(mv.check_write(3, 7, rid(1, 1)).is_ok());
@@ -633,17 +759,49 @@ mod tests {
         mv.note_write(1, 7, rid(1, 0), None, &m);
         mv.set_probe(true);
         // Own pending write: probe sees it, no conflict.
-        let own = mv.read_view(Some(1)).unwrap();
-        assert!(own.probe);
-        let vis = mv.visible(&own, 7, vec![(rid(1, 0), row(5))]).unwrap();
+        let vis = read(&mv, Some(1), vec![(rid(1, 0), row(5))], None).unwrap();
         assert_eq!(vis, vec![(rid(1, 0), row(5))]);
         // Another transaction's probe conflicts retryably.
-        let other = mv.read_view(Some(2)).unwrap();
         assert!(matches!(
-            mv.visible(&other, 7, vec![(rid(1, 0), row(5))]),
+            read(&mv, Some(2), vec![(rid(1, 0), row(5))], None),
             Err(StorageError::Conflict(_))
         ));
         mv.set_probe(false);
         mv.commit(1, &m);
+    }
+
+    #[test]
+    fn probe_conflicts_only_on_pending_versions_that_answer_it() {
+        let m = StorageMetrics::default();
+        let mv = Mvcc::new();
+        // T1 holds three uncommitted writes: an insert of key 5, a
+        // re-keying 1 -> 2, and a delete of key 3.
+        mv.open_txn_view(1, &m);
+        mv.note_write(1, 7, rid(1, 0), None, &m);
+        mv.note_write(1, 7, rid(1, 1), Some(row(1)), &m);
+        mv.note_write(1, 7, rid(1, 2), Some(row(3)), &m);
+        mv.set_probe(true);
+        let conflicts = |raw: Vec<(Rid, Tuple)>, key: i64| {
+            matches!(
+                read(&mv, Some(2), raw, Some(&[key])),
+                Err(StorageError::Conflict(_))
+            )
+        };
+        // A key none of them carries: the verdict cannot depend on T1.
+        assert!(!conflicts(Vec::new(), 9));
+        assert!(!conflicts(vec![(rid(4, 4), row(9))], 9));
+        // The pending insert's key (its posting leads there).
+        assert!(conflicts(vec![(rid(1, 0), row(5))], 5));
+        // Both keys of the re-keyed row: the new one through its
+        // posting, the old one through the pending prior.
+        assert!(conflicts(vec![(rid(1, 1), row(2))], 2));
+        assert!(conflicts(Vec::new(), 1));
+        // The pending delete's key: the row may come back.
+        assert!(conflicts(Vec::new(), 3));
+        // A scan-shaped probe that walks past a pending row (heap row
+        // (1,1) does not answer key 9 in either version) is unmoved.
+        assert!(!conflicts(vec![(rid(1, 1), row(2))], 9));
+        mv.set_probe(false);
+        mv.rollback(1, &m);
     }
 }

@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Check that a freshly generated benchmark trajectory matches the
-committed BENCH_experiments.json *schema*.
+committed BENCH_experiments.json *schema*, and gate the work-based
+numbers that are the same on every machine.
 
-Values are machine-dependent (throughput, retry counts) and may drift
-freely; the key structure may not. Keys are compared recursively,
-including order — the experiments binary emits them in a fixed order so
-committed files diff cleanly run over run.
+Timing values (throughput, latencies, retry counts) are
+machine-dependent and may drift freely; the key structure may not. Keys
+are compared recursively, including order — the experiments binary
+emits them in a fixed order so committed files diff cleanly run over
+run. Page counts are not timings: S1 runs single-threaded on a fixed
+pool, so its page reads repeat exactly and are checked by value.
 
 Usage: check_bench_schema.py <committed.json> <generated.json>
 """
@@ -53,6 +56,31 @@ def main():
             )
         if latency["count"] <= 0:
             sys.exit(f"{section}.latency recorded no samples")
+    # S1's indexed point reads under write churn: beside an uncommitted
+    # writer an index read must stay an index read. Page reads are
+    # machine-stable, so this is a value gate, not a schema check.
+    s1 = generated["s1_storage"]
+    for key in (
+        "point_indexed_page_reads",
+        "churn_point_reads",
+        "churn_point_indexed_page_reads",
+    ):
+        if key not in s1:
+            sys.exit(f"s1_storage is missing {key}")
+    if s1["churn_point_indexed_page_reads"] > s1["point_indexed_page_reads"] + 1:
+        sys.exit(
+            "indexed point reads beside a writer cost "
+            f"{s1['churn_point_indexed_page_reads']} page reads, "
+            f"{s1['point_indexed_page_reads']} on a quiescent table: "
+            "the index read fell off the index"
+        )
+    versioned = s1["engine_metrics"].get("versioned_index_reads", 0)
+    if versioned < max(1, s1["churn_point_reads"]):
+        sys.exit(
+            f"only {versioned} of {s1['churn_point_reads']} churn-phase reads "
+            "resolved through a view: the phase did not exercise versioned "
+            "index reads"
+        )
     # S2's mixed readers-vs-writers phase: snapshot readers are
     # lock-free by construction.
     mixed = generated["s2_concurrency"].get("mixed_readers")

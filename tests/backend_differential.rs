@@ -143,6 +143,105 @@ fn sql_corpus_agrees_across_backends() {
     }
 }
 
+/// Versioned index reads against the oracle. A parked transaction on
+/// the paged side pins the GC horizon, so every write after it leaves
+/// version metadata on `acct` and every indexed read — the SELECTs'
+/// and the UPDATE/DELETE candidate reads alike — resolves its postings
+/// through a view instead of reading the bare tree. Two oracles:
+///
+/// * *latest state*: after each churn statement, indexed point and
+///   range queries (and their forced-scan twins on the unindexed
+///   `twin` column) must match the in-memory backend, which has no
+///   versions at all;
+/// * *old snapshot*: the parked transaction re-asks the same questions
+///   and must keep getting what the in-memory backend answered before
+///   the churn began.
+#[test]
+fn versioned_index_reads_agree_with_the_oracle_in_both_snapshots() {
+    let mut backends = make_backends();
+    let pad = "p".repeat(400);
+    for (_, db) in backends.iter_mut() {
+        db.execute("CREATE TABLE acct (k INT, twin INT, v INT, pad TEXT)")
+            .unwrap();
+        db.execute("CREATE INDEX ON acct (k)").unwrap();
+        for k in 0..120 {
+            db.execute(&format!("INSERT INTO acct VALUES ({k}, {k}, 0, '{pad}')"))
+                .unwrap();
+        }
+    }
+    let probes: Vec<String> = ["k", "twin"]
+        .iter()
+        .flat_map(|col| {
+            [10, 20, 21, 30, 31, 40, 50, 60, 1021, 5000]
+                .map(|x| format!("SELECT a.k, a.v FROM acct a WHERE a.{col} = {x}"))
+                .into_iter()
+                .chain([
+                    format!("SELECT a.k, a.v FROM acct a WHERE a.{col} >= 18 AND a.{col} <= 33"),
+                    format!("SELECT a.k, a.v FROM acct a WHERE a.{col} > 45 AND a.{col} < 62"),
+                    format!("SELECT a.k, a.v FROM acct a WHERE a.{col} >= 100"),
+                    format!("SELECT a.k, a.v FROM acct a WHERE a.{col} < 3"),
+                ])
+        })
+        .collect();
+    let (oracle, paged) = {
+        let mut it = backends.iter_mut().map(|(_, db)| db);
+        (it.next().unwrap(), it.next().unwrap())
+    };
+    let engine_reads = |db: &Database| {
+        let paged = db.backend().as_paged().expect("paged backend");
+        paged.engine().metrics().versioned_index_reads
+    };
+    let old: Vec<_> = probes.iter().map(|sql| outcome(oracle, sql)).collect();
+    let pin = paged.begin_session_txn().unwrap();
+    assert_eq!(engine_reads(paged), 0, "nothing versioned before the churn");
+
+    let grown = "G".repeat(3000);
+    let churn = [
+        // Non-key update, by index point and by index range.
+        "UPDATE acct SET v = v + 1 WHERE k = 10".to_owned(),
+        "UPDATE acct SET v = v + 1 WHERE k >= 58 AND k < 61".to_owned(),
+        // Re-keyings: onto an existing key, out of every probed range,
+        // and a whole range at once.
+        "UPDATE acct SET k = 21, twin = 21, v = 5 WHERE k = 20".to_owned(),
+        "UPDATE acct SET k = k + 1000, twin = twin + 1000 WHERE k = 21".to_owned(),
+        "UPDATE acct SET k = k + 200, twin = twin + 200 WHERE k >= 30 AND k <= 32".to_owned(),
+        // Deletes, then a re-insert of a deleted key (slot reuse).
+        "DELETE FROM acct WHERE k = 40".to_owned(),
+        "DELETE FROM acct WHERE k >= 48 AND k < 52".to_owned(),
+        "INSERT INTO acct VALUES (40, 40, 9, 'back')".to_owned(),
+        // A row that outgrows its page and relocates.
+        format!("UPDATE acct SET pad = '{grown}', v = 7 WHERE k = 60"),
+        // The same row again, through its new rid.
+        "UPDATE acct SET v = v + 1 WHERE k = 60".to_owned(),
+    ];
+    for stmt in &churn {
+        assert_eq!(outcome(oracle, stmt), outcome(paged, stmt), "on: {stmt}");
+        for (sql, old) in probes.iter().zip(&old) {
+            assert_eq!(
+                outcome(oracle, sql),
+                outcome(paged, sql),
+                "after {stmt}: {sql}"
+            );
+            paged.resume_session_txn(pin).unwrap();
+            let seen = outcome(paged, sql);
+            paged.suspend_session_txn();
+            assert_eq!(&seen, old, "old snapshot moved after {stmt}: {sql}");
+        }
+    }
+    assert!(
+        engine_reads(paged) > probes.len() as u64,
+        "the indexed probes went through the versioned reader"
+    );
+    paged.commit_session_txn(pin).unwrap();
+    for sql in &probes {
+        assert_eq!(
+            outcome(oracle, sql),
+            outcome(paged, sql),
+            "quiescent: {sql}"
+        );
+    }
+}
+
 /// The headline corpus of this suite's DML arm: UPDATE and predicated
 /// DELETE in every interesting shape — indexed and unindexed
 /// predicates, arithmetic SET expressions, rewrites of the indexed

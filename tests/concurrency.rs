@@ -7,7 +7,9 @@
 //! * the isolation guarantees the one regime (snapshot reads +
 //!   row-granular write locks) makes — no lost update for
 //!   single-statement read-modify-write, no false constraint verdict,
-//!   stable snapshots — and the one the optimizer depends on: a foreign
+//!   stable snapshots (through heap scans and index reads alike, each
+//!   indexed answer checked against the same predicate forced through
+//!   a filtered scan) — and the one the optimizer depends on: a foreign
 //!   key never dangles, however parent deletes race child inserts;
 //! * row-granular locking itself: disjoint-row writers of one table
 //!   commit concurrently with zero conflicts, same-row writers collide
@@ -87,11 +89,7 @@ fn assert_heap_index_agree(db: &SharedDatabase, table: &str, col: usize) {
             return;
         }
         for row in &rows {
-            let hits = db
-                .backend()
-                .index_lookup(table, col, &row[col])
-                .unwrap()
-                .expect("index exists");
+            let hits = db.backend().index_lookup(table, col, &row[col]).unwrap();
             let expect = rows.iter().filter(|r| r[col] == row[col]).count();
             assert_eq!(hits.len(), expect, "{table}.{col} postings disagree");
         }
@@ -454,16 +452,24 @@ fn uniqueness_probe_never_convicts_against_a_row_that_rolls_back() {
 fn long_reader_sees_one_stable_snapshot_while_writers_commit() {
     let db = shared(64);
     db.session().execute("CREATE TABLE log (a INT)").unwrap();
+    db.session().execute("CREATE INDEX ON log (a)").unwrap();
     db.session()
         .execute("INSERT INTO log VALUES (1), (2), (3)")
         .unwrap();
     let before = db.metrics().unwrap();
     let mut reader = db.session();
     reader.execute("BEGIN").unwrap();
-    assert_eq!(
-        reader.execute("SELECT v.a FROM log v").unwrap().rows.len(),
-        3
-    );
+    // The same snapshot through the heap, an index point read and an
+    // index range read: (all rows, rows with a = 1, rows with a >= 3).
+    let counts = |reader: &mut server::ServerSession| {
+        [
+            "SELECT v.a FROM log v",
+            "SELECT v.a FROM log v WHERE v.a = 1",
+            "SELECT v.a FROM log v WHERE v.a >= 3",
+        ]
+        .map(|sql| reader.execute(sql).unwrap().rows.len())
+    };
+    assert_eq!(counts(&mut reader), [3, 1, 1]);
     let mut writer = db.session();
     for round in 0..5 {
         writer
@@ -472,29 +478,236 @@ fn long_reader_sees_one_stable_snapshot_while_writers_commit() {
         writer.execute("UPDATE log SET a = a WHERE a = 1").unwrap();
         // Committed writes keep landing; the reader's view stays put.
         assert_eq!(
-            reader.execute("SELECT v.a FROM log v").unwrap().rows.len(),
-            3,
+            counts(&mut reader),
+            [3, 1, 1],
             "snapshot moved under an open transaction"
         );
     }
+    let versioned = db.metrics().unwrap().versioned_index_reads;
+    assert!(
+        versioned >= before.versioned_index_reads + 10,
+        "the indexed reads above went through the index, versioned"
+    );
     reader.execute("COMMIT").unwrap();
     // A fresh statement gets a fresh snapshot: everything is visible.
-    assert_eq!(
-        reader.execute("SELECT v.a FROM log v").unwrap().rows.len(),
-        8
-    );
+    assert_eq!(counts(&mut reader), [8, 1, 6]);
     let after = db.metrics().unwrap();
     assert_eq!(
         after.lock_waits, before.lock_waits,
         "lock-free reads must never make a writer wait"
     );
     // Only the 10 writer statements took a (schema) shared lock; the
-    // reader's 7 SELECTs contributed none.
+    // reader's 21 SELECTs contributed none.
     assert_eq!(
         after.lock_shared,
         before.lock_shared + 10,
         "snapshot SELECTs must take no shared locks"
     );
+}
+
+/// `SELECT … WHERE <cond on k>` through the index on `k`, checked
+/// against the same condition on the unindexed twin column (a filtered
+/// heap scan by construction); returns the sorted `(k, v)` rows.
+fn both_ways(s: &mut server::ServerSession, cond: &str) -> Vec<(i64, i64)> {
+    let mut run = |col: &str| {
+        let sql = format!(
+            "SELECT a.k, a.v FROM acct a WHERE {}",
+            cond.replace("$", &format!("a.{col}"))
+        );
+        let mut rows: Vec<(i64, i64)> = s
+            .execute(&sql)
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
+            .collect();
+        rows.sort_unstable();
+        rows
+    };
+    let (indexed, scanned) = (run("k"), run("twin"));
+    assert_eq!(indexed, scanned, "index read vs filtered scan on `{cond}`");
+    indexed
+}
+
+/// Every way a posting and the version a snapshot must see can
+/// disagree, end to end: an old reader, the writers themselves and
+/// fresh statements each ask indexed point and range questions while
+/// inserts, re-keyings, deletes, relocations and a rollback land
+/// around them. Each answer is checked against its expected rows and
+/// against the same predicate forced through a filtered scan.
+#[test]
+fn indexed_reads_resolve_through_every_snapshot() {
+    let db = shared(64);
+    let mut setup = db.session();
+    setup
+        .execute("CREATE TABLE acct (k INT, twin INT, v INT, pad TEXT)")
+        .unwrap();
+    setup.execute("CREATE INDEX ON acct (k)").unwrap();
+    // Pages packed tight enough that growing a pad relocates the row.
+    let pad = "p".repeat(400);
+    for k in 0..60 {
+        setup
+            .execute(&format!("INSERT INTO acct VALUES ({k}, {k}, 0, '{pad}')"))
+            .unwrap();
+    }
+    let before = db.metrics().unwrap().versioned_index_reads;
+    let mut old = db.session();
+    old.execute("BEGIN").unwrap();
+    assert_eq!(both_ways(&mut old, "$ = 10"), [(10, 0)]);
+
+    // Committed after `old`'s snapshot: a non-key update, a re-keying
+    // 20 -> 25 (a second row with that key), a delete, a relocation.
+    let mut writer = db.session();
+    writer
+        .execute("UPDATE acct SET v = 1 WHERE k = 10")
+        .unwrap();
+    writer
+        .execute("UPDATE acct SET k = 25, twin = 25, v = 2 WHERE k = 20")
+        .unwrap();
+    writer.execute("DELETE FROM acct WHERE k = 30").unwrap();
+    let grown = "G".repeat(3000);
+    writer
+        .execute(&format!(
+            "UPDATE acct SET pad = '{grown}', v = 3 WHERE k = 40"
+        ))
+        .unwrap();
+    // Still in flight: another session's insert and update, skipped by
+    // everyone else and seen by their owner.
+    let mut pending = db.session();
+    pending.execute("BEGIN").unwrap();
+    pending
+        .execute("INSERT INTO acct VALUES (100, 100, 7, 'x')")
+        .unwrap();
+    pending
+        .execute("UPDATE acct SET v = 7 WHERE k = 11")
+        .unwrap();
+    assert_eq!(both_ways(&mut pending, "$ = 100"), [(100, 7)]);
+    assert_eq!(both_ways(&mut pending, "$ = 11"), [(11, 7)]);
+    let mut fresh = db.session();
+    assert_eq!(both_ways(&mut fresh, "$ = 100"), []);
+    assert_eq!(both_ways(&mut fresh, "$ = 11"), [(11, 0)]);
+    assert_eq!(both_ways(&mut old, "$ >= 58"), [(58, 0), (59, 0)]);
+
+    // The old snapshot still sees none of it…
+    assert_eq!(both_ways(&mut old, "$ = 10"), [(10, 0)]);
+    assert_eq!(both_ways(&mut old, "$ = 20"), [(20, 0)]);
+    assert_eq!(both_ways(&mut old, "$ = 25"), [(25, 0)]);
+    assert_eq!(both_ways(&mut old, "$ = 30"), [(30, 0)]);
+    assert_eq!(both_ways(&mut old, "$ = 40"), [(40, 0)]);
+    // …and a range straddling the re-keyed row yields it exactly once.
+    assert_eq!(
+        both_ways(&mut old, "$ >= 19 AND $ <= 26"),
+        (19..=26).map(|k| (k, 0)).collect::<Vec<_>>()
+    );
+    assert_eq!(both_ways(&mut old, "$ >= 0").len(), 60);
+    // A fresh snapshot sees all that committed.
+    assert_eq!(both_ways(&mut fresh, "$ = 10"), [(10, 1)]);
+    assert_eq!(both_ways(&mut fresh, "$ = 20"), []);
+    assert_eq!(both_ways(&mut fresh, "$ = 25"), [(25, 0), (25, 2)]);
+    assert_eq!(both_ways(&mut fresh, "$ = 30"), []);
+    assert_eq!(both_ways(&mut fresh, "$ = 40"), [(40, 3)]);
+    assert_eq!(
+        both_ways(&mut fresh, "$ >= 19 AND $ <= 26"),
+        [
+            (19, 0),
+            (21, 0),
+            (22, 0),
+            (23, 0),
+            (24, 0),
+            (25, 0),
+            (25, 2),
+            (26, 0)
+        ]
+    );
+    assert_eq!(both_ways(&mut fresh, "$ >= 0").len(), 59);
+
+    // Rollback: the pending insert and update leave no trace.
+    pending.execute("ROLLBACK").unwrap();
+    assert_eq!(both_ways(&mut fresh, "$ = 100"), []);
+    assert_eq!(both_ways(&mut fresh, "$ = 11"), [(11, 0)]);
+    assert_eq!(both_ways(&mut old, "$ = 11"), [(11, 0)]);
+    old.execute("COMMIT").unwrap();
+    assert!(
+        db.metrics().unwrap().versioned_index_reads > before + 20,
+        "the indexed halves above ran through the versioned index reader"
+    );
+    // Quiescent again: same answers off the bare tree.
+    assert_eq!(both_ways(&mut old, "$ = 25"), [(25, 0), (25, 2)]);
+    assert_heap_index_agree(&db, "acct", 0);
+}
+
+/// Constraint probes judge one key, so only writes that carry that key
+/// can make them wait: with session A idle inside a transaction that
+/// has updated row 1, B's insert of a fresh key goes straight through
+/// (on the parent commit every insert into the table retried for as
+/// long as A stayed open), while B's insert of key 1 — whose verdict
+/// does hinge on A — conflicts retryably. And each statement beside
+/// the open writer costs what it costs on a quiescent table: a tree
+/// descent, not the table.
+#[test]
+fn constraint_probes_and_keyed_writes_stay_on_the_index_beside_a_writer() {
+    let db = shared(64);
+    let mut setup = db.session();
+    setup
+        .execute("CREATE TABLE t (k INT, v INT, pad TEXT, PRIMARY KEY (k))")
+        .unwrap();
+    setup.execute("CREATE INDEX ON t (k)").unwrap();
+    let pad = "p".repeat(100);
+    for chunk in 0..20 {
+        let rows: Vec<String> = (chunk * 100..(chunk + 1) * 100)
+            .map(|k| format!("({k}, 0, '{pad}')"))
+            .collect();
+        setup
+            .execute(&format!("INSERT INTO t VALUES {}", rows.join(", ")))
+            .unwrap();
+    }
+    let fetches = |db: &SharedDatabase| {
+        let m = db.metrics().unwrap();
+        m.fault_ins + m.buffer_hits
+    };
+    let cost = |db: &SharedDatabase, s: &mut server::ServerSession, sql: &str| {
+        let before = fetches(db);
+        s.execute(sql).unwrap();
+        fetches(db) - before
+    };
+    let mut a = db.session();
+    let mut b = db.session();
+    let table_pages = cost(&db, &mut b, "SELECT x.k FROM t x WHERE x.v = 1");
+    // Quiescent costs: an insert (uniqueness probe included), a point
+    // read, and the first keyed update of a transaction.
+    let quiet_insert = cost(&db, &mut b, "INSERT INTO t VALUES (5000, 0, 'x')");
+    let quiet_select = cost(&db, &mut b, "SELECT x.v FROM t x WHERE x.k = 1500");
+    a.execute("BEGIN").unwrap();
+    let first_update = cost(&db, &mut a, "UPDATE t SET v = v + 1 WHERE k = 1");
+    // From here on `t` carries A's uncommitted version.
+    let second_update = cost(&db, &mut a, "UPDATE t SET v = v + 1 WHERE k = 2");
+    let busy_select = cost(&db, &mut b, "SELECT x.v FROM t x WHERE x.k = 1500");
+    let retries_before = b.session_stats().retries;
+    let busy_insert = cost(&db, &mut b, "INSERT INTO t VALUES (5001, 0, 'x')");
+    assert_eq!(b.session_stats().retries, retries_before);
+    for (what, busy, quiet) in [
+        ("point SELECT", busy_select, quiet_select),
+        (
+            "keyed UPDATE in a writing transaction",
+            second_update,
+            first_update,
+        ),
+        ("INSERT with a uniqueness probe", busy_insert, quiet_insert),
+    ] {
+        assert!(
+            busy <= quiet + 4 && busy * 4 < table_pages,
+            "{what}: {busy} fetches beside a writer, {quiet} quiescent, \
+             {table_pages} for a scan"
+        );
+    }
+    // Key 1 is under A's pending write: no verdict, retry.
+    let err = b.execute("INSERT INTO t VALUES (1, 9, 'x')").unwrap_err();
+    assert!(err.is_retryable(), "got: {err}");
+    a.execute("COMMIT").unwrap();
+    // Now there is a verdict, and it is a hard one.
+    let err = b.execute("INSERT INTO t VALUES (1, 9, 'x')").unwrap_err();
+    assert!(!err.is_retryable(), "got: {err}");
+    assert_heap_index_agree(&db, "t", 0);
 }
 
 /// Steal meets MVCC: one session's open transaction rewrites a table

@@ -18,6 +18,9 @@
 //!   vs. its wall clock at the session, for successes and failures;
 //! * `lock_waits` stays zero when concurrent sessions touch disjoint
 //!   tables (nothing to wait for);
+//! * `versioned_index_reads` stays zero through indexed reads of a
+//!   quiescent table and moves beside an open writer, where `EXPLAIN
+//!   ANALYZE` still reports an index read at the quiescent page cost;
 //! * `EXPLAIN ANALYZE` actual page reads: indexed point lookup must
 //!   beat the full scan on the same predicate (the paper's cost model,
 //!   measured rather than estimated) — and under ANALYZE, UPDATE and
@@ -219,6 +222,71 @@ fn snapshot_read_counters_track_views_and_version_lifecycle() {
             .rows,
         vec![vec![Datum::Int(11)]]
     );
+}
+
+/// `versioned_index_reads` separates the two ways an index read can
+/// run — straight off the tree and heap, or resolved through a read
+/// view because the table carries version metadata — so a test or bench
+/// phase that means to exercise the second cannot pass on the first.
+/// And the plan `EXPLAIN ANALYZE` prints beside an open writer is the
+/// plan that ran: an index point read, one row scanned, the quiescent
+/// page cost.
+#[test]
+fn versioned_index_reads_are_counted_and_cost_what_quiescent_ones_do() {
+    let mut db = Database::paged(64).unwrap();
+    load_rows(&mut db, 2000);
+    db.execute("CREATE INDEX ON empl (eno)").unwrap();
+    let shared = SharedDatabase::from_database(db);
+    let mut reader = shared.session();
+    let probe = "EXPLAIN ANALYZE SELECT v.sal FROM empl v WHERE v.eno = 1234";
+    let fetches =
+        |plan: &[Vec<Datum>]| actual_value(plan, "page_reads") + actual_value(plan, "buffer_hits");
+
+    // Quiescent table: index reads, none of them versioned.
+    let quiescent = reader.execute(probe).unwrap().rows;
+    for eno in [0, 777, 1999] {
+        let sql = format!("SELECT v.sal FROM empl v WHERE v.eno = {eno}");
+        assert_eq!(reader.execute(&sql).unwrap().rows.len(), 1);
+    }
+    assert_eq!(shared.metrics().unwrap().versioned_index_reads, 0);
+
+    // An open writer parks an uncommitted update on another row.
+    let mut writer = shared.session();
+    writer.execute("BEGIN").unwrap();
+    writer
+        .execute("UPDATE empl SET sal = 1 WHERE eno = 7")
+        .unwrap();
+    let churned = reader.execute(probe).unwrap().rows;
+    let text: Vec<String> = churned.iter().map(|r| r[0].to_string()).collect();
+    assert!(
+        text.iter().any(|l| l.contains("via IndexEq col#0 = 1234")),
+        "{text:?}"
+    );
+    assert_eq!(actual_value(&churned, "rows"), 1);
+    assert_eq!(actual_value(&churned, "rows_scanned"), 1, "{text:?}");
+    assert!(
+        fetches(&churned) <= fetches(&quiescent) + 1,
+        "beside a writer: {} fetches, quiescent: {}",
+        fetches(&churned),
+        fetches(&quiescent)
+    );
+    // The row under the pending write reads as its committed version.
+    assert_eq!(
+        reader
+            .execute("SELECT v.sal FROM empl v WHERE v.eno = 7")
+            .unwrap()
+            .rows,
+        vec![vec![Datum::Int(10_007)]]
+    );
+    assert!(shared.metrics().unwrap().versioned_index_reads >= 2);
+    // STATS renders the counter.
+    let stats = reader.execute("STATS").unwrap().rows;
+    let row = stats
+        .iter()
+        .find(|r| r[0] == Datum::text("versioned_index_reads"))
+        .expect("STATS lists versioned_index_reads");
+    assert!(row[1].as_int().unwrap() >= 2);
+    writer.execute("ROLLBACK").unwrap();
 }
 
 /// Pulls `key=value` integers out of an `Actual:` EXPLAIN ANALYZE line.
