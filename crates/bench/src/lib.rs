@@ -1,24 +1,7 @@
-//! Shared fixtures for the benchmark suite and the `experiments` binary.
+//! Shared fixtures for the `experiments` binary.
 
 use coupling::workload::{Firm, FirmParams};
 use pfe_core::{views, Session};
-
-/// The five-person firm used in the paper-example reproductions.
-pub fn spy_session() -> Session {
-    let mut s = Session::empdep();
-    s.load_empl(&[
-        (1, "control", 80_000, 10),
-        (2, "smiley", 60_000, 10),
-        (3, "jones", 30_000, 20),
-        (4, "miller", 25_000, 20),
-        (5, "leamas", 35_000, 20),
-    ])
-    .expect("fixture loads");
-    s.load_dept(&[(10, "hq", 1), (20, "field", 2)])
-        .expect("fixture loads");
-    s.check_integrity().expect("fixture is consistent");
-    s
-}
 
 /// A session over a generated hierarchy with all views consulted.
 pub fn firm_session(params: FirmParams) -> (Session, Firm) {
@@ -80,15 +63,6 @@ mod tests {
 
     #[test]
     fn fixtures_build() {
-        let mut s = spy_session();
-        s.consult(views::WORKS_DIR_FOR).unwrap();
-        assert_eq!(
-            s.query("works_dir_for(t_X, smiley)", "q")
-                .unwrap()
-                .answers
-                .len(),
-            3
-        );
         let (mut s, firm) = firm_session(FirmParams::default());
         assert!(firm.employees.len() > 10);
         let goal = format!("works_dir_for(t_X, '{}')", firm.ceo());

@@ -2,8 +2,9 @@
 //!
 //! The paper evaluates on a corporate employees/departments database but
 //! reports no data; this generator builds management hierarchies with
-//! controllable depth, branching and department size, which is what every
-//! experiment in EXPERIMENTS.md sweeps over.
+//! controllable depth, branching and department size, which is what the
+//! paper experiments of the `experiments` binary (`BENCH_experiments.json`)
+//! sweep over.
 //!
 //! Shape: the CEO (`e1`) belongs to the root department, which the CEO
 //! manages (one benign `works_dir_for(e1, e1)` self-loop — unavoidable

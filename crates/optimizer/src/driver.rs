@@ -42,7 +42,8 @@ impl fmt::Display for EmptyReason {
     }
 }
 
-/// Phase toggles (all on by default); used by the ablation benches.
+/// Phase toggles (all on by default); the A1 ablation in the
+/// `experiments` binary turns them off one by one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimplifyConfig {
     pub use_bounds: bool,

@@ -3,8 +3,10 @@
 //! Under a contended table, wait-die kills every younger transaction
 //! the moment it touches the hot lock; a client that retries in a hot
 //! loop immediately collides with the same older holder and dies
-//! again, burning CPU on thousands of futile round trips (experiments
-//! S2 measured exactly this). Row-granular locking shrinks the blast
+//! again, burning CPU on thousands of futile round trips
+//! (`tests/concurrency.rs::backoff_counters_surface_in_session_stats`
+//! drives this loop; CHANGES.md, PR 21, records the last spin-vs-backoff
+//! retry counts measured). Row-granular locking shrinks the blast
 //! radius — only same-row writers conflict, and their non-blocking row
 //! locks surface as the same retryable `Conflict` regardless of age —
 //! but does not remove it, so the loop here serves both granularities
