@@ -83,7 +83,10 @@ pub trait StorageBackend: Send + Sync {
     /// Appends one (already validated) tuple.
     fn insert(&mut self, name: &str, tuple: Tuple) -> RqsResult<()>;
 
-    fn row_count(&self, name: &str) -> RqsResult<usize>;
+    /// Rows and heap pages of one table — the planner's two exact
+    /// inputs: join order weighs row counts, and index probes are
+    /// weighed against the pages one scan reads.
+    fn table_size(&self, name: &str) -> RqsResult<TableSize>;
 
     /// Every tuple of the table, in storage order.
     fn scan(&self, name: &str) -> RqsResult<Vec<Tuple>>;
@@ -171,6 +174,17 @@ pub trait StorageBackend: Send + Sync {
     /// `Database::execute` skips its per-statement transaction wrapper
     /// when one is — the session owning it commits or aborts instead.
     fn in_txn(&self) -> bool;
+}
+
+/// How big a table is, as [`StorageBackend::table_size`] reports it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TableSize {
+    pub rows: usize,
+    /// Pages one full scan reads: the paged engine's exact heap chain
+    /// length; the in-memory oracle derives it from its rows'
+    /// encoded size, so plans may differ between backends (answers may
+    /// not).
+    pub pages: usize,
 }
 
 /// A read view over schema + storage, what the planner and executor
@@ -530,8 +544,14 @@ impl StorageBackend for InMemoryBackend {
         Ok(())
     }
 
-    fn row_count(&self, name: &str) -> RqsResult<usize> {
-        Ok(self.table(name)?.rows.len())
+    fn table_size(&self, name: &str) -> RqsResult<TableSize> {
+        use storage::page::{Page, SLOT_SIZE};
+        let rows = &self.table(name)?.rows;
+        let bytes: usize = rows.iter().map(|r| encoded_tuple_len(r) + SLOT_SIZE).sum();
+        Ok(TableSize {
+            rows: rows.len(),
+            pages: bytes.div_ceil(Page::max_record_len() + SLOT_SIZE).max(1),
+        })
     }
 
     fn scan(&self, name: &str) -> RqsResult<Vec<Tuple>> {
@@ -884,8 +904,11 @@ impl StorageBackend for PagedBackend {
         Ok(())
     }
 
-    fn row_count(&self, name: &str) -> RqsResult<usize> {
-        Ok(self.engine.row_count(name)?)
+    fn table_size(&self, name: &str) -> RqsResult<TableSize> {
+        Ok(TableSize {
+            rows: self.engine.row_count(name)?,
+            pages: self.engine.heap_pages(name)?,
+        })
     }
 
     fn scan(&self, name: &str) -> RqsResult<Vec<Tuple>> {
@@ -1016,7 +1039,9 @@ mod tests {
                 .insert("t", vec![Datum::Int(i % 20), Datum::text(&format!("v{i}"))])
                 .unwrap();
         }
-        assert_eq!(backend.row_count("t").unwrap(), 200);
+        let size = backend.table_size("t").unwrap();
+        assert_eq!(size.rows, 200);
+        assert!(size.pages > 1, "200 rows span several pages: {size:?}");
         assert_eq!(backend.scan("t").unwrap().len(), 200);
         assert!(backend.index_lookup("t", 0, &Datum::Int(3)).is_err());
         backend.create_index("t", 0).unwrap();
@@ -1067,7 +1092,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(changed, 20);
-        assert_eq!(backend.row_count("d").unwrap(), 89);
+        assert_eq!(backend.table_size("d").unwrap().rows, 89);
         // Index agreement after the churn.
         assert_eq!(
             backend.index_lookup("d", 0, &Datum::Int(3)).unwrap(),

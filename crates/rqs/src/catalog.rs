@@ -434,7 +434,7 @@ mod tests {
         let (cat, mut backend) = setup();
         insert_checked(&cat, &mut backend, "empl", row(1, "smiley", 50_000, 10)).unwrap();
         insert_checked(&cat, &mut backend, "empl", row(2, "jones", 30_000, 10)).unwrap();
-        assert_eq!(backend.row_count("empl").unwrap(), 2);
+        assert_eq!(backend.table_size("empl").unwrap().rows, 2);
     }
 
     #[test]

@@ -752,25 +752,30 @@ impl Database {
         Ok(text)
     }
 
-    /// Runs the SELECT, then renders its plan annotated with measured
-    /// totals (`EXPLAIN ANALYZE`). The `Actual:` lines use stable
-    /// `key=value` tokens so tests and tools can parse them.
+    /// Runs the SELECT, then renders the plans that ran — each step
+    /// annotated with the method it actually used, its probes and the
+    /// rows it read — followed by measured totals (`EXPLAIN ANALYZE`).
+    /// The `key=value` tokens are stable so tests and tools can parse
+    /// them.
     fn explain_analyze_select(&self, select: &sql::SelectStmt) -> RqsResult<String> {
+        let mut text = String::new();
+        let backend = self.backend.as_ref();
         let run_started = std::time::Instant::now();
-        let result = self.run_select(select)?;
+        let result = self.run_select_observed(select, &mut |plan, runs| {
+            if !text.is_empty() {
+                text.push_str("UNION\n");
+            }
+            text.push_str(&plan.explain(backend, Some(runs)));
+        })?;
         let elapsed_us = run_started.elapsed().as_micros();
-        let mut text = self.explain_select(select)?;
-        if !text.ends_with('\n') {
-            text.push('\n');
-        }
         let m = &result.metrics;
         text.push_str(&format!(
             "Actual: rows={} elapsed_us={elapsed_us}\n",
             result.rows.len()
         ));
         text.push_str(&format!(
-            "Actual: page_reads={} buffer_hits={} rows_scanned={} scans={}\n",
-            m.page_reads, m.buffer_hits, m.rows_scanned, m.scans
+            "Actual: page_reads={} buffer_hits={} rows_scanned={} scans={} index_probes={}\n",
+            m.page_reads, m.buffer_hits, m.rows_scanned, m.scans, m.index_probes
         ));
         Ok(text)
     }
@@ -813,10 +818,18 @@ impl Database {
     }
 
     fn run_select(&self, select: &sql::SelectStmt) -> RqsResult<QueryResult> {
+        self.run_select_observed(select, &mut |_, _| {})
+    }
+
+    fn run_select_observed(
+        &self,
+        select: &sql::SelectStmt,
+        observe: &mut exec::PlanObserver,
+    ) -> RqsResult<QueryResult> {
         let mut metrics = QueryMetrics::default();
         let snap = self.snapshot();
         let io_before = self.backend.stats();
-        let rel = exec::run_select(&snap, select, &mut metrics)?;
+        let rel = exec::run_select_observed(&snap, select, &mut metrics, observe)?;
         let io_after = self.backend.stats();
         metrics.page_reads = io_after.page_reads - io_before.page_reads;
         metrics.buffer_hits = io_after.buffer_hits - io_before.buffer_hits;
@@ -867,12 +880,15 @@ impl Database {
     fn explain_select(&self, select: &sql::SelectStmt) -> RqsResult<String> {
         let mut out = String::new();
         let snap = self.snapshot();
-        let resolved = plan::resolve(&snap, &select.core)?;
-        out.push_str(&plan::plan(resolved).explain(snap.backend));
-        for arm in &select.unions {
-            out.push_str("UNION\n");
-            let resolved = plan::resolve(&snap, arm)?;
-            out.push_str(&plan::plan(resolved).explain(snap.backend));
+        for (i, core) in std::iter::once(&select.core)
+            .chain(&select.unions)
+            .enumerate()
+        {
+            if i > 0 {
+                out.push_str("UNION\n");
+            }
+            let resolved = plan::resolve(&snap, core)?;
+            out.push_str(&plan::plan(resolved, snap.backend).explain(snap.backend, None));
         }
         Ok(out)
     }
@@ -1178,8 +1194,12 @@ mod tests {
             let mut db = Database::open_paged(&path, 8).unwrap();
             db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
             db.execute("CREATE INDEX ON t (a)").unwrap();
+            // Padded rows spread `t` over several pages, so the point
+            // read after reopen is an index read (a table no larger
+            // than one probe is scanned instead).
+            let pad = "v".repeat(200);
             for i in 0..100 {
-                db.execute(&format!("INSERT INTO t VALUES ({i}, 'v')"))
+                db.execute(&format!("INSERT INTO t VALUES ({i}, '{pad}')"))
                     .unwrap();
             }
             db.execute("UPDATE t SET b = 'kept' WHERE a < 10").unwrap();
@@ -1188,6 +1208,10 @@ mod tests {
             db.crash();
         }
         let db = Database::open_paged(&path, 8).unwrap();
+        assert!(
+            db.backend().table_size("t").unwrap().pages > 2,
+            "reopen counts the heap chain"
+        );
         let r = db.query("SELECT v.a FROM t v").unwrap();
         assert_eq!(r.rows.len(), 50);
         let r = db.query("SELECT v.a FROM t v WHERE v.b = 'kept'").unwrap();

@@ -146,15 +146,24 @@ fn apply_sets(sets: &[ResolvedSet], row: &Tuple) -> Tuple {
     new
 }
 
+/// A DML WHERE clause resolved for one table: its pushed-down
+/// restrictions, its same-row column comparisons, and the access path
+/// they select.
+struct Filter {
+    restrictions: Vec<Restriction>,
+    self_conds: Vec<JoinCond>,
+    access: AccessPath,
+}
+
 /// Resolves a DML WHERE clause through the SELECT resolver over a
-/// synthetic single-variable core, returning its pushed-down
-/// restrictions and same-row column comparisons.
+/// synthetic single-variable core and picks its access path with the
+/// same [`exec::choose_access`] call a SELECT scan makes.
 fn resolve_filter(
     catalog: &Catalog,
     backend: &dyn StorageBackend,
     table: &str,
     filter: &[Condition],
-) -> RqsResult<(Vec<Restriction>, Vec<JoinCond>)> {
+) -> RqsResult<Filter> {
     let core = SelectCore {
         distinct: false,
         items: Vec::new(),
@@ -168,7 +177,17 @@ fn resolve_filter(
             "subqueries are not supported in DML predicates".into(),
         ));
     }
-    Ok((resolved.restrictions, resolved.joins))
+    let access = exec::choose_access(
+        backend,
+        table,
+        resolved.vars[0].pages,
+        &resolved.restrictions_of(0),
+    );
+    Ok(Filter {
+        restrictions: resolved.restrictions,
+        self_conds: resolved.joins,
+        access,
+    })
 }
 
 /// The row predicate: every restriction and every same-row comparison.
@@ -207,7 +226,7 @@ fn matched_rows(
 ) -> RqsResult<Vec<Tuple>> {
     let candidates: Vec<Tuple> = match access {
         AccessPath::Nothing => {
-            backend.row_count(table)?; // surface UnknownTable
+            backend.table_size(table)?; // surface UnknownTable
             Vec::new()
         }
         AccessPath::KeyEq(col, key) => backend.index_lookup(table, *col, key)?,
@@ -470,7 +489,7 @@ fn check_delete_constraints(
 
 /// Renders the plan `EXPLAIN UPDATE`/`EXPLAIN DELETE` shows: the exact
 /// access path `execute_update`/`execute_delete` would choose for the
-/// same predicate (they share `resolve_filter` + `choose_access`),
+/// same predicate (they share `resolve_filter`),
 /// without mutating anything.
 pub(crate) fn explain_dml(
     catalog: &Catalog,
@@ -480,13 +499,12 @@ pub(crate) fn explain_dml(
     filter: &[Condition],
 ) -> RqsResult<String> {
     catalog.table(table_name)?;
-    let (restrictions, self_conds) = resolve_filter(catalog, backend, table_name, filter)?;
-    let restriction_refs: Vec<&Restriction> = restrictions.iter().collect();
-    let access = exec::choose_access(backend, table_name, &restriction_refs);
+    let f = resolve_filter(catalog, backend, table_name, filter)?;
     Ok(format!(
-        "{verb} {table_name} [{} restriction(s), {} self cond(s)]\n  {access}\n",
-        restrictions.len(),
-        self_conds.len(),
+        "{verb} {table_name} [{} restriction(s), {} self cond(s)]\n  {}\n",
+        f.restrictions.len(),
+        f.self_conds.len(),
+        f.access,
     ))
 }
 
@@ -501,9 +519,11 @@ pub(crate) fn execute_update(
     let table = catalog.table(table_name)?;
     let sets = resolve_sets(table, sets)?;
     let changed: HashSet<usize> = sets.iter().map(|s| s.col).collect();
-    let (restrictions, self_conds) = resolve_filter(catalog, backend.as_ref(), table_name, filter)?;
-    let restriction_refs: Vec<&Restriction> = restrictions.iter().collect();
-    let access = exec::choose_access(backend.as_ref(), table_name, &restriction_refs);
+    let Filter {
+        restrictions,
+        self_conds,
+        access,
+    } = resolve_filter(catalog, backend.as_ref(), table_name, filter)?;
     let mut pred = predicate(&restrictions, &self_conds);
     let matched = matched_rows(backend.as_ref(), table_name, &access, &mut pred)?;
     if matched.is_empty() {
@@ -566,9 +586,11 @@ pub(crate) fn execute_delete(
     filter: &[Condition],
 ) -> RqsResult<usize> {
     catalog.table(table_name)?;
-    let (restrictions, self_conds) = resolve_filter(catalog, backend.as_ref(), table_name, filter)?;
-    let restriction_refs: Vec<&Restriction> = restrictions.iter().collect();
-    let access = exec::choose_access(backend.as_ref(), table_name, &restriction_refs);
+    let Filter {
+        restrictions,
+        self_conds,
+        access,
+    } = resolve_filter(catalog, backend.as_ref(), table_name, filter)?;
     let mut pred = predicate(&restrictions, &self_conds);
     let matched = matched_rows(backend.as_ref(), table_name, &access, &mut pred)?;
     if matched.is_empty() {

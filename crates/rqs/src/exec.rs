@@ -30,6 +30,9 @@ pub struct QueryMetrics {
     pub result_rows: u64,
     /// Subqueries evaluated (NOT IN / IN).
     pub subqueries: usize,
+    /// Index probes issued by join steps that joined through an index
+    /// ([`JoinMethod::IndexProbe`] run as a probe: one per left row).
+    pub index_probes: u64,
     /// Pages faulted in from storage (paged backend only; 0 in-memory).
     pub page_reads: u64,
     /// Page fetches served by the buffer pool (paged backend only).
@@ -62,6 +65,7 @@ impl QueryMetrics {
         self.intermediate_tuples += other.intermediate_tuples;
         self.result_rows += other.result_rows;
         self.subqueries += other.subqueries;
+        self.index_probes += other.index_probes;
         self.page_reads += other.page_reads;
         self.buffer_hits += other.buffer_hits;
         self.wal_appends += other.wal_appends;
@@ -80,6 +84,32 @@ pub struct Relation {
     pub rows: Vec<Tuple>,
 }
 
+/// What one pipeline step did when it ran — `EXPLAIN ANALYZE`'s
+/// per-step report, so the plan printed is the plan that ran.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StepRun {
+    /// `Scan`, `HashJoin`, `IndexProbe` or `NestedLoop`.
+    pub method: &'static str,
+    /// Index probes issued (0 unless the step probed).
+    pub probes: u64,
+    /// Rows the step read from its table: its share of `rows_scanned`.
+    pub rows_read: u64,
+}
+
+impl std::fmt::Display for StepRun {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "ran={} probes={} rows_read={}",
+            self.method, self.probes, self.rows_read
+        )
+    }
+}
+
+/// Receives each top-level SELECT core's plan with what its steps did
+/// (subqueries are not reported).
+pub type PlanObserver<'a> = dyn FnMut(&PhysicalPlan, &[StepRun]) + 'a;
+
 /// Runs a full SELECT (with UNION arms); rows are deduplicated across arms
 /// per SQL UNION semantics.
 pub fn run_select(
@@ -87,7 +117,18 @@ pub fn run_select(
     stmt: &SelectStmt,
     metrics: &mut QueryMetrics,
 ) -> RqsResult<Relation> {
-    let mut first = run_core(snap, &stmt.core, metrics)?;
+    run_select_observed(snap, stmt, metrics, &mut |_, _| {})
+}
+
+/// [`run_select`], handing every top-level core's executed plan and step
+/// reports to `observe` (`EXPLAIN ANALYZE`).
+pub fn run_select_observed(
+    snap: &Snapshot,
+    stmt: &SelectStmt,
+    metrics: &mut QueryMetrics,
+    observe: &mut PlanObserver,
+) -> RqsResult<Relation> {
+    let mut first = run_core(snap, &stmt.core, metrics, observe)?;
     if !stmt.unions.is_empty() {
         let mut seen: HashSet<Tuple> = first.rows.iter().cloned().collect();
         first.rows.retain({
@@ -96,7 +137,7 @@ pub fn run_select(
             move |r| kept.insert(r.clone())
         });
         for arm in &stmt.unions {
-            let rel = run_core(snap, arm, metrics)?;
+            let rel = run_core(snap, arm, metrics, observe)?;
             if rel.columns.len() != first.columns.len() {
                 return Err(RqsError::Type(format!(
                     "UNION arms have {} vs {} columns",
@@ -116,24 +157,27 @@ pub fn run_select(
 }
 
 /// Runs one SELECT core through resolve → plan → pipeline.
-pub fn run_core(
+fn run_core(
     snap: &Snapshot,
     core: &SelectCore,
     metrics: &mut QueryMetrics,
+    observe: &mut PlanObserver,
 ) -> RqsResult<Relation> {
     let planning = std::time::Instant::now();
     let resolved = plan::resolve(snap, core)?;
-    let physical = plan::plan(resolved);
+    let physical = plan::plan(resolved, snap.backend);
     metrics.plan_nanos += planning.elapsed().as_nanos() as u64;
-    run_physical(snap, &physical, metrics)
+    let (relation, runs) = run_physical(snap, &physical, metrics)?;
+    observe(&physical, &runs);
+    Ok(relation)
 }
 
-/// Executes a physical plan.
+/// Executes a physical plan, reporting what each step did.
 pub fn run_physical(
     snap: &Snapshot,
     physical: &PhysicalPlan,
     metrics: &mut QueryMetrics,
-) -> RqsResult<Relation> {
+) -> RqsResult<(Relation, Vec<StepRun>)> {
     let core = &physical.core;
     // Combined-tuple offsets per var, in join order.
     let mut offsets: HashMap<usize, usize> = HashMap::new();
@@ -154,10 +198,16 @@ pub fn run_physical(
     };
 
     let mut current: Vec<Tuple> = Vec::new();
+    let mut runs: Vec<StepRun> = Vec::with_capacity(physical.steps.len());
     for (i, step) in physical.steps.iter().enumerate() {
-        let scanned = scan_var(snap, core, step.var, metrics)?;
+        let rows_before = metrics.rows_scanned;
+        let mut run = StepRun {
+            method: "Scan",
+            probes: 0,
+            rows_read: 0,
+        };
         if i == 0 {
-            current = scanned;
+            current = scan_var(snap, core, step.var, metrics)?;
             // Self-conditions on the first variable apply right here.
             let self_conds: Vec<&JoinCond> = core
                 .joins
@@ -167,6 +217,8 @@ pub fn run_physical(
             if !self_conds.is_empty() {
                 current.retain(|row| self_conds.iter().all(|j| eval_join(j, row)));
             }
+            run.rows_read = metrics.rows_scanned - rows_before;
+            runs.push(run);
             continue;
         }
         metrics.joins += 1;
@@ -175,7 +227,34 @@ pub fn run_physical(
             JoinMethod::Initial => {
                 return Err(RqsError::Internal("Initial step after the first".into()))
             }
-            JoinMethod::Hash { eq, extra } => {
+            JoinMethod::IndexProbe {
+                col,
+                key: (kvar, kcol),
+                eq,
+                extra,
+            } if probes_beat_scan(current.len(), core.vars[step.var].pages) => {
+                run.method = "IndexProbe";
+                let table = &core.vars[step.var].table;
+                let check = restriction_check(core.restrictions_of(step.var));
+                let key_at = offsets[kvar] + kcol;
+                for left_row in &current {
+                    metrics.join_comparisons += 1;
+                    let matches = snap.backend.index_lookup(table, *col, &left_row[key_at])?;
+                    metrics.rows_scanned += matches.len() as u64;
+                    for m in matches.iter().filter(|m| check(m)) {
+                        let mut combined = left_row.clone();
+                        combined.extend(m.iter().cloned());
+                        if eq.iter().chain(extra).all(|j| eval_join(j, &combined)) {
+                            next.push(combined);
+                        }
+                    }
+                }
+                run.probes = current.len() as u64;
+                metrics.index_probes += run.probes;
+            }
+            JoinMethod::Hash { eq, extra } | JoinMethod::IndexProbe { eq, extra, .. } => {
+                run.method = "HashJoin";
+                let scanned = scan_var(snap, core, step.var, metrics)?;
                 // Build on the newly scanned (right) side.
                 let mut table_map: HashMap<Vec<Datum>, Vec<&Tuple>> = HashMap::new();
                 for row in &scanned {
@@ -217,6 +296,8 @@ pub fn run_physical(
                 }
             }
             JoinMethod::NestedLoop { conds } => {
+                run.method = "NestedLoop";
+                let scanned = scan_var(snap, core, step.var, metrics)?;
                 for left_row in &current {
                     for right_row in &scanned {
                         metrics.join_comparisons += 1;
@@ -231,6 +312,8 @@ pub fn run_physical(
         }
         metrics.intermediate_tuples += next.len() as u64;
         current = next;
+        run.rows_read = metrics.rows_scanned - rows_before;
+        runs.push(run);
     }
 
     // Subquery filters.
@@ -276,19 +359,39 @@ pub fn run_physical(
         let mut seen: HashSet<Tuple> = HashSet::new();
         rows.retain(|r| seen.insert(r.clone()));
     }
-    Ok(Relation { columns, rows })
+    Ok((Relation { columns, rows }, runs))
+}
+
+/// Pages one point probe reads: the root and a leaf of a two-level
+/// B+-tree — the height an index reaches once its keys outgrow one
+/// leaf — and the heap page its match lives on. A one-leaf index reads
+/// a page less and a long posting list more; charging every probe this
+/// much keeps a probe from being chosen where it would read as many
+/// pages as the scan it replaces.
+pub const PROBE_PAGES: usize = 3;
+
+/// Whether `probes` index probes read fewer pages than one scan of a
+/// `heap_pages`-page table. The comparison always charges at least one
+/// probe, so a table no larger than one probe keeps its scan whatever
+/// the left side holds — a one-page table is read in one fetch.
+pub fn probes_beat_scan(probes: usize, heap_pages: usize) -> bool {
+    probes.max(1).saturating_mul(PROBE_PAGES) < heap_pages
 }
 
 /// Picks how candidate rows of one table are located for a set of
 /// single-variable restrictions: an equality on an indexed column rides
 /// a point lookup, inequalities (`<`, `<=`, `>`, `>=` — a BETWEEN is
 /// two of them) on an indexed column collapse into one ordered range
-/// cursor, anything else walks the heap. This is the access-path half
-/// of [`scan_var`], shared with predicated UPDATE/DELETE so DML rides
-/// exactly the same index machinery as SELECT scans.
+/// cursor, anything else walks the heap — and so does every restriction
+/// on a table of `heap_pages` no larger than one probe
+/// ([`probes_beat_scan`] for a single probe): its scan is the cheaper
+/// read. This is the access-path half of [`scan_var`], shared with
+/// predicated UPDATE/DELETE so DML rides exactly the same index
+/// machinery as SELECT scans.
 pub fn choose_access(
     backend: &dyn StorageBackend,
     table: &str,
+    heap_pages: usize,
     restrictions: &[&Restriction],
 ) -> AccessPath {
     use crate::sql::ast::CmpOp;
@@ -296,6 +399,9 @@ pub fn choose_access(
     // Always-false literal comparisons are encoded with col == usize::MAX.
     if restrictions.iter().any(|r| r.col == usize::MAX) {
         return AccessPath::Nothing;
+    }
+    if !probes_beat_scan(1, heap_pages) {
+        return AccessPath::FullScan;
     }
     for r in restrictions {
         if matches!(r.op, CmpOp::Eq) && backend.has_index(table, r.col) {
@@ -335,18 +441,14 @@ fn scan_var(
 ) -> RqsResult<Vec<Tuple>> {
     let info = &core.vars[var];
     metrics.scans += 1;
-    let restrictions: Vec<&Restriction> =
-        core.restrictions.iter().filter(|r| r.var == var).collect();
-    let check = |row: &Tuple| -> bool {
-        restrictions
-            .iter()
-            .all(|r| r.op.eval(row[r.col].total_cmp(&r.value)))
-    };
+    let restrictions = core.restrictions_of(var);
+    let access = choose_access(snap.backend, &info.table, info.pages, &restrictions);
+    let check = restriction_check(restrictions);
     let mut index_rows = |rows: Vec<Tuple>| -> Vec<Tuple> {
         metrics.rows_scanned += rows.len() as u64;
-        rows.into_iter().filter(check).collect()
+        rows.into_iter().filter(|row| check(row)).collect()
     };
-    match choose_access(snap.backend, &info.table, &restrictions) {
+    match access {
         AccessPath::Nothing => Ok(Vec::new()),
         AccessPath::KeyEq(col, key) => Ok(index_rows(snap.backend.index_lookup(
             &info.table,
@@ -372,6 +474,16 @@ fn scan_var(
             metrics.rows_scanned += scanned;
             Ok(rows)
         }
+    }
+}
+
+/// The conjunction of one variable's pushed-down restrictions, as a
+/// row predicate.
+fn restriction_check(restrictions: Vec<&Restriction>) -> impl Fn(&Tuple) -> bool + '_ {
+    move |row| {
+        restrictions
+            .iter()
+            .all(|r| r.op.eval(row[r.col].total_cmp(&r.value)))
     }
 }
 
@@ -573,15 +685,60 @@ mod tests {
         assert_eq!(r.rows.len(), 2);
     }
 
+    /// Inserts `n` filler employees (enos from 100, in dept 20) so
+    /// `empl` spans several pages and index paths beat its scan.
+    fn add_filler_employees(db: &mut Database, n: i64) {
+        let rows: Vec<String> = (100..100 + n)
+            .map(|i| format!("({i}, 'filler{i}', 20000, 20)"))
+            .collect();
+        db.execute(&format!("INSERT INTO empl VALUES {}", rows.join(", ")))
+            .unwrap();
+    }
+
     #[test]
     fn index_accelerated_scan_counts_fewer_rows() {
         let mut db = empdep_db();
+        add_filler_employees(&mut db, 500);
         db.execute("CREATE INDEX ON empl (nam)").unwrap();
         let r = db
             .execute("SELECT v1.sal FROM empl v1 WHERE v1.nam = 'jones'")
             .unwrap();
         assert_eq!(r.rows.len(), 1);
-        assert_eq!(r.metrics.rows_scanned, 1); // index hit, not 5
+        assert_eq!(r.metrics.rows_scanned, 1); // index hit, not 505
+    }
+
+    /// The page rule: the same indexed equality is a one-fetch scan on a
+    /// one-page table and an index read — fewer fetches than the scan —
+    /// once the table spans more pages than a probe reads.
+    #[test]
+    fn indexed_equality_scans_one_page_tables_and_probes_larger_ones() {
+        let mut db = Database::paged(8).unwrap();
+        db.execute("CREATE TABLE t (k INT, pad TEXT)").unwrap();
+        db.execute("CREATE INDEX ON t (k)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c')")
+            .unwrap();
+        let q = "SELECT v.pad FROM t v WHERE v.k = 2";
+        let fetches = |r: &crate::QueryResult| r.metrics.page_reads + r.metrics.buffer_hits;
+        assert!(db.explain(q).unwrap().contains("via FullScan"));
+        let small = db.execute(q).unwrap();
+        assert_eq!(small.rows, vec![vec![Datum::text("b")]]);
+        assert_eq!(fetches(&small), 1, "a one-page table is one fetch");
+
+        let pad = "p".repeat(200);
+        let rows: Vec<String> = (10..110).map(|k| format!("({k}, '{pad}')")).collect();
+        db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", ")))
+            .unwrap();
+        let pages = db.backend().table_size("t").unwrap().pages as u64;
+        assert!(pages > PROBE_PAGES as u64, "{pages} pages");
+        assert!(db.explain(q).unwrap().contains("via IndexEq col#0 = 2"));
+        let large = db.execute(q).unwrap();
+        assert_eq!(large.rows, small.rows);
+        assert_eq!(large.metrics.rows_scanned, 1);
+        assert!(
+            fetches(&large) < pages,
+            "index read: {} fetches, scan: {pages}",
+            fetches(&large)
+        );
     }
 
     #[test]

@@ -14,9 +14,13 @@
 //! * a [`plan`]ner that orders joins greedily and pushes restrictions down
 //!   to scans (the paper leaves goal-reordering optimization "to the
 //!   existing query processor of the DBMS" — this is it);
-//! * an [`exec`]utor with hash joins for equijoins and nested loops for
-//!   inequality joins, instrumented with [`exec::QueryMetrics`] so the
-//!   benefit of front-end simplification is measurable.
+//! * an [`exec`]utor with two methods for an equijoin — probe the new
+//!   variable's index once per left row when that reads fewer pages than
+//!   scanning its table (decided per step, from the left side's actual
+//!   row count and the table's heap pages), else scan and hash — and
+//!   nested loops for inequality joins, instrumented with
+//!   [`exec::QueryMetrics`] so the benefit of front-end simplification
+//!   is measurable.
 //!
 //! # Storage architecture
 //!
@@ -83,7 +87,7 @@ pub mod sql;
 pub mod value;
 
 pub use backend::{
-    AccessPath, InMemoryBackend, PagedBackend, RowLockHook, Snapshot, StorageBackend,
+    AccessPath, InMemoryBackend, PagedBackend, RowLockHook, Snapshot, StorageBackend, TableSize,
 };
 pub use catalog::{Catalog, Column, ColumnType, Table, TableConstraint};
 pub use database::{Database, QueryResult, Trace, TraceSpan};

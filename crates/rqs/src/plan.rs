@@ -8,8 +8,9 @@
 //! those is exactly the front-end optimizer's job, which is what the
 //! benchmarks measure.
 
-use crate::backend::{Snapshot, StorageBackend};
+use crate::backend::{AccessPath, Snapshot, StorageBackend, TableSize};
 use crate::error::{RqsError, RqsResult};
+use crate::exec::StepRun;
 use crate::sql::ast::{CmpOp, ColumnRef, Condition, Scalar, SelectCore, SelectStmt};
 use crate::value::Datum;
 
@@ -20,6 +21,8 @@ pub struct VarInfo {
     pub table: String,
     pub width: usize,
     pub cardinality: usize,
+    /// Pages one scan of the table reads (see [`TableSize`]).
+    pub pages: usize,
 }
 
 /// A single-variable restriction `var.col op value`, pushed to the scan.
@@ -72,6 +75,20 @@ pub enum JoinMethod {
         eq: Vec<JoinCond>,
         extra: Vec<JoinCond>,
     },
+    /// An equijoin on an indexed column `col` of the new variable, whose
+    /// own restrictions leave it a full scan. The executor decides when
+    /// the step runs, from the left side's actual row count: probe the
+    /// index once per left row with the value at `key` (bound var,
+    /// column) when that reads fewer pages than one scan
+    /// ([`crate::exec::probes_beat_scan`]); otherwise scan and hash
+    /// exactly as [`JoinMethod::Hash`]. Either way every condition in
+    /// `eq` and `extra` is checked on the joined row.
+    IndexProbe {
+        col: usize,
+        key: (usize, usize),
+        eq: Vec<JoinCond>,
+        extra: Vec<JoinCond>,
+    },
     /// Nested loop with arbitrary conditions (possibly empty = product).
     NestedLoop { conds: Vec<JoinCond> },
 }
@@ -107,11 +124,13 @@ pub fn resolve(snap: &Snapshot, core: &SelectCore) -> RqsResult<ResolvedCore> {
                 "duplicate range variable {alias}"
             )));
         }
+        let TableSize { rows, pages } = snap.backend.table_size(table_name)?;
         vars.push(VarInfo {
             alias: alias.clone(),
             table: table_name.clone(),
             width: table.arity(),
-            cardinality: snap.backend.row_count(table_name)?,
+            cardinality: rows,
+            pages,
         });
     }
     let lookup = |cref: &ColumnRef| -> RqsResult<(usize, usize)> {
@@ -229,8 +248,10 @@ fn estimate(core: &ResolvedCore, var: usize) -> usize {
 /// Greedy left-deep join ordering: start with the cheapest variable, then
 /// repeatedly attach the cheapest variable reachable through an equijoin;
 /// fall back to the cheapest remaining one (cross product) when the join
-/// graph is disconnected.
-pub fn plan(core: ResolvedCore) -> PhysicalPlan {
+/// graph is disconnected. An equijoin step whose new variable has an
+/// index on its side of one of the equalities — and no cheaper access
+/// path of its own — may probe that index ([`JoinMethod::IndexProbe`]).
+pub fn plan(core: ResolvedCore, backend: &dyn StorageBackend) -> PhysicalPlan {
     let n = core.vars.len();
     let mut remaining: Vec<usize> = (0..n).collect();
     let mut chosen: Vec<usize> = Vec::new();
@@ -288,7 +309,15 @@ pub fn plan(core: ResolvedCore) -> PhysicalPlan {
             if eq.is_empty() {
                 JoinMethod::NestedLoop { conds: extra }
             } else {
-                JoinMethod::Hash { eq, extra }
+                match probe_column(&core, backend, pick, &eq) {
+                    Some((col, key)) => JoinMethod::IndexProbe {
+                        col,
+                        key,
+                        eq,
+                        extra,
+                    },
+                    None => JoinMethod::Hash { eq, extra },
+                }
             }
         };
         steps.push(JoinStep { var: pick, method });
@@ -298,12 +327,49 @@ pub fn plan(core: ResolvedCore) -> PhysicalPlan {
     PhysicalPlan { core, steps }
 }
 
+/// The first equality of `eq` whose side on `var` is an indexed column,
+/// as (that column, the other side's (var, column)) — provided a scan of
+/// `var` would be a full one: a variable its own restrictions already
+/// narrow to an index read (or to nothing) is read once and hashed.
+fn probe_column(
+    core: &ResolvedCore,
+    backend: &dyn StorageBackend,
+    var: usize,
+    eq: &[JoinCond],
+) -> Option<(usize, (usize, usize))> {
+    let info = &core.vars[var];
+    let restrictions = core.restrictions_of(var);
+    if crate::exec::choose_access(backend, &info.table, info.pages, &restrictions)
+        != AccessPath::FullScan
+    {
+        return None;
+    }
+    eq.iter().find_map(|j| {
+        let (col, key) = if j.lvar == var {
+            (j.lcol, (j.rvar, j.rcol))
+        } else {
+            (j.rcol, (j.lvar, j.lcol))
+        };
+        backend.has_index(&info.table, col).then_some((col, key))
+    })
+}
+
+impl ResolvedCore {
+    /// The pushed-down restrictions on one variable.
+    pub fn restrictions_of(&self, var: usize) -> Vec<&Restriction> {
+        self.restrictions.iter().filter(|r| r.var == var).collect()
+    }
+}
+
 impl PhysicalPlan {
-    /// EXPLAIN's rendering: the join pipeline, each step with the
-    /// access path its scan takes on `backend` — the same
+    /// EXPLAIN's rendering: the join pipeline, each step with the access
+    /// path its scan takes on `backend` — the same
     /// [`crate::exec::choose_access`] call the executor makes, so the
-    /// path printed is the path that runs.
-    pub fn explain(&self, backend: &dyn StorageBackend) -> String {
+    /// path printed is the path that runs — and, for an
+    /// [`JoinMethod::IndexProbe`] step, the column it can probe. Under
+    /// `EXPLAIN ANALYZE`, `runs` holds what each step actually did (one
+    /// per step, in step order) and every line says which method ran.
+    pub fn explain(&self, backend: &dyn StorageBackend, runs: Option<&[StepRun]>) -> String {
         let mut out = format!(
             "Project [{} item(s)]{}\n",
             self.core.items.len(),
@@ -312,12 +378,7 @@ impl PhysicalPlan {
         for (depth, step) in self.steps.iter().enumerate().rev() {
             let v = &self.core.vars[step.var];
             let indent = "  ".repeat(self.steps.len() - depth);
-            let restrictions: Vec<&Restriction> = self
-                .core
-                .restrictions
-                .iter()
-                .filter(|r| r.var == step.var)
-                .collect();
+            let restrictions = self.core.restrictions_of(step.var);
             let (table, alias, restr) = (&v.table, &v.alias, restrictions.len());
             let head = match &step.method {
                 JoinMethod::Initial => format!("Scan {table} {alias}"),
@@ -326,12 +387,27 @@ impl PhysicalPlan {
                     eq.len(),
                     extra.len()
                 ),
+                JoinMethod::IndexProbe {
+                    col,
+                    key: (kvar, kcol),
+                    eq,
+                    extra,
+                } => format!(
+                    "IndexProbe {table} {alias} col#{col} = {}.col#{kcol} [{} key(s), {} extra] or HashJoin",
+                    self.core.vars[*kvar].alias,
+                    eq.len(),
+                    extra.len()
+                ),
                 JoinMethod::NestedLoop { conds } => {
                     format!("NestedLoop {table} {alias} [{} cond(s)]", conds.len())
                 }
             };
-            let access = crate::exec::choose_access(backend, table, &restrictions);
-            out += &format!("{indent}{head} [{restr} restriction(s)] via {access}\n");
+            let access = crate::exec::choose_access(backend, table, v.pages, &restrictions);
+            out += &format!("{indent}{head} [{restr} restriction(s)] via {access}");
+            if let Some(run) = runs.and_then(|runs| runs.get(depth)) {
+                out += &format!(" -> {run}");
+            }
+            out.push('\n');
         }
         out
     }
@@ -408,7 +484,7 @@ mod tests {
              WHERE (v1.dno = v2.dno) AND (v2.mgr = v3.eno)",
         )
         .unwrap();
-        let plan = plan(core);
+        let plan = plan(core, db.backend());
         assert_eq!(plan.steps.len(), 3);
         assert_eq!(plan.join_count(), 2);
         assert!(matches!(plan.steps[0].method, JoinMethod::Initial));
@@ -422,7 +498,7 @@ mod tests {
     fn disconnected_vars_become_products() {
         let db = db_with_empdep();
         let core = resolve_select(&db, "SELECT v1.nam FROM empl v1, dept v2").unwrap();
-        let plan = plan(core);
+        let plan = plan(core, db.backend());
         assert!(matches!(
             plan.steps[1].method,
             JoinMethod::NestedLoop { ref conds } if conds.is_empty()
@@ -437,7 +513,7 @@ mod tests {
             "SELECT v1.nam FROM empl v1, empl v2 WHERE v1.sal < v2.sal",
         )
         .unwrap();
-        let plan = plan(core);
+        let plan = plan(core, db.backend());
         assert!(
             matches!(plan.steps[1].method, JoinMethod::NestedLoop { ref conds } if conds.len() == 1)
         );
@@ -451,9 +527,49 @@ mod tests {
             "SELECT v1.nam FROM empl v1, dept v2 WHERE v1.dno = v2.dno",
         )
         .unwrap();
-        let text = plan(core).explain(db.backend());
+        let text = plan(core, db.backend()).explain(db.backend(), None);
         assert!(text.contains("Scan"));
         assert!(text.contains("HashJoin"));
         assert!(text.contains("via FullScan"));
+    }
+
+    #[test]
+    fn equijoin_on_an_indexed_column_can_probe_and_explain_names_it() {
+        let mut db = db_with_empdep();
+        let rows: Vec<String> = (0..500)
+            .map(|i| format!("({i}, 'e{i}', 20000, {})", i % 7))
+            .collect();
+        db.execute(&format!("INSERT INTO empl VALUES {}", rows.join(", ")))
+            .unwrap();
+        let sql = "SELECT v1.nam FROM empl v1, dept v2 WHERE v1.dno = v2.dno";
+        let hashed = plan(resolve_select(&db, sql).unwrap(), db.backend());
+        assert!(matches!(hashed.steps[1].method, JoinMethod::Hash { .. }));
+        db.execute("CREATE INDEX ON empl (dno)").unwrap();
+        let probing = plan(resolve_select(&db, sql).unwrap(), db.backend());
+        assert_eq!(probing.core.vars[probing.steps[1].var].alias, "v1");
+        assert!(matches!(
+            probing.steps[1].method,
+            JoinMethod::IndexProbe {
+                col: 3,
+                key: (1, 0),
+                ..
+            }
+        ));
+        let text = probing.explain(db.backend(), None);
+        assert!(
+            text.contains("IndexProbe empl v1 col#3 = v2.col#0"),
+            "{text}"
+        );
+        // A restriction that already narrows the variable to an index
+        // read keeps the one-shot read and the hash join.
+        db.execute("CREATE INDEX ON empl (nam)").unwrap();
+        let restricted = plan(
+            resolve_select(&db, &format!("{sql} AND v1.nam = 'e7'")).unwrap(),
+            db.backend(),
+        );
+        assert!(restricted
+            .steps
+            .iter()
+            .all(|s| !matches!(s.method, JoinMethod::IndexProbe { .. })));
     }
 }

@@ -403,6 +403,15 @@ pub struct WireResult {
     pub affected: usize,
 }
 
+/// Frames one statement as a protocol line and hands it to `w` in one
+/// `write_all`: on an unbuffered `TCP_NODELAY` stream, `writeln!` would
+/// issue the text and its newline as two writes — two segments.
+fn write_statement(w: &mut impl Write, sql: &str) -> io::Result<()> {
+    let mut line = sql.replace(['\r', '\n'], " ");
+    line.push('\n');
+    w.write_all(line.as_bytes())
+}
+
 /// A blocking client for the line protocol.
 pub struct Client {
     reader: BufReader<TcpStream>,
@@ -422,8 +431,7 @@ impl Client {
     /// Sends one statement; `Ok(Err(msg))` is a server-side error
     /// (syntax, constraint, conflict, rolled-back transaction).
     pub fn execute(&mut self, sql: &str) -> io::Result<Result<WireResult, String>> {
-        writeln!(self.writer, "{}", sql.replace(['\r', '\n'], " "))?;
-        self.writer.flush()?;
+        write_statement(&mut self.writer, sql)?;
         let mut result = WireResult::default();
         loop {
             let mut line = String::new();
@@ -503,6 +511,24 @@ mod tests {
             assert_eq!(unescape_cell(&escape_cell(s)), s, "{s:?}");
             assert!(!escape_cell(s).contains(['\t', '\n', '\r']));
         }
+    }
+
+    #[test]
+    fn a_statement_goes_out_in_one_write() {
+        /// Records the size of every `write` call.
+        struct CountingWriter(Vec<usize>);
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = CountingWriter(Vec::new());
+        write_statement(&mut w, "SELECT v.a\nFROM t v").unwrap();
+        assert_eq!(w.0, ["SELECT v.a FROM t v\n".len()]);
     }
 
     #[test]

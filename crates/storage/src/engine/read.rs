@@ -161,6 +161,12 @@ impl StorageEngine {
         Ok(self.table(name)?.row_count)
     }
 
+    /// Pages in the table's heap chain — what one full scan reads. Kept
+    /// in the heap descriptor, so it rolls back with it on abort.
+    pub fn heap_pages(&self, name: &str) -> StorageResult<usize> {
+        Ok(self.table(name)?.heap.pages as usize)
+    }
+
     /// Whether any stored tuple matches `values` at columns `cols`.
     /// Stops at the first hit instead of materializing the table.
     pub fn contains(&self, name: &str, cols: &[usize], values: &[Datum]) -> StorageResult<bool> {

@@ -479,6 +479,48 @@ fn aborted_update_and_delete_roll_back_cleanly() {
     }
 }
 
+/// The heap page count the planner weighs probes against follows the
+/// chain: it grows with inserts and relocations, rolls back with the
+/// descriptor on abort, resets on truncate, and is recounted on reopen.
+#[test]
+fn heap_pages_track_the_chain_through_abort_truncate_and_reopen() {
+    let path = temp_db("heappages");
+    let committed = {
+        let mut eng = StorageEngine::open(&path, 8).unwrap();
+        eng.create_table("t", &cols(&[("k", ColType::Int), ("pad", ColType::Text)]))
+            .unwrap();
+        assert_eq!(eng.heap_pages("t").unwrap(), 1);
+        let pad = "p".repeat(500);
+        for k in 0..40 {
+            eng.insert("t", &[Datum::Int(k), Datum::text(&pad)])
+                .unwrap();
+        }
+        let committed = eng.heap_pages("t").unwrap();
+        assert!(committed >= 5, "{committed} pages");
+        eng.begin().unwrap();
+        for k in 40..80 {
+            eng.insert("t", &[Datum::Int(k), Datum::text(&pad)])
+                .unwrap();
+        }
+        assert!(eng.heap_pages("t").unwrap() > committed);
+        eng.abort();
+        assert_eq!(eng.heap_pages("t").unwrap(), committed, "rolled back");
+        eng.flush().unwrap();
+        committed
+    };
+    {
+        let mut eng = StorageEngine::open(&path, 8).unwrap();
+        assert_eq!(
+            eng.heap_pages("t").unwrap(),
+            committed,
+            "recounted on reopen"
+        );
+        eng.truncate("t").unwrap();
+        assert_eq!(eng.heap_pages("t").unwrap(), 1);
+    }
+    cleanup(&path);
+}
+
 #[test]
 fn updates_and_deletes_survive_crash_recovery() {
     let path = temp_db("dml");

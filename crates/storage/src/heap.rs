@@ -55,11 +55,16 @@ impl Rid {
     }
 }
 
-/// A heap file: head and tail of the page chain.
+/// A heap file: head and tail of the page chain, and its length — the
+/// pages a full scan reads, which the planner weighs index probes
+/// against. The length lives in the descriptor so every path that saves
+/// and restores a descriptor (abort compensation, catalog snapshots)
+/// rolls it back with the tail it counts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HeapFile {
     pub first: PageId,
     pub last: PageId,
+    pub pages: u32,
 }
 
 impl HeapFile {
@@ -69,11 +74,12 @@ impl HeapFile {
         Ok(HeapFile {
             first: id,
             last: id,
+            pages: 1,
         })
     }
 
     /// Adopts an existing chain head (catalog bootstrap); walks the chain
-    /// to find the tail.
+    /// to find the tail and count its pages.
     pub fn open(pool: &BufferPool, first: PageId) -> StorageResult<HeapFile> {
         let mut last = first;
         let mut walked: u32 = 0;
@@ -86,7 +92,11 @@ impl HeapFile {
             }
             last = next;
         }
-        Ok(HeapFile { first, last })
+        Ok(HeapFile {
+            first,
+            last,
+            pages: walked,
+        })
     }
 
     /// Appends one record, growing the chain if the tail page is full.
@@ -110,6 +120,7 @@ impl HeapFile {
         let slot = new_page.with_mut(|p| p.push_record(record))??;
         tail.with_mut(|p| p.set_next(new_id))?;
         self.last = new_id;
+        self.pages += 1;
         Ok(Rid {
             page: new_id,
             slot: slot as u16,
@@ -243,6 +254,7 @@ impl HeapFile {
         let guard = pool.fetch(self.first)?;
         guard.with_mut(|p| p.init(PageKind::Heap))?;
         self.last = self.first;
+        self.pages = 1;
         Ok(())
     }
 
@@ -336,6 +348,11 @@ mod tests {
             "expected multi-page heap, got {}",
             pages.len()
         );
+        assert_eq!(
+            heap.pages as usize,
+            pages.len(),
+            "the descriptor counts its chain"
+        );
         assert_eq!(heap.count(&pool).unwrap(), 50);
         let mut n = 0;
         heap.scan(&pool, |_, rec| {
@@ -367,9 +384,11 @@ mod tests {
         for _ in 0..20 {
             heap.insert(&pool, &[1u8; 500]).unwrap();
         }
+        assert!(heap.pages > 1);
         heap.truncate(&pool).unwrap();
         assert_eq!(heap.count(&pool).unwrap(), 0);
         assert_eq!(heap.first, heap.last);
+        assert_eq!(heap.pages, 1);
         heap.insert(&pool, b"fresh").unwrap();
         assert_eq!(heap.count(&pool).unwrap(), 1);
     }

@@ -39,7 +39,8 @@ pub type PageId = u32;
 pub const NO_PAGE: PageId = u32::MAX;
 
 const HEADER_SIZE: usize = 24;
-const SLOT_SIZE: usize = 4;
+/// Bytes of slot directory each record costs beside its cell.
+pub const SLOT_SIZE: usize = 4;
 
 /// What a page stores; persisted in the header so reopening a file can
 /// sanity-check chains.

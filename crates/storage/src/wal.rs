@@ -182,16 +182,33 @@ impl WalRecord {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected), computed bitwise — the log appends a
-/// handful of frames per statement, far from hot.
+/// CRC-32 (IEEE 802.3, reflected) of every byte value, built at compile
+/// time by the bitwise definition.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// CRC-32 (IEEE 802.3, reflected), a table lookup per byte. Every
+/// commit checksums a full 4 KiB image of each page it touched, so a
+/// bit-at-a-time loop made the checksum most of an autocommit insert's
+/// cost — and that cost grows with every index the row maintains.
 fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = !0;
     for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
     }
     !crc
 }

@@ -87,6 +87,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut db = Database::open_paged(&path, 8)?;
         db.execute("CREATE TABLE dept (dno INT, fct TEXT, mgr INT)")?;
         db.execute("INSERT INTO dept VALUES (10, 'hq', 1), (20, 'field', 2)")?;
+        // Enough further departments to span several pages: on a table
+        // no larger than one index probe the planner scans instead.
+        let annexes: Vec<String> = (100..400)
+            .map(|dno| format!("({dno}, 'annex-{dno:->36}', 1)"))
+            .collect();
+        db.execute(&format!("INSERT INTO dept VALUES {}", annexes.join(", ")))?;
         db.execute("CREATE INDEX ON dept (dno)")?;
         db.flush()?;
     }

@@ -15,11 +15,16 @@
 //!    schema, with and without indexes, comparing result multisets;
 //! 3. the paper's own workload from `tests/paper_examples.rs` run through
 //!    two complete Prolog-front-end sessions, one per backend, comparing
-//!    answers (and checking the paged session actually touched pages).
+//!    answers (and checking the paged session actually touched pages) —
+//!    on the one-page spy firm, where every join step scans and hashes,
+//!    and on a generated ~850-employee firm, where the paged planner
+//!    joins through the key and foreign-key indexes (probe joins, also
+//!    beside a parked writer).
 
+use prolog_front_end::coupling::workload::{Firm, FirmParams};
 use prolog_front_end::pfe_core::{views, Session};
 use proptest::test_runner::TestRng;
-use rqs::Database;
+use rqs::{Database, QueryMetrics};
 
 /// Buffer-pool frames for the paged backend: a comfortable 16 by
 /// default, overridden by `RQS_TEST_POOL_FRAMES` — CI's pool-pressure
@@ -557,8 +562,65 @@ fn load_spy(mut s: Session) -> Session {
     s
 }
 
+/// Runs every goal through both sessions' full pipelines, asserting equal
+/// answer sets and zero page I/O on the in-memory side; returns the
+/// paged side's summed work counters.
+fn pipelines_agree(mem: &mut Session, paged: &mut Session, goals: &[String]) -> QueryMetrics {
+    let answers = |run: &prolog_front_end::pfe_core::QueryRun| {
+        let mut v: Vec<String> = run
+            .answers
+            .iter()
+            .map(|ans| {
+                ans.iter()
+                    .map(|(k, d)| format!("{k}={d}"))
+                    .collect::<Vec<_>>()
+                    .join(";")
+            })
+            .collect();
+        v.sort();
+        v
+    };
+    let mut paged_total = QueryMetrics::default();
+    for goal in goals {
+        let a = mem.query(goal, "q").expect("in-memory pipeline runs");
+        let b = paged.query(goal, "q").expect("paged pipeline runs");
+        assert_eq!(answers(&a), answers(&b), "goal: {goal}");
+        assert_eq!(
+            (a.total_metrics().page_reads, a.total_metrics().buffer_hits),
+            (0, 0),
+            "in-memory backend must report zero page I/O"
+        );
+        paged_total.absorb(&b.total_metrics());
+    }
+    paged_total
+}
+
+/// The five goal classes of the paper workload about employee `e`.
+fn goal_classes(e: &str) -> Vec<String> {
+    vec![
+        format!("works_dir_for(t_X, {e})"),
+        format!("same_manager(t_X, {e})"),
+        format!("works_dir_for(t_X, {e}), empl(E, t_X, S, D), less(S, 40000)"),
+        format!("works_dir_for(t_X, {e}), empl(E, t_X, S, D), less(S, 2000)"),
+        format!("works_for(t_X, {e})"),
+    ]
+}
+
+/// A session over a generated firm: its tables span many pages, so the
+/// paged planner joins through the key and foreign-key indexes.
+fn firm_session(mut s: Session, firm: &Firm) -> Session {
+    s.consult(views::WORKS_FOR).expect("views parse");
+    s.consult("same_manager(X, Y) :- works_dir_for(X, M), works_dir_for(Y, M), neq(X, Y).")
+        .expect("views parse");
+    firm.load_into(s.coupler_mut())
+        .expect("generated data is consistent");
+    s.config_mut().cache = false;
+    s
+}
+
 #[test]
 fn paper_pipeline_agrees_across_backends() {
+    // The spy firm: one page per table, so every step scans and hashes.
     let mut mem = load_spy(Session::empdep());
     let mut paged = load_spy(Session::empdep_paged(8));
     let goals = [
@@ -566,38 +628,44 @@ fn paper_pipeline_agrees_across_backends() {
         "same_manager(t_X, jones)",
         "works_dir_for(t_X, smiley), empl(E, t_X, S, D), less(S, 40000)",
         "works_dir_for(t_X, smiley), empl(E, t_X, S, D), less(S, 2000)",
-    ];
-    let mut paged_pages_touched = 0;
-    for goal in goals {
-        let a = mem.query(goal, "q").expect("in-memory pipeline runs");
-        let b = paged.query(goal, "q").expect("paged pipeline runs");
-        let answers = |run: &prolog_front_end::pfe_core::QueryRun| {
-            let mut v: Vec<String> = run
-                .answers
-                .iter()
-                .map(|ans| {
-                    ans.iter()
-                        .map(|(k, d)| format!("{k}={d}"))
-                        .collect::<Vec<_>>()
-                        .join(";")
-                })
-                .collect();
-            v.sort();
-            v
-        };
-        assert_eq!(answers(&a), answers(&b), "goal: {goal}");
-        let m = b.total_metrics();
-        paged_pages_touched += m.page_reads + m.buffer_hits;
-        assert_eq!(
-            (a.total_metrics().page_reads, a.total_metrics().buffer_hits),
-            (0, 0),
-            "in-memory backend must report zero page I/O"
-        );
-    }
+    ]
+    .map(String::from);
+    let m = pipelines_agree(&mut mem, &mut paged, &goals);
     assert!(
-        paged_pages_touched > 0,
+        m.page_reads + m.buffer_hits > 0,
         "paged backend reported no page activity across the whole workload"
     );
+    assert_eq!(
+        m.index_probes, 0,
+        "one-page tables are scanned, never probed"
+    );
+
+    // A generated firm of ~850 employees: every goal class, about a
+    // bottom-level manager, a top-level one and a staff member, with
+    // both join methods in play on the paged side.
+    let firm = Firm::generate(FirmParams {
+        depth: 4,
+        branching: 3,
+        staff_per_dept: 6,
+        seed: 1,
+    });
+    let mut mem_firm = firm_session(Session::empdep(), &firm);
+    let mut paged_firm = firm_session(Session::empdep_paged(pool_frames()), &firm);
+    let name = |eno: i64| firm.employees[eno as usize - 1].nam.clone();
+    let subjects = [
+        name(firm.departments.last().expect("departments").mgr),
+        name(firm.departments[1].mgr),
+        firm.deepest_employee().to_owned(),
+    ];
+    let goals: Vec<String> = subjects.iter().flat_map(|e| goal_classes(e)).collect();
+    let m = pipelines_agree(&mut mem_firm, &mut paged_firm, &goals);
+    assert!(m.index_probes > 0, "no join step probed an index: {m:?}");
+    assert!(m.page_reads + m.buffer_hits > 0);
+
+    // The snapshot case: a probe join beside a parked, uncommitted
+    // `UPDATE empl` that moves a department's staff elsewhere.
+    probe_join_sees_its_snapshot(&firm, &mut mem_firm, &mut paged_firm);
+
     // DML through the coupling layer also agrees — including the new
     // truncation restrict rule: `dept.mgr` references `empl.eno` and
     // `empl.dno` references `dept.dno`, so the bare DELETE of either
@@ -619,4 +687,76 @@ fn paper_pipeline_agrees_across_backends() {
     let del_paged = paged.coupler_mut().rqs.execute(sql).unwrap();
     assert_eq!(del_mem.affected, del_paged.affected);
     assert_eq!(del_mem.affected, 3);
+}
+
+/// Sorted first-column answers of one SELECT, with its work counters.
+fn column(db: &mut Database, sql: &str) -> (Vec<String>, QueryMetrics) {
+    let r = db.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    let mut rows: Vec<String> = r.rows.iter().map(|row| row[0].to_string()).collect();
+    rows.sort();
+    (rows, r.metrics)
+}
+
+/// `works_dir_for(t_X, boss)` as SQL, both ways: as the join the paged
+/// planner runs through the `dept.mgr` and `empl.dno` indexes, and as
+/// the same question with `empl` read by a filtered full scan (an `IN`
+/// subquery filter, where the join probed `empl.dno`). Asserts they
+/// agree and returns the answers with the join's counters.
+fn both_ways(db: &mut Database, boss: &str) -> (Vec<String>, QueryMetrics) {
+    let (joined, metrics) = column(
+        db,
+        &format!(
+            "SELECT v1.nam FROM empl v1, dept v2, empl v3 \
+             WHERE v3.nam = '{boss}' AND v1.dno = v2.dno AND v2.mgr = v3.eno"
+        ),
+    );
+    let (scanned, _) = column(
+        db,
+        &format!(
+            "SELECT v1.nam FROM empl v1 WHERE v1.dno IN \
+             (SELECT v2.dno FROM dept v2, empl v3 WHERE v2.mgr = v3.eno AND v3.nam = '{boss}')"
+        ),
+    );
+    assert_eq!(joined, scanned, "probe join vs filtered scan for {boss}");
+    (joined, metrics)
+}
+
+/// A probe join reads through its statement's snapshot: beside a parked
+/// transaction that has moved one department's staff (uncommitted), it
+/// returns the pre-write answer — the oracle's — while the writer sees
+/// its own move, both ways.
+fn probe_join_sees_its_snapshot(firm: &Firm, mem: &mut Session, paged: &mut Session) {
+    let dept = firm.departments.last().expect("departments");
+    let boss = firm.employees[dept.mgr as usize - 1].nam.clone();
+    let (oracle, _) = both_ways(&mut mem.coupler_mut().rqs, &boss);
+    assert!(!oracle.is_empty(), "{boss} manages staff");
+    let db = &mut paged.coupler_mut().rqs;
+    let (quiet, m) = both_ways(db, &boss);
+    assert_eq!(quiet, oracle);
+    assert!(m.index_probes > 0, "the join must probe: {m:?}");
+
+    let pin = db.begin_session_txn().unwrap();
+    db.resume_session_txn(pin).unwrap();
+    let moved = db
+        .execute(&format!("UPDATE empl SET dno = 1 WHERE dno = {}", dept.dno))
+        .unwrap();
+    assert_eq!(moved.affected, oracle.len());
+    assert_eq!(both_ways(db, &boss).0, Vec::<String>::new(), "own write");
+    db.suspend_session_txn();
+
+    let versioned = |db: &Database| {
+        let engine = db.backend().as_paged().expect("paged").engine();
+        engine.metrics().versioned_index_reads
+    };
+    let before = versioned(db);
+    let (beside, m) = both_ways(db, &boss);
+    assert_eq!(beside, oracle, "a probe join read the parked write");
+    assert!(m.index_probes > 0, "still a probe join beside the writer");
+    assert!(
+        versioned(db) > before,
+        "its probes resolved through the view"
+    );
+
+    db.abort_session_txn(pin);
+    assert_eq!(both_ways(db, &boss).0, oracle);
 }

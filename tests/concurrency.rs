@@ -451,10 +451,21 @@ fn uniqueness_probe_never_convicts_against_a_row_that_rolls_back() {
 #[test]
 fn long_reader_sees_one_stable_snapshot_while_writers_commit() {
     let db = shared(64);
-    db.session().execute("CREATE TABLE log (a INT)").unwrap();
+    db.session()
+        .execute("CREATE TABLE log (a INT, pad TEXT)")
+        .unwrap();
     db.session().execute("CREATE INDEX ON log (a)").unwrap();
     db.session()
-        .execute("INSERT INTO log VALUES (1), (2), (3)")
+        .execute("INSERT INTO log VALUES (1, 'x'), (2, 'x'), (3, 'x')")
+        .unwrap();
+    // Filler rows (a = 0, below every probed key) spread the table over
+    // several pages, so the point and range reads below are index reads
+    // (a table no larger than one probe is scanned instead).
+    let filler = 200;
+    let pad = "f".repeat(100);
+    let rows: Vec<String> = (0..filler).map(|_| format!("(0, '{pad}')")).collect();
+    db.session()
+        .execute(&format!("INSERT INTO log VALUES {}", rows.join(", ")))
         .unwrap();
     let before = db.metrics().unwrap();
     let mut reader = db.session();
@@ -469,17 +480,17 @@ fn long_reader_sees_one_stable_snapshot_while_writers_commit() {
         ]
         .map(|sql| reader.execute(sql).unwrap().rows.len())
     };
-    assert_eq!(counts(&mut reader), [3, 1, 1]);
+    assert_eq!(counts(&mut reader), [filler + 3, 1, 1]);
     let mut writer = db.session();
     for round in 0..5 {
         writer
-            .execute(&format!("INSERT INTO log VALUES ({})", 10 + round))
+            .execute(&format!("INSERT INTO log VALUES ({}, 'x')", 10 + round))
             .unwrap();
         writer.execute("UPDATE log SET a = a WHERE a = 1").unwrap();
         // Committed writes keep landing; the reader's view stays put.
         assert_eq!(
             counts(&mut reader),
-            [3, 1, 1],
+            [filler + 3, 1, 1],
             "snapshot moved under an open transaction"
         );
     }
@@ -490,7 +501,7 @@ fn long_reader_sees_one_stable_snapshot_while_writers_commit() {
     );
     reader.execute("COMMIT").unwrap();
     // A fresh statement gets a fresh snapshot: everything is visible.
-    assert_eq!(counts(&mut reader), [8, 1, 6]);
+    assert_eq!(counts(&mut reader), [filler + 8, 1, 6]);
     let after = db.metrics().unwrap();
     assert_eq!(
         after.lock_waits, before.lock_waits,

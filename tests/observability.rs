@@ -24,7 +24,10 @@
 //! * `EXPLAIN ANALYZE` actual page reads: indexed point lookup must
 //!   beat the full scan on the same predicate (the paper's cost model,
 //!   measured rather than estimated) — and under ANALYZE, UPDATE and
-//!   predicated DELETE really execute and report the same actuals.
+//!   predicated DELETE really execute and report the same actuals;
+//! * a probe-join step's `rows_read` (its share of `rows_scanned`) vs.
+//!   the rows its probes returned, counted by a filtered heap scan, and
+//!   the per-step `rows_read`/`probes` vs. the statement's totals.
 
 use rqs::{Database, Datum, RqsError};
 use server::net::{Client, Server};
@@ -326,11 +329,89 @@ fn explain_analyze_shows_index_beating_full_scan() {
     );
 }
 
+/// The `key=value` tokens of every EXPLAIN ANALYZE step line, in plan
+/// order (steps are the lines carrying `ran=`).
+fn step_runs(plan: &[Vec<Datum>]) -> Vec<(String, u64, u64)> {
+    let token = |line: &str, key: &str| -> String {
+        let start = line.find(&format!(" {key}=")).unwrap() + key.len() + 2;
+        line[start..].split(' ').next().unwrap().to_owned()
+    };
+    plan.iter()
+        .filter_map(|row| match &row[0] {
+            Datum::Text(line) if line.contains(" ran=") => Some((
+                token(line, "ran"),
+                token(line, "probes").parse().unwrap(),
+                token(line, "rows_read").parse().unwrap(),
+            )),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The probe join's accounting, checked against an independent count: a
+/// step that joins through an index reports one probe per left row, and
+/// its `rows_read` — its share of `rows_scanned` — is exactly the rows
+/// those probes returned (counted here by a filtered heap scan), even
+/// where its restrictions then discard some. Across steps, `rows_read`
+/// and `probes` add up to the statement's `rows_scanned` and
+/// `index_probes`.
+#[test]
+fn probe_step_rows_scanned_equal_the_rows_its_probes_returned() {
+    let mut db = Database::paged(8).unwrap();
+    db.execute("CREATE TABLE item (k INT, pad TEXT)").unwrap();
+    db.execute("CREATE INDEX ON item (k)").unwrap();
+    let pad = "p".repeat(60);
+    let rows: Vec<String> = (0..1000)
+        .map(|i| format!("({}, '{}')", i % 50, if i % 3 == 0 { "x" } else { &pad }))
+        .collect();
+    db.execute(&format!("INSERT INTO item VALUES {}", rows.join(", ")))
+        .unwrap();
+    // Left side: one page, two probes for the same key, one for a key
+    // with no postings.
+    db.execute("CREATE TABLE pick (k INT)").unwrap();
+    db.execute("INSERT INTO pick VALUES (3), (7), (7), (99)")
+        .unwrap();
+    let sql = "SELECT i.pad FROM pick p, item i WHERE i.k = p.k AND i.pad <> 'x'";
+    let plan = db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap().rows;
+    let steps = step_runs(&plan);
+    assert_eq!(steps.len(), 2, "{plan:?}");
+    let (method, probes, rows_read) = steps[0].clone();
+    assert_eq!(method, "IndexProbe", "{plan:?}");
+    assert_eq!(probes, 4, "one probe per left row");
+    let heap = db.backend().scan("item").unwrap();
+    let returned: u64 = [3, 7, 7, 99]
+        .iter()
+        .map(|&k| heap.iter().filter(|row| row[0] == Datum::Int(k)).count() as u64)
+        .sum();
+    assert_eq!(rows_read, returned, "{plan:?}");
+    let answers = db.execute(sql).unwrap().rows.len() as u64;
+    assert!(answers < rows_read, "the restriction discards probed rows");
+    assert_eq!(steps[1].0, "Scan");
+    assert_eq!(
+        steps.iter().map(|s| s.2).sum::<u64>(),
+        actual_value(&plan, "rows_scanned")
+    );
+    assert_eq!(
+        steps.iter().map(|s| s.1).sum::<u64>(),
+        actual_value(&plan, "index_probes")
+    );
+}
+
 #[test]
 fn explain_covers_update_and_delete() {
     for mut db in [Database::new(), Database::paged(8).unwrap()] {
         db.execute("CREATE TABLE t (k INT, pad TEXT)").unwrap();
         db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b')")
+            .unwrap();
+        // Filler past every probed key spreads `t` over several pages:
+        // on a table no larger than one probe the scan is the cheaper
+        // access path and EXPLAIN rightly says so.
+        let filler = 200;
+        let pad = "f".repeat(100);
+        let rows: Vec<String> = (0..filler)
+            .map(|i| format!("({}, '{pad}')", 100 + i))
+            .collect();
+        db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", ")))
             .unwrap();
         let full = db.explain("UPDATE t SET pad = 'x' WHERE k = 1").unwrap();
         assert!(full.contains("Update t"), "{full}");
@@ -348,7 +429,10 @@ fn explain_covers_update_and_delete() {
         let r = db.execute("EXPLAIN DELETE FROM t WHERE k = 1").unwrap();
         assert_eq!(r.columns, ["plan"]);
         assert!(!r.rows.is_empty());
-        assert_eq!(db.execute("SELECT v.k FROM t v").unwrap().rows.len(), 2);
+        assert_eq!(
+            db.execute("SELECT v.k FROM t v").unwrap().rows.len(),
+            filler + 2
+        );
         // EXPLAIN ANALYZE executes DML for real, so the unpredicated
         // DELETE (a full truncate) stays refused; INSERT is rejected
         // outright at parse time.
