@@ -155,22 +155,9 @@ pub struct Coupler {
 }
 
 impl Coupler {
-    /// Creates the coupled system: sets up the external database schema
-    /// (tables, keys, bounds, foreign keys) from the shared definition.
+    /// Creates the coupled system over an in-memory external database.
     pub fn new(db: DatabaseDef, constraints: ConstraintSet) -> Result<Coupler> {
-        constraints.validate(&db)?;
-        let mut rqs_db = rqs::Database::new();
-        for ddl in ddl_statements(&db, &constraints) {
-            rqs_db.execute(&ddl)?;
-        }
-        Ok(Coupler {
-            engine: prolog::Engine::new(),
-            rqs: rqs_db,
-            db,
-            constraints,
-            config: CouplerConfig::default(),
-            cache: QueryCache::new(),
-        })
+        Self::over(rqs::Database::new(), db, constraints)
     }
 
     /// The paper's running system: empdep schema + Example 3-2 constraints.
@@ -187,14 +174,24 @@ impl Coupler {
         constraints: ConstraintSet,
         pool_pages: usize,
     ) -> Result<Coupler> {
+        Self::over(rqs::Database::paged(pool_pages)?, db, constraints)
+    }
+
+    /// Couples the Prolog engine to `rqs`: sets up the external database
+    /// schema (tables, keys, bounds, foreign keys) from the shared
+    /// definition.
+    fn over(
+        mut rqs: rqs::Database,
+        db: DatabaseDef,
+        constraints: ConstraintSet,
+    ) -> Result<Coupler> {
         constraints.validate(&db)?;
-        let mut rqs_db = rqs::Database::paged(pool_pages)?;
         for ddl in ddl_statements(&db, &constraints) {
-            rqs_db.execute(&ddl)?;
+            rqs.execute(&ddl)?;
         }
         Ok(Coupler {
             engine: prolog::Engine::new(),
-            rqs: rqs_db,
+            rqs,
             db,
             constraints,
             config: CouplerConfig::default(),

@@ -97,10 +97,7 @@ impl Coupler {
             Some(neg) => translate_with_negation(&positive, neg, &self.db, opts)?,
             None => sqlgen::mapping::translate(&positive, &self.db, opts)?,
         };
-        let mut text = sql.to_sql();
-        if self.config.distinct {
-            text = text.replacen("SELECT ", "SELECT DISTINCT ", 1);
-        }
+        let text = sql.to_sql();
         let result = self.rqs.execute(&text)?;
         let answers = answers_from_result(&positive, &result)?;
         Ok(NegationRun {

@@ -22,7 +22,7 @@ use dbcl::{AttrType, DatabaseDef, DbclQuery, Symbol};
 use metaeval::rename::TargetConflict;
 use metaeval::unfold::{unfold, UnfoldLimits};
 use rqs::{Datum, QueryMetrics};
-use sqlgen::ast::{SqlColumn, SqlCond, SqlOp, SqlQuery, SqlTerm};
+use sqlgen::ast::{SqlColumn, SqlCond, SqlOp, SqlTerm};
 use sqlgen::mapping::{translate, MappingOptions};
 
 /// Which argument of the closure view is bound by the query.
@@ -225,16 +225,14 @@ pub fn eval_intermediate(
     ensure_intermediate(coupler, table, ty)?;
 
     // Constant-shape step SQL: step query joined against the intermediate.
-    let base = translate(&spec.step, &coupler.db, MappingOptions::default())?;
-    let bound_ref = spec.column_ref(bound.side)?;
-    let free_ref = spec.column_ref(free_side)?;
-    let frontier_var = format!("v{}", spec.step.rows.len() + 1);
-    let mut sql = SqlQuery {
-        select: vec![free_ref],
-        from: base.from.clone(),
-        conds: base.conds.clone(),
-        not_in: None,
+    let opts = MappingOptions {
+        distinct: true,
+        ..MappingOptions::default()
     };
+    let mut sql = translate(&spec.step, &coupler.db, opts)?;
+    let bound_ref = spec.column_ref(bound.side)?;
+    let frontier_var = format!("v{}", spec.step.rows.len() + 1);
+    sql.select = vec![spec.column_ref(free_side)?];
     sql.from.push((table.to_owned(), frontier_var.clone()));
     sql.conds.push(SqlCond {
         op: SqlOp::Equal,
@@ -244,7 +242,7 @@ pub fn eval_intermediate(
             attr: "val".into(),
         }),
     });
-    let sql_text = sql.to_sql().replacen("SELECT ", "SELECT DISTINCT ", 1);
+    let sql_text = sql.to_sql();
 
     let mut result = RecursionRun::default();
     let mut seen: Vec<Datum> = Vec::new();

@@ -40,8 +40,9 @@ pub struct TraceSpan {
 }
 
 /// Per-statement span breakdown recorded by every [`Database::execute`]
-/// call: the spans partition the statement's wall time, so their nanos
-/// sum to (just under) `elapsed_nanos`.
+/// call and returned by [`Database::query_select`]: the spans partition
+/// the statement's wall time, so their nanos sum to (just under)
+/// `elapsed_nanos`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Trace {
     /// Spans in execution order.
@@ -52,7 +53,7 @@ pub struct Trace {
 }
 
 /// What the backend-commit half of [`run_txn`] measured, handed back to
-/// [`Database::execute`] through a thread-local: `run_txn` sees only a
+/// [`Database::finish`] through a thread-local: `run_txn` sees only a
 /// `dyn StorageBackend`, several layers below the `Database` that
 /// assembles the trace.
 #[derive(Clone, Copy, Debug, Default)]
@@ -66,6 +67,17 @@ struct CommitProbe {
 thread_local! {
     static LAST_COMMIT: std::cell::Cell<Option<CommitProbe>> =
         const { std::cell::Cell::new(None) };
+}
+
+/// One statement's open account, from [`Database::start`] to
+/// [`Database::finish`]. Split in two so both borrow shapes share it:
+/// `execute` runs the statement through `&mut self` in between,
+/// `query_select` through `&self`.
+struct Account {
+    parse_nanos: u64,
+    started: std::time::Instant,
+    io_before: storage::PoolStats,
+    autocommit: bool,
 }
 
 /// Runs `f` as one backend transaction: begin, mutate, commit —
@@ -390,48 +402,69 @@ impl Database {
         self.run_timed(Ok(stmt), parse_nanos)
     }
 
-    /// Everything after the parse: runs the statement and records its
-    /// timings and I/O deltas for both outcomes.
+    /// Everything after the parse: runs the statement inside one
+    /// account and keeps its metrics and trace for both outcomes.
     fn run_timed(
         &mut self,
         parsed: RqsResult<Statement>,
         parse_nanos: u64,
     ) -> RqsResult<QueryResult> {
-        let exec_started = std::time::Instant::now();
+        let account = self.start(parse_nanos);
+        let mut outcome = parsed.and_then(|stmt| self.run_statement(stmt));
+        (self.last_metrics, self.last_trace) = self.finish(account, &mut outcome);
+        outcome
+    }
+
+    /// Opens one statement's account: clears the commit probe, takes the
+    /// first of its two `backend.stats()` reads and, in autocommit, opens
+    /// the statement snapshot.
+    fn start(&self, parse_nanos: u64) -> Account {
+        let started = std::time::Instant::now();
         let io_before = self.backend.stats();
         LAST_COMMIT.set(None);
         let autocommit = !self.backend.in_txn();
         if autocommit {
             self.statement_snapshot(true);
         }
-        let mut outcome = parsed.and_then(|stmt| self.run_statement(stmt));
-        if autocommit {
-            // Unconditional close (error paths included) releases the
-            // prior versions only this statement kept alive.
+        Account {
+            parse_nanos,
+            started,
+            io_before,
+            autocommit,
+        }
+    }
+
+    /// Closes the account [`Database::start`] opened for `outcome`'s
+    /// statement: closes the snapshot (error paths included — that
+    /// releases the prior versions only this statement kept alive), takes
+    /// the second `stats()` read, backfills timings and I/O deltas into
+    /// *both* outcomes — a failed statement still reports the pages it
+    /// touched — and builds the trace.
+    fn finish(
+        &self,
+        account: Account,
+        outcome: &mut RqsResult<QueryResult>,
+    ) -> (QueryMetrics, Trace) {
+        if account.autocommit {
             self.statement_snapshot(false);
         }
-        let exec_nanos = exec_started.elapsed().as_nanos() as u64;
-        // Backfill I/O deltas and timings into BOTH outcomes: a failed
-        // statement still reports the pages it touched before erroring.
+        let exec_nanos = account.started.elapsed().as_nanos() as u64;
         let io_after = self.backend.stats();
-        let mut err_metrics = QueryMetrics::default();
-        let metrics = match &mut outcome {
+        let before = account.io_before;
+        let mut failed = QueryMetrics::default();
+        let metrics = match outcome {
             Ok(result) => &mut result.metrics,
-            Err(_) => &mut err_metrics,
+            Err(_) => &mut failed,
         };
-        metrics.parse_nanos = parse_nanos;
+        metrics.parse_nanos = account.parse_nanos;
         metrics.exec_nanos = exec_nanos;
-        metrics.wal_appends = io_after.wal_appends - io_before.wal_appends;
-        metrics.wal_bytes = io_after.wal_bytes - io_before.wal_bytes;
-        if metrics.page_reads == 0 && metrics.buffer_hits == 0 {
-            // DML statements: page counters were not filled by a SELECT.
-            metrics.page_reads = io_after.page_reads - io_before.page_reads;
-            metrics.buffer_hits = io_after.buffer_hits - io_before.buffer_hits;
-        }
-        metrics.elapsed_nanos = parse_nanos + exec_started.elapsed().as_nanos() as u64;
-        self.last_trace = Self::build_trace(metrics, &io_before, &io_after, LAST_COMMIT.take());
-        self.last_metrics = metrics.clone();
-        outcome
+        metrics.page_reads = io_after.page_reads - before.page_reads;
+        metrics.buffer_hits = io_after.buffer_hits - before.buffer_hits;
+        metrics.wal_appends = io_after.wal_appends - before.wal_appends;
+        metrics.wal_bytes = io_after.wal_bytes - before.wal_bytes;
+        metrics.elapsed_nanos = account.parse_nanos + account.started.elapsed().as_nanos() as u64;
+        let trace = Self::build_trace(metrics, LAST_COMMIT.take());
+        (metrics.clone(), trace)
     }
 
     /// Assembles the span breakdown of one statement. `parse` and
@@ -439,16 +472,8 @@ impl Database {
     /// around `backend.commit()` (absent for queries and statements
     /// joining a session transaction); `exec` is everything else, so
     /// the spans partition the statement.
-    fn build_trace(
-        metrics: &QueryMetrics,
-        io_before: &storage::PoolStats,
-        io_after: &storage::PoolStats,
-        commit: Option<CommitProbe>,
-    ) -> Trace {
+    fn build_trace(metrics: &QueryMetrics, commit: Option<CommitProbe>) -> Trace {
         let commit = commit.unwrap_or_default();
-        let total_reads = io_after.page_reads - io_before.page_reads;
-        let total_hits = io_after.buffer_hits - io_before.buffer_hits;
-        let total_appends = io_after.wal_appends - io_before.wal_appends;
         let mut spans = vec![
             TraceSpan {
                 name: "parse",
@@ -466,9 +491,9 @@ impl Database {
                     .exec_nanos
                     .saturating_sub(metrics.plan_nanos)
                     .saturating_sub(commit.nanos),
-                page_reads: total_reads.saturating_sub(commit.page_reads),
-                buffer_hits: total_hits.saturating_sub(commit.buffer_hits),
-                wal_appends: total_appends.saturating_sub(commit.wal_appends),
+                page_reads: metrics.page_reads.saturating_sub(commit.page_reads),
+                buffer_hits: metrics.buffer_hits.saturating_sub(commit.buffer_hits),
+                wal_appends: metrics.wal_appends.saturating_sub(commit.wal_appends),
             },
             TraceSpan {
                 name: "commit",
@@ -626,7 +651,7 @@ impl Database {
                 self.catalog.drop_table(&name)?;
                 Ok(QueryResult::default())
             }
-            Statement::Select(select) => self.run_select(&select),
+            Statement::Select(select) => self.run_select(&select, &mut |_, _| {}),
             Statement::Explain { analyze, stmt } => self.run_explain(analyze, *stmt),
         }
     }
@@ -635,80 +660,33 @@ impl Database {
     /// statement as text rows (and, under ANALYZE, actually runs it and
     /// annotates the plan with measured work).
     fn run_explain(&mut self, analyze: bool, stmt: Statement) -> RqsResult<QueryResult> {
-        let text = match (stmt, analyze) {
-            (Statement::Select(select), false) => self.explain_select(&select)?,
-            (Statement::Select(select), true) => self.explain_analyze_select(&select)?,
-            (Statement::Update { table, filter, .. }, false) => crate::dml::explain_dml(
-                &self.catalog,
-                self.backend.as_ref(),
-                "Update",
-                &table,
-                &filter,
-            )?,
+        let text = match (analyze, stmt) {
+            (false, stmt) => self.render_plan(&stmt)?,
+            // The plans that ran — each step annotated with the method
+            // it actually used, its probes and the rows it read.
+            (true, Statement::Select(select)) => self.analyze(String::new(), |db, text| {
+                let backend = db.backend.as_ref();
+                let result = db.run_select(&select, &mut |plan, runs| {
+                    if !text.is_empty() {
+                        text.push_str("UNION\n");
+                    }
+                    text.push_str(&plan.explain(backend, Some(runs)));
+                })?;
+                Ok((result.rows.len(), Some(result.metrics)))
+            })?,
             (
-                Statement::Delete {
-                    table,
-                    filter: Some(conds),
-                },
-                false,
-            ) => crate::dml::explain_dml(
-                &self.catalog,
-                self.backend.as_ref(),
-                "Delete",
-                &table,
-                &conds,
-            )?,
-            (
-                Statement::Delete {
-                    table,
-                    filter: None,
-                },
-                false,
-            ) => {
-                // The truncation fast path never scans: one backend call.
-                self.catalog.table(&table)?;
-                format!("Delete {table} [unfiltered]\n  Truncate\n")
-            }
-            (
-                Statement::Update {
-                    table,
-                    sets,
-                    filter,
-                },
                 true,
+                stmt @ (Statement::Update { .. }
+                | Statement::Delete {
+                    filter: Some(_), ..
+                }),
             ) => {
                 // Render the plan BEFORE mutating: the access path must
                 // describe the data the statement actually saw.
-                let text = crate::dml::explain_dml(
-                    &self.catalog,
-                    self.backend.as_ref(),
-                    "Update",
-                    &table,
-                    &filter,
-                )?;
-                self.analyze_dml(text, |db| {
-                    crate::dml::execute_update(&db.catalog, &mut db.backend, &table, &sets, &filter)
-                })?
+                let text = self.render_plan(&stmt)?;
+                self.analyze(text, |db, _| Ok((db.run_statement(stmt)?.affected, None)))?
             }
-            (
-                Statement::Delete {
-                    table,
-                    filter: Some(conds),
-                },
-                true,
-            ) => {
-                let text = crate::dml::explain_dml(
-                    &self.catalog,
-                    self.backend.as_ref(),
-                    "Delete",
-                    &table,
-                    &conds,
-                )?;
-                self.analyze_dml(text, |db| {
-                    crate::dml::execute_delete(&db.catalog, &mut db.backend, &table, &conds)
-                })?
-            }
-            _ => {
+            (true, _) => {
                 return Err(RqsError::Syntax(
                     "EXPLAIN ANALYZE accepts only SELECT, UPDATE, or predicated DELETE".into(),
                 ))
@@ -724,58 +702,35 @@ impl Database {
         })
     }
 
-    /// Runs a DML statement under `EXPLAIN ANALYZE` and appends the
-    /// same `Actual:` lines SELECT gets (with `rows` = rows affected;
-    /// DML has no executor row counters, so `rows_scanned`/`scans`
-    /// report 0). The mutation really commits — ANALYZE executes.
-    fn analyze_dml(
+    /// `EXPLAIN ANALYZE`'s measured run: executes `run` between its own
+    /// pair of `stats()` reads and appends the `Actual:` lines to the plan
+    /// text (which `run` may still be rendering). `run` returns the rows
+    /// it produced or affected and, for a SELECT, the executor's counters;
+    /// DML has none, so `rows_scanned`/`scans` report 0. The statement
+    /// really runs — ANALYZE executes. The `key=value` tokens are stable
+    /// so tests and tools can parse them.
+    fn analyze(
         &mut self,
         mut text: String,
-        run: impl FnOnce(&mut Self) -> RqsResult<usize>,
+        run: impl FnOnce(&mut Self, &mut String) -> RqsResult<(usize, Option<QueryMetrics>)>,
     ) -> RqsResult<String> {
         let io_before = self.backend.stats();
-        let run_started = std::time::Instant::now();
-        let affected = run(self)?;
-        let elapsed_us = run_started.elapsed().as_micros();
+        let started = std::time::Instant::now();
+        let (rows, counters) = run(self, &mut text)?;
+        let elapsed_us = started.elapsed().as_micros();
         let io_after = self.backend.stats();
-        if !text.ends_with('\n') {
-            text.push('\n');
-        }
+        let counters = match counters {
+            Some(m) => format!(
+                "rows_scanned={} scans={} index_probes={}",
+                m.rows_scanned, m.scans, m.index_probes
+            ),
+            None => "rows_scanned=0 scans=0".into(),
+        };
+        text.push_str(&format!("Actual: rows={rows} elapsed_us={elapsed_us}\n"));
         text.push_str(&format!(
-            "Actual: rows={affected} elapsed_us={elapsed_us}\n"
-        ));
-        text.push_str(&format!(
-            "Actual: page_reads={} buffer_hits={} rows_scanned=0 scans=0\n",
+            "Actual: page_reads={} buffer_hits={} {counters}\n",
             io_after.page_reads - io_before.page_reads,
             io_after.buffer_hits - io_before.buffer_hits,
-        ));
-        Ok(text)
-    }
-
-    /// Runs the SELECT, then renders the plans that ran — each step
-    /// annotated with the method it actually used, its probes and the
-    /// rows it read — followed by measured totals (`EXPLAIN ANALYZE`).
-    /// The `key=value` tokens are stable so tests and tools can parse
-    /// them.
-    fn explain_analyze_select(&self, select: &sql::SelectStmt) -> RqsResult<String> {
-        let mut text = String::new();
-        let backend = self.backend.as_ref();
-        let run_started = std::time::Instant::now();
-        let result = self.run_select_observed(select, &mut |plan, runs| {
-            if !text.is_empty() {
-                text.push_str("UNION\n");
-            }
-            text.push_str(&plan.explain(backend, Some(runs)));
-        })?;
-        let elapsed_us = run_started.elapsed().as_micros();
-        let m = &result.metrics;
-        text.push_str(&format!(
-            "Actual: rows={} elapsed_us={elapsed_us}\n",
-            result.rows.len()
-        ));
-        text.push_str(&format!(
-            "Actual: page_reads={} buffer_hits={} rows_scanned={} scans={} index_probes={}\n",
-            m.page_reads, m.buffer_hits, m.rows_scanned, m.scans, m.index_probes
         ));
         Ok(text)
     }
@@ -785,13 +740,13 @@ impl Database {
     /// database: each opens its own statement snapshot and reads the
     /// backend through `&self`, so SELECTs scale across cores instead
     /// of queueing on the statement latch. Timings land in the returned
-    /// metrics (there is no `last_statement_*` slot to fill without
-    /// `&mut self`).
+    /// metrics; [`Database::query_select`] also returns the trace.
     pub fn query(&self, sql_text: &str) -> RqsResult<QueryResult> {
         let started = std::time::Instant::now();
         match sql::parse_statement(sql_text)? {
             Statement::Select(select) => {
                 self.query_select(&select, started.elapsed().as_nanos() as u64)
+                    .0
             }
             _ => Err(RqsError::Syntax("query() accepts only SELECT".into())),
         }
@@ -799,41 +754,30 @@ impl Database {
 
     /// [`Database::query`] for a caller that already parsed the text;
     /// `parse_nanos` is what that parse took (see
-    /// [`Database::execute_parsed`]).
-    pub fn query_select(&self, select: &SelectStmt, parse_nanos: u64) -> RqsResult<QueryResult> {
-        let exec_started = std::time::Instant::now();
-        let autocommit = !self.backend.in_txn();
-        if autocommit {
-            self.statement_snapshot(true);
-        }
-        let out = self.run_select(select);
-        if autocommit {
-            self.statement_snapshot(false);
-        }
-        let mut out = out?;
-        out.metrics.parse_nanos = parse_nanos;
-        out.metrics.exec_nanos = exec_started.elapsed().as_nanos() as u64;
-        out.metrics.elapsed_nanos = parse_nanos + out.metrics.exec_nanos;
-        Ok(out)
-    }
-
-    fn run_select(&self, select: &sql::SelectStmt) -> RqsResult<QueryResult> {
-        self.run_select_observed(select, &mut |_, _| {})
-    }
-
-    fn run_select_observed(
+    /// [`Database::execute_parsed`]). Returns the statement's trace
+    /// beside its outcome — there is no `last_statement_*` slot to fill
+    /// without `&mut self` — accounted exactly as `execute` accounts it,
+    /// and filled on error too.
+    pub fn query_select(
         &self,
-        select: &sql::SelectStmt,
+        select: &SelectStmt,
+        parse_nanos: u64,
+    ) -> (RqsResult<QueryResult>, Trace) {
+        let account = self.start(parse_nanos);
+        let mut outcome = self.run_select(select, &mut |_, _| {});
+        let (_, trace) = self.finish(account, &mut outcome);
+        (outcome, trace)
+    }
+
+    /// Runs a SELECT through the executor, handing each top-level core's
+    /// executed plan to `observe`; its page I/O is measured by the caller.
+    fn run_select(
+        &self,
+        select: &SelectStmt,
         observe: &mut exec::PlanObserver,
     ) -> RqsResult<QueryResult> {
         let mut metrics = QueryMetrics::default();
-        let snap = self.snapshot();
-        let io_before = self.backend.stats();
-        let rel = exec::run_select_observed(&snap, select, &mut metrics, observe)?;
-        let io_after = self.backend.stats();
-        metrics.page_reads = io_after.page_reads - io_before.page_reads;
-        metrics.buffer_hits = io_after.buffer_hits - io_before.buffer_hits;
-        metrics.result_rows = rel.rows.len() as u64;
+        let rel = exec::run_select_observed(&self.snapshot(), select, &mut metrics, observe)?;
         Ok(QueryResult {
             columns: rel.columns,
             rows: rel.rows,
@@ -845,52 +789,47 @@ impl Database {
     /// Renders the physical plan the optimizer would choose for a
     /// SELECT, or the access path a predicated UPDATE/DELETE would use.
     pub fn explain(&self, sql_text: &str) -> RqsResult<String> {
-        match sql::parse_statement(sql_text)? {
-            Statement::Select(select) => self.explain_select(&select),
-            Statement::Update { table, filter, .. } => crate::dml::explain_dml(
-                &self.catalog,
-                self.backend.as_ref(),
-                "Update",
-                &table,
-                &filter,
-            ),
+        self.render_plan(&sql::parse_statement(sql_text)?)
+    }
+
+    /// Plain `EXPLAIN` of a parsed statement: nothing runs.
+    fn render_plan(&self, stmt: &Statement) -> RqsResult<String> {
+        let (catalog, backend) = (&self.catalog, self.backend.as_ref());
+        match stmt {
+            Statement::Select(select) => {
+                let mut out = String::new();
+                let snap = self.snapshot();
+                for (i, core) in std::iter::once(&select.core)
+                    .chain(&select.unions)
+                    .enumerate()
+                {
+                    if i > 0 {
+                        out.push_str("UNION\n");
+                    }
+                    let resolved = plan::resolve(&snap, core)?;
+                    out.push_str(&plan::plan(resolved, backend).explain(backend, None));
+                }
+                Ok(out)
+            }
+            Statement::Update { table, filter, .. } => {
+                crate::dml::explain_dml(catalog, backend, "Update", table, filter)
+            }
             Statement::Delete {
                 table,
                 filter: Some(conds),
-            } => crate::dml::explain_dml(
-                &self.catalog,
-                self.backend.as_ref(),
-                "Delete",
-                &table,
-                &conds,
-            ),
+            } => crate::dml::explain_dml(catalog, backend, "Delete", table, conds),
             Statement::Delete {
                 table,
                 filter: None,
             } => {
-                self.catalog.table(&table)?;
+                // The truncation fast path never scans: one backend call.
+                catalog.table(table)?;
                 Ok(format!("Delete {table} [unfiltered]\n  Truncate\n"))
             }
             _ => Err(RqsError::Syntax(
                 "EXPLAIN accepts only SELECT, UPDATE, or DELETE".into(),
             )),
         }
-    }
-
-    fn explain_select(&self, select: &sql::SelectStmt) -> RqsResult<String> {
-        let mut out = String::new();
-        let snap = self.snapshot();
-        for (i, core) in std::iter::once(&select.core)
-            .chain(&select.unions)
-            .enumerate()
-        {
-            if i > 0 {
-                out.push_str("UNION\n");
-            }
-            let resolved = plan::resolve(&snap, core)?;
-            out.push_str(&plan::plan(resolved, snap.backend).explain(snap.backend, None));
-        }
-        Ok(out)
     }
 }
 
@@ -1259,9 +1198,12 @@ mod tests {
         let Statement::Select(select) = sql::parse_statement("SELECT v.a FROM t v").unwrap() else {
             panic!("not a select");
         };
-        let q = db.query_select(&select, 77).unwrap();
+        let (q, trace) = db.query_select(&select, 77);
+        let q = q.unwrap();
         assert_eq!(q.rows, db.query("SELECT v.a FROM t v").unwrap().rows);
         assert_eq!(q.metrics.parse_nanos, 77);
+        assert_eq!(trace.elapsed_nanos, q.metrics.elapsed_nanos);
+        assert_eq!((trace.spans[0].name, trace.spans[0].nanos), ("parse", 77));
     }
 
     #[test]

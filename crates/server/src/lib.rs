@@ -30,10 +30,10 @@
 //! instead of queueing on one. Beneath the latch, *transactions
 //! interleave at statement granularity*: while session A's transaction
 //! is open, sessions B, C, … run their own statements and
-//! transactions. What keeps writers serializable is strict
-//! hierarchical two-phase locking
-//! ([`storage::lock::LockManager`], `IS`/`IX`/`S`/`X` with row-granular
-//! `X` beneath `IX` — the matrix lives in its module docs):
+//! transactions. What keeps writers from overwriting each other is
+//! strict two-phase locking ([`storage::lock::LockManager`], `IX`/`S`/`X`
+//! with row-granular `X` beneath `IX` — the matrix lives in its module
+//! docs):
 //!
 //! * before a DML statement runs, its session takes a table `IX` on the
 //!   table it writes and a table `S` on the parent tables its
@@ -55,8 +55,9 @@
 //!   with [`RqsError::Conflict`] and may simply retry — ideally through
 //!   [`retry::Backoff`], whose bounded exponential delays with jitter
 //!   keep losers from spinning hot on a contended row;
-//! * past a threshold of row locks on one table, the lock manager
-//!   opportunistically escalates the holder's `IX` to a table `X`.
+//! * past [`storage::lock::ROW_LOCK_ESCALATION`] row locks on one
+//!   table, the lock manager opportunistically escalates the holder's
+//!   `IX` to a table `X`.
 //!
 //! # Snapshot reads (MVCC)
 //!
@@ -125,9 +126,7 @@ pub mod retry;
 pub use retry::Backoff;
 
 use rqs::sql::{SelectStmt, Statement};
-use rqs::{
-    Catalog, Database, Datum, QueryMetrics, QueryResult, RqsError, TableConstraint, TraceSpan,
-};
+use rqs::{Catalog, Database, Datum, QueryResult, RqsError, TableConstraint, TraceSpan};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -258,7 +257,7 @@ impl Shared {
         let paged = db
             .backend()
             .as_paged()
-            .expect("with_lock_config admits only paged databases");
+            .expect("construction admits only paged databases");
         Ok(f(paged.engine()))
     }
 
@@ -300,8 +299,7 @@ impl SharedDatabase {
     /// `Database::paged` or `Database::open_paged`. Sessions, snapshot
     /// reads and row locks exist only there; the in-memory backend
     /// (`Database::new`) is a differential oracle, not a server backend.
-    /// [`SharedDatabase::with_lock_timeout`] and
-    /// [`SharedDatabase::with_lock_config`] refuse it the same way.
+    /// [`SharedDatabase::with_lock_timeout`] refuses it the same way.
     pub fn from_database(db: Database) -> SharedDatabase {
         Self::with_lock_timeout(db, Duration::from_secs(10))
     }
@@ -309,12 +307,6 @@ impl SharedDatabase {
     /// Like [`SharedDatabase::from_database`] with a custom lock-wait
     /// timeout (tests use short ones).
     pub fn with_lock_timeout(db: Database, timeout: Duration) -> SharedDatabase {
-        Self::with_lock_config(db, timeout, storage::lock::DEFAULT_LOCK_ESCALATION)
-    }
-
-    /// Full lock configuration: wait timeout plus the row-lock count at
-    /// which one owner's table `IX` escalates to a table `X`.
-    pub fn with_lock_config(db: Database, timeout: Duration, escalation: usize) -> SharedDatabase {
         assert!(
             db.backend().as_paged().is_some(),
             "SharedDatabase serves the paged engine only: build the database with \
@@ -323,7 +315,7 @@ impl SharedDatabase {
         SharedDatabase {
             inner: Arc::new(Shared {
                 db: RwLock::new(Some(db)),
-                locks: Arc::new(LockManager::with_config(timeout, escalation)),
+                locks: Arc::new(LockManager::with_timeout(timeout)),
                 next_owner: AtomicU64::new(1),
                 next_session: AtomicU64::new(1),
                 slow: Mutex::new(SlowLog {
@@ -781,7 +773,7 @@ impl ServerSession {
 
         // Phase 2: execute under the statement latch, with the session's
         // transaction (if any) switched in.
-        let result = {
+        let (result, spans) = {
             let mut slot = db_write(&self.shared.db);
             let Some(db) = slot.as_mut() else {
                 drop(slot);
@@ -808,19 +800,11 @@ impl ServerSession {
             if row_locked_write {
                 db.set_row_lock_hook(None);
             }
-            // Assemble the full span breakdown while the database is
-            // still ours: `locks` first, then its parse/plan/exec/
-            // commit spans (filled even when the statement failed).
-            let mut spans = vec![TraceSpan {
-                name: "locks",
-                nanos: lock_nanos,
-                ..Default::default()
-            }];
-            spans.extend(db.last_statement_trace().spans.iter().cloned());
-            self.last_trace = spans;
-            r
+            // The database's spans (filled even when the statement
+            // failed), copied out while the database is still ours.
+            (r, db.last_statement_trace().spans.clone())
         };
-        self.note_slow(sql, started);
+        self.record(sql, started, lock_nanos, spans);
         match result {
             Ok(r) => {
                 if self.txn.is_none() {
@@ -838,12 +822,8 @@ impl ServerSession {
     /// [`Database::query_select`] on the statement latch's read side.
     /// No lock-manager calls, no lock owner, no `&mut Database` — any
     /// number of sessions run here at once, and a failure has nothing
-    /// to release. The span breakdown keeps the shape every statement
-    /// shares — `locks` first (the no-op lock phase), then `parse`,
-    /// `plan`, `exec` — and is assembled for both outcomes: a failed
-    /// SELECT has no metrics of its own, so its wall time is its `exec`
-    /// span with zero I/O. There is no `commit` span: a read-only
-    /// statement commits nothing.
+    /// to release. The database accounts for it exactly as for a write
+    /// (a failed SELECT included); the no-op lock phase is its `locks`.
     fn read_statement(
         &mut self,
         sql: &str,
@@ -853,42 +833,25 @@ impl ServerSession {
     ) -> ServerResult<QueryResult> {
         debug_assert!(self.txn.is_none());
         let lock_nanos = (started.elapsed().as_nanos() as u64).saturating_sub(parse_nanos);
-        let exec_started = Instant::now();
-        let result = match db_read(&self.shared.db).as_ref() {
+        let (result, trace) = match db_read(&self.shared.db).as_ref() {
             Some(db) => db.query_select(select, parse_nanos),
             None => return Err(ServerError::Closed),
         };
-        let failed = QueryMetrics {
-            exec_nanos: exec_started.elapsed().as_nanos() as u64,
-            ..Default::default()
-        };
-        let m = match &result {
-            Ok(r) => &r.metrics,
-            Err(_) => &failed,
-        };
-        let plan_nanos = m.plan_nanos.min(m.exec_nanos);
-        let span = |name, nanos| TraceSpan {
-            name,
-            nanos,
-            ..Default::default()
-        };
-        let mut spans = vec![span("locks", lock_nanos), span("parse", parse_nanos)];
-        if plan_nanos > 0 {
-            spans.push(span("plan", plan_nanos));
-        }
-        spans.push(TraceSpan {
-            page_reads: m.page_reads,
-            buffer_hits: m.buffer_hits,
-            ..span("exec", m.exec_nanos - plan_nanos)
-        });
-        self.last_trace = spans;
-        self.note_slow(sql, started);
+        self.record(sql, started, lock_nanos, trace.spans);
         result.map_err(ServerError::Statement)
     }
 
-    /// Feeds the slow-statement log with the statement whose spans were
-    /// just stored in `last_trace`.
-    fn note_slow(&self, sql: &str, started: Instant) {
+    /// The tail every SQL statement shares: stores its trace — the
+    /// session's `locks` span, then the database's `spans` — and feeds
+    /// the slow-statement log with it.
+    fn record(&mut self, sql: &str, started: Instant, lock_nanos: u64, spans: Vec<TraceSpan>) {
+        self.last_trace = std::iter::once(TraceSpan {
+            name: "locks",
+            nanos: lock_nanos,
+            ..Default::default()
+        })
+        .chain(spans)
+        .collect();
         let wall_nanos = started.elapsed().as_nanos() as u64;
         let mut slow = lock_slow(&self.shared.slow);
         if slow.capacity > 0 && wall_nanos >= slow.threshold.as_nanos() as u64 {

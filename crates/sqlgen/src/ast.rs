@@ -99,6 +99,8 @@ impl fmt::Display for SqlCond {
 /// A complete generated query.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SqlQuery {
+    /// `SELECT DISTINCT` (set semantics; see [`crate::MappingOptions`]).
+    pub distinct: bool,
     pub select: Vec<SqlColumn>,
     /// `(relation, range variable)` in FROM order.
     pub from: Vec<(String, String)>,
@@ -125,7 +127,11 @@ impl SqlQuery {
 
     /// Renders the SQL text the relational query system consumes.
     pub fn to_sql(&self) -> String {
-        let mut out = String::from("SELECT ");
+        let mut out = String::from(if self.distinct {
+            "SELECT DISTINCT "
+        } else {
+            "SELECT "
+        });
         for (i, c) in self.select.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
@@ -201,6 +207,7 @@ mod tests {
 
     fn sample() -> SqlQuery {
         SqlQuery {
+            distinct: false,
             select: vec![SqlColumn {
                 var: "v1".into(),
                 attr: "nam".into(),
@@ -276,6 +283,7 @@ mod tests {
                 attr: "eno".into(),
             },
             Box::new(SqlQuery {
+                distinct: false,
                 select: vec![SqlColumn {
                     var: "v9".into(),
                     attr: "mgr".into(),

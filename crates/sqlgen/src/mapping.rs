@@ -132,6 +132,7 @@ pub fn translate(query: &DbclQuery, db: &DatabaseDef, opts: MappingOptions) -> R
     }
 
     Ok(SqlQuery {
+        distinct: opts.distinct,
         select,
         from,
         conds,
@@ -139,15 +140,10 @@ pub fn translate(query: &DbclQuery, db: &DatabaseDef, opts: MappingOptions) -> R
     })
 }
 
-/// Translates with the distinct flag folded into the SQL text.
+/// Translates and renders: the SQL text the relational query system is
+/// sent.
 pub fn to_sql_text(query: &DbclQuery, db: &DatabaseDef, opts: MappingOptions) -> Result<String> {
-    let sql = translate(query, db, opts)?;
-    let text = sql.to_sql();
-    if opts.distinct {
-        Ok(text.replacen("SELECT ", "SELECT DISTINCT ", 1))
-    } else {
-        Ok(text)
-    }
+    Ok(translate(query, db, opts)?.to_sql())
 }
 
 #[cfg(test)]

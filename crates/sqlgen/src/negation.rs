@@ -39,10 +39,11 @@ pub fn translate_with_negation(
     sole_target(negated)?;
     let mut outer = translate(positive, db, opts)?;
     // Name the inner query's variables after the outer ones to keep the
-    // generated text unambiguous for the DBMS parser.
+    // generated text unambiguous for the DBMS parser. Membership needs no
+    // set semantics: the subquery is never DISTINCT.
     let inner_opts = MappingOptions {
         first_var_index: opts.first_var_index + positive.rows.len(),
-        ..opts
+        distinct: false,
     };
     let inner = translate(negated, db, inner_opts)?;
     let (row, col) = positive

@@ -667,7 +667,7 @@ mod tests {
     use crate::pager::Pager;
 
     fn pool(capacity: usize) -> BufferPool {
-        BufferPool::new(Pager::in_memory(), capacity)
+        BufferPool::new(Pager::in_memory(), capacity, crate::wal::Wal::in_memory())
     }
 
     fn rid(n: u32) -> Rid {

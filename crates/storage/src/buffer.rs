@@ -19,10 +19,10 @@
 //! only their frame's latch — the shared server's sessions all funnel
 //! through one pool.
 //!
-//! Transactions (pools built with [`BufferPool::with_wal`]): any number
-//! of transactions may be *open* at once — one per server session — but
-//! at most one is *active* (joined by writes) at a time, because the
-//! engine executes one statement at a time; sessions switch their
+//! Transactions: every pool logs to a WAL. Any number of transactions
+//! may be *open* at once — one per server session — but at most one is
+//! *active* (joined by writes) at a time, because the engine executes
+//! one statement at a time; sessions switch their
 //! transaction in with [`BufferPool::resume_txn`] / out with
 //! [`BufferPool::suspend_txn`]. Between begin and commit/abort, the
 //! first write to each page saves an in-memory before-image and marks
@@ -201,7 +201,7 @@ struct Shard {
 /// fast path takes `shard → frame` only and never reaches for core.
 struct Core {
     pager: Pager,
-    wal: Option<Wal>,
+    wal: Wal,
     txns: HashMap<TxnId, TxnCtx>,
     /// Aborted-transaction allocations, reusable immediately (their disk
     /// image is a free page). In-memory only: lost on crash, at worst
@@ -297,23 +297,12 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    /// A pool of `capacity` frames over the given pager, without a log
-    /// (no transactions; used by component-level tests). Capacities
-    /// below 2 are raised to 2 (split operations pin two pages at once).
-    pub fn new(pager: Pager, capacity: usize) -> BufferPool {
-        Self::build(pager, None, capacity)
-    }
-
-    /// A pool whose mutations can be grouped into WAL transactions.
-    pub fn with_wal(pager: Pager, capacity: usize, wal: Wal) -> BufferPool {
-        Self::build(pager, Some(wal), capacity)
-    }
-
-    fn build(pager: Pager, mut wal: Option<Wal>, capacity: usize) -> BufferPool {
+    /// A pool of `capacity` frames over the given pager, whose mutations
+    /// can be grouped into transactions logged to `wal`. Capacities below
+    /// 2 are raised to 2 (split operations pin two pages at once).
+    pub fn new(pager: Pager, capacity: usize, mut wal: Wal) -> BufferPool {
         let metrics = Arc::new(StorageMetrics::default());
-        if let Some(wal) = wal.as_mut() {
-            wal.set_metrics(Arc::clone(&metrics));
-        }
+        wal.set_metrics(Arc::clone(&metrics));
         let capacity = capacity.max(2);
         // One stripe per ~8 frames, capped at 16: tiny pools (component
         // tests, the 8-frame steal-pressure floor) collapse to a single
@@ -406,19 +395,14 @@ impl BufferPool {
     }
 
     pub fn stats(&self) -> PoolStats {
-        let mut stats = PoolStats {
+        let wal = lock(&self.core).wal.stats();
+        PoolStats {
             page_reads: self.page_reads.load(Ordering::Relaxed),
             buffer_hits: self.buffer_hits.load(Ordering::Relaxed),
             page_writes: self.page_writes.load(Ordering::Relaxed),
-            wal_appends: 0,
-            wal_bytes: 0,
-        };
-        let core = lock(&self.core);
-        if let Some(wal) = &core.wal {
-            stats.wal_appends = wal.stats().appends;
-            stats.wal_bytes = wal.stats().bytes;
+            wal_appends: wal.appends,
+            wal_bytes: wal.bytes,
         }
-        stats
     }
 
     /// Number of pages the pager has allocated.
@@ -426,9 +410,9 @@ impl BufferPool {
         lock(&self.core).pager.page_count()
     }
 
-    /// Bytes currently sitting in the WAL (0 without one).
+    /// Bytes currently sitting in the WAL.
     pub fn wal_len_bytes(&self) -> u64 {
-        lock(&self.core).wal.as_ref().map_or(0, Wal::len_bytes)
+        lock(&self.core).wal.len_bytes()
     }
 
     /// Anchors the persistent free-page list at `page`'s `extra` word
@@ -457,8 +441,7 @@ impl BufferPool {
     }
 
     /// Opens a transaction and makes it the active one. Fails if another
-    /// transaction is currently active (suspend it first) or the pool
-    /// has no WAL.
+    /// transaction is currently active (suspend it first).
     pub fn begin_txn(&self) -> StorageResult<TxnId> {
         let mut core = lock(&self.core);
         if self.active.load(Ordering::SeqCst) != 0 {
@@ -466,12 +449,7 @@ impl BufferPool {
                 "another transaction is active; suspend or finish it first".into(),
             ));
         }
-        let Some(wal) = core.wal.as_mut() else {
-            return Err(StorageError::Internal(
-                "buffer pool has no WAL; transactions unavailable".into(),
-            ));
-        };
-        let id = wal.begin_txn_id();
+        let id = core.wal.begin_txn_id();
         core.txns.insert(id, TxnCtx::default());
         self.active.store(id, Ordering::SeqCst);
         Ok(id)
@@ -548,16 +526,10 @@ impl BufferPool {
             self.finish_txn(core, id);
             return Ok(());
         }
-        let mark = core.wal.as_ref().expect("txn implies wal").mark();
+        let mark = core.wal.mark();
         let logged = {
             let Core { pager, wal, .. } = core;
-            self.log_commit(
-                pager,
-                wal.as_mut().expect("txn implies wal"),
-                id,
-                &touched,
-                &stolen,
-            )
+            self.log_commit(pager, wal, id, &touched, &stolen)
         };
         match logged {
             Ok(()) => {
@@ -578,10 +550,7 @@ impl BufferPool {
             Err(e) => {
                 // Rewind the half-logged (or fully logged but unsynced)
                 // commit out of the log, then roll the pages back.
-                core.wal
-                    .as_mut()
-                    .expect("txn implies wal")
-                    .discard_after(mark);
+                core.wal.discard_after(mark);
                 self.rollback_txn_locked(core, id);
                 Err(e)
             }
@@ -688,9 +657,6 @@ impl BufferPool {
             undo_incomplete,
             ..
         } = core;
-        let Some(wal) = wal.as_mut() else {
-            return;
-        };
         // Walking backwards and overwriting leaves each page's earliest
         // (pre-transaction) image. A frame that cannot be read back
         // pins the log (checkpoints refused) so recovery can still
@@ -1112,10 +1078,8 @@ impl BufferPool {
                 // Write-ahead: never let a page overtake the log it
                 // depends on. Commit forces the log, so this only
                 // triggers if an unlogged mutation path appears.
-                if let Some(wal) = &core.wal {
-                    if victim.page.lsn() > wal.durable_lsn() {
-                        continue;
-                    }
+                if victim.page.lsn() > core.wal.durable_lsn() {
+                    continue;
                 }
             }
             if victim.referenced {
@@ -1186,7 +1150,7 @@ impl BufferPool {
             (owner, victim.id, record)
         };
         if let Some(record) = record {
-            let wal = core.wal.as_mut().expect("owned frames imply a wal");
+            let wal = &mut core.wal;
             let offset = wal.len_bytes();
             wal.append(&record)?;
             wal.sync()?;
@@ -1273,11 +1237,7 @@ impl BufferPool {
             }
         }
         self.flush()?;
-        let mut core = lock(&self.core);
-        if let Some(wal) = core.wal.as_mut() {
-            wal.reset()?;
-        }
-        Ok(())
+        lock(&self.core).wal.reset()
     }
 }
 
@@ -1286,11 +1246,7 @@ mod tests {
     use super::*;
 
     fn pool(capacity: usize) -> BufferPool {
-        BufferPool::new(Pager::in_memory(), capacity)
-    }
-
-    fn txn_pool(capacity: usize) -> BufferPool {
-        BufferPool::with_wal(Pager::in_memory(), capacity, Wal::in_memory())
+        BufferPool::new(Pager::in_memory(), capacity, Wal::in_memory())
     }
 
     #[test]
@@ -1372,7 +1328,7 @@ mod tests {
         let path = dir.join("flush.pages");
         let _ = std::fs::remove_file(&path);
         {
-            let pool = BufferPool::new(Pager::open(&path).unwrap(), 4);
+            let pool = BufferPool::new(Pager::open(&path).unwrap(), 4, Wal::in_memory());
             let (_, guard) = pool.allocate(PageKind::Heap).unwrap();
             guard
                 .with_mut(|p| p.push_record(b"durable").unwrap())
@@ -1380,7 +1336,7 @@ mod tests {
             drop(guard);
             pool.flush().unwrap();
         }
-        let pool = BufferPool::new(Pager::open(&path).unwrap(), 4);
+        let pool = BufferPool::new(Pager::open(&path).unwrap(), 4, Wal::in_memory());
         let guard = pool.fetch(0).unwrap();
         assert_eq!(guard.with(|p| p.record(0).to_vec()), b"durable");
         drop(guard);
@@ -1389,7 +1345,7 @@ mod tests {
 
     #[test]
     fn abort_restores_before_images_and_recycles_allocations() {
-        let pool = txn_pool(8);
+        let pool = pool(8);
         let (id, g) = pool.allocate(PageKind::Heap).unwrap();
         g.with_mut(|p| p.push_record(b"committed").unwrap())
             .unwrap();
@@ -1433,7 +1389,7 @@ mod tests {
 
     #[test]
     fn commit_logs_and_stamps_lsns() {
-        let pool = txn_pool(8);
+        let pool = pool(8);
         let t = pool.begin_txn().unwrap();
         let (a, ga) = pool.allocate(PageKind::Heap).unwrap();
         ga.with_mut(|p| p.push_record(b"a").unwrap()).unwrap();
@@ -1455,7 +1411,7 @@ mod tests {
 
     #[test]
     fn steal_lets_a_write_set_exceed_the_pool_and_commit() {
-        let pool = txn_pool(3);
+        let pool = pool(3);
         let t = pool.begin_txn().unwrap();
         let mut ids = Vec::new();
         for i in 0..10u8 {
@@ -1481,7 +1437,7 @@ mod tests {
 
     #[test]
     fn steal_then_abort_restores_pre_transaction_state() {
-        let pool = txn_pool(3);
+        let pool = pool(3);
         // Committed baseline across more pages than the pool holds.
         let t = pool.begin_txn().unwrap();
         let mut ids = Vec::new();
@@ -1532,7 +1488,7 @@ mod tests {
         // so a different open transaction's write stays a Conflict —
         // otherwise its uncommitted content could leak into the other
         // transaction's commit images.
-        let pool = txn_pool(3);
+        let pool = pool(3);
         let ta = pool.begin_txn().unwrap();
         let mut ids = Vec::new();
         for i in 0..8u8 {
@@ -1574,7 +1530,7 @@ mod tests {
         let pages = dir.join("park.pages");
         let _ = std::fs::remove_file(&pages);
         let fault = crate::pager::Fault::new();
-        let pool = BufferPool::with_wal(
+        let pool = BufferPool::new(
             Pager::faulty(Pager::open(&pages).unwrap(), fault.clone()),
             3,
             Wal::in_memory(),
@@ -1617,7 +1573,7 @@ mod tests {
         // transaction) would be clobbered by that replay, so untracked
         // allocations must append instead — the recycle-list cousin of
         // the persistent-free-list rule.
-        let pool = txn_pool(4);
+        let pool = pool(4);
         let t = pool.begin_txn().unwrap();
         let (id, g) = pool.allocate(PageKind::Heap).unwrap();
         g.with_mut(|p| p.push_record(b"aborted").unwrap()).unwrap();
@@ -1637,7 +1593,7 @@ mod tests {
 
     #[test]
     fn fully_pinned_pool_still_errors() {
-        let pool = txn_pool(2);
+        let pool = pool(2);
         let t = pool.begin_txn().unwrap();
         let (_, g1) = pool.allocate(PageKind::Heap).unwrap();
         let (_, g2) = pool.allocate(PageKind::Heap).unwrap();
@@ -1654,7 +1610,7 @@ mod tests {
 
     #[test]
     fn double_begin_rejected_and_commit_of_unknown_txn_rejected() {
-        let pool = txn_pool(4);
+        let pool = pool(4);
         let t = pool.begin_txn().unwrap();
         assert!(pool.begin_txn().is_err());
         pool.abort_txn(t);
@@ -1666,7 +1622,7 @@ mod tests {
 
     #[test]
     fn suspended_transactions_interleave_and_conflict_cleanly() {
-        let pool = txn_pool(8);
+        let pool = pool(8);
         // Txn A writes page pa, then suspends.
         let ta = pool.begin_txn().unwrap();
         let (pa, ga) = pool.allocate(PageKind::Heap).unwrap();
@@ -1709,7 +1665,7 @@ mod tests {
 
     #[test]
     fn resume_requires_known_txn_and_no_other_active() {
-        let pool = txn_pool(4);
+        let pool = pool(4);
         assert!(pool.resume_txn(99).is_err());
         let ta = pool.begin_txn().unwrap();
         pool.suspend_txn();
@@ -1723,7 +1679,7 @@ mod tests {
 
     #[test]
     fn checkpoint_truncates_wal() {
-        let pool = txn_pool(4);
+        let pool = pool(4);
         let t = pool.begin_txn().unwrap();
         let (_, g) = pool.allocate(PageKind::Heap).unwrap();
         g.with_mut(|p| p.push_record(b"x").unwrap()).unwrap();
@@ -1736,7 +1692,7 @@ mod tests {
 
     #[test]
     fn free_list_round_trips_pages_through_the_meta_page() {
-        let pool = txn_pool(8);
+        let pool = pool(8);
         // Build a meta page by hand (the engine normally owns this).
         let t = pool.begin_txn().unwrap();
         let (meta, g) = pool.allocate(PageKind::Meta).unwrap();
@@ -1772,7 +1728,7 @@ mod tests {
 
     #[test]
     fn aborted_free_list_pop_relinks_the_list() {
-        let pool = txn_pool(8);
+        let pool = pool(8);
         let t = pool.begin_txn().unwrap();
         let (meta, g) = pool.allocate(PageKind::Meta).unwrap();
         g.with_mut(|p| p.set_extra(NO_PAGE)).unwrap();

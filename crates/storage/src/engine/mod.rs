@@ -263,7 +263,7 @@ impl StorageEngine {
         // operations still *pin* several guards at once — B+-tree
         // splits, bootstrap — so tiny pools are clamped to a floor that
         // leaves headroom beyond the pinned set.
-        let pool = BufferPool::with_wal(pager, pool_pages.max(8), wal);
+        let pool = BufferPool::new(pager, pool_pages.max(8), wal);
         // Recovery ran before the pool (and its registry) existed;
         // record what it did so the counts survive into snapshots.
         // Added, not stored: the catalog is uniformly cumulative, and

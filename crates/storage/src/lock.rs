@@ -1,37 +1,40 @@
-//! Hierarchical two-phase locking (IS / IX / S / X) with row-granular
+//! Two-phase locking for writers (IX / S / X) with row-granular
 //! exclusive locks and wait-die deadlock avoidance.
 //!
-//! The shared server gives every transaction (or autocommit statement)
-//! a monotonically increasing *owner id* — its timestamp — and acquires
-//! table-level locks **before** executing a statement, in the standard
-//! multi-granularity lattice:
+//! Readers never come here: a `SELECT` reads through an MVCC snapshot
+//! and takes no lock at all. The shared server gives every writing
+//! transaction (or autocommit statement) a monotonically increasing
+//! *owner id* — its timestamp — and acquires table-level locks
+//! **before** executing a statement:
 //!
-//! * `S` (shared) for tables a statement only reads — readers stay
-//!   cheap, one lock per table, no per-row read locks;
-//! * `IX` (intent-exclusive) for tables row-granular DML writes; the
+//! * `IX` (intent-exclusive) on the table row-granular DML writes; the
 //!   statement then takes an `X` on each `(table, rid)` it actually
 //!   touches, via [`LockManager::acquire_row`], as the engine produces
 //!   the rids;
-//! * `X` (exclusive) for whole-table rewrites (truncation) and for
-//!   backends without stable rids, plus the schema pseudo-resource DDL
-//!   locks exclusively.
+//! * `S` (shared) on the tables a write's integrity checks read — the
+//!   foreign-key parents it probes, the children its restrict checks
+//!   scan — and on the schema pseudo-resource for DML and `EXPLAIN`;
+//! * `X` (exclusive) for whole-table rewrites (truncation), and on the
+//!   schema pseudo-resource for DDL.
 //!
-//! The compatibility matrix is the textbook one — rows are holders,
-//! columns requesters:
+//! The compatibility matrix — rows are holders, columns requesters:
 //!
-//! | held \ req | IS | IX | S  | X  |
-//! |------------|----|----|----|----|
-//! | **IS**     | ✓  | ✓  | ✓  | ✗  |
-//! | **IX**     | ✓  | ✓  | ✗  | ✗  |
-//! | **S**      | ✓  | ✗  | ✓  | ✗  |
-//! | **X**      | ✗  | ✗  | ✗  | ✗  |
+//! | held \ req | IX | S  | X  |
+//! |------------|----|----|----|
+//! | **IX**     | ✓  | ✗  | ✗  |
+//! | **S**      | ✗  | ✓  | ✗  |
+//! | **X**      | ✗  | ✗  | ✗  |
 //!
 //! `IX ∥ IX` is the point of the exercise: two sessions writing
 //! *different rows* of one table coexist at the table level and only
-//! collide if they request the same row's `X`. `S ∥ IX = ✗` keeps
-//! readers strictly serialized against writers (no dirty reads, no
-//! write skew), exactly as the old two-mode table locks did. There is
-//! no `SIX` mode; a read-then-write upgrade joins to `X`.
+//! collide if they request the same row's `X`. `S ∥ IX = ✗` keeps what
+//! a write's integrity check read true until it commits, which a
+//! snapshot alone does not promise: a parent cannot lose a key while a
+//! child referencing it is being inserted, or the reverse. It does not
+//! make transactions serializable — their reads are snapshot reads, and
+//! write skew across statements is possible (the server's module docs
+//! state the contract). There is no `SIX` mode; a read-then-write
+//! upgrade joins to `X`.
 //!
 //! Two-phase discipline is the caller's job: owners only ever call
 //! [`LockManager::acquire`] / [`LockManager::acquire_row`] while
@@ -50,15 +53,15 @@
 //! timeout is counted in `lock_timeouts`.
 //!
 //! **Row locks never wait.** They are acquired mid-statement, while the
-//! caller holds the server's statement mutex — blocking there would
-//! deadlock against the very holder that needs the mutex to commit and
-//! release. So [`LockManager::acquire_row`] applies wait-die with an
-//! immediate-abort fallback: a younger requester dies, and an older one
-//! returns the same retryable [`StorageError::Conflict`] instead of
-//! waiting (the caller's retry/backoff loop absorbs it). Past
-//! [`LockManager::escalation_threshold`] row locks on one table, the
-//! owner's `IX` is opportunistically upgraded to a table `X` (when no
-//! other session holds the table) so whole-table rewrites don't
+//! caller holds the exclusive side of the server's statement latch —
+//! blocking there would deadlock against the very holder that needs the
+//! latch to commit and release. So [`LockManager::acquire_row`] applies
+//! wait-die with an immediate-abort fallback: a younger requester dies,
+//! and an older one returns the same retryable [`StorageError::Conflict`]
+//! instead of waiting (the caller's retry/backoff loop absorbs it). Past
+//! [`ROW_LOCK_ESCALATION`] row locks on one table, the owner's `IX` is
+//! opportunistically upgraded to a table `X` (when no other session
+//! holds the table) so whole-table rewrites don't
 //! allocate thousands of entries; on conflict the upgrade is simply
 //! skipped and row locks continue.
 //!
@@ -73,15 +76,12 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Row locks escalate to a table `X` once one owner holds this many on
-/// one table (see [`LockManager::with_config`] to tune it).
-pub const DEFAULT_LOCK_ESCALATION: usize = 64;
+/// one table.
+pub const ROW_LOCK_ESCALATION: usize = 64;
 
 /// What an owner may do with a resource while holding the lock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LockMode {
-    /// Intent to read individual rows. Unused by the current server
-    /// (reads take table-level `Shared`) but part of the lattice.
-    IntentShared,
     /// Intent to write individual rows: the owner will take row-level
     /// `Exclusive` locks under this table lock.
     IntentExclusive,
@@ -99,7 +99,6 @@ impl LockMode {
         use LockMode::*;
         match (self, other) {
             (Exclusive, _) | (_, Exclusive) => false,
-            (IntentShared, _) | (_, IntentShared) => true,
             (IntentExclusive, IntentExclusive) | (Shared, Shared) => true,
             _ => false, // IX vs S, either direction
         }
@@ -110,7 +109,6 @@ impl LockMode {
     fn covers(self, other: LockMode) -> bool {
         use LockMode::*;
         match (self, other) {
-            (_, IntentShared) => true,
             (Exclusive, _) => true,
             (IntentExclusive, IntentExclusive) | (Shared, Shared) => true,
             (Shared, IntentExclusive) | (IntentExclusive, Shared) => false,
@@ -153,7 +151,6 @@ pub struct LockManager {
     state: Mutex<LockState>,
     released: Condvar,
     timeout: Duration,
-    escalation: usize,
     /// Contention counters ([`crate::metrics`]). The lock manager is
     /// not tied to a buffer pool, so it keeps its own registry; the
     /// server merges this snapshot with the engine's.
@@ -171,8 +168,7 @@ fn lock_state<'a>(m: &'a Mutex<LockState>) -> MutexGuard<'a, LockState> {
 }
 
 impl LockManager {
-    /// A lock manager with the default 10-second wait timeout and the
-    /// default row-lock escalation threshold.
+    /// A lock manager with the default 10-second wait timeout.
     pub fn new() -> LockManager {
         Self::with_timeout(Duration::from_secs(10))
     }
@@ -180,25 +176,12 @@ impl LockManager {
     /// A lock manager whose waiters give up (with
     /// [`StorageError::Conflict`]) after `timeout`.
     pub fn with_timeout(timeout: Duration) -> LockManager {
-        Self::with_config(timeout, DEFAULT_LOCK_ESCALATION)
-    }
-
-    /// A lock manager with both the wait timeout and the row-lock
-    /// escalation threshold chosen by the caller (tests use tiny ones).
-    pub fn with_config(timeout: Duration, escalation: usize) -> LockManager {
         LockManager {
             state: Mutex::new(LockState::default()),
             released: Condvar::new(),
             timeout,
-            escalation: escalation.max(1),
             metrics: StorageMetrics::default(),
         }
-    }
-
-    /// Row locks held on one table before the owner's `IX` escalates to
-    /// a table `X`.
-    pub fn escalation_threshold(&self) -> usize {
-        self.escalation
     }
 
     /// Snapshot of the contention counters (only the `lock_*` and
@@ -217,7 +200,7 @@ impl LockManager {
         match mode {
             LockMode::Shared => &self.metrics.lock_shared,
             LockMode::Exclusive => &self.metrics.lock_exclusive,
-            LockMode::IntentShared | LockMode::IntentExclusive => &self.metrics.lock_intent,
+            LockMode::IntentExclusive => &self.metrics.lock_intent,
         }
     }
 
@@ -310,7 +293,7 @@ impl LockManager {
                     )));
                 }
                 // An older owner would be entitled to wait, but row
-                // locks are taken under the statement mutex the holder
+                // locks are taken under the statement latch the holder
                 // needs to finish — waiting here would deadlock. Abort
                 // retryably instead.
                 return Err(StorageError::Conflict(format!(
@@ -326,7 +309,7 @@ impl LockManager {
             .entry((owner, table.to_owned()))
             .or_insert(0);
         *count += 1;
-        if *count >= self.escalation {
+        if *count >= ROW_LOCK_ESCALATION {
             self.try_escalate(&mut state, owner, table);
         }
         Ok(())
@@ -417,13 +400,12 @@ mod tests {
 
     #[test]
     fn compatibility_matrix_is_the_textbook_one() {
-        let modes = [IntentShared, IntentExclusive, Shared, Exclusive];
+        let modes = [IntentExclusive, Shared, Exclusive];
         let expect = [
-            // IS     IX     S      X
-            [true, true, true, false],    // IS
-            [true, true, false, false],   // IX
-            [true, false, true, false],   // S
-            [false, false, false, false], // X
+            // IX     S      X
+            [true, false, false],  // IX
+            [false, true, false],  // S
+            [false, false, false], // X
         ];
         for (i, &a) in modes.iter().enumerate() {
             for (j, &b) in modes.iter().enumerate() {
@@ -437,8 +419,6 @@ mod tests {
     fn join_upgrades_through_the_lattice() {
         assert_eq!(Shared.join(IntentExclusive), Exclusive);
         assert_eq!(IntentExclusive.join(Shared), Exclusive);
-        assert_eq!(IntentShared.join(Shared), Shared);
-        assert_eq!(IntentShared.join(IntentExclusive), IntentExclusive);
         assert_eq!(Exclusive.join(Shared), Exclusive);
         assert_eq!(Shared.join(Shared), Shared);
     }
@@ -611,7 +591,7 @@ mod tests {
             Err(StorageError::Conflict(_))
         ));
         // ...and older 1 aborts retryably instead of waiting (row locks
-        // never block — the statement mutex deadlock).
+        // never block — the statement latch deadlock).
         assert!(matches!(
             lm.acquire_row(1, "t", 8),
             Err(StorageError::Conflict(_))
@@ -628,19 +608,20 @@ mod tests {
 
     #[test]
     fn row_locks_escalate_to_table_exclusive_past_the_threshold() {
-        let lm = LockManager::with_config(Duration::from_millis(40), 4);
+        let lm = LockManager::with_timeout(Duration::from_millis(40));
+        let threshold = ROW_LOCK_ESCALATION as u64;
         lm.acquire(1, "t", IntentExclusive).unwrap();
-        for row in 0..3 {
+        for row in 0..threshold - 1 {
             lm.acquire_row(1, "t", row).unwrap();
         }
         assert_eq!(lm.holders("t"), vec![(1, IntentExclusive)]);
-        // The fourth row crosses the threshold: IX → X.
-        lm.acquire_row(1, "t", 3).unwrap();
+        // The threshold-th row crosses it: IX → X.
+        lm.acquire_row(1, "t", threshold - 1).unwrap();
         assert_eq!(lm.holders("t"), vec![(1, Exclusive)]);
         assert_eq!(lm.metrics().row_lock_escalations, 1);
         // Further rows ride the table lock without new entries.
-        lm.acquire_row(1, "t", 99).unwrap();
-        assert_eq!(lm.metrics().row_lock_exclusive, 4);
+        lm.acquire_row(1, "t", threshold).unwrap();
+        assert_eq!(lm.metrics().row_lock_exclusive, threshold);
         // Another session now conflicts at the table, not the row.
         assert!(matches!(
             lm.acquire(2, "t", IntentExclusive),
@@ -652,10 +633,11 @@ mod tests {
 
     #[test]
     fn escalation_is_skipped_while_the_table_is_shared() {
-        let lm = LockManager::with_config(Duration::from_millis(40), 2);
+        let lm = LockManager::with_timeout(Duration::from_millis(40));
+        let rows = ROW_LOCK_ESCALATION + 1;
         lm.acquire(1, "t", IntentExclusive).unwrap();
         lm.acquire(2, "t", IntentExclusive).unwrap();
-        for row in 0..10 {
+        for row in 0..rows as u64 {
             lm.acquire_row(1, "t", row).unwrap();
         }
         // Owner 2 still holds IX, so owner 1 cannot escalate — and must
@@ -665,10 +647,10 @@ mod tests {
             vec![(1, IntentExclusive), (2, IntentExclusive)]
         );
         assert_eq!(lm.metrics().row_lock_escalations, 0);
-        assert_eq!(lm.row_holders("t").len(), 10);
+        assert_eq!(lm.row_holders("t").len(), rows);
         // Once alone, the next row lock escalates.
         lm.release_all(2);
-        lm.acquire_row(1, "t", 99).unwrap();
+        lm.acquire_row(1, "t", 999).unwrap();
         assert_eq!(lm.holders("t"), vec![(1, Exclusive)]);
         assert_eq!(lm.metrics().row_lock_escalations, 1);
         lm.release_all(1);

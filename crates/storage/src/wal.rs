@@ -562,32 +562,6 @@ impl Wal {
         Ok((records, torn))
     }
 
-    /// The undo images a transaction logged before its pages were
-    /// stolen, in log order (apply them in *reverse* to roll the
-    /// transaction back: a page stolen twice logs its layered
-    /// before-images oldest-first, and reverse application ends on the
-    /// true pre-transaction state). Scans the whole log — diagnostics
-    /// and tests; the buffer pool's in-flight abort seek-reads exactly
-    /// its own frames via [`Wal::undo_image_at`] instead.
-    #[allow(clippy::type_complexity)]
-    pub fn undo_images_for(
-        &mut self,
-        txn: u64,
-    ) -> StorageResult<Vec<(PageId, Box<[u8; PAGE_SIZE]>)>> {
-        let (records, _) = self.read_frames()?;
-        Ok(records
-            .into_iter()
-            .filter_map(|record| match record {
-                WalRecord::UndoImage {
-                    txn: t,
-                    page,
-                    image,
-                } if t == txn => Some((page, image)),
-                _ => None,
-            })
-            .collect())
-    }
-
     /// Reads `buf.len()` bytes at frame-space offset `pos` (0 = first
     /// byte after the file header).
     fn read_exact_at(&mut self, pos: u64, buf: &mut [u8]) -> StorageResult<()> {
@@ -1128,21 +1102,6 @@ mod tests {
             "appends after seek-reads stay well-formed"
         );
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn undo_images_for_returns_one_transactions_images_in_order() {
-        let mut wal = Wal::in_memory();
-        wal.append(&undo(1, 3, 0x31)).unwrap();
-        wal.append(&undo(2, 4, 0x42)).unwrap();
-        wal.append(&undo(1, 5, 0x51)).unwrap();
-        let images = wal.undo_images_for(1).unwrap();
-        assert_eq!(images.len(), 2);
-        assert_eq!((images[0].0, images[1].0), (3, 5));
-        let mut page = Page::zeroed();
-        page.as_bytes_mut().copy_from_slice(&images[0].1[..]);
-        assert_eq!(page.record(0), [0x31; 16]);
-        assert!(wal.undo_images_for(9).unwrap().is_empty());
     }
 
     #[test]

@@ -1040,15 +1040,14 @@ fn same_row_writers_conflict_via_wait_die() {
 /// their (disjoint) rows.
 #[test]
 fn row_lock_escalation_takes_the_whole_table() {
-    let db = SharedDatabase::with_lock_config(
-        Database::paged(64).unwrap(),
-        Duration::from_secs(2),
-        4, // escalate after four row locks
-    );
+    let db =
+        SharedDatabase::with_lock_timeout(Database::paged(64).unwrap(), Duration::from_secs(2));
+    // One row more than the escalation threshold.
+    let n = storage::lock::ROW_LOCK_ESCALATION + 1;
     {
         let mut setup = db.session();
         setup.execute("CREATE TABLE t (k INT, v INT)").unwrap();
-        let rows: Vec<String> = (0..10).map(|i| format!("({i}, 0)")).collect();
+        let rows: Vec<String> = (0..n).map(|i| format!("({i}, 0)")).collect();
         setup
             .execute(&format!("INSERT INTO t VALUES {}", rows.join(", ")))
             .unwrap();
@@ -1056,13 +1055,13 @@ fn row_lock_escalation_takes_the_whole_table() {
     let before = db.metrics().unwrap();
     let mut a = db.session();
     a.execute("BEGIN").unwrap();
-    // Ten rows ≥ threshold 4: the update escalates mid-statement.
+    // Every row, past the threshold: the update escalates mid-statement.
     let r = a.execute("UPDATE t SET v = v + 1 WHERE k >= 0").unwrap();
-    assert_eq!(r.affected, 10);
+    assert_eq!(r.affected, n);
     let after = db.metrics().unwrap();
     assert!(
         after.row_lock_escalations > before.row_lock_escalations,
-        "ten row locks over a threshold of four must escalate"
+        "{n} row locks past the threshold must escalate"
     );
     // A disjoint-row writer now conflicts at the table.
     let mut b = db.session();
@@ -1200,7 +1199,11 @@ fn btree_readers_traverse_a_consistent_tree_mid_split() {
     use storage::btree::BPlusTree;
     use storage::heap::Rid;
 
-    let pool = storage::BufferPool::new(storage::pager::Pager::in_memory(), 64);
+    let pool = storage::BufferPool::new(
+        storage::pager::Pager::in_memory(),
+        64,
+        storage::wal::Wal::in_memory(),
+    );
     let mut tree = BPlusTree::create(&pool).unwrap();
     let rid = |k: i64| Rid {
         page: k as u32,

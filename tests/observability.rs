@@ -13,7 +13,8 @@
 //!   and the lock-wait histogram's total vs. `lock_wait_nanos` (the
 //!   same events, counted at the same sites, reduced two ways);
 //! * a statement's trace spans vs. its own `elapsed_nanos` (the spans
-//!   partition the statement);
+//!   partition the statement), through `execute` and `query_select`
+//!   alike;
 //! * a server statement's `locks`/`parse`/`plan`/`exec`/`commit` spans
 //!   vs. its wall clock at the session, for successes and failures;
 //! * `lock_waits` stays zero when concurrent sessions touch disjoint
@@ -29,7 +30,8 @@
 //!   the rows its probes returned, counted by a filtered heap scan, and
 //!   the per-step `rows_read`/`probes` vs. the statement's totals.
 
-use rqs::{Database, Datum, RqsError};
+use rqs::sql::{parse_statement, SelectStmt, Statement};
+use rqs::{Database, Datum, RqsError, Trace};
 use server::net::{Client, Server};
 use server::{ServerError, SharedDatabase};
 use std::path::{Path, PathBuf};
@@ -664,12 +666,44 @@ fn trace_spans_partition_statement_elapsed() {
     let commit = trace.spans.iter().find(|s| s.name == "commit").unwrap();
     assert!(commit.wal_appends > 0, "commit span owns the WAL traffic");
     // A read-only statement has no commit span at all.
-    db.execute("SELECT v.a FROM t v").unwrap();
+    let query = "SELECT v.a FROM t v";
+    db.execute(query).unwrap();
     let read = db.last_statement_trace();
     assert!(
         read.spans.iter().all(|s| s.name != "commit"),
         "reads must not report a commit span: {read:?}"
     );
+    let names = |t: &Trace| t.spans.iter().map(|s| s.name).collect::<Vec<_>>();
+    assert_eq!(names(read), ["parse", "plan", "exec"]);
+    // The parallel read path accounts for the same SELECT the same way:
+    // the same spans, partitioning its own wall clock, with the page
+    // fetches its result reports carried by `exec`.
+    let select = |sql: &str| -> (SelectStmt, u64) {
+        let t0 = std::time::Instant::now();
+        let Statement::Select(select) = parse_statement(sql).unwrap() else {
+            panic!("{sql} is not a SELECT");
+        };
+        (select, t0.elapsed().as_nanos() as u64)
+    };
+    let (stmt, parse_nanos) = select(query);
+    let (result, trace) = db.query_select(&stmt, parse_nanos);
+    let m = result.unwrap().metrics;
+    assert_eq!(names(&trace), names(read));
+    assert_eq!(trace.elapsed_nanos, m.elapsed_nanos);
+    let sum: u64 = trace.spans.iter().map(|s| s.nanos).sum();
+    assert!(sum <= trace.elapsed_nanos, "{sum} > {trace:?}");
+    let exec = trace.spans.iter().find(|s| s.name == "exec").unwrap();
+    assert!(m.page_reads + m.buffer_hits > 0, "the scan fetches pages");
+    assert_eq!(
+        exec.page_reads + exec.buffer_hits,
+        m.page_reads + m.buffer_hits,
+        "{trace:?} vs {m:?}"
+    );
+    // A failing SELECT still returns its own trace.
+    let (stmt, parse_nanos) = select("SELECT v.a FROM nosuch v");
+    let (result, trace) = db.query_select(&stmt, parse_nanos);
+    assert!(matches!(result, Err(RqsError::UnknownTable(_))));
+    assert_eq!(names(&trace), ["parse", "exec"]);
 }
 
 /// The server parses a statement once, times that parse itself and
