@@ -12,11 +12,56 @@
 //! combine them with internal knowledge (the `partner` flow of
 //! Example 4-1).
 
-use crate::multi::canonical_key;
 use crate::Answer;
-use dbcl::DbclQuery;
+use dbcl::{DbclQuery, Operand, Symbol};
 use prolog::{Clause, Engine, Term};
 use std::collections::HashMap;
+
+/// Renames every `v_…` symbol to `v_1`, `v_2`, … by first occurrence
+/// (target symbols keep their names: they are part of the interface) and
+/// normalizes the view name, which is presentation only.
+fn canonicalize(query: &DbclQuery) -> DbclQuery {
+    let mut out = query.clone();
+    out.view_name = prolog::Atom::new("q");
+    // Collect in first-occurrence order from rows, then comparisons.
+    let mut ordered: Vec<Symbol> = Vec::new();
+    let push = |s: Symbol, ordered: &mut Vec<Symbol>| {
+        if matches!(s, Symbol::Var(_)) && !ordered.contains(&s) {
+            ordered.push(s);
+        }
+    };
+    for row in &out.rows {
+        for entry in &row.entries {
+            if let Some(s) = entry.as_symbol() {
+                push(s, &mut ordered);
+            }
+        }
+    }
+    for c in &out.comparisons {
+        for operand in [&c.lhs, &c.rhs] {
+            if let Operand::Sym(s) = operand {
+                push(*s, &mut ordered);
+            }
+        }
+    }
+    // Two-phase rename so hand-written queries whose symbols are already
+    // pure digits (v_2 before v_1, say) cannot collide mid-substitution.
+    for (i, &sym) in ordered.iter().enumerate() {
+        out.substitute(sym, &Operand::Sym(Symbol::var(&format!("canon tmp {i}"))));
+    }
+    for i in 0..ordered.len() {
+        out.substitute(
+            Symbol::var(&format!("canon tmp {i}")),
+            &Operand::Sym(Symbol::var(&(i + 1).to_string())),
+        );
+    }
+    out
+}
+
+/// The cache key: the canonical form's text.
+fn canonical_key(query: &DbclQuery) -> String {
+    canonicalize(query).to_term().to_string()
+}
 
 /// Cache of externally computed answers, keyed by canonical DBCL form.
 #[derive(Debug, Default, Clone)]
@@ -150,6 +195,26 @@ mod tests {
 
     fn sample_query() -> DbclQuery {
         DbclQuery::example_4_1()
+    }
+
+    #[test]
+    fn canonicalize_is_idempotent_and_rename_invariant() {
+        let q = sample_query();
+        let c1 = canonicalize(&q);
+        assert_eq!(canonicalize(&c1), c1);
+        let mut renamed = q.clone();
+        renamed.substitute(
+            Symbol::var("Eno1"),
+            &Operand::Sym(Symbol::var("CompletelyDifferent")),
+        );
+        assert_ne!(renamed, q);
+        assert_eq!(canonicalize(&renamed), c1);
+    }
+
+    #[test]
+    fn canonicalize_keeps_targets() {
+        let c = canonicalize(&sample_query());
+        assert!(c.to_term().to_string().contains("t_X"));
     }
 
     #[test]

@@ -17,14 +17,16 @@
 //!   orientation experiment (top-down vs bottom-up seeds);
 //! * [`stepwise`] — right-to-left tuple substitution for goals the DBMS
 //!   cannot evaluate;
-//! * [`multi`] — multiple-query optimization: canonicalization, duplicate
-//!   detection and subsumption across batched database calls;
 //! * [`cache`] — the internal database of query answers with its merge
-//!   procedure.
+//!   procedure: syntactic variants of one query share an entry.
+//!
+//! A view's answer is "the union of all these query results" (§7): each
+//! branch's SQL returns its rows as they come, and [`Coupler::query`]
+//! deduplicates once, across branches. That set is what the §6 rewrites
+//! need — they preserve answers, not their multiplicity.
 
 pub mod bridge;
 pub mod cache;
-pub mod multi;
 pub mod negation;
 pub mod recursion;
 pub mod stepwise;
@@ -84,8 +86,6 @@ pub struct CouplerConfig {
     pub unfold: UnfoldLimits,
     /// Cache answers in the internal Prolog database.
     pub cache: bool,
-    /// Emit `SELECT DISTINCT` so SQL answers have set semantics.
-    pub distinct: bool,
 }
 
 impl Default for CouplerConfig {
@@ -95,7 +95,6 @@ impl Default for CouplerConfig {
             simplify: SimplifyConfig::default(),
             unfold: UnfoldLimits::default(),
             cache: true,
-            distinct: true,
         }
     }
 }
@@ -321,12 +320,9 @@ impl Coupler {
             }
         }
 
-        // Translate (§5) and ship to the external DBMS.
-        let opts = MappingOptions {
-            first_var_index: 1,
-            distinct: self.config.distinct,
-        };
-        let sql_text = sqlgen::mapping::to_sql_text(&query, &self.db, opts)?;
+        // Translate (§5) and ship to the external DBMS. No DISTINCT:
+        // `query` unions the branches through its own set.
+        let sql_text = sqlgen::mapping::to_sql_text(&query, &self.db, MappingOptions::default())?;
         trace.sql = Some(sql_text.clone());
         let result = self.rqs.execute(&sql_text)?;
         trace.metrics = result.metrics.clone();
@@ -512,6 +508,20 @@ mod tests {
             names(&run.answers, "X"),
             ["control", "jones", "leamas", "miller"]
         );
+    }
+
+    #[test]
+    fn duplicate_rows_are_removed_once_by_the_union() {
+        let mut c = little_firm();
+        // Five employees in two departments: the branch's SQL returns a
+        // department number per employee, and the union keeps each once.
+        let run = c.query("empl(E, N, S, t_D)", "q").unwrap();
+        assert_eq!(run.branches.len(), 1);
+        let branch = &run.branches[0];
+        let sql = branch.sql.as_deref().unwrap();
+        assert!(!sql.contains("DISTINCT"), "{sql}");
+        assert_eq!(branch.raw_answers, 5);
+        assert_eq!(run.answers.len(), 2);
     }
 
     #[test]

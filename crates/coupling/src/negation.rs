@@ -89,9 +89,11 @@ impl Coupler {
             Some(negated_raw)
         };
 
+        // This one statement is where the answers are put together, so
+        // it carries the dedup itself.
         let opts = MappingOptions {
             first_var_index: 1,
-            distinct: self.config.distinct,
+            distinct: true,
         };
         let sql = match &negated {
             Some(neg) => translate_with_negation(&positive, neg, &self.db, opts)?,

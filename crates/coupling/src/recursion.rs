@@ -5,11 +5,11 @@
 //! 1. **Naive** — metaevaluate generates "a sequence of increasingly
 //!    complex queries" (step *k* joins *k* copies of the view body) and
 //!    each is shipped and fully re-executed: "the duplication of effort
-//!    [is] even more obvious".
+//!    \[is\] even more obvious".
 //! 2. **Intermediate relation** — the paper's `setrel` scheme: a stored
 //!    unary relation holds the current frontier; every step runs the *same*
 //!    constant-shape SQL query joined against it, and "the final result
-//!    [is] the union of all these query results".
+//!    \[is\] the union of all these query results".
 //! 3. **Orientation** — for `works_for(jones, Superior)` the top-down
 //!    scheme "would generate as the first intermediate relation all
 //!    employee names", while the bottom-up rewriting keeps intermediates

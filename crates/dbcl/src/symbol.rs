@@ -58,10 +58,6 @@ impl Symbol {
         Symbol::Var(Atom::new(name))
     }
 
-    pub fn is_target(&self) -> bool {
-        matches!(self, Symbol::Target(_))
-    }
-
     /// Base name without the `t_`/`v_` marker.
     pub fn name(&self) -> Atom {
         match self {

@@ -8,8 +8,8 @@
 //! to translate the view."
 //!
 //! Given a knowledge base of view definitions and the database schema,
-//! [`metaevaluate`] unfolds a (variable-free) goal list into one or more
-//! conjunctive DBCL queries:
+//! [`MetaEvaluator::metaevaluate`] unfolds a (variable-free) goal list
+//! into one or more conjunctive DBCL queries:
 //!
 //! * base-relation goals are **collected**, not executed;
 //! * comparison goals are collected into `Relcomparisons` ("moved to the

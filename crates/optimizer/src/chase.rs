@@ -1,7 +1,7 @@
 //! §6.2 functional-dependency chase with duplicate-row removal.
 //!
 //! "Our implementation employs a version of the fast chase algorithm
-//! proposed by Downey et al. [1980], adapted to the problem of query
+//! proposed by Downey et al. \[1980\], adapted to the problem of query
 //! simplification rather than lossless join tests. In particular, our
 //! version does not only detect equivalence classes of tableau entries but
 //! actively removes duplicate rows."

@@ -112,16 +112,6 @@ pub enum SimplifyOutcome {
     Empty(EmptyReason),
 }
 
-impl SimplifyOutcome {
-    /// The simplified query, panicking on `Empty` (test convenience).
-    pub fn unwrap_query(self) -> DbclQuery {
-        match self {
-            SimplifyOutcome::Simplified(q, _) => q,
-            SimplifyOutcome::Empty(reason) => panic!("query is empty: {reason}"),
-        }
-    }
-}
-
 /// The §6 local optimizer.
 pub struct Simplifier<'a> {
     db: &'a DatabaseDef,

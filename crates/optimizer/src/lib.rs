@@ -18,6 +18,18 @@
 //! | 6.0/4 | syntactic tableau minimization (Sagiv)            | [`minimize`] |
 //! | 6.4   | Algorithm 2: the simplification driver            | [`driver`] |
 //!
+//! # Set semantics
+//!
+//! The rewrites preserve a query's *set* of answers, not how often the
+//! SQL returns each one. Minimization folds a row onto another, so a
+//! self-join that multiplied answers stops doing so; dangling-row
+//! deletion drops a join whose referenced columns need not be a key; and
+//! the chase's duplicate-row deletion counts on stored relations holding
+//! no duplicate tuples. They are sound only for set answers, and the
+//! coupler supplies those: it deduplicates once, where it unions a view's
+//! branches. Thorne, "Chases and Bag-Set Certain Answers" (PAPERS.md),
+//! studies what the chase preserves when multiplicity does count.
+//!
 //! ```
 //! use dbcl::{ConstraintSet, DatabaseDef, DbclQuery};
 //! use optimizer::{Simplifier, SimplifyOutcome};
@@ -44,4 +56,3 @@ pub mod refint;
 pub mod uf;
 
 pub use driver::{EmptyReason, Simplifier, SimplifyConfig, SimplifyOutcome, SimplifyStats};
-pub use minimize::contained_in;

@@ -1,10 +1,10 @@
 //! §6.0 syntactic tableau minimization (Algorithm 2, step 6).
 //!
 //! "In a tableau representation, join minimization corresponds to the
-//! minimization of the number of rows [Aho et al. 1979]. Our algorithms
-//! for this syntactic step are based on proposals by Sagiv [1983] but
+//! minimization of the number of rows \[Aho et al. 1979\]. Our algorithms
+//! for this syntactic step are based on proposals by Sagiv \[1983\] but
 //! extended to a multi-relation environment, in which variables may appear
-//! in more than one tableau column [Johnson and Klug 1983]."
+//! in more than one tableau column \[Johnson and Klug 1983\]."
 //!
 //! A row is redundant when the query has a containment mapping
 //! (homomorphism) into itself that avoids the row: constants and frozen
@@ -94,94 +94,6 @@ fn homomorphism_exists(query: &DbclQuery, targets: &[usize]) -> bool {
         false
     }
     search(query, targets, &frozen, 0, &HashMap::new())
-}
-
-/// Conjunctive-query containment: `answers(q1) ⊆ answers(q2)` on every
-/// database instance, decided by searching a containment mapping from `q2`
-/// into `q1` (Chandra–Merkurjev style, restricted as in Sagiv's setting):
-/// target symbols must map to the equally named target, constants to equal
-/// constants, and every mapped comparison of `q2` must appear among `q1`'s
-/// comparisons. Used by the multiple-query optimizer to recognize
-/// subsumption between batched DBCL calls.
-pub fn contained_in(q1: &DbclQuery, q2: &DbclQuery) -> bool {
-    if q1.attributes != q2.attributes {
-        return false;
-    }
-    fn bind2(mapping: &mut HashMap<Symbol, Entry>, from: &Entry, to: &Entry) -> bool {
-        match (from, to) {
-            (Entry::Star, Entry::Star) => true,
-            (Entry::Const(a), Entry::Const(b)) => a == b,
-            (Entry::Sym(s @ Symbol::Target(_)), to_entry) => to_entry.as_symbol() == Some(*s),
-            (Entry::Sym(s), to_entry) => match mapping.get(s) {
-                Some(existing) => existing == to_entry,
-                None => {
-                    mapping.insert(*s, *to_entry);
-                    true
-                }
-            },
-            _ => false,
-        }
-    }
-    fn comparisons_ok(q1: &DbclQuery, q2: &DbclQuery, mapping: &HashMap<Symbol, Entry>) -> bool {
-        q2.comparisons.iter().all(|c| {
-            let map_operand = |o: &Operand| -> Option<Operand> {
-                match o {
-                    Operand::Sym(s @ Symbol::Target(_)) => Some(Operand::Sym(*s)),
-                    Operand::Sym(s) => mapping.get(s).and_then(|e| match e {
-                        Entry::Sym(t) => Some(Operand::Sym(*t)),
-                        Entry::Const(v) => Some(Operand::Const(*v)),
-                        Entry::Star => None,
-                    }),
-                    Operand::Const(v) => Some(Operand::Const(*v)),
-                }
-            };
-            let (Some(lhs), Some(rhs)) = (map_operand(&c.lhs), map_operand(&c.rhs)) else {
-                return false;
-            };
-            let mapped = dbcl::Comparison::new(c.op, lhs, rhs).normalized();
-            // Decidable constant comparisons count as satisfied when true.
-            if let (Operand::Const(a), Operand::Const(b)) = (&mapped.lhs, &mapped.rhs) {
-                if mapped.op.eval(a, b) == Some(true) {
-                    return true;
-                }
-            }
-            q1.comparisons.iter().any(|k| k.normalized() == mapped)
-        })
-    }
-    fn search(
-        q1: &DbclQuery,
-        q2: &DbclQuery,
-        source: usize,
-        mapping: &HashMap<Symbol, Entry>,
-    ) -> bool {
-        if source == q2.rows.len() {
-            return comparisons_ok(q1, q2, mapping);
-        }
-        let src = &q2.rows[source];
-        for dst in &q1.rows {
-            if src.relation != dst.relation {
-                continue;
-            }
-            let mut attempt = mapping.clone();
-            let ok = src
-                .entries
-                .iter()
-                .zip(&dst.entries)
-                .all(|(from, to)| bind2(&mut attempt, from, to));
-            if ok && search(q1, q2, source + 1, &attempt) {
-                return true;
-            }
-        }
-        false
-    }
-    // Every q2 target symbol must exist in q1 for the name-preserving map.
-    let q1_targets: HashSet<Symbol> = q1.target.iter().filter_map(Entry::as_symbol).collect();
-    let targets_align = q2
-        .target
-        .iter()
-        .filter_map(Entry::as_symbol)
-        .all(|s| q1_targets.contains(&s));
-    targets_align && search(q1, q2, 0, &HashMap::new())
 }
 
 /// Minimizes the tableau in place; returns the number of rows removed.
@@ -316,73 +228,5 @@ mod tests {
         .unwrap();
         assert_eq!(minimize(&mut q), 0);
         assert_eq!(q.rows.len(), 2);
-    }
-}
-
-#[cfg(test)]
-mod containment_tests {
-    use super::*;
-    use dbcl::DbclQuery;
-
-    fn q(rows_and_comps: &str) -> DbclQuery {
-        DbclQuery::parse(rows_and_comps).unwrap()
-    }
-
-    #[test]
-    fn restricted_query_contained_in_general() {
-        // q1 restricts to smiley's dept; q2 is the unrestricted projection.
-        let q1 = q("dbcl([empdep, eno, nam, sal, dno, fct, mgr],
-                        [v, *, t_X, *, *, *, *],
-                        [[empl, v_E, t_X, v_S, v_D, *, *],
-                         [dept, *, *, *, v_D, spying, v_M]], [])");
-        let q2 = q("dbcl([empdep, eno, nam, sal, dno, fct, mgr],
-                        [v, *, t_X, *, *, *, *],
-                        [[empl, v_E, t_X, v_S, v_D, *, *]], [])");
-        assert!(contained_in(&q1, &q2));
-        assert!(!contained_in(&q2, &q1));
-    }
-
-    #[test]
-    fn identical_queries_mutually_contained() {
-        let a = DbclQuery::example_4_1();
-        assert!(contained_in(&a, &a));
-    }
-
-    #[test]
-    fn different_targets_not_contained() {
-        let q1 = q("dbcl([empdep, eno, nam, sal, dno, fct, mgr],
-                        [v, *, t_X, *, *, *, *],
-                        [[empl, v_E, t_X, v_S, v_D, *, *]], [])");
-        let q2 = q("dbcl([empdep, eno, nam, sal, dno, fct, mgr],
-                        [v, t_Y, *, *, *, *, *],
-                        [[empl, t_Y, v_N, v_S, v_D, *, *]], [])");
-        assert!(!contained_in(&q1, &q2));
-    }
-
-    #[test]
-    fn comparison_blocks_containment_unless_present() {
-        let with_comp = q("dbcl([empdep, eno, nam, sal, dno, fct, mgr],
-                               [v, *, t_X, *, *, *, *],
-                               [[empl, v_E, t_X, v_S, v_D, *, *]],
-                               [[less, v_S, 40000]])");
-        let without = q("dbcl([empdep, eno, nam, sal, dno, fct, mgr],
-                             [v, *, t_X, *, *, *, *],
-                             [[empl, v_E, t_X, v_S, v_D, *, *]], [])");
-        // Fewer answers ⊆ more answers.
-        assert!(contained_in(&with_comp, &without));
-        assert!(!contained_in(&without, &with_comp));
-    }
-
-    #[test]
-    fn mapped_constant_comparison_decided() {
-        // q2's comparison collapses to 30000 < 40000 under the mapping.
-        let q1 = q("dbcl([empdep, eno, nam, sal, dno, fct, mgr],
-                        [v, *, t_X, *, *, *, *],
-                        [[empl, v_E, t_X, 30000, v_D, *, *]], [])");
-        let q2 = q("dbcl([empdep, eno, nam, sal, dno, fct, mgr],
-                        [v, *, t_X, *, *, *, *],
-                        [[empl, v_E, t_X, v_S, v_D, *, *]],
-                        [[less, v_S, 40000]])");
-        assert!(contained_in(&q1, &q2));
     }
 }

@@ -67,11 +67,6 @@ impl Engine {
         &self.kb
     }
 
-    /// Returns a mutable reference to the underlying knowledge base.
-    pub fn kb_mut(&mut self) -> &mut KnowledgeBase {
-        &mut self.kb
-    }
-
     /// Loads a Prolog program (a sequence of clauses) into the knowledge base.
     pub fn consult(&mut self, source: &str) -> Result<()> {
         for clause in parse_program(source)? {

@@ -284,7 +284,7 @@ pub mod collection {
     use std::fmt;
     use std::ops::Range;
 
-    /// Element-count specification accepted by [`vec`].
+    /// Element-count specification accepted by [`vec()`].
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         lo: usize,

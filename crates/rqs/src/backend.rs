@@ -332,7 +332,7 @@ fn rewind_rows(table: &mut MemTable, rows: usize) {
 /// It has no durability and no concurrency, but it *does* honor
 /// statement atomicity so the two backends stay observationally
 /// identical through SQL: the first mutation of each table inside the
-/// statement transaction saves rollback state for it ([`MemSaved`],
+/// statement transaction saves rollback state for it (`MemSaved`,
 /// copy-on-first-touch), and abort restores exactly the touched
 /// entries.
 #[derive(Clone, Debug, Default)]

@@ -250,10 +250,6 @@ impl Database {
         &self.catalog
     }
 
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
-        &mut self.catalog
-    }
-
     /// The storage backend behind this database.
     pub fn backend(&self) -> &dyn StorageBackend {
         self.backend.as_ref()

@@ -48,7 +48,7 @@ pub struct QueryMetrics {
     /// Time spent parsing the SQL text, nanoseconds.
     pub parse_nanos: u64,
     /// Time spent in resolve + plan (every core and UNION arm),
-    /// nanoseconds. Accumulated by [`run_core`].
+    /// nanoseconds. Accumulated by `run_core`.
     pub plan_nanos: u64,
     /// Time spent executing the statement (for queries this includes
     /// planning; `plan_nanos` isolates it), nanoseconds.
@@ -385,7 +385,7 @@ pub fn probes_beat_scan(probes: usize, heap_pages: usize) -> bool {
 /// cursor, anything else walks the heap — and so does every restriction
 /// on a table of `heap_pages` no larger than one probe
 /// ([`probes_beat_scan`] for a single probe): its scan is the cheaper
-/// read. This is the access-path half of [`scan_var`], shared with
+/// read. This is the access-path half of `scan_var`, shared with
 /// predicated UPDATE/DELETE so DML rides exactly the same index
 /// machinery as SELECT scans.
 pub fn choose_access(

@@ -20,7 +20,7 @@
 //! DROP TABLE intermediate
 //! ```
 //!
-//! Conjunctive queries need no nesting ([Kim 1982], cited in §5); `NOT IN`
+//! Conjunctive queries need no nesting (\[Kim 1982\], cited in §5); `NOT IN`
 //! exists for the §7 negation extension.
 //!
 //! # DML notes

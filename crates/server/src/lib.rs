@@ -52,9 +52,10 @@
 //! * deadlocks are avoided by wait-die: older transactions wait (table
 //!   locks) or abort retryably (row locks, which never block — the
 //!   holder needs the statement latch to commit), younger ones abort
-//!   with [`RqsError::Conflict`] and may simply retry — ideally through
-//!   [`retry::Backoff`], whose bounded exponential delays with jitter
-//!   keep losers from spinning hot on a contended row;
+//!   with [`RqsError::Conflict`]. The server does not retry: the error
+//!   reaches the client ([`ServerError::is_retryable`]), which retries
+//!   the statement or restarts its transaction, with a pause of its own
+//!   choosing so a loser does not spin hot on a contended row;
 //! * past [`storage::lock::ROW_LOCK_ESCALATION`] row locks on one
 //!   table, the lock manager opportunistically escalates the holder's
 //!   `IX` to a table `X`.
@@ -121,9 +122,6 @@
 //! In-process callers just use [`SharedDatabase::session`] directly.
 
 pub mod net;
-pub mod retry;
-
-pub use retry::Backoff;
 
 use rqs::sql::{SelectStmt, Statement};
 use rqs::{Catalog, Database, Datum, QueryResult, RqsError, TableConstraint, TraceSpan};
@@ -431,10 +429,6 @@ pub struct SessionStats {
     /// Statements this session executed (SQL and session-control verbs,
     /// `STATS` itself included).
     pub statements: u64,
-    /// Wait-die losses retried through [`retry::execute_with_backoff`].
-    pub retries: u64,
-    /// Total nanoseconds slept in backoff between those retries.
-    pub backoff_sleep_nanos: u64,
     /// Explicit transactions rolled back by a statement failure.
     pub txn_aborts: u64,
 }
@@ -604,13 +598,6 @@ impl ServerSession {
         })
     }
 
-    /// Bookkeeping for [`retry::execute_with_backoff`]: one wait-die
-    /// loss slept through.
-    pub(crate) fn note_retry(&mut self, slept: Duration) {
-        self.stats.retries += 1;
-        self.stats.backoff_sleep_nanos += slept.as_nanos() as u64;
-    }
-
     /// The `STATS` verb: every engine-wide counter (storage registry
     /// merged with the lock manager's) followed by this session's own
     /// counters, one `counter`/`value` row each — the line protocol
@@ -619,11 +606,6 @@ impl ServerSession {
         let merged = self.shared.metrics()?;
         let session = [
             ("session_statements", self.stats.statements),
-            ("session_retries", self.stats.retries),
-            (
-                "session_backoff_sleep_nanos",
-                self.stats.backoff_sleep_nanos,
-            ),
             ("session_txn_aborts", self.stats.txn_aborts),
         ];
         let rows = merged

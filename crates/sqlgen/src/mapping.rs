@@ -11,8 +11,11 @@ pub struct MappingOptions {
     /// transcript happens to start at `v12` because its prototype used a
     /// global counter.
     pub first_var_index: usize,
-    /// Emit `SELECT DISTINCT` (the paper's 1984 SQL had set semantics by
-    /// convention; modern engines need this to agree with the Prolog side).
+    /// Emit `SELECT DISTINCT`. Set it where this one statement is the
+    /// only place its answers are put together (a `NOT IN` query, a
+    /// recursion step); leave it off where the caller unions the rows
+    /// itself, as the coupler does across a view's branches, and for
+    /// the paper's own SQL text.
     pub distinct: bool,
 }
 

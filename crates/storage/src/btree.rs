@@ -26,7 +26,7 @@
 //! Read descents (lookups, range cursors, and the routing phase of
 //! mutations) use **lock coupling**: the child page is pinned and
 //! verified to be a tree node while the parent pin is still held, and
-//! only then is the parent released ([`descend_to_leaf`]). Every
+//! only then is the parent released (`descend_to_leaf`). Every
 //! per-node read takes the page's frame latch
 //! ([`PinnedPage::with_latched`]), so a node is always observed either
 //! entirely before or entirely after a concurrent rebuild — splits
@@ -55,7 +55,7 @@ use std::cmp::Ordering;
 /// Largest encoded key the tree accepts. Capping keys at a quarter page
 /// guarantees several entries fit per node, which in turn guarantees
 /// byte-balanced splits always produce two halves that fit (see
-/// [`split_point`]). Callers must check [`check_key`] *before* mutating
+/// `split_point`). Callers must check [`check_key`] *before* mutating
 /// any other structure (the storage engine does, before heap inserts).
 pub const MAX_KEY_LEN: usize = crate::page::PAGE_SIZE / 4;
 

@@ -11,7 +11,7 @@
 //! so resident fetches on different stripes never contend on a shared
 //! lock. Everything that *changes* the frame table — fault-ins,
 //! evictions, allocation, transaction commit/abort, flush — additionally
-//! holds the single [`Core`] mutex (pager, WAL, transaction table), in
+//! holds the single `Core` mutex (pager, WAL, transaction table), in
 //! strict `core → shard → frame latch` order; holding core therefore
 //! freezes the whole table, which is what keeps multi-page operations
 //! (free-list walks, contiguous commit logging) atomic without a global

@@ -58,7 +58,7 @@
 //! latch to commit and release. So [`LockManager::acquire_row`] applies
 //! wait-die with an immediate-abort fallback: a younger requester dies,
 //! and an older one returns the same retryable [`StorageError::Conflict`]
-//! instead of waiting (the caller's retry/backoff loop absorbs it). Past
+//! instead of waiting (the client retries the statement). Past
 //! [`ROW_LOCK_ESCALATION`] row locks on one table, the owner's `IX` is
 //! opportunistically upgraded to a table `X` (when no other session
 //! holds the table) so whole-table rewrites don't

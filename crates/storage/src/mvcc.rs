@@ -9,7 +9,7 @@
 //! to every snapshot", so a table nobody has written lately carries
 //! nothing and its reads consult nothing.
 //!
-//! A [`View`] is a commit-timestamp cut: statement-scoped for
+//! A `View` is a commit-timestamp cut: statement-scoped for
 //! autocommit (opened and closed around one statement) or
 //! transaction-scoped for explicit `BEGIN` (opened at `BEGIN`, closed
 //! at commit/abort). A row is visible when its begin stamp is a commit
@@ -216,7 +216,7 @@ impl Mvcc {
     /// Opens a statement-scoped view (autocommit statements only; a
     /// session inside BEGIN reads through its transaction view).
     /// Concurrent statements share the open slot's timestamp — see
-    /// [`MvccState::stmt_view`].
+    /// `MvccState::stmt_view`.
     pub fn open_stmt_view(&self, m: &StorageMetrics) {
         let ts = self.clock.load(Ordering::SeqCst);
         let mut st = self.state.lock().unwrap();

@@ -28,21 +28,31 @@ fn main() {
         .execute("INSERT INTO accounts VALUES (3, 250)")
         .expect("insert inside txn");
 
-    // Session B runs concurrently. Its read of the locked table loses
-    // the wait-die race (it is younger than Alice's transaction) and
-    // simply retries after Alice finishes — no dirty read ever.
+    // Session B runs concurrently. A SELECT takes no locks: it reads the
+    // committed snapshot, so it neither waits for Alice nor sees her
+    // uncommitted row — no dirty read ever.
     let mut bob = db.session();
-    match bob.execute("SELECT a.id FROM accounts a") {
-        Err(e) if e.is_retryable() => {
-            println!("bob: blocked by alice's lock, as it should be ({e})")
-        }
-        other => println!("bob: {other:?}"),
-    }
+    let before = bob
+        .execute("SELECT a.id FROM accounts a")
+        .expect("snapshot read");
+    println!(
+        "bob sees {} accounts while alice's txn is open",
+        before.rows.len()
+    );
+    assert_eq!(
+        before.rows.len(),
+        2,
+        "alice's row is invisible until COMMIT"
+    );
 
-    // Bob's own transaction on a different table proceeds while Alice's
-    // is still open — transactions interleave at statement granularity.
-    bob.execute("CREATE TABLE audit (note TEXT)")
-        .expect_err("DDL must wait for the schema lock or be retried");
+    // DDL needs the schema lock exclusively, and Alice's open
+    // transaction holds it shared. Bob is younger, so wait-die refuses
+    // him at once with a retryable conflict instead of letting him wait.
+    let err = bob
+        .execute("CREATE TABLE audit (note TEXT)")
+        .expect_err("DDL conflicts with an open writer");
+    assert!(err.is_retryable(), "{err}");
+    println!("bob: DDL refused while alice's txn is open ({err})");
     alice.execute("COMMIT").expect("commit");
 
     // After Alice commits, everyone sees her row and DDL goes through.
@@ -75,6 +85,6 @@ fn main() {
     // Misuse is caught, not absorbed.
     match check.execute("COMMIT") {
         Err(ServerError::Session(msg)) => println!("as expected: {msg}"),
-        other => println!("unexpected: {other:?}"),
+        other => panic!("unexpected: {other:?}"),
     }
 }

@@ -1,10 +1,9 @@
 //! The §7 extensions, end to end: disjunction (X1), negation (X2),
-//! embedded predicates (X3) and multiple-query batching (X4).
+//! embedded predicates (X3) and answer reuse across queries (X4).
 
-use prolog_front_end::coupling::multi::{analyze_batch, BatchDisposition};
 use prolog_front_end::coupling::Coupler;
 use prolog_front_end::dbcl::{DatabaseDef, DbclQuery, DbclStatement};
-use prolog_front_end::metaeval::{views, MetaEvaluator};
+use prolog_front_end::metaeval::views;
 use prolog_front_end::pfe_core::{Datum, Session};
 use prolog_front_end::sqlgen::dnf::generate_dnf_union_sql;
 use prolog_front_end::sqlgen::mapping::MappingOptions;
@@ -136,44 +135,23 @@ fn x3_stepwise_embedded_predicates() {
     assert_eq!(run.branches[0].residual_filtered, 2);
 }
 
-/// X4 — multiple-query optimization: a batch with duplicates and a
-/// subsumed query executes fewer external queries with identical answers.
+/// X4 — multiple-query optimization, the duplicate case: two syntactic
+/// variants of one goal (the view name is presentation only) share one
+/// canonical cache entry, so the second is answered without any SQL.
 #[test]
 fn x4_batch_reuse() {
-    let mut engine = prolog::Engine::new();
-    engine.consult(views::SAME_MANAGER).unwrap();
-    let db = DatabaseDef::empdep();
-    let meta = MetaEvaluator::new(engine.kb(), &db);
-    // Two syntactic variants of the same query plus a restricted one.
-    let q1 = meta
-        .metaevaluate("same_manager(t_X, jones)", "a")
-        .unwrap()
-        .branches
-        .remove(0)
-        .query;
-    let q2 = meta
-        .metaevaluate("same_manager(t_X, jones)", "b")
-        .unwrap()
-        .branches
-        .remove(0)
-        .query;
-    let q3 = meta
-        .metaevaluate(
-            "same_manager(t_X, jones), empl(E, t_X, S, D), less(S, 30000)",
-            "c",
-        )
-        .unwrap()
-        .branches
-        .remove(0)
-        .query;
-    let report = analyze_batch(&[q1, q2, q3]);
-    assert_eq!(report.dispositions[1], BatchDisposition::DuplicateOf(0));
-    assert!(matches!(
-        report.dispositions[2],
-        BatchDisposition::ContainedIn(0) | BatchDisposition::Execute
-    ));
-    assert!(report.executed() <= 2);
-    assert!(!report.overlaps.is_empty());
+    let mut s = little_firm_session();
+    s.consult(views::SAME_MANAGER).unwrap();
+    let first = s.query("same_manager(t_X, jones)", "a").unwrap();
+    let second = s.query("same_manager(t_X, jones)", "b").unwrap();
+    assert!(!first.branches[0].cache_hit);
+    assert!(first.branches[0].sql.is_some());
+    assert!(second.branches[0].cache_hit);
+    assert!(second.branches[0].sql.is_none(), "no SQL for a duplicate");
+    assert_eq!(second.total_metrics().rows_scanned, 0);
+    assert_eq!(first.answers, second.answers);
+    assert_eq!(first.answers.len(), 2, "miller and leamas");
+    assert_eq!(s.coupler().cache().len(), 1);
 }
 
 /// X4 at the coupler level: repeated queries hit the internal cache — the

@@ -536,11 +536,13 @@ fn stats_over_tcp_reports_nonzero_buffer_counters() {
     // Session counters ride along: this connection has executed
     // 1 DDL + 20 inserts + 1 select + this STATS call.
     assert_eq!(value("session_statements"), 23);
-    assert_eq!(value("session_retries"), 0);
-    // Every engine counter the registry declares is on the wire.
+    assert_eq!(value("session_txn_aborts"), 0);
+    // Every engine counter the registry declares is on the wire, and
+    // the two session counters are all that follow them.
     for name in storage::MetricsSnapshot::NAMES {
         value(name);
     }
+    assert_eq!(stats.len(), storage::MetricsSnapshot::NAMES.len() + 2);
     server.stop();
 }
 
