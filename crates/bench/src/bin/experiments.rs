@@ -456,11 +456,10 @@ fn s3_update() -> JsonObj {
     // Whole-table rewrite with pool ≪ table: the write set spills to
     // disk through steal. One forced undo image per steal plus one redo
     // image per dirtied page at commit is the price.
-    let before_pages = db.backend().stats();
+    let before_writes = engine(&db).metrics().page_writes;
     let rewrite = db
         .execute("UPDATE t SET pad = 'rewritten-everywhere'")
         .expect("whole-table rewrite succeeds despite the 8-page pool");
-    let after_pages = db.backend().stats();
     let engine = engine(&db).metrics();
     JsonObj::default()
         .u("rows", n as u64)
@@ -469,10 +468,7 @@ fn s3_update() -> JsonObj {
         .u("ranged_delete_rows", del.affected as u64)
         .u("ranged_delete_wal_appends", del.metrics.wal_appends)
         .u("rewrite_rows", rewrite.affected as u64)
-        .u(
-            "rewrite_page_writes",
-            after_pages.page_writes - before_pages.page_writes,
-        )
+        .u("rewrite_page_writes", engine.page_writes - before_writes)
         .u("rewrite_steals", engine.steals)
         .u("rewrite_wal_appends", rewrite.metrics.wal_appends)
         .u("rewrite_wal_undo_images", engine.wal_undo_images)

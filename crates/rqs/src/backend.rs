@@ -27,7 +27,7 @@ use std::ops::Bound;
 use std::path::Path;
 use storage::engine::ColType;
 use storage::engine::IndexProbe;
-use storage::{Fault, PoolStats, StorageEngine, StorageError};
+use storage::{Fault, MetricsSnapshot, StorageEngine, StorageError};
 
 impl From<StorageError> for RqsError {
     fn from(e: StorageError) -> RqsError {
@@ -54,7 +54,7 @@ pub type RowLockHook = std::sync::Arc<dyn Fn(&str, u64) -> RqsResult<()> + Send 
 ///
 /// Everything only the paged engine has — session transactions, the
 /// row-lock hook, statement snapshots and constraint-probe mode,
-/// persisted constraints, flush/checkpoint/crash, the metrics registry —
+/// persisted constraints, flush/checkpoint/crash, latency histograms —
 /// lives on [`PagedBackend`] itself, reached through
 /// [`StorageBackend::as_paged`]; the in-memory backend is the
 /// differential oracle and has none of it.
@@ -156,8 +156,10 @@ pub trait StorageBackend: Send + Sync {
             .any(|row| cols.iter().zip(values).all(|(&c, v)| &row[c] == v)))
     }
 
-    /// Cumulative physical I/O counters (all zero for in-memory).
-    fn stats(&self) -> PoolStats;
+    /// The database's counter registry, snapshotted with relaxed loads
+    /// and no lock (all zero for in-memory). A statement's I/O is the
+    /// delta of two snapshots.
+    fn metrics(&self) -> MetricsSnapshot;
 
     /// Opens the statement transaction grouping the following mutations
     /// into one atomic (and, on the paged engine, durable) unit.
@@ -667,8 +669,8 @@ impl StorageBackend for InMemoryBackend {
         Ok(matched.len())
     }
 
-    fn stats(&self) -> PoolStats {
-        PoolStats::default()
+    fn metrics(&self) -> MetricsSnapshot {
+        MetricsSnapshot::default()
     }
 
     fn contains(&self, name: &str, cols: &[usize], values: &[Datum]) -> RqsResult<bool> {
@@ -944,8 +946,8 @@ impl StorageBackend for PagedBackend {
         Ok(self.engine.index_range(name, col, lower, upper)?)
     }
 
-    fn stats(&self) -> PoolStats {
-        self.engine.pool_stats()
+    fn metrics(&self) -> MetricsSnapshot {
+        self.engine.metrics()
     }
 
     fn begin(&mut self) -> RqsResult<()> {
@@ -1140,7 +1142,7 @@ mod tests {
         let mut backend = InMemoryBackend::new();
         exercise(&mut backend);
         exercise_dml(&mut backend);
-        assert_eq!(backend.stats(), PoolStats::default());
+        assert_eq!(backend.metrics(), MetricsSnapshot::default());
     }
 
     #[test]
@@ -1148,9 +1150,9 @@ mod tests {
         let mut backend = PagedBackend::in_memory(8).unwrap();
         exercise(&mut backend);
         exercise_dml(&mut backend);
-        let stats = backend.stats();
+        let stats = backend.metrics();
         assert!(
-            stats.page_reads > 0,
+            stats.fault_ins > 0,
             "paged backend must fault pages: {stats:?}"
         );
     }

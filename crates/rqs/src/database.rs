@@ -76,7 +76,7 @@ thread_local! {
 struct Account {
     parse_nanos: u64,
     started: std::time::Instant,
-    io_before: storage::PoolStats,
+    io_before: storage::MetricsSnapshot,
     autocommit: bool,
 }
 
@@ -100,14 +100,14 @@ pub(crate) fn run_txn<T>(
     backend.begin()?;
     match f(backend.as_mut()) {
         Ok(v) => {
-            let io_before = backend.stats();
+            let io_before = backend.metrics();
             let started = std::time::Instant::now();
             match backend.commit() {
                 Ok(()) => {
-                    let io_after = backend.stats();
+                    let io_after = backend.metrics();
                     LAST_COMMIT.set(Some(CommitProbe {
                         nanos: started.elapsed().as_nanos() as u64,
-                        page_reads: io_after.page_reads - io_before.page_reads,
+                        page_reads: io_after.fault_ins - io_before.fault_ins,
                         buffer_hits: io_after.buffer_hits - io_before.buffer_hits,
                         wal_appends: io_after.wal_appends - io_before.wal_appends,
                     }));
@@ -412,11 +412,11 @@ impl Database {
     }
 
     /// Opens one statement's account: clears the commit probe, takes the
-    /// first of its two `backend.stats()` reads and, in autocommit, opens
-    /// the statement snapshot.
+    /// first of its two registry snapshots (relaxed loads, no lock) and,
+    /// in autocommit, opens the statement snapshot.
     fn start(&self, parse_nanos: u64) -> Account {
         let started = std::time::Instant::now();
-        let io_before = self.backend.stats();
+        let io_before = self.backend.metrics();
         LAST_COMMIT.set(None);
         let autocommit = !self.backend.in_txn();
         if autocommit {
@@ -433,7 +433,7 @@ impl Database {
     /// Closes the account [`Database::start`] opened for `outcome`'s
     /// statement: closes the snapshot (error paths included — that
     /// releases the prior versions only this statement kept alive), takes
-    /// the second `stats()` read, backfills timings and I/O deltas into
+    /// the second registry snapshot, backfills timings and I/O deltas into
     /// *both* outcomes — a failed statement still reports the pages it
     /// touched — and builds the trace.
     fn finish(
@@ -445,7 +445,7 @@ impl Database {
             self.statement_snapshot(false);
         }
         let exec_nanos = account.started.elapsed().as_nanos() as u64;
-        let io_after = self.backend.stats();
+        let io_after = self.backend.metrics();
         let before = account.io_before;
         let mut failed = QueryMetrics::default();
         let metrics = match outcome {
@@ -454,7 +454,7 @@ impl Database {
         };
         metrics.parse_nanos = account.parse_nanos;
         metrics.exec_nanos = exec_nanos;
-        metrics.page_reads = io_after.page_reads - before.page_reads;
+        metrics.page_reads = io_after.fault_ins - before.fault_ins;
         metrics.buffer_hits = io_after.buffer_hits - before.buffer_hits;
         metrics.wal_appends = io_after.wal_appends - before.wal_appends;
         metrics.wal_bytes = io_after.wal_bytes - before.wal_bytes;
@@ -699,7 +699,7 @@ impl Database {
     }
 
     /// `EXPLAIN ANALYZE`'s measured run: executes `run` between its own
-    /// pair of `stats()` reads and appends the `Actual:` lines to the plan
+    /// pair of registry snapshots and appends the `Actual:` lines to the plan
     /// text (which `run` may still be rendering). `run` returns the rows
     /// it produced or affected and, for a SELECT, the executor's counters;
     /// DML has none, so `rows_scanned`/`scans` report 0. The statement
@@ -710,11 +710,11 @@ impl Database {
         mut text: String,
         run: impl FnOnce(&mut Self, &mut String) -> RqsResult<(usize, Option<QueryMetrics>)>,
     ) -> RqsResult<String> {
-        let io_before = self.backend.stats();
+        let io_before = self.backend.metrics();
         let started = std::time::Instant::now();
         let (rows, counters) = run(self, &mut text)?;
         let elapsed_us = started.elapsed().as_micros();
-        let io_after = self.backend.stats();
+        let io_after = self.backend.metrics();
         let counters = match counters {
             Some(m) => format!(
                 "rows_scanned={} scans={} index_probes={}",
@@ -725,7 +725,7 @@ impl Database {
         text.push_str(&format!("Actual: rows={rows} elapsed_us={elapsed_us}\n"));
         text.push_str(&format!(
             "Actual: page_reads={} buffer_hits={} {counters}\n",
-            io_after.page_reads - io_before.page_reads,
+            io_after.fault_ins - io_before.fault_ins,
             io_after.buffer_hits - io_before.buffer_hits,
         ));
         Ok(text)

@@ -221,6 +221,7 @@ struct Shared {
     /// [`SharedDatabase::crash`] ran.
     db: RwLock<Option<Database>>,
     /// `Arc` so per-statement row-lock hooks can capture the manager.
+    /// It counts into the engine's registry, so `STATS` reads one.
     locks: Arc<LockManager>,
     /// Lock-owner timestamps: smaller = older (wait-die winners).
     next_owner: AtomicU64,
@@ -258,21 +259,6 @@ impl Shared {
             .expect("construction admits only paged databases");
         Ok(f(paged.engine()))
     }
-
-    /// Engine counters merged with the lock manager's (the two
-    /// registries count disjoint events).
-    fn metrics(&self) -> ServerResult<MetricsSnapshot> {
-        Ok(self
-            .with_engine(StorageEngine::metrics)?
-            .merge(self.locks.metrics()))
-    }
-
-    /// Engine histograms merged with the lock manager's lock-wait one.
-    fn histograms(&self) -> ServerResult<HistogramsSnapshot> {
-        Ok(self
-            .with_engine(StorageEngine::histograms)?
-            .merge(self.locks.histograms()))
-    }
 }
 
 /// Default slow-statement capture threshold.
@@ -305,15 +291,15 @@ impl SharedDatabase {
     /// Like [`SharedDatabase::from_database`] with a custom lock-wait
     /// timeout (tests use short ones).
     pub fn with_lock_timeout(db: Database, timeout: Duration) -> SharedDatabase {
-        assert!(
-            db.backend().as_paged().is_some(),
+        let paged = db.backend().as_paged().expect(
             "SharedDatabase serves the paged engine only: build the database with \
-             Database::paged or Database::open_paged, not Database::new"
+             Database::paged or Database::open_paged, not Database::new",
         );
+        let registry = Arc::clone(paged.engine().registry());
         SharedDatabase {
             inner: Arc::new(Shared {
                 db: RwLock::new(Some(db)),
-                locks: Arc::new(LockManager::with_timeout(timeout)),
+                locks: Arc::new(LockManager::with_timeout(timeout, registry)),
                 next_owner: AtomicU64::new(1),
                 next_session: AtomicU64::new(1),
                 slow: Mutex::new(SlowLog {
@@ -371,18 +357,16 @@ impl SharedDatabase {
         }
     }
 
-    /// Engine-wide counter snapshot: the database's storage metrics
-    /// merged with the server's lock-manager metrics (the two
-    /// registries count disjoint events).
+    /// Counter snapshot of the database's one registry, which the
+    /// engine and the lock manager share (the `STATS` verb renders it).
     pub fn metrics(&self) -> ServerResult<MetricsSnapshot> {
-        self.inner.metrics()
+        self.inner.with_engine(StorageEngine::metrics)
     }
 
-    /// Engine-wide latency-histogram snapshot: the database's fsync /
-    /// commit / fault-in histograms merged with the lock manager's
-    /// lock-wait histogram (the `STATS HISTOGRAMS` verb renders this).
+    /// Latency-histogram snapshot of the same registry: fsync, commit,
+    /// fault-in and lock wait (the `STATS HISTOGRAMS` verb renders it).
     pub fn histograms(&self) -> ServerResult<HistogramsSnapshot> {
-        self.inner.histograms()
+        self.inner.with_engine(StorageEngine::histograms)
     }
 
     /// Runs `f` with the underlying database (test assertions, ops).
@@ -536,12 +520,11 @@ impl ServerSession {
     }
 
     /// The `STATS HISTOGRAMS` verb: one `histogram`/`stat`/`value` row
-    /// per histogram × derived statistic, engine and lock-manager
-    /// registries merged.
+    /// per histogram × derived statistic.
     fn histogram_rows(&mut self) -> ServerResult<QueryResult> {
         let rows = self
             .shared
-            .histograms()?
+            .with_engine(StorageEngine::histograms)?
             .histograms()
             .into_iter()
             .flat_map(|(name, h)| {
@@ -598,17 +581,17 @@ impl ServerSession {
         })
     }
 
-    /// The `STATS` verb: every engine-wide counter (storage registry
-    /// merged with the lock manager's) followed by this session's own
-    /// counters, one `counter`/`value` row each — the line protocol
-    /// carries it like any other query result.
+    /// The `STATS` verb: every counter of the database's registry
+    /// followed by this session's own counters, one `counter`/`value`
+    /// row each — the line protocol carries it like any other query
+    /// result.
     fn stats_rows(&mut self) -> ServerResult<QueryResult> {
-        let merged = self.shared.metrics()?;
+        let counters = self.shared.with_engine(StorageEngine::metrics)?;
         let session = [
             ("session_statements", self.stats.statements),
             ("session_txn_aborts", self.stats.txn_aborts),
         ];
-        let rows = merged
+        let rows = counters
             .counters()
             .into_iter()
             .chain(session)

@@ -61,11 +61,18 @@ use std::time::Duration;
 /// of queueing on an idle server, long enough not to spin a core.
 const SWEEP_IDLE: Duration = Duration::from_micros(500);
 
+/// Most unterminated input one connection may buffer. A peer past it
+/// with no newline gets one `ERR` line, best effort, and is dropped,
+/// which rolls its open transaction back.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// One parked connection: a nonblocking socket, its session, and the
 /// bytes read so far that do not yet form a complete line.
 struct Conn {
-    stream: TcpStream,
+    /// Declared before `stream`, so a dropped connection rolls its
+    /// transaction back before the peer sees EOF.
     session: ServerSession,
+    stream: TcpStream,
     inbuf: Vec<u8>,
     /// The peer half-closed (EOF): execute what is buffered, then drop.
     eof: bool,
@@ -186,8 +193,8 @@ fn accept_loop(shared: &PoolShared, listener: &TcpListener, db: &SharedDatabase)
                 // latency-sensitive; never wait out Nagle's algorithm.
                 let _ = stream.set_nodelay(true);
                 let conn = Conn {
-                    stream,
                     session: db.session(),
+                    stream,
                     inbuf: Vec::new(),
                     eof: false,
                 };
@@ -221,6 +228,10 @@ fn dispatch_loop(shared: &PoolShared) {
                         unreachable!()
                     };
                     ready.push((idx, conn));
+                } else if conn.inbuf.len() > MAX_LINE_BYTES {
+                    let err = format!("ERR statement exceeds {MAX_LINE_BYTES} bytes\n");
+                    let _ = conn.stream.write_all(err.as_bytes());
+                    *slot = Slot::Vacant;
                 } else if !alive || conn.eof {
                     // Nothing runnable and the peer is gone.
                     *slot = Slot::Vacant;
@@ -241,12 +252,13 @@ fn dispatch_loop(shared: &PoolShared) {
     }
 }
 
-/// Nonblocking read of everything the socket has; returns `false` on a
-/// connection error. EOF sets `conn.eof` instead so already-buffered
-/// statements still run.
+/// Nonblocking read of everything the socket has, stopping once the
+/// buffer passes [`MAX_LINE_BYTES`]; returns `false` on a connection
+/// error. EOF sets `conn.eof` instead so already-buffered statements
+/// still run.
 fn drain_socket(conn: &mut Conn) -> bool {
     let mut buf = [0u8; 4096];
-    loop {
+    while conn.inbuf.len() <= MAX_LINE_BYTES {
         match conn.stream.read(&mut buf) {
             Ok(0) => {
                 conn.eof = true;
@@ -258,6 +270,7 @@ fn drain_socket(conn: &mut Conn) -> bool {
             Err(_) => return false,
         }
     }
+    true
 }
 
 /// Takes queued connections, executes their buffered statements, and
@@ -573,6 +586,40 @@ mod tests {
             .unwrap();
         let r = c.execute("SELECT v.b FROM t v").unwrap().unwrap();
         assert_eq!(r.rows, vec![vec!["'x\ty'".to_owned()]]);
+        server.stop();
+    }
+
+    #[test]
+    fn an_unterminated_line_past_the_cap_is_refused_and_dropped() {
+        let Ok(server) = Server::start(SharedDatabase::paged(16).unwrap(), "127.0.0.1:0") else {
+            eprintln!("skipping: cannot bind a TCP socket in this environment");
+            return;
+        };
+        let mut c = Client::connect(server.addr()).unwrap();
+        c.execute("CREATE TABLE t (a INT)").unwrap().unwrap();
+        // The peer opens a transaction, writes a row, then sends one
+        // byte more than the cap with no newline.
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        raw.write_all(b"BEGIN\nINSERT INTO t VALUES (1)\n").unwrap();
+        let mut reader = BufReader::new(raw.try_clone().unwrap());
+        for _ in 0..2 {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.starts_with("OK"), "{line:?}");
+        }
+        raw.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).unwrap();
+        // One ERR line, then EOF.
+        let mut reply = String::new();
+        reader.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("ERR "), "{reply:?}");
+        assert_eq!(reply.lines().count(), 1, "{reply:?}");
+        // Another client still gets answers, and the dropped
+        // connection's transaction rolled back and released its table
+        // lock (a bare DELETE takes the table X).
+        let r = c.execute("SELECT v.a FROM t v").unwrap().unwrap();
+        assert!(r.rows.is_empty(), "{r:?}");
+        c.execute("DELETE FROM t").unwrap().unwrap();
         server.stop();
     }
 

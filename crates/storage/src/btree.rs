@@ -900,7 +900,7 @@ mod tests {
         for i in 0..3000i64 {
             tree.insert(&pool, &Datum::Int(i), rid(i as u32)).unwrap();
         }
-        let before = pool.stats();
+        let before = pool.metrics().snapshot();
         let narrow = tree
             .range(
                 &pool,
@@ -909,17 +909,17 @@ mod tests {
             )
             .unwrap();
         let narrow_cost = {
-            let s = pool.stats();
-            (s.page_reads + s.buffer_hits) - (before.page_reads + before.buffer_hits)
+            let s = pool.metrics().snapshot();
+            (s.fault_ins + s.buffer_hits) - (before.fault_ins + before.buffer_hits)
         };
         assert_eq!(narrow.len(), 10);
-        let before = pool.stats();
+        let before = pool.metrics().snapshot();
         let full = tree
             .range(&pool, Bound::Unbounded, Bound::Unbounded)
             .unwrap();
         let full_cost = {
-            let s = pool.stats();
-            (s.page_reads + s.buffer_hits) - (before.page_reads + before.buffer_hits)
+            let s = pool.metrics().snapshot();
+            (s.fault_ins + s.buffer_hits) - (before.fault_ins + before.buffer_hits)
         };
         assert_eq!(full.len(), 3000);
         assert!(
@@ -961,7 +961,7 @@ mod tests {
                 vec![rid(i as u32)]
             );
         }
-        let stats = pool.stats();
-        assert!(stats.page_reads > 0 && stats.buffer_hits > 0, "{stats:?}");
+        let stats = pool.metrics().snapshot();
+        assert!(stats.fault_ins > 0 && stats.buffer_hits > 0, "{stats:?}");
     }
 }

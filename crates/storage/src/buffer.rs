@@ -29,7 +29,7 @@
 //! the frame as owned by that transaction. A write to a frame owned by
 //! a *different* open transaction fails with
 //! [`StorageError::Conflict`] — the storage-level backstop beneath the
-//! table-level lock manager ([`crate::lock`]), which makes such
+//! lock manager's row locks ([`crate::lock`]), which make such
 //! collisions rare. The protocol is **steal / force-the-log**:
 //!
 //! * eviction prefers frames no open transaction owns, but when every
@@ -70,11 +70,14 @@
 //! transaction the pool silently falls back to appending (allocation)
 //! or abandons the pages (reclamation) rather than conflicting.
 //!
-//! Counters: every miss that goes to the pager is a `page_read`, every
-//! fetch served from a frame is a `buffer_hit`, every write-back is a
-//! `page_write`, every log frame a `wal_append`. These flow into
-//! `rqs::QueryMetrics` so benchmarks can report saved page I/O — the
-//! paper's actual cost model — and what durability costs next to it.
+//! Counters: the pool counts into the registry its WAL created
+//! ([`crate::metrics`]), the one set of counters per database. Every
+//! miss that goes to the pager is a `fault_ins`, every fetch served
+//! from a frame a `buffer_hits`, every write-back a `page_writes`, and
+//! the log counts its own `wal_appends`. A statement reads its I/O as
+//! deltas of that registry (`rqs::QueryMetrics`), so benchmarks report
+//! saved page I/O — the paper's actual cost model — and what
+//! durability costs next to it, without taking a pool lock.
 
 use crate::metrics::{bump, StorageMetrics};
 use crate::page::{Page, PageId, PageKind, NO_PAGE, PAGE_SIZE};
@@ -95,21 +98,6 @@ pub type TxnId = u64;
 /// leaves the structures consistent or returns an error first).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Cumulative I/O and logging counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Pages faulted in from the pager (misses).
-    pub page_reads: u64,
-    /// Fetches served from a resident frame (hits).
-    pub buffer_hits: u64,
-    /// Dirty pages written back to the pager.
-    pub page_writes: u64,
-    /// WAL frames appended.
-    pub wal_appends: u64,
-    /// WAL bytes appended (frame headers included).
-    pub wal_bytes: u64,
 }
 
 struct Frame {
@@ -137,7 +125,7 @@ impl Frame {
     /// Admits (or rejects) a write under the currently active
     /// transaction (`0` = none), saving the before-image on the first
     /// touch. A frame owned by a different open transaction refuses the
-    /// write — the page-level backstop beneath the table lock manager.
+    /// write — the page-level backstop beneath the row locks.
     fn prepare_write(&mut self, active: u64) -> StorageResult<()> {
         match self.owner {
             Some(owner) if owner == active => Ok(()),
@@ -285,14 +273,9 @@ pub struct BufferPool {
     /// reaching back into the pool.
     active: Arc<AtomicU64>,
     capacity: usize,
-    /// Lock-free I/O counters: the shard fast path bumps hits without
-    /// taking core, so these cannot live inside either mutex.
-    page_reads: AtomicU64,
-    buffer_hits: AtomicU64,
-    page_writes: AtomicU64,
-    /// Lock-free handle on the observability registry (shared with the
-    /// WAL), so the access methods (heap, B+-tree) can count through
-    /// the pool they already hold without taking any pool lock.
+    /// Lock-free handle on the WAL's observability registry: the shard
+    /// fast path bumps hits without taking core, and the access methods
+    /// (heap, B+-tree) count through the pool they already hold.
     metrics: Arc<StorageMetrics>,
 }
 
@@ -300,9 +283,8 @@ impl BufferPool {
     /// A pool of `capacity` frames over the given pager, whose mutations
     /// can be grouped into transactions logged to `wal`. Capacities below
     /// 2 are raised to 2 (split operations pin two pages at once).
-    pub fn new(pager: Pager, capacity: usize, mut wal: Wal) -> BufferPool {
-        let metrics = Arc::new(StorageMetrics::default());
-        wal.set_metrics(Arc::clone(&metrics));
+    pub fn new(pager: Pager, capacity: usize, wal: Wal) -> BufferPool {
+        let metrics = Arc::clone(wal.metrics());
         let capacity = capacity.max(2);
         // One stripe per ~8 frames, capped at 16: tiny pools (component
         // tests, the 8-frame steal-pressure floor) collapse to a single
@@ -336,9 +318,6 @@ impl BufferPool {
             shards,
             active: Arc::new(AtomicU64::new(0)),
             capacity,
-            page_reads: AtomicU64::new(0),
-            buffer_hits: AtomicU64::new(0),
-            page_writes: AtomicU64::new(0),
             metrics,
         }
     }
@@ -383,8 +362,8 @@ impl BufferPool {
         out
     }
 
-    /// The pool's observability registry ([`crate::metrics`]): shared
-    /// with the WAL, incremented by the pool internals and by the
+    /// The database's observability registry ([`crate::metrics`]):
+    /// created by the WAL, incremented by the pool internals and by the
     /// access methods running over this pool.
     pub fn metrics(&self) -> &Arc<StorageMetrics> {
         &self.metrics
@@ -392,17 +371,6 @@ impl BufferPool {
 
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    pub fn stats(&self) -> PoolStats {
-        let wal = lock(&self.core).wal.stats();
-        PoolStats {
-            page_reads: self.page_reads.load(Ordering::Relaxed),
-            buffer_hits: self.buffer_hits.load(Ordering::Relaxed),
-            page_writes: self.page_writes.load(Ordering::Relaxed),
-            wal_appends: wal.appends,
-            wal_bytes: wal.bytes,
-        }
     }
 
     /// Number of pages the pager has allocated.
@@ -643,10 +611,10 @@ impl BufferPool {
     /// pre-transaction state. Resident frames are overwritten in place
     /// (dirty, carrying the image's old page LSN, so write-back stays
     /// legal); evicted pages are rewritten in the database file. An
-    /// image whose disk write fails parks in [`Inner::pending_undo`]
+    /// image whose disk write fails parks in [`Core::pending_undo`]
     /// (served to fault-ins, retried by flush, blocking checkpoints),
     /// and a failure to even read the log back sets
-    /// [`Inner::undo_incomplete`], which pins the log until the process
+    /// [`Core::undo_incomplete`], which pins the log until the process
     /// restarts — either way the undo images outlive the failure, so
     /// recovery can finish the rollback.
     fn restore_stolen(&self, core: &mut Core, undo_offsets: &[u64]) {
@@ -960,7 +928,6 @@ impl BufferPool {
             if let Some(&slot) = shard.map.get(&id) {
                 let frame = Arc::clone(&shard.frames[slot]);
                 drop(shard);
-                self.buffer_hits.fetch_add(1, Ordering::Relaxed);
                 bump(&self.metrics.buffer_hits);
                 lock(&frame).referenced = true;
                 return Ok(PinnedPage {
@@ -990,13 +957,11 @@ impl BufferPool {
             if let Some(&slot) = shard.map.get(&id) {
                 let frame = Arc::clone(&shard.frames[slot]);
                 drop(shard);
-                self.buffer_hits.fetch_add(1, Ordering::Relaxed);
                 bump(&self.metrics.buffer_hits);
                 lock(&frame).referenced = true;
                 return Ok(frame);
             }
         }
-        self.page_reads.fetch_add(1, Ordering::Relaxed);
         bump(&self.metrics.fault_ins);
         let start = std::time::Instant::now();
         let mut page = Page::zeroed();
@@ -1087,7 +1052,7 @@ impl BufferPool {
                 continue;
             }
             if victim.dirty {
-                self.page_writes.fetch_add(1, Ordering::Relaxed);
+                bump(&self.metrics.page_writes);
                 let Frame { id, ref page, .. } = *victim;
                 core.pager.write(id, page)?;
             }
@@ -1160,7 +1125,7 @@ impl BufferPool {
         }
         {
             let mut victim = lock(candidate);
-            self.page_writes.fetch_add(1, Ordering::Relaxed);
+            bump(&self.metrics.page_writes);
             let Frame { id, ref page, .. } = *victim;
             core.pager.write(id, page)?;
             victim.owner = None;
@@ -1193,7 +1158,7 @@ impl BufferPool {
                 // write-back below covers it.
                 continue;
             }
-            self.page_writes.fetch_add(1, Ordering::Relaxed);
+            bump(&self.metrics.page_writes);
             if let Err(e) = core.pager.write(pid, &page) {
                 core.pending_undo.insert(pid, page);
                 return Err(e);
@@ -1203,7 +1168,7 @@ impl BufferPool {
         for frame in self.all_frames() {
             let mut frame = lock(&frame);
             if frame.dirty && frame.owner.is_none() {
-                self.page_writes.fetch_add(1, Ordering::Relaxed);
+                bump(&self.metrics.page_writes);
                 let Frame { id, ref page, .. } = *frame;
                 core.pager.write(id, page)?;
                 frame.dirty = false;
@@ -1263,13 +1228,13 @@ mod tests {
         let pool = pool(4);
         let (id, guard) = pool.allocate(PageKind::Heap).unwrap();
         drop(guard);
-        assert_eq!(pool.stats().page_reads, 0);
+        assert_eq!(pool.metrics().snapshot().fault_ins, 0);
         let g = pool.fetch(id).unwrap();
-        assert_eq!(pool.stats().buffer_hits, 1);
+        assert_eq!(pool.metrics().snapshot().buffer_hits, 1);
         drop(g);
         let g = pool.fetch(id).unwrap();
-        assert_eq!(pool.stats().buffer_hits, 2);
-        assert_eq!(pool.stats().page_reads, 0);
+        let m = pool.metrics().snapshot();
+        assert_eq!((m.fault_ins, m.buffer_hits), (0, 2));
         drop(g);
     }
 
@@ -1287,8 +1252,8 @@ mod tests {
             let guard = pool.fetch(id).unwrap();
             assert_eq!(guard.with(|p| p.record(0).to_vec()), vec![i as u8]);
         }
-        let stats = pool.stats();
-        assert!(stats.page_reads >= 8, "reads: {stats:?}");
+        let stats = pool.metrics().snapshot();
+        assert!(stats.fault_ins >= 8, "reads: {stats:?}");
         assert!(stats.page_writes >= 8, "writes: {stats:?}");
     }
 
@@ -1352,7 +1317,7 @@ mod tests {
         drop(g);
         let t = pool.begin_txn().unwrap();
         pool.commit_txn(t).unwrap(); // empty txn commits as a no-op
-        assert_eq!(pool.stats().wal_appends, 0);
+        assert_eq!(pool.metrics().snapshot().wal_appends, 0);
 
         let t = pool.begin_txn().unwrap();
         let g = pool.fetch(id).unwrap();
@@ -1373,7 +1338,11 @@ mod tests {
             (PageKind::Free, 0)
         );
         drop(g);
-        assert_eq!(pool.stats().wal_appends, 0, "nothing was logged");
+        assert_eq!(
+            pool.metrics().snapshot().wal_appends,
+            0,
+            "nothing was logged"
+        );
         // The aborted allocation is recycled: the next *transactional*
         // allocation reuses its page id instead of growing the pager
         // (untracked allocations must append — see
@@ -1398,7 +1367,7 @@ mod tests {
         drop((ga, gb));
         pool.commit_txn(t).unwrap();
         // Begin + 2 updates + Commit.
-        let stats = pool.stats();
+        let stats = pool.metrics().snapshot();
         assert_eq!(stats.wal_appends, 4);
         assert!(stats.wal_bytes > 2 * crate::page::PAGE_SIZE as u64);
         for id in [a, b] {
@@ -1429,7 +1398,7 @@ mod tests {
             let g = pool.fetch(id).unwrap();
             assert_eq!(g.with(|p| p.record(0).to_vec()), vec![i as u8; 8]);
         }
-        let stats = pool.stats();
+        let stats = pool.metrics().snapshot();
         assert!(stats.page_writes >= 7, "steals must write back: {stats:?}");
         // Undo images plus commit redo of every stolen page were logged.
         assert!(stats.wal_appends > 12, "{stats:?}");
@@ -1660,7 +1629,7 @@ mod tests {
             drop(g);
         }
         // Begin+Update+Commit per txn = 3 + 3 appends.
-        assert_eq!(pool.stats().wal_appends, 6);
+        assert_eq!(pool.metrics().snapshot().wal_appends, 6);
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! session its own, switching it in with [`StorageEngine::resume`] and
 //! out with [`StorageEngine::suspend`] around every statement — while
 //! at most one is *active* (receiving writes) at a time. Isolation
-//! between open transactions is the caller's job (the server's
-//! table-level lock manager); the engine contributes clean
+//! between open transactions is the caller's job (the server's lock
+//! manager and its row locks); the engine contributes clean
 //! per-transaction rollback and a page-ownership conflict check in the
 //! buffer pool.
 //!
@@ -62,9 +62,9 @@ mod txn;
 pub use read::IndexProbe;
 
 use crate::btree::BPlusTree;
-use crate::buffer::{BufferPool, PoolStats, TxnId};
+use crate::buffer::{BufferPool, TxnId};
 use crate::heap::HeapFile;
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{MetricsSnapshot, StorageMetrics};
 use crate::mvcc::Mvcc;
 use crate::page::{PageId, PageKind, NO_PAGE};
 use crate::pager::{Fault, Pager};
@@ -73,6 +73,7 @@ use crate::{StorageError, StorageResult};
 use std::collections::{BTreeMap, HashMap};
 use std::ffi::OsString;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const SYSTEM_TABLES_PAGE: PageId = 0;
 const SYSTEM_COLUMNS_PAGE: PageId = 1;
@@ -255,8 +256,9 @@ impl StorageEngine {
         pool_pages: usize,
     ) -> StorageResult<StorageEngine> {
         // Crash recovery first: replay committed transactions into the
-        // pager, discard torn tails, checkpoint.
-        let report = wal.recover(&mut pager)?;
+        // pager, discard torn tails, checkpoint — counted in the
+        // registry the WAL created, which the pool then shares.
+        wal.recover(&mut pager)?;
         let fresh = pager.page_count() == 0;
         // Write sets may exceed the pool now that eviction steals (undo
         // logging spills uncommitted pages to disk), but multi-page
@@ -264,16 +266,6 @@ impl StorageEngine {
         // splits, bootstrap — so tiny pools are clamped to a floor that
         // leaves headroom beyond the pinned set.
         let pool = BufferPool::new(pager, pool_pages.max(8), wal);
-        // Recovery ran before the pool (and its registry) existed;
-        // record what it did so the counts survive into snapshots.
-        // Added, not stored: the catalog is uniformly cumulative, and
-        // a fresh registry starts at zero anyway (one recovery per
-        // open), so trajectory diffs read these like any other counter.
-        {
-            let metrics = pool.metrics();
-            crate::metrics::add(&metrics.recovery_redo_frames, report.pages_replayed);
-            crate::metrics::add(&metrics.recovery_undo_frames, report.pages_undone);
-        }
         if fresh {
             // The bootstrap heaps (and the meta page anchoring the
             // free-page list) are created inside a transaction so a
@@ -332,18 +324,23 @@ impl StorageEngine {
         }
     }
 
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
-    }
-
-    /// Snapshot of the engine-wide observability counters (buffer pool,
-    /// WAL, access methods, last recovery) — see [`crate::metrics`].
+    /// Snapshot of the database's observability counters (buffer pool,
+    /// WAL, recovery, access methods, MVCC, and the lock manager sharing
+    /// [`StorageEngine::registry`]) — see [`crate::metrics`]. Relaxed
+    /// atomic loads: no lock is taken.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.pool.metrics().snapshot()
     }
 
-    /// Snapshot of the engine's latency histograms (WAL fsync, commit
-    /// force, buffer-pool fault-in) — see [`crate::metrics`].
+    /// The live registry behind [`StorageEngine::metrics`], for a
+    /// component that counts beside the engine (the server's lock
+    /// manager).
+    pub fn registry(&self) -> &Arc<StorageMetrics> {
+        self.pool.metrics()
+    }
+
+    /// Snapshot of the database's latency histograms (WAL fsync, commit
+    /// force, buffer-pool fault-in, lock wait) — see [`crate::metrics`].
     pub fn histograms(&self) -> crate::metrics::HistogramsSnapshot {
         self.pool.metrics().histograms_snapshot()
     }

@@ -152,9 +152,9 @@ fn works_under_8_page_pool_with_data_larger_than_pool() {
         let hit = eng.index_lookup("empl", 0, &Datum::Int(probe)).unwrap();
         assert_eq!(hit.len(), 1, "eno {probe}");
     }
-    let stats = eng.pool_stats();
+    let stats = eng.metrics();
     assert!(
-        stats.page_reads > 0,
+        stats.fault_ins > 0,
         "pool smaller than data must miss: {stats:?}"
     );
     assert!(stats.buffer_hits > 0, "{stats:?}");
@@ -164,12 +164,12 @@ fn works_under_8_page_pool_with_data_larger_than_pool() {
 fn point_lookup_reads_fewer_pages_than_full_scan() {
     let mut eng = engine_with_empl(8, 2000);
     eng.create_index("empl", 0).unwrap();
-    let before = eng.pool_stats();
+    let before = eng.metrics();
     let _ = eng.scan("empl").unwrap();
-    let scan_reads = eng.pool_stats().page_reads - before.page_reads;
-    let before = eng.pool_stats();
+    let scan_reads = eng.metrics().fault_ins - before.fault_ins;
+    let before = eng.metrics();
     let _ = eng.index_lookup("empl", 0, &Datum::Int(1234)).unwrap();
-    let lookup_reads = eng.pool_stats().page_reads - before.page_reads;
+    let lookup_reads = eng.metrics().fault_ins - before.fault_ins;
     assert!(
         lookup_reads < scan_reads,
         "index lookup read {lookup_reads} pages, full scan {scan_reads}"
@@ -237,10 +237,10 @@ fn contains_probes_without_materializing() {
         .contains("empl", &[0, 3], &[Datum::Int(3), Datum::Int(3)])
         .unwrap());
     assert!(!eng.contains("empl", &[0], &[Datum::Int(9999)]).unwrap());
-    let before = eng.pool_stats().page_reads + eng.pool_stats().buffer_hits;
+    let before = eng.metrics().fault_ins + eng.metrics().buffer_hits;
     // Early exit: probing the very first row touches one heap page.
     assert!(eng.contains("empl", &[0], &[Datum::Int(0)]).unwrap());
-    let touched = eng.pool_stats().page_reads + eng.pool_stats().buffer_hits - before;
+    let touched = eng.metrics().fault_ins + eng.metrics().buffer_hits - before;
     assert!(touched <= 2, "existence probe touched {touched} pages");
     assert!(eng.contains("nosuch", &[0], &[Datum::Int(0)]).is_err());
 }

@@ -185,7 +185,7 @@ fn checkpoint_truncates_wal_and_preserves_state() {
         for i in 0..100 {
             eng.insert("t", &[Datum::Int(i)]).unwrap();
         }
-        assert!(eng.pool_stats().wal_appends > 0);
+        assert!(eng.metrics().wal_appends > 0);
         eng.checkpoint().unwrap();
         assert_eq!(
             std::fs::metadata(wal_path(&path)).unwrap().len(),
@@ -586,15 +586,15 @@ fn crash_mid_recovery_undo_is_repeatable() {
 #[test]
 fn wal_metrics_count_logging_cost() {
     let mut eng = engine_with_empl(16, 10);
-    let stats = eng.pool_stats();
+    let stats = eng.metrics();
     // 10 single-row inserts + DDL: every one logged Begin/images/Commit.
     assert!(stats.wal_appends >= 30, "{stats:?}");
     assert!(
         stats.wal_bytes > 10 * crate::page::PAGE_SIZE as u64,
         "{stats:?}"
     );
-    let before = eng.pool_stats().wal_appends;
+    let before = eng.metrics().wal_appends;
     eng.insert("empl", &empl_row(50, "x", 20_000, 1)).unwrap();
-    let after = eng.pool_stats().wal_appends;
+    let after = eng.metrics().wal_appends;
     assert!(after >= before + 3, "insert must log begin+image+commit");
 }

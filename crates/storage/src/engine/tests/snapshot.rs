@@ -271,11 +271,11 @@ fn versioned_point_read_costs_tree_height_not_table() {
     let mut eng = engine_with_empl(64, 2000);
     eng.create_index("empl", ENO).unwrap();
     let fetches = |eng: &StorageEngine, eno: i64| {
-        let before = eng.pool_stats();
+        let before = eng.metrics();
         let hits = eng.index_lookup("empl", ENO, &Datum::Int(eno)).unwrap();
         assert_eq!(hits.len(), 1);
-        let after = eng.pool_stats();
-        (after.page_reads + after.buffer_hits) - (before.page_reads + before.buffer_hits)
+        let after = eng.metrics();
+        (after.fault_ins + after.buffer_hits) - (before.fault_ins + before.buffer_hits)
     };
     eng.open_statement_snapshot();
     let quiescent = fetches(&eng, 1234);

@@ -12,14 +12,15 @@
 //!   a fault-injecting wrapper ([`pager::Fault`]) used by the
 //!   crash-recovery harness, addressed by page id;
 //! * [`buffer`] — a pinned/unpinned buffer pool with clock (second-chance)
-//!   eviction between the engine and the pager, counting `page_reads` and
+//!   eviction between the engine and the pager, counting `fault_ins` and
 //!   `buffer_hits`, and grouping mutations into WAL transactions;
-//! * [`wal`] — the write-ahead log: checksummed page-image redo frames
-//!   with Begin/Commit/Abort framing and redo-only crash recovery;
-//! * [`metrics`] — the engine-wide observability registry: cumulative
-//!   atomic counters incremented by the pool, WAL, lock manager and
-//!   access methods, snapshotable for the server's `STATS` surface and
-//!   the benchmark JSON emitter;
+//! * [`wal`] — the write-ahead log: checksummed page-image redo and undo
+//!   frames with Begin/Commit/Abort framing and undo-then-redo crash
+//!   recovery;
+//! * [`metrics`] — the observability registry, one per database:
+//!   cumulative atomic counters incremented by the pool, WAL, lock
+//!   manager and access methods, snapshotable for the server's `STATS`
+//!   surface and the benchmark JSON emitter;
 //! * [`heap`] — linked heap files of tuple pages (table storage);
 //! * [`btree`] — B+-tree secondary indexes keyed on [`value::Datum`],
 //!   mapping keys to record ids;
@@ -34,18 +35,18 @@
 //! (statement-level autocommit, or grouped via `begin`/`commit`/
 //! `abort`). The rules, classical and deliberately simple:
 //!
-//! * **no-steal** — pages dirtied by the active transaction are never
-//!   evicted, so the database file never contains uncommitted data and
-//!   recovery is redo-only (consequence: a single statement's write set
-//!   must fit in the buffer pool);
+//! * **steal with undo logging** — a page an open transaction dirtied
+//!   may be evicted once its before-image is forced to the log, so a
+//!   write set is bounded by disk, not by the pool;
 //! * **force the log at commit** — commit appends `Begin`, one
 //!   CRC-checked page image per touched page (each stamped with its
 //!   LSN), and `Commit`, then fsyncs the log; data pages reach the
 //!   database file lazily via eviction, [`StorageEngine::flush`] or a
 //!   checkpoint;
-//! * **recovery on open** — replay the images of committed
-//!   transactions in log order, discard aborted/unfinished transactions
-//!   and any torn tail (bad length or checksum), then checkpoint;
+//! * **recovery on open** — roll losers' stolen pages back from their
+//!   undo images, replay the images of committed transactions in log
+//!   order, discard any torn tail (bad length or checksum), then
+//!   checkpoint;
 //! * **checkpoint** — write all committed dirty pages back, sync, then
 //!   truncate the log; runs explicitly or automatically once the log
 //!   exceeds [`engine::WAL_CHECKPOINT_BYTES`].
@@ -56,8 +57,9 @@
 //! a mutex with per-frame latches, so one engine can be shared by many
 //! sessions (see the `server` crate). Any number of transactions may be
 //! *open* at once — one per session — while statements execute one at a
-//! time; isolation between transactions comes from the table-level
-//! two-phase [`lock`] manager (wait-die deadlock avoidance), with a
+//! time; isolation between transactions comes from MVCC snapshot reads
+//! and the two-phase [`lock`] manager's row locks (wait-die deadlock
+//! avoidance), with a
 //! page-ownership check in the buffer pool as the storage-level
 //! backstop ([`StorageError::Conflict`]).
 
@@ -76,7 +78,7 @@ pub mod pager;
 pub mod value;
 pub mod wal;
 
-pub use buffer::{BufferPool, PoolStats, TxnId};
+pub use buffer::{BufferPool, TxnId};
 pub use engine::{ColType, StorageEngine};
 pub use lock::{LockManager, LockMode};
 pub use metrics::{
@@ -86,7 +88,7 @@ pub use metrics::{
 pub use page::{PageId, PAGE_SIZE};
 pub use pager::Fault;
 pub use value::{Datum, Tuple};
-pub use wal::{RecoveryReport, Wal, WalStats};
+pub use wal::{RecoveryReport, Wal};
 
 pub type StorageResult<T> = std::result::Result<T, StorageError>;
 

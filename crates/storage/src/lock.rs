@@ -46,11 +46,14 @@
 //! owner dies immediately with [`StorageError::Conflict`] — its
 //! transaction aborts and the client may retry. Because waiters are
 //! always older than the owners they wait for, the waits-for graph is
-//! ordered by age and can never form a cycle. A configurable timeout
-//! (default 10 s, see [`LockManager::with_timeout`]) backstops
+//! ordered by age and can never form a cycle. A timeout (the server's
+//! default is 10 s; see [`LockManager::with_timeout`]) backstops
 //! pathological schedules; a timed-out waiter re-checks grantability
 //! once before failing (the wakeup may *be* the release) and a genuine
 //! timeout is counted in `lock_timeouts`.
+//!
+//! Every grant, wait and abort is counted in the database's one
+//! [`StorageMetrics`] registry, which the caller passes in.
 //!
 //! **Row locks never wait.** They are acquired mid-statement, while the
 //! caller holds the exclusive side of the server's statement latch —
@@ -69,10 +72,10 @@
 //! place when compatible with every other holder and otherwise follow
 //! the same wait-die rule.
 
-use crate::metrics::{add, bump, MetricsSnapshot, StorageMetrics};
+use crate::metrics::{add, bump, StorageMetrics};
 use crate::{StorageError, StorageResult};
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Row locks escalate to a table `X` once one owner holds this many on
@@ -151,16 +154,9 @@ pub struct LockManager {
     state: Mutex<LockState>,
     released: Condvar,
     timeout: Duration,
-    /// Contention counters ([`crate::metrics`]). The lock manager is
-    /// not tied to a buffer pool, so it keeps its own registry; the
-    /// server merges this snapshot with the engine's.
-    metrics: StorageMetrics,
-}
-
-impl Default for LockManager {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// The database's registry ([`crate::metrics`]), shared with the
+    /// engine: lock events count beside the I/O they wait around.
+    metrics: Arc<StorageMetrics>,
 }
 
 fn lock_state<'a>(m: &'a Mutex<LockState>) -> MutexGuard<'a, LockState> {
@@ -168,32 +164,16 @@ fn lock_state<'a>(m: &'a Mutex<LockState>) -> MutexGuard<'a, LockState> {
 }
 
 impl LockManager {
-    /// A lock manager with the default 10-second wait timeout.
-    pub fn new() -> LockManager {
-        Self::with_timeout(Duration::from_secs(10))
-    }
-
     /// A lock manager whose waiters give up (with
-    /// [`StorageError::Conflict`]) after `timeout`.
-    pub fn with_timeout(timeout: Duration) -> LockManager {
+    /// [`StorageError::Conflict`]) after `timeout`, counting into
+    /// `metrics` (the engine's registry).
+    pub fn with_timeout(timeout: Duration, metrics: Arc<StorageMetrics>) -> LockManager {
         LockManager {
             state: Mutex::new(LockState::default()),
             released: Condvar::new(),
             timeout,
-            metrics: StorageMetrics::default(),
+            metrics,
         }
-    }
-
-    /// Snapshot of the contention counters (only the `lock_*` and
-    /// `row_lock_*` fields are ever non-zero here).
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
-    }
-
-    /// Snapshot of the latency histograms (only `lock_wait` is ever
-    /// non-zero here).
-    pub fn histograms(&self) -> crate::metrics::HistogramsSnapshot {
-        self.metrics.histograms_snapshot()
     }
 
     fn grant_counter(&self, mode: LockMode) -> &std::sync::atomic::AtomicU64 {
@@ -395,8 +375,15 @@ impl LockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use LockMode::*;
+
+    /// A lock manager over a fresh registry, returned beside it so a
+    /// test reads the counters it passed in.
+    fn manager(timeout_ms: u64) -> (LockManager, Arc<StorageMetrics>) {
+        let metrics = Arc::new(StorageMetrics::default());
+        let lm = LockManager::with_timeout(Duration::from_millis(timeout_ms), Arc::clone(&metrics));
+        (lm, metrics)
+    }
 
     #[test]
     fn compatibility_matrix_is_the_textbook_one() {
@@ -425,7 +412,7 @@ mod tests {
 
     #[test]
     fn shared_locks_coexist_exclusive_does_not() {
-        let lm = LockManager::with_timeout(Duration::from_millis(50));
+        let (lm, _) = manager(50);
         lm.acquire(1, "t", Shared).unwrap();
         lm.acquire(2, "t", Shared).unwrap();
         // Owner 3 is younger than holders 1 and 2: dies immediately.
@@ -444,7 +431,7 @@ mod tests {
 
     #[test]
     fn intent_exclusive_locks_coexist_but_exclude_readers() {
-        let lm = LockManager::with_timeout(Duration::from_millis(50));
+        let (lm, _) = manager(50);
         lm.acquire(1, "t", IntentExclusive).unwrap();
         lm.acquire(2, "t", IntentExclusive).unwrap();
         // A younger reader dies against the writers' intent locks.
@@ -464,7 +451,7 @@ mod tests {
 
     #[test]
     fn reentrant_and_upgrade_in_place() {
-        let lm = LockManager::with_timeout(Duration::from_millis(50));
+        let (lm, _) = manager(50);
         lm.acquire(1, "t", Shared).unwrap();
         lm.acquire(1, "t", Shared).unwrap();
         // Sole holder: upgrade granted in place.
@@ -478,7 +465,7 @@ mod tests {
 
     #[test]
     fn read_then_write_upgrade_joins_to_exclusive() {
-        let lm = LockManager::with_timeout(Duration::from_millis(50));
+        let (lm, _) = manager(50);
         lm.acquire(1, "t", Shared).unwrap();
         // S + IX has no SIX mode to land on: the join is X.
         lm.acquire(1, "t", IntentExclusive).unwrap();
@@ -488,7 +475,7 @@ mod tests {
 
     #[test]
     fn older_owner_waits_for_younger_holder() {
-        let lm = Arc::new(LockManager::new());
+        let lm = Arc::new(manager(10_000).0);
         lm.acquire(10, "t", Exclusive).unwrap();
         let waiter = {
             let lm = Arc::clone(&lm);
@@ -506,7 +493,7 @@ mod tests {
 
     #[test]
     fn younger_owner_dies_instead_of_deadlocking() {
-        let lm = LockManager::new();
+        let (lm, _) = manager(10_000);
         lm.acquire(1, "a", Exclusive).unwrap();
         lm.acquire(2, "b", Exclusive).unwrap();
         // The classic crossing: 2 wants a (held by older 1) → dies at
@@ -523,12 +510,16 @@ mod tests {
 
     #[test]
     fn waiting_times_out_with_conflict_and_counts_it() {
-        let lm = LockManager::with_timeout(Duration::from_millis(40));
+        let (lm, metrics) = manager(40);
         lm.acquire(10, "t", Exclusive).unwrap();
         // Owner 5 is older, so it waits — and then times out.
         let err = lm.acquire(5, "t", Shared).unwrap_err();
         assert!(matches!(err, StorageError::Conflict(_)), "{err}");
-        assert_eq!(lm.metrics().lock_timeouts, 1, "timeout must be counted");
+        assert_eq!(
+            metrics.snapshot().lock_timeouts,
+            1,
+            "timeout must be counted"
+        );
         lm.release_all(10);
         lm.acquire(5, "t", Shared).unwrap();
     }
@@ -540,7 +531,8 @@ mod tests {
     /// rather than abort.
     #[test]
     fn timed_out_wakeup_recheck_grants_a_released_lock() {
-        let lm = Arc::new(LockManager::with_timeout(Duration::from_millis(150)));
+        let (lm, metrics) = manager(150);
+        let lm = Arc::new(lm);
         lm.acquire(10, "t", Exclusive).unwrap();
         let waiter = {
             let lm = Arc::clone(&lm);
@@ -554,12 +546,16 @@ mod tests {
             .unwrap()
             .expect("released lock must be granted on the timed-out re-check");
         assert_eq!(lm.holders("t"), vec![(5, LockMode::Exclusive)]);
-        assert_eq!(lm.metrics().lock_timeouts, 0, "this was not a timeout");
+        assert_eq!(
+            metrics.snapshot().lock_timeouts,
+            0,
+            "this was not a timeout"
+        );
     }
 
     #[test]
     fn upgrade_with_other_sharers_follows_wait_die() {
-        let lm = LockManager::with_timeout(Duration::from_millis(40));
+        let (lm, _) = manager(40);
         lm.acquire(1, "t", Shared).unwrap();
         lm.acquire(2, "t", Shared).unwrap();
         // 2 upgrading while older 1 still shares: 2 is younger → dies.
@@ -578,7 +574,7 @@ mod tests {
 
     #[test]
     fn disjoint_row_locks_coexist_same_row_conflicts() {
-        let lm = LockManager::with_timeout(Duration::from_millis(40));
+        let (lm, metrics) = manager(40);
         lm.acquire(1, "t", IntentExclusive).unwrap();
         lm.acquire(2, "t", IntentExclusive).unwrap();
         lm.acquire_row(1, "t", 7).unwrap();
@@ -596,7 +592,7 @@ mod tests {
             lm.acquire_row(1, "t", 8),
             Err(StorageError::Conflict(_))
         ));
-        let m = lm.metrics();
+        let m = metrics.snapshot();
         assert_eq!(m.row_lock_exclusive, 2);
         assert_eq!(m.row_lock_conflicts, 2);
         lm.release_all(1);
@@ -608,7 +604,7 @@ mod tests {
 
     #[test]
     fn row_locks_escalate_to_table_exclusive_past_the_threshold() {
-        let lm = LockManager::with_timeout(Duration::from_millis(40));
+        let (lm, metrics) = manager(40);
         let threshold = ROW_LOCK_ESCALATION as u64;
         lm.acquire(1, "t", IntentExclusive).unwrap();
         for row in 0..threshold - 1 {
@@ -618,10 +614,10 @@ mod tests {
         // The threshold-th row crosses it: IX → X.
         lm.acquire_row(1, "t", threshold - 1).unwrap();
         assert_eq!(lm.holders("t"), vec![(1, Exclusive)]);
-        assert_eq!(lm.metrics().row_lock_escalations, 1);
+        assert_eq!(metrics.snapshot().row_lock_escalations, 1);
         // Further rows ride the table lock without new entries.
         lm.acquire_row(1, "t", threshold).unwrap();
-        assert_eq!(lm.metrics().row_lock_exclusive, threshold);
+        assert_eq!(metrics.snapshot().row_lock_exclusive, threshold);
         // Another session now conflicts at the table, not the row.
         assert!(matches!(
             lm.acquire(2, "t", IntentExclusive),
@@ -633,7 +629,7 @@ mod tests {
 
     #[test]
     fn escalation_is_skipped_while_the_table_is_shared() {
-        let lm = LockManager::with_timeout(Duration::from_millis(40));
+        let (lm, metrics) = manager(40);
         let rows = ROW_LOCK_ESCALATION + 1;
         lm.acquire(1, "t", IntentExclusive).unwrap();
         lm.acquire(2, "t", IntentExclusive).unwrap();
@@ -646,13 +642,13 @@ mod tests {
             lm.holders("t"),
             vec![(1, IntentExclusive), (2, IntentExclusive)]
         );
-        assert_eq!(lm.metrics().row_lock_escalations, 0);
+        assert_eq!(metrics.snapshot().row_lock_escalations, 0);
         assert_eq!(lm.row_holders("t").len(), rows);
         // Once alone, the next row lock escalates.
         lm.release_all(2);
         lm.acquire_row(1, "t", 999).unwrap();
         assert_eq!(lm.holders("t"), vec![(1, Exclusive)]);
-        assert_eq!(lm.metrics().row_lock_escalations, 1);
+        assert_eq!(metrics.snapshot().row_lock_escalations, 1);
         lm.release_all(1);
     }
 }

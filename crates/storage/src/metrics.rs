@@ -2,20 +2,19 @@
 //!
 //! The paper's optimizer justifies itself by *measured* cost, so the
 //! storage layer keeps a running account of everything it does. One
-//! [`StorageMetrics`] registry is created per [`crate::buffer::BufferPool`]
-//! (shared with the WAL via `Arc`) and incremented, lock-free, from
-//! every hot path:
+//! [`StorageMetrics`] registry exists per database: the WAL creates it
+//! (before recovery, so recovery counts into it too), and the buffer
+//! pool, the access methods, MVCC and the server's lock manager share
+//! it by `Arc`. Every event is counted here and nowhere else,
+//! lock-free, from every hot path:
 //!
 //! * **buffer pool** ([`crate::buffer`]) — fault-ins, hits, clock-sweep
-//!   steps, evictions, steals, pending-undo restores;
+//!   steps, evictions, steals, page write-backs, pending-undo restores;
 //! * **write-ahead log** ([`crate::wal`]) — appends, bytes, forced
-//!   fsyncs, undo images, checkpoints, plus the redo/undo page-image
-//!   counts of the last crash recovery (recorded by the engine from the
-//!   [`crate::wal::RecoveryReport`]);
+//!   fsyncs, undo images, checkpoints, plus the redo/undo page images
+//!   crash recovery applied;
 //! * **lock manager** ([`crate::lock`]) — grants by mode, waits,
-//!   wait-die aborts, total nanoseconds spent blocked (the lock manager
-//!   owns its *own* registry — it is not tied to a pool — and the
-//!   server merges the two snapshots);
+//!   wait-die aborts, total nanoseconds spent blocked;
 //! * **access methods** ([`crate::heap`], [`crate::btree`], routed
 //!   through the pool they already receive) — heap inserts, in-place
 //!   rewrites/relocations, page compactions, B+-tree splits and
@@ -45,9 +44,7 @@
 //!
 //! A [`HistogramSnapshot`] reduces a histogram to count / total / max
 //! and estimated p50/p90/p99 (bucket upper bound, clamped to the
-//! observed max); [`HistogramsSnapshot::merge`] sums field-wise like
-//! counters so the engine and lock-manager registries combine into one
-//! `STATS HISTOGRAMS` surface.
+//! observed max).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -169,20 +166,6 @@ impl HistogramSnapshot {
             ("max_nanos", self.max_nanos),
         ]
     }
-
-    /// Field-wise sum (buckets and total add, max takes the max) —
-    /// merges histograms from registries counting disjoint events.
-    pub fn merge(self, other: HistogramSnapshot) -> HistogramSnapshot {
-        let mut buckets = self.buckets;
-        for (dst, src) in buckets.iter_mut().zip(&other.buckets) {
-            *dst += src;
-        }
-        HistogramSnapshot {
-            buckets,
-            total_nanos: self.total_nanos + other.total_nanos,
-            max_nanos: self.max_nanos.max(other.max_nanos),
-        }
-    }
 }
 
 /// Adds one to a counter (relaxed; these are statistics).
@@ -231,13 +214,6 @@ macro_rules! histograms {
             /// `STATS HISTOGRAMS` wire rows render from this one list.
             pub fn histograms(&self) -> Vec<(&'static str, HistogramSnapshot)> {
                 vec![$((stringify!($name), self.$name),)+]
-            }
-
-            /// Field-wise merge (see [`HistogramSnapshot::merge`]).
-            pub fn merge(self, other: HistogramsSnapshot) -> HistogramsSnapshot {
-                HistogramsSnapshot {
-                    $($name: self.$name.merge(other.$name),)+
-                }
             }
         }
     };
@@ -303,15 +279,6 @@ macro_rules! counters {
             pub fn counters(&self) -> Vec<(&'static str, u64)> {
                 vec![$((stringify!($name), self.$name),)+]
             }
-
-            /// Field-wise sum — merges registries that count disjoint
-            /// events (the engine's pool/WAL registry and the server's
-            /// lock-manager registry).
-            pub fn merge(self, other: MetricsSnapshot) -> MetricsSnapshot {
-                MetricsSnapshot {
-                    $($name: self.$name + other.$name,)+
-                }
-            }
         }
     };
 }
@@ -328,6 +295,9 @@ counters! {
     /// Frames stolen (evicted while owned by an open transaction,
     /// after their undo image was forced to the log).
     steals,
+    /// Pages written back to the pager: eviction and steal write-backs
+    /// and the two flush loops (parked undo images, dirty frames).
+    page_writes,
     /// Parked undo images applied after a failed abort restore (served
     /// to a fault-in or written back by flush).
     pending_undo_restores,
@@ -355,7 +325,7 @@ counters! {
     /// Exclusive-mode lock grants (fresh grants and in-place upgrades,
     /// row-lock escalations included).
     lock_exclusive,
-    /// Intent-mode (IS/IX) table lock grants.
+    /// Intent-exclusive (IX) table lock grants.
     lock_intent,
     /// Times an acquirer blocked on the condvar waiting for a release.
     lock_waits,
@@ -521,22 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_sums_buckets_and_keeps_max() {
-        let a = LatencyHistogram::default();
-        a.record(10);
-        a.record(100);
-        let b = LatencyHistogram::default();
-        b.record(10);
-        b.record(1_000_000);
-        let m = a.snapshot().merge(b.snapshot());
-        assert_eq!(m.count(), 4);
-        assert_eq!(m.total_nanos, 10 + 100 + 10 + 1_000_000);
-        assert_eq!(m.max_nanos, 1_000_000);
-        assert_eq!(m.buckets[LatencyHistogram::bucket_index(10)], 2);
-    }
-
-    #[test]
-    fn histograms_registry_lists_and_merges() {
+    fn histograms_registry_lists_in_wire_order() {
         let h = StorageHistograms::default();
         h.wal_fsync.record(500);
         h.lock_wait.record(2_000);
@@ -547,9 +502,7 @@ mod tests {
         assert_eq!(names, HistogramsSnapshot::NAMES);
         assert_eq!(snap.wal_fsync.count(), 1);
         assert_eq!(snap.commit.count(), 0);
-        let merged = snap.merge(snap);
-        assert_eq!(merged.wal_fsync.count(), 2);
-        assert_eq!(merged.lock_wait.total_nanos, 4_000);
+        assert_eq!(snap.lock_wait.total_nanos, 2_000);
     }
 
     #[test]
@@ -562,23 +515,5 @@ mod tests {
         assert_eq!(stats[0], ("count", 1));
         assert_eq!(stats[1], ("total_nanos", 7));
         assert_eq!(stats[5], ("max_nanos", 7));
-    }
-
-    #[test]
-    fn merge_sums_field_wise() {
-        let a = MetricsSnapshot {
-            lock_shared: 3,
-            wal_appends: 5,
-            ..Default::default()
-        };
-        let b = MetricsSnapshot {
-            lock_shared: 4,
-            steals: 1,
-            ..Default::default()
-        };
-        let m = a.merge(b);
-        assert_eq!(m.lock_shared, 7);
-        assert_eq!(m.wal_appends, 5);
-        assert_eq!(m.steals, 1);
     }
 }

@@ -79,17 +79,6 @@ const TAG_COMMIT: u8 = 3;
 const TAG_ABORT: u8 = 4;
 const TAG_UNDO: u8 = 5;
 
-/// Cumulative logging counters, folded into
-/// [`crate::buffer::PoolStats`] so `rqs::QueryMetrics` can report the
-/// cost of durability next to page I/O.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WalStats {
-    /// Frames appended (Begin/Update/Commit/Abort).
-    pub appends: u64,
-    /// Bytes appended, frame headers included.
-    pub bytes: u64,
-}
-
 /// One decoded log record.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WalRecord {
@@ -255,17 +244,16 @@ pub struct Wal {
     /// Next transaction id to hand out.
     next_txn: u64,
     /// Frame bytes currently in the log (drops to 0 at checkpoint,
-    /// unlike the cumulative `stats`).
+    /// unlike the cumulative `wal_bytes` counter).
     live_bytes: u64,
     /// Set when [`Wal::discard_after`] could not physically truncate
     /// the backing (I/O error): garbage bytes sit past `live_bytes`,
     /// and appends are refused until a retried truncation succeeds.
     pending_truncate: bool,
-    stats: WalStats,
-    /// The pool's observability registry ([`crate::metrics`]), attached
-    /// by [`crate::buffer::BufferPool`]; `None` for standalone logs
-    /// (recovery runs before the pool exists, unit tests).
-    metrics: Option<Arc<StorageMetrics>>,
+    /// The database's observability registry ([`crate::metrics`]),
+    /// created with the log so recovery counts into it; the buffer
+    /// pool built over this log shares it.
+    metrics: Arc<StorageMetrics>,
 }
 
 impl Wal {
@@ -279,8 +267,7 @@ impl Wal {
             next_txn: 1,
             live_bytes: 0,
             pending_truncate: false,
-            stats: WalStats::default(),
-            metrics: None,
+            metrics: Arc::default(),
         }
     }
 
@@ -322,19 +309,13 @@ impl Wal {
             next_txn: 1,
             live_bytes,
             pending_truncate: false,
-            stats: WalStats::default(),
-            metrics: None,
+            metrics: Arc::default(),
         })
     }
 
-    pub fn stats(&self) -> WalStats {
-        self.stats
-    }
-
-    /// Attaches the observability registry; counters below feed it in
-    /// addition to the local [`WalStats`].
-    pub fn set_metrics(&mut self, metrics: Arc<StorageMetrics>) {
-        self.metrics = Some(metrics);
+    /// The registry this log counts into (see [`crate::metrics`]).
+    pub fn metrics(&self) -> &Arc<StorageMetrics> {
+        &self.metrics
     }
 
     /// LSN the next appended frame will receive.
@@ -450,15 +431,11 @@ impl Wal {
         }
         let lsn = self.next_lsn;
         self.next_lsn += 1;
-        self.stats.appends += 1;
-        self.stats.bytes += frame.len() as u64;
         self.live_bytes += frame.len() as u64;
-        if let Some(metrics) = &self.metrics {
-            bump(&metrics.wal_appends);
-            add(&metrics.wal_bytes, frame.len() as u64);
-            if matches!(record, WalRecord::UndoImage { .. }) {
-                bump(&metrics.wal_undo_images);
-            }
+        bump(&self.metrics.wal_appends);
+        add(&self.metrics.wal_bytes, frame.len() as u64);
+        if matches!(record, WalRecord::UndoImage { .. }) {
+            bump(&self.metrics.wal_undo_images);
         }
         Ok(lsn)
     }
@@ -474,16 +451,14 @@ impl Wal {
             file.sync_data()?;
         }
         self.durable_lsn = self.next_lsn - 1;
-        if let Some(metrics) = &self.metrics {
-            bump(&metrics.wal_fsyncs);
-            // Recorded exactly once per wal_fsyncs bump (a Mem backing
-            // records ~0 ns but still counts) so histogram count and
-            // counter stay equal.
-            metrics
-                .histograms
-                .wal_fsync
-                .record(start.elapsed().as_nanos() as u64);
-        }
+        bump(&self.metrics.wal_fsyncs);
+        // Recorded exactly once per wal_fsyncs bump (a Mem backing
+        // records ~0 ns but still counts) so histogram count and
+        // counter stay equal.
+        self.metrics
+            .histograms
+            .wal_fsync
+            .record(start.elapsed().as_nanos() as u64);
         Ok(())
     }
 
@@ -509,9 +484,7 @@ impl Wal {
                 "failed to truncate the write-ahead log at checkpoint".into(),
             ));
         }
-        if let Some(metrics) = &self.metrics {
-            bump(&metrics.wal_checkpoints);
-        }
+        bump(&self.metrics.wal_checkpoints);
         Ok(())
     }
 
@@ -629,9 +602,10 @@ impl Wal {
     /// uncommitted writes roll out of the database file), then replay
     /// the page images of every committed transaction forward in log
     /// order. Discards any torn tail; syncs the pager and truncates the
-    /// log (recovery ends in a checkpoint). Also restores the LSN and
-    /// transaction-id high-water marks so new log records stay
-    /// monotonic.
+    /// log (recovery ends in a checkpoint, counted in `wal_checkpoints`).
+    /// Also restores the LSN and transaction-id high-water marks so new
+    /// log records stay monotonic. The pages it undoes and replays are
+    /// added to `recovery_undo_frames` and `recovery_redo_frames`.
     pub fn recover(&mut self, pager: &mut Pager) -> StorageResult<RecoveryReport> {
         let (records, torn) = self.read_frames()?;
         let mut report = RecoveryReport {
@@ -714,6 +688,8 @@ impl Wal {
             }
         }
         pager.sync()?;
+        add(&self.metrics.recovery_undo_frames, report.pages_undone);
+        add(&self.metrics.recovery_redo_frames, report.pages_replayed);
         // Even a torn-tail-only log must be reset: leaving the garbage
         // in place would strand every frame appended after it behind an
         // unreadable prefix on the next recovery.
@@ -812,6 +788,8 @@ mod tests {
         assert_eq!(out.record(0), [0x11; 16]);
         // Recovery checkpointed: log is empty, ids resume past the old ones.
         assert_eq!(wal.len_bytes(), 0);
+        let m = wal.metrics().snapshot();
+        assert_eq!((m.recovery_redo_frames, m.wal_checkpoints), (1, 1));
         assert!(wal.begin_txn_id() > 2);
         std::fs::remove_file(&path).unwrap();
     }
@@ -1006,6 +984,7 @@ mod tests {
         let report = wal.recover(&mut pager).unwrap();
         assert_eq!(report.pages_undone, 1);
         assert_eq!(report.txns_replayed, 1);
+        assert_eq!(wal.metrics().snapshot().recovery_undo_frames, 1);
         let mut out = Page::zeroed();
         pager.read(0, &mut out).unwrap();
         assert_eq!(out.record(0), [0x11; 16], "stolen write rolled back");
@@ -1118,8 +1097,8 @@ mod tests {
         assert_eq!(wal.len_bytes(), 0);
         assert_eq!(wal.durable_lsn(), 1);
         assert_eq!(wal.next_lsn(), 2);
-        let stats = wal.stats();
-        assert_eq!(stats.appends, 1);
+        let m = wal.metrics().snapshot();
+        assert_eq!((m.wal_appends, m.wal_fsyncs, m.wal_checkpoints), (1, 1, 1));
     }
 
     #[test]
