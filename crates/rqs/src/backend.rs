@@ -27,6 +27,7 @@ use std::ops::Bound;
 use std::path::Path;
 use storage::engine::ColType;
 use storage::engine::IndexProbe;
+use storage::heap::Rid;
 use storage::{Fault, MetricsSnapshot, StorageEngine, StorageError};
 
 impl From<StorageError> for RqsError {
@@ -41,16 +42,22 @@ impl From<StorageError> for RqsError {
 }
 
 /// Row-lock acquisition callback installed by the shared server around
-/// a DML statement: called with the table name and a stable row key
-/// (derived from the rid) for every row the statement is about to
-/// mutate — *before* the engine mutates it. Returning an error aborts
-/// the statement; a retryable conflict means another session holds the
-/// row.
-pub type RowLockHook = std::sync::Arc<dyn Fn(&str, u64) -> RqsResult<()> + Send + Sync>;
+/// a DML statement: called with the table name and the [`RowId`] of
+/// every row the statement is about to mutate — *before* the engine
+/// mutates it. Returning an error aborts the statement; a retryable
+/// conflict means another session holds the row.
+pub type RowLockHook = std::sync::Arc<dyn Fn(&str, RowId) -> RqsResult<()> + Send + Sync>;
+
+/// A row's address as [`StorageBackend::read`] yields it and
+/// [`StorageBackend::update_rows`]/[`StorageBackend::delete_rows`] take
+/// it back: on the paged engine the rid's key ([`Rid::key`], stable
+/// across in-place updates), on the in-memory oracle the row's
+/// position, valid for one statement.
+pub type RowId = u64;
 
 /// Physical table storage — the data-access contract both backends
-/// implement: DDL, rows in, rows out, secondary indexes, predicated
-/// mutation, and one statement transaction for atomicity.
+/// implement: DDL, rows in, one row read, secondary indexes, mutation
+/// by row id, and one statement transaction for atomicity.
 ///
 /// Everything only the paged engine has — session transactions, the
 /// row-lock hook, statement snapshots and constraint-probe mode,
@@ -88,16 +95,26 @@ pub trait StorageBackend: Send + Sync {
     /// weighed against the pages one scan reads.
     fn table_size(&self, name: &str) -> RqsResult<TableSize>;
 
-    /// Every tuple of the table, in storage order.
-    fn scan(&self, name: &str) -> RqsResult<Vec<Tuple>>;
+    /// The one row read: visits each row `access` locates, as the
+    /// current read view sees it, with its [`RowId`], until `f` returns
+    /// `false`. A full scan goes in storage order, an index path in key
+    /// order; an index path on an unindexed column is an error (callers
+    /// go through `choose_access`, which asks [`Self::has_index`]).
+    fn read(
+        &self,
+        name: &str,
+        access: &AccessPath,
+        f: &mut dyn FnMut(RowId, &Tuple) -> bool,
+    ) -> RqsResult<()>;
 
-    /// Visits every tuple without materializing the table, so callers
-    /// can filter before cloning (the executor's scan path).
-    fn for_each(&self, name: &str, f: &mut dyn FnMut(&Tuple)) -> RqsResult<()> {
-        for row in self.scan(name)? {
-            f(&row);
-        }
-        Ok(())
+    /// Every tuple of the table, in storage order.
+    fn scan(&self, name: &str) -> RqsResult<Vec<Tuple>> {
+        let mut rows = Vec::new();
+        self.read(name, &AccessPath::FullScan, &mut |_, row| {
+            rows.push(row.clone());
+            true
+        })?;
+        Ok(rows)
     }
 
     /// Creates (and backfills) a secondary index on column `col`.
@@ -105,56 +122,24 @@ pub trait StorageBackend: Send + Sync {
 
     fn has_index(&self, name: &str, col: usize) -> bool;
 
-    /// Tuples whose `col` equals `key`, via the index on `col`. An
-    /// unindexed column is an error: callers ask [`Self::has_index`]
-    /// (or `choose_access`) first.
-    fn index_lookup(&self, name: &str, col: usize, key: &Datum) -> RqsResult<Vec<Tuple>>;
+    /// Deletes the rows [`Self::read`] yielded these ids for in this
+    /// statement, returning how many were removed. Constraint checks
+    /// are the caller's job (the relational layer re-validates before
+    /// mutating).
+    fn delete_rows(&mut self, name: &str, rows: &[RowId]) -> RqsResult<usize>;
 
-    /// Tuples whose `col` falls inside `(lower, upper)`, via an ordered
-    /// cursor over the index on `col` (an error when there is none).
-    /// Feeds inequality restrictions (`<`, `<=`, `>`, `>=`, `BETWEEN`)
-    /// without touching the whole table.
-    fn index_range(
-        &self,
-        name: &str,
-        col: usize,
-        lower: Bound<&Datum>,
-        upper: Bound<&Datum>,
-    ) -> RqsResult<Vec<Tuple>>;
-
-    /// Deletes every row the access path yields that satisfies `pred`,
-    /// returning how many were removed. The predicate is a pure
-    /// function of the tuple, so both backends remove the same multiset
-    /// of rows. Constraint checks are the caller's job (the relational
-    /// layer re-validates before mutating).
-    fn delete_where(
-        &mut self,
-        name: &str,
-        access: &AccessPath,
-        pred: &mut dyn FnMut(&Tuple) -> bool,
-    ) -> RqsResult<usize>;
-
-    /// Rewrites every row the access path yields that satisfies `pred`
-    /// with the tuple `apply` produces, returning how many changed.
-    /// `apply` is a pure function of the old tuple (the relational
-    /// layer pre-validated its output against schema and constraints).
-    fn update_where(
-        &mut self,
-        name: &str,
-        access: &AccessPath,
-        pred: &mut dyn FnMut(&Tuple) -> bool,
-        apply: &mut dyn FnMut(&Tuple) -> Tuple,
-    ) -> RqsResult<usize>;
+    /// Rewrites each row [`Self::read`] yielded the id for in this
+    /// statement with its new tuple, returning how many changed (the
+    /// relational layer pre-validated every new tuple against schema,
+    /// size caps and constraints).
+    fn update_rows(&mut self, name: &str, rows: &[(RowId, Tuple)]) -> RqsResult<usize>;
 
     /// Whether any stored tuple matches `values` at columns `cols`
-    /// (constraint probes). Implementations should early-exit rather
-    /// than materialize the table.
-    fn contains(&self, name: &str, cols: &[usize], values: &[Datum]) -> RqsResult<bool> {
-        Ok(self
-            .scan(name)?
-            .iter()
-            .any(|row| cols.iter().zip(values).all(|(&c, v)| &row[c] == v)))
-    }
+    /// (constraint probes), stopping at the first hit. Under the paged
+    /// engine's constraint-probe mode it conflicts only on pending
+    /// writes to rows that match, which a full-scan [`Self::read`]
+    /// would not.
+    fn contains(&self, name: &str, cols: &[usize], values: &[Datum]) -> RqsResult<bool>;
 
     /// The database's counter registry, snapshotted with relaxed loads
     /// and no lock (all zero for in-memory). A statement's I/O is the
@@ -197,11 +182,11 @@ pub struct Snapshot<'a> {
     pub backend: &'a dyn StorageBackend,
 }
 
-/// How a statement locates its candidate rows — the planner's
-/// access-path choice (see `exec::choose_access`), handed through the
-/// backend trait so predicated UPDATE/DELETE ride the same index
-/// machinery as SELECT scans. The access path over-approximates: the
-/// backend still applies the full predicate to every candidate.
+/// How a statement locates the rows it reads — the planner's
+/// access-path choice (see `exec::choose_access`) and what
+/// [`StorageBackend::read`] walks, for SELECT scans, probe joins,
+/// constraint probes and predicated UPDATE/DELETE alike. It
+/// over-approximates: the caller filters what the read yields.
 #[derive(Clone, Debug, PartialEq)]
 pub enum AccessPath {
     /// Walk the whole table.
@@ -279,7 +264,8 @@ impl MemTable {
 
 /// Whether `(lower, upper)` denotes an empty range. `BTreeMap::range`
 /// panics on inverted (or doubly-excluded equal) bounds; the planner
-/// can produce such ranges from contradictory restrictions.
+/// can produce such ranges from contradictory restrictions. Each
+/// backend's `read` asks once, before it walks a range.
 fn bounds_are_empty(lower: &Bound<&Datum>, upper: &Bound<&Datum>) -> bool {
     match (lower, upper) {
         (Bound::Included(l), Bound::Included(u)) => l > u,
@@ -392,59 +378,6 @@ impl InMemoryBackend {
         };
         touched.insert(name.to_owned(), MemSaved::Full(saved));
     }
-
-    /// Row ids the access path yields for one table: `None` = every row
-    /// (a full scan), `Some` = the index-narrowed candidate set.
-    fn candidates(&self, name: &str, access: &AccessPath) -> RqsResult<Option<Vec<usize>>> {
-        let table = self.table(name)?;
-        Ok(match access {
-            AccessPath::FullScan => None,
-            AccessPath::Nothing => Some(Vec::new()),
-            AccessPath::KeyEq(col, key) => Some(
-                table
-                    .index(name, *col)?
-                    .get(key)
-                    .cloned()
-                    .unwrap_or_default(),
-            ),
-            AccessPath::KeyRange(col, lower, upper) => {
-                let index = table.index(name, *col)?;
-                let (lower, upper) = (lower.as_ref(), upper.as_ref());
-                Some(if bounds_are_empty(&lower, &upper) {
-                    Vec::new()
-                } else {
-                    index
-                        .range((lower, upper))
-                        .flat_map(|(_, rids)| rids.iter().copied())
-                        .collect()
-                })
-            }
-        })
-    }
-
-    /// Row ids of the rows that satisfy both the access path and the
-    /// predicate, ascending.
-    fn matched(
-        &self,
-        name: &str,
-        access: &AccessPath,
-        pred: &mut dyn FnMut(&Tuple) -> bool,
-    ) -> RqsResult<Vec<usize>> {
-        let candidates = self.candidates(name, access)?;
-        let table = self.table(name)?;
-        let mut hits: Vec<usize> = match candidates {
-            Some(rids) => rids
-                .into_iter()
-                .filter(|&rid| pred(&table.rows[rid]))
-                .collect(),
-            None => (0..table.rows.len())
-                .filter(|&rid| pred(&table.rows[rid]))
-                .collect(),
-        };
-        hits.sort_unstable();
-        hits.dedup();
-        Ok(hits)
-    }
 }
 
 impl StorageBackend for InMemoryBackend {
@@ -556,13 +489,41 @@ impl StorageBackend for InMemoryBackend {
         })
     }
 
-    fn scan(&self, name: &str) -> RqsResult<Vec<Tuple>> {
-        Ok(self.table(name)?.rows.clone())
-    }
-
-    fn for_each(&self, name: &str, f: &mut dyn FnMut(&Tuple)) -> RqsResult<()> {
-        for row in &self.table(name)?.rows {
-            f(row);
+    fn read(
+        &self,
+        name: &str,
+        access: &AccessPath,
+        f: &mut dyn FnMut(RowId, &Tuple) -> bool,
+    ) -> RqsResult<()> {
+        let table = self.table(name)?;
+        let positions: Box<dyn Iterator<Item = usize>> = match access {
+            AccessPath::FullScan => Box::new(0..table.rows.len()),
+            AccessPath::Nothing => return Ok(()),
+            AccessPath::KeyEq(col, key) => Box::new(
+                table
+                    .index(name, *col)?
+                    .get(key)
+                    .into_iter()
+                    .flatten()
+                    .copied(),
+            ),
+            AccessPath::KeyRange(col, lower, upper) => {
+                let index = table.index(name, *col)?;
+                let (lower, upper) = (lower.as_ref(), upper.as_ref());
+                if bounds_are_empty(&lower, &upper) {
+                    return Ok(());
+                }
+                Box::new(
+                    index
+                        .range((lower, upper))
+                        .flat_map(|(_, rows)| rows.iter().copied()),
+                )
+            }
+        };
+        for pos in positions {
+            if !f(pos as RowId, &table.rows[pos]) {
+                break;
+            }
         }
         Ok(())
     }
@@ -585,88 +546,36 @@ impl StorageBackend for InMemoryBackend {
             .is_some_and(|t| t.indexes.contains_key(&col))
     }
 
-    fn index_lookup(&self, name: &str, col: usize, key: &Datum) -> RqsResult<Vec<Tuple>> {
-        let table = self.table(name)?;
-        let rids = table
-            .index(name, col)?
-            .get(key)
-            .map_or(&[][..], Vec::as_slice);
-        Ok(rids.iter().map(|&rid| table.rows[rid].clone()).collect())
-    }
-
-    fn index_range(
-        &self,
-        name: &str,
-        col: usize,
-        lower: Bound<&Datum>,
-        upper: Bound<&Datum>,
-    ) -> RqsResult<Vec<Tuple>> {
-        let table = self.table(name)?;
-        let index = table.index(name, col)?;
-        if bounds_are_empty(&lower, &upper) {
-            return Ok(Vec::new());
-        }
-        let mut out = Vec::new();
-        for rids in index.range((lower, upper)).map(|(_, v)| v) {
-            out.extend(rids.iter().map(|&rid| table.rows[rid].clone()));
-        }
-        Ok(out)
-    }
-
-    fn delete_where(
-        &mut self,
-        name: &str,
-        access: &AccessPath,
-        pred: &mut dyn FnMut(&Tuple) -> bool,
-    ) -> RqsResult<usize> {
-        let doomed = self.matched(name, access, pred)?;
-        if doomed.is_empty() {
+    fn delete_rows(&mut self, name: &str, rows: &[RowId]) -> RqsResult<usize> {
+        self.table(name)?;
+        if rows.is_empty() {
             return Ok(0);
         }
         self.touch_full(name);
         let table = self.table_mut(name)?;
-        let doomed_set: std::collections::HashSet<usize> = doomed.iter().copied().collect();
-        let mut rid = 0;
+        let doomed: std::collections::HashSet<RowId> = rows.iter().copied().collect();
+        let mut pos: RowId = 0;
         table.rows.retain(|_| {
-            let keep = !doomed_set.contains(&rid);
-            rid += 1;
+            let keep = !doomed.contains(&pos);
+            pos += 1;
             keep
         });
         rebuild_indexes(table);
-        Ok(doomed.len())
+        Ok(rows.len())
     }
 
-    fn update_where(
-        &mut self,
-        name: &str,
-        access: &AccessPath,
-        pred: &mut dyn FnMut(&Tuple) -> bool,
-        apply: &mut dyn FnMut(&Tuple) -> Tuple,
-    ) -> RqsResult<usize> {
-        let matched = self.matched(name, access, pred)?;
-        if matched.is_empty() {
+    fn update_rows(&mut self, name: &str, rows: &[(RowId, Tuple)]) -> RqsResult<usize> {
+        self.table(name)?;
+        if rows.is_empty() {
             return Ok(0);
-        }
-        // Compute every replacement (and enforce the paged engine's
-        // record-size cap) before mutating, so an oversized row rejects
-        // the statement without partial effects.
-        let table = self.table(name)?;
-        let mut replacements = Vec::with_capacity(matched.len());
-        for &rid in &matched {
-            let new = apply(&table.rows[rid]);
-            let encoded = encoded_tuple_len(&new);
-            if encoded > storage::page::Page::max_record_len() {
-                return Err(StorageError::RecordTooLarge(encoded).into());
-            }
-            replacements.push((rid, new));
         }
         self.touch_full(name);
         let table = self.table_mut(name)?;
-        for (rid, new) in replacements {
-            table.rows[rid] = new;
+        for (pos, new) in rows {
+            table.rows[*pos as usize] = new.clone();
         }
         rebuild_indexes(table);
-        Ok(matched.len())
+        Ok(rows.len())
     }
 
     fn metrics(&self) -> MetricsSnapshot {
@@ -707,14 +616,6 @@ pub struct PagedBackend {
     /// installed by the shared server for the span of one DML
     /// statement and cleared afterwards.
     row_lock_hook: Option<RowLockHook>,
-}
-
-/// Packs a rid into the stable `u64` row key the lock manager indexes
-/// by: page id in the high bits, slot in the low 16. In-place updates
-/// never change a row's rid (relocations do, but the lock on the old
-/// rid is what serializes the relocating statement).
-fn rid_key(rid: storage::heap::Rid) -> u64 {
-    ((rid.page as u64) << 16) | rid.slot as u64
 }
 
 // Compile-time proof that the storage rewrite holds: both backends (and
@@ -759,10 +660,10 @@ impl PagedBackend {
         })
     }
 
-    /// Runs the installed row-lock hook (if any) for one rid.
-    fn lock_row(&self, name: &str, rid: storage::heap::Rid) -> RqsResult<()> {
+    /// Runs the installed row-lock hook (if any) for one row.
+    fn lock_row(&self, name: &str, row: RowId) -> RqsResult<()> {
         match &self.row_lock_hook {
-            Some(hook) => hook(name, rid_key(rid)),
+            Some(hook) => hook(name, row),
             None => Ok(()),
         }
     }
@@ -839,30 +740,6 @@ impl PagedBackend {
     pub fn crash(&mut self) {
         self.engine.simulate_crash();
     }
-
-    /// Candidate `(rid, tuple)` pairs for one access path.
-    fn candidates_rids(
-        &self,
-        name: &str,
-        access: &AccessPath,
-    ) -> RqsResult<Vec<(storage::heap::Rid, Tuple)>> {
-        let (col, probe) = match access {
-            AccessPath::FullScan => return Ok(self.engine.scan_rids(name)?),
-            AccessPath::Nothing => {
-                self.engine.table(name)?;
-                return Ok(Vec::new());
-            }
-            AccessPath::KeyEq(col, key) => (*col, IndexProbe::Eq(key)),
-            AccessPath::KeyRange(col, lower, upper) => {
-                let (lower, upper) = (lower.as_ref(), upper.as_ref());
-                if bounds_are_empty(&lower, &upper) {
-                    return Ok(Vec::new());
-                }
-                (*col, IndexProbe::Range(lower, upper))
-            }
-        };
-        Ok(self.engine.index_read(name, col, probe)?)
-    }
 }
 
 impl StorageBackend for PagedBackend {
@@ -900,9 +777,9 @@ impl StorageBackend for PagedBackend {
         let rid = self.engine.insert(name, &tuple)?;
         // A fresh rid cannot be held by anyone else, but locking it
         // keeps the row pinned to this transaction until commit (a
-        // concurrent statement that sees the uncommitted tuple in its
-        // candidate set conflicts here instead of mutating it).
-        self.lock_row(name, rid)?;
+        // concurrent statement that reads the uncommitted tuple
+        // conflicts here instead of mutating it).
+        self.lock_row(name, rid.key())?;
         Ok(())
     }
 
@@ -913,12 +790,39 @@ impl StorageBackend for PagedBackend {
         })
     }
 
-    fn scan(&self, name: &str) -> RqsResult<Vec<Tuple>> {
-        Ok(self.engine.scan(name)?)
-    }
-
-    fn for_each(&self, name: &str, f: &mut dyn FnMut(&Tuple)) -> RqsResult<()> {
-        Ok(self.engine.for_each(name, f)?)
+    /// A full scan streams off the heap; an index path reads its
+    /// postings through [`StorageEngine::index_read`] first.
+    fn read(
+        &self,
+        name: &str,
+        access: &AccessPath,
+        f: &mut dyn FnMut(RowId, &Tuple) -> bool,
+    ) -> RqsResult<()> {
+        let (col, probe) = match access {
+            AccessPath::FullScan => {
+                return Ok(self
+                    .engine
+                    .visit(name, &mut |rid, row| f(rid.key(), &row))?)
+            }
+            AccessPath::Nothing => {
+                self.engine.table(name)?;
+                return Ok(());
+            }
+            AccessPath::KeyEq(col, key) => (*col, IndexProbe::Eq(key)),
+            AccessPath::KeyRange(col, lower, upper) => {
+                let (lower, upper) = (lower.as_ref(), upper.as_ref());
+                if bounds_are_empty(&lower, &upper) {
+                    return Ok(());
+                }
+                (*col, IndexProbe::Range(lower, upper))
+            }
+        };
+        for (rid, row) in self.engine.index_read(name, col, probe)? {
+            if !f(rid.key(), &row) {
+                break;
+            }
+        }
+        Ok(())
     }
 
     fn create_index(&mut self, name: &str, col: usize) -> RqsResult<()> {
@@ -927,23 +831,6 @@ impl StorageBackend for PagedBackend {
 
     fn has_index(&self, name: &str, col: usize) -> bool {
         self.engine.has_index(name, col)
-    }
-
-    fn index_lookup(&self, name: &str, col: usize, key: &Datum) -> RqsResult<Vec<Tuple>> {
-        Ok(self.engine.index_lookup(name, col, key)?)
-    }
-
-    fn index_range(
-        &self,
-        name: &str,
-        col: usize,
-        lower: Bound<&Datum>,
-        upper: Bound<&Datum>,
-    ) -> RqsResult<Vec<Tuple>> {
-        if bounds_are_empty(&lower, &upper) {
-            return Ok(Vec::new());
-        }
-        Ok(self.engine.index_range(name, col, lower, upper)?)
     }
 
     fn metrics(&self) -> MetricsSnapshot {
@@ -967,43 +854,25 @@ impl StorageBackend for PagedBackend {
         self.engine.in_txn()
     }
 
-    fn delete_where(
-        &mut self,
-        name: &str,
-        access: &AccessPath,
-        pred: &mut dyn FnMut(&Tuple) -> bool,
-    ) -> RqsResult<usize> {
-        let doomed: Vec<storage::heap::Rid> = self
-            .candidates_rids(name, access)?
-            .into_iter()
-            .filter(|(_, tuple)| pred(tuple))
-            .map(|(rid, _)| rid)
-            .collect();
+    fn delete_rows(&mut self, name: &str, rows: &[RowId]) -> RqsResult<usize> {
         // Lock every doomed row before mutating any of them: a
         // conflict aborts the statement with nothing to undo.
-        for &rid in &doomed {
-            self.lock_row(name, rid)?;
+        for &row in rows {
+            self.lock_row(name, row)?;
         }
-        Ok(self.engine.delete_rows(name, &doomed)?)
+        let rids: Vec<Rid> = rows.iter().map(|&row| Rid::from_key(row)).collect();
+        Ok(self.engine.delete_rows(name, &rids)?)
     }
 
-    fn update_where(
-        &mut self,
-        name: &str,
-        access: &AccessPath,
-        pred: &mut dyn FnMut(&Tuple) -> bool,
-        apply: &mut dyn FnMut(&Tuple) -> Tuple,
-    ) -> RqsResult<usize> {
-        let updates: Vec<(storage::heap::Rid, Tuple)> = self
-            .candidates_rids(name, access)?
-            .into_iter()
-            .filter(|(_, tuple)| pred(tuple))
-            .map(|(rid, tuple)| (rid, apply(&tuple)))
-            .collect();
+    fn update_rows(&mut self, name: &str, rows: &[(RowId, Tuple)]) -> RqsResult<usize> {
         // Lock every matched row before rewriting any of them.
-        for (rid, _) in &updates {
-            self.lock_row(name, *rid)?;
+        for (row, _) in rows {
+            self.lock_row(name, *row)?;
         }
+        let updates: Vec<(Rid, Tuple)> = rows
+            .iter()
+            .map(|(row, new)| (Rid::from_key(*row), new.clone()))
+            .collect();
         Ok(self.engine.update_rows(name, &updates)?)
     }
 
@@ -1030,6 +899,28 @@ mod tests {
         ]
     }
 
+    /// `(id, tuple)` of the rows `access` locates in `name` that pass
+    /// `pred`.
+    fn matching(
+        backend: &dyn StorageBackend,
+        name: &str,
+        access: &AccessPath,
+        pred: impl Fn(&Tuple) -> bool,
+    ) -> RqsResult<Vec<(RowId, Tuple)>> {
+        let mut out = Vec::new();
+        backend.read(name, access, &mut |id, row| {
+            if pred(row) {
+                out.push((id, row.clone()));
+            }
+            true
+        })?;
+        Ok(out)
+    }
+
+    fn key(k: i64) -> AccessPath {
+        AccessPath::KeyEq(0, Datum::Int(k))
+    }
+
     fn exercise(backend: &mut dyn StorageBackend) {
         backend.create_table("t", &columns()).unwrap();
         assert!(matches!(
@@ -1045,25 +936,48 @@ mod tests {
         assert_eq!(size.rows, 200);
         assert!(size.pages > 1, "200 rows span several pages: {size:?}");
         assert_eq!(backend.scan("t").unwrap().len(), 200);
-        assert!(backend.index_lookup("t", 0, &Datum::Int(3)).is_err());
+        assert!(matching(backend, "t", &key(3), |_| true).is_err());
         backend.create_index("t", 0).unwrap();
         assert!(backend.has_index("t", 0));
         assert!(!backend.has_index("t", 1));
-        let hits = backend.index_lookup("t", 0, &Datum::Int(3)).unwrap();
+        let hits = matching(backend, "t", &key(3), |_| true).unwrap();
         assert_eq!(hits.len(), 10);
-        assert!(hits.iter().all(|t| t[0] == Datum::Int(3)));
+        assert!(hits.iter().all(|(_, t)| t[0] == Datum::Int(3)));
+        // Inverted and empty ranges read nothing.
+        for (lower, upper) in [
+            (
+                Bound::Excluded(Datum::Int(9)),
+                Bound::Excluded(Datum::Int(2)),
+            ),
+            (
+                Bound::Included(Datum::Int(5)),
+                Bound::Excluded(Datum::Int(5)),
+            ),
+        ] {
+            let range = AccessPath::KeyRange(0, lower, upper);
+            assert!(matching(backend, "t", &range, |_| true).unwrap().is_empty());
+        }
+        // The visitor stops when told to.
+        let mut visited = 0;
+        backend
+            .read("t", &AccessPath::FullScan, &mut |_, _| {
+                visited += 1;
+                visited < 5
+            })
+            .unwrap();
+        assert_eq!(visited, 5);
         assert_eq!(backend.truncate("t").unwrap(), 200);
         assert_eq!(backend.scan("t").unwrap().len(), 0);
-        assert_eq!(
-            backend.index_lookup("t", 0, &Datum::Int(3)).unwrap(),
-            Vec::<Tuple>::new()
-        );
+        assert!(matching(backend, "t", &key(3), |_| true)
+            .unwrap()
+            .is_empty());
         backend.drop_table("t").unwrap();
         assert!(backend.scan("t").is_err());
     }
 
     /// DML contract both backends must honor identically: access paths
-    /// narrow candidates, predicates select rows, indexes stay exact.
+    /// narrow the read, the ids it yields address the rows mutated,
+    /// indexes stay exact.
     fn exercise_dml(backend: &mut dyn StorageBackend) {
         backend.create_table("d", &columns()).unwrap();
         for i in 0..100i64 {
@@ -1072,68 +986,51 @@ mod tests {
                 .unwrap();
         }
         backend.create_index("d", 0).unwrap();
+        let ids = |rows: Vec<(RowId, Tuple)>| -> Vec<RowId> {
+            rows.into_iter().map(|(id, _)| id).collect()
+        };
         // Point-indexed delete.
-        let removed = backend
-            .delete_where("d", &AccessPath::KeyEq(0, Datum::Int(3)), &mut |_| true)
-            .unwrap();
-        assert_eq!(removed, 10);
-        // Predicate narrows below the access path.
-        let removed = backend
-            .delete_where("d", &AccessPath::KeyEq(0, Datum::Int(4)), &mut |t| {
-                t[1] == Datum::text("v14")
-            })
-            .unwrap();
-        assert_eq!(removed, 1);
+        let doomed = ids(matching(backend, "d", &key(3), |_| true).unwrap());
+        assert_eq!(backend.delete_rows("d", &doomed).unwrap(), 10);
+        // A predicate narrows below the access path.
+        let doomed = ids(matching(backend, "d", &key(4), |t| t[1] == Datum::text("v14")).unwrap());
+        assert_eq!(backend.delete_rows("d", &doomed).unwrap(), 1);
         // Range-indexed update rewrites the indexed column itself.
-        let changed = backend
-            .update_where(
-                "d",
-                &AccessPath::KeyRange(0, Bound::Included(Datum::Int(8)), Bound::Unbounded),
-                &mut |_| true,
-                &mut |t| vec![Datum::Int(88), t[1].clone()],
-            )
-            .unwrap();
-        assert_eq!(changed, 20);
+        let eight_up = AccessPath::KeyRange(0, Bound::Included(Datum::Int(8)), Bound::Unbounded);
+        let updates: Vec<(RowId, Tuple)> = matching(backend, "d", &eight_up, |_| true)
+            .unwrap()
+            .into_iter()
+            .map(|(id, t)| (id, vec![Datum::Int(88), t[1].clone()]))
+            .collect();
+        assert_eq!(backend.update_rows("d", &updates).unwrap(), 20);
         assert_eq!(backend.table_size("d").unwrap().rows, 89);
         // Index agreement after the churn.
-        assert_eq!(
-            backend.index_lookup("d", 0, &Datum::Int(3)).unwrap(),
-            Vec::<Tuple>::new()
-        );
-        assert_eq!(
-            backend.index_lookup("d", 0, &Datum::Int(4)).unwrap().len(),
-            9
-        );
-        assert_eq!(
-            backend.index_lookup("d", 0, &Datum::Int(88)).unwrap().len(),
-            20
-        );
-        assert!(backend
-            .index_lookup("d", 0, &Datum::Int(8))
+        let count = |backend: &dyn StorageBackend, k: i64| {
+            matching(backend, "d", &key(k), |_| true).unwrap().len()
+        };
+        assert_eq!(count(backend, 3), 0);
+        assert_eq!(count(backend, 4), 9);
+        assert_eq!(count(backend, 88), 20);
+        assert_eq!(count(backend, 8), 0);
+        // The Nothing path reads nothing; unknown tables error.
+        assert!(matching(backend, "d", &AccessPath::Nothing, |_| true)
             .unwrap()
             .is_empty());
-        // Nothing path touches nothing; unknown tables error.
-        assert_eq!(
-            backend
-                .delete_where("d", &AccessPath::Nothing, &mut |_| true)
-                .unwrap(),
-            0
-        );
-        assert!(backend
-            .delete_where("nosuch", &AccessPath::FullScan, &mut |_| true)
-            .is_err());
+        assert!(matching(backend, "nosuch", &AccessPath::FullScan, |_| true).is_err());
+        assert_eq!(backend.delete_rows("d", &[]).unwrap(), 0);
+        assert!(backend.delete_rows("nosuch", &[]).is_err());
         // Full-scan update with no index on the touched column.
-        let changed = backend
-            .update_where(
-                "d",
-                &AccessPath::FullScan,
-                &mut |t| t[0] == Datum::Int(5),
-                &mut |t| vec![t[0].clone(), Datum::text("five")],
-            )
-            .unwrap();
-        assert_eq!(changed, 10);
-        let fives = backend.index_lookup("d", 0, &Datum::Int(5)).unwrap();
-        assert!(fives.iter().all(|t| t[1] == Datum::text("five")));
+        let updates: Vec<(RowId, Tuple)> = matching(backend, "d", &AccessPath::FullScan, |t| {
+            t[0] == Datum::Int(5)
+        })
+        .unwrap()
+        .into_iter()
+        .map(|(id, t)| (id, vec![t[0].clone(), Datum::text("five")]))
+        .collect();
+        assert_eq!(backend.update_rows("d", &updates).unwrap(), 10);
+        let fives = matching(backend, "d", &key(5), |_| true).unwrap();
+        assert_eq!(fives.len(), 10);
+        assert!(fives.iter().all(|(_, t)| t[1] == Datum::text("five")));
         backend.drop_table("d").unwrap();
     }
 

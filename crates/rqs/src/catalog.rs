@@ -8,7 +8,7 @@
 //! here read through it, so the same enforcement applies to the
 //! in-memory and the paged engine alike.
 
-use crate::backend::StorageBackend;
+use crate::backend::{AccessPath, StorageBackend};
 use crate::error::{RqsError, RqsResult};
 use crate::value::{Datum, Tuple};
 use std::collections::BTreeMap;
@@ -235,8 +235,8 @@ pub(crate) fn check_value_bound(
 }
 
 /// Whether `table` holds a row with `values` at `cols`: through the
-/// index when one covers a single-column probe, else with an early-exit
-/// scan.
+/// index when one covers a single-column probe, visiting every match
+/// (in probe mode each one is judged), else with an early-exit scan.
 fn row_exists(
     backend: &dyn StorageBackend,
     table: &str,
@@ -245,7 +245,13 @@ fn row_exists(
 ) -> RqsResult<bool> {
     if let ([col], [value]) = (cols, values) {
         if backend.has_index(table, *col) {
-            return Ok(!backend.index_lookup(table, *col, value)?.is_empty());
+            let mut found = false;
+            let key = AccessPath::KeyEq(*col, value.clone());
+            backend.read(table, &key, &mut |_, _| {
+                found = true;
+                true
+            })?;
+            return Ok(found);
         }
     }
     backend.contains(table, cols, values)

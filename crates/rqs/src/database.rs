@@ -840,6 +840,19 @@ mod tests {
         vec![Database::new(), Database::paged(8).unwrap()]
     }
 
+    /// Rows the index on `t.a` holds under key `k`.
+    fn postings(db: &Database, k: i64) -> usize {
+        let mut n = 0;
+        let key = crate::backend::AccessPath::KeyEq(0, Datum::Int(k));
+        db.backend()
+            .read("t", &key, &mut |_, _| {
+                n += 1;
+                true
+            })
+            .unwrap();
+        n
+    }
+
     #[test]
     fn ddl_dml_query_lifecycle() {
         for mut db in backends() {
@@ -982,14 +995,7 @@ mod tests {
                 ]
             );
             for k in [10i64, 50, 90] {
-                assert_eq!(
-                    db.backend()
-                        .index_lookup("t", 0, &Datum::Int(k))
-                        .unwrap()
-                        .len(),
-                    1,
-                    "posting for {k} intact"
-                );
+                assert_eq!(postings(&db, k), 1, "posting for {k} intact");
             }
         }
     }
@@ -1016,7 +1022,7 @@ mod tests {
             scan.metrics.page_reads,
             scan.metrics.buffer_hits,
         );
-        // Ranged DELETE rides index_range the same way.
+        // A ranged DELETE rides the index the same way.
         let removed = db
             .execute("DELETE FROM t WHERE a >= 100 AND a < 120")
             .unwrap();
@@ -1309,7 +1315,7 @@ mod tests {
     }
 
     #[test]
-    fn paged_index_range_scan_reads_fewer_pages_than_full_scan() {
+    fn paged_range_scan_reads_fewer_pages_than_full_scan() {
         let mut db = Database::paged(8).unwrap();
         db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
         for i in 0..2000 {
@@ -1400,8 +1406,8 @@ mod tests {
             assert!(rows.is_empty(), "partial statement must not survive");
             for k in [1i64, 2, 3, 4] {
                 assert_eq!(
-                    db.backend().index_lookup("t", 0, &Datum::Int(k)).unwrap(),
-                    Vec::<crate::value::Tuple>::new(),
+                    postings(&db, k),
+                    0,
                     "rolled-back posting for {k} must be gone"
                 );
             }

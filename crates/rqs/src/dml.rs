@@ -3,15 +3,15 @@
 //! The WHERE clause of a DML statement is resolved through the same
 //! machinery as a single-table SELECT ([`plan::resolve`] over a
 //! synthetic core), so its restrictions feed [`exec::choose_access`]
-//! and indexed predicates ride `index_lookup`/`index_range` instead of
-//! heap scans. Execution then has three phases:
+//! and indexed predicates ride an index read instead of a heap scan.
+//! Execution then has three phases:
 //!
-//! 1. **read** — collect the matching rows through the chosen access
-//!    path (the predicate is a pure function of the tuple, so both
-//!    backends and both phases select the same multiset). On backends
-//!    with snapshot reads this phase sees only committed-at-snapshot
-//!    rows (plus the transaction's own writes), never a concurrent
-//!    writer's uncommitted data;
+//! 1. **read** — one [`StorageBackend::read`] of the chosen access path
+//!    collects the matching rows with their [`RowId`]s (the predicate
+//!    is a pure function of the tuple, so both backends select the same
+//!    multiset). On backends with snapshot reads this phase sees only
+//!    committed-at-snapshot rows (plus the transaction's own writes),
+//!    never a concurrent writer's uncommitted data;
 //! 2. **re-check** — validate the statement against the integrity
 //!    constraints it can disturb: CHECK bounds and type/size caps on
 //!    assigned columns, key uniqueness against the *post-statement*
@@ -24,9 +24,10 @@
 //!    uncommitted writes — a verdict against data that may roll back
 //!    would be a guess either way;
 //! 3. **mutate** — one backend transaction around
-//!    [`StorageBackend::update_where`]/[`StorageBackend::delete_where`],
-//!    so on the paged engine the whole statement commits (and
-//!    crash-recovers) atomically through the WAL. Under the shared
+//!    [`StorageBackend::update_rows`]/[`StorageBackend::delete_rows`]
+//!    over the ids phase 1 found: the rows are not walked again. On the
+//!    paged engine the whole statement commits (and crash-recovers)
+//!    atomically through the WAL. Under the shared
 //!    server's row-granular locking, this is also where each matched
 //!    rid is locked exclusively (via the installed
 //!    [`crate::backend::RowLockHook`]) before any row is touched: a
@@ -36,7 +37,7 @@
 //!    engine's first-updater-wins check turns a race on one row into a
 //!    retryable conflict instead of a silent overwrite.
 
-use crate::backend::{AccessPath, Snapshot, StorageBackend};
+use crate::backend::{AccessPath, RowId, Snapshot, StorageBackend};
 use crate::catalog::{self, Catalog, ColumnType, Table, TableConstraint};
 use crate::database::{probing, run_txn};
 use crate::error::{RqsError, RqsResult};
@@ -207,35 +208,30 @@ fn predicate<'a>(
     }
 }
 
-/// Read phase: the rows the statement will touch, through the chosen
-/// access path.
-///
-/// The mutate phase re-walks the same candidates inside its backend
-/// call, so a DML statement reads its candidate set twice. That is
-/// deliberate: the constraint re-checks need the matched/untouched
-/// split *before* anything mutates, the predicate is a pure function
-/// of the tuple (both walks select the same multiset), and with the
-/// buffer pool hot from phase 1 the second walk mostly hits. Threading
-/// rids through the trait would save the re-walk at the cost of an
-/// id-typed backend interface; revisit if S3 ever shows it mattering.
+/// Read phase: the rows the statement will touch, with the ids the
+/// mutate phase hands back to the backend.
 fn matched_rows(
     backend: &dyn StorageBackend,
     table: &str,
     access: &AccessPath,
     pred: &mut dyn FnMut(&Tuple) -> bool,
-) -> RqsResult<Vec<Tuple>> {
-    let candidates: Vec<Tuple> = match access {
-        AccessPath::Nothing => {
-            backend.table_size(table)?; // surface UnknownTable
-            Vec::new()
+) -> RqsResult<Vec<(RowId, Tuple)>> {
+    let mut out = Vec::new();
+    backend.read(table, access, &mut |id, row| {
+        if pred(row) {
+            out.push((id, row.clone()));
         }
-        AccessPath::KeyEq(col, key) => backend.index_lookup(table, *col, key)?,
-        AccessPath::KeyRange(col, lower, upper) => {
-            backend.index_range(table, *col, lower.as_ref(), upper.as_ref())?
-        }
-        AccessPath::FullScan => backend.scan(table)?,
-    };
-    Ok(candidates.into_iter().filter(|t| pred(t)).collect())
+        true
+    })?;
+    Ok(out)
+}
+
+/// Visits every row of `table` (a full-scan [`StorageBackend::read`]).
+fn each_row(backend: &dyn StorageBackend, table: &str, f: &mut dyn FnMut(&Tuple)) -> RqsResult<()> {
+    backend.read(table, &AccessPath::FullScan, &mut |_, row| {
+        f(row);
+        true
+    })
 }
 
 /// The rows the statement leaves untouched (everything failing `pred`).
@@ -245,7 +241,7 @@ fn untouched_rows(
     pred: &mut dyn FnMut(&Tuple) -> bool,
 ) -> RqsResult<Vec<Tuple>> {
     let mut out = Vec::new();
-    backend.for_each(table, &mut |row| {
+    each_row(backend, table, &mut |row| {
         if !pred(row) {
             out.push(row.clone());
         }
@@ -401,7 +397,7 @@ fn check_update_constraints(
                 .collect()
         } else {
             let mut keys = HashSet::new();
-            backend.for_each(parent_table, &mut |row| {
+            each_row(backend, parent_table, &mut |row| {
                 keys.insert(key_of(row, &parent_cols));
             })?;
             keys
@@ -435,9 +431,11 @@ fn check_update_constraints(
             }
         };
         if child.name == name {
-            untouched.iter().chain(new_rows).for_each(&mut check);
+            for row in untouched.iter().chain(new_rows) {
+                check(row);
+            }
         } else {
-            backend.for_each(&child.name, &mut check)?;
+            each_row(backend, &child.name, &mut check)?;
         }
         if let Some(key) = orphan {
             return Err(RqsError::ConstraintViolation(format!(
@@ -473,9 +471,11 @@ fn check_delete_constraints(
             }
         };
         if child.name == name {
-            remaining.iter().for_each(&mut check);
+            for row in &remaining {
+                check(row);
+            }
         } else {
-            backend.for_each(&child.name, &mut check)?;
+            each_row(backend, &child.name, &mut check)?;
         }
         if let Some(key) = orphan {
             return Err(RqsError::ConstraintViolation(format!(
@@ -529,8 +529,10 @@ pub(crate) fn execute_update(
     if matched.is_empty() {
         return Ok(0);
     }
-    let mut apply = |row: &Tuple| apply_sets(&sets, row);
-    let new_rows: Vec<Tuple> = matched.iter().map(&mut apply).collect();
+    let (ids, new_rows): (Vec<RowId>, Vec<Tuple>) = matched
+        .iter()
+        .map(|(id, row)| (*id, apply_sets(&sets, row)))
+        .unzip();
     // Record- and key-size cap parity with the paged engine: a tuple
     // must fit one 4 KiB page, and values assigned to indexed columns
     // must fit a B+-tree node — enforced here so both backends reject
@@ -559,9 +561,8 @@ pub(crate) fn execute_update(
             &mut pred,
         )
     })?;
-    run_txn(backend, |b| {
-        b.update_where(table_name, &access, &mut pred, &mut apply)
-    })
+    let updates: Vec<(RowId, Tuple)> = ids.into_iter().zip(new_rows).collect();
+    run_txn(backend, |b| b.update_rows(table_name, &updates))
 }
 
 /// Restrict semantics for the bare `DELETE FROM t` truncation fast
@@ -600,5 +601,6 @@ pub(crate) fn execute_delete(
     probing(backend.as_ref(), || {
         check_delete_constraints(catalog, backend.as_ref(), table_name, &mut pred)
     })?;
-    run_txn(backend, |b| b.delete_where(table_name, &access, &mut pred))
+    let ids: Vec<RowId> = matched.into_iter().map(|(id, _)| id).collect();
+    run_txn(backend, |b| b.delete_rows(table_name, &ids))
 }

@@ -239,15 +239,18 @@ pub fn run_physical(
                 let key_at = offsets[kvar] + kcol;
                 for left_row in &current {
                     metrics.join_comparisons += 1;
-                    let matches = snap.backend.index_lookup(table, *col, &left_row[key_at])?;
-                    metrics.rows_scanned += matches.len() as u64;
-                    for m in matches.iter().filter(|m| check(m)) {
-                        let mut combined = left_row.clone();
-                        combined.extend(m.iter().cloned());
-                        if eq.iter().chain(extra).all(|j| eval_join(j, &combined)) {
-                            next.push(combined);
+                    let probe = AccessPath::KeyEq(*col, left_row[key_at].clone());
+                    snap.backend.read(table, &probe, &mut |_, m| {
+                        metrics.rows_scanned += 1;
+                        if check(m) {
+                            let mut combined = left_row.clone();
+                            combined.extend(m.iter().cloned());
+                            if eq.iter().chain(extra).all(|j| eval_join(j, &combined)) {
+                                next.push(combined);
+                            }
                         }
-                    }
+                        true
+                    })?;
                 }
                 run.probes = current.len() as u64;
                 metrics.index_probes += run.probes;
@@ -432,7 +435,8 @@ pub fn choose_access(
 }
 
 /// Scans one range variable, applying its pushed-down restrictions,
-/// through the access path [`choose_access`] picks.
+/// through the access path [`choose_access`] picks. Every row read
+/// counts in `rows_scanned`; only the survivors are cloned.
 fn scan_var(
     snap: &Snapshot,
     core: &plan::ResolvedCore,
@@ -444,37 +448,15 @@ fn scan_var(
     let restrictions = core.restrictions_of(var);
     let access = choose_access(snap.backend, &info.table, info.pages, &restrictions);
     let check = restriction_check(restrictions);
-    let mut index_rows = |rows: Vec<Tuple>| -> Vec<Tuple> {
-        metrics.rows_scanned += rows.len() as u64;
-        rows.into_iter().filter(|row| check(row)).collect()
-    };
-    match access {
-        AccessPath::Nothing => Ok(Vec::new()),
-        AccessPath::KeyEq(col, key) => Ok(index_rows(snap.backend.index_lookup(
-            &info.table,
-            col,
-            &key,
-        )?)),
-        AccessPath::KeyRange(col, lower, upper) => Ok(index_rows(snap.backend.index_range(
-            &info.table,
-            col,
-            lower.as_ref(),
-            upper.as_ref(),
-        )?)),
-        AccessPath::FullScan => {
-            // Filter over borrowed rows, cloning only the survivors.
-            let mut rows = Vec::new();
-            let mut scanned = 0u64;
-            snap.backend.for_each(&info.table, &mut |row| {
-                scanned += 1;
-                if check(row) {
-                    rows.push(row.clone());
-                }
-            })?;
-            metrics.rows_scanned += scanned;
-            Ok(rows)
+    let mut rows = Vec::new();
+    snap.backend.read(&info.table, &access, &mut |_, row| {
+        metrics.rows_scanned += 1;
+        if check(row) {
+            rows.push(row.clone());
         }
-    }
+        true
+    })?;
+    Ok(rows)
 }
 
 /// The conjunction of one variable's pushed-down restrictions, as a

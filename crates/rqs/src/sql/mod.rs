@@ -29,8 +29,8 @@
 //! whose columns are written bare (`sal < 100`) or table-qualified
 //! (`empl.sal < 100`) — no range variables, no subqueries. The
 //! predicate feeds the same restriction planner as SELECT scans, so an
-//! equality on an indexed column rides `index_lookup` and inequalities
-//! collapse into one `index_range` cursor. SET expressions are a column
+//! equality on an indexed column rides a point lookup and inequalities
+//! collapse into one ordered range cursor. SET expressions are a column
 //! or literal, optionally `± ` another operand (INT columns only) —
 //! enough for the textbook `UPDATE counter SET v = v + 1`. Assigned
 //! columns are re-checked against CHECK bounds, keys (against the

@@ -259,9 +259,9 @@ impl StorageEngine {
 
     /// Builds a B+-tree over an existing column and registers it.
     ///
-    /// The bulk build itself is *not* logged — logging an image of every
-    /// node the build touches would dwarf the data and pin the whole
-    /// tree in the pool under the no-steal rule. Instead the build runs
+    /// The bulk build itself is *not* logged: logging it would append
+    /// one redo image per tree page at commit, and a forced undo image
+    /// per page stolen once the tree outgrows the pool. Instead it runs
     /// unlogged, the finished tree is forced to the database file, and
     /// only then is the catalog row committed through the WAL: a crash
     /// at any point either misses the catalog row (the orphaned build

@@ -121,40 +121,24 @@ impl StorageEngine {
         Ok(())
     }
 
+    /// Every row of a table the current read view may see, with its rid,
+    /// in heap order, until `f` returns `false` — the full-scan feed of
+    /// reads and of predicated UPDATE/DELETE alike. A snapshot-visible
+    /// version of a rid another transaction has pending-rewritten is
+    /// still visited; a write to it then fails the first-updater-wins
+    /// check retryably instead of silently overwriting.
+    pub fn visit(&self, name: &str, f: &mut dyn FnMut(Rid, Tuple) -> bool) -> StorageResult<()> {
+        self.visit_rows(self.table(name)?, &|_| true, f)
+    }
+
     /// All tuples of a table, in heap order.
     pub fn scan(&self, name: &str) -> StorageResult<Vec<Tuple>> {
-        let info = self.table(name)?;
-        let mut out = Vec::with_capacity(info.row_count);
-        self.visit_rows(info, &|_| true, &mut |_, tuple| {
+        let mut out = Vec::with_capacity(self.row_count(name)?);
+        self.visit(name, &mut |_, tuple| {
             out.push(tuple);
             true
         })?;
         Ok(out)
-    }
-
-    /// Live `(rid, tuple)` pairs of a table, in heap order — the
-    /// candidate feed for predicated UPDATE/DELETE, which must address
-    /// the rows they rewrite. A snapshot-visible version of a rid
-    /// another transaction has pending-rewritten still feeds the
-    /// candidate set; the write path's first-updater-wins check then
-    /// conflicts retryably instead of silently overwriting.
-    pub fn scan_rids(&self, name: &str) -> StorageResult<Vec<(Rid, Tuple)>> {
-        let info = self.table(name)?;
-        let mut out = Vec::with_capacity(info.row_count);
-        self.visit_rows(info, &|_| true, &mut |rid, tuple| {
-            out.push((rid, tuple));
-            true
-        })?;
-        Ok(out)
-    }
-
-    /// Visits every tuple of a table in heap order without building the
-    /// intermediate `Vec` that [`StorageEngine::scan`] returns.
-    pub fn for_each(&self, name: &str, f: &mut dyn FnMut(&Tuple)) -> StorageResult<()> {
-        self.visit_rows(self.table(name)?, &|_| true, &mut |_, tuple| {
-            f(&tuple);
-            true
-        })
     }
 
     pub fn row_count(&self, name: &str) -> StorageResult<usize> {

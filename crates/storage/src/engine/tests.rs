@@ -10,6 +10,23 @@ use crate::heap::Rid;
 use crate::value::{Datum, Tuple};
 use std::ops::Bound;
 
+/// `(rid, tuple)` pairs of a whole table, for tests that address the
+/// rows they then rewrite.
+trait ScanRids {
+    fn scan_rids(&self, name: &str) -> StorageResult<Vec<(Rid, Tuple)>>;
+}
+
+impl ScanRids for StorageEngine {
+    fn scan_rids(&self, name: &str) -> StorageResult<Vec<(Rid, Tuple)>> {
+        let mut out = Vec::new();
+        self.visit(name, &mut |rid, tuple| {
+            out.push((rid, tuple));
+            true
+        })?;
+        Ok(out)
+    }
+}
+
 fn cols(spec: &[(&str, ColType)]) -> Vec<(String, ColType)> {
     spec.iter().map(|(n, t)| (n.to_string(), *t)).collect()
 }

@@ -53,6 +53,23 @@ impl Rid {
             slot: u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes")),
         })
     }
+
+    /// The rid packed into one `u64` (16 bits of slot under the page
+    /// id): what MVCC files versions under, what row locks are taken on
+    /// and the relational layer's row id. In-place updates never change
+    /// it (relocations do, but the lock on the old key is what
+    /// serializes the relocating statement).
+    pub fn key(self) -> u64 {
+        ((self.page as u64) << 16) | self.slot as u64
+    }
+
+    /// The rid [`Rid::key`] packed.
+    pub fn from_key(key: u64) -> Rid {
+        Rid {
+            page: (key >> 16) as PageId,
+            slot: (key & 0xFFFF) as u16,
+        }
+    }
 }
 
 /// A heap file: head and tail of the page chain, and its length — the
@@ -307,6 +324,15 @@ mod tests {
 
     fn pool(capacity: usize) -> BufferPool {
         BufferPool::new(Pager::in_memory(), capacity, crate::wal::Wal::in_memory())
+    }
+
+    #[test]
+    fn rid_key_roundtrips() {
+        let r = Rid {
+            page: 123_456,
+            slot: 789,
+        };
+        assert_eq!(Rid::from_key(r.key()), r);
     }
 
     #[test]

@@ -55,24 +55,11 @@
 use crate::buffer::TxnId;
 use crate::heap::Rid;
 use crate::metrics::{self, StorageMetrics};
-use crate::page::PageId;
 use crate::value::Tuple;
 use crate::{StorageError, StorageResult};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Packs a rid into the map key (16 bits of slot under the page id).
-fn rid_key(rid: Rid) -> u64 {
-    ((rid.page as u64) << 16) | rid.slot as u64
-}
-
-fn key_rid(key: u64) -> Rid {
-    Rid {
-        page: (key >> 16) as PageId,
-        slot: (key & 0xFFFF) as u16,
-    }
-}
 
 /// A version boundary: a committed timestamp or a still-pending
 /// transaction's mark (resolved to a commit stamp when it commits,
@@ -255,7 +242,7 @@ impl Mvcc {
     /// writer's snapshot already rewrote it.
     pub fn check_write(&self, txn: TxnId, table: i64, rid: Rid) -> StorageResult<()> {
         let st = self.state.lock().unwrap();
-        let Some(meta) = st.store.get(&table).and_then(|t| t.get(&rid_key(rid))) else {
+        let Some(meta) = st.store.get(&table).and_then(|t| t.get(&rid.key())) else {
             return Ok(());
         };
         let view_ts = st.txn_views.get(&txn).copied().unwrap_or(u64::MAX);
@@ -283,7 +270,7 @@ impl Mvcc {
         old: Option<Tuple>,
         m: &StorageMetrics,
     ) {
-        let key = rid_key(rid);
+        let key = rid.key();
         let mut st = self.state.lock().unwrap();
         let prev = st
             .store
@@ -431,7 +418,7 @@ impl Versions {
         tuple: Tuple,
         answers: &dyn Fn(&Tuple) -> bool,
     ) -> StorageResult<Option<Tuple>> {
-        let key = rid_key(rid);
+        let key = rid.key();
         let Some(meta) = self.metas.get(&key) else {
             return Ok(Some(tuple).filter(|t| answers(t)));
         };
@@ -468,7 +455,7 @@ impl Versions {
             if self.pending_other(meta) {
                 return Err(self.probe_conflict());
             }
-            if !f(key_rid(key), p.tuple.clone()) {
+            if !f(Rid::from_key(key), p.tuple.clone()) {
                 break;
             }
         }
@@ -536,6 +523,7 @@ fn gc(st: &mut MvccState, m: &StorageMetrics) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::PageId;
     use crate::value::Datum;
 
     fn rid(page: PageId, slot: u16) -> Rid {
@@ -570,12 +558,6 @@ mod tests {
             true
         })?;
         Ok(out)
-    }
-
-    #[test]
-    fn rid_key_roundtrips() {
-        let r = rid(123_456, 789);
-        assert_eq!(key_rid(rid_key(r)), r);
     }
 
     #[test]

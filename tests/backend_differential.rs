@@ -282,6 +282,15 @@ fn update_and_predicated_delete_corpus_agrees_across_backends() {
         "SELECT v.eno FROM empl v WHERE v.sal >= 20000 AND v.sal < 30000",
     ];
     let dml = [
+        // Inverted and empty ranges on the indexed `sal`, read while
+        // the table is large enough for an index path on both backends:
+        // the index read yields nothing instead of panicking on the range.
+        "SELECT v.eno FROM empl v WHERE v.sal > 30000 AND v.sal < 20000",
+        "UPDATE empl SET sal = 25000 WHERE sal > 30000 AND sal < 20000",
+        "DELETE FROM empl WHERE sal > 30000 AND sal < 20000",
+        "SELECT v.eno FROM empl v WHERE v.sal >= 25000 AND v.sal < 25000",
+        "UPDATE empl SET sal = 26000 WHERE sal >= 25000 AND sal < 25000",
+        "DELETE FROM empl WHERE sal >= 25000 AND sal < 25000",
         // Indexed equality predicate; arithmetic SET.
         "UPDATE empl SET sal = sal + 100 WHERE dno = 1",
         // Indexed range predicate rewriting the ranged column itself.

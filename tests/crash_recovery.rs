@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use rqs::value::Tuple;
-use rqs::{Database, Datum, PagedBackend};
+use rqs::{AccessPath, Database, Datum, PagedBackend};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -96,7 +96,14 @@ fn assert_heap_index_agree(db: &Database, table: &str, cols: &[usize]) {
             *by_key.entry(format!("{:?}", row[col])).or_default() += 1;
         }
         for row in &rows {
-            let hits = db.backend().index_lookup(table, col, &row[col]).unwrap();
+            let mut hits: Vec<Tuple> = Vec::new();
+            let key = AccessPath::KeyEq(col, row[col].clone());
+            db.backend()
+                .read(table, &key, &mut |_, hit| {
+                    hits.push(hit.clone());
+                    true
+                })
+                .unwrap();
             assert_eq!(
                 hits.len(),
                 by_key[&format!("{:?}", row[col])],

@@ -98,6 +98,17 @@ fn a_full_scan_fetches_each_heap_page_once() {
         fetches,
         "the statement account reads the same registry"
     );
+    // A predicated UPDATE walks the chain once too: its mutation
+    // rewrites the row its read found instead of walking it again.
+    let r = db
+        .execute("UPDATE empl SET sal = sal + 1 WHERE eno = 500")
+        .unwrap();
+    assert_eq!(r.affected, 1);
+    let fetches = r.metrics.page_reads + r.metrics.buffer_hits;
+    assert!(
+        (heap_pages..2 * heap_pages).contains(&fetches),
+        "an unindexed point UPDATE fetched {fetches} pages of a {heap_pages}-page heap"
+    );
 }
 
 #[test]
