@@ -24,6 +24,7 @@ use metaeval::unfold::{unfold, UnfoldLimits};
 use rqs::{Datum, QueryMetrics};
 use sqlgen::ast::{SqlColumn, SqlCond, SqlOp, SqlTerm};
 use sqlgen::mapping::{translate, MappingOptions};
+use std::collections::HashSet;
 
 /// Which argument of the closure view is bound by the query.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -245,7 +246,9 @@ pub fn eval_intermediate(
     let sql_text = sql.to_sql();
 
     let mut result = RecursionRun::default();
-    let mut seen: Vec<Datum> = Vec::new();
+    // `result.answers` keeps the discovery order; `seen` answers
+    // membership in constant time.
+    let mut seen: HashSet<Datum> = HashSet::new();
     let mut frontier = vec![bound.value.clone()];
     while !frontier.is_empty() {
         set_intermediate(coupler, table, &frontier)?;
@@ -264,8 +267,7 @@ pub fn eval_intermediate(
                 .into_iter()
                 .next()
                 .ok_or_else(|| CouplingError("step query returned an empty tuple".into()))?;
-            if !seen.contains(&value) {
-                seen.push(value.clone());
+            if seen.insert(value.clone()) {
                 result.answers.push(value.clone());
                 next.push(value);
                 info.new_values += 1;
@@ -471,6 +473,23 @@ mod tests {
         )
         .unwrap();
         assert!(run.queries_issued <= 6, "semi-naive frontier terminates");
+    }
+
+    #[test]
+    fn intermediate_answers_are_distinct_and_in_discovery_order() {
+        let mut c = chain_firm();
+        let spec = ClosureSpec::from_view(&c, "works_dir_for").unwrap();
+        let bound = Bound {
+            side: BoundSide::High,
+            value: Datum::text("e1"),
+        };
+        let run = eval_intermediate(&mut c, &spec, &bound, "intermediate").unwrap();
+        // Step 1 finds d1's staff (e1 itself among them), step 2 d2's.
+        let new: Vec<usize> = run.steps.iter().map(|s| s.new_values).collect();
+        assert_eq!(new, [3, 2, 0]);
+        assert_eq!(sorted_names(&run.answers[..3]), ["e1", "e2", "e5"]);
+        assert_eq!(sorted_names(&run.answers[3..]), ["e3", "e4"]);
+        assert_eq!(run.answers.len(), 5, "each answer once");
     }
 
     #[test]

@@ -10,7 +10,9 @@ use crate::error::{RqsError, RqsResult};
 use crate::plan::{self, JoinCond, JoinMethod, PhysicalPlan, Restriction};
 use crate::sql::ast::{SelectCore, SelectStmt};
 use crate::value::{Datum, Tuple};
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// Work counters accumulated over a statement (including subqueries and
 /// every UNION arm).
@@ -20,7 +22,8 @@ pub struct QueryMetrics {
     pub scans: usize,
     /// Tuples read from base tables (index lookups count matches only).
     pub rows_scanned: u64,
-    /// Join operators executed.
+    /// Join operators executed. A step skipped because the rows before
+    /// it were empty (`ran=Skipped`) is not one.
     pub joins: usize,
     /// Pairs/probes evaluated while joining.
     pub join_comparisons: u64,
@@ -88,7 +91,8 @@ pub struct Relation {
 /// per-step report, so the plan printed is the plan that ran.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StepRun {
-    /// `Scan`, `HashJoin`, `IndexProbe` or `NestedLoop`.
+    /// `Scan`, `HashJoin`, `IndexProbe` or `NestedLoop`; `Skipped` when
+    /// an earlier step left no rows, so this one read nothing.
     pub method: &'static str,
     /// Index probes issued (0 unless the step probed).
     pub probes: u64,
@@ -129,31 +133,34 @@ pub fn run_select_observed(
     observe: &mut PlanObserver,
 ) -> RqsResult<Relation> {
     let mut first = run_core(snap, &stmt.core, metrics, observe)?;
-    if !stmt.unions.is_empty() {
-        let mut seen: HashSet<Tuple> = first.rows.iter().cloned().collect();
-        first.rows.retain({
-            // Dedup the first arm itself (UNION output is a set).
-            let mut kept: HashSet<Tuple> = HashSet::new();
-            move |r| kept.insert(r.clone())
-        });
-        for arm in &stmt.unions {
-            let rel = run_core(snap, arm, metrics, observe)?;
-            if rel.columns.len() != first.columns.len() {
-                return Err(RqsError::Type(format!(
-                    "UNION arms have {} vs {} columns",
-                    first.columns.len(),
-                    rel.columns.len()
-                )));
-            }
-            for row in rel.rows {
-                if seen.insert(row.clone()) {
-                    first.rows.push(row);
-                }
-            }
+    for arm in &stmt.unions {
+        let rel = run_core(snap, arm, metrics, observe)?;
+        if rel.columns.len() != first.columns.len() {
+            return Err(RqsError::Type(format!(
+                "UNION arms have {} vs {} columns",
+                first.columns.len(),
+                rel.columns.len()
+            )));
         }
+        first.rows.extend(rel.rows);
+    }
+    if !stmt.unions.is_empty() {
+        // UNION output is a set: the first arm's own duplicates go too.
+        dedup_rows(&mut first.rows);
     }
     metrics.result_rows = first.rows.len() as u64;
     Ok(first)
+}
+
+/// Drops every row equal to an earlier one, keeping first occurrences in
+/// order. The one set borrows the rows, so no row is cloned.
+fn dedup_rows(rows: &mut Vec<Tuple>) {
+    let keep: Vec<bool> = {
+        let mut seen: HashSet<&Tuple> = HashSet::with_capacity(rows.len());
+        rows.iter().map(|row| seen.insert(row)).collect()
+    };
+    let mut keep = keep.into_iter();
+    rows.retain(|_| keep.next().expect("one flag per row"));
 }
 
 /// Runs one SELECT core through resolve → plan → pipeline.
@@ -193,13 +200,29 @@ pub fn run_physical(
             offsets[&j.rvar] + j.rcol
         }
     };
-    let eval_join = |j: &JoinCond, row: &[Datum]| -> bool {
-        j.op.eval(row[at(j, true)].total_cmp(&row[at(j, false)]))
+    // A condition evaluated on the pair (left row, new variable's row),
+    // addressed as the joined row would be.
+    let eval_join = |j: &JoinCond, left: &[Datum], right: &[Datum]| -> bool {
+        let (l, r) = (
+            pair_at(left, right, at(j, true)),
+            pair_at(left, right, at(j, false)),
+        );
+        j.op.eval(l.total_cmp(r))
     };
 
     let mut current: Vec<Tuple> = Vec::new();
     let mut runs: Vec<StepRun> = Vec::with_capacity(physical.steps.len());
     for (i, step) in physical.steps.iter().enumerate() {
+        if i > 0 && current.is_empty() {
+            // Every join is inner, so an empty prefix joins to nothing:
+            // the rest of the pipeline reads no row and no page.
+            runs.push(StepRun {
+                method: "Skipped",
+                probes: 0,
+                rows_read: 0,
+            });
+            continue;
+        }
         let rows_before = metrics.rows_scanned;
         let mut run = StepRun {
             method: "Scan",
@@ -207,16 +230,17 @@ pub fn run_physical(
             rows_read: 0,
         };
         if i == 0 {
-            current = scan_var(snap, core, step.var, metrics)?;
             // Self-conditions on the first variable apply right here.
             let self_conds: Vec<&JoinCond> = core
                 .joins
                 .iter()
                 .filter(|j| j.lvar == step.var && j.rvar == step.var)
                 .collect();
-            if !self_conds.is_empty() {
-                current.retain(|row| self_conds.iter().all(|j| eval_join(j, row)));
-            }
+            visit_var(snap, core, step.var, metrics, |row| {
+                if self_conds.iter().all(|j| eval_join(j, row, &[])) {
+                    current.push(row.clone());
+                }
+            })?;
             run.rows_read = metrics.rows_scanned - rows_before;
             runs.push(run);
             continue;
@@ -240,14 +264,15 @@ pub fn run_physical(
                 for left_row in &current {
                     metrics.join_comparisons += 1;
                     let probe = AccessPath::KeyEq(*col, left_row[key_at].clone());
-                    snap.backend.read(table, &probe, &mut |_, m| {
+                    snap.backend.read(table, &probe, &mut |_, right| {
                         metrics.rows_scanned += 1;
-                        if check(m) {
-                            let mut combined = left_row.clone();
-                            combined.extend(m.iter().cloned());
-                            if eq.iter().chain(extra).all(|j| eval_join(j, &combined)) {
-                                next.push(combined);
-                            }
+                        if check(right)
+                            && eq
+                                .iter()
+                                .chain(extra)
+                                .all(|j| eval_join(j, left_row, right))
+                        {
+                            next.push(joined(left_row, right));
                         }
                         true
                     })?;
@@ -257,57 +282,69 @@ pub fn run_physical(
             }
             JoinMethod::Hash { eq, extra } | JoinMethod::IndexProbe { eq, extra, .. } => {
                 run.method = "HashJoin";
-                let scanned = scan_var(snap, core, step.var, metrics)?;
-                // Build on the newly scanned (right) side.
-                let mut table_map: HashMap<Vec<Datum>, Vec<&Tuple>> = HashMap::new();
-                for row in &scanned {
-                    let key: Vec<Datum> = eq
-                        .iter()
-                        .map(|j| {
-                            // The side referring to the new var indexes the
-                            // scanned tuple directly.
-                            if j.lvar == step.var {
-                                row[j.lcol].clone()
-                            } else {
-                                row[j.rcol].clone()
-                            }
-                        })
-                        .collect();
-                    table_map.entry(key).or_default().push(row);
+                // Build on the left rows, which are already materialised:
+                // each left row's index, bucketed by a hash of its key
+                // columns borrowed in place. Then stream the new
+                // variable's rows past the buckets and clone only the
+                // ones that join.
+                let (left_cols, right_cols): (Vec<usize>, Vec<usize>) = eq
+                    .iter()
+                    .map(|j| {
+                        if j.lvar == step.var {
+                            (at(j, false), j.lcol)
+                        } else {
+                            (at(j, true), j.rcol)
+                        }
+                    })
+                    .unzip();
+                let state = RandomState::new();
+                let key_hash = |row: &[Datum], cols: &[usize]| -> u64 {
+                    let mut h = state.build_hasher();
+                    cols.iter().for_each(|&c| row[c].hash(&mut h));
+                    h.finish()
+                };
+                let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+                for (l, left_row) in current.iter().enumerate() {
+                    buckets
+                        .entry(key_hash(left_row, &left_cols))
+                        .or_default()
+                        .push(l);
                 }
-                for left_row in &current {
-                    metrics.join_comparisons += 1;
-                    let key: Vec<Datum> = eq
-                        .iter()
-                        .map(|j| {
-                            if j.lvar == step.var {
-                                left_row[at(j, false)].clone()
-                            } else {
-                                left_row[at(j, true)].clone()
-                            }
-                        })
-                        .collect();
-                    if let Some(matches) = table_map.get(&key) {
-                        for m in matches {
-                            let mut combined = left_row.clone();
-                            combined.extend(m.iter().cloned());
-                            if extra.iter().all(|j| eval_join(j, &combined)) {
-                                next.push(combined);
-                            }
+                metrics.join_comparisons += current.len() as u64;
+                let mut matched: Vec<(usize, Tuple)> = Vec::new();
+                visit_var(snap, core, step.var, metrics, |right| {
+                    let Some(lefts) = buckets.get(&key_hash(right, &right_cols)) else {
+                        return;
+                    };
+                    for &l in lefts {
+                        let left_row = &current[l];
+                        // Equal hashes may hide unequal keys: every
+                        // equality is checked on the pair.
+                        if eq
+                            .iter()
+                            .chain(extra)
+                            .all(|j| eval_join(j, left_row, right))
+                        {
+                            matched.push((l, joined(left_row, right)));
                         }
                     }
-                }
+                })?;
+                // Left-major, then heap order within one left row (a
+                // stable sort), as a loop over the left rows would emit.
+                matched.sort_by_key(|&(l, _)| l);
+                next = matched.into_iter().map(|(_, row)| row).collect();
             }
             JoinMethod::NestedLoop { conds } => {
                 run.method = "NestedLoop";
-                let scanned = scan_var(snap, core, step.var, metrics)?;
+                let mut scanned: Vec<Tuple> = Vec::new();
+                visit_var(snap, core, step.var, metrics, |row| {
+                    scanned.push(row.clone())
+                })?;
                 for left_row in &current {
                     for right_row in &scanned {
                         metrics.join_comparisons += 1;
-                        let mut combined = left_row.clone();
-                        combined.extend(right_row.iter().cloned());
-                        if conds.iter().all(|j| eval_join(j, &combined)) {
-                            next.push(combined);
+                        if conds.iter().all(|j| eval_join(j, left_row, right_row)) {
+                            next.push(joined(left_row, right_row));
                         }
                     }
                 }
@@ -359,10 +396,26 @@ pub fn run_physical(
         .collect();
 
     if core.distinct {
-        let mut seen: HashSet<Tuple> = HashSet::new();
-        rows.retain(|r| seen.insert(r.clone()));
+        dedup_rows(&mut rows);
     }
     Ok((Relation { columns, rows }, runs))
+}
+
+/// The value at position `i` of the row `left ++ right` would become,
+/// read from the pair without building it.
+fn pair_at<'r>(left: &'r [Datum], right: &'r [Datum], i: usize) -> &'r Datum {
+    match i.checked_sub(left.len()) {
+        Some(r) => &right[r],
+        None => &left[i],
+    }
+}
+
+/// The row `left ++ right`: what a join step emits for a surviving pair.
+fn joined(left: &[Datum], right: &[Datum]) -> Tuple {
+    let mut row = Vec::with_capacity(left.len() + right.len());
+    row.extend_from_slice(left);
+    row.extend_from_slice(right);
+    row
 }
 
 /// Pages one point probe reads: the root and a leaf of a two-level
@@ -434,29 +487,29 @@ pub fn choose_access(
     AccessPath::FullScan
 }
 
-/// Scans one range variable, applying its pushed-down restrictions,
-/// through the access path [`choose_access`] picks. Every row read
-/// counts in `rows_scanned`; only the survivors are cloned.
-fn scan_var(
+/// Scans one range variable through the access path [`choose_access`]
+/// picks, lending `f` each row that passes the variable's pushed-down
+/// restrictions. Every row read counts in `rows_scanned`; the caller
+/// clones only what it keeps.
+fn visit_var(
     snap: &Snapshot,
     core: &plan::ResolvedCore,
     var: usize,
     metrics: &mut QueryMetrics,
-) -> RqsResult<Vec<Tuple>> {
+    mut f: impl FnMut(&Tuple),
+) -> RqsResult<()> {
     let info = &core.vars[var];
     metrics.scans += 1;
     let restrictions = core.restrictions_of(var);
     let access = choose_access(snap.backend, &info.table, info.pages, &restrictions);
     let check = restriction_check(restrictions);
-    let mut rows = Vec::new();
     snap.backend.read(&info.table, &access, &mut |_, row| {
         metrics.rows_scanned += 1;
         if check(row) {
-            rows.push(row.clone());
+            f(row);
         }
         true
-    })?;
-    Ok(rows)
+    })
 }
 
 /// The conjunction of one variable's pushed-down restrictions, as a
@@ -629,6 +682,14 @@ mod tests {
             )
             .unwrap();
         assert_eq!(r.rows.len(), 3); // same three people in both arms
+                                     // The first arm's own duplicates go too; first occurrences keep
+                                     // their order, the later arm's new rows follow.
+        let r = db
+            .execute("SELECT v1.dno FROM empl v1 UNION SELECT v2.mgr FROM dept v2")
+            .unwrap();
+        let ints: Vec<i64> = r.rows.iter().map(|t| t[0].as_int().unwrap()).collect();
+        assert_eq!(ints, [10, 20, 1, 2]);
+        assert_eq!(r.metrics.result_rows, 4);
     }
 
     #[test]
@@ -721,6 +782,122 @@ mod tests {
             "index read: {} fetches, scan: {pages}",
             fetches(&large)
         );
+    }
+
+    /// Creates `l` and `r` from `(columns, rows)` on both backends. `l`
+    /// must be no larger than `r` after its restrictions, so the planner
+    /// scans `v1` first and joins `r v2` onto it.
+    fn both_backends(l: (&str, &str), r: (&str, &str)) -> [Database; 2] {
+        [Database::new(), Database::paged(8).unwrap()].map(|mut db| {
+            for (name, (cols, rows)) in [("l", l), ("r", r)] {
+                db.execute(&format!("CREATE TABLE {name} ({cols})"))
+                    .unwrap();
+                db.execute(&format!("INSERT INTO {name} VALUES {rows}"))
+                    .unwrap();
+            }
+            db
+        })
+    }
+
+    /// Runs `sql` — every column of `l v1`, then every column of `r v2`,
+    /// with a hash step onto `v2` — and checks it against a nested loop
+    /// over the two tables in heap order: the same rows, in the same
+    /// order (left-major, then the right table's heap order).
+    fn assert_hash_step_matches_nested_loop(
+        db: &mut Database,
+        sql: &str,
+        pred: impl Fn(&[Datum], &[Datum]) -> bool,
+    ) {
+        let plan = db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+        let text: Vec<&str> = plan.rows.iter().filter_map(|r| r[0].as_text()).collect();
+        let step = text.iter().find(|l| l.contains("r v2")).unwrap();
+        assert!(step.contains("ran=HashJoin"), "{text:#?}");
+        let (left, right) = (
+            db.backend().scan("l").unwrap(),
+            db.backend().scan("r").unwrap(),
+        );
+        let expected: Vec<Tuple> = left
+            .iter()
+            .flat_map(|l| {
+                right
+                    .iter()
+                    .filter(|r| pred(l, r))
+                    .map(|r| joined(l, r))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        assert_eq!(db.execute(sql).unwrap().rows, expected, "{sql}");
+    }
+
+    #[test]
+    fn hash_step_with_duplicate_left_keys_matches_nested_loop() {
+        let l = (
+            "k INT, p INT",
+            "(1, 10), (2, 20), (1, 30), (3, 40), (1, 50)",
+        );
+        let r = (
+            "k INT, q INT",
+            "(1, 100), (4, 400), (1, 110), (2, 200), (1, 120), (5, 500)",
+        );
+        for mut db in both_backends(l, r) {
+            assert_hash_step_matches_nested_loop(
+                &mut db,
+                "SELECT v1.k, v1.p, v2.k, v2.q FROM l v1, r v2 WHERE v1.k = v2.k",
+                |l, r| l[0] == r[0],
+            );
+        }
+    }
+
+    #[test]
+    fn hash_step_on_a_two_column_text_key_matches_nested_loop() {
+        let l = (
+            "a TEXT, b TEXT, p INT",
+            "('x', 'y', 1), ('x', 'z', 2), ('w', 'y', 3), ('x', 'y', 4)",
+        );
+        let r = (
+            "a TEXT, b TEXT, q INT",
+            "('x', 'y', 10), ('x', 'z', 20), ('x', 'w', 30), ('w', 'y', 40), ('y', 'x', 50), ('x', 'y', 60)",
+        );
+        for mut db in both_backends(l, r) {
+            assert_hash_step_matches_nested_loop(
+                &mut db,
+                "SELECT v1.a, v1.b, v1.p, v2.a, v2.b, v2.q FROM l v1, r v2
+                 WHERE v1.a = v2.a AND v2.b = v1.b",
+                |l, r| l[0] == r[0] && l[1] == r[1],
+            );
+        }
+    }
+
+    #[test]
+    fn hash_step_with_an_extra_condition_matches_nested_loop() {
+        let l = ("k INT, p INT", "(1, 5), (2, 50), (1, 15), (2, 5)");
+        let r = (
+            "k INT, q INT",
+            "(1, 10), (1, 20), (2, 40), (2, 60), (1, 1), (3, 99)",
+        );
+        for mut db in both_backends(l, r) {
+            assert_hash_step_matches_nested_loop(
+                &mut db,
+                "SELECT v1.k, v1.p, v2.k, v2.q FROM l v1, r v2
+                 WHERE v2.k = v1.k AND v1.p < v2.q",
+                |l, r| l[0] == r[0] && l[1].total_cmp(&r[1]).is_lt(),
+            );
+        }
+    }
+
+    #[test]
+    fn hash_step_onto_an_empty_right_side_matches_nested_loop() {
+        let l = ("k INT, p INT", "(1, 1), (2, 2)");
+        let rows: Vec<String> = (0..9).map(|i| format!("({}, {i})", i % 3)).collect();
+        let r = ("k INT, q INT", rows.join(", "));
+        for mut db in both_backends(l, (r.0, &r.1)) {
+            assert_hash_step_matches_nested_loop(
+                &mut db,
+                "SELECT v1.k, v1.p, v2.k, v2.q FROM l v1, r v2
+                 WHERE v1.k = v2.k AND v2.q > 1000",
+                |l, r| l[0] == r[0] && r[1].total_cmp(&Datum::Int(1000)).is_gt(),
+            );
+        }
     }
 
     #[test]

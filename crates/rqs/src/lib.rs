@@ -17,8 +17,9 @@
 //! * an [`exec`]utor with two methods for an equijoin — probe the new
 //!   variable's index once per left row when that reads fewer pages than
 //!   scanning its table (decided per step, from the left side's actual
-//!   row count and the table's heap pages), else scan and hash — and
-//!   nested loops for inequality joins, instrumented with
+//!   row count and the table's heap pages), else stream the table past
+//!   a hash of the left rows — and nested loops for inequality joins;
+//!   once a step leaves no rows, the rest read nothing. Instrumented with
 //!   [`exec::QueryMetrics`] so the benefit of front-end simplification
 //!   is measurable.
 //!

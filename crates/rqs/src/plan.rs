@@ -70,7 +70,9 @@ pub struct ResolvedCore {
 pub enum JoinMethod {
     /// First variable: plain scan.
     Initial,
-    /// Hash join on the given equijoin conditions (probe side = new var).
+    /// Hash join on the given equijoin conditions: the executor builds
+    /// on the left rows already joined and streams the new variable's
+    /// rows past them as the probe side.
     Hash {
         eq: Vec<JoinCond>,
         extra: Vec<JoinCond>,

@@ -32,7 +32,10 @@
 //!   predicated DELETE really execute and report the same actuals;
 //! * a probe-join step's `rows_read` (its share of `rows_scanned`) vs.
 //!   the rows its probes returned, counted by a filtered heap scan, and
-//!   the per-step `rows_read`/`probes` vs. the statement's totals.
+//!   the per-step `rows_read`/`probes` vs. the statement's totals;
+//! * a statement whose first step matches nothing: every later step
+//!   reports `ran=Skipped`, and its page fetches equal the first step's
+//!   alone.
 
 use rqs::sql::{parse_statement, SelectStmt, Statement};
 use rqs::{Database, Datum, RqsError, Trace};
@@ -435,6 +438,55 @@ fn probe_step_rows_scanned_equal_the_rows_its_probes_returned() {
     assert_eq!(
         steps.iter().map(|s| s.1).sum::<u64>(),
         actual_value(&plan, "index_probes")
+    );
+}
+
+/// Every join is inner, so once the rows before a step are empty the
+/// rest of the pipeline reads nothing: each later step reports
+/// `ran=Skipped probes=0 rows_read=0`, the statement fetches exactly the
+/// pages its first step fetches alone, and the per-step `rows_read` and
+/// `probes` still add up to the statement's `rows_scanned` and
+/// `index_probes`.
+#[test]
+fn an_empty_first_step_skips_the_rest_of_the_pipeline() {
+    let mut db = Database::paged(8).unwrap();
+    load_rows(&mut db, 1000);
+    db.execute("CREATE TABLE pick (k INT)").unwrap();
+    db.execute("INSERT INTO pick VALUES (3), (7), (7), (12)")
+        .unwrap();
+    let sql = "SELECT w.nam FROM pick p, empl v, empl w
+               WHERE p.k = 99 AND v.eno = p.k AND w.eno = v.sal";
+    let plan = db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap().rows;
+    // Step lines print the last step first.
+    let steps = step_runs(&plan);
+    assert_eq!(steps.len(), 3, "{plan:?}");
+    assert_eq!(steps[2], ("Scan".to_owned(), 0, 4), "{plan:?}");
+    for later in &steps[..2] {
+        assert_eq!(later, &("Skipped".to_owned(), 0, 0), "{plan:?}");
+    }
+    let alone = db.execute("SELECT p.k FROM pick p WHERE p.k = 99").unwrap();
+    let first_step_fetches = alone.metrics.page_reads + alone.metrics.buffer_hits;
+    assert!(first_step_fetches > 0);
+    assert_eq!(
+        actual_value(&plan, "page_reads") + actual_value(&plan, "buffer_hits"),
+        first_step_fetches,
+        "{plan:?}"
+    );
+    assert_eq!(
+        steps.iter().map(|s| s.2).sum::<u64>(),
+        actual_value(&plan, "rows_scanned")
+    );
+    assert_eq!(
+        steps.iter().map(|s| s.1).sum::<u64>(),
+        actual_value(&plan, "index_probes")
+    );
+    let r = db.execute(sql).unwrap();
+    assert!(r.rows.is_empty());
+    assert_eq!(
+        (r.metrics.scans, r.metrics.joins),
+        (1, 0),
+        "{:?}",
+        r.metrics
     );
 }
 
