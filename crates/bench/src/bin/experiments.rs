@@ -20,8 +20,8 @@ use coupling::recursion::{
 };
 use coupling::workload::{Firm, FirmParams};
 use optimizer::SimplifyConfig;
-use pfe_bench::{firm_session, firm_session_paged, firm_sweep};
-use pfe_core::{Answer, Datum};
+use pfe_bench::{firm_session, firm_sweep};
+use pfe_core::{Answer, Datum, Session};
 use rqs::QueryMetrics;
 
 /// Buffer-pool frames of every paged run: the engine's floor, so each
@@ -137,7 +137,7 @@ fn main() {
 fn e6_2_simplification() -> JsonObj {
     let mut out = JsonObj::default().u("pool_pages", POOL_PAGES as u64);
     for params in firm_sweep() {
-        let (mut s, firm) = firm_session_paged(params, POOL_PAGES);
+        let (mut s, firm) = firm_session(Session::empdep_paged(POOL_PAGES), params);
         s.config_mut().cache = false;
         let goal = same_manager_goal(&firm);
         let optimized = s.query(&goal, "same_manager").expect("query runs");
@@ -184,7 +184,7 @@ fn e6_2_simplification() -> JsonObj {
 fn e7_1_recursion() -> JsonObj {
     let mut out = JsonObj::default();
     for params in firm_sweep() {
-        let (mut s, firm) = firm_session(params);
+        let (mut s, firm) = firm_session(Session::empdep(), params);
         let coupler = s.coupler_mut();
         let bound = Bound {
             side: BoundSide::High,
@@ -218,12 +218,15 @@ fn e7_1_recursion() -> JsonObj {
                 .u("intermediate_rows_scanned", inter.metrics.rows_scanned),
         );
     }
-    let (mut s, firm) = firm_session(FirmParams {
-        depth: 3,
-        branching: 2,
-        staff_per_dept: 2,
-        seed: 3,
-    });
+    let (mut s, firm) = firm_session(
+        Session::empdep(),
+        FirmParams {
+            depth: 3,
+            branching: 2,
+            staff_per_dept: 2,
+            seed: 3,
+        },
+    );
     let coupler = s.coupler_mut();
     let spec = ClosureSpec::from_view(coupler, "works_dir_for").expect("spec builds");
     let low = Bound {
@@ -290,7 +293,7 @@ fn a1_ablation() -> JsonObj {
         ("full", SimplifyConfig::default()),
     ];
     let params = *firm_sweep().last().expect("non-empty sweep");
-    let (mut s, firm) = firm_session_paged(params, POOL_PAGES);
+    let (mut s, firm) = firm_session(Session::empdep_paged(POOL_PAGES), params);
     s.config_mut().cache = false;
     let goal = same_manager_goal(&firm);
     let mut out = JsonObj::default()

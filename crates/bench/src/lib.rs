@@ -3,18 +3,10 @@
 use coupling::workload::{Firm, FirmParams};
 use pfe_core::{views, Session};
 
-/// A session over a generated hierarchy with all views consulted.
-pub fn firm_session(params: FirmParams) -> (Session, Firm) {
-    firm_session_on(Session::empdep(), params)
-}
-
-/// Like [`firm_session`], but the DBMS runs on the paged storage engine
-/// with a `pool_pages`-frame buffer pool, so metrics count page I/O.
-pub fn firm_session_paged(params: FirmParams, pool_pages: usize) -> (Session, Firm) {
-    firm_session_on(Session::empdep_paged(pool_pages), params)
-}
-
-fn firm_session_on(mut s: Session, params: FirmParams) -> (Session, Firm) {
+/// `s` over a generated hierarchy with all views consulted: a default
+/// [`Session::empdep`], or one with a small pool
+/// ([`Session::empdep_paged`]) so that page counts show eviction.
+pub fn firm_session(mut s: Session, params: FirmParams) -> (Session, Firm) {
     s.consult(views::SAME_MANAGER).expect("views parse");
     s.consult(
         "works_for(L, H) :- works_dir_for(L, H).
@@ -63,7 +55,7 @@ mod tests {
 
     #[test]
     fn fixtures_build() {
-        let (mut s, firm) = firm_session(FirmParams::default());
+        let (mut s, firm) = firm_session(Session::empdep(), FirmParams::default());
         assert!(firm.employees.len() > 10);
         let goal = format!("works_dir_for(t_X, '{}')", firm.ceo());
         assert!(!s.query(&goal, "q").unwrap().answers.is_empty());

@@ -43,30 +43,33 @@ pub struct Session {
     coupler: Coupler,
 }
 
+/// A session over an already-built coupler, such as one over the
+/// differential tests' `rqs::Database::oracle`.
+impl From<Coupler> for Session {
+    fn from(coupler: Coupler) -> Session {
+        Session { coupler }
+    }
+}
+
 impl Session {
     /// A session over the paper's `empdep` database and Example 3-2
-    /// constraints.
+    /// constraints, on the paged storage engine ([`rqs::Database::new`]:
+    /// slotted heap pages behind a buffer pool, B+-tree indexes), so
+    /// query metrics report `page_reads`/`buffer_hits` — the paper's I/O
+    /// cost model.
     pub fn empdep() -> Session {
-        Session {
-            coupler: Coupler::empdep(),
-        }
+        Session::from(Coupler::empdep())
     }
 
-    /// Like [`Session::empdep`], but the external DBMS runs on the paged
-    /// storage engine (slotted heap pages behind a `pool_pages`-frame
-    /// buffer pool, B+-tree indexes), so query metrics report
-    /// `page_reads`/`buffer_hits` — the paper's I/O cost model.
+    /// Like [`Session::empdep`], with a `pool_pages`-frame buffer pool.
     pub fn empdep_paged(pool_pages: usize) -> Session {
-        Session {
-            coupler: Coupler::empdep_paged(pool_pages),
-        }
+        let rqs = rqs::Database::paged(pool_pages).expect("an in-memory paged database opens");
+        Session::from(Coupler::empdep_over(rqs))
     }
 
     /// A session over an arbitrary schema/constraint pair.
     pub fn new(db: DatabaseDef, constraints: ConstraintSet) -> Result<Session> {
-        Ok(Session {
-            coupler: Coupler::new(db, constraints)?,
-        })
+        Coupler::new(db, constraints).map(Session::from)
     }
 
     /// The underlying coupler, for full control.
@@ -196,6 +199,16 @@ mod tests {
         s.load_dept(&[(10, "hq", 1), (20, "field", 2)]).unwrap();
         s.check_integrity().unwrap();
         s
+    }
+
+    #[test]
+    fn every_default_constructor_runs_on_the_paged_engine() {
+        let custom = Session::new(DatabaseDef::empdep(), ConstraintSet::empdep()).unwrap();
+        for s in [Session::empdep(), custom] {
+            assert!(s.coupler().rqs.backend().as_paged().is_some());
+        }
+        assert!(rqs::Database::new().backend().as_paged().is_some());
+        assert!(rqs::Database::oracle().backend().as_paged().is_none());
     }
 
     #[test]

@@ -154,26 +154,22 @@ pub struct Coupler {
 }
 
 impl Coupler {
-    /// Creates the coupled system over an in-memory external database.
+    /// Creates the coupled system over a fresh external database on the
+    /// paged engine ([`rqs::Database::new`]).
     pub fn new(db: DatabaseDef, constraints: ConstraintSet) -> Result<Coupler> {
         Self::over(rqs::Database::new(), db, constraints)
     }
 
     /// The paper's running system: empdep schema + Example 3-2 constraints.
     pub fn empdep() -> Coupler {
-        Coupler::new(DatabaseDef::empdep(), ConstraintSet::empdep())
-            .expect("empdep fixture is consistent")
+        Self::empdep_over(rqs::Database::new())
     }
 
-    /// Like [`Coupler::new`], but the external DBMS runs on the paged
-    /// storage engine with a `pool_pages`-frame buffer pool, so query
-    /// metrics include page reads and buffer hits.
-    pub fn new_paged(
-        db: DatabaseDef,
-        constraints: ConstraintSet,
-        pool_pages: usize,
-    ) -> Result<Coupler> {
-        Self::over(rqs::Database::paged(pool_pages)?, db, constraints)
+    /// The empdep system over `rqs`: a paged database with a chosen pool,
+    /// or the differential tests' oracle.
+    pub fn empdep_over(rqs: rqs::Database) -> Coupler {
+        Self::over(rqs, DatabaseDef::empdep(), ConstraintSet::empdep())
+            .expect("empdep fixture is consistent")
     }
 
     /// Couples the Prolog engine to `rqs`: sets up the external database
@@ -196,12 +192,6 @@ impl Coupler {
             config: CouplerConfig::default(),
             cache: QueryCache::new(),
         })
-    }
-
-    /// The empdep system on the paged storage engine.
-    pub fn empdep_paged(pool_pages: usize) -> Coupler {
-        Coupler::new_paged(DatabaseDef::empdep(), ConstraintSet::empdep(), pool_pages)
-            .expect("empdep fixture is consistent")
     }
 
     /// Loads Prolog view definitions / facts into the internal engine.

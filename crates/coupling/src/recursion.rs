@@ -346,8 +346,28 @@ fn ensure_intermediate(coupler: &mut Coupler, table: &str, ty: AttrType) -> Resu
     Ok(())
 }
 
+/// Replaces the intermediate relation's rows with `values` as one
+/// session transaction: its `DELETE FROM` and `INSERT` commit or roll
+/// back together, so a failed `INSERT` leaves the previous frontier.
 fn set_intermediate(coupler: &mut Coupler, table: &str, values: &[Datum]) -> Result<()> {
-    coupler.rqs.execute(&format!("DELETE FROM {table}"))?;
+    let db = &mut coupler.rqs;
+    let txn = db.begin_session_txn()?;
+    let written = db
+        .resume_session_txn(txn)
+        .map_err(CouplingError::from)
+        .and_then(|()| replace_rows(db, table, values));
+    db.suspend_session_txn();
+    match written {
+        Ok(()) => Ok(db.commit_session_txn(txn)?),
+        Err(e) => {
+            db.abort_session_txn(txn);
+            Err(e)
+        }
+    }
+}
+
+fn replace_rows(db: &mut rqs::Database, table: &str, values: &[Datum]) -> Result<()> {
+    db.execute(&format!("DELETE FROM {table}"))?;
     if values.is_empty() {
         return Ok(());
     }
@@ -355,9 +375,7 @@ fn set_intermediate(coupler: &mut Coupler, table: &str, values: &[Datum]) -> Res
         .iter()
         .map(|v| format!("({})", datum_literal(v)))
         .collect();
-    coupler
-        .rqs
-        .execute(&format!("INSERT INTO {table} VALUES {}", rows.join(", ")))?;
+    db.execute(&format!("INSERT INTO {table} VALUES {}", rows.join(", ")))?;
     Ok(())
 }
 
@@ -526,6 +544,24 @@ mod tests {
         // The paper's point: candidates = every employee name.
         assert_eq!(bad.candidates_tried, 5);
         assert!(bad.queries_issued > good.queries_issued * 2);
+    }
+
+    #[test]
+    fn a_failed_frontier_write_keeps_the_previous_frontier() {
+        let mut c = chain_firm();
+        ensure_intermediate(&mut c, "intermediate", AttrType::Text).unwrap();
+        let frontier = [Datum::text("e1"), Datum::text("e2")];
+        set_intermediate(&mut c, "intermediate", &frontier).unwrap();
+        // One value past the record-size cap of a 4 KiB page: the INSERT
+        // fails after the DELETE ran, and both roll back together.
+        let oversized = Datum::text(&"x".repeat(8192));
+        assert!(set_intermediate(&mut c, "intermediate", &[oversized]).is_err());
+        let mut rows = c.rqs.backend().scan("intermediate").unwrap();
+        rows.sort();
+        assert_eq!(rows, frontier.map(|v| vec![v]));
+        // The database is usable afterwards: no transaction was left open.
+        set_intermediate(&mut c, "intermediate", &[]).unwrap();
+        assert!(c.rqs.backend().scan("intermediate").unwrap().is_empty());
     }
 
     #[test]

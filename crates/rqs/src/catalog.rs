@@ -5,8 +5,8 @@
 //! knowledge its optimizer exploits. This module holds that system's
 //! *logical* layer: schemas and constraints. Physical row storage lives
 //! behind [`crate::backend::StorageBackend`]; the constraint checkers
-//! here read through it, so the same enforcement applies to the
-//! in-memory and the paged engine alike.
+//! here read through it, so the same enforcement applies to the paged
+//! engine and the oracle alike.
 
 use crate::backend::{AccessPath, StorageBackend};
 use crate::error::{RqsError, RqsResult};
@@ -419,7 +419,7 @@ mod tests {
     fn setup() -> (Catalog, InMemoryBackend) {
         let mut cat = Catalog::new();
         let table = empl_table();
-        let mut backend = InMemoryBackend::new();
+        let mut backend = InMemoryBackend::default();
         backend.create_table("empl", &table.columns).unwrap();
         cat.create_table(table).unwrap();
         (cat, backend)
@@ -600,7 +600,7 @@ mod tests {
         /// empl.eno.
         fn cyclic_setup() -> (Catalog, InMemoryBackend) {
             let mut cat = Catalog::new();
-            let mut backend = InMemoryBackend::new();
+            let mut backend = InMemoryBackend::default();
             let mut empl = Table::new(
                 "empl",
                 vec![

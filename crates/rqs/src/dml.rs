@@ -535,21 +535,6 @@ pub(crate) fn execute_update(
         .iter()
         .map(|(id, row)| (*id, apply_sets(&sets, row)))
         .unzip();
-    // Record- and key-size cap parity with the paged engine: a tuple
-    // must fit one 4 KiB page, and values assigned to indexed columns
-    // must fit a B+-tree node — enforced here so both backends reject
-    // identically, before anything mutates.
-    for row in &new_rows {
-        let encoded = crate::backend::encoded_tuple_len(row);
-        if encoded > storage::page::Page::max_record_len() {
-            return Err(storage::StorageError::RecordTooLarge(encoded).into());
-        }
-        for &col in &changed {
-            if backend.has_index(table_name, col) {
-                storage::btree::check_key(&row[col])?;
-            }
-        }
-    }
     // Constraint re-checks run in probe mode: latest committed state
     // plus this transaction's own rows, conflicting retryably when the
     // probed tables carry another transaction's uncommitted writes.

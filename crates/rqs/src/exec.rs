@@ -36,12 +36,13 @@ pub struct QueryMetrics {
     /// Index probes issued by join steps that joined through an index
     /// ([`JoinMethod::IndexProbe`] run as a probe: one per left row).
     pub index_probes: u64,
-    /// Pages faulted in from storage (paged backend only; 0 in-memory).
+    /// Pages faulted in from storage (paged backend only; 0 on the
+    /// oracle).
     pub page_reads: u64,
     /// Page fetches served by the buffer pool (paged backend only).
     pub buffer_hits: u64,
-    /// WAL frames appended (paged backend DML; 0 for queries and
-    /// in-memory databases).
+    /// WAL frames appended (paged backend DML; 0 for queries and on the
+    /// oracle).
     pub wal_appends: u64,
     /// WAL bytes appended, frame headers included (paged backend DML).
     pub wal_bytes: u64,
@@ -788,7 +789,7 @@ mod tests {
     /// must be no larger than `r` after its restrictions, so the planner
     /// scans `v1` first and joins `r v2` onto it.
     fn both_backends(l: (&str, &str), r: (&str, &str)) -> [Database; 2] {
-        [Database::new(), Database::paged(8).unwrap()].map(|mut db| {
+        [Database::oracle(), Database::paged(8).unwrap()].map(|mut db| {
             for (name, (cols, rows)) in [("l", l), ("r", r)] {
                 db.execute(&format!("CREATE TABLE {name} ({cols})"))
                     .unwrap();

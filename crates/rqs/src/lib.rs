@@ -30,36 +30,39 @@
 //! and constraints, and the planner/executor read rows through a
 //! [`backend::Snapshot`] pairing the two. Two backends ship:
 //!
-//! * **In-memory** ([`Database::new`]) — a `Vec<Tuple>` per table with
-//!   `BTreeMap` secondary indexes. No paging, no I/O accounting.
-//! * **Paged** ([`Database::paged`], [`Database::open_paged`]) — the
-//!   `storage` crate's engine: tuples serialized onto fixed-size (4 KiB)
-//!   slotted heap pages, fetched through a pinned/unpinned buffer pool
-//!   with clock eviction over an in-memory or file-backed pager;
-//!   secondary indexes are B+-trees keyed on [`Datum`]; the schema and
-//!   integrity constraints persist as rows of four bootstrap heaps
-//!   (`system_tables`, `system_columns`, `system_indexes`,
-//!   `system_constraints`) at fixed page ids, from which
-//!   [`Database::open_paged`] rebuilds the catalog on reopen; and every
-//!   mutating SQL statement commits through a write-ahead log, so
+//! * **Paged** ([`Database::new`], [`Database::paged`],
+//!   [`Database::open_paged`]) — the `storage` crate's engine, which
+//!   every database but the oracle runs on: tuples serialized onto
+//!   fixed-size (4 KiB) slotted heap pages, fetched through a
+//!   pinned/unpinned buffer pool with clock eviction over an in-memory
+//!   or file-backed pager; secondary indexes are B+-trees keyed on
+//!   [`Datum`]; the schema and integrity constraints persist as rows of
+//!   four bootstrap heaps (`system_tables`, `system_columns`,
+//!   `system_indexes`, `system_constraints`) at fixed page ids, from
+//!   which [`Database::open_paged`] rebuilds the catalog on reopen; and
+//!   every mutating SQL statement commits through a write-ahead log, so
 //!   committed statements survive crashes ([`Database::open_paged`]
 //!   replays the log before bootstrapping) and failed statements roll
 //!   back completely — heap rows, index postings and catalog mutations
-//!   alike.
+//!   alike. [`Database::new`] is this engine over in-memory pages with
+//!   a pool large enough that small databases never evict.
+//! * **Oracle** ([`Database::oracle`]) — a `Vec<Tuple>` per table, read
+//!   only by full scans: no indexes, no paging, no I/O accounting. It
+//!   is what the engine is differentially tested against.
 //!
-//! On the paged backend every scan and index lookup goes through the
-//! buffer pool, so [`exec::QueryMetrics::page_reads`] and
+//! On the engine every scan and index lookup goes through the buffer
+//! pool, so [`exec::QueryMetrics::page_reads`] and
 //! [`exec::QueryMetrics::buffer_hits`] report real page traffic — the
 //! paper's actual cost model — and DML statements additionally report
 //! [`exec::QueryMetrics::wal_appends`]/[`exec::QueryMetrics::wal_bytes`],
 //! the price of durability. The two backends are observationally
 //! identical through SQL (enforced by `tests/backend_differential.rs`
 //! and the crash harness in `tests/crash_recovery.rs`); they differ
-//! only in physical cost. Both are `Send` and support any number of
-//! open session-scoped transactions (one active at a time), which is
-//! what the `server` crate builds its concurrent shared-database
-//! sessions on — isolation between sessions lives there, in a
-//! table-level two-phase lock manager.
+//! only in physical cost. Both are `Send`; the engine alone supports
+//! any number of open session-scoped transactions (one active at a
+//! time), which is what the `server` crate builds its concurrent
+//! shared-database sessions on — isolation between sessions lives
+//! there, in a table-level two-phase lock manager.
 //!
 //! Crucially, this crate depends on nothing else in the workspace above
 //! the storage layer: the only connection between front-end and DBMS is
@@ -87,7 +90,7 @@ pub mod plan;
 pub mod sql;
 pub mod value;
 
-pub use backend::{AccessPath, InMemoryBackend, PagedBackend, Snapshot, StorageBackend, TableSize};
+pub use backend::{AccessPath, PagedBackend, Snapshot, StorageBackend, TableSize};
 pub use catalog::{Catalog, Column, ColumnType, Table, TableConstraint};
 pub use database::{Database, QueryResult, Trace, TraceSpan};
 pub use error::{RqsError, RqsResult};

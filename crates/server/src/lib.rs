@@ -3,8 +3,9 @@
 //! The paper couples a Prolog front-end to a *shared* relational query
 //! system; this crate is the sharing. A [`SharedDatabase`] is an
 //! `Arc`-cloneable, `Send` handle over one [`rqs::Database`] on the
-//! paged engine (the in-memory backend is a differential oracle for
-//! tests, not something the server serves — construction refuses it).
+//! paged engine (`Database::oracle`, the scan-only reference of the
+//! differential tests, is not something the server serves —
+//! construction refuses it).
 //! Each client gets a [`ServerSession`], which accepts the same SQL the
 //! database does plus three session-control statements:
 //!
@@ -279,10 +280,10 @@ impl SharedDatabase {
     ///
     /// # Panics
     ///
-    /// If `db` is not on the paged engine — build it with
-    /// `Database::paged` or `Database::open_paged`. Sessions and
-    /// snapshot reads exist only there; the in-memory backend
-    /// (`Database::new`) is a differential oracle, not a server backend.
+    /// If `db` is not on the paged engine — every database is but
+    /// `Database::oracle`. Sessions and snapshot reads exist only on
+    /// the engine; the oracle is the differential tests' scan-only
+    /// reference, not a server backend.
     /// [`SharedDatabase::with_lock_timeout`] refuses it the same way.
     pub fn from_database(db: Database) -> SharedDatabase {
         Self::with_lock_timeout(db, Duration::from_secs(10))
@@ -293,7 +294,7 @@ impl SharedDatabase {
     pub fn with_lock_timeout(db: Database, timeout: Duration) -> SharedDatabase {
         let paged = db.backend().as_paged().expect(
             "SharedDatabase serves the paged engine only: build the database with \
-             Database::paged or Database::open_paged, not Database::new",
+             Database::new, Database::paged or Database::open_paged, not Database::oracle",
         );
         let registry = Arc::clone(paged.engine().registry());
         SharedDatabase {
@@ -1132,9 +1133,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "Database::paged")]
     fn an_in_memory_database_is_refused_at_construction() {
-        // The in-memory backend is the differential oracle; it has no
-        // sessions or snapshots to serve with.
-        let _ = SharedDatabase::from_database(Database::new());
+        // The oracle has no sessions or snapshots to serve with.
+        let _ = SharedDatabase::from_database(Database::oracle());
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! Backend equivalence: the in-memory and paged storage engines must be
-//! observationally identical through SQL.
+//! Backend equivalence: the paged storage engine and the scan-only
+//! oracle (`Database::oracle`, which keeps no indexes) must be
+//! observationally identical through SQL, so every index read the
+//! engine makes is checked against a plain scan.
 //!
 //! Three layers of evidence:
 //!
@@ -22,7 +24,7 @@
 //!    beside a parked writer).
 
 use prolog_front_end::coupling::workload::{Firm, FirmParams};
-use prolog_front_end::pfe_core::{views, Session};
+use prolog_front_end::pfe_core::{views, Coupler, Session};
 use proptest::test_runner::TestRng;
 use rqs::{Database, QueryMetrics};
 
@@ -39,7 +41,7 @@ fn pool_frames() -> usize {
 
 fn make_backends() -> Vec<(&'static str, Database)> {
     vec![
-        ("in-memory", Database::new()),
+        ("oracle", Database::oracle()),
         (
             "paged",
             Database::paged(pool_frames()).expect("paged database"),
@@ -156,10 +158,10 @@ fn sql_corpus_agrees_across_backends() {
 ///
 /// * *latest state*: after each churn statement, indexed point and
 ///   range queries (and their forced-scan twins on the unindexed
-///   `twin` column) must match the in-memory backend, which has no
+///   `twin` column) must match the oracle, which has no
 ///   versions at all;
 /// * *old snapshot*: the parked transaction re-asks the same questions
-///   and must keep getting what the in-memory backend answered before
+///   and must keep getting what the oracle answered before
 ///   the churn began.
 #[test]
 fn versioned_index_reads_agree_with_the_oracle_in_both_snapshots() {
@@ -347,7 +349,7 @@ fn update_and_predicated_delete_corpus_agrees_across_backends() {
     }
     // A table far wider than the default 8-frame pool (~15 pages of
     // padded rows): the whole-table rewrite used to be the one pinned
-    // parity exception (paged failed pool-exhausted where in-memory
+    // parity exception (paged failed pool-exhausted where the oracle
     // succeeded). With steal/undo logging both backends succeed
     // identically — and the statement now exercises the steal path on
     // every differential run.
@@ -572,7 +574,7 @@ fn load_spy(mut s: Session) -> Session {
 }
 
 /// Runs every goal through both sessions' full pipelines, asserting equal
-/// answer sets and zero page I/O on the in-memory side; returns the
+/// answer sets and zero page I/O on the oracle's side; returns the
 /// paged side's summed work counters.
 fn pipelines_agree(mem: &mut Session, paged: &mut Session, goals: &[String]) -> QueryMetrics {
     let answers = |run: &prolog_front_end::pfe_core::QueryRun| {
@@ -591,13 +593,13 @@ fn pipelines_agree(mem: &mut Session, paged: &mut Session, goals: &[String]) -> 
     };
     let mut paged_total = QueryMetrics::default();
     for goal in goals {
-        let a = mem.query(goal, "q").expect("in-memory pipeline runs");
+        let a = mem.query(goal, "q").expect("oracle pipeline runs");
         let b = paged.query(goal, "q").expect("paged pipeline runs");
         assert_eq!(answers(&a), answers(&b), "goal: {goal}");
         assert_eq!(
             (a.total_metrics().page_reads, a.total_metrics().buffer_hits),
             (0, 0),
-            "in-memory backend must report zero page I/O"
+            "the oracle must report zero page I/O"
         );
         paged_total.absorb(&b.total_metrics());
     }
@@ -615,6 +617,11 @@ fn goal_classes(e: &str) -> Vec<String> {
     ]
 }
 
+/// The paper's empdep session over the oracle.
+fn oracle_session() -> Session {
+    Session::from(Coupler::empdep_over(Database::oracle()))
+}
+
 /// A session over a generated firm: its tables span many pages, so the
 /// paged planner joins through the key and foreign-key indexes.
 fn firm_session(mut s: Session, firm: &Firm) -> Session {
@@ -630,7 +637,7 @@ fn firm_session(mut s: Session, firm: &Firm) -> Session {
 #[test]
 fn paper_pipeline_agrees_across_backends() {
     // The spy firm: one page per table, so every step scans and hashes.
-    let mut mem = load_spy(Session::empdep());
+    let mut mem = load_spy(oracle_session());
     let mut paged = load_spy(Session::empdep_paged(8));
     let goals = [
         "works_dir_for(t_X, smiley)",
@@ -658,7 +665,7 @@ fn paper_pipeline_agrees_across_backends() {
         staff_per_dept: 6,
         seed: 1,
     });
-    let mut mem_firm = firm_session(Session::empdep(), &firm);
+    let mut mem_firm = firm_session(oracle_session(), &firm);
     let mut paged_firm = firm_session(Session::empdep_paged(pool_frames()), &firm);
     let name = |eno: i64| firm.employees[eno as usize - 1].nam.clone();
     let subjects = [

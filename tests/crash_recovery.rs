@@ -11,8 +11,8 @@
 //!    are still enforced without re-issuing DDL.
 //!
 //! The expected state is computed by replaying the committed prefix of
-//! the same statements on the in-memory backend — the differential
-//! oracle `tests/backend_differential.rs` already holds to account.
+//! the same statements on `Database::oracle` — the scan-only reference
+//! `tests/backend_differential.rs` already holds the engine to.
 
 use proptest::prelude::*;
 use rqs::value::Tuple;
@@ -213,7 +213,7 @@ fn assert_constraints_still_enforced(db: &mut Database) {
 }
 
 /// Tentpole scenario: for every crash point in the scripted workload,
-/// the reopened database equals the in-memory replay of exactly the
+/// the reopened database equals the oracle's replay of exactly the
 /// committed prefix, with heap/index agreement and live constraints.
 #[test]
 fn every_crash_point_recovers_the_committed_prefix() {
@@ -222,7 +222,7 @@ fn every_crash_point_recovers_the_committed_prefix() {
     for crash_at in 0..=script.len() {
         let path = temp_db("script");
         let mut db = Database::open_paged(&path, pool).unwrap();
-        let mut oracle = Database::new();
+        let mut oracle = Database::oracle();
         for stmt in &script[..crash_at] {
             let a = db.execute(stmt).expect("scripted statement succeeds");
             let b = oracle.execute(stmt).expect("oracle statement succeeds");
@@ -723,7 +723,7 @@ proptest! {
 
     /// Random statement sequences with a random crash point: the
     /// recovered database equals the committed prefix replayed on the
-    /// in-memory backend, statement for statement (errors included —
+    /// oracle, statement for statement (errors included —
     /// e.g. duplicate-key inserts into `u` must fail on both).
     #[test]
     fn random_workloads_recover_committed_prefix(
@@ -739,7 +739,7 @@ proptest! {
         let crash_at = crash_at.min(ops.len());
         let path = temp_db("prop");
         let mut db = Database::open_paged(&path, pool_frames(12)).unwrap();
-        let mut oracle = Database::new();
+        let mut oracle = Database::oracle();
         for stmt in setup.iter().map(|s| s.to_string()).chain(ops[..crash_at].iter().cloned()) {
             let a = db.execute(&stmt);
             let b = oracle.execute(&stmt);

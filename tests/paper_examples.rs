@@ -178,6 +178,10 @@ fn example_6_2_answers_agree_on_data() {
     // The optimizer saved 4 of 5 joins.
     assert_eq!(direct.total_metrics().joins, 5);
     assert_eq!(optimized.total_metrics().joins, 1);
+    // A default session runs on the paged engine the server and the
+    // benchmark run on, so its goals read pages.
+    let io = optimized.total_metrics();
+    assert!(io.page_reads + io.buffer_hits > 0, "{io:?}");
 }
 
 /// Example 7-1: naive sequence shapes — step k addresses 3(k+1) relations

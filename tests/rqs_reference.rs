@@ -5,7 +5,8 @@
 //! switches between hash and nested-loop joins; none of that may change
 //! the result. The reference here evaluates the same SELECT by enumerating
 //! the full cross product and filtering — obviously correct, obviously
-//! slow — over randomly generated tables and conjunctive queries.
+//! slow — over randomly generated tables and conjunctive queries, on the
+//! paged engine.
 
 use proptest::prelude::*;
 use rqs::{Database, Datum};
@@ -20,8 +21,18 @@ fn datum_int(i: i64) -> Datum {
     Datum::Int(i)
 }
 
+/// Buffer-pool frames of the engine under test: 16 by default, pinned
+/// by `RQS_TEST_POOL_FRAMES` (CI's pool-pressure step sets the 8-frame
+/// floor) — the rule `tests/backend_differential.rs` uses.
+fn pool_frames() -> usize {
+    std::env::var("RQS_TEST_POOL_FRAMES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(16)
+}
+
 fn load(data: &TestData) -> Database {
-    let mut db = Database::new();
+    let mut db = Database::paged(pool_frames()).expect("paged database");
     db.execute("CREATE TABLE r (a INT, b INT, c TEXT)").unwrap();
     db.execute("CREATE TABLE s (b INT, d TEXT)").unwrap();
     for (a, b, c) in &data.r_rows {
