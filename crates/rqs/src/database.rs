@@ -26,8 +26,7 @@ pub struct QueryResult {
 /// caused (physical counter deltas attributed to this phase).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceSpan {
-    /// Phase name: `parse`, `plan`, `exec`, or `commit` (the server
-    /// prepends its own `locks` span).
+    /// Phase name: `parse`, `plan`, `exec`, or `commit`.
     pub name: &'static str,
     /// Wall time spent in this phase, nanoseconds.
     pub nanos: u64,

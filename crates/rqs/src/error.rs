@@ -20,7 +20,8 @@ pub enum RqsError {
     /// An integrity constraint rejected a modification.
     ConstraintViolation(String),
     /// A concurrent transaction holds a resource this statement needs
-    /// (lock conflict, wait-die abort, or lock timeout). The statement
+    /// (a row, table or page with its pending writes, or the schema
+    /// while it is open). The statement
     /// — and any explicit transaction it ran in — was rolled back; the
     /// client may retry.
     Conflict(String),

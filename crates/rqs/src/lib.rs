@@ -61,8 +61,9 @@
 //! only in physical cost. Both are `Send`; the engine alone supports
 //! any number of open session-scoped transactions (one active at a
 //! time), which is what the `server` crate builds its concurrent
-//! shared-database sessions on — isolation between sessions lives
-//! there, in a table-level two-phase lock manager.
+//! shared-database sessions on — isolation between them is the
+//! engine's MVCC write-conflict checks plus this crate's
+//! constraint-probe reads.
 //!
 //! Crucially, this crate depends on nothing else in the workspace above
 //! the storage layer: the only connection between front-end and DBMS is

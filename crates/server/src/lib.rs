@@ -18,8 +18,8 @@
 //!
 //! # Concurrency model
 //!
-//! There is one regime: snapshot reads, table locks, and
-//! first-updater-wins on rows.
+//! There is one regime: the statement latch plus MVCC, and no lock
+//! manager.
 //!
 //! The database sits behind a **statement latch** — a reader/writer
 //! lock, not a mutex. Mutating statements, DDL, session-transaction
@@ -32,50 +32,45 @@
 //! instead of queueing on one. Beneath the latch, *transactions
 //! interleave at statement granularity*: while session A's transaction
 //! is open, sessions B, C, … run their own statements and
-//! transactions. What keeps writers from overwriting each other is two
-//! things, each deciding one question:
+//! transactions. What keeps writers from overwriting each other is
+//! the engine's write guards, none of which ever waits (each runs
+//! under the statement latch the holder needs to commit):
 //!
-//! * **table locks** — strict two-phase locking
-//!   ([`storage::lock::LockManager`], `IX`/`S`/`X`; the matrix lives in
-//!   its module docs). Before a DML statement runs, its session takes a
-//!   table `IX` on the table it writes and a table `S` on the parent
-//!   tables its foreign-key checks probe and the child tables its
-//!   restrict checks scan — those `S` locks are what keep referential
-//!   integrity true under snapshot isolation (a parent cannot be
-//!   deleted while a child referencing it is being inserted, or the
-//!   reverse). A bare `DELETE` rewrites the whole table and takes a
-//!   table `X` instead. DDL takes the schema pseudo-lock exclusively;
-//!   DML and `EXPLAIN` take it shared — so DDL serializes against every
-//!   writer;
 //! * **rows** — a row's pending MVCC version is its write lock. The
 //!   engine's first-updater-wins check refuses a write to a row another
 //!   open transaction has written, or that a commit newer than the
 //!   writer's snapshot rewrote, with a retryable [`RqsError::Conflict`]
 //!   (counted in `row_lock_conflicts`). Two sessions writing *different
 //!   rows* of one table proceed concurrently; the same row conflicts.
-//!   The check never waits: it runs under the statement latch the
-//!   holder needs to commit. A refusal mid-statement rolls back the
-//!   rows the statement already wrote with the rest of its transaction;
-//! * locks and pending versions are held to transaction end
-//!   (autocommit: statement end);
-//! * table-lock deadlocks are avoided by wait-die: older transactions
-//!   wait, younger ones abort with [`RqsError::Conflict`]. The server
-//!   does not retry: the error reaches the client
-//!   ([`ServerError::is_retryable`]), which retries the statement or
-//!   restarts its transaction, with a pause of its own choosing so a
-//!   loser does not spin hot on a contended row.
+//!   A refusal mid-statement rolls back the rows the statement already
+//!   wrote with the rest of its transaction;
+//! * **constraints** — uniqueness and foreign-key checks read in
+//!   constraint-probe mode (below), which conflicts on another
+//!   transaction's pending write that answers the probe. That is what
+//!   keeps referential integrity true under snapshot isolation: a
+//!   parent cannot be deleted while a child referencing it is being
+//!   inserted, or the reverse;
+//! * **whole tables** — a bare `DELETE` truncates, writing every row
+//!   at once: it is refused while another transaction has a pending
+//!   version in the table, and once pending it stamps every row, so
+//!   other writers of the table are refused until it ends. DDL is
+//!   refused while any other transaction is open;
+//! * pending versions are held to transaction end (autocommit:
+//!   statement end). The server does not retry: the error reaches the
+//!   client ([`ServerError::is_retryable`]), which retries the
+//!   statement or restarts its transaction, with a pause of its own
+//!   choosing so a loser does not spin hot on a contended row.
 //!
 //! # Snapshot reads (MVCC)
 //!
-//! Reads do not use the lock manager at all. The engine keeps per-row
+//! Reads take nothing but the statement latch. The engine keeps per-row
 //! version metadata ([`storage`]'s MVCC module): every autocommit
 //! statement and every explicit transaction opens a *read view* pinned
 //! to the commit timestamp current at its start, and all reads —
 //! `SELECT` scans, DML candidate scans, constraint probes — resolve
-//! each row against that view. A `SELECT` therefore takes **no locks
-//! whatsoever** (not even the shared schema lock; the statement latch
-//! excludes DDL, which takes its write side, so catalog access is safe)
-//! and never waits on or blocks a writer; it sees exactly the committed
+//! each row against that view. A `SELECT` never waits on or blocks a
+//! writer (the statement latch excludes DDL, which takes its write
+//! side, so catalog access is safe); it sees exactly the committed
 //! state as of its snapshot, plus its own transaction's earlier writes
 //! (read-your-own-writes). Dirty reads are impossible by construction:
 //! an uncommitted row carries a pending stamp only its writer's view
@@ -99,9 +94,9 @@
 //! read-modify-write (`UPDATE … SET x = x + 1`), whose
 //! first-updater-wins check keeps it exact. Declared constraints — keys,
 //! foreign keys, `CHECK` bounds — hold regardless: they are enforced by
-//! probes and `S` locks, not by what a transaction happened to read.
+//! probes, not by what a transaction happened to read.
 //!
-//! An error during an explicit transaction (constraint violation, lock
+//! An error during an explicit transaction (constraint violation, write
 //! conflict, I/O failure) aborts the *whole* transaction — the session
 //! reports [`ServerError::RolledBack`] so the client knows to restart
 //! it. DDL inside an explicit transaction is rejected up front: the
@@ -125,17 +120,13 @@
 pub mod net;
 
 use rqs::sql::{SelectStmt, Statement};
-use rqs::{Catalog, Database, Datum, QueryResult, RqsError, TableConstraint, TraceSpan};
-use std::collections::{BTreeMap, VecDeque};
+use rqs::{Database, Datum, QueryResult, RqsError, TraceSpan};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
-use storage::{HistogramsSnapshot, LockManager, LockMode, MetricsSnapshot, StorageEngine};
-
-/// The pseudo-resource DDL locks exclusively and every other statement
-/// locks shared. The leading NUL keeps it out of the table namespace.
-const SCHEMA_RESOURCE: &str = "\0schema";
+use storage::{HistogramsSnapshot, MetricsSnapshot, StorageEngine};
 
 /// Errors surfaced by a session.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,8 +158,10 @@ impl fmt::Display for ServerError {
 impl std::error::Error for ServerError {}
 
 impl ServerError {
-    /// The statement can be retried as-is (lock conflict under
-    /// wait-die or lock timeout, after restarting any transaction).
+    /// The statement can be retried as-is, after restarting any
+    /// transaction: a write conflict (a row, table or page another open
+    /// transaction has pending writes on, or DDL beside an open
+    /// transaction) or a constraint probe that met a pending write.
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
@@ -188,10 +181,10 @@ pub struct SlowEntry {
     pub session: u64,
     /// The statement text as received.
     pub sql: String,
-    /// Whole-statement wall time at the session layer (lock
-    /// acquisition included), nanoseconds.
+    /// Whole-statement wall time at the session layer (statement-latch
+    /// wait included), nanoseconds.
     pub wall_nanos: u64,
-    /// Span breakdown (`locks` + the database's parse/plan/exec/commit).
+    /// Span breakdown (the database's parse/plan/exec/commit).
     pub spans: Vec<TraceSpan>,
 }
 
@@ -221,11 +214,6 @@ struct Shared {
     /// concurrently through [`Database::query_select`]. `None` once
     /// [`SharedDatabase::crash`] ran.
     db: RwLock<Option<Database>>,
-    /// Table and schema locks. The manager counts into the engine's
-    /// registry, so `STATS` reads one.
-    locks: LockManager,
-    /// Lock-owner timestamps: smaller = older (wait-die winners).
-    next_owner: AtomicU64,
     /// Session ids (reported by the slow log).
     next_session: AtomicU64,
     /// Statements slower than the threshold, oldest evicted first.
@@ -284,24 +272,15 @@ impl SharedDatabase {
     /// `Database::oracle`. Sessions and snapshot reads exist only on
     /// the engine; the oracle is the differential tests' scan-only
     /// reference, not a server backend.
-    /// [`SharedDatabase::with_lock_timeout`] refuses it the same way.
     pub fn from_database(db: Database) -> SharedDatabase {
-        Self::with_lock_timeout(db, Duration::from_secs(10))
-    }
-
-    /// Like [`SharedDatabase::from_database`] with a custom lock-wait
-    /// timeout (tests use short ones).
-    pub fn with_lock_timeout(db: Database, timeout: Duration) -> SharedDatabase {
-        let paged = db.backend().as_paged().expect(
+        assert!(
+            db.backend().as_paged().is_some(),
             "SharedDatabase serves the paged engine only: build the database with \
-             Database::new, Database::paged or Database::open_paged, not Database::oracle",
+             Database::new, Database::paged or Database::open_paged, not Database::oracle"
         );
-        let registry = Arc::clone(paged.engine().registry());
         SharedDatabase {
             inner: Arc::new(Shared {
                 db: RwLock::new(Some(db)),
-                locks: LockManager::with_timeout(timeout, registry),
-                next_owner: AtomicU64::new(1),
                 next_session: AtomicU64::new(1),
                 slow: Mutex::new(SlowLog {
                     threshold: DEFAULT_SLOW_THRESHOLD,
@@ -358,14 +337,14 @@ impl SharedDatabase {
         }
     }
 
-    /// Counter snapshot of the database's one registry, which the
-    /// engine and the lock manager share (the `STATS` verb renders it).
+    /// Counter snapshot of the database's one registry (the `STATS`
+    /// verb renders it).
     pub fn metrics(&self) -> ServerResult<MetricsSnapshot> {
         self.inner.with_engine(StorageEngine::metrics)
     }
 
-    /// Latency-histogram snapshot of the same registry: fsync, commit,
-    /// fault-in and lock wait (the `STATS HISTOGRAMS` verb renders it).
+    /// Latency-histogram snapshot of the same registry: fsync, commit
+    /// and fault-in (the `STATS HISTOGRAMS` verb renders it).
     pub fn histograms(&self) -> ServerResult<HistogramsSnapshot> {
         self.inner.with_engine(StorageEngine::histograms)
     }
@@ -399,14 +378,6 @@ impl SharedDatabase {
     }
 }
 
-/// One open transaction of a session.
-struct OpenTxn {
-    /// Lock-owner timestamp (wait-die age).
-    owner: u64,
-    /// Backend transaction id.
-    txn: u64,
-}
-
 /// Per-session observability counters, reported by the `STATS` verb
 /// alongside the engine-wide snapshot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -424,10 +395,11 @@ pub struct ServerSession {
     shared: Arc<Shared>,
     /// Stable id reported by the slow log.
     id: u64,
-    txn: Option<OpenTxn>,
+    /// The backend id of the session's open explicit transaction.
+    txn: Option<u64>,
     stats: SessionStats,
-    /// Span breakdown of the last SQL statement this session ran
-    /// (`locks` + the database's spans); what `TRACE` renders.
+    /// Span breakdown of the last SQL statement this session ran (the
+    /// database's spans); what `TRACE` renders.
     last_trace: Vec<TraceSpan>,
 }
 
@@ -611,60 +583,38 @@ impl ServerSession {
                 "BEGIN inside an open transaction".into(),
             ));
         }
-        let owner = self.shared.next_owner.fetch_add(1, Ordering::SeqCst);
-        let txn = {
-            let mut slot = db_write(&self.shared.db);
-            let db = slot.as_mut().ok_or(ServerError::Closed)?;
-            db.begin_session_txn().map_err(ServerError::Statement)?
-        };
-        self.txn = Some(OpenTxn { owner, txn });
+        let mut slot = db_write(&self.shared.db);
+        let db = slot.as_mut().ok_or(ServerError::Closed)?;
+        self.txn = Some(db.begin_session_txn().map_err(ServerError::Statement)?);
         Ok(QueryResult::default())
     }
 
     fn commit(&mut self) -> ServerResult<QueryResult> {
-        let Some(open) = self.txn.take() else {
+        let Some(txn) = self.txn.take() else {
             return Err(ServerError::Session("COMMIT without BEGIN".into()));
         };
-        let result = {
-            let mut slot = db_write(&self.shared.db);
-            match slot.as_mut() {
-                Some(db) => db.commit_session_txn(open.txn),
-                None => {
-                    drop(slot);
-                    return self.closed(open.owner);
-                }
-            }
-        };
-        self.shared.locks.release_all(open.owner);
-        match result {
-            Ok(()) => Ok(QueryResult::default()),
-            // The backend rolled the transaction back before erroring.
-            Err(e) => Err(ServerError::RolledBack(e)),
-        }
+        let mut slot = db_write(&self.shared.db);
+        let db = slot.as_mut().ok_or(ServerError::Closed)?;
+        // The backend rolled the transaction back before erroring.
+        db.commit_session_txn(txn)
+            .map_err(ServerError::RolledBack)?;
+        Ok(QueryResult::default())
     }
 
     fn rollback(&mut self) -> ServerResult<QueryResult> {
-        let Some(open) = self.txn.take() else {
+        let Some(txn) = self.txn.take() else {
             return Err(ServerError::Session("ROLLBACK without BEGIN".into()));
         };
-        {
-            let mut slot = db_write(&self.shared.db);
-            match slot.as_mut() {
-                Some(db) => db.abort_session_txn(open.txn),
-                None => {
-                    drop(slot);
-                    return self.closed(open.owner);
-                }
-            }
-        }
-        self.shared.locks.release_all(open.owner);
+        let mut slot = db_write(&self.shared.db);
+        let db = slot.as_mut().ok_or(ServerError::Closed)?;
+        db.abort_session_txn(txn);
         Ok(QueryResult::default())
     }
 
     fn statement(&mut self, sql: &str) -> ServerResult<QueryResult> {
         let started = Instant::now();
-        // The one parse of this statement: it plans the locks here and
-        // is handed down to the database, which does not parse again.
+        // The one parse of this statement: the database is handed the
+        // parsed form and does not parse again.
         let stmt = rqs::sql::parse_statement(sql).map_err(ServerError::Statement)?;
         let parse_nanos = started.elapsed().as_nanos() as u64;
         let ddl = matches!(
@@ -681,69 +631,25 @@ impl ServerSession {
 
         // An autocommit SELECT mutates nothing and resumes no
         // transaction: it runs on the statement latch's *read* side,
-        // concurrently with every other such SELECT, and never touches
-        // the write path below. A SELECT inside an explicit transaction
-        // takes the write side — it must switch the session's backend
-        // transaction in, which needs `&mut` — but no locks either.
+        // concurrently with every other such SELECT. Everything else,
+        // a SELECT inside an explicit transaction included, runs on the
+        // write side with the session's transaction (if any) switched
+        // in, which needs `&mut`.
         let stmt = match stmt {
             Statement::Select(select) if self.txn.is_none() => {
                 return self.read_statement(sql, &select, parse_nanos, started);
             }
             other => other,
         };
-        let owner = match &self.txn {
-            Some(open) => open.owner,
-            None => self.shared.next_owner.fetch_add(1, Ordering::SeqCst),
-        };
-
-        // Phase 1: locks, acquired *before* the statement latch so a
-        // waiter never blocks the session that must release it.
-        // Schema first (stabilizes the catalog against DDL), then the
-        // statement's tables in name order. A SELECT skips all of it:
-        // its reads resolve against a committed MVCC snapshot, and the
-        // statement latch alone stabilizes the catalog for the
-        // statement's duration (worst case a DROP committed since
-        // parsing makes execution fail cleanly with "no such table").
-        if !matches!(stmt, Statement::Select(_)) {
-            let schema_mode = if ddl {
-                LockMode::Exclusive
-            } else {
-                LockMode::Shared
-            };
-            if let Err(e) = self
-                .shared
-                .locks
-                .acquire(owner, SCHEMA_RESOURCE, schema_mode)
-            {
-                return self.fail(owner, e.into());
-            }
-        }
-        let plan = db_read(&self.shared.db)
-            .as_ref()
-            .map(|db| lock_plan(&stmt, db.catalog()));
-        let Some(plan) = plan else {
-            return self.closed(owner);
-        };
-        for (table, mode) in &plan {
-            if let Err(e) = self.shared.locks.acquire(owner, table, *mode) {
-                return self.fail(owner, e.into());
-            }
-        }
-        // Schema lock, lock planning, table locks: the session-layer
-        // `locks` span (any latch wait in Phase 2 is charged to the
-        // database spans it precedes).
-        let lock_nanos = (started.elapsed().as_nanos() as u64).saturating_sub(parse_nanos);
-
-        // Phase 2: execute under the statement latch, with the session's
-        // transaction (if any) switched in.
         let (result, spans) = {
             let mut slot = db_write(&self.shared.db);
             let Some(db) = slot.as_mut() else {
-                drop(slot);
-                return self.closed(owner);
+                // The transaction (if any) evaporated with the database.
+                self.txn = None;
+                return Err(ServerError::Closed);
             };
-            let r = match &self.txn {
-                Some(open) => match db.resume_session_txn(open.txn) {
+            let r = match self.txn {
+                Some(txn) => match db.resume_session_txn(txn) {
                     Ok(()) => {
                         let r = db.execute_parsed(stmt, parse_nanos);
                         db.suspend_session_txn();
@@ -757,26 +663,15 @@ impl ServerSession {
             // failed), copied out while the database is still ours.
             (r, db.last_statement_trace().spans.clone())
         };
-        self.record(sql, started, lock_nanos, spans);
-        match result {
-            Ok(r) => {
-                if self.txn.is_none() {
-                    // Autocommit: the statement's own transaction has
-                    // committed; its locks end with it.
-                    self.shared.locks.release_all(owner);
-                }
-                Ok(r)
-            }
-            Err(e) => self.fail(owner, e),
-        }
+        self.record(sql, started, spans);
+        result.or_else(|e| self.fail(e))
     }
 
     /// The parallel read path: an autocommit SELECT executed through
     /// [`Database::query_select`] on the statement latch's read side.
-    /// No lock-manager calls, no lock owner, no `&mut Database` — any
-    /// number of sessions run here at once, and a failure has nothing
-    /// to release. The database accounts for it exactly as for a write
-    /// (a failed SELECT included); the no-op lock phase is its `locks`.
+    /// No transaction, no `&mut Database` — any number of sessions run
+    /// here at once. The database accounts for it exactly as for a
+    /// write (a failed SELECT included).
     fn read_statement(
         &mut self,
         sql: &str,
@@ -785,26 +680,18 @@ impl ServerSession {
         started: Instant,
     ) -> ServerResult<QueryResult> {
         debug_assert!(self.txn.is_none());
-        let lock_nanos = (started.elapsed().as_nanos() as u64).saturating_sub(parse_nanos);
         let (result, trace) = match db_read(&self.shared.db).as_ref() {
             Some(db) => db.query_select(select, parse_nanos),
             None => return Err(ServerError::Closed),
         };
-        self.record(sql, started, lock_nanos, trace.spans);
+        self.record(sql, started, trace.spans);
         result.map_err(ServerError::Statement)
     }
 
-    /// The tail every SQL statement shares: stores its trace — the
-    /// session's `locks` span, then the database's `spans` — and feeds
-    /// the slow-statement log with it.
-    fn record(&mut self, sql: &str, started: Instant, lock_nanos: u64, spans: Vec<TraceSpan>) {
-        self.last_trace = std::iter::once(TraceSpan {
-            name: "locks",
-            nanos: lock_nanos,
-            ..Default::default()
-        })
-        .chain(spans)
-        .collect();
+    /// The tail every SQL statement shares: stores its trace (the
+    /// database's `spans`) and feeds the slow-statement log with it.
+    fn record(&mut self, sql: &str, started: Instant, spans: Vec<TraceSpan>) {
+        self.last_trace = spans;
         let wall_nanos = started.elapsed().as_nanos() as u64;
         let mut slow = lock_slow(&self.shared.slow);
         if slow.capacity > 0 && wall_nanos >= slow.threshold.as_nanos() as u64 {
@@ -820,117 +707,28 @@ impl ServerSession {
     /// Failure path: an error inside an explicit transaction aborts the
     /// whole transaction (statement-level atomicity is not separable
     /// from it once several statements share one WAL transaction).
-    fn fail(&mut self, owner: u64, e: RqsError) -> ServerResult<QueryResult> {
-        if let Some(open) = self.txn.take() {
-            self.stats.txn_aborts += 1;
-            if let Some(db) = db_write(&self.shared.db).as_mut() {
-                db.abort_session_txn(open.txn);
-            }
-            self.shared.locks.release_all(open.owner);
-            return Err(ServerError::RolledBack(e));
+    fn fail(&mut self, e: RqsError) -> ServerResult<QueryResult> {
+        let Some(txn) = self.txn.take() else {
+            return Err(ServerError::Statement(e));
+        };
+        self.stats.txn_aborts += 1;
+        if let Some(db) = db_write(&self.shared.db).as_mut() {
+            db.abort_session_txn(txn);
         }
-        self.shared.locks.release_all(owner);
-        Err(ServerError::Statement(e))
-    }
-
-    /// Closed-database path: the transaction (if any) evaporated with
-    /// the database, but the session's locks must still be released or
-    /// every later session would see eternal conflicts instead of
-    /// [`ServerError::Closed`].
-    fn closed(&mut self, owner: u64) -> ServerResult<QueryResult> {
-        if let Some(open) = self.txn.take() {
-            self.shared.locks.release_all(open.owner);
-        }
-        self.shared.locks.release_all(owner);
-        Err(ServerError::Closed)
+        Err(ServerError::RolledBack(e))
     }
 }
 
 impl Drop for ServerSession {
-    /// A dropped session rolls its open transaction back and releases
-    /// its locks — a disconnected client must not wedge the server.
+    /// A dropped session rolls its open transaction back — a
+    /// disconnected client must not leave pending versions behind.
     fn drop(&mut self) {
-        if let Some(open) = self.txn.take() {
+        if let Some(txn) = self.txn.take() {
             if let Some(db) = db_write(&self.shared.db).as_mut() {
-                db.abort_session_txn(open.txn);
+                db.abort_session_txn(txn);
             }
-            self.shared.locks.release_all(open.owner);
         }
     }
-}
-
-/// The table locks a statement takes: `IX` on the target of a row
-/// write (`X` for a bare `DELETE`, whose truncation
-/// rewrites the whole table and must keep every other session out), and
-/// `S` on the parent tables its foreign-key checks probe and the child
-/// tables its restrict checks scan — reads that must stay true until
-/// commit, which a snapshot alone does not promise. `SELECT` and plain
-/// `EXPLAIN` read through a snapshot and lock nothing; DDL needs no
-/// table locks — its exclusive schema lock already serializes it
-/// against every writer.
-fn lock_plan(stmt: &Statement, catalog: &Catalog) -> BTreeMap<String, LockMode> {
-    let mut plan: BTreeMap<String, LockMode> = BTreeMap::new();
-    let read = |plan: &mut BTreeMap<String, LockMode>, table: &str| {
-        plan.entry(table.to_owned()).or_insert(LockMode::Shared);
-    };
-    match stmt {
-        Statement::Explain {
-            stmt,
-            analyze: true,
-        } => {
-            // ANALYZE *executes* the inner statement — an analyzed
-            // UPDATE/DELETE really writes — so it locks exactly as the
-            // inner statement would, IX targets included.
-            return lock_plan(stmt, catalog);
-        }
-        Statement::Insert { table, .. } => {
-            // Constraint checks read the foreign-key parents.
-            if let Ok(schema) = catalog.table(table) {
-                for c in &schema.constraints {
-                    if let TableConstraint::ForeignKey { parent_table, .. } = c {
-                        read(&mut plan, parent_table);
-                    }
-                }
-            }
-            plan.insert(table.clone(), LockMode::IntentExclusive);
-        }
-        Statement::Delete { table, filter } => {
-            // Restrict semantics scan every table referencing the
-            // target (truncation enforces them too).
-            for child in rqs::dml::referencing_table_names(catalog, table) {
-                read(&mut plan, &child);
-            }
-            // A bare DELETE truncates — rebuilding heap and indexes
-            // wholesale — so it always takes the full table lock.
-            let mode = if filter.is_some() {
-                LockMode::IntentExclusive
-            } else {
-                LockMode::Exclusive
-            };
-            plan.insert(table.clone(), mode);
-        }
-        Statement::Update { table, .. } => {
-            // Constraint re-checks read the target's foreign-key parents
-            // and, for restrict semantics, every table referencing it.
-            if let Ok(schema) = catalog.table(table) {
-                for c in &schema.constraints {
-                    if let TableConstraint::ForeignKey { parent_table, .. } = c {
-                        read(&mut plan, parent_table);
-                    }
-                }
-            }
-            for child in rqs::dml::referencing_table_names(catalog, table) {
-                read(&mut plan, &child);
-            }
-            plan.insert(table.clone(), LockMode::IntentExclusive);
-        }
-        Statement::Select(_)
-        | Statement::Explain { analyze: false, .. }
-        | Statement::CreateTable { .. }
-        | Statement::DropTable { .. }
-        | Statement::CreateIndex { .. } => {}
-    }
-    plan
 }
 
 #[cfg(test)]
@@ -945,7 +743,7 @@ mod tests {
     };
 
     fn shared() -> SharedDatabase {
-        SharedDatabase::with_lock_timeout(Database::paged(32).unwrap(), Duration::from_millis(200))
+        SharedDatabase::paged(32).unwrap()
     }
 
     #[test]
@@ -1024,38 +822,20 @@ mod tests {
         assert_eq!(r.execute("SELECT v.a FROM t v").unwrap().rows.len(), 2);
         let after = db.metrics().unwrap();
         assert_eq!(
-            after.lock_shared, before.lock_shared,
-            "snapshot SELECT must not touch the lock manager"
-        );
-        assert_eq!(after.lock_exclusive, before.lock_exclusive);
-        assert_eq!(
             after.snapshot_reads,
             before.snapshot_reads + 1,
             "each snapshot SELECT opens exactly one read view"
         );
-        // A SELECT inside BEGIN takes the latch's write side but still
-        // no locks; plain EXPLAIN SELECT takes the shared schema lock
-        // and no table lock.
+        // A SELECT inside BEGIN takes the latch's write side; plain
+        // EXPLAIN SELECT runs like any other statement.
         r.execute("BEGIN").unwrap();
         assert_eq!(r.execute("SELECT v.a FROM t v").unwrap().rows.len(), 2);
         r.execute("COMMIT").unwrap();
-        let in_txn = db.metrics().unwrap();
-        assert_eq!(in_txn.lock_shared, after.lock_shared, "SELECT in BEGIN");
-        assert_eq!(in_txn.lock_exclusive, after.lock_exclusive);
-        assert_eq!(in_txn.lock_intent, after.lock_intent);
         assert!(!r
             .execute("EXPLAIN SELECT v.a FROM t v")
             .unwrap()
             .rows
             .is_empty());
-        let explained = db.metrics().unwrap();
-        assert_eq!(
-            explained.lock_shared,
-            in_txn.lock_shared + 1,
-            "plain EXPLAIN takes schema-S only"
-        );
-        assert_eq!(explained.lock_exclusive, in_txn.lock_exclusive);
-        assert_eq!(explained.lock_intent, in_txn.lock_intent);
     }
 
     #[test]
@@ -1088,14 +868,16 @@ mod tests {
         let r = a.execute("SELECT v.a FROM t v").unwrap();
         assert!(r.rows.is_empty(), "doomed insert must not survive");
         a.execute("INSERT INTO t VALUES (1)").unwrap();
+        // DDL is refused while any other transaction is open, so this
+        // proves the doomed session's transaction is gone.
+        a.execute("CREATE INDEX ON t (a)").unwrap();
     }
 
     #[test]
-    fn crash_mid_transaction_releases_locks_instead_of_leaking_them() {
-        // Regression: a statement observing Closed used to return early
-        // with its (and its transaction's) locks still registered, so
-        // later sessions saw eternal retryable Conflicts instead of
-        // Closed.
+    fn crash_mid_transaction_ends_the_session_transaction() {
+        // A statement observing Closed drops the session's transaction
+        // with the database, so later calls report Closed or a plain
+        // session error, never a conflict against a ghost.
         let db = shared();
         let mut a = db.session();
         a.execute("CREATE TABLE t (a INT)").unwrap();
@@ -1107,8 +889,7 @@ mod tests {
             Err(ServerError::Closed)
         ));
         assert!(!a.in_txn(), "the transaction died with the database");
-        // A younger session must now observe Closed, not a lock
-        // conflict against A's ghost.
+        // Another session must now observe Closed too.
         let mut b = db.session();
         assert!(matches!(
             b.execute("SELECT v.a FROM t v"),
@@ -1135,59 +916,5 @@ mod tests {
     fn an_in_memory_database_is_refused_at_construction() {
         // The oracle has no sessions or snapshots to serve with.
         let _ = SharedDatabase::from_database(Database::oracle());
-    }
-
-    #[test]
-    fn lock_plan_locks_writes_and_integrity_reads_only() {
-        let mut db = Database::paged(8).unwrap();
-        db.execute("CREATE TABLE dept (dno INT, PRIMARY KEY (dno))")
-            .unwrap();
-        db.execute(
-            "CREATE TABLE empl (eno INT, dno INT, PRIMARY KEY (eno), \
-             FOREIGN KEY (dno) REFERENCES dept (dno))",
-        )
-        .unwrap();
-        let plan = |sql: &str| -> Vec<(String, LockMode)> {
-            let stmt = rqs::sql::parse_statement(sql).unwrap();
-            lock_plan(&stmt, db.catalog()).into_iter().collect()
-        };
-        let (ix, s, x) = (
-            LockMode::IntentExclusive,
-            LockMode::Shared,
-            LockMode::Exclusive,
-        );
-        let named = |pairs: &[(&str, LockMode)]| -> Vec<(String, LockMode)> {
-            pairs.iter().map(|(t, m)| (t.to_string(), *m)).collect()
-        };
-        // Child insert: IX on the child, S on the FK parent.
-        assert_eq!(
-            plan("INSERT INTO empl VALUES (1, 1)"),
-            named(&[("dept", s), ("empl", ix)])
-        );
-        // Parent delete: IX on the parent, S on the restrict child; a
-        // bare DELETE rewrites the table and takes X.
-        assert_eq!(
-            plan("DELETE FROM dept WHERE dno = 1"),
-            named(&[("dept", ix), ("empl", s)])
-        );
-        assert_eq!(plan("DELETE FROM dept"), named(&[("dept", x), ("empl", s)]));
-        assert_eq!(
-            plan("UPDATE empl SET dno = 2 WHERE eno = 1"),
-            named(&[("dept", s), ("empl", ix)])
-        );
-        // ANALYZE executes, so it locks as its inner statement does.
-        assert_eq!(
-            plan("EXPLAIN ANALYZE DELETE FROM dept WHERE dno = 1"),
-            plan("DELETE FROM dept WHERE dno = 1")
-        );
-        // Reads lock nothing.
-        for sql in [
-            "SELECT e.eno FROM empl e, dept d WHERE e.dno = d.dno",
-            "EXPLAIN SELECT e.eno FROM empl e",
-            "EXPLAIN DELETE FROM dept WHERE dno = 1",
-            "EXPLAIN ANALYZE SELECT e.eno FROM empl e",
-        ] {
-            assert!(plan(sql).is_empty(), "{sql}");
-        }
     }
 }

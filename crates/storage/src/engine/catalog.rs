@@ -167,6 +167,7 @@ impl StorageEngine {
         if self.tables.contains_key(name) {
             return Err(StorageError::DuplicateTable(name.to_owned()));
         }
+        self.check_schema_write()?;
         self.autocommit(|eng| {
             eng.touch_meta();
             eng.touch_table(name);
@@ -234,6 +235,7 @@ impl StorageEngine {
         if !self.tables.contains_key(name) {
             return Err(StorageError::UnknownTable(name.to_owned()));
         }
+        self.check_schema_write()?;
         self.autocommit(|eng| {
             eng.touch_meta();
             eng.touch_table(name);
@@ -273,6 +275,7 @@ impl StorageEngine {
                 "create_index cannot run inside a transaction (bulk build is unlogged)".into(),
             ));
         }
+        self.check_schema_write()?;
         let info = self.table(name)?;
         if col >= info.columns.len() {
             return Err(StorageError::Internal(format!(

@@ -35,7 +35,7 @@ impl StorageEngine {
             // No full table/index snapshot for DML: abort compensation
             // (`note_*`) undoes exactly this transaction's effects, so a
             // rollback cannot clobber rows a concurrent transaction
-            // committed into the same table under table `IX` locks.
+            // committed into the same table.
             let info = eng
                 .tables
                 .get_mut(name)
@@ -217,15 +217,20 @@ impl StorageEngine {
     /// Removes all rows; indexes are rebuilt empty. The abandoned chain
     /// pages and old index trees go onto the free-page list instead of
     /// leaking (reclaimed space is reused by later allocations).
+    /// Refused retryably while another transaction has a pending
+    /// version in the table ([`crate::mvcc::Mvcc::check_table_write`]).
     pub fn truncate(&mut self, name: &str) -> StorageResult<()> {
         if !self.tables.contains_key(name) {
             return Err(StorageError::UnknownTable(name.to_owned()));
         }
         self.autocommit(|eng| {
+            let table_id = eng.tables.get(name).expect("checked above").id;
+            if let Some(txn) = eng.pool.active_txn() {
+                eng.mvcc
+                    .check_table_write(txn, table_id, eng.pool.metrics())?;
+            }
             eng.touch_table(name);
-            eng.touch_indexes();
             let info = eng.tables.get(name).expect("checked above");
-            let table_id = info.id;
             // Collect what the truncation abandons *before* resetting
             // the pointers that reach it.
             let mut reclaim = info.heap.tail_pages(&eng.pool)?;
@@ -250,10 +255,15 @@ impl StorageEngine {
             let info = eng.tables.get_mut(name).expect("checked above");
             info.heap.truncate(&eng.pool)?;
             info.row_count = 0;
+            // Only this table's trees are saved for an abort: a snapshot
+            // of the whole index list would rewind roots that other
+            // transactions' inserts moved meanwhile.
             let mut roots_moved = false;
-            for ix in &mut eng.indexes {
+            for i in 0..eng.indexes.len() {
+                let ix = eng.indexes[i];
                 if ix.table_id == table_id {
-                    ix.tree = BPlusTree::create(&eng.pool)?;
+                    eng.note_index_root(table_id, ix.col, ix.tree);
+                    eng.indexes[i].tree = BPlusTree::create(&eng.pool)?;
                     roots_moved = true;
                 }
             }

@@ -24,11 +24,13 @@
 //! transactions may be *open* at once — the shared server gives each
 //! session its own, switching it in with [`StorageEngine::resume`] and
 //! out with [`StorageEngine::suspend`] around every statement — while
-//! at most one is *active* (receiving writes) at a time. Isolation
-//! between open transactions is shared with the caller (the server's
-//! table locks); the engine contributes MVCC's first-updater-wins check
-//! on every row it writes, clean per-transaction rollback and a
-//! page-ownership conflict check in the buffer pool.
+//! at most one is *active* (receiving writes) at a time. The engine
+//! isolates open transactions by itself, without a lock manager: MVCC's
+//! first-updater-wins check on every row it writes, a table-wide form
+//! of it before a truncation, schema changes refused while another
+//! transaction is open, clean per-transaction rollback and a
+//! page-ownership conflict check in the buffer pool. Every refusal is a
+//! retryable [`StorageError::Conflict`].
 //!
 //! Abort rolls back both the page level (buffer-pool before-images)
 //! and the engine's in-memory catalog. The catalog rollback state is
@@ -64,7 +66,7 @@ pub use read::IndexProbe;
 use crate::btree::BPlusTree;
 use crate::buffer::{BufferPool, TxnId};
 use crate::heap::HeapFile;
-use crate::metrics::{MetricsSnapshot, StorageMetrics};
+use crate::metrics::MetricsSnapshot;
 use crate::mvcc::Mvcc;
 use crate::page::{PageId, PageKind, NO_PAGE};
 use crate::pager::{Fault, Pager};
@@ -73,7 +75,6 @@ use crate::{StorageError, StorageResult};
 use std::collections::{BTreeMap, HashMap};
 use std::ffi::OsString;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 const SYSTEM_TABLES_PAGE: PageId = 0;
 const SYSTEM_COLUMNS_PAGE: PageId = 1;
@@ -156,7 +157,7 @@ struct TxnTouch {
     /// Logical DML undo, recorded instead of a full [`TableInfo`]
     /// snapshot so that aborting one transaction does not clobber the
     /// `row_count`/heap state other transactions committed concurrently
-    /// into the *same* table (table `IX` locks allow that). Net
+    /// into the *same* table (writers of different rows coexist). Net
     /// row-count change per table; undone by subtraction on abort.
     row_deltas: BTreeMap<String, i64>,
     /// Heap descriptor as it was just before this transaction first
@@ -325,22 +326,14 @@ impl StorageEngine {
     }
 
     /// Snapshot of the database's observability counters (buffer pool,
-    /// WAL, recovery, access methods, MVCC, and the lock manager sharing
-    /// [`StorageEngine::registry`]) — see [`crate::metrics`]. Relaxed
-    /// atomic loads: no lock is taken.
+    /// WAL, recovery, access methods, MVCC) — see [`crate::metrics`].
+    /// Relaxed atomic loads: no lock is taken.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.pool.metrics().snapshot()
     }
 
-    /// The live registry behind [`StorageEngine::metrics`], for a
-    /// component that counts beside the engine (the server's lock
-    /// manager).
-    pub fn registry(&self) -> &Arc<StorageMetrics> {
-        self.pool.metrics()
-    }
-
     /// Snapshot of the database's latency histograms (WAL fsync, commit
-    /// force, buffer-pool fault-in, lock wait) — see [`crate::metrics`].
+    /// force, buffer-pool fault-in) — see [`crate::metrics`].
     pub fn histograms(&self) -> crate::metrics::HistogramsSnapshot {
         self.pool.metrics().histograms_snapshot()
     }

@@ -218,6 +218,22 @@ impl StorageEngine {
         }
     }
 
+    /// Refuses a schema change, retryably, while a transaction other
+    /// than the active one is open: an aborting DDL restores whole
+    /// snapshots of the index list and the system heaps, and an index
+    /// build reads the heap as it physically is, so neither may overlap
+    /// another transaction's writes. Counted in `row_lock_conflicts`.
+    pub(super) fn check_schema_write(&self) -> StorageResult<()> {
+        let active = self.pool.active_txn();
+        if self.txns.keys().all(|&id| Some(id) == active) {
+            return Ok(());
+        }
+        crate::metrics::bump(&self.pool.metrics().row_lock_conflicts);
+        Err(StorageError::Conflict(
+            "a schema change is refused while another transaction is open".into(),
+        ))
+    }
+
     /// Saves `name`'s catalog entry into the active transaction's touch
     /// set, once, before its first mutation (`None` when absent, so an
     /// abort un-creates it).

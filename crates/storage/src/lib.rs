@@ -18,9 +18,9 @@
 //!   frames with Begin/Commit/Abort framing and undo-then-redo crash
 //!   recovery;
 //! * [`metrics`] — the observability registry, one per database:
-//!   cumulative atomic counters incremented by the pool, WAL, lock
-//!   manager and access methods, snapshotable for the server's `STATS`
-//!   surface and the benchmark JSON emitter;
+//!   cumulative atomic counters incremented by the pool, WAL, MVCC
+//!   and access methods, snapshotable for the server's `STATS` surface
+//!   and the benchmark JSON emitter;
 //! * [`heap`] — linked heap files of tuple pages (table storage);
 //! * [`btree`] — B+-tree secondary indexes keyed on [`value::Datum`],
 //!   mapping keys to record ids;
@@ -57,12 +57,15 @@
 //! a mutex with per-frame latches, so one engine can be shared by many
 //! sessions (see the `server` crate). Any number of transactions may be
 //! *open* at once — one per session — while statements execute one at a
-//! time; isolation between transactions comes from MVCC snapshot reads,
-//! the two-phase [`lock`] manager's table locks (wait-die deadlock
-//! avoidance) and MVCC's first-updater-wins check, which makes a row's
-//! pending version its write lock, with a page-ownership check in the
-//! buffer pool as the storage-level backstop
-//! ([`StorageError::Conflict`]).
+//! time; the engine isolates transactions by itself, with no lock
+//! manager: MVCC snapshot reads, the first-updater-wins check that makes
+//! a row's pending version its write lock, the same pending stamps
+//! guarding a truncation (refused while another transaction has a
+//! pending version in the table), constraint-probe reads for keys and
+//! foreign keys, and schema changes refused while another transaction
+//! is open. A page-ownership check in the buffer pool is the
+//! storage-level backstop. Every refusal is a retryable
+//! [`StorageError::Conflict`]; nothing ever waits.
 
 use std::fmt;
 
@@ -71,7 +74,6 @@ pub mod buffer;
 pub mod codec;
 pub mod engine;
 pub mod heap;
-pub mod lock;
 pub mod metrics;
 pub mod mvcc;
 pub mod page;
@@ -81,7 +83,6 @@ pub mod wal;
 
 pub use buffer::{BufferPool, TxnId};
 pub use engine::{ColType, StorageEngine};
-pub use lock::{LockManager, LockMode};
 pub use metrics::{
     HistogramSnapshot, HistogramsSnapshot, LatencyHistogram, MetricsSnapshot, StorageHistograms,
     StorageMetrics,
@@ -106,10 +107,9 @@ pub enum StorageError {
     DuplicateTable(String),
     /// On-disk data failed to decode (corruption or version skew).
     Corrupt(String),
-    /// A concurrent transaction holds a resource this one needs (lock
-    /// conflict under wait-die, lock wait timeout, or a page owned by
-    /// another open transaction). The statement was rolled back and can
-    /// be retried.
+    /// A concurrent transaction holds a resource this one needs (a row,
+    /// table or page it has pending writes on, or the schema while it
+    /// is open). The statement was rolled back and can be retried.
     Conflict(String),
     /// Internal invariant failure (a bug in the engine).
     Internal(String),

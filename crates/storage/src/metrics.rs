@@ -4,19 +4,17 @@
 //! storage layer keeps a running account of everything it does. One
 //! [`StorageMetrics`] registry exists per database: the WAL creates it
 //! (before recovery, so recovery counts into it too), and the buffer
-//! pool, the access methods, MVCC and the server's lock manager share
-//! it by `Arc`. Every event is counted here and nowhere else,
-//! lock-free, from every hot path:
+//! pool, the access methods and MVCC share it by `Arc`. Every event is
+//! counted here and nowhere else, lock-free, from every hot path:
 //!
 //! * **buffer pool** ([`crate::buffer`]) — fault-ins, hits, clock-sweep
 //!   steps, evictions, steals, page write-backs, pending-undo restores;
 //! * **write-ahead log** ([`crate::wal`]) — appends, bytes, forced
 //!   fsyncs, undo images, checkpoints, plus the redo/undo page images
 //!   crash recovery applied;
-//! * **lock manager** ([`crate::lock`]) — grants by mode, waits,
-//!   wait-die aborts, total nanoseconds spent blocked;
 //! * **MVCC** ([`crate::mvcc`]) — read views opened, versions kept and
-//!   collected, row writes refused by first-updater-wins;
+//!   collected, writes refused by its write-conflict checks (rows,
+//!   truncations, schema changes);
 //! * **access methods** ([`crate::heap`], [`crate::btree`], routed
 //!   through the pool they already receive) — heap inserts, in-place
 //!   rewrites/relocations, page compactions, B+-tree splits and
@@ -40,9 +38,7 @@
 //! * `commit` — duration of each commit force (WAL transaction close,
 //!   [`crate::buffer`]);
 //! * `fault_in` — pager read latency for each buffer-pool miss
-//!   ([`crate::buffer`]; one record per `fault_ins` bump);
-//! * `lock_wait` — each blocked wait interval in the lock manager
-//!   ([`crate::lock`]; the same intervals summed by `lock_wait_nanos`).
+//!   ([`crate::buffer`]; one record per `fault_ins` bump).
 //!
 //! A [`HistogramSnapshot`] reduces a histogram to count / total / max
 //! and estimated p50/p90/p99 (bucket upper bound, clamped to the
@@ -57,7 +53,7 @@ pub const HISTOGRAM_BUCKETS: usize = 32;
 
 /// A lock-free fixed-bucket log2 latency histogram. Recording is one
 /// relaxed `fetch_add` per bucket plus total/max upkeep — cheap enough
-/// for fsync/commit/fault-in/lock-wait hot paths.
+/// for fsync/commit/fault-in hot paths.
 #[derive(Debug, Default)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
@@ -231,10 +227,6 @@ histograms! {
     /// Pager read latency of each buffer-pool miss; recorded exactly
     /// where `fault_ins` bumps, so count == counter.
     fault_in,
-    /// Each blocked wait interval in the lock manager — the same
-    /// intervals `lock_wait_nanos` sums, so total <= the counter
-    /// (modulo the clamp of concurrent in-flight waits).
-    lock_wait,
 }
 
 macro_rules! counters {
@@ -321,26 +313,11 @@ counters! {
     /// Loser-transaction undo images applied by crash recovery
     /// (cumulative across recoveries, like `recovery_redo_frames`).
     recovery_undo_frames,
-    /// Shared-mode lock grants (fresh grants; re-entrant no-ops not
-    /// counted).
-    lock_shared,
-    /// Exclusive-mode table and schema lock grants (fresh grants and
-    /// in-place upgrades).
-    lock_exclusive,
-    /// Intent-exclusive (IX) table lock grants.
-    lock_intent,
-    /// Times an acquirer blocked on the condvar waiting for a release.
-    lock_waits,
-    /// Table and schema lock acquisitions refused by wait-die (younger
-    /// than a holder).
-    lock_wait_die_aborts,
-    /// Acquisitions that waited out the timeout against live holders.
-    lock_timeouts,
-    /// Total nanoseconds acquirers spent blocked.
-    lock_wait_nanos,
-    /// Row writes refused by MVCC's first-updater-wins check: the row
-    /// is pending under another open transaction, or a commit newer
-    /// than the writer's snapshot rewrote it.
+    /// Writes refused by MVCC's write-conflict checks: a row pending
+    /// under another open transaction or rewritten by a commit newer
+    /// than the writer's snapshot (first-updater-wins), a truncation of
+    /// a table another transaction has a pending version in, or a
+    /// schema change while another transaction is open.
     row_lock_conflicts,
     /// Tuples appended to heap files (user and system heaps alike).
     heap_inserts,
@@ -492,7 +469,7 @@ mod tests {
     fn histograms_registry_lists_in_wire_order() {
         let h = StorageHistograms::default();
         h.wal_fsync.record(500);
-        h.lock_wait.record(2_000);
+        h.fault_in.record(2_000);
         let snap = h.snapshot();
         let pairs = snap.histograms();
         assert_eq!(pairs.len(), HistogramsSnapshot::NAMES.len());
@@ -500,7 +477,7 @@ mod tests {
         assert_eq!(names, HistogramsSnapshot::NAMES);
         assert_eq!(snap.wal_fsync.count(), 1);
         assert_eq!(snap.commit.count(), 0);
-        assert_eq!(snap.lock_wait.total_nanos, 2_000);
+        assert_eq!(snap.fault_in.total_nanos, 2_000);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Multiversion read views over the paged engine, and the one per-row
-//! write guard.
+//! Multiversion read views over the paged engine, and the write guards
+//! built on their pending stamps.
 //!
 //! Writes keep the engine's in-place heap protocol (tombstone, rewrite,
 //! append); this module adds the *logical* version history that lets
@@ -22,6 +22,13 @@
 //! between a writer's [`Mvcc::check_write`] and its
 //! [`Mvcc::note_write`]. If DML ever runs outside that latch, the two
 //! calls must become one atomic step.
+//!
+//! The same stamps guard a truncation, which writes every row of a
+//! table at once: [`Mvcc::check_table_write`] refuses it, counted in
+//! `row_lock_conflicts` too, while any other transaction has a pending
+//! version in the table. Once a truncation is pending, every row of
+//! the table carries its stamp, so [`Mvcc::check_write`] refuses every
+//! other writer of those rows until it ends.
 //!
 //! A `View` is a commit-timestamp cut: statement-scoped for
 //! autocommit (opened and closed around one statement) or
@@ -275,6 +282,30 @@ impl Mvcc {
         metrics::bump(&m.row_lock_conflicts);
         Err(StorageError::Conflict(format!(
             "row in table {table} {refusal}"
+        )))
+    }
+
+    /// The table-wide form of [`Mvcc::check_write`], called before a
+    /// truncation: conflicts retryably, counting `row_lock_conflicts`,
+    /// while another transaction has a pending version of any row of
+    /// `table`.
+    pub fn check_table_write(
+        &self,
+        txn: TxnId,
+        table: i64,
+        m: &StorageMetrics,
+    ) -> StorageResult<()> {
+        let st = self.state.lock().unwrap();
+        let Some(metas) = st.store.get(&table) else {
+            return Ok(());
+        };
+        let foreign = |meta: &RowMeta| matches!(meta.begin, Stamp::Pending(t) if t != txn);
+        if !metas.values().any(foreign) {
+            return Ok(());
+        }
+        metrics::bump(&m.row_lock_conflicts);
+        Err(StorageError::Conflict(format!(
+            "table {table} has uncommitted concurrent writes"
         )))
     }
 

@@ -28,9 +28,9 @@ fn main() {
         .execute("INSERT INTO accounts VALUES (3, 250)")
         .expect("insert inside txn");
 
-    // Session B runs concurrently. A SELECT takes no locks: it reads the
-    // committed snapshot, so it neither waits for Alice nor sees her
-    // uncommitted row — no dirty read ever.
+    // Session B runs concurrently. A SELECT reads the committed
+    // snapshot, so it neither waits for Alice nor sees her uncommitted
+    // row — no dirty read ever.
     let mut bob = db.session();
     let before = bob
         .execute("SELECT a.id FROM accounts a")
@@ -45,9 +45,9 @@ fn main() {
         "alice's row is invisible until COMMIT"
     );
 
-    // DDL needs the schema lock exclusively, and Alice's open
-    // transaction holds it shared. Bob is younger, so wait-die refuses
-    // him at once with a retryable conflict instead of letting him wait.
+    // DDL runs only while no other transaction is open, and Alice's
+    // is. The engine refuses Bob at once with a retryable conflict
+    // instead of letting him wait.
     let err = bob
         .execute("CREATE TABLE audit (note TEXT)")
         .expect_err("DDL conflicts with an open writer");

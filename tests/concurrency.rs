@@ -4,8 +4,8 @@
 //! hammer one database through `server::SharedDatabase`:
 //!
 //! * disjoint and overlapping tables under autocommit;
-//! * the isolation guarantees the one regime (snapshot reads, table
-//!   locks, first-updater-wins on rows) makes — no lost update for
+//! * the isolation guarantees the one regime (snapshot reads,
+//!   first-updater-wins on rows, constraint-probe reads) makes — no lost update for
 //!   single-statement read-modify-write, no false constraint verdict,
 //!   stable snapshots (through heap scans and index reads alike, each
 //!   indexed answer checked against the same predicate forced through
@@ -16,6 +16,9 @@
 //!   rows one of them writes), same-row writers collide retryably, and
 //!   a collision in the middle of a multi-row statement leaves nothing
 //!   of it behind;
+//! * whole-table writes: a truncation or DDL beside an open writer is
+//!   refused retryably and changes nothing, and a pending truncation
+//!   refuses every other writer of its table until it ends;
 //! * crash-during-concurrent-commit: two in-flight transactions,
 //!   exactly the committed one survives recovery, with and without the
 //!   fault-injecting pager from the PR 2 harness;
@@ -64,12 +67,12 @@ fn cleanup(path: &Path) {
 }
 
 /// A shared paged database with a pool large enough for N sessions'
-/// write sets and a short lock timeout so tests fail fast.
+/// write sets.
 fn shared(pool_pages: usize) -> SharedDatabase {
-    SharedDatabase::with_lock_timeout(Database::paged(pool_pages).unwrap(), Duration::from_secs(2))
+    SharedDatabase::from_database(Database::paged(pool_pages).unwrap())
 }
 
-/// Retries a statement while it loses wait-die races.
+/// Retries a statement while it loses write-conflict races.
 fn retry<T>(mut f: impl FnMut() -> Result<T, ServerError>) -> T {
     for _ in 0..10_000 {
         match f() {
@@ -291,8 +294,9 @@ fn lost_update_probe_with_update_statement() {
 /// the FD chase assume it): a foreign key never dangles. Snapshot
 /// isolation alone would not give it — T1 deletes a parent while T2
 /// inserts its child, each on its own snapshot, is textbook write skew
-/// — so DML takes `S` on FK parents and restrict children and runs its
-/// checks in probe mode. Here pairs of sessions race exactly that, key
+/// — so DML runs its FK and restrict checks in probe mode, which reads
+/// the latest committed state and conflicts retryably on the other
+/// side's pending write to the probed key. Here pairs of sessions race exactly that, key
 /// by key, under `BEGIN…COMMIT`: one deletes `dept k`, the other
 /// inserts an `empl` row referencing `k`. Per key exactly one side may
 /// win; whoever loses the *race* sees only retryable conflicts, and
@@ -431,8 +435,7 @@ fn uniqueness_probe_never_convicts_against_a_row_that_rolls_back() {
 /// The stable-snapshot (torn-reader) probe: a reader's explicit
 /// transaction pins one read view, so however many writers commit
 /// under it, every SELECT it issues returns exactly the rows committed
-/// when it began — not a moving count, not a torn prefix — and none of
-/// those lock-free reads ever makes a writer wait.
+/// when it began — not a moving count, not a torn prefix.
 #[test]
 fn long_reader_sees_one_stable_snapshot_while_writers_commit() {
     let db = shared(64);
@@ -487,18 +490,6 @@ fn long_reader_sees_one_stable_snapshot_while_writers_commit() {
     reader.execute("COMMIT").unwrap();
     // A fresh statement gets a fresh snapshot: everything is visible.
     assert_eq!(counts(&mut reader), [filler + 8, 1, 6]);
-    let after = db.metrics().unwrap();
-    assert_eq!(
-        after.lock_waits, before.lock_waits,
-        "lock-free reads must never make a writer wait"
-    );
-    // Only the 10 writer statements took a (schema) shared lock; the
-    // reader's 21 SELECTs contributed none.
-    assert_eq!(
-        after.lock_shared,
-        before.lock_shared + 10,
-        "snapshot SELECTs must take no shared locks"
-    );
 }
 
 /// `SELECT … WHERE <cond on k>` through the index on `k`, checked
@@ -908,7 +899,7 @@ fn readers_see_only_whole_statements() {
 
 /// The tentpole scenario: two sessions increment *different* rows of
 /// the same table inside overlapping explicit transactions, and both
-/// commit — no retries, no wait-die losses. Under the old table-level
+/// commit — no retries. Under the old table-level
 /// write locks the second `UPDATE` could not even start. The rows are
 /// padded past half a page so each lives on its own page (concurrent
 /// *open* transactions must not co-own a frame — the buffer pool's
@@ -950,10 +941,6 @@ fn disjoint_row_writers_commit_concurrently_without_retries() {
     assert_eq!(rows, vec![(1, 101), (2, 201)]);
     let after = db.metrics().unwrap();
     assert_eq!(
-        after.lock_wait_die_aborts, before.lock_wait_die_aborts,
-        "disjoint rows must never wait-die"
-    );
-    assert_eq!(
         after.row_lock_conflicts, before.row_lock_conflicts,
         "disjoint rows must never conflict"
     );
@@ -961,9 +948,8 @@ fn disjoint_row_writers_commit_concurrently_without_retries() {
 
 /// Same-row writers still collide: the second session's `UPDATE` of
 /// the row the first one holds is refused retryably by
-/// first-updater-wins — a row conflict, not a wait-die abort, since row
-/// conflicts never consult transaction age — and succeeds once the
-/// holder commits.
+/// first-updater-wins — a row conflict, which never consults
+/// transaction age — and succeeds once the holder commits.
 #[test]
 fn same_row_writers_conflict_first_updater_wins() {
     let db = shared(64);
@@ -997,10 +983,6 @@ fn same_row_writers_conflict_first_updater_wins() {
     assert!(
         after.row_lock_conflicts > before.row_lock_conflicts,
         "the collision must be a row conflict, not a table one"
-    );
-    assert_eq!(
-        after.lock_wait_die_aborts, before.lock_wait_die_aborts,
-        "a row conflict is not a wait-die abort"
     );
     a.execute("COMMIT").unwrap();
     // The row is free now; the loser's retry goes through.
@@ -1074,7 +1056,6 @@ fn wide_update_leaves_a_disjoint_row_writable() {
     assert_eq!(r.affected, 1);
     let after = db.metrics().unwrap();
     assert_eq!(after.row_lock_conflicts, before.row_lock_conflicts);
-    assert_eq!(after.lock_wait_die_aborts, before.lock_wait_die_aborts);
     a.execute("COMMIT").unwrap();
     let r = db.session().execute("SELECT x.k, x.v FROM t x").unwrap();
     for row in &r.rows {
@@ -1199,9 +1180,173 @@ fn mid_statement_conflict_inside_begin_rolls_back_the_transaction() {
     }
 }
 
+/// Whether `acct.v` is indexed, per the engine.
+fn v_is_indexed(db: &SharedDatabase) -> bool {
+    db.with_db(|db| db.backend().has_index("acct", 1)).unwrap()
+}
+
+/// Whole-table writes beside an open writer of the table: with a
+/// pending `UPDATE`, `DELETE` or `INSERT` in another transaction, a
+/// bare `DELETE` (truncation), `DROP TABLE` and `CREATE INDEX` are each
+/// refused retryably, counted in `row_lock_conflicts`, and change
+/// nothing. Once the writer commits, each goes through.
+#[test]
+fn whole_table_writes_beside_an_open_writer_are_refused_until_it_commits() {
+    let pending: [(&str, &[(i64, i64)]); 3] = [
+        (
+            "UPDATE acct SET v = v + 1 WHERE k = 2",
+            &[(1, 100), (2, 201), (3, 300)],
+        ),
+        ("DELETE FROM acct WHERE k = 2", &[(1, 100), (3, 300)]),
+        (
+            "INSERT INTO acct VALUES (4, 400)",
+            &[(1, 100), (2, 200), (3, 300), (4, 400)],
+        ),
+    ];
+    let whole_table = [
+        "DELETE FROM acct",
+        "DROP TABLE acct",
+        "CREATE INDEX ON acct (v)",
+    ];
+    for (write, committed) in pending {
+        let db = shared(64);
+        {
+            let mut setup = db.session();
+            setup
+                .execute("CREATE TABLE acct (k INT, v INT, PRIMARY KEY (k))")
+                .unwrap();
+            setup.execute("CREATE INDEX ON acct (k)").unwrap();
+            setup
+                .execute("INSERT INTO acct VALUES (1, 100), (2, 200), (3, 300)")
+                .unwrap();
+        }
+        let mut writer = db.session();
+        writer.execute("BEGIN").unwrap();
+        writer.execute(write).unwrap();
+        let before = db.metrics().unwrap();
+        let mut s = db.session();
+        for sql in whole_table {
+            let err = s.execute(sql).unwrap_err();
+            assert!(err.is_retryable(), "{write} / {sql}: {err}");
+            assert_eq!(acct_rows(&db), vec![(1, 100), (2, 200), (3, 300)], "{sql}");
+        }
+        let after = db.metrics().unwrap();
+        assert_eq!(
+            after.row_lock_conflicts,
+            before.row_lock_conflicts + 3,
+            "{write}"
+        );
+        assert!(
+            !v_is_indexed(&db),
+            "{write}: the refused index must not exist"
+        );
+        writer.execute("COMMIT").unwrap();
+        assert_eq!(acct_rows(&db), committed.to_vec(), "{write}");
+        assert_heap_index_agree(&db, "acct", 0);
+        db.with_db(|db| db.validate_all()).unwrap().unwrap();
+
+        s.execute("CREATE INDEX ON acct (v)").unwrap();
+        assert!(v_is_indexed(&db), "{write}");
+        assert_heap_index_agree(&db, "acct", 1);
+        let r = s.execute("DELETE FROM acct").unwrap();
+        assert_eq!(r.affected, committed.len(), "{write}");
+        assert!(acct_rows(&db).is_empty(), "{write}");
+        s.execute("DROP TABLE acct").unwrap();
+        assert!(s.execute("SELECT x.k FROM acct x").is_err(), "{write}");
+    }
+}
+
+/// A pending truncation stamps every row of its table, so another
+/// session's `UPDATE` and `DELETE` of those rows are refused retryably
+/// by first-updater-wins, and its `INSERT` by page ownership (the
+/// emptied heap's head page belongs to the truncater). The truncation's
+/// `ROLLBACK` then restores every row, heap and index alike.
+#[test]
+fn a_pending_truncation_refuses_other_writers_and_rolls_back_whole() {
+    let db = shared(64);
+    let pad = "p".repeat(100);
+    let original: Vec<(i64, i64)> = (0..60).map(|k| (k, 10 * k)).collect();
+    {
+        let mut setup = db.session();
+        setup
+            .execute("CREATE TABLE acct (k INT, v INT, pad TEXT, PRIMARY KEY (k))")
+            .unwrap();
+        setup.execute("CREATE INDEX ON acct (k)").unwrap();
+        let rows: Vec<String> = original
+            .iter()
+            .map(|(k, v)| format!("({k}, {v}, '{pad}')"))
+            .collect();
+        setup
+            .execute(&format!("INSERT INTO acct VALUES {}", rows.join(", ")))
+            .unwrap();
+    }
+    let mut truncater = db.session();
+    truncater.execute("BEGIN").unwrap();
+    let r = truncater.execute("DELETE FROM acct").unwrap();
+    assert_eq!(r.affected, original.len());
+    let mut s = db.session();
+    for sql in [
+        format!("INSERT INTO acct VALUES (1000, 0, '{pad}')"),
+        "UPDATE acct SET v = v + 1 WHERE k = 3".to_owned(),
+        "DELETE FROM acct WHERE k = 4".to_owned(),
+    ] {
+        let err = s.execute(&sql).unwrap_err();
+        assert!(err.is_retryable(), "{sql}: {err}");
+        assert_eq!(acct_rows(&db), original, "{sql}");
+    }
+    truncater.execute("ROLLBACK").unwrap();
+    assert_eq!(acct_rows(&db), original);
+    assert_heap_index_agree(&db, "acct", 0);
+    db.with_db(|db| db.validate_all()).unwrap().unwrap();
+    // The table is writable again.
+    s.execute(&format!("INSERT INTO acct VALUES (1000, 0, '{pad}')"))
+        .unwrap();
+    assert_heap_index_agree(&db, "acct", 0);
+}
+
+/// Rolling a truncation back restores the truncated table's own index
+/// trees and nothing else: another table's index whose root moved while
+/// the truncation was pending keeps its committed root. (A stale root
+/// still answers reads through the leaf chain, so the divergence shows
+/// only once a later insert lands under the stale root and the
+/// database is reopened on the root the catalog persisted.)
+#[test]
+fn rolling_back_a_truncation_leaves_other_tables_indexes_alone() {
+    let path = temp_db("truncate-roots");
+    {
+        let db = SharedDatabase::open(&path, 64).unwrap();
+        let mut s = db.session();
+        s.execute("CREATE TABLE t (a INT)").unwrap();
+        s.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+        s.execute("CREATE TABLE u (k INT)").unwrap();
+        s.execute("CREATE INDEX ON u (k)").unwrap();
+        let mut truncater = db.session();
+        truncater.execute("BEGIN").unwrap();
+        truncater.execute("DELETE FROM t").unwrap();
+        let splits_before = db.metrics().unwrap().btree_splits;
+        for chunk in 0..10 {
+            let rows: Vec<String> = (0..100).map(|i| format!("({})", chunk * 100 + i)).collect();
+            s.execute(&format!("INSERT INTO u VALUES {}", rows.join(", ")))
+                .unwrap();
+        }
+        assert!(
+            db.metrics().unwrap().btree_splits > splits_before,
+            "u's index must have split"
+        );
+        truncater.execute("ROLLBACK").unwrap();
+        s.execute("INSERT INTO u VALUES (5000)").unwrap();
+        assert_heap_index_agree(&db, "u", 0);
+        assert_eq!(s.execute("SELECT x.a FROM t x").unwrap().rows.len(), 2);
+    }
+    let db = SharedDatabase::open(&path, 64).unwrap();
+    assert_heap_index_agree(&db, "u", 0);
+    drop(db);
+    cleanup(&path);
+}
+
 /// N autocommit writers, each hammering its own row of one shared
 /// table: with row-granular write conflicts nothing ever conflicts — no
-/// wait-die aborts, no row conflicts, no retries (every execute
+/// row conflicts, no retries (every execute
 /// unwraps). This is the "hot table, disjoint rows" workload the old
 /// table-level write locks fully serialized with thousands of aborts
 /// (`hot_row_retries_lose_no_increment` is the same-row counterpart).
@@ -1248,14 +1393,9 @@ fn disjoint_row_autocommit_writers_never_conflict() {
     );
     let after = db.metrics().unwrap();
     assert_eq!(
-        after.lock_wait_die_aborts, before.lock_wait_die_aborts,
-        "disjoint-row writers must never wait-die"
-    );
-    assert_eq!(
         after.row_lock_conflicts, before.row_lock_conflicts,
         "disjoint-row writers must never conflict on a row"
     );
-    assert_eq!(after.lock_timeouts, 0, "nothing may time out");
 }
 
 #[test]

@@ -13,18 +13,18 @@
 //!   length after a scripted workload;
 //! * after a crash, recovery's own counts (`recovery_redo_frames`, one
 //!   `wal_checkpoints`) in the registry of the reopened database;
-//! * the fsync histogram's sample count vs. the `wal_fsyncs` counter,
-//!   and the lock-wait histogram's total vs. `lock_wait_nanos` (the
-//!   same events, counted at the same sites, reduced two ways);
+//! * the fsync histogram's sample count vs. the `wal_fsyncs` counter
+//!   (the same events, counted at the same site, reduced two ways);
 //! * a statement's trace spans vs. its own `elapsed_nanos` (the spans
 //!   partition the statement), through `execute` and `query_select`
 //!   alike;
-//! * a server statement's `locks`/`parse`/`plan`/`exec`/`commit` spans
-//!   vs. its wall clock at the session, for successes and failures;
-//! * `lock_waits` stays zero when concurrent sessions touch disjoint
-//!   tables (nothing to wait for);
+//! * a server statement's `parse`/`plan`/`exec`/`commit` spans vs. its
+//!   wall clock at the session, for successes and failures;
+//! * `row_lock_conflicts` stays zero when concurrent sessions touch
+//!   disjoint tables (nothing to conflict on);
 //! * a write refused because its row was rewritten after the writer's
-//!   `BEGIN` is one `row_lock_conflicts` and no wait-die abort;
+//!   `BEGIN` is one `row_lock_conflicts`, and so is a truncation beside
+//!   a younger open writer of the table;
 //! * `versioned_index_reads` stays zero through indexed reads of a
 //!   quiescent table and moves beside an open writer, where `EXPLAIN
 //!   ANALYZE` still reports an index read at the quiescent page cost;
@@ -189,19 +189,13 @@ fn disjoint_table_sessions_never_wait_on_locks() {
         }
     });
     let snap = shared.metrics().unwrap();
-    // The SELECTs are lock-free snapshot reads; the shared locks here
-    // are the INSERTs' schema-S acquisitions.
-    assert!(snap.lock_shared > 0, "writes must take the schema shared");
-    assert!(snap.lock_exclusive > 0, "writes must take exclusive locks");
-    assert_eq!(snap.lock_waits, 0, "disjoint tables must never block");
-    assert_eq!(snap.lock_wait_die_aborts, 0, "nor abort");
+    assert_eq!(snap.row_lock_conflicts, 0, "disjoint tables never conflict");
 }
 
 /// First-updater-wins refuses two kinds of row write, and
 /// `row_lock_conflicts` counts both: a row pending under another open
 /// transaction (`tests/concurrency.rs`), and this one — a row a commit
-/// rewrote after the writer's `BEGIN` cut its snapshot. Neither is a
-/// wait-die abort: no table lock was ever contended.
+/// rewrote after the writer's `BEGIN` cut its snapshot.
 #[test]
 fn a_row_rewritten_after_begin_is_one_row_conflict() {
     let shared = SharedDatabase::paged(64).unwrap();
@@ -226,7 +220,6 @@ fn a_row_rewritten_after_begin_is_one_row_conflict() {
     assert!(err.is_retryable(), "{err}");
     let after = shared.metrics().unwrap();
     assert_eq!(after.row_lock_conflicts, before.row_lock_conflicts + 1);
-    assert_eq!(after.lock_wait_die_aborts, before.lock_wait_die_aborts);
     assert_eq!(
         shared
             .session()
@@ -238,10 +231,8 @@ fn a_row_rewritten_after_begin_is_one_row_conflict() {
 }
 
 /// The snapshot-read observability invariant: every snapshot SELECT
-/// opens exactly one read view (`snapshot_reads` bumps per statement)
-/// while the lock counters stay flat for a pure-read session — the
-/// differential proof that reads really skip the lock manager. The
-/// second half walks one version through its lifecycle: a reader's
+/// opens exactly one read view (`snapshot_reads` bumps per statement).
+/// The second half walks one version through its lifecycle: a reader's
 /// open transaction forces an overwritten row's prior to be kept
 /// (`versions_kept`), and closing the reader lets GC reclaim it
 /// (`versions_gc`).
@@ -266,12 +257,6 @@ fn snapshot_read_counters_track_views_and_version_lifecycle() {
         before.snapshot_reads + 5,
         "one read view per snapshot SELECT"
     );
-    assert_eq!(mid.lock_shared, before.lock_shared, "no shared locks");
-    assert_eq!(
-        mid.lock_exclusive, before.lock_exclusive,
-        "no exclusive locks"
-    );
-    assert_eq!(mid.lock_waits, before.lock_waits, "nothing to wait on");
 
     // Version lifecycle: pin a snapshot, overwrite a row under it.
     reader.execute("BEGIN").unwrap();
@@ -665,7 +650,6 @@ fn stats_over_tcp_reports_nonzero_buffer_counters() {
     // resident frames.
     assert!(value("buffer_hits") > 0, "workload must hit the pool");
     assert!(value("wal_appends") > 0, "inserts must have logged");
-    assert!(value("lock_exclusive") > 0, "inserts must have locked");
     // Session counters ride along: this connection has executed
     // 1 DDL + 20 inserts + 1 select + this STATS call.
     assert_eq!(value("session_statements"), 23);
@@ -676,6 +660,7 @@ fn stats_over_tcp_reports_nonzero_buffer_counters() {
         value(name);
     }
     assert_eq!(stats.len(), storage::MetricsSnapshot::NAMES.len() + 2);
+    assert_eq!(stats.len(), 26 + 2, "26 engine counters, 2 session rows");
     server.stop();
 }
 
@@ -710,57 +695,40 @@ fn fsync_histogram_count_matches_the_counter() {
     cleanup(&path);
 }
 
+/// A bare `DELETE` truncates, writing every row of the table at once,
+/// so it is refused — retryably, as one `row_lock_conflicts`, and
+/// without waiting — while another transaction has a pending version in
+/// the table, even when that writer is younger. Once the writer
+/// commits, the retried transaction goes through.
 #[test]
-fn lock_wait_histogram_totals_match_the_counter() {
+fn truncation_beside_a_younger_open_writer_is_refused_until_it_commits() {
     let shared = SharedDatabase::paged(64).unwrap();
     {
         let mut setup = shared.session();
         setup.execute("CREATE TABLE t (a INT)").unwrap();
+        setup.execute("INSERT INTO t VALUES (1)").unwrap();
     }
-    // Wait-die: the *older* transaction waits. Session A begins first
-    // (smaller owner timestamp), B begins second and takes `IX` on the
-    // table for its insert; A's bare `DELETE` needs the table `X` and
-    // genuinely blocks until B commits. Two handshakes pin the order: A
-    // BEGINs before B does, and B holds its insert locks before A
-    // issues the delete.
-    let (begun_tx, begun_rx) = std::sync::mpsc::channel();
-    let (held_tx, held_rx) = std::sync::mpsc::channel::<()>();
-    std::thread::scope(|scope| {
-        let shared_a = shared.clone();
-        scope.spawn(move || {
-            let mut a = shared_a.session();
-            a.execute("BEGIN").unwrap();
-            begun_tx.send(()).unwrap();
-            held_rx.recv().unwrap();
-            // Blocks on B's intent lock until B commits.
-            a.execute("DELETE FROM t").unwrap();
-            a.execute("COMMIT").unwrap();
-        });
-        begun_rx.recv().unwrap();
-        let mut b = shared.session();
-        b.execute("BEGIN").unwrap();
-        b.execute("INSERT INTO t VALUES (1)").unwrap();
-        held_tx.send(()).unwrap();
-        std::thread::sleep(Duration::from_millis(150));
-        b.execute("COMMIT").unwrap();
-    });
-    let snap = shared.metrics().unwrap();
-    let hist = shared.histograms().unwrap();
-    assert!(snap.lock_waits > 0, "A must have blocked on B");
-    // The histogram and the counters are fed the same `waited` value at
-    // the same site, so after quiescence they agree exactly.
-    assert_eq!(hist.lock_wait.count(), snap.lock_waits, "wait count");
-    assert_eq!(
-        hist.lock_wait.total_nanos, snap.lock_wait_nanos,
-        "wait nanos"
-    );
-    // A slept through most of B's 150 ms hold; the histogram must have
-    // seen a wait of that order (generous floor for scheduler jitter).
-    assert!(
-        hist.lock_wait.max_nanos >= 50_000_000,
-        "max wait {} ns is shorter than B's hold",
-        hist.lock_wait.max_nanos
-    );
+    let mut older = shared.session();
+    older.execute("BEGIN").unwrap();
+    let mut younger = shared.session();
+    younger.execute("BEGIN").unwrap();
+    younger.execute("INSERT INTO t VALUES (2)").unwrap();
+    let before = shared.metrics().unwrap();
+    let err = older.execute("DELETE FROM t").unwrap_err();
+    assert!(err.is_retryable(), "{err}");
+    assert!(matches!(err, ServerError::RolledBack(_)), "{err}");
+    let after = shared.metrics().unwrap();
+    assert_eq!(after.row_lock_conflicts, before.row_lock_conflicts + 1);
+    younger.execute("COMMIT").unwrap();
+    older.execute("BEGIN").unwrap();
+    assert_eq!(older.execute("DELETE FROM t").unwrap().affected, 2);
+    older.execute("COMMIT").unwrap();
+    let rows = shared
+        .session()
+        .execute("SELECT v.a FROM t v")
+        .unwrap()
+        .rows;
+    assert!(rows.is_empty(), "{rows:?}");
 }
 
 #[test]
@@ -842,7 +810,7 @@ fn trace_spans_partition_statement_elapsed() {
 }
 
 /// The server parses a statement once, times that parse itself and
-/// reports it as the `parse` span (not folded into `locks`); the spans
+/// reports it as the `parse` span; the spans
 /// of a statement never add up to more than its wall clock at the
 /// session.
 #[test]
@@ -876,17 +844,17 @@ fn server_trace_spans_fit_the_wall_clock_and_time_the_parse() {
     let names = |spans: &[(String, u64)]| -> Vec<String> {
         spans.iter().map(|(name, _)| name.clone()).collect()
     };
-    // The write path: locks, then the database's spans.
+    // The write path: the database's spans.
     let write = traced(&mut s, "INSERT INTO t VALUES (1, 'x'), (2, 'y')");
-    assert_eq!(names(&write), ["locks", "parse", "exec", "commit"]);
+    assert_eq!(names(&write), ["parse", "exec", "commit"]);
     // The parallel read path assembles the same shape, minus commit.
     let read = traced(&mut s, "SELECT v.b FROM t v WHERE v.a = 2");
-    assert_eq!(names(&read), ["locks", "parse", "plan", "exec"]);
+    assert_eq!(names(&read), ["parse", "plan", "exec"]);
     // Inside a transaction a SELECT takes the write path; still no
     // commit span (the session commits later).
     s.execute("BEGIN").unwrap();
     let in_txn = traced(&mut s, "SELECT v.b FROM t v WHERE v.a = 2");
-    assert_eq!(names(&in_txn), ["locks", "parse", "plan", "exec"]);
+    assert_eq!(names(&in_txn), ["parse", "plan", "exec"]);
     s.execute("COMMIT").unwrap();
 }
 
@@ -913,10 +881,10 @@ fn failed_select_reports_its_own_trace_and_reaches_the_slow_log() {
     let names: Vec<&str> = s.last_trace().iter().map(|sp| sp.name).collect();
     assert_eq!(
         names,
-        ["locks", "parse", "exec"],
+        ["parse", "exec"],
         "the failed SELECT's own spans, not the insert's"
     );
-    assert!(s.last_trace()[1].nanos > 0, "its parse was timed");
+    assert!(s.last_trace()[0].nanos > 0, "its parse was timed");
     let slow = shared.slow_entries();
     let last = slow.last().unwrap();
     assert_eq!(last.sql, failing, "failures reach the slow log too");
@@ -924,7 +892,7 @@ fn failed_select_reports_its_own_trace_and_reaches_the_slow_log() {
     // TRACE of a failing SELECT reports the error, and the session's
     // trace is again the failed statement's.
     assert!(s.execute("TRACE SELECT v.zzz FROM t v").is_err());
-    assert_eq!(s.last_trace().first().unwrap().name, "locks");
+    assert_eq!(s.last_trace().first().unwrap().name, "parse");
     assert!(s.last_trace().iter().all(|sp| sp.name != "commit"));
 }
 
@@ -946,8 +914,8 @@ fn slow_log_captures_statements_and_respects_capacity() {
     assert_eq!(last.sql, "SELECT v.a FROM t v WHERE v.a = 3");
     assert_eq!(last.session, s.id(), "entry names the issuing session");
     assert!(last.wall_nanos > 0);
-    // Entries keep the full span breakdown, server lock span included.
-    assert_eq!(last.spans.first().unwrap().name, "locks");
+    // Entries keep the full span breakdown.
+    assert_eq!(last.spans.first().unwrap().name, "parse");
     assert!(last.spans.iter().any(|sp| sp.name == "exec"));
     // Raising the threshold stops capture without clearing history.
     shared.set_slow_log(Duration::from_secs(3600), 4);
@@ -988,7 +956,6 @@ fn observability_verbs_work_over_tcp() {
         ["span", "nanos", "page_reads", "buffer_hits", "wal_appends"]
     );
     let spans: Vec<&str> = trace.rows.iter().map(|r| r[0].as_str()).collect();
-    assert!(spans.contains(&"'locks'"), "spans: {spans:?}");
     assert!(spans.contains(&"'parse'"), "spans: {spans:?}");
     assert!(spans.contains(&"'exec'"), "spans: {spans:?}");
     for row in &trace.rows {
@@ -1015,6 +982,14 @@ fn observability_verbs_work_over_tcp() {
             value(hist, stat);
         }
     }
+    assert_eq!(
+        storage::HistogramsSnapshot::NAMES,
+        ["wal_fsync", "commit", "fault_in"]
+    );
+    assert_eq!(
+        hists.rows.len(),
+        3 * storage::HistogramSnapshot::STAT_NAMES.len()
+    );
     assert!(value("wal_fsync", "count") > 0, "inserts forced the log");
     assert!(value("commit", "count") > 0, "inserts committed");
     assert!(value("commit", "total_nanos") > 0, "commits take time");
