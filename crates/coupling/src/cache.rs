@@ -58,12 +58,23 @@ fn canonicalize(query: &DbclQuery) -> DbclQuery {
     out
 }
 
-/// The cache key: the canonical form's text.
-fn canonical_key(query: &DbclQuery) -> String {
-    canonicalize(query).to_term().to_string()
+/// The cache key of a branch: the canonical text of its positive query
+/// (with every link held in the target list) and of each negated query,
+/// joined at the target slot that holds its link.
+pub fn branch_key(positive: &DbclQuery, negated: &[(Symbol, DbclQuery)]) -> String {
+    let text = |q: &DbclQuery| canonicalize(q).to_term().to_string();
+    let mut key = text(positive);
+    for (link, neg) in negated {
+        let slot = positive
+            .target
+            .iter()
+            .position(|e| e.as_symbol() == Some(*link));
+        key.push_str(&format!(" \\+{slot:?} {}", text(neg)));
+    }
+    key
 }
 
-/// Cache of externally computed answers, keyed by canonical DBCL form.
+/// Cache of externally computed answers, keyed by [`branch_key`].
 #[derive(Debug, Default, Clone)]
 pub struct QueryCache {
     entries: HashMap<String, Vec<Answer>>,
@@ -76,10 +87,11 @@ impl QueryCache {
         Self::default()
     }
 
-    /// Looks an optimized query up; answer lists are cloned out (they are
-    /// "fairly small" by the paper's working assumption).
-    pub fn lookup(&mut self, query: &DbclQuery) -> Option<Vec<Answer>> {
-        match self.entries.get(&canonical_key(query)) {
+    /// Looks an optimized branch up by its [`branch_key`]; answer lists
+    /// are cloned out (they are "fairly small" by the paper's working
+    /// assumption).
+    pub fn lookup(&mut self, key: &str) -> Option<Vec<Answer>> {
+        match self.entries.get(key) {
             Some(answers) => {
                 self.hits += 1;
                 Some(answers.clone())
@@ -91,9 +103,9 @@ impl QueryCache {
         }
     }
 
-    /// Stores the answers of an executed query.
-    pub fn store(&mut self, query: &DbclQuery, answers: &[Answer]) {
-        self.entries.insert(canonical_key(query), answers.to_vec());
+    /// Stores the answers of an executed branch under its [`branch_key`].
+    pub fn store(&mut self, key: String, answers: &[Answer]) {
+        self.entries.insert(key, answers.to_vec());
     }
 
     /// Merge procedure: combines another cache segment into this one;
@@ -184,6 +196,7 @@ fn instantiate(pattern: &Term, answer: &Answer) -> Term {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbcl::Entry;
     use rqs::Datum;
 
     fn answer(pairs: &[(&str, Datum)]) -> Answer {
@@ -220,10 +233,10 @@ mod tests {
     #[test]
     fn store_lookup_hit_miss() {
         let mut cache = QueryCache::new();
-        let q = sample_query();
-        assert!(cache.lookup(&q).is_none());
-        cache.store(&q, &[answer(&[("X", Datum::text("miller"))])]);
-        assert_eq!(cache.lookup(&q).unwrap().len(), 1);
+        let key = branch_key(&sample_query(), &[]);
+        assert!(cache.lookup(&key).is_none());
+        cache.store(key.clone(), &[answer(&[("X", Datum::text("miller"))])]);
+        assert_eq!(cache.lookup(&key).unwrap().len(), 1);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
     }
@@ -232,7 +245,7 @@ mod tests {
     fn canonical_variants_share_entry() {
         let mut cache = QueryCache::new();
         let q = sample_query();
-        cache.store(&q, &[]);
+        cache.store(branch_key(&q, &[]), &[]);
         // Rename every v_ symbol; canonically the same query.
         let mut renamed = q.clone();
         for sym in q.symbols() {
@@ -243,20 +256,44 @@ mod tests {
                 );
             }
         }
-        assert!(cache.lookup(&renamed).is_some());
+        assert!(cache.lookup(&branch_key(&renamed, &[])).is_some());
+    }
+
+    /// A negated query is part of the key, and so is the slot that holds
+    /// its link: a hit never serves answers without their `NOT IN`.
+    #[test]
+    fn negated_queries_and_their_links_are_keyed() {
+        let mut positive = sample_query();
+        let negated = DbclQuery::parse(
+            "dbcl([empdep, eno, nam, sal, dno, fct, mgr],
+                  [same_manager, *, *, *, *, *, t_link],
+                  [[dept, *, *, *, v_D9, v_F9, t_link]],
+                  [])",
+        )
+        .unwrap();
+        let negated = [(Symbol::var("M1"), negated)];
+        let alone = branch_key(&positive, &[]);
+        positive.target[4] = Entry::var("M1");
+        let at_fct = branch_key(&positive, &negated);
+        positive.target[4] = Entry::Star;
+        positive.target[5] = Entry::var("M1");
+        let at_mgr = branch_key(&positive, &negated);
+        assert_ne!(alone, at_fct);
+        assert_ne!(at_fct, at_mgr);
+        assert!(at_mgr.contains("\\+Some(5)"), "{at_mgr}");
     }
 
     #[test]
     fn merge_unions_answers() {
         let mut a = QueryCache::new();
         let mut b = QueryCache::new();
-        let q = sample_query();
+        let key = branch_key(&sample_query(), &[]);
         let ans1 = answer(&[("X", Datum::text("miller"))]);
         let ans2 = answer(&[("X", Datum::text("leamas"))]);
-        a.store(&q, std::slice::from_ref(&ans1));
-        b.store(&q, &[ans1.clone(), ans2.clone()]);
+        a.store(key.clone(), std::slice::from_ref(&ans1));
+        b.store(key.clone(), &[ans1.clone(), ans2.clone()]);
         a.merge(&b);
-        assert_eq!(a.lookup(&q).unwrap().len(), 2);
+        assert_eq!(a.lookup(&key).unwrap().len(), 2);
     }
 
     #[test]

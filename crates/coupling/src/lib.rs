@@ -23,11 +23,13 @@
 //! A view's answer is "the union of all these query results" (§7): each
 //! branch's SQL returns its rows as they come, and [`Coupler::query`]
 //! deduplicates once, across branches. That set is what the §6 rewrites
-//! need — they preserve answers, not their multiplicity.
+//! need — they preserve answers, not their multiplicity. A `\+ G` over
+//! database relations is one negated query per branch of `G`, which the
+//! branch's SQL excludes with `NOT IN` (§7: "first computing the positive
+//! result, and then its complement").
 
 pub mod bridge;
 pub mod cache;
-pub mod negation;
 pub mod recursion;
 pub mod stepwise;
 pub mod workload;
@@ -35,11 +37,11 @@ pub mod workload;
 pub use bridge::{answers_from_result, datum_to_term, ddl_statements, value_to_datum};
 pub use cache::QueryCache;
 
-use dbcl::{ConstraintSet, DatabaseDef, DbclQuery};
+use dbcl::{ConstraintSet, DatabaseDef, DbclQuery, Entry};
 use metaeval::{MetaEvaluator, UnfoldLimits};
 use optimizer::{Simplifier, SimplifyConfig, SimplifyOutcome, SimplifyStats};
 use rqs::QueryMetrics;
-use sqlgen::MappingOptions;
+use sqlgen::{translate_with_negation, MappingOptions};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -227,9 +229,14 @@ impl Coupler {
     /// Runs a goal list (variable-free metaterm convention: `t_X` atoms are
     /// targets) through the full pipeline and returns the answers.
     pub fn query(&mut self, goals_src: &str, view_name: &str) -> Result<QueryRun> {
+        let goal = prolog::parse_term(goals_src)?;
+        let goals = prolog::parser::flatten_conjunction(&goal);
         let meta = MetaEvaluator::with_limits(self.engine.kb(), &self.db, self.config.unfold);
-        let outcome = meta.metaevaluate(goals_src, view_name)?;
-        let goal_pattern = prolog::parse_term(goals_src)?;
+        let outcome = meta.metaevaluate_terms(&goals, view_name)?;
+        // Beside other conjuncts, a negation may narrow the answers below
+        // the first conjunct's own; then they are not its facts.
+        let install_facts = self.config.cache
+            && (goals.len() == 1 || outcome.branches.iter().all(|b| b.negated.is_empty()));
 
         let mut run = QueryRun {
             answers: Vec::new(),
@@ -249,10 +256,10 @@ impl Coupler {
             }
             run.branches.push(trace);
         }
-        if self.config.cache {
+        if install_facts {
             // The database-resolved predicate's facts are the *raw* answers;
             // residual goals restrict the conjunction, not the view itself.
-            cache::install_facts(&self.engine, &goal_pattern, &raw_union);
+            cache::install_facts(&self.engine, &goal, &raw_union);
         }
         Ok(run)
     }
@@ -264,9 +271,8 @@ impl Coupler {
         &mut self,
         branch: &metaeval::MetaBranch,
     ) -> Result<(BranchTrace, Vec<Answer>, Vec<Answer>)> {
-        let initial = branch.query.clone();
         let mut trace = BranchTrace {
-            dbcl_initial: initial.clone(),
+            dbcl_initial: branch.query.clone(),
             dbcl_optimized: None,
             empty_reason: None,
             simplify_stats: SimplifyStats::default(),
@@ -276,50 +282,87 @@ impl Coupler {
             residual_filtered: 0,
             cache_hit: false,
         };
+        // Until it is keyed, the positive side holds each link in a free
+        // target slot, so no §6 rewrite drops the link's row.
+        let mut query = branch.query.clone();
+        let mut slots = Vec::with_capacity(branch.negated.len());
+        for (link, _) in &branch.negated {
+            let free = query.target.iter().position(|e| *e == Entry::Star);
+            let slot = free.ok_or_else(|| CouplingError(format!("no target slot for {link}")))?;
+            query.target[slot] = Entry::Sym(*link);
+            slots.push(slot);
+        }
+        let mut negated = branch.negated.clone();
 
-        // Local optimization (§6).
-        let query = if self.config.optimize {
+        // Local optimization (§6) of both sides. A rewrite that fixes a
+        // link to a constant leaves its `NOT IN` no column, so that side
+        // runs as metaevaluated.
+        let mut simplified = false;
+        if self.config.optimize {
             let simplifier =
                 Simplifier::with_config(&self.db, &self.constraints, self.config.simplify);
-            match simplifier.simplify(initial) {
-                SimplifyOutcome::Simplified(q, stats) => {
+            let unsimplified = (!slots.is_empty()).then(|| query.clone());
+            query = match simplifier.simplify(query) {
+                SimplifyOutcome::Simplified(q, stats)
+                    if slots.iter().all(|&s| q.target[s].as_symbol().is_some()) =>
+                {
                     trace.simplify_stats = stats;
-                    trace.dbcl_optimized = Some(q.clone());
+                    simplified = true;
                     q
                 }
+                SimplifyOutcome::Simplified(..) => unsimplified.expect("only a link is fixed"),
                 SimplifyOutcome::Empty(reason) => {
                     trace.empty_reason = Some(reason.to_string());
                     return Ok((trace, Vec::new(), Vec::new()));
                 }
+            };
+            let mut kept = Vec::with_capacity(negated.len());
+            for ((_, neg), &slot) in negated.into_iter().zip(&slots) {
+                let neg = match simplifier.simplify(neg.clone()) {
+                    // Only a constant can replace the target `t_link`.
+                    SimplifyOutcome::Simplified(q, _) if q.target == neg.target => q,
+                    SimplifyOutcome::Simplified(..) => neg,
+                    // Nothing to exclude: the `NOT IN` would hold for every row.
+                    SimplifyOutcome::Empty(_) => continue,
+                };
+                kept.push((query.target[slot].as_symbol().expect("checked above"), neg));
             }
-        } else {
-            initial
-        };
+            negated = kept;
+        }
+        let key = self
+            .config
+            .cache
+            .then(|| cache::branch_key(&query, &negated));
+        for &slot in &slots {
+            query.target[slot] = Entry::Star;
+        }
+        if simplified {
+            trace.dbcl_optimized = Some(query.clone());
+        }
 
         // Global optimization: answer from the internal cache if possible.
-        if self.config.cache {
-            if let Some(answers) = self.cache.lookup(&query) {
-                trace.cache_hit = true;
-                trace.raw_answers = answers.len();
-                // Residual goals still apply to cached tuples.
-                let raw = answers.clone();
-                let (answers, filtered) =
-                    stepwise::filter_residual(&self.engine, &branch.residual, answers)?;
-                trace.residual_filtered = filtered;
-                return Ok((trace, raw, answers));
-            }
+        if let Some(answers) = key.as_deref().and_then(|k| self.cache.lookup(k)) {
+            trace.cache_hit = true;
+            trace.raw_answers = answers.len();
+            // Residual goals still apply to cached tuples.
+            let raw = answers.clone();
+            let (answers, filtered) =
+                stepwise::filter_residual(&self.engine, &branch.residual, answers)?;
+            trace.residual_filtered = filtered;
+            return Ok((trace, raw, answers));
         }
 
         // Translate (§5) and ship to the external DBMS. No DISTINCT:
         // `query` unions the branches through its own set.
-        let sql_text = sqlgen::mapping::to_sql_text(&query, &self.db, MappingOptions::default())?;
+        let sql = translate_with_negation(&query, &negated, &self.db, MappingOptions::default())?;
+        let sql_text = sql.to_sql();
         trace.sql = Some(sql_text.clone());
         let result = self.rqs.execute(&sql_text)?;
         trace.metrics = result.metrics.clone();
         let answers = answers_from_result(&query, &result)?;
         trace.raw_answers = answers.len();
-        if self.config.cache {
-            self.cache.store(&query, &answers);
+        if let Some(key) = key {
+            self.cache.store(key, &answers);
         }
 
         // Stepwise evaluation of residual goals (§7).
@@ -425,16 +468,17 @@ mod tests {
     fn empty_branch_detected_statically() {
         let mut c = little_firm();
         c.consult(metaeval::views::WORKS_DIR_FOR).unwrap();
-        // Salary below the 10000 bound: contradiction, no SQL issued.
-        let run = c
-            .query(
-                "works_dir_for(t_X, smiley), empl(E, t_X, S, D), less(S, 2000)",
-                "q",
-            )
-            .unwrap();
-        assert!(run.answers.is_empty());
-        assert!(run.branches[0].empty_reason.is_some());
-        assert!(run.branches[0].sql.is_none());
+        // Salary below the 10000 bound: contradiction, no SQL issued, and
+        // a positive side proved empty ends its branch beside a negation.
+        for goal in [
+            "works_dir_for(t_X, smiley), empl(E, t_X, S, D), less(S, 2000)",
+            "empl(E, t_X, S, D), less(S, 2000), \\+ dept(_, _, E)",
+        ] {
+            let run = c.query(goal, "q").unwrap();
+            assert!(run.answers.is_empty());
+            assert!(run.branches[0].empty_reason.is_some());
+            assert!(run.branches[0].sql.is_none());
+        }
     }
 
     #[test]
@@ -512,6 +556,141 @@ mod tests {
         assert!(!sql.contains("DISTINCT"), "{sql}");
         assert_eq!(branch.raw_answers, 5);
         assert_eq!(run.answers.len(), 2);
+    }
+
+    /// §7's negation example through the one pipeline: "managers who do
+    /// not manage Jones" — a branch with one `NOT IN`.
+    #[test]
+    fn negated_goal_runs_as_not_in() {
+        let mut c = little_firm();
+        let run = c
+            .query(
+                "dept(_, _, t_M), \\+ (empl(E, jones, _, D), dept(D, _, t_M))",
+                "q",
+            )
+            .unwrap();
+        let sql = run.branches[0].sql.as_deref().unwrap();
+        assert!(sql.contains("v1.mgr NOT IN (SELECT"), "{sql}");
+        assert_eq!(run.answers.len(), 1);
+        assert_eq!(run.answers[0]["M"], Datum::Int(1)); // control, not smiley
+    }
+
+    /// A negated side proved empty drops its `NOT IN`: nobody earns below
+    /// the 10000 salary bound, so both managers qualify.
+    #[test]
+    fn vacuous_negation_drops_not_in() {
+        let mut c = little_firm();
+        let run = c
+            .query(
+                "empl(t_M, N, S, D), dept(D2, F, t_M), \\+ (empl(t_M, N2, S2, D4), less(S2, 2000))",
+                "q",
+            )
+            .unwrap();
+        let sql = run.branches[0].sql.as_deref().unwrap();
+        assert!(!sql.contains("NOT IN"), "{sql}");
+        let mut managers: Vec<&Datum> = run.answers.iter().map(|a| &a["M"]).collect();
+        managers.sort();
+        assert_eq!(managers, [&Datum::Int(1), &Datum::Int(2)]);
+    }
+
+    /// A negation that mixes database goals with Prolog-only ones has no
+    /// translation: an error, not a residual that fails open.
+    #[test]
+    fn negation_mixing_residual_goals_is_an_error() {
+        let mut c = little_firm();
+        c.consult("vip(control).").unwrap();
+        let err = c.query(
+            "empl(t_M, N, S, D), \\+ (empl(t_M, N2, S2, D2), vip(N2))",
+            "q",
+        );
+        assert!(err.is_err());
+    }
+
+    /// §6 keeps the row holding a negation's link: refint would drop the
+    /// `dept` row (its manager symbol occurs once in the positive side),
+    /// and with it the column the `NOT IN` reads.
+    #[test]
+    fn the_link_survives_local_optimization() {
+        for (negated, expected) in [
+            // Every manager works in department 10.
+            ("empl(M, _, _, 10)", &[][..]),
+            // Department 10's manager is control, department 20's smiley.
+            ("empl(M, smiley, _, _)", &["control", "smiley"][..]),
+        ] {
+            let goal = format!("empl(_, t_N, _, D), dept(D, _, M), \\+ {negated}");
+            let mut c = little_firm();
+            c.config.cache = false;
+            let optimized = c.query(&goal, "q").unwrap();
+            let kept = optimized.branches[0].dbcl_optimized.as_ref().unwrap();
+            assert_eq!(kept.rows.len(), 2, "{kept}");
+            c.config.optimize = false;
+            let direct = c.query(&goal, "q").unwrap();
+            assert_eq!(names(&optimized.answers, "N"), expected, "{goal}");
+            assert_eq!(names(&direct.answers, "N"), expected, "{goal}");
+        }
+    }
+
+    /// A rewrite that fixes a link to a constant leaves that side as
+    /// metaevaluated, so its `NOT IN` keeps a column to read.
+    #[test]
+    fn a_link_fixed_to_a_constant_runs_unsimplified() {
+        let mut c = little_firm();
+        let run = c
+            .query("empl(E, t_N, S, D), eq(E, 3), \\+ dept(_, _, E)", "q")
+            .unwrap();
+        assert!(run.branches[0].dbcl_optimized.is_none());
+        assert_eq!(names(&run.answers, "N"), ["jones"]);
+        let run = c
+            .query("empl(E, t_N, S, D), \\+ (dept(_, _, E), eq(E, 2))", "q")
+            .unwrap();
+        let sql = run.branches[0].sql.as_deref().unwrap();
+        assert!(sql.contains("(v2.mgr = 2)"), "{sql}");
+        assert_eq!(
+            names(&run.answers, "N"),
+            ["control", "jones", "leamas", "miller"]
+        );
+    }
+
+    /// The cache key covers the negated side: after the positive-only goal
+    /// filled the cache, the negated goal misses it, then hits its own
+    /// entry, and both runs answer as with the cache off.
+    #[test]
+    fn cached_negated_goal_answers_as_uncached() {
+        let positive = "empl(E, t_N, S, D)";
+        let negated = "empl(E, t_N, S, D), \\+ dept(_, _, E)";
+        let mut c = little_firm();
+        c.config.cache = false;
+        let uncached = names(&c.query(negated, "q").unwrap().answers, "N");
+        assert_eq!(uncached, ["jones", "leamas", "miller"]);
+        c.config.cache = true;
+        c.query(positive, "q").unwrap();
+        let first = c.query(negated, "q").unwrap();
+        assert!(!first.branches[0].cache_hit);
+        let second = c.query(negated, "q").unwrap();
+        assert!(second.branches[0].cache_hit);
+        assert_eq!(names(&first.answers, "N"), uncached);
+        assert_eq!(names(&second.answers, "N"), uncached);
+    }
+
+    /// A negated view's answers become its facts; a negation beside the
+    /// first conjunct would leave that conjunct's facts incomplete, so
+    /// none are installed.
+    #[test]
+    fn negated_answers_install_only_their_own_facts() {
+        let mut c = little_firm();
+        c.consult(
+            "staff(N) :- empl(_, N, _, _).
+             nonmanager(N) :- empl(E, N, _, _), \\+ dept(_, _, E).",
+        )
+        .unwrap();
+        c.query("nonmanager(t_N)", "q").unwrap();
+        assert!(c.engine.holds("nonmanager(jones).").unwrap());
+        assert!(!c.engine.holds("nonmanager(control).").unwrap());
+        let run = c
+            .query("staff(t_N), \\+ (empl(E, t_N, _, _), dept(_, _, E))", "q")
+            .unwrap();
+        assert_eq!(names(&run.answers, "N"), ["jones", "leamas", "miller"]);
+        assert!(c.engine.query_all("staff(X).").unwrap().is_empty());
     }
 
     #[test]

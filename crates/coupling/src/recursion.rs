@@ -108,9 +108,9 @@ impl ClosureSpec {
                 "{view} is recursive; the closure step must be a plain view"
             )));
         }
-        if out.branches.len() != 1 {
+        if out.branches.len() != 1 || !out.branches[0].negated.is_empty() {
             return Err(CouplingError(format!(
-                "{view} expanded into {} branches; the step must be conjunctive",
+                "{view} expanded into {} branches or a negation; the step must be conjunctive",
                 out.branches.len()
             )));
         }

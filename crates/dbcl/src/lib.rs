@@ -19,6 +19,38 @@
 //! coupling share: the database schema description ([`DatabaseDef`]) and
 //! the three §3 integrity-constraint forms ([`constraints`]).
 //!
+//! # Grammar (Figure 2)
+//!
+//! The figure in the surviving scan of the paper is not legible; this BNF
+//! is reconstructed from the prose of §3 and every example in the paper.
+//! "In general a DBCL statement may contain references to arbitrary
+//! PROLOG predicates as well as negation and disjunction":
+//!
+//! ```text
+//! <statement>      ::= <metaterm> | <statement> ";" <statement>
+//!                    | "not(" <statement> ")" | <predreference>
+//! <metaterm>       ::= "dbcl(" <schema> "," <targetlist> ","
+//!                              <relreferences> "," <relcomparisons> ")"
+//! <schema>         ::= "[" <dbname> { "," <attribute> } "]"
+//! <targetlist>     ::= "[" <viewname> { "," <entry> } "]"
+//! <relreferences>  ::= "[" { <relreference> } "]"
+//! <relreference>   ::= "[" <relname> { "," <entry> } "]"
+//! <relcomparisons> ::= "[" { <relcomparison> } "]"
+//! <relcomparison>  ::= "[" <compop> "," <operand> "," <operand> "]"
+//! <compop>         ::= "less" | "greater" | "leq" | "geq" | "eq" | "neq"
+//! <entry>          ::= "*" | <operand>
+//! <operand>        ::= <tvariable> | <vvariable> | <constant>
+//! <tvariable>      ::= "t_" <name>          ; target attribute of the query
+//! <vvariable>      ::= "v_" <name>          ; numbered to distinguish variables
+//! <constant>       ::= <atom> | <integer>
+//! <predreference>  ::= <prolog term>        ; arbitrary embedded predicate
+//! ```
+//!
+//! [`DbclQuery`] is one `<metaterm>`, the conjunctive subset the §6
+//! optimizer works on. Metaevaluation splits a `;` into branches, puts a
+//! `not(…)` beside a branch as negated metaterms, and leaves a
+//! `<predreference>` as a residual Prolog goal.
+//!
 //! ```
 //! use dbcl::{DbclQuery, DatabaseDef};
 //!
@@ -35,15 +67,12 @@
 
 pub mod constraints;
 pub mod convert;
-pub mod grammar;
 pub mod schema;
-pub mod statement;
 pub mod symbol;
 pub mod tableau;
 
 pub use constraints::{Constraint, ConstraintSet, FuncDep, RefInt, ValueBound};
 pub use schema::{AttrType, DatabaseDef, RelationDef};
-pub use statement::DbclStatement;
 pub use symbol::{Entry, Symbol, Value};
 pub use tableau::{CompOp, Comparison, DbclQuery, Loc, Operand, Row};
 

@@ -21,7 +21,10 @@
 //!   unfolding depth (Example 7-1's growing query chain);
 //! * predicates known to neither the database nor the knowledge base are
 //!   returned as **residue** for the coupling layer's stepwise evaluation
-//!   (§7).
+//!   (§7);
+//! * a negated goal `\+ G` over database relations becomes one **negated**
+//!   query per branch of `G`, linked by the one variable they share (§7's
+//!   `NOT IN`); over knowledge-base facts alone it stays residue.
 //!
 //! ```
 //! use metaeval::{MetaEvaluator, views};
@@ -41,7 +44,7 @@ pub mod rename;
 pub mod unfold;
 pub mod views;
 
-use dbcl::{DatabaseDef, DbclQuery};
+use dbcl::{DatabaseDef, DbclQuery, Symbol};
 use prolog::{KnowledgeBase, Term};
 
 pub use unfold::UnfoldLimits;
@@ -77,6 +80,11 @@ pub type Result<T> = std::result::Result<T, MetaError>;
 pub struct MetaBranch {
     /// The collected set-oriented database call.
     pub query: DbclQuery,
+    /// Negated database calls (§7), one per branch of each `\+ G`: the
+    /// link, a symbol of `query`'s rows, and a query whose one target
+    /// `t_link` stands for it. Rows of `query` whose link value a negated
+    /// query returns are no answers (SQL's `NOT IN`).
+    pub negated: Vec<(Symbol, DbclQuery)>,
     /// Goals the database cannot evaluate (general Prolog predicates);
     /// empty for pure database queries. Symbols shared with `query` appear
     /// in their `t_`/`v_` spelling.
@@ -328,6 +336,100 @@ mod tests {
         assert_eq!(b.query.rows.len(), 6);
         assert_eq!(b.residual.len(), 1);
         assert_eq!(b.residual[0].to_string(), "specialist(t_X, driving)");
+    }
+
+    /// Finding 7's view: `\+ manages(E)` becomes a negated query linked
+    /// by E, not a residual Prolog would prove over no `dept` facts.
+    #[test]
+    fn negated_view_becomes_a_negated_query() {
+        let (engine, db) = fixture(
+            "manages(M) :- dept(_, _, M).
+             nonmanager(N) :- empl(E, N, _, _), \\+ manages(E).",
+        );
+        let meta = MetaEvaluator::new(engine.kb(), &db);
+        let out = meta.metaevaluate("nonmanager(t_N)", "q").unwrap();
+        assert_eq!(out.branches.len(), 1);
+        let b = &out.branches[0];
+        assert!(b.residual.is_empty());
+        assert_eq!(b.negated.len(), 1);
+        let (link, neg) = &b.negated[0];
+        neg.validate(&db).unwrap();
+        assert_eq!(neg.rows.len(), 1);
+        assert_eq!(neg.rows[0].relation.as_str(), "dept");
+        // E links the positive empl.eno to the negated dept.mgr, the one
+        // target.
+        assert_eq!(b.query.rows[0].entries[0], Entry::Sym(*link));
+        assert_eq!(neg.rows[0].entries[5], Entry::target("link"));
+        assert_eq!(neg.target[5], Entry::target("link"));
+        assert_eq!(neg.target.iter().filter(|e| **e != Entry::Star).count(), 1);
+    }
+
+    /// `\+ (A ; B)` is two negated queries on one branch (De Morgan).
+    #[test]
+    fn negated_disjunction_is_two_negated_queries() {
+        let (engine, db) = fixture("");
+        let meta = MetaEvaluator::new(engine.kb(), &db);
+        let out = meta
+            .metaevaluate(
+                "empl(E, t_N, S, D), \\+ (dept(_, hq, E) ; dept(_, field, E))",
+                "q",
+            )
+            .unwrap();
+        assert_eq!(out.branches.len(), 1);
+        let negated = &out.branches[0].negated;
+        assert_eq!(negated.len(), 2);
+        assert_eq!(negated[0].1.rows[0].entries[4], Entry::sym_const("hq"));
+        assert_eq!(negated[1].1.rows[0].entries[4], Entry::sym_const("field"));
+    }
+
+    /// A negation over knowledge-base facts alone stays residue: Prolog
+    /// holds every fact it reads.
+    #[test]
+    fn negated_fact_predicate_stays_residue() {
+        let (engine, db) = fixture("vip(control).");
+        let meta = MetaEvaluator::new(engine.kb(), &db);
+        let out = meta
+            .metaevaluate("empl(E, t_X, S, D), \\+ vip(t_X)", "q")
+            .unwrap();
+        let b = &out.branches[0];
+        assert!(b.negated.is_empty());
+        assert_eq!(b.residual.len(), 1);
+        assert_eq!(b.residual[0].to_string(), "\\+(vip(t_X))");
+    }
+
+    /// Every `\+` with no translation is an error, never a residual.
+    #[test]
+    fn untranslatable_negations_are_errors() {
+        let (engine, db) = fixture(
+            "vip(control).
+             manages(M) :- dept(_, _, M).",
+        );
+        let engine_wf = {
+            let mut e = Engine::new();
+            e.consult(views::WORKS_FOR).unwrap();
+            e
+        };
+        let meta = MetaEvaluator::new(engine.kb(), &db);
+        for goal in [
+            // No variable shared with the positive side.
+            "empl(E, t_N, S, D), \\+ dept(_, _, _)",
+            // Two shared variables.
+            "empl(E, t_N, S, D), \\+ dept(D, _, E)",
+            // Database and Prolog-only goals mixed.
+            "empl(E, t_N, S, D), \\+ (dept(_, _, E), vip(E))",
+            // The shared variable is bound by no database goal.
+            "empl(E, t_N, S, D), vip(X), \\+ dept(_, _, X)",
+            // Nested negation.
+            "empl(E, t_N, S, D), \\+ (dept(D2, _, E), \\+ empl(_, _, _, D2))",
+            // A comparison alone.
+            "empl(E, t_N, S, D), \\+ less(S, 30000)",
+        ] {
+            assert!(meta.metaevaluate(goal, "q").is_err(), "{goal}");
+        }
+        // A negated recursive view.
+        let meta = MetaEvaluator::new(engine_wf.kb(), &db);
+        let err = meta.metaevaluate("empl(E, t_N, S, D), \\+ works_for(t_N, smiley)", "q");
+        assert!(err.is_err());
     }
 
     #[test]

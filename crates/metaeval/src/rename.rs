@@ -177,6 +177,17 @@ pub fn branch_to_dbcl_with(
         }
     }
 
+    // Each branch of a negated goal is a query of its own, whose target
+    // `t_link` stands for the link named here.
+    let mut negated = Vec::with_capacity(branch.negated.len());
+    for (link, neg) in &branch.negated {
+        let inner = branch_to_dbcl_with(neg, db, view_name, conflict)?;
+        if let Some(goal) = inner.residual.first() {
+            return Err(MetaError(format!("no negated database goal binds {goal}")));
+        }
+        negated.push((namer.lookup(*link).expect("link in a row"), inner.query));
+    }
+
     // Residual goals in variable-free spelling (database-independent
     // comparisons join them).
     let mut res_counter = 0usize;
@@ -189,6 +200,7 @@ pub fn branch_to_dbcl_with(
 
     Ok(MetaBranch {
         query,
+        negated,
         residual,
         recursion_level: branch.recursion_level,
     })

@@ -6,6 +6,12 @@
 //! solved. Each complete expansion path becomes one conjunctive branch.
 //! Recursive predicates are expanded up to a configurable depth,
 //! producing the naive query sequence of Example 7-1.
+//!
+//! A negated goal `\+ G` is collected too. Once its path is complete, `G`
+//! is unfolded on its own; each of its branches becomes a negation linked
+//! to the path by the one variable they share, so `\+ (A ; B)` yields two
+//! (De Morgan). A `G` over knowledge-base facts alone stays residue, since
+//! Prolog holds every fact it reads; any other `\+` is an error.
 
 use crate::{MetaError, Result};
 use dbcl::DatabaseDef;
@@ -45,6 +51,9 @@ pub struct RawBranch {
     pub targets: Vec<(String, Term)>,
     /// Number of recursive re-entries along this path.
     pub recursion_level: usize,
+    /// One entry per branch of each `\+ G`: the variable `G` shares with
+    /// this branch's dbcalls, and `G`'s branch, whose target `link` is it.
+    pub negated: Vec<(VarId, RawBranch)>,
 }
 
 /// Unfolding result.
@@ -70,6 +79,16 @@ pub fn comparison_op(name: &str) -> Option<dbcl::CompOp> {
     })
 }
 
+/// The goals collected along the current expansion path.
+#[derive(Default)]
+struct Collected {
+    dbcalls: Vec<Term>,
+    comps: Vec<Term>,
+    residual: Vec<Term>,
+    /// `\+ G` goals, resolved when the path is complete.
+    negated: Vec<Term>,
+}
+
 struct Unfolder<'a> {
     kb: &'a KnowledgeBase,
     db: &'a DatabaseDef,
@@ -79,6 +98,8 @@ struct Unfolder<'a> {
     branches: Vec<RawBranch>,
     recursive: bool,
     truncated: bool,
+    /// Set inside a negated goal, where a nested `\+` has no translation.
+    negating: bool,
 }
 
 /// Replaces `t_…` atoms by shared fresh variables, recording the mapping.
@@ -113,7 +134,7 @@ impl<'a> Unfolder<'a> {
             .is_some_and(|rel| rel.arity() == arity)
     }
 
-    fn capture(&mut self, dbcalls: &[Term], comps: &[Term], residual: &[Term], level: usize) {
+    fn capture(&mut self, acc: &Collected, negated: Vec<(VarId, RawBranch)>, level: usize) {
         if self.branches.len() >= self.limits.max_branches {
             self.truncated = true;
             return;
@@ -121,25 +142,98 @@ impl<'a> Unfolder<'a> {
         let resolve_all =
             |terms: &[Term], b: &Bindings| terms.iter().map(|t| b.resolve(t)).collect();
         self.branches.push(RawBranch {
-            dbcalls: resolve_all(dbcalls, &self.bindings),
-            comparisons: resolve_all(comps, &self.bindings),
-            residual: resolve_all(residual, &self.bindings),
+            dbcalls: resolve_all(&acc.dbcalls, &self.bindings),
+            comparisons: resolve_all(&acc.comps, &self.bindings),
+            residual: resolve_all(&acc.residual, &self.bindings),
             targets: self
                 .targets
                 .iter()
                 .map(|(name, v)| (name.clone(), self.bindings.resolve(&Term::Var(*v))))
                 .collect(),
             recursion_level: level,
+            negated,
         });
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// A complete expansion path: translates its negated goals against
+    /// the positive side collected beside them, then records the branch.
+    fn finish(&mut self, acc: &mut Collected, level: usize) -> Result<()> {
+        if let (true, Some(goal)) = (self.negating, acc.negated.first()) {
+            return Err(MetaError(format!("cannot translate nested {goal}")));
+        }
+        let residual_len = acc.residual.len();
+        let mut negated = Vec::new();
+        for goal in acc.negated.clone() {
+            negated.extend(self.negate(&goal, acc)?);
+        }
+        self.capture(acc, negated, level);
+        acc.residual.truncate(residual_len);
+        Ok(())
+    }
+
+    /// Unfolds the `G` of `goal` = `\+ G` on its own, into the negations
+    /// of the path — or, when `G` reads knowledge-base facts only, into
+    /// the path's residue.
+    fn negate(&mut self, goal: &Term, acc: &mut Collected) -> Result<Vec<(VarId, RawBranch)>> {
+        let Term::Struct(_, args) = goal else {
+            unreachable!("collected as \\+/1 or not/1")
+        };
+        let inner = self.bindings.resolve(&args[0]);
+        let vars = |terms: &[Term]| {
+            let mut out = Vec::new();
+            for t in terms {
+                self.bindings.resolve(t).visit(&mut |t| {
+                    if let Term::Var(v) = t {
+                        out.push(*v);
+                    }
+                });
+            }
+            out
+        };
+        let db_vars = vars(&acc.dbcalls);
+        let other_vars = vars(&[acc.comps.as_slice(), &acc.residual].concat());
+        let mut shared = vars(std::slice::from_ref(&inner));
+        shared.retain(|v| db_vars.contains(v) || other_vars.contains(v));
+        shared.sort();
+        shared.dedup();
+        let mut sub = Unfolder {
+            bindings: self.bindings.clone(),
+            targets: shared.iter().map(|v| ("link".to_owned(), *v)).collect(),
+            branches: Vec::new(),
+            recursive: false,
+            truncated: false,
+            negating: true,
+            ..*self
+        };
+        sub.dfs(&[inner], &mut Collected::default(), &mut HashMap::new(), 0)?;
+
+        let fail = |why: &str| Err(MetaError(format!("cannot translate {goal}: {why}")));
+        let kb_only = |b: &RawBranch| b.dbcalls.is_empty() && b.comparisons.is_empty();
+        if sub.recursive || sub.truncated {
+            return fail("it recurses or exceeds the branch limit");
+        } else if sub.branches.iter().all(kb_only) {
+            acc.residual.push(goal.clone());
+            return Ok(Vec::new());
+        }
+        let link = match shared[..] {
+            [link] if db_vars.contains(&link) => link,
+            [_] => return fail("no database goal binds the variable it shares"),
+            _ => return fail("NOT IN needs it to share exactly one variable"),
+        };
+        if sub
+            .branches
+            .iter()
+            .any(|b| b.dbcalls.is_empty() || !b.residual.is_empty())
+        {
+            return fail("each branch needs database goals and no Prolog-only goal");
+        }
+        Ok(sub.branches.into_iter().map(|b| (link, b)).collect())
+    }
+
     fn dfs(
         &mut self,
         goals: &[Term],
-        dbcalls: &mut Vec<Term>,
-        comps: &mut Vec<Term>,
-        residual: &mut Vec<Term>,
+        acc: &mut Collected,
         active: &mut HashMap<PredKey, usize>,
         level: usize,
     ) -> Result<()> {
@@ -148,8 +242,7 @@ impl<'a> Unfolder<'a> {
             return Ok(());
         }
         let Some((goal, rest)) = goals.split_first() else {
-            self.capture(dbcalls, comps, residual, level);
-            return Ok(());
+            return self.finish(acc, level);
         };
         let goal = self.bindings.deref(goal);
         let Some((name, arity)) = goal.functor() else {
@@ -174,7 +267,7 @@ impl<'a> Unfolder<'a> {
                     arity: *parity as usize,
                 };
                 *active.get_mut(&key).expect("sentinel for active call") -= 1;
-                self.dfs(rest, dbcalls, comps, residual, active, level)?;
+                self.dfs(rest, acc, active, level)?;
                 *active.get_mut(&key).expect("sentinel for active call") += 1;
                 return Ok(());
             }
@@ -182,7 +275,7 @@ impl<'a> Unfolder<'a> {
                 // Cut is a search-control device; the collected query is
                 // set-oriented, so it is a no-op here (§7 discusses richer
                 // treatments).
-                return self.dfs(rest, dbcalls, comps, residual, active, level);
+                return self.dfs(rest, acc, active, level);
             }
             (",", 2) => {
                 let Term::Struct(_, args) = &goal else {
@@ -191,7 +284,7 @@ impl<'a> Unfolder<'a> {
                 let mut expanded = prolog::parser::flatten_conjunction(&args[0]);
                 expanded.extend(prolog::parser::flatten_conjunction(&args[1]));
                 expanded.extend_from_slice(rest);
-                return self.dfs(&expanded, dbcalls, comps, residual, active, level);
+                return self.dfs(&expanded, acc, active, level);
             }
             (";", 2) => {
                 let Term::Struct(_, args) = &goal else {
@@ -200,7 +293,7 @@ impl<'a> Unfolder<'a> {
                 for side in [&args[0], &args[1]] {
                     let mut expanded = prolog::parser::flatten_conjunction(side);
                     expanded.extend_from_slice(rest);
-                    self.dfs(&expanded, dbcalls, comps, residual, active, level)?;
+                    self.dfs(&expanded, acc, active, level)?;
                 }
                 return Ok(());
             }
@@ -210,9 +303,16 @@ impl<'a> Unfolder<'a> {
                 };
                 let mark = self.bindings.mark();
                 if self.bindings.unify(&args[0], &args[1]) {
-                    self.dfs(rest, dbcalls, comps, residual, active, level)?;
+                    self.dfs(rest, acc, active, level)?;
                 }
                 self.bindings.undo_to(mark);
+                return Ok(());
+            }
+            // Negation: complemented once the whole path is collected.
+            ("\\+", 1) | ("not", 1) => {
+                acc.negated.push(goal.clone());
+                self.dfs(rest, acc, active, level)?;
+                acc.negated.pop();
                 return Ok(());
             }
             _ => {}
@@ -220,16 +320,16 @@ impl<'a> Unfolder<'a> {
 
         // Base relation: collect, don't execute.
         if self.is_relation(name, arity) {
-            dbcalls.push(goal.clone());
-            self.dfs(rest, dbcalls, comps, residual, active, level)?;
-            dbcalls.pop();
+            acc.dbcalls.push(goal.clone());
+            self.dfs(rest, acc, active, level)?;
+            acc.dbcalls.pop();
             return Ok(());
         }
         // Comparison: collect into Relcomparisons.
         if arity == 2 && comparison_op(name_str).is_some() {
-            comps.push(goal.clone());
-            self.dfs(rest, dbcalls, comps, residual, active, level)?;
-            comps.pop();
+            acc.comps.push(goal.clone());
+            self.dfs(rest, acc, active, level)?;
+            acc.comps.pop();
             return Ok(());
         }
         // View defined in the knowledge base: unfold through its clauses.
@@ -273,7 +373,7 @@ impl<'a> Unfolder<'a> {
                     expanded.push(sentinel.clone());
                     expanded.extend_from_slice(rest);
                     let next_level = if reentry { level + 1 } else { level };
-                    self.dfs(&expanded, dbcalls, comps, residual, active, next_level)?;
+                    self.dfs(&expanded, acc, active, next_level)?;
                 }
                 self.bindings.undo_to(mark);
                 self.bindings.truncate(slots);
@@ -282,9 +382,9 @@ impl<'a> Unfolder<'a> {
             return Ok(());
         }
         // Anything else: residual goal for stepwise evaluation (§7).
-        residual.push(goal.clone());
-        self.dfs(rest, dbcalls, comps, residual, active, level)?;
-        residual.pop();
+        acc.residual.push(goal.clone());
+        self.dfs(rest, acc, active, level)?;
+        acc.residual.pop();
         Ok(())
     }
 }
@@ -316,15 +416,9 @@ pub fn unfold(
         branches: Vec::new(),
         recursive: false,
         truncated: false,
+        negating: false,
     };
-    unfolder.dfs(
-        &lifted,
-        &mut Vec::new(),
-        &mut Vec::new(),
-        &mut Vec::new(),
-        &mut HashMap::new(),
-        0,
-    )?;
+    unfolder.dfs(&lifted, &mut Collected::default(), &mut HashMap::new(), 0)?;
     Ok(UnfoldResult {
         branches: unfolder.branches,
         recursive: unfolder.recursive,
@@ -456,6 +550,23 @@ mod tests {
         let out = unfold_src(&engine, &db, "q(t_X)");
         assert_eq!(out.branches.len(), 1);
         assert_eq!(out.branches[0].dbcalls.len(), 1);
+    }
+
+    /// A negation is resolved once its path is complete, so a `\+` before
+    /// the goal that binds its variable still links to it.
+    #[test]
+    fn negation_links_to_goals_after_it() {
+        let (engine, db) = setup("");
+        let out = unfold_src(&engine, &db, "\\+ dept(_, _, E), empl(E, t_X, S, D)");
+        let b = &out.branches[0];
+        assert_eq!(b.negated.len(), 1);
+        let (link, neg) = &b.negated[0];
+        let Term::Struct(_, args) = &b.dbcalls[0] else {
+            panic!("empl call expected")
+        };
+        assert_eq!(args[0], Term::Var(*link));
+        assert_eq!(neg.dbcalls.len(), 1);
+        assert!(b.residual.is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::term::{Term, VarId};
 
 /// A mutable binding environment with a trail for backtracking.
-#[derive(Default, Debug)]
+#[derive(Clone, Default, Debug)]
 pub struct Bindings {
     slots: Vec<Option<Term>>,
     trail: Vec<u32>,

@@ -105,8 +105,8 @@ pub struct SqlQuery {
     /// `(relation, range variable)` in FROM order.
     pub from: Vec<(String, String)>,
     pub conds: Vec<SqlCond>,
-    /// Optional NOT IN clause: `(column, subquery)` (§7 negation).
-    pub not_in: Option<(SqlColumn, Box<SqlQuery>)>,
+    /// `column NOT IN (subquery)` conjuncts (§7 negation).
+    pub not_in: Vec<(SqlColumn, SqlQuery)>,
 }
 
 impl SqlQuery {
@@ -148,7 +148,7 @@ impl SqlQuery {
             out.push_str(var);
         }
         let mut conds: Vec<String> = self.conds.iter().map(|c| c.to_string()).collect();
-        if let Some((col, sub)) = &self.not_in {
+        for (col, sub) in &self.not_in {
             conds.push(format!(
                 "{col} NOT IN ({})",
                 sub.to_sql().replace('\n', " ")
@@ -242,7 +242,7 @@ mod tests {
                     rhs: SqlTerm::Const(Value::sym("jones")),
                 },
             ],
-            not_in: None,
+            not_in: Vec::new(),
         }
     }
 
@@ -277,12 +277,12 @@ mod tests {
     fn not_in_renders_subquery() {
         let mut q = sample();
         q.conds.clear();
-        q.not_in = Some((
+        q.not_in.push((
             SqlColumn {
                 var: "v1".into(),
                 attr: "eno".into(),
             },
-            Box::new(SqlQuery {
+            SqlQuery {
                 distinct: false,
                 select: vec![SqlColumn {
                     var: "v9".into(),
@@ -290,8 +290,8 @@ mod tests {
                 }],
                 from: vec![("dept".into(), "v9".into())],
                 conds: vec![],
-                not_in: None,
-            }),
+                not_in: Vec::new(),
+            },
         ));
         let sql = q.to_sql();
         assert!(sql.contains("v1.eno NOT IN (SELECT v9.mgr FROM dept v9)"));

@@ -16,19 +16,17 @@
 //! The result is an explicit SQL syntax tree ([`ast::SqlQuery`]) — the
 //! Appendix's `select/from/where` term — printed to SQL text for the
 //! relational query system. Since only function-free conjunctive queries
-//! are translated, "the generated queries do not require nesting"; the §7
-//! extensions (disjunctive normal form, `NOT IN` negation) live in
-//! [`dnf`] and [`negation`].
+//! are translated, "the generated queries do not require nesting". §7's
+//! disjunction needs no SQL of its own: each conjunctive branch is one
+//! query, and the coupler unions the answers. §7's negation nests one
+//! `NOT IN` subquery per negated query of a branch
+//! ([`translate_with_negation`]).
 
 pub mod ast;
-pub mod dnf;
 pub mod mapping;
-pub mod negation;
 
 pub use ast::{SqlColumn, SqlCond, SqlOp, SqlQuery, SqlTerm};
-pub use dnf::generate_dnf;
-pub use mapping::{translate, MappingOptions};
-pub use negation::translate_with_negation;
+pub use mapping::{translate, translate_with_negation, MappingOptions};
 
 /// Errors raised during SQL generation.
 #[derive(Debug, Clone, PartialEq, Eq)]

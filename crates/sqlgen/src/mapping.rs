@@ -1,4 +1,5 @@
-//! The six DBCL→SQL mapping rules of §5.
+//! The six DBCL→SQL mapping rules of §5, and §7's `NOT IN` for the
+//! negated queries of a branch.
 
 use crate::ast::{SqlColumn, SqlCond, SqlOp, SqlQuery, SqlTerm};
 use crate::{Result, SqlGenError};
@@ -12,10 +13,9 @@ pub struct MappingOptions {
     /// global counter.
     pub first_var_index: usize,
     /// Emit `SELECT DISTINCT`. Set it where this one statement is the
-    /// only place its answers are put together (a `NOT IN` query, a
-    /// recursion step); leave it off where the caller unions the rows
-    /// itself, as the coupler does across a view's branches, and for
-    /// the paper's own SQL text.
+    /// only place its answers are put together (a recursion step); leave
+    /// it off where the caller unions the rows itself, as the coupler
+    /// does across a view's branches, and for the paper's own SQL text.
     pub distinct: bool,
 }
 
@@ -28,6 +28,17 @@ impl Default for MappingOptions {
     }
 }
 
+/// Column reference for a symbol: its first row occurrence (rules 2, 5).
+fn column_of(query: &DbclQuery, sym: Symbol, first_var_index: usize) -> Result<SqlColumn> {
+    let (row, col) = query
+        .first_row_occurrence(sym)
+        .ok_or_else(|| SqlGenError(format!("symbol {sym} not anchored in any row")))?;
+    Ok(SqlColumn {
+        var: format!("v{}", first_var_index + row),
+        attr: query.attributes[col].to_string(),
+    })
+}
+
 /// Translates a conjunctive DBCL query into one SQL query.
 pub fn translate(query: &DbclQuery, db: &DatabaseDef, opts: MappingOptions) -> Result<SqlQuery> {
     query.validate(db)?;
@@ -37,16 +48,7 @@ pub fn translate(query: &DbclQuery, db: &DatabaseDef, opts: MappingOptions) -> R
         ));
     }
     let var_name = |row: usize| format!("v{}", opts.first_var_index + row);
-    // Column reference for a symbol: first row occurrence (rule 2/5).
-    let col_ref = |sym: Symbol| -> Result<SqlColumn> {
-        let (row, col) = query
-            .first_row_occurrence(sym)
-            .ok_or_else(|| SqlGenError(format!("symbol {sym} not anchored in any row")))?;
-        Ok(SqlColumn {
-            var: var_name(row),
-            attr: query.attributes[col].to_string(),
-        })
-    };
+    let col_ref = |sym: Symbol| column_of(query, sym, opts.first_var_index);
 
     // Rule 1: FROM variables.
     let from: Vec<(String, String)> = query
@@ -139,8 +141,37 @@ pub fn translate(query: &DbclQuery, db: &DatabaseDef, opts: MappingOptions) -> R
         select,
         from,
         conds,
-        not_in: None,
+        not_in: Vec::new(),
     })
+}
+
+/// §7 negation: "Instead of set difference, SQL's nested expressions (NOT
+/// IN (…)) can also be used." Translates `positive ∧ ¬negated₁ ∧ …` into
+/// `SELECT … FROM positive WHERE … AND l₁ NOT IN (SELECT … FROM negated₁
+/// …) AND …`, where `lᵢ` is the column of `positive` its link first occurs
+/// in and the subquery selects the negated query's one target. With no
+/// negated query this is [`translate`].
+pub fn translate_with_negation(
+    positive: &DbclQuery,
+    negated: &[(Symbol, DbclQuery)],
+    db: &DatabaseDef,
+    opts: MappingOptions,
+) -> Result<SqlQuery> {
+    let mut outer = translate(positive, db, opts)?;
+    // Inner range variables are numbered past the outer ones to keep the
+    // generated text unambiguous for the DBMS parser. Membership needs no
+    // set semantics: a subquery is never DISTINCT.
+    let mut first_var_index = opts.first_var_index + positive.rows.len();
+    for (link, neg) in negated {
+        let column = column_of(positive, *link, opts.first_var_index)?;
+        let inner_opts = MappingOptions {
+            first_var_index,
+            distinct: false,
+        };
+        outer.not_in.push((column, translate(neg, db, inner_opts)?));
+        first_var_index += neg.rows.len();
+    }
+    Ok(outer)
 }
 
 /// Translates and renders: the SQL text the relational query system is
@@ -277,5 +308,66 @@ mod tests {
         for q in [DbclQuery::example_3_3(), DbclQuery::example_4_1()] {
             translate_default_checked(&q).unwrap();
         }
+    }
+
+    /// §7's view: `manager(X, Y) :- empl(X, _, _, D), dept(D, _, Y)` —
+    /// the "managers" interpretation of `not(manager(jones, M))`:
+    /// all managers (from dept) that do not manage jones.
+    fn managers_query() -> DbclQuery {
+        DbclQuery::parse(
+            "dbcl([empdep, eno, nam, sal, dno, fct, mgr],
+                  [managers, t_M, *, *, *, *, *],
+                  [[empl, t_M, v_N, v_S, v_D, *, *],
+                   [dept, *, *, *, v_D2, v_F, t_M]],
+                  [])",
+        )
+        .unwrap()
+    }
+
+    fn manages_jones() -> (Symbol, DbclQuery) {
+        let query = DbclQuery::parse(
+            "dbcl([empdep, eno, nam, sal, dno, fct, mgr],
+                  [manages_jones, *, *, *, *, *, t_link],
+                  [[empl, v_E, jones, v_S, v_D, *, *],
+                   [dept, *, *, *, v_D, v_F, t_link]],
+                  [])",
+        )
+        .unwrap();
+        (Symbol::target("M"), query)
+    }
+
+    #[test]
+    fn not_in_translation() {
+        let sql = translate_with_negation(
+            &managers_query(),
+            &[manages_jones()],
+            &DatabaseDef::empdep(),
+            MappingOptions::default(),
+        )
+        .unwrap();
+        let text = sql.to_sql();
+        assert!(text.contains("v1.eno NOT IN (SELECT v4.mgr"), "{text}");
+        // Inner query variables renumbered past the outer ones.
+        assert!(text.contains("empl v3"), "{text}");
+        assert!(text.contains("(v3.nam = 'jones')"), "{text}");
+    }
+
+    /// `\+ (A ; B)` is two negated queries: two `NOT IN` conjuncts, the
+    /// second numbered past the first. The positive side may project
+    /// more than the link.
+    #[test]
+    fn one_not_in_per_negated_query() {
+        let mut positive = managers_query();
+        positive.target[1] = Entry::target("N");
+        positive.rows[0].entries[1] = Entry::target("N");
+        let negated = [manages_jones(), manages_jones()];
+        let db = DatabaseDef::empdep();
+        let text = translate_with_negation(&positive, &negated, &db, MappingOptions::default())
+            .unwrap()
+            .to_sql();
+        assert!(text.starts_with("SELECT v1.eno, v1.nam"), "{text}");
+        assert_eq!(text.matches("v1.eno NOT IN").count(), 2, "{text}");
+        assert!(text.contains("FROM empl v3, dept v4"), "{text}");
+        assert!(text.contains("FROM empl v5, dept v6"), "{text}");
     }
 }

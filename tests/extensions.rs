@@ -2,12 +2,8 @@
 //! embedded predicates (X3) and answer reuse across queries (X4).
 
 use prolog_front_end::coupling::Coupler;
-use prolog_front_end::dbcl::{DatabaseDef, DbclQuery, DbclStatement};
 use prolog_front_end::metaeval::views;
-use prolog_front_end::pfe_core::{Datum, Session};
-use prolog_front_end::sqlgen::dnf::generate_dnf_union_sql;
-use prolog_front_end::sqlgen::mapping::MappingOptions;
-use prolog_front_end::sqlgen::negation::translate_with_negation;
+use prolog_front_end::pfe_core::{Datum, QueryRun, Session};
 
 fn little_firm_session() -> Session {
     let mut s = Session::empdep();
@@ -24,41 +20,28 @@ fn little_firm_session() -> Session {
     s
 }
 
-/// X1 — disjunction through DNF: one query per branch, results unioned.
+fn sorted(run: &QueryRun, var: &str) -> Vec<String> {
+    let mut names: Vec<String> = run.answers.iter().map(|a| a[var].to_string()).collect();
+    names.sort();
+    names
+}
+
+/// X1 — disjunction in disjunctive normal form: an inline `;` goal is one
+/// conjunctive branch per disjunct, each its own SQL query, and the
+/// answers are unioned.
 #[test]
 fn x1_disjunction_dnf_union() {
     let mut s = little_firm_session();
-    let cheap = DbclQuery::parse(
-        "dbcl([empdep, eno, nam, sal, dno, fct, mgr],
-              [v, *, t_X, *, *, *, *],
-              [[empl, v_E, t_X, v_S, v_D, *, *]],
-              [[less, v_S, 28000]])",
-    )
-    .unwrap();
-    let hq = DbclQuery::parse(
-        "dbcl([empdep, eno, nam, sal, dno, fct, mgr],
-              [v, *, t_X, *, *, *, *],
-              [[empl, v_E, t_X, v_S, v_D, *, *],
-               [dept, *, *, *, v_D, hq, v_M]],
-              [])",
-    )
-    .unwrap();
-    let stmt =
-        DbclStatement::Disjunction(vec![DbclStatement::Query(cheap), DbclStatement::Query(hq)]);
-    let union_sql = generate_dnf_union_sql(
-        &stmt,
-        &DatabaseDef::empdep(),
-        MappingOptions {
-            first_var_index: 1,
-            distinct: true,
-        },
-    )
-    .unwrap();
-    let result = s.coupler_mut().rqs.execute(&union_sql).unwrap();
-    let mut names: Vec<String> = result.rows.iter().map(|r| r[0].to_string()).collect();
-    names.sort();
+    let run = s
+        .query(
+            "(empl(_, t_X, S, _), less(S, 28000) ; empl(_, t_X, _, D), dept(D, hq, _))",
+            "v",
+        )
+        .unwrap();
+    assert_eq!(run.branches.len(), 2);
+    assert!(run.branches.iter().all(|b| b.sql.is_some()));
     // miller (cheap) ∪ {control, smiley} (hq).
-    assert_eq!(names, ["'control'", "'miller'", "'smiley'"]);
+    assert_eq!(sorted(&run, "X"), ["'control'", "'miller'", "'smiley'"]);
 }
 
 /// X1 through the Prolog route: a two-clause view is a disjunction.
@@ -71,9 +54,7 @@ fn x1_disjunctive_view_through_pipeline() {
     )
     .unwrap();
     let run = s.query("target_group(t_X)", "target_group").unwrap();
-    let mut names: Vec<String> = run.answers.iter().map(|a| a["X"].to_string()).collect();
-    names.sort();
-    assert_eq!(names, ["'control'", "'miller'", "'smiley'"]);
+    assert_eq!(sorted(&run, "X"), ["'control'", "'miller'", "'smiley'"]);
     assert_eq!(run.branches.len(), 2);
 }
 
@@ -83,38 +64,56 @@ fn x1_disjunctive_view_through_pipeline() {
 #[test]
 fn x2_negation_not_in() {
     let mut s = little_firm_session();
-    // Managers (by employee number) that manage some department…
-    let managers = DbclQuery::parse(
-        "dbcl([empdep, eno, nam, sal, dno, fct, mgr],
-              [m, t_M, *, *, *, *, *],
-              [[empl, t_M, v_N, v_S, v_D, *, *],
-               [dept, *, *, *, v_D2, v_F, t_M]],
-              [])",
-    )
-    .unwrap();
-    // …minus those managing Jones' department.
-    let manages_jones = DbclQuery::parse(
-        "dbcl([empdep, eno, nam, sal, dno, fct, mgr],
-              [mj, t_M, *, *, *, *, *],
-              [[empl, v_E, jones, v_S, v_D, *, *],
-               [dept, *, *, *, v_D, v_F, t_M]],
-              [])",
-    )
-    .unwrap();
-    let sql = translate_with_negation(
-        &managers,
-        &manages_jones,
-        &DatabaseDef::empdep(),
-        MappingOptions {
-            first_var_index: 1,
-            distinct: true,
-        },
-    )
-    .unwrap();
-    let result = s.coupler_mut().rqs.execute(&sql.to_sql()).unwrap();
+    let run = s
+        .query(
+            "dept(_, _, t_M), \\+ (empl(E, jones, _, D), dept(D, _, t_M))",
+            "q",
+        )
+        .unwrap();
+    let sql = run.branches[0].sql.as_deref().unwrap();
+    assert!(sql.contains("NOT IN"), "{sql}");
     // control (eno 1) manages hq but not jones; smiley (eno 2) manages jones.
-    assert_eq!(result.rows.len(), 1);
-    assert_eq!(result.rows[0][0], Datum::Int(1));
+    assert_eq!(run.answers.len(), 1);
+    assert_eq!(run.answers[0]["M"], Datum::Int(1));
+    // The same through §7's own view, unfolded inside the negation.
+    s.consult(views::MANAGER).unwrap();
+    let run = s
+        .query(
+            "dept(_, _, t_M), \\+ (empl(E, jones, _, _), manager(E, t_M))",
+            "q",
+        )
+        .unwrap();
+    assert_eq!(run.answers.len(), 1);
+    assert_eq!(run.answers[0]["M"], Datum::Int(1));
+}
+
+/// X2 in a view: `\+ manages(E)` is a `NOT IN` on the employee number,
+/// not a residual goal proved by failure over an internal database that
+/// holds no `dept` facts (which answered all five employees).
+#[test]
+fn x2_negated_view_excludes_managers() {
+    let mut s = little_firm_session();
+    s.consult(
+        "manages(M) :- dept(_, _, M).
+         nonmanager(N) :- empl(E, N, _, _), \\+ manages(E).",
+    )
+    .unwrap();
+    let run = s.query("nonmanager(t_N)", "nonmanager").unwrap();
+    assert_eq!(sorted(&run, "N"), ["'jones'", "'leamas'", "'miller'"]);
+    let sql = run.branches[0].sql.as_deref().unwrap();
+    assert!(
+        sql.contains("v1.eno NOT IN (SELECT v2.mgr FROM dept v2)"),
+        "{sql}"
+    );
+}
+
+/// X2's limit: a `\+` with no `NOT IN` form is an error.
+#[test]
+fn x2_untranslatable_negation_is_an_error() {
+    let mut s = little_firm_session();
+    // Two variables shared with the positive side.
+    let err = s.query("empl(E, t_N, S, D), \\+ dept(D, _, E)", "q");
+    assert!(err.is_err());
 }
 
 /// X3 — embedded general predicates: evaluated stepwise inside Prolog
