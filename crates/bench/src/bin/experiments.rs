@@ -84,14 +84,6 @@ impl JsonObj {
     }
 }
 
-/// The paged engine under a database built with `Database::paged`.
-fn engine(db: &rqs::Database) -> &storage::StorageEngine {
-    db.backend()
-        .as_paged()
-        .expect("the storage experiments run on the paged engine")
-        .engine()
-}
-
 /// The engine-wide counter snapshot, one key per counter in registry
 /// order.
 fn metrics_json(snap: storage::MetricsSnapshot) -> JsonObj {
@@ -386,7 +378,7 @@ fn s1_storage() -> JsonObj {
         assert_eq!(r.metrics.rows_scanned, 1, "an index read, not a scan");
         churn_worst = churn_worst.max(r.metrics.page_reads);
     }
-    let versioned = engine(&db).metrics().versioned_index_reads;
+    let versioned = db.engine().metrics().versioned_index_reads;
     assert_eq!(versioned, churn_reads, "every one resolved through a view");
     assert!(
         churn_worst <= indexed.metrics.page_reads + 1,
@@ -408,6 +400,18 @@ fn s1_storage() -> JsonObj {
         .expect("index builds");
     let range_indexed = db.execute(range).expect("query runs");
     assert_eq!(range_scan.rows, range_indexed.rows, "same answers");
+    let engine_metrics = metrics_json(db.engine().metrics());
+    // A 50-row key range, read after the registry snapshot above so no
+    // earlier figure moves: its page touches (faults plus hits) count
+    // the heap fetches an index read makes per posting.
+    let range50 = db
+        .execute("SELECT v.nam FROM empl v WHERE v.sal >= 11500 AND v.sal < 11550")
+        .expect("query runs");
+    assert_eq!(range50.rows.len(), 50);
+    assert_eq!(
+        range50.metrics.rows_scanned, 50,
+        "an index read, not a scan"
+    );
     JsonObj::default()
         .u("rows_loaded", n)
         .u("pool_pages", POOL_PAGES as u64)
@@ -427,7 +431,10 @@ fn s1_storage() -> JsonObj {
             "range_page_reads_saved",
             range_scan.metrics.page_reads - range_indexed.metrics.page_reads,
         )
-        .obj("engine_metrics", metrics_json(engine(&db).metrics()))
+        .u("range50_rows", range50.rows.len() as u64)
+        .u("range50_page_reads", range50.metrics.page_reads)
+        .u("range50_pages_touched", pages(&range50.metrics))
+        .obj("engine_metrics", engine_metrics)
 }
 
 /// S3 — predicated UPDATE/DELETE: access-path cost, and what a
@@ -459,11 +466,11 @@ fn s3_update() -> JsonObj {
     // Whole-table rewrite with pool ≪ table: the write set spills to
     // disk through steal. One forced undo image per steal plus one redo
     // image per dirtied page at commit is the price.
-    let before_writes = engine(&db).metrics().page_writes;
+    let before_writes = db.engine().metrics().page_writes;
     let rewrite = db
         .execute("UPDATE t SET pad = 'rewritten-everywhere'")
         .expect("whole-table rewrite succeeds despite the 8-page pool");
-    let engine = engine(&db).metrics();
+    let engine = db.engine().metrics();
     JsonObj::default()
         .u("rows", n as u64)
         .u("point_update_fullscan_pages", pages(&full.metrics))

@@ -43,8 +43,8 @@ pub struct Session {
     coupler: Coupler,
 }
 
-/// A session over an already-built coupler, such as one over the
-/// differential tests' `rqs::Database::oracle`.
+/// A session over an already-built coupler, such as one over a
+/// database with a chosen pool ([`Coupler::empdep_over`]).
 impl From<Coupler> for Session {
     fn from(coupler: Coupler) -> Session {
         Session { coupler }
@@ -205,10 +205,10 @@ mod tests {
     fn every_default_constructor_runs_on_the_paged_engine() {
         let custom = Session::new(DatabaseDef::empdep(), ConstraintSet::empdep()).unwrap();
         for s in [Session::empdep(), custom] {
-            assert!(s.coupler().rqs.backend().as_paged().is_some());
+            // The schema DDL reached the engine's own catalog.
+            let engine = s.coupler().rqs.engine();
+            assert!(engine.has_table("empl") && engine.has_table("dept"));
         }
-        assert!(rqs::Database::new().backend().as_paged().is_some());
-        assert!(rqs::Database::oracle().backend().as_paged().is_none());
     }
 
     #[test]

@@ -167,8 +167,8 @@ impl Coupler {
         Self::empdep_over(rqs::Database::new())
     }
 
-    /// The empdep system over `rqs`: a paged database with a chosen pool,
-    /// or the differential tests' oracle.
+    /// The empdep system over `rqs`, such as a database with a chosen
+    /// pool.
     pub fn empdep_over(rqs: rqs::Database) -> Coupler {
         Self::over(rqs, DatabaseDef::empdep(), ConstraintSet::empdep())
             .expect("empdep fixture is consistent")

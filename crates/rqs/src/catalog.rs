@@ -4,11 +4,10 @@
 //! maintains value bounds, keys and referential integrity — the semantic
 //! knowledge its optimizer exploits. This module holds that system's
 //! *logical* layer: schemas and constraints. Physical row storage lives
-//! behind [`crate::backend::StorageBackend`]; the constraint checkers
-//! here read through it, so the same enforcement applies to the paged
-//! engine and the oracle alike.
+//! in [`crate::backend::PagedBackend`]; the constraint checkers here read
+//! through it.
 
-use crate::backend::{AccessPath, StorageBackend};
+use crate::backend::{AccessPath, PagedBackend};
 use crate::error::{RqsError, RqsResult};
 use crate::value::{Datum, Tuple};
 use std::collections::BTreeMap;
@@ -238,7 +237,7 @@ pub(crate) fn check_value_bound(
 /// index when one covers a single-column probe, visiting every match
 /// (in probe mode each one is judged), else with an early-exit scan.
 fn row_exists(
-    backend: &dyn StorageBackend,
+    backend: &PagedBackend,
     table: &str,
     cols: &[usize],
     values: &[Datum],
@@ -262,7 +261,7 @@ fn row_exists(
 /// checked insert.
 pub(crate) fn check_insert(
     catalog: &Catalog,
-    backend: &dyn StorageBackend,
+    backend: &PagedBackend,
     table_name: &str,
     tuple: &Tuple,
 ) -> RqsResult<()> {
@@ -312,7 +311,7 @@ pub(crate) fn check_insert(
 /// exist because cyclic foreign keys (the paper's `empdep` has
 /// `empl.dno → dept.dno` *and* `dept.mgr → empl.eno`) make strict
 /// insert-time checking impossible.
-pub(crate) fn validate_all(catalog: &Catalog, backend: &dyn StorageBackend) -> RqsResult<()> {
+pub(crate) fn validate_all(catalog: &Catalog, backend: &PagedBackend) -> RqsResult<()> {
     for table in catalog.tables.values() {
         if table.constraints.is_empty() {
             continue;
@@ -371,7 +370,6 @@ pub(crate) fn validate_all(catalog: &Catalog, backend: &dyn StorageBackend) -> R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{InMemoryBackend, StorageBackend};
 
     fn empl_table() -> Table {
         let mut t = Table::new(
@@ -416,10 +414,10 @@ mod tests {
     }
 
     /// Catalog + backend pair with `empl` registered in both.
-    fn setup() -> (Catalog, InMemoryBackend) {
+    fn setup() -> (Catalog, PagedBackend) {
         let mut cat = Catalog::new();
         let table = empl_table();
-        let mut backend = InMemoryBackend::default();
+        let mut backend = PagedBackend::in_memory(8).unwrap();
         backend.create_table("empl", &table.columns).unwrap();
         cat.create_table(table).unwrap();
         (cat, backend)
@@ -427,7 +425,7 @@ mod tests {
 
     fn insert_checked(
         cat: &Catalog,
-        backend: &mut InMemoryBackend,
+        backend: &mut PagedBackend,
         table: &str,
         tuple: Tuple,
     ) -> RqsResult<()> {
@@ -598,9 +596,9 @@ mod tests {
 
         /// empdep's cyclic foreign keys: empl.dno → dept.dno, dept.mgr →
         /// empl.eno.
-        fn cyclic_setup() -> (Catalog, InMemoryBackend) {
+        fn cyclic_setup() -> (Catalog, PagedBackend) {
             let mut cat = Catalog::new();
-            let mut backend = InMemoryBackend::default();
+            let mut backend = PagedBackend::in_memory(8).unwrap();
             let mut empl = Table::new(
                 "empl",
                 vec![

@@ -1,6 +1,6 @@
 //! The public facade: a database accepting SQL text.
 
-use crate::backend::{InMemoryBackend, PagedBackend, Snapshot, StorageBackend};
+use crate::backend::{PagedBackend, Snapshot};
 use crate::catalog::{self, Catalog, Column, Table};
 use crate::error::{RqsError, RqsResult};
 use crate::exec::{self, QueryMetrics};
@@ -52,9 +52,9 @@ pub struct Trace {
 }
 
 /// What the backend-commit half of [`run_txn`] measured, handed back to
-/// [`Database::finish`] through a thread-local: `run_txn` sees only a
-/// `dyn StorageBackend`, several layers below the `Database` that
-/// assembles the trace.
+/// [`Database::finish`] through a thread-local: `run_txn` sees only the
+/// backend, several layers below the `Database` that assembles the
+/// trace.
 #[derive(Clone, Copy, Debug, Default)]
 struct CommitProbe {
     nanos: u64,
@@ -90,14 +90,14 @@ struct Account {
 /// the session owns commit/abort, and an error making it out of here
 /// tells the session to abort the whole transaction.
 pub(crate) fn run_txn<T>(
-    backend: &mut Box<dyn StorageBackend>,
-    f: impl FnOnce(&mut dyn StorageBackend) -> RqsResult<T>,
+    backend: &mut PagedBackend,
+    f: impl FnOnce(&mut PagedBackend) -> RqsResult<T>,
 ) -> RqsResult<T> {
     if backend.in_txn() {
-        return f(backend.as_mut());
+        return f(backend);
     }
     backend.begin()?;
-    match f(backend.as_mut()) {
+    match f(backend) {
         Ok(v) => {
             let io_before = backend.metrics();
             let started = std::time::Instant::now();
@@ -125,37 +125,29 @@ pub(crate) fn run_txn<T>(
     }
 }
 
-/// Runs a constraint check in probe mode (paged engine): the check
-/// judges the latest committed state plus the writer's own rows, and
-/// conflicts retryably on a concurrent writer's pending rows instead of
-/// reporting a violation against data that may roll back. The oracle
-/// has no concurrent writers and just runs the check.
-pub(crate) fn probing<T>(backend: &dyn StorageBackend, check: impl FnOnce() -> T) -> T {
-    let engine = backend.as_paged().map(PagedBackend::engine);
-    if let Some(engine) = engine {
-        engine.set_constraint_probe(true);
-    }
+/// Runs a constraint check in probe mode: the check judges the latest
+/// committed state plus the writer's own rows, and conflicts retryably
+/// on a concurrent writer's pending rows instead of reporting a
+/// violation against data that may roll back.
+pub(crate) fn probing<T>(backend: &PagedBackend, check: impl FnOnce() -> T) -> T {
+    backend.engine().set_constraint_probe(true);
     let out = check();
-    if let Some(engine) = engine {
-        engine.set_constraint_probe(false);
-    }
+    backend.engine().set_constraint_probe(false);
     out
 }
 
 /// A relational database addressed through SQL.
 ///
-/// The schema lives in the [`Catalog`]; rows live in a
-/// [`StorageBackend`]. Every database but the oracle runs on the paged
-/// engine (slotted heap pages behind a buffer pool, B+-tree indexes):
-/// [`Database::new`] over anonymous in-memory pages with a fixed pool,
-/// [`Database::paged`] with a chosen pool, and [`Database::open_paged`]
-/// over a file whose catalog is bootstrapped back from the
-/// `system_tables`/`system_columns`/`system_indexes` pages on reopen.
-/// [`Database::oracle`] keeps rows in RAM and reads them by plain scans
-/// (the differential oracle — no indexes, no sessions, no durability).
+/// The schema lives in the [`Catalog`]; rows live in the paged engine
+/// ([`PagedBackend`]: slotted heap pages behind a buffer pool, B+-tree
+/// indexes): [`Database::new`] over anonymous in-memory pages with a
+/// fixed pool, [`Database::paged`] with a chosen pool, and
+/// [`Database::open_paged`] over a file whose catalog is bootstrapped
+/// back from the `system_tables`/`system_columns`/`system_indexes`
+/// pages on reopen.
 pub struct Database {
     catalog: Catalog,
-    backend: Box<dyn StorageBackend>,
+    backend: PagedBackend,
     /// Work counters of the most recent `execute` call. Unlike the copy
     /// in [`QueryResult`], this is filled even when the statement
     /// returned an error — pages it touched before failing were real
@@ -175,7 +167,6 @@ impl Default for Database {
 impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Database")
-            .field("backend", &self.backend.name())
             .field("tables", &self.catalog.table_names().collect::<Vec<_>>())
             .finish()
     }
@@ -199,19 +190,11 @@ impl Database {
     pub fn paged(pool_pages: usize) -> RqsResult<Self> {
         Ok(Self::over(
             Catalog::new(),
-            Box::new(PagedBackend::in_memory(pool_pages)?),
+            PagedBackend::in_memory(pool_pages)?,
         ))
     }
 
-    /// The differential oracle the engine is tested against: rows in
-    /// RAM, read only by full scans. It keeps no indexes (`CREATE INDEX`
-    /// only holds the column to the engine's B+-tree key cap), has no
-    /// session transactions and reports no page I/O.
-    pub fn oracle() -> Self {
-        Self::over(Catalog::new(), Box::<InMemoryBackend>::default())
-    }
-
-    fn over(catalog: Catalog, backend: Box<dyn StorageBackend>) -> Self {
+    fn over(catalog: Catalog, backend: PagedBackend) -> Self {
         Database {
             catalog,
             backend,
@@ -256,7 +239,7 @@ impl Database {
             table.constraints = backend.stored_constraints(&name)?;
             catalog.create_table(table)?;
         }
-        Ok(Self::over(catalog, Box::new(backend)))
+        Ok(Self::over(catalog, backend))
     }
 
     pub fn catalog(&self) -> &Catalog {
@@ -264,15 +247,21 @@ impl Database {
     }
 
     /// The storage backend behind this database.
-    pub fn backend(&self) -> &dyn StorageBackend {
-        self.backend.as_ref()
+    pub fn backend(&self) -> &PagedBackend {
+        &self.backend
+    }
+
+    /// The storage engine itself: metrics and histograms, heap pages,
+    /// flush and checkpoint.
+    pub fn engine(&self) -> &storage::StorageEngine {
+        self.backend.engine()
     }
 
     /// A read view over schema + storage for the planner/executor.
     pub fn snapshot(&self) -> Snapshot<'_> {
         Snapshot {
             catalog: &self.catalog,
-            backend: self.backend.as_ref(),
+            backend: &self.backend,
         }
     }
 
@@ -286,105 +275,75 @@ impl Database {
 
     /// Re-validates every constraint of every table against stored data.
     pub fn validate_all(&self) -> RqsResult<()> {
-        catalog::validate_all(&self.catalog, self.backend.as_ref())
+        catalog::validate_all(&self.catalog, &self.backend)
     }
 
-    /// The paged engine, when this database runs on it.
-    fn engine(&self) -> Option<&storage::StorageEngine> {
-        self.backend.as_paged().map(PagedBackend::engine)
-    }
-
-    /// Writes dirty pages back to the pager (the oracle has nothing to
-    /// write). The WAL is left alone;
-    /// see [`Database::checkpoint`].
+    /// Writes dirty pages back to the pager. The WAL is left alone; see
+    /// [`Database::checkpoint`].
     pub fn flush(&self) -> RqsResult<()> {
-        match self.engine() {
-            Some(engine) => Ok(engine.flush()?),
-            None => Ok(()),
-        }
+        Ok(self.engine().flush()?)
     }
 
     /// Checkpoint: write dirty pages back *and* truncate the WAL, so
     /// the database file alone carries the whole state.
     pub fn checkpoint(&self) -> RqsResult<()> {
-        match self.engine() {
-            Some(engine) => Ok(engine.checkpoint()?),
-            None => Ok(()),
-        }
+        Ok(self.engine().checkpoint()?)
     }
 
     /// Test/ops helper simulating a crash: drops the database without
     /// flushing buffered pages. Committed statements are recovered from
     /// the WAL on the next [`Database::open_paged`].
     pub fn crash(mut self) {
-        if let Some(paged) = self.backend.as_paged_mut() {
-            paged.crash();
-        }
+        self.backend.crash();
     }
 
     // -----------------------------------------------------------------
     // Session transactions (the shared server's surface)
     // -----------------------------------------------------------------
 
-    /// The paged backend session transactions live on; the oracle has
-    /// one statement transaction and nothing to multiplex.
-    fn sessions(&mut self) -> RqsResult<&mut PagedBackend> {
-        self.backend.as_paged_mut().ok_or_else(|| {
-            RqsError::Internal(
-                "session transactions need the paged engine: Database::new, Database::paged \
-                 or Database::open_paged, not Database::oracle"
-                    .into(),
-            )
-        })
-    }
-
     /// Opens a session-scoped transaction spanning several `execute`
     /// calls and returns its id (suspended; resume it per statement).
     /// DDL is not supported inside session transactions — the schema
     /// registry has no per-transaction rollback (the server enforces
-    /// this before executing). Errors on [`Database::oracle`].
+    /// this before executing).
     pub fn begin_session_txn(&mut self) -> RqsResult<u64> {
-        self.sessions()?.begin_session()
+        self.backend.begin_session()
     }
 
     /// Makes an open session transaction active for the next statement.
     pub fn resume_session_txn(&mut self, id: u64) -> RqsResult<()> {
-        self.sessions()?.resume_session(id)
+        self.backend.resume_session(id)
     }
 
     /// Suspends the active session transaction after a statement.
     pub fn suspend_session_txn(&mut self) {
-        if let Ok(paged) = self.sessions() {
-            paged.suspend_session();
-        }
+        self.backend.suspend_session();
     }
 
     /// Commits an open session transaction.
     pub fn commit_session_txn(&mut self, id: u64) -> RqsResult<()> {
-        self.sessions()?.commit_session(id)
+        self.backend.commit_session(id)
     }
 
     /// Rolls an open session transaction back.
     pub fn abort_session_txn(&mut self, id: u64) {
-        if let Ok(paged) = self.sessions() {
-            paged.abort_session(id);
-        }
+        self.backend.abort_session(id);
     }
 
     /// Opens (`true`) or closes (`false`) the statement-scoped read
-    /// snapshot an autocommit statement reads through on the paged
-    /// engine; a session inside BEGIN reads through its transaction's
-    /// snapshot instead (cut at BEGIN).
+    /// snapshot an autocommit statement reads through; a session inside
+    /// BEGIN reads through its transaction's snapshot instead (cut at
+    /// BEGIN).
     fn statement_snapshot(&self, open: bool) {
-        match self.engine() {
-            Some(engine) if open => engine.open_statement_snapshot(),
-            Some(engine) => engine.close_statement_snapshot(),
-            None => {}
+        if open {
+            self.engine().open_statement_snapshot();
+        } else {
+            self.engine().close_statement_snapshot();
         }
     }
 
     /// Executes one SQL statement. Mutating statements run as one WAL
-    /// transaction on paged backends: either every effect (rows, index
+    /// transaction: either every effect (rows, index
     /// postings, catalog mutations) commits durably, or none do.
     ///
     /// Every call — successful or not — leaves its work counters
@@ -555,10 +514,7 @@ impl Database {
                 table.constraints = constraints;
                 run_txn(&mut self.backend, |b| {
                     b.create_table(&name, &table.columns)?;
-                    match b.as_paged_mut() {
-                        Some(paged) => paged.persist_constraints(&name, &table.constraints),
-                        None => Ok(()),
-                    }
+                    b.persist_constraints(&name, &table.constraints)
                 })?;
                 // Only after the backend committed: the schema entry can
                 // no longer end up pointing at rolled-back storage.
@@ -571,7 +527,7 @@ impl Database {
                     .table(&table)?
                     .column_index(&column)
                     .ok_or_else(|| RqsError::UnknownColumn(format!("{table}.{column}")))?;
-                // Not wrapped in a transaction: the paged backend bulk-
+                // Not wrapped in a transaction: the engine bulk-
                 // builds the tree unlogged and transacts only the
                 // catalog registration (see StorageEngine::create_index).
                 self.backend.create_index(&table, col)?;
@@ -604,12 +560,8 @@ impl Database {
                 // that referencing children still point at refuses to
                 // vanish, matching predicated DELETE's restrict rule.
                 self.catalog.table(&table)?;
-                probing(self.backend.as_ref(), || {
-                    crate::dml::check_truncate_constraints(
-                        &self.catalog,
-                        self.backend.as_ref(),
-                        &table,
-                    )
+                probing(&self.backend, || {
+                    crate::dml::check_truncate_constraints(&self.catalog, &self.backend, &table)
                 })?;
                 let affected = run_txn(&mut self.backend, |b| b.truncate(&table))?;
                 Ok(QueryResult {
@@ -667,7 +619,7 @@ impl Database {
             // The plans that ran — each step annotated with the method
             // it actually used, its probes and the rows it read.
             (true, Statement::Select(select)) => self.analyze(String::new(), |db, text| {
-                let backend = db.backend.as_ref();
+                let backend = &db.backend;
                 let result = db.run_select(&select, &mut |plan, runs| {
                     if !text.is_empty() {
                         text.push_str("UNION\n");
@@ -796,7 +748,7 @@ impl Database {
 
     /// Plain `EXPLAIN` of a parsed statement: nothing runs.
     fn render_plan(&self, stmt: &Statement) -> RqsResult<String> {
-        let (catalog, backend) = (&self.catalog, self.backend.as_ref());
+        let (catalog, backend) = (&self.catalog, &self.backend);
         match stmt {
             Statement::Select(select) => {
                 let mut out = String::new();
@@ -840,14 +792,7 @@ mod tests {
     use super::*;
     use crate::value::Datum;
 
-    /// The oracle and the engine must pass the same lifecycle; the
-    /// differential test in `tests/` covers far more ground.
-    fn backends() -> Vec<Database> {
-        vec![Database::oracle(), Database::paged(8).unwrap()]
-    }
-
-    /// Rows the index on `t.a` holds under key `k` (the engine's: the
-    /// oracle keeps no index to ask).
+    /// Rows the index on `t.a` holds under key `k`.
     fn postings(db: &Database, k: i64) -> usize {
         let mut n = 0;
         let key = crate::backend::AccessPath::KeyEq(0, Datum::Int(k));
@@ -862,174 +807,188 @@ mod tests {
 
     #[test]
     fn ddl_dml_query_lifecycle() {
-        for mut db in backends() {
-            db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
-            let r = db
-                .execute("INSERT INTO t VALUES (1, 'x'), (2, 'y')")
-                .unwrap();
-            assert_eq!(r.affected, 2);
-            let r = db.execute("SELECT v.b FROM t v WHERE v.a = 2").unwrap();
-            assert_eq!(r.rows, vec![vec![Datum::text("y")]]);
-            assert_eq!(r.columns, ["v.b"]);
-            let r = db.execute("DELETE FROM t").unwrap();
-            assert_eq!(r.affected, 2);
-            db.execute("DROP TABLE t").unwrap();
-            assert!(db.execute("SELECT v.b FROM t v").is_err(), "{db:?}");
-        }
+        let mut db = Database::paged(8).unwrap();
+        db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
+        let r = db
+            .execute("INSERT INTO t VALUES (1, 'x'), (2, 'y')")
+            .unwrap();
+        assert_eq!(r.affected, 2);
+        let r = db.execute("SELECT v.b FROM t v WHERE v.a = 2").unwrap();
+        assert_eq!(r.rows, vec![vec![Datum::text("y")]]);
+        assert_eq!(r.columns, ["v.b"]);
+        let r = db.execute("DELETE FROM t").unwrap();
+        assert_eq!(r.affected, 2);
+        db.execute("DROP TABLE t").unwrap();
+        assert!(db.execute("SELECT v.b FROM t v").is_err(), "{db:?}");
     }
 
     #[test]
     fn update_and_predicated_delete_lifecycle() {
-        for mut db in backends() {
-            db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
-            db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'z'), (4, 'y')")
-                .unwrap();
-            let r = db.execute("UPDATE t SET b = 'upd' WHERE a > 2").unwrap();
-            assert_eq!(r.affected, 2, "{db:?}");
-            // Row 4's b was just rewritten to 'upd', so only row 2 matches.
-            let r = db.execute("UPDATE t SET a = a + 10 WHERE b = 'y'").unwrap();
-            assert_eq!(r.affected, 1);
-            let r = db
-                .execute("SELECT v.a, v.b FROM t v WHERE v.a > 10")
-                .unwrap();
-            assert_eq!(r.rows, vec![vec![Datum::Int(12), Datum::text("y")]]);
-            let r = db
-                .execute("DELETE FROM t WHERE a >= 12 AND b = 'y'")
-                .unwrap();
-            assert_eq!(r.affected, 1);
-            assert_eq!(db.execute("SELECT v.a FROM t v").unwrap().rows.len(), 3);
-            // No-match predicates affect nothing.
-            assert_eq!(
-                db.execute("UPDATE t SET b = 'n' WHERE a = 99")
-                    .unwrap()
-                    .affected,
-                0
-            );
-            assert_eq!(db.execute("DELETE FROM t WHERE 1 = 2").unwrap().affected, 0);
-            // Unknown tables/columns error.
-            assert!(db.execute("UPDATE nosuch SET a = 1").is_err());
-            assert!(db.execute("UPDATE t SET zzz = 1").is_err());
-            assert!(db.execute("DELETE FROM t WHERE zzz = 1").is_err());
-            // Type errors are static.
-            assert!(matches!(
-                db.execute("UPDATE t SET b = 1"),
-                Err(RqsError::Type(_))
-            ));
-            assert!(matches!(
-                db.execute("UPDATE t SET a = a + b"),
-                Err(RqsError::Type(_))
-            ));
-        }
+        let mut db = Database::paged(8).unwrap();
+        db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'z'), (4, 'y')")
+            .unwrap();
+        let r = db.execute("UPDATE t SET b = 'upd' WHERE a > 2").unwrap();
+        assert_eq!(r.affected, 2, "{db:?}");
+        // Row 4's b was just rewritten to 'upd', so only row 2 matches.
+        let r = db.execute("UPDATE t SET a = a + 10 WHERE b = 'y'").unwrap();
+        assert_eq!(r.affected, 1);
+        let r = db
+            .execute("SELECT v.a, v.b FROM t v WHERE v.a > 10")
+            .unwrap();
+        assert_eq!(r.rows, vec![vec![Datum::Int(12), Datum::text("y")]]);
+        let r = db
+            .execute("DELETE FROM t WHERE a >= 12 AND b = 'y'")
+            .unwrap();
+        assert_eq!(r.affected, 1);
+        assert_eq!(db.execute("SELECT v.a FROM t v").unwrap().rows.len(), 3);
+        // No-match predicates affect nothing.
+        assert_eq!(
+            db.execute("UPDATE t SET b = 'n' WHERE a = 99")
+                .unwrap()
+                .affected,
+            0
+        );
+        assert_eq!(db.execute("DELETE FROM t WHERE 1 = 2").unwrap().affected, 0);
+        // Unknown tables/columns error.
+        assert!(db.execute("UPDATE nosuch SET a = 1").is_err());
+        assert!(db.execute("UPDATE t SET zzz = 1").is_err());
+        assert!(db.execute("DELETE FROM t WHERE zzz = 1").is_err());
+        // Type errors are static.
+        assert!(matches!(
+            db.execute("UPDATE t SET b = 1"),
+            Err(RqsError::Type(_))
+        ));
+        assert!(matches!(
+            db.execute("UPDATE t SET a = a + b"),
+            Err(RqsError::Type(_))
+        ));
     }
 
     #[test]
     fn update_rechecks_constraints_on_changed_columns() {
-        for mut db in backends() {
-            db.execute("CREATE TABLE dept (dno INT, fct TEXT, PRIMARY KEY (dno))")
-                .unwrap();
-            db.execute(
-                "CREATE TABLE empl (eno INT, nam TEXT, sal INT, dno INT,
-                 PRIMARY KEY (eno),
-                 CHECK (sal BETWEEN 10000 AND 90000),
-                 FOREIGN KEY (dno) REFERENCES dept (dno))",
-            )
+        let mut db = Database::paged(8).unwrap();
+        db.execute("CREATE TABLE dept (dno INT, fct TEXT, PRIMARY KEY (dno))")
             .unwrap();
-            db.execute("INSERT INTO dept VALUES (1, 'hq'), (2, 'lab')")
-                .unwrap();
-            db.execute(
-                "INSERT INTO empl VALUES (1, 'a', 20000, 1), (2, 'b', 30000, 1), (3, 'c', 40000, 2)",
-            )
+        db.execute(
+            "CREATE TABLE empl (eno INT, nam TEXT, sal INT, dno INT,
+             PRIMARY KEY (eno),
+             CHECK (sal BETWEEN 10000 AND 90000),
+             FOREIGN KEY (dno) REFERENCES dept (dno))",
+        )
+        .unwrap();
+        db.execute("INSERT INTO dept VALUES (1, 'hq'), (2, 'lab')")
             .unwrap();
-            // CHECK bound on the assigned column.
-            assert!(matches!(
-                db.execute("UPDATE empl SET sal = sal + 80000 WHERE eno = 1"),
-                Err(RqsError::ConstraintViolation(_))
-            ));
-            // Key collision with a surviving row...
-            assert!(db.execute("UPDATE empl SET eno = 2 WHERE eno = 1").is_err());
-            // ...and between two updated rows.
-            assert!(db
-                .execute("UPDATE empl SET eno = 9 WHERE sal < 35000")
-                .is_err());
-            // Moving a key out of the way is fine.
-            db.execute("UPDATE empl SET eno = 10 WHERE eno = 1")
-                .unwrap();
-            // FK child re-check on the assigned column.
-            assert!(db
-                .execute("UPDATE empl SET dno = 99 WHERE eno = 2")
-                .is_err());
-            db.execute("UPDATE empl SET dno = 2 WHERE eno = 2").unwrap();
-            // Restrict: rewriting a referenced parent key is refused...
-            assert!(db.execute("UPDATE dept SET dno = 5 WHERE dno = 2").is_err());
-            // ...but a non-referenced parent column changes freely.
-            db.execute("UPDATE dept SET fct = 'ops' WHERE dno = 2")
-                .unwrap();
-            // Restrict: deleting a referenced parent row is refused.
-            assert!(matches!(
-                db.execute("DELETE FROM dept WHERE dno = 2"),
-                Err(RqsError::ConstraintViolation(_))
-            ));
-            // Unreference it, then the delete goes through.
-            db.execute("DELETE FROM empl WHERE dno = 2").unwrap();
-            let r = db.execute("DELETE FROM dept WHERE dno = 2").unwrap();
-            assert_eq!(r.affected, 1);
-            // State is intact after all the rejected statements.
-            assert_eq!(
-                db.execute("SELECT v.eno FROM empl v").unwrap().rows.len(),
-                1
-            );
-        }
+        db.execute(
+            "INSERT INTO empl VALUES (1, 'a', 20000, 1), (2, 'b', 30000, 1), (3, 'c', 40000, 2)",
+        )
+        .unwrap();
+        // CHECK bound on the assigned column.
+        assert!(matches!(
+            db.execute("UPDATE empl SET sal = sal + 80000 WHERE eno = 1"),
+            Err(RqsError::ConstraintViolation(_))
+        ));
+        // Key collision with a surviving row...
+        assert!(db.execute("UPDATE empl SET eno = 2 WHERE eno = 1").is_err());
+        // ...and between two updated rows.
+        assert!(db
+            .execute("UPDATE empl SET eno = 9 WHERE sal < 35000")
+            .is_err());
+        // Moving a key out of the way is fine.
+        db.execute("UPDATE empl SET eno = 10 WHERE eno = 1")
+            .unwrap();
+        // FK child re-check on the assigned column.
+        assert!(db
+            .execute("UPDATE empl SET dno = 99 WHERE eno = 2")
+            .is_err());
+        db.execute("UPDATE empl SET dno = 2 WHERE eno = 2").unwrap();
+        // Restrict: rewriting a referenced parent key is refused...
+        assert!(db.execute("UPDATE dept SET dno = 5 WHERE dno = 2").is_err());
+        // ...but a non-referenced parent column changes freely.
+        db.execute("UPDATE dept SET fct = 'ops' WHERE dno = 2")
+            .unwrap();
+        // Restrict: deleting a referenced parent row is refused.
+        assert!(matches!(
+            db.execute("DELETE FROM dept WHERE dno = 2"),
+            Err(RqsError::ConstraintViolation(_))
+        ));
+        // Unreference it, then the delete goes through.
+        db.execute("DELETE FROM empl WHERE dno = 2").unwrap();
+        let r = db.execute("DELETE FROM dept WHERE dno = 2").unwrap();
+        assert_eq!(r.affected, 1);
+        // State is intact after all the rejected statements.
+        assert_eq!(
+            db.execute("SELECT v.eno FROM empl v").unwrap().rows.len(),
+            1
+        );
     }
 
     #[test]
     fn oversized_update_is_atomic_across_backends() {
-        // The size caps are the storage's own: the engine meets them
-        // mid-statement, the oracle before it writes. Nothing sticks.
-        for mut db in backends() {
+        // A row's one size limit is the page, the same with and without
+        // an index on the column: past it, INSERT and UPDATE fail as a
+        // constraint violation and nothing sticks; short of it, a value
+        // far past the B+-tree key cap is stored and found through the
+        // index like any other.
+        for indexed in [true, false] {
+            let mut db = Database::paged(8).unwrap();
             db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
-            db.execute("CREATE INDEX ON t (b)").unwrap();
+            if indexed {
+                db.execute("CREATE INDEX ON t (b)").unwrap();
+            }
             db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'z')")
                 .unwrap();
-            // Past the B+-tree key cap, then past one page.
-            for len in [2000, 5000] {
-                let sql = format!("UPDATE t SET b = '{}' WHERE a >= 2", "k".repeat(len));
-                assert!(db.execute(&sql).is_err(), "{db:?}: {len}");
+            let huge = "k".repeat(5000);
+            for sql in [
+                format!("UPDATE t SET b = '{huge}' WHERE a >= 2"),
+                format!("INSERT INTO t VALUES (4, '{huge}')"),
+            ] {
+                let err = db.execute(&sql).unwrap_err();
+                assert!(matches!(err, RqsError::ConstraintViolation(_)), "{err:?}");
+                assert!(err.to_string().contains("page limit"), "{err}");
             }
-            let mut rows = db.execute("SELECT v.a, v.b FROM t v").unwrap().rows;
-            rows.sort();
+            let sorted = |db: &Database| {
+                let mut rows = db.query("SELECT v.a, v.b FROM t v").unwrap().rows;
+                rows.sort();
+                rows
+            };
             let expected: Vec<Vec<Datum>> = [(1, "x"), (2, "y"), (3, "z")]
                 .iter()
                 .map(|&(a, b)| vec![Datum::Int(a), Datum::text(b)])
                 .collect();
-            assert_eq!(rows, expected, "{db:?}");
+            assert_eq!(sorted(&db), expected, "indexed={indexed}");
+            let long = "k".repeat(2000);
+            db.execute(&format!("UPDATE t SET b = '{long}' WHERE a >= 2"))
+                .unwrap();
+            let r = db
+                .query(&format!("SELECT v.a FROM t v WHERE v.b = '{long}'"))
+                .unwrap();
+            assert_eq!(r.rows.len(), 2, "indexed={indexed}");
         }
     }
 
     #[test]
-    fn failed_update_is_atomic_across_backends() {
+    fn failed_update_is_atomic() {
         // The predicate matches several rows; one of the replacements
         // violates the CHECK. Nothing may stick.
-        for mut db in backends() {
-            db.execute("CREATE TABLE t (a INT, CHECK (a BETWEEN 0 AND 100))")
-                .unwrap();
-            db.execute("CREATE INDEX ON t (a)").unwrap();
-            db.execute("INSERT INTO t VALUES (10), (50), (90)").unwrap();
-            assert!(db.execute("UPDATE t SET a = a + 20").is_err());
-            let mut rows = db.execute("SELECT v.a FROM t v").unwrap().rows;
-            rows.sort();
-            assert_eq!(
-                rows,
-                vec![
-                    vec![Datum::Int(10)],
-                    vec![Datum::Int(50)],
-                    vec![Datum::Int(90)]
-                ]
-            );
-            if db.backend().has_index("t", 0) {
-                for k in [10i64, 50, 90] {
-                    assert_eq!(postings(&db, k), 1, "posting for {k} intact");
-                }
-            }
+        let mut db = Database::paged(8).unwrap();
+        db.execute("CREATE TABLE t (a INT, CHECK (a BETWEEN 0 AND 100))")
+            .unwrap();
+        db.execute("CREATE INDEX ON t (a)").unwrap();
+        db.execute("INSERT INTO t VALUES (10), (50), (90)").unwrap();
+        assert!(db.execute("UPDATE t SET a = a + 20").is_err());
+        let mut rows = db.execute("SELECT v.a FROM t v").unwrap().rows;
+        rows.sort();
+        assert_eq!(
+            rows,
+            vec![
+                vec![Datum::Int(10)],
+                vec![Datum::Int(50)],
+                vec![Datum::Int(90)]
+            ]
+        );
+        for k in [10i64, 50, 90] {
+            assert_eq!(postings(&db, k), 1, "posting for {k} intact");
         }
     }
 
@@ -1071,18 +1030,17 @@ mod tests {
 
     #[test]
     fn large_update_exceeding_pool_succeeds_on_paged() {
-        // Successor of the retired `large_update_exceeding_pool_fails_
-        // cleanly_on_paged` parity exception: under the old no-steal
-        // protocol a whole-table UPDATE wider than the buffer pool
-        // failed with a pool-exhausted `Internal` error where the
-        // in-memory backend succeeded. With steal/undo logging the
-        // statement's write set spills to disk and the two backends
-        // produce identical results — no pinned exception remains.
-        let mut mem = Database::oracle();
+        // A whole-table UPDATE wider than the buffer pool: with
+        // steal/undo logging the statement's write set spills to disk,
+        // and the 8-frame indexed database ends where a roomy unindexed
+        // one does.
+        let mut roomy = Database::new();
         let mut paged = Database::paged(8).unwrap();
-        for db in [&mut mem, &mut paged] {
+        for (db, indexed) in [(&mut roomy, false), (&mut paged, true)] {
             db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
-            db.execute("CREATE INDEX ON t (a)").unwrap();
+            if indexed {
+                db.execute("CREATE INDEX ON t (a)").unwrap();
+            }
             for i in 0..2000 {
                 db.execute(&format!("INSERT INTO t VALUES ({i}, 'row{i}')"))
                     .unwrap();
@@ -1095,7 +1053,7 @@ mod tests {
             rows.sort();
             rows
         };
-        assert_eq!(sorted(&mem), sorted(&paged), "backends must agree");
+        assert_eq!(sorted(&roomy), sorted(&paged), "the databases must agree");
         assert_eq!(sorted(&paged).len(), 2000);
         for probe in [0i64, 999, 1999] {
             assert_eq!(
@@ -1116,45 +1074,44 @@ mod tests {
 
     #[test]
     fn bare_delete_refuses_to_truncate_a_referenced_parent() {
-        for mut db in backends() {
-            db.execute("CREATE TABLE dept (dno INT, PRIMARY KEY (dno))")
-                .unwrap();
-            db.execute(
-                "CREATE TABLE empl (eno INT, dno INT, PRIMARY KEY (eno), \
-                 FOREIGN KEY (dno) REFERENCES dept (dno))",
-            )
+        let mut db = Database::paged(8).unwrap();
+        db.execute("CREATE TABLE dept (dno INT, PRIMARY KEY (dno))")
             .unwrap();
-            db.execute("INSERT INTO dept VALUES (1), (2)").unwrap();
-            db.execute("INSERT INTO empl VALUES (10, 1)").unwrap();
-            // Truncating the parent would orphan empl(10, 1): refused,
-            // with restrict semantics matching predicated DELETE.
-            assert!(matches!(
-                db.execute("DELETE FROM dept"),
-                Err(RqsError::ConstraintViolation(_))
-            ));
-            assert_eq!(
-                db.execute("SELECT v.dno FROM dept v").unwrap().rows.len(),
-                2
-            );
-            // The child truncates freely; then the parent follows.
-            assert_eq!(db.execute("DELETE FROM empl").unwrap().affected, 1);
-            assert_eq!(db.execute("DELETE FROM dept").unwrap().affected, 2);
-            // Self-referential tables truncate trivially (their own
-            // rows vanish with the referenced keys).
-            db.execute(
-                "CREATE TABLE tree (id INT, parent INT, PRIMARY KEY (id), \
-                 FOREIGN KEY (parent) REFERENCES tree (id))",
-            )
+        db.execute(
+            "CREATE TABLE empl (eno INT, dno INT, PRIMARY KEY (eno), \
+             FOREIGN KEY (dno) REFERENCES dept (dno))",
+        )
+        .unwrap();
+        db.execute("INSERT INTO dept VALUES (1), (2)").unwrap();
+        db.execute("INSERT INTO empl VALUES (10, 1)").unwrap();
+        // Truncating the parent would orphan empl(10, 1): refused,
+        // with restrict semantics matching predicated DELETE.
+        assert!(matches!(
+            db.execute("DELETE FROM dept"),
+            Err(RqsError::ConstraintViolation(_))
+        ));
+        assert_eq!(
+            db.execute("SELECT v.dno FROM dept v").unwrap().rows.len(),
+            2
+        );
+        // The child truncates freely; then the parent follows.
+        assert_eq!(db.execute("DELETE FROM empl").unwrap().affected, 1);
+        assert_eq!(db.execute("DELETE FROM dept").unwrap().affected, 2);
+        // Self-referential tables truncate trivially (their own
+        // rows vanish with the referenced keys).
+        db.execute(
+            "CREATE TABLE tree (id INT, parent INT, PRIMARY KEY (id), \
+             FOREIGN KEY (parent) REFERENCES tree (id))",
+        )
+        .unwrap();
+        // Self-rows need the unchecked bulk-load path (a row cannot
+        // reference itself through the insert-time probe).
+        db.insert_unchecked("tree", vec![Datum::Int(1), Datum::Int(1)])
             .unwrap();
-            // Self-rows need the unchecked bulk-load path (a row cannot
-            // reference itself through the insert-time probe).
-            db.insert_unchecked("tree", vec![Datum::Int(1), Datum::Int(1)])
-                .unwrap();
-            db.insert_unchecked("tree", vec![Datum::Int(2), Datum::Int(1)])
-                .unwrap();
-            db.validate_all().unwrap();
-            assert_eq!(db.execute("DELETE FROM tree").unwrap().affected, 2);
-        }
+        db.insert_unchecked("tree", vec![Datum::Int(2), Datum::Int(1)])
+            .unwrap();
+        db.validate_all().unwrap();
+        assert_eq!(db.execute("DELETE FROM tree").unwrap().affected, 2);
     }
 
     #[test]
@@ -1198,28 +1155,6 @@ mod tests {
     }
 
     #[test]
-    fn session_transactions_need_the_paged_engine() {
-        // The oracle has one statement transaction; it refuses
-        // to pretend it can multiplex sessions.
-        let mut mem = Database::oracle();
-        let err = mem.begin_session_txn().unwrap_err();
-        assert!(err.to_string().contains("Database::paged"), "{err}");
-        assert!(mem.resume_session_txn(1).is_err());
-        assert!(mem.commit_session_txn(1).is_err());
-        // Statement atomicity is untouched by that.
-        mem.execute("CREATE TABLE t (a INT, CHECK (a BETWEEN 0 AND 9))")
-            .unwrap();
-        assert!(mem.execute("INSERT INTO t VALUES (1), (99)").is_err());
-        assert!(mem.query("SELECT v.a FROM t v").unwrap().rows.is_empty());
-        // The paged engine really opens one.
-        let mut paged = Database::paged(8).unwrap();
-        let txn = paged.begin_session_txn().unwrap();
-        paged.resume_session_txn(txn).unwrap();
-        paged.suspend_session_txn();
-        paged.commit_session_txn(txn).unwrap();
-    }
-
-    #[test]
     fn execute_parsed_matches_execute_and_carries_the_parse_time() {
         let mut db = Database::paged(8).unwrap();
         db.execute("CREATE TABLE t (a INT)").unwrap();
@@ -1249,32 +1184,31 @@ mod tests {
 
     #[test]
     fn constraints_flow_through_sql() {
-        for mut db in backends() {
-            db.execute("CREATE TABLE dept (dno INT, fct TEXT, mgr INT, PRIMARY KEY (dno))")
-                .unwrap();
-            db.execute(
-                "CREATE TABLE empl (eno INT, nam TEXT, sal INT, dno INT,
-                 PRIMARY KEY (eno),
-                 CHECK (sal BETWEEN 10000 AND 90000),
-                 FOREIGN KEY (dno) REFERENCES dept (dno))",
-            )
+        let mut db = Database::paged(8).unwrap();
+        db.execute("CREATE TABLE dept (dno INT, fct TEXT, mgr INT, PRIMARY KEY (dno))")
             .unwrap();
-            db.execute("INSERT INTO dept VALUES (10, 'hq', 1)").unwrap();
-            db.execute("INSERT INTO empl VALUES (1, 'smiley', 50000, 10)")
-                .unwrap();
-            // Salary bound violation.
-            assert!(db
-                .execute("INSERT INTO empl VALUES (2, 'poor', 5000, 10)")
-                .is_err());
-            // Key violation.
-            assert!(db
-                .execute("INSERT INTO empl VALUES (1, 'dup', 50000, 10)")
-                .is_err());
-            // FK violation.
-            assert!(db
-                .execute("INSERT INTO empl VALUES (3, 'lost', 50000, 99)")
-                .is_err());
-        }
+        db.execute(
+            "CREATE TABLE empl (eno INT, nam TEXT, sal INT, dno INT,
+             PRIMARY KEY (eno),
+             CHECK (sal BETWEEN 10000 AND 90000),
+             FOREIGN KEY (dno) REFERENCES dept (dno))",
+        )
+        .unwrap();
+        db.execute("INSERT INTO dept VALUES (10, 'hq', 1)").unwrap();
+        db.execute("INSERT INTO empl VALUES (1, 'smiley', 50000, 10)")
+            .unwrap();
+        // Salary bound violation.
+        assert!(db
+            .execute("INSERT INTO empl VALUES (2, 'poor', 5000, 10)")
+            .is_err());
+        // Key violation.
+        assert!(db
+            .execute("INSERT INTO empl VALUES (1, 'dup', 50000, 10)")
+            .is_err());
+        // FK violation.
+        assert!(db
+            .execute("INSERT INTO empl VALUES (3, 'lost', 50000, 99)")
+            .is_err());
     }
 
     #[test]
@@ -1318,12 +1252,6 @@ mod tests {
             "full scan larger than the pool must fault pages: {:?}",
             r.metrics
         );
-        // The oracle reports zero page I/O.
-        let mut mem = Database::oracle();
-        mem.execute("CREATE TABLE t (a INT)").unwrap();
-        mem.execute("INSERT INTO t VALUES (1)").unwrap();
-        let r = mem.execute("SELECT v.a FROM t v").unwrap();
-        assert_eq!((r.metrics.page_reads, r.metrics.buffer_hits), (0, 0));
     }
 
     #[test]
@@ -1381,7 +1309,7 @@ mod tests {
     }
 
     #[test]
-    fn range_restrictions_agree_across_backends() {
+    fn range_restrictions_agree_with_and_without_the_index() {
         let queries = [
             "SELECT v.a FROM t v WHERE v.a < 7",
             "SELECT v.a FROM t v WHERE v.a >= 3 AND v.a <= 12",
@@ -1389,18 +1317,29 @@ mod tests {
             "SELECT v.a FROM t v WHERE v.a > 18 AND v.b = 'x19'",
             "SELECT v.a FROM t v WHERE v.a >= 5 AND v.a >= 9 AND v.a < 11",
         ];
+        // Padded rows spread `t` over enough pages that the restrictions
+        // on `a` ride the index once it exists.
+        let pad = "p".repeat(800);
         let mut results: Vec<Vec<QueryResult>> = Vec::new();
-        for mut db in backends() {
-            db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
+        for indexed in [false, true] {
+            let mut db = Database::paged(8).unwrap();
+            db.execute("CREATE TABLE t (a INT, b TEXT, c TEXT)")
+                .unwrap();
             for i in 0..20 {
-                db.execute(&format!("INSERT INTO t VALUES ({i}, 'x{i}')"))
+                db.execute(&format!("INSERT INTO t VALUES ({i}, 'x{i}', '{pad}')"))
                     .unwrap();
             }
-            db.execute("CREATE INDEX ON t (a)").unwrap();
+            if indexed {
+                db.execute("CREATE INDEX ON t (a)").unwrap();
+                assert!(db.explain(queries[1]).unwrap().contains("IndexRange"));
+            }
             results.push(queries.iter().map(|q| db.execute(q).unwrap()).collect());
         }
-        for (q, (mem, paged)) in queries.iter().zip(results[0].iter().zip(&results[1])) {
-            assert_eq!(mem.rows, paged.rows, "backends diverged on {q}");
+        for (q, (scanned, indexed)) in queries.iter().zip(results[0].iter().zip(&results[1])) {
+            assert_eq!(
+                scanned.rows, indexed.rows,
+                "the index changed the answer to {q}"
+            );
         }
     }
 
@@ -1417,39 +1356,31 @@ mod tests {
         assert!(r.metrics.wal_bytes > 0);
         let q = db.execute("SELECT v.a FROM t v").unwrap();
         assert_eq!((q.metrics.wal_appends, q.metrics.wal_bytes), (0, 0));
-        // The oracle logs nothing.
-        let mut mem = Database::oracle();
-        mem.execute("CREATE TABLE t (a INT)").unwrap();
-        let r = mem.execute("INSERT INTO t VALUES (1)").unwrap();
-        assert_eq!((r.metrics.wal_appends, r.metrics.wal_bytes), (0, 0));
     }
 
     #[test]
     fn failed_multi_row_insert_is_atomic() {
-        // The third row violates the CHECK (and then a PK probe): on
-        // both backends the whole statement rolls back — the first two
-        // rows must not survive, and indexes must agree.
-        for mut db in backends() {
-            db.execute("CREATE TABLE t (a INT, PRIMARY KEY (a), CHECK (a BETWEEN 0 AND 10))")
-                .unwrap();
-            db.execute("CREATE INDEX ON t (a)").unwrap();
-            assert!(db.execute("INSERT INTO t VALUES (1), (2), (99)").is_err());
-            assert!(db.execute("INSERT INTO t VALUES (3), (4), (3)").is_err());
-            let rows = db.execute("SELECT v.a FROM t v").unwrap().rows;
-            assert!(rows.is_empty(), "partial statement must not survive");
-            if db.backend().has_index("t", 0) {
-                for k in [1i64, 2, 3, 4] {
-                    assert_eq!(
-                        postings(&db, k),
-                        0,
-                        "rolled-back posting for {k} must be gone"
-                    );
-                }
-            }
-            // The statement after a rollback works normally.
-            db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
-            assert_eq!(db.execute("SELECT v.a FROM t v").unwrap().rows.len(), 2);
+        // The third row violates the CHECK (and then a PK probe): the
+        // whole statement rolls back — the first two rows must not
+        // survive, and neither may their postings.
+        let mut db = Database::paged(8).unwrap();
+        db.execute("CREATE TABLE t (a INT, PRIMARY KEY (a), CHECK (a BETWEEN 0 AND 10))")
+            .unwrap();
+        db.execute("CREATE INDEX ON t (a)").unwrap();
+        assert!(db.execute("INSERT INTO t VALUES (1), (2), (99)").is_err());
+        assert!(db.execute("INSERT INTO t VALUES (3), (4), (3)").is_err());
+        let rows = db.execute("SELECT v.a FROM t v").unwrap().rows;
+        assert!(rows.is_empty(), "partial statement must not survive");
+        for k in [1i64, 2, 3, 4] {
+            assert_eq!(
+                postings(&db, k),
+                0,
+                "rolled-back posting for {k} must be gone"
+            );
         }
+        // The statement after a rollback works normally.
+        db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+        assert_eq!(db.execute("SELECT v.a FROM t v").unwrap().rows.len(), 2);
     }
 
     #[test]
@@ -1485,18 +1416,17 @@ mod tests {
 
     #[test]
     fn unchecked_insert_and_validate_all_flow() {
-        for mut db in backends() {
-            db.execute("CREATE TABLE t (a INT, PRIMARY KEY (a), CHECK (a BETWEEN 0 AND 10))")
-                .unwrap();
-            db.insert_unchecked("t", vec![Datum::Int(3)]).unwrap();
-            db.insert_unchecked("t", vec![Datum::Int(3)]).unwrap();
-            assert!(matches!(
-                db.validate_all(),
-                Err(RqsError::ConstraintViolation(_))
-            ));
-            // Type errors are still caught eagerly.
-            assert!(db.insert_unchecked("t", vec![Datum::text("x")]).is_err());
-        }
+        let mut db = Database::paged(8).unwrap();
+        db.execute("CREATE TABLE t (a INT, PRIMARY KEY (a), CHECK (a BETWEEN 0 AND 10))")
+            .unwrap();
+        db.insert_unchecked("t", vec![Datum::Int(3)]).unwrap();
+        db.insert_unchecked("t", vec![Datum::Int(3)]).unwrap();
+        assert!(matches!(
+            db.validate_all(),
+            Err(RqsError::ConstraintViolation(_))
+        ));
+        // Type errors are still caught eagerly.
+        assert!(db.insert_unchecked("t", vec![Datum::text("x")]).is_err());
     }
 }
 

@@ -6,15 +6,16 @@
 //! and indexed predicates ride an index read instead of a heap scan.
 //! Execution then has three phases:
 //!
-//! 1. **read** — one [`StorageBackend::read`] of the chosen access path
+//! 1. **read** — one [`PagedBackend::read`] of the chosen access path
 //!    collects the matching rows with their [`RowId`]s (the predicate
-//!    is a pure function of the tuple, so both backends select the same
-//!    multiset). On backends with snapshot reads this phase sees only
-//!    committed-at-snapshot rows (plus the transaction's own writes),
-//!    never a concurrent writer's uncommitted data;
+//!    is a pure function of the tuple, so every access path selects the
+//!    same multiset). This phase sees only committed-at-snapshot rows
+//!    (plus the transaction's own writes), never a concurrent writer's
+//!    uncommitted data;
 //! 2. **re-check** — validate the statement against the integrity
-//!    constraints it can disturb: CHECK bounds and type/size caps on
-//!    assigned columns, key uniqueness against the *post-statement*
+//!    constraints it can disturb: CHECK bounds and types on assigned
+//!    columns (a row's one size limit, the page, is met when the engine
+//!    writes it), key uniqueness against the *post-statement*
 //!    state, the row's own foreign keys, and restrict semantics for
 //!    parents (updating a referenced key column or deleting a
 //!    referenced row is refused while a child still points at it).
@@ -24,10 +25,10 @@
 //!    uncommitted writes — a verdict against data that may roll back
 //!    would be a guess either way;
 //! 3. **mutate** — one backend transaction around
-//!    [`StorageBackend::update_rows`]/[`StorageBackend::delete_rows`]
-//!    over the ids phase 1 found: the rows are not walked again. On the
-//!    paged engine the whole statement commits (and crash-recovers)
-//!    atomically through the WAL. This is also where each row's write
+//!    [`PagedBackend::update_rows`]/[`PagedBackend::delete_rows`]
+//!    over the ids phase 1 found: the rows are not walked again. The
+//!    whole statement commits (and crash-recovers) atomically through
+//!    the WAL. This is also where each row's write
 //!    lock is taken: the engine's first-updater-wins check refuses a
 //!    row another open transaction has written (or that a commit newer
 //!    than this statement's snapshot rewrote), and a row it accepts
@@ -39,7 +40,7 @@
 //!    serialized per row, not per statement, and a race on one row is
 //!    a retryable conflict instead of a silent overwrite.
 
-use crate::backend::{AccessPath, RowId, Snapshot, StorageBackend};
+use crate::backend::{AccessPath, PagedBackend, RowId, Snapshot};
 use crate::catalog::{self, Catalog, ColumnType, Table, TableConstraint};
 use crate::database::{probing, run_txn};
 use crate::error::{RqsError, RqsResult};
@@ -163,7 +164,7 @@ struct Filter {
 /// same [`exec::choose_access`] call a SELECT scan makes.
 fn resolve_filter(
     catalog: &Catalog,
-    backend: &dyn StorageBackend,
+    backend: &PagedBackend,
     table: &str,
     filter: &[Condition],
 ) -> RqsResult<Filter> {
@@ -213,7 +214,7 @@ fn predicate<'a>(
 /// Read phase: the rows the statement will touch, with the ids the
 /// mutate phase hands back to the backend.
 fn matched_rows(
-    backend: &dyn StorageBackend,
+    backend: &PagedBackend,
     table: &str,
     access: &AccessPath,
     pred: &mut dyn FnMut(&Tuple) -> bool,
@@ -228,8 +229,8 @@ fn matched_rows(
     Ok(out)
 }
 
-/// Visits every row of `table` (a full-scan [`StorageBackend::read`]).
-fn each_row(backend: &dyn StorageBackend, table: &str, f: &mut dyn FnMut(&Tuple)) -> RqsResult<()> {
+/// Visits every row of `table` (a full-scan [`PagedBackend::read`]).
+fn each_row(backend: &PagedBackend, table: &str, f: &mut dyn FnMut(&Tuple)) -> RqsResult<()> {
     backend.read(table, &AccessPath::FullScan, &mut |_, row| {
         f(row);
         true
@@ -238,7 +239,7 @@ fn each_row(backend: &dyn StorageBackend, table: &str, f: &mut dyn FnMut(&Tuple)
 
 /// The rows the statement leaves untouched (everything failing `pred`).
 fn untouched_rows(
-    backend: &dyn StorageBackend,
+    backend: &PagedBackend,
     table: &str,
     pred: &mut dyn FnMut(&Tuple) -> bool,
 ) -> RqsResult<Vec<Tuple>> {
@@ -308,7 +309,7 @@ fn referencing_edges<'a>(catalog: &'a Catalog, name: &str) -> RqsResult<Vec<FkEd
 /// rewritten parent key.
 fn check_update_constraints(
     catalog: &Catalog,
-    backend: &dyn StorageBackend,
+    backend: &PagedBackend,
     name: &str,
     new_rows: &[Tuple],
     changed: &HashSet<usize>,
@@ -453,7 +454,7 @@ fn check_update_constraints(
 /// among the surviving rows.
 fn check_delete_constraints(
     catalog: &Catalog,
-    backend: &dyn StorageBackend,
+    backend: &PagedBackend,
     name: &str,
     pred: &mut dyn FnMut(&Tuple) -> bool,
 ) -> RqsResult<()> {
@@ -495,7 +496,7 @@ fn check_delete_constraints(
 /// without mutating anything.
 pub(crate) fn explain_dml(
     catalog: &Catalog,
-    backend: &dyn StorageBackend,
+    backend: &PagedBackend,
     verb: &str,
     table_name: &str,
     filter: &[Condition],
@@ -513,7 +514,7 @@ pub(crate) fn explain_dml(
 /// Executes `UPDATE table SET … [WHERE …]`, returning the row count.
 pub(crate) fn execute_update(
     catalog: &Catalog,
-    backend: &mut Box<dyn StorageBackend>,
+    backend: &mut PagedBackend,
     table_name: &str,
     sets: &[(String, SetExpr)],
     filter: &[Condition],
@@ -525,9 +526,9 @@ pub(crate) fn execute_update(
         restrictions,
         self_conds,
         access,
-    } = resolve_filter(catalog, backend.as_ref(), table_name, filter)?;
+    } = resolve_filter(catalog, &*backend, table_name, filter)?;
     let mut pred = predicate(&restrictions, &self_conds);
-    let matched = matched_rows(backend.as_ref(), table_name, &access, &mut pred)?;
+    let matched = matched_rows(&*backend, table_name, &access, &mut pred)?;
     if matched.is_empty() {
         return Ok(0);
     }
@@ -538,14 +539,9 @@ pub(crate) fn execute_update(
     // Constraint re-checks run in probe mode: latest committed state
     // plus this transaction's own rows, conflicting retryably when the
     // probed tables carry another transaction's uncommitted writes.
-    probing(backend.as_ref(), || {
+    probing(&*backend, || {
         check_update_constraints(
-            catalog,
-            backend.as_ref(),
-            table_name,
-            &new_rows,
-            &changed,
-            &mut pred,
+            catalog, &*backend, table_name, &new_rows, &changed, &mut pred,
         )
     })?;
     let updates: Vec<(RowId, Tuple)> = ids.into_iter().zip(new_rows).collect();
@@ -560,7 +556,7 @@ pub(crate) fn execute_update(
 /// own rows vanish with it.
 pub(crate) fn check_truncate_constraints(
     catalog: &Catalog,
-    backend: &dyn StorageBackend,
+    backend: &PagedBackend,
     name: &str,
 ) -> RqsResult<()> {
     check_delete_constraints(catalog, backend, name, &mut |_| true)
@@ -569,7 +565,7 @@ pub(crate) fn check_truncate_constraints(
 /// Executes `DELETE FROM table WHERE …`, returning the row count.
 pub(crate) fn execute_delete(
     catalog: &Catalog,
-    backend: &mut Box<dyn StorageBackend>,
+    backend: &mut PagedBackend,
     table_name: &str,
     filter: &[Condition],
 ) -> RqsResult<usize> {
@@ -578,15 +574,15 @@ pub(crate) fn execute_delete(
         restrictions,
         self_conds,
         access,
-    } = resolve_filter(catalog, backend.as_ref(), table_name, filter)?;
+    } = resolve_filter(catalog, &*backend, table_name, filter)?;
     let mut pred = predicate(&restrictions, &self_conds);
-    let matched = matched_rows(backend.as_ref(), table_name, &access, &mut pred)?;
+    let matched = matched_rows(&*backend, table_name, &access, &mut pred)?;
     if matched.is_empty() {
         return Ok(0);
     }
     // Probe mode for the restrict re-check (see `execute_update`).
-    probing(backend.as_ref(), || {
-        check_delete_constraints(catalog, backend.as_ref(), table_name, &mut pred)
+    probing(&*backend, || {
+        check_delete_constraints(catalog, &*backend, table_name, &mut pred)
     })?;
     let ids: Vec<RowId> = matched.into_iter().map(|(id, _)| id).collect();
     run_txn(backend, |b| b.delete_rows(table_name, &ids))

@@ -5,7 +5,7 @@
 //! these counters to show how many joins and scanned tuples the §6
 //! simplification saves, independently of wall-clock noise.
 
-use crate::backend::{AccessPath, Snapshot, StorageBackend};
+use crate::backend::{AccessPath, PagedBackend, Snapshot};
 use crate::error::{RqsError, RqsResult};
 use crate::plan::{self, JoinCond, JoinMethod, PhysicalPlan, Restriction};
 use crate::sql::ast::{SelectCore, SelectStmt};
@@ -36,15 +36,13 @@ pub struct QueryMetrics {
     /// Index probes issued by join steps that joined through an index
     /// ([`JoinMethod::IndexProbe`] run as a probe: one per left row).
     pub index_probes: u64,
-    /// Pages faulted in from storage (paged backend only; 0 on the
-    /// oracle).
+    /// Pages faulted in from storage.
     pub page_reads: u64,
-    /// Page fetches served by the buffer pool (paged backend only).
+    /// Page fetches served by the buffer pool.
     pub buffer_hits: u64,
-    /// WAL frames appended (paged backend DML; 0 for queries and on the
-    /// oracle).
+    /// WAL frames appended (DML; 0 for queries).
     pub wal_appends: u64,
-    /// WAL bytes appended, frame headers included (paged backend DML).
+    /// WAL bytes appended, frame headers included (DML).
     pub wal_bytes: u64,
     /// Wall-clock of the whole statement (parse through result),
     /// nanoseconds. Filled by `Database::execute`.
@@ -446,7 +444,7 @@ pub fn probes_beat_scan(probes: usize, heap_pages: usize) -> bool {
 /// predicated UPDATE/DELETE so DML rides exactly the same index
 /// machinery as SELECT scans.
 pub fn choose_access(
-    backend: &dyn StorageBackend,
+    backend: &PagedBackend,
     table: &str,
     heap_pages: usize,
     restrictions: &[&Restriction],
@@ -785,19 +783,18 @@ mod tests {
         );
     }
 
-    /// Creates `l` and `r` from `(columns, rows)` on both backends. `l`
+    /// A database with `l` and `r` created from `(columns, rows)`. `l`
     /// must be no larger than `r` after its restrictions, so the planner
     /// scans `v1` first and joins `r v2` onto it.
-    fn both_backends(l: (&str, &str), r: (&str, &str)) -> [Database; 2] {
-        [Database::oracle(), Database::paged(8).unwrap()].map(|mut db| {
-            for (name, (cols, rows)) in [("l", l), ("r", r)] {
-                db.execute(&format!("CREATE TABLE {name} ({cols})"))
-                    .unwrap();
-                db.execute(&format!("INSERT INTO {name} VALUES {rows}"))
-                    .unwrap();
-            }
-            db
-        })
+    fn with_tables(l: (&str, &str), r: (&str, &str)) -> Database {
+        let mut db = Database::paged(8).unwrap();
+        for (name, (cols, rows)) in [("l", l), ("r", r)] {
+            db.execute(&format!("CREATE TABLE {name} ({cols})"))
+                .unwrap();
+            db.execute(&format!("INSERT INTO {name} VALUES {rows}"))
+                .unwrap();
+        }
+        db
     }
 
     /// Runs `sql` — every column of `l v1`, then every column of `r v2`,
@@ -840,13 +837,12 @@ mod tests {
             "k INT, q INT",
             "(1, 100), (4, 400), (1, 110), (2, 200), (1, 120), (5, 500)",
         );
-        for mut db in both_backends(l, r) {
-            assert_hash_step_matches_nested_loop(
-                &mut db,
-                "SELECT v1.k, v1.p, v2.k, v2.q FROM l v1, r v2 WHERE v1.k = v2.k",
-                |l, r| l[0] == r[0],
-            );
-        }
+        let mut db = with_tables(l, r);
+        assert_hash_step_matches_nested_loop(
+            &mut db,
+            "SELECT v1.k, v1.p, v2.k, v2.q FROM l v1, r v2 WHERE v1.k = v2.k",
+            |l, r| l[0] == r[0],
+        );
     }
 
     #[test]
@@ -859,14 +855,13 @@ mod tests {
             "a TEXT, b TEXT, q INT",
             "('x', 'y', 10), ('x', 'z', 20), ('x', 'w', 30), ('w', 'y', 40), ('y', 'x', 50), ('x', 'y', 60)",
         );
-        for mut db in both_backends(l, r) {
-            assert_hash_step_matches_nested_loop(
-                &mut db,
-                "SELECT v1.a, v1.b, v1.p, v2.a, v2.b, v2.q FROM l v1, r v2
-                 WHERE v1.a = v2.a AND v2.b = v1.b",
-                |l, r| l[0] == r[0] && l[1] == r[1],
-            );
-        }
+        let mut db = with_tables(l, r);
+        assert_hash_step_matches_nested_loop(
+            &mut db,
+            "SELECT v1.a, v1.b, v1.p, v2.a, v2.b, v2.q FROM l v1, r v2
+             WHERE v1.a = v2.a AND v2.b = v1.b",
+            |l, r| l[0] == r[0] && l[1] == r[1],
+        );
     }
 
     #[test]
@@ -876,14 +871,13 @@ mod tests {
             "k INT, q INT",
             "(1, 10), (1, 20), (2, 40), (2, 60), (1, 1), (3, 99)",
         );
-        for mut db in both_backends(l, r) {
-            assert_hash_step_matches_nested_loop(
-                &mut db,
-                "SELECT v1.k, v1.p, v2.k, v2.q FROM l v1, r v2
-                 WHERE v2.k = v1.k AND v1.p < v2.q",
-                |l, r| l[0] == r[0] && l[1].total_cmp(&r[1]).is_lt(),
-            );
-        }
+        let mut db = with_tables(l, r);
+        assert_hash_step_matches_nested_loop(
+            &mut db,
+            "SELECT v1.k, v1.p, v2.k, v2.q FROM l v1, r v2
+             WHERE v2.k = v1.k AND v1.p < v2.q",
+            |l, r| l[0] == r[0] && l[1].total_cmp(&r[1]).is_lt(),
+        );
     }
 
     #[test]
@@ -891,14 +885,13 @@ mod tests {
         let l = ("k INT, p INT", "(1, 1), (2, 2)");
         let rows: Vec<String> = (0..9).map(|i| format!("({}, {i})", i % 3)).collect();
         let r = ("k INT, q INT", rows.join(", "));
-        for mut db in both_backends(l, (r.0, &r.1)) {
-            assert_hash_step_matches_nested_loop(
-                &mut db,
-                "SELECT v1.k, v1.p, v2.k, v2.q FROM l v1, r v2
-                 WHERE v1.k = v2.k AND v2.q > 1000",
-                |l, r| l[0] == r[0] && r[1].total_cmp(&Datum::Int(1000)).is_gt(),
-            );
-        }
+        let mut db = with_tables(l, (r.0, &r.1));
+        assert_hash_step_matches_nested_loop(
+            &mut db,
+            "SELECT v1.k, v1.p, v2.k, v2.q FROM l v1, r v2
+             WHERE v1.k = v2.k AND v2.q > 1000",
+            |l, r| l[0] == r[0] && r[1].total_cmp(&Datum::Int(1000)).is_gt(),
+        );
     }
 
     #[test]

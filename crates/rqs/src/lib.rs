@@ -25,44 +25,39 @@
 //!
 //! # Storage architecture
 //!
-//! Physical row storage is pluggable behind the
-//! [`backend::StorageBackend`] trait; the [`Catalog`] holds only schemas
-//! and constraints, and the planner/executor read rows through a
-//! [`backend::Snapshot`] pairing the two. Two backends ship:
+//! Rows live in one store, [`PagedBackend`] — the `storage` crate's
+//! engine; the [`Catalog`] holds only schemas and constraints, and the
+//! planner/executor read rows through a [`backend::Snapshot`] pairing
+//! the two. [`Database::new`], [`Database::paged`] and
+//! [`Database::open_paged`] differ only in pool size and pager: tuples
+//! are serialized onto fixed-size (4 KiB) slotted heap pages, fetched
+//! through a pinned/unpinned buffer pool with clock eviction over an
+//! in-memory or file-backed pager; secondary indexes are B+-trees keyed
+//! on [`Datum`] (a text longer than a key is stored as its prefix and
+//! every row read through it re-checked, so an index never narrows what
+//! a column accepts); the schema and integrity constraints persist as
+//! rows of four bootstrap heaps (`system_tables`, `system_columns`,
+//! `system_indexes`, `system_constraints`) at fixed page ids, from which
+//! [`Database::open_paged`] rebuilds the catalog on reopen; and every
+//! mutating SQL statement commits through a write-ahead log, so
+//! committed statements survive crashes ([`Database::open_paged`]
+//! replays the log before bootstrapping) and failed statements roll back
+//! completely — heap rows, index postings and catalog mutations alike.
+//! [`Database::new`] is this engine over in-memory pages with a pool
+//! large enough that small databases never evict.
 //!
-//! * **Paged** ([`Database::new`], [`Database::paged`],
-//!   [`Database::open_paged`]) — the `storage` crate's engine, which
-//!   every database but the oracle runs on: tuples serialized onto
-//!   fixed-size (4 KiB) slotted heap pages, fetched through a
-//!   pinned/unpinned buffer pool with clock eviction over an in-memory
-//!   or file-backed pager; secondary indexes are B+-trees keyed on
-//!   [`Datum`]; the schema and integrity constraints persist as rows of
-//!   four bootstrap heaps (`system_tables`, `system_columns`,
-//!   `system_indexes`, `system_constraints`) at fixed page ids, from
-//!   which [`Database::open_paged`] rebuilds the catalog on reopen; and
-//!   every mutating SQL statement commits through a write-ahead log, so
-//!   committed statements survive crashes ([`Database::open_paged`]
-//!   replays the log before bootstrapping) and failed statements roll
-//!   back completely — heap rows, index postings and catalog mutations
-//!   alike. [`Database::new`] is this engine over in-memory pages with
-//!   a pool large enough that small databases never evict.
-//! * **Oracle** ([`Database::oracle`]) — a `Vec<Tuple>` per table, read
-//!   only by full scans: no indexes, no paging, no I/O accounting. It
-//!   is what the engine is differentially tested against.
-//!
-//! On the engine every scan and index lookup goes through the buffer
-//! pool, so [`exec::QueryMetrics::page_reads`] and
+//! Every scan and index lookup goes through the buffer pool, so
+//! [`exec::QueryMetrics::page_reads`] and
 //! [`exec::QueryMetrics::buffer_hits`] report real page traffic — the
 //! paper's actual cost model — and DML statements additionally report
 //! [`exec::QueryMetrics::wal_appends`]/[`exec::QueryMetrics::wal_bytes`],
-//! the price of durability. The two backends are observationally
-//! identical through SQL (enforced by `tests/backend_differential.rs`
-//! and the crash harness in `tests/crash_recovery.rs`); they differ
-//! only in physical cost. Both are `Send`; the engine alone supports
-//! any number of open session-scoped transactions (one active at a
-//! time), which is what the `server` crate builds its concurrent
-//! shared-database sessions on — isolation between them is the
-//! engine's MVCC write-conflict checks plus this crate's
+//! the price of durability. An index changes only what a statement
+//! costs, never what it answers: `tests/backend_differential.rs` runs
+//! every statement on a database with its indexes and on one without.
+//! The engine supports any number of open session-scoped transactions
+//! (one active at a time), which is what the `server` crate builds its
+//! concurrent shared-database sessions on — isolation between them is
+//! the engine's MVCC write-conflict checks plus this crate's
 //! constraint-probe reads.
 //!
 //! Crucially, this crate depends on nothing else in the workspace above
@@ -91,7 +86,7 @@ pub mod plan;
 pub mod sql;
 pub mod value;
 
-pub use backend::{AccessPath, PagedBackend, Snapshot, StorageBackend, TableSize};
+pub use backend::{AccessPath, PagedBackend, Snapshot, TableSize};
 pub use catalog::{Catalog, Column, ColumnType, Table, TableConstraint};
 pub use database::{Database, QueryResult, Trace, TraceSpan};
 pub use error::{RqsError, RqsResult};

@@ -8,7 +8,7 @@
 //! those is exactly the front-end optimizer's job, which is what the
 //! benchmarks measure.
 
-use crate::backend::{AccessPath, Snapshot, StorageBackend, TableSize};
+use crate::backend::{AccessPath, PagedBackend, Snapshot, TableSize};
 use crate::error::{RqsError, RqsResult};
 use crate::exec::StepRun;
 use crate::sql::ast::{CmpOp, ColumnRef, Condition, Scalar, SelectCore, SelectStmt};
@@ -253,7 +253,7 @@ fn estimate(core: &ResolvedCore, var: usize) -> usize {
 /// graph is disconnected. An equijoin step whose new variable has an
 /// index on its side of one of the equalities — and no cheaper access
 /// path of its own — may probe that index ([`JoinMethod::IndexProbe`]).
-pub fn plan(core: ResolvedCore, backend: &dyn StorageBackend) -> PhysicalPlan {
+pub fn plan(core: ResolvedCore, backend: &PagedBackend) -> PhysicalPlan {
     let n = core.vars.len();
     let mut remaining: Vec<usize> = (0..n).collect();
     let mut chosen: Vec<usize> = Vec::new();
@@ -335,7 +335,7 @@ pub fn plan(core: ResolvedCore, backend: &dyn StorageBackend) -> PhysicalPlan {
 /// narrow to an index read (or to nothing) is read once and hashed.
 fn probe_column(
     core: &ResolvedCore,
-    backend: &dyn StorageBackend,
+    backend: &PagedBackend,
     var: usize,
     eq: &[JoinCond],
 ) -> Option<(usize, (usize, usize))> {
@@ -371,7 +371,7 @@ impl PhysicalPlan {
     /// [`JoinMethod::IndexProbe`] step, the column it can probe. Under
     /// `EXPLAIN ANALYZE`, `runs` holds what each step actually did (one
     /// per step, in step order) and every line says which method ran.
-    pub fn explain(&self, backend: &dyn StorageBackend, runs: Option<&[StepRun]>) -> String {
+    pub fn explain(&self, backend: &PagedBackend, runs: Option<&[StepRun]>) -> String {
         let mut out = format!(
             "Project [{} item(s)]{}\n",
             self.core.items.len(),

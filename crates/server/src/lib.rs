@@ -2,10 +2,7 @@
 //!
 //! The paper couples a Prolog front-end to a *shared* relational query
 //! system; this crate is the sharing. A [`SharedDatabase`] is an
-//! `Arc`-cloneable, `Send` handle over one [`rqs::Database`] on the
-//! paged engine (`Database::oracle`, the scan-only reference of the
-//! differential tests, is not something the server serves —
-//! construction refuses it).
+//! `Arc`-cloneable, `Send` handle over one [`rqs::Database`].
 //! Each client gets a [`ServerSession`], which accepts the same SQL the
 //! database does plus three session-control statements:
 //!
@@ -237,16 +234,12 @@ fn lock_slow(m: &Mutex<SlowLog>) -> MutexGuard<'_, SlowLog> {
 }
 
 impl Shared {
-    /// Runs `f` on the paged engine under the statement latch's read
-    /// side (construction refused any other backend).
+    /// Runs `f` on the storage engine under the statement latch's read
+    /// side.
     fn with_engine<R>(&self, f: impl FnOnce(&StorageEngine) -> R) -> ServerResult<R> {
         let slot = db_read(&self.db);
         let db = slot.as_ref().ok_or(ServerError::Closed)?;
-        let paged = db
-            .backend()
-            .as_paged()
-            .expect("construction admits only paged databases");
-        Ok(f(paged.engine()))
+        Ok(f(db.engine()))
     }
 }
 
@@ -264,20 +257,8 @@ pub struct SharedDatabase {
 }
 
 impl SharedDatabase {
-    /// Shares an existing database on the paged engine.
-    ///
-    /// # Panics
-    ///
-    /// If `db` is not on the paged engine — every database is but
-    /// `Database::oracle`. Sessions and snapshot reads exist only on
-    /// the engine; the oracle is the differential tests' scan-only
-    /// reference, not a server backend.
+    /// Shares an existing database.
     pub fn from_database(db: Database) -> SharedDatabase {
-        assert!(
-            db.backend().as_paged().is_some(),
-            "SharedDatabase serves the paged engine only: build the database with \
-             Database::new, Database::paged or Database::open_paged, not Database::oracle"
-        );
         SharedDatabase {
             inner: Arc::new(Shared {
                 db: RwLock::new(Some(db)),
@@ -909,12 +890,5 @@ mod tests {
             Err(ServerError::Closed)
         ));
         assert!(matches!(db.crash(), Err(ServerError::Closed)));
-    }
-
-    #[test]
-    #[should_panic(expected = "Database::paged")]
-    fn an_in_memory_database_is_refused_at_construction() {
-        // The oracle has no sessions or snapshots to serve with.
-        let _ = SharedDatabase::from_database(Database::oracle());
     }
 }

@@ -662,4 +662,46 @@ mod tests {
         assert!(err.contains("syntax"), "{err}");
         server.stop();
     }
+
+    #[test]
+    fn a_row_past_one_page_is_a_hard_constraint_violation() {
+        // The page is a row's one size limit, with or without an index
+        // on the column. Past it, INSERT and UPDATE are refused as
+        // constraint violations: not retryable in a session, and no
+        // `transaction conflict` over the wire. The row stays as it was.
+        let shared = SharedDatabase::paged(16).unwrap();
+        let mut session = shared.session();
+        session.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
+        session.execute("CREATE INDEX ON t (b)").unwrap();
+        session.execute("INSERT INTO t VALUES (1, 'x')").unwrap();
+        let huge = "k".repeat(5000);
+        let statements = [
+            format!("INSERT INTO t VALUES (2, '{huge}')"),
+            format!("UPDATE t SET b = '{huge}' WHERE a = 1"),
+        ];
+        for sql in &statements {
+            let err = session.execute(sql).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    crate::ServerError::Statement(rqs::RqsError::ConstraintViolation(_))
+                ),
+                "{err:?}"
+            );
+            assert!(!err.is_retryable(), "{err}");
+        }
+        let Ok(server) = Server::start(shared, "127.0.0.1:0") else {
+            eprintln!("skipping: cannot bind a TCP socket in this environment");
+            return;
+        };
+        let mut c = Client::connect(server.addr()).unwrap();
+        for sql in &statements {
+            let err = c.execute(sql).unwrap().unwrap_err();
+            assert!(err.starts_with("integrity constraint violated"), "{err}");
+            assert!(err.contains("page limit"), "{err}");
+        }
+        let r = c.execute("SELECT v.a, v.b FROM t v").unwrap().unwrap();
+        assert_eq!(r.rows, vec![vec!["1".to_owned(), "'x'".to_owned()]]);
+        server.stop();
+    }
 }

@@ -51,22 +51,62 @@ use crate::page::{Page, PageId, PageKind, NO_PAGE};
 use crate::value::Datum;
 use crate::{StorageError, StorageResult};
 use std::cmp::Ordering;
+use std::ops::Bound;
 
-/// Largest encoded key the tree accepts. Capping keys at a quarter page
+/// Largest encoded key the tree stores. Capping keys at a quarter page
 /// guarantees several entries fit per node, which in turn guarantees
 /// byte-balanced splits always produce two halves that fit (see
-/// `split_point`). Callers must check [`check_key`] *before* mutating
-/// any other structure (the storage engine does, before heap inserts).
+/// `split_point`). A longer text is stored as a prefix (`stored_key`),
+/// so every value the heap accepts can be indexed.
 pub const MAX_KEY_LEN: usize = crate::page::PAGE_SIZE / 4;
 
-/// Rejects keys the tree could not store without breaking node
-/// invariants.
-pub fn check_key(key: &Datum) -> StorageResult<()> {
-    let len = encode_key(key).len();
-    if len > MAX_KEY_LEN {
-        return Err(StorageError::RecordTooLarge(len));
+/// Bytes of text a key holds whole: [`MAX_KEY_LEN`] less the datum's tag
+/// byte and `u32` length.
+const MAX_KEY_TEXT: usize = MAX_KEY_LEN - 5;
+
+/// Bytes of a cut text a stored key keeps at the least: a cut lands on a
+/// char boundary, and a char is at most 4 bytes.
+const MIN_KEPT_TEXT: usize = MAX_KEY_TEXT - 3;
+
+/// The longest prefix of `s` that ends on a char boundary within `len`
+/// bytes, as a datum.
+fn text_prefix(s: &str, len: usize) -> Datum {
+    Datum::text(&s[..s.floor_char_boundary(len)])
+}
+
+/// The key the tree stores for `value`: its encoding, except that a text
+/// longer than [`MAX_KEY_TEXT`] bytes is cut to its longest prefix that
+/// fits. Keys of [`MAX_KEY_LEN`] bytes or less are stored whole, so the
+/// on-disk format of existing indexes is unchanged. Values sharing a cut
+/// prefix share a key, so a read through the tree over-approximates and
+/// the engine re-checks every row it fetches against the whole value.
+fn stored_key(value: &Datum) -> Vec<u8> {
+    match value {
+        Datum::Text(s) if s.len() > MAX_KEY_TEXT => encode_key(&text_prefix(s, MAX_KEY_TEXT)),
+        other => encode_key(other),
     }
-    Ok(())
+}
+
+/// Where a range walk starts: the lower bound's key and whether it is
+/// included, `None` when unbounded below. A stored key is a prefix of its
+/// value at least [`MIN_KEPT_TEXT`] bytes long (or the whole value), so a
+/// text bound that long could sort above the stored key of a value it
+/// admits; it starts at its own prefix of that length instead, included,
+/// which sorts at or below the stored key of every value past the bound.
+/// A shorter bound already does. The upper bound needs no cut: a stored
+/// key sorts at or below its value, so a walk that stops at the first key
+/// past the whole bound misses nothing.
+fn range_start(lower: Bound<&Datum>) -> Option<(Vec<u8>, bool)> {
+    match lower {
+        Bound::Unbounded => None,
+        Bound::Included(Datum::Text(s)) | Bound::Excluded(Datum::Text(s))
+            if s.len() >= MIN_KEPT_TEXT =>
+        {
+            Some((encode_key(&text_prefix(s, MIN_KEPT_TEXT)), true))
+        }
+        Bound::Included(d) => Some((encode_key(d), true)),
+        Bound::Excluded(d) => Some((encode_key(d), false)),
+    }
 }
 
 /// Index of the first entry of the right half when splitting: the
@@ -179,9 +219,8 @@ impl BPlusTree {
 
     /// Inserts one `key → rid` posting.
     pub fn insert(&mut self, pool: &BufferPool, key: &Datum, rid: Rid) -> StorageResult<()> {
-        check_key(key)?;
         let entry = LeafEntry {
-            key: encode_key(key),
+            key: stored_key(key),
             rid,
         };
         bump(&pool.metrics().btree_descents);
@@ -198,10 +237,12 @@ impl BPlusTree {
 
         // Insert into the leaf, splitting upward as needed.
         let mut promoted = self.insert_into_leaf(pool, current, entry)?;
+        let mut split = current;
         while let Some((sep, new_child)) = promoted {
             match path.pop() {
                 Some(parent) => {
-                    promoted = self.insert_into_internal(pool, parent, sep, new_child)?;
+                    promoted = self.insert_into_internal(pool, parent, split, sep, new_child)?;
+                    split = parent;
                 }
                 None => {
                     // Root split: new internal root over old root + new child.
@@ -274,12 +315,14 @@ impl BPlusTree {
         Ok(Some((separator, right_id)))
     }
 
-    /// Inserts a promoted separator into an internal node; on overflow
-    /// splits it and returns the next promotion.
+    /// Inserts the separator of `split`'s new right sibling `child` into
+    /// their parent `node_id`; on overflow splits it and returns the
+    /// next promotion.
     fn insert_into_internal(
         &mut self,
         pool: &BufferPool,
         node_id: PageId,
+        split: PageId,
         sep: Vec<u8>,
         child: PageId,
     ) -> StorageResult<Option<(Vec<u8>, PageId)>> {
@@ -289,7 +332,7 @@ impl BPlusTree {
             child,
         }
         .encode();
-        let pos = guard.with(|p| internal_position(p, &sep))?;
+        let pos = guard.with(|p| position_after(p, split))?;
         if guard.with(|p| p.fits(record.len())) {
             guard.with_mut(|p| p.insert_record_at(pos, &record))??;
             return Ok(None);
@@ -338,7 +381,7 @@ impl BPlusTree {
     /// UPDATE/DELETE workloads this serves (and truncation rebuilding
     /// trees outright), space recovers on the next rebuild.
     pub fn delete(&mut self, pool: &BufferPool, key: &Datum, rid: Rid) -> StorageResult<bool> {
-        let target = encode_key(key);
+        let target = stored_key(key);
         bump(&pool.metrics().btree_descents);
         // Crab to the leftmost leaf that could hold the key.
         let mut guard = descend_to_leaf(pool, self.root, |p| child_for_lookup(p, &target), |_| ())?;
@@ -384,9 +427,11 @@ impl BPlusTree {
         }
     }
 
-    /// All rids posted under `key`, in insertion-stable (key, rid) order.
+    /// All rids posted under `key`'s stored key, in insertion-stable
+    /// (key, rid) order: exactly `key`'s rows when it fits a key, else
+    /// every row whose value shares its cut prefix.
     pub fn lookup(&self, pool: &BufferPool, key: &Datum) -> StorageResult<Vec<Rid>> {
-        let target = encode_key(key);
+        let target = stored_key(key);
         bump(&pool.metrics().btree_descents);
         // Crab to the leftmost leaf that could hold the key.
         let mut guard = descend_to_leaf(pool, self.root, |p| child_for_lookup(p, &target), |_| ())?;
@@ -426,18 +471,16 @@ impl BPlusTree {
     /// `<=`, `>`, `>=`, `BETWEEN`). Descends to the leftmost candidate
     /// leaf for the lower bound, then walks the leaf chain until an
     /// entry exceeds the upper bound, so the cost is proportional to the
-    /// matching range, not the table.
+    /// matching range, not the table. A bound longer than a key widens
+    /// the walk (see `range_start`): the rids are a superset of the
+    /// rows whose values fall inside.
     pub fn range(
         &self,
         pool: &BufferPool,
-        lower: std::ops::Bound<&Datum>,
-        upper: std::ops::Bound<&Datum>,
+        lower: Bound<&Datum>,
+        upper: Bound<&Datum>,
     ) -> StorageResult<Vec<Rid>> {
-        use std::ops::Bound;
-        let lower_key = match lower {
-            Bound::Included(d) | Bound::Excluded(d) => Some(encode_key(d)),
-            Bound::Unbounded => None,
-        };
+        let start = range_start(lower);
         let upper_key = match upper {
             Bound::Included(d) | Bound::Excluded(d) => Some(encode_key(d)),
             Bound::Unbounded => None,
@@ -448,8 +491,8 @@ impl BPlusTree {
         let mut guard = descend_to_leaf(
             pool,
             self.root,
-            |p| match &lower_key {
-                Some(key) => child_for_lookup(p, key),
+            |p| match &start {
+                Some((key, _)) => child_for_lookup(p, key),
                 None => Ok(p.extra()),
             },
             |_| (),
@@ -463,11 +506,12 @@ impl BPlusTree {
                 let mut done = false;
                 for record in p.records() {
                     let entry = LeafEntry::decode(record)?;
-                    if let Some(key) = &lower_key {
+                    if let Some((key, included)) = &start {
                         let ord = cmp_keys(&entry.key, key)?;
-                        let below = match lower {
-                            Bound::Included(_) => ord == Ordering::Less,
-                            _ => ord != Ordering::Greater,
+                        let below = if *included {
+                            ord == Ordering::Less
+                        } else {
+                            ord != Ordering::Greater
                         };
                         if below {
                             continue;
@@ -647,18 +691,23 @@ fn leaf_position(page: &Page, entry: &LeafEntry) -> StorageResult<usize> {
     Ok(pos)
 }
 
-/// Sorted position of a separator within an internal node (after equal
-/// separators).
-fn internal_position(page: &Page, key: &[u8]) -> StorageResult<usize> {
-    let mut pos = 0;
-    for record in page.records() {
-        let existing = InternalEntry::decode(record)?;
-        if cmp_keys(&existing.key, key)? == Ordering::Greater {
-            break;
-        }
-        pos += 1;
+/// Where a split of child `split` puts its new right sibling's entry:
+/// right after `split`'s own (first, when `split` is the leftmost
+/// child). By position, not by key: when a run of equal keys straddles
+/// splits, several separators may equal the new one, and only `split`'s
+/// place keeps the children in leaf-chain order.
+fn position_after(page: &Page, split: PageId) -> StorageResult<usize> {
+    if page.extra() == split {
+        return Ok(0);
     }
-    Ok(pos)
+    for (i, record) in page.records().enumerate() {
+        if InternalEntry::decode(record)?.child == split {
+            return Ok(i + 1);
+        }
+    }
+    Err(StorageError::Corrupt(format!(
+        "page {split} split but is no child of its parent"
+    )))
 }
 
 #[cfg(test)]
@@ -756,17 +805,61 @@ mod tests {
     }
 
     #[test]
-    fn oversized_keys_rejected_before_mutation() {
+    fn long_text_keys_are_stored_as_their_cut_prefix() {
         let pool = pool(4);
         let mut tree = BPlusTree::create(&pool).unwrap();
-        let huge = "k".repeat(MAX_KEY_LEN + 100);
-        assert!(matches!(
-            tree.insert(&pool, &Datum::text(&huge), rid(1)),
-            Err(StorageError::RecordTooLarge(_))
-        ));
-        // The tree is untouched and still usable.
-        tree.insert(&pool, &Datum::Int(1), rid(2)).unwrap();
-        assert_eq!(tree.lookup(&pool, &Datum::Int(1)).unwrap(), vec![rid(2)]);
+        let long = |tail: &str| Datum::text(&format!("{}{tail}", "k".repeat(MAX_KEY_LEN)));
+        tree.insert(&pool, &long("a"), rid(1)).unwrap();
+        tree.insert(&pool, &long("b"), rid(2)).unwrap();
+        tree.insert(&pool, &Datum::Int(1), rid(3)).unwrap();
+        // Both long values share one stored key: a lookup of either
+        // finds both, and the caller re-checks the whole value.
+        assert_eq!(
+            tree.lookup(&pool, &long("a")).unwrap(),
+            vec![rid(1), rid(2)]
+        );
+        assert_eq!(tree.lookup(&pool, &Datum::Int(1)).unwrap(), vec![rid(3)]);
+        assert!(tree.delete(&pool, &long("b"), rid(2)).unwrap());
+        assert_eq!(tree.lookup(&pool, &long("b")).unwrap(), vec![rid(1)]);
+        // A key that fits is stored whole, so its encoding is unchanged.
+        let fits = Datum::text(&"k".repeat(MAX_KEY_TEXT));
+        assert_eq!(stored_key(&fits), encode_key(&fits));
+        assert_eq!(stored_key(&long("a")).len(), MAX_KEY_LEN);
+        // A cut never splits a char: a 3-byte char straddling the limit
+        // is dropped whole.
+        let straddle = Datum::text(&format!("{}€tail", "k".repeat(MAX_KEY_TEXT - 1)));
+        assert_eq!(stored_key(&straddle).len(), MAX_KEY_LEN - 1);
+    }
+
+    #[test]
+    fn a_split_inside_a_run_of_equal_keys_keeps_the_parent_in_chain_order() {
+        // Regression: a leaf holding the first keys of a run that
+        // continues in its right neighbour can split with a separator
+        // equal to that neighbour's. Placed after the equal separator
+        // (by key), the new leaf landed right of its neighbour in the
+        // parent, and descents into the misplaced subtree lost postings.
+        // Near-cap keys hold three entries per leaf and skew the
+        // byte-balanced splits, which makes such runs common.
+        let pool = pool(16);
+        let mut tree = BPlusTree::create(&pool).unwrap();
+        let key = |i: u32| {
+            Datum::text(&format!(
+                "{:0>width$}",
+                i % 7,
+                width = MAX_KEY_TEXT - (i % 5) as usize
+            ))
+        };
+        for i in 0..200u32 {
+            tree.insert(&pool, &key((i * 37) % 200), rid(i)).unwrap();
+        }
+        for k in 0..35u32 {
+            let expected = (0..200u32).filter(|i| key(*i) == key(k)).count();
+            assert_eq!(
+                tree.lookup(&pool, &key(k)).unwrap().len(),
+                expected,
+                "key {k}"
+            );
+        }
     }
 
     #[test]

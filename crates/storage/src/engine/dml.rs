@@ -24,13 +24,6 @@ impl StorageEngine {
                 tuple.len()
             )));
         }
-        // Validate every indexed key before mutating anything: cheap
-        // rejections shouldn't pay for a transaction rollback.
-        for ix in &self.indexes {
-            if ix.table_id == info.id {
-                crate::btree::check_key(&tuple[ix.col])?;
-            }
-        }
         self.autocommit(|eng| {
             // No full table/index snapshot for DML: abort compensation
             // (`note_*`) undoes exactly this transaction's effects, so a
@@ -140,19 +133,13 @@ impl StorageEngine {
         }
         let table_id = info.id;
         let arity = info.columns.len();
-        // Validate arities and every indexed key before mutating
-        // anything, mirroring insert.
+        // Validate arities before mutating anything, mirroring insert.
         for (_, tuple) in updates {
             if tuple.len() != arity {
                 return Err(StorageError::Internal(format!(
                     "{name} stores {arity}-column tuples, got {}",
                     tuple.len()
                 )));
-            }
-            for ix in &self.indexes {
-                if ix.table_id == table_id {
-                    crate::btree::check_key(&tuple[ix.col])?;
-                }
             }
         }
         self.autocommit(|eng| {

@@ -20,9 +20,11 @@ pub enum IndexProbe<'a> {
 }
 
 impl IndexProbe<'_> {
-    /// Whether a column value answers the probe — what the tree decides
-    /// for current keys, and what a prior version's old key is
-    /// re-checked against.
+    /// Whether a column value answers the probe. The tree decides it
+    /// only for values that fit a key (a longer text is stored as a cut
+    /// prefix, shared with its neighbours), so every row an index read
+    /// fetches is re-checked against it, and so is a prior version's old
+    /// key.
     fn admits(&self, value: &Datum) -> bool {
         match self {
             IndexProbe::Eq(key) => value == *key,
@@ -175,6 +177,8 @@ impl StorageEngine {
     /// `>=`, `BETWEEN` ride on instead of full heap scans). Errors when
     /// no index covers the column.
     ///
+    /// Every fetched row is re-checked against `probe`, since a text
+    /// longer than a key shares its stored prefix with its neighbours.
     /// Postings address the current heap, so on a table with version
     /// entries each posting is resolved through the view (current
     /// content, the covering prior if *its* key still answers, or
@@ -205,7 +209,7 @@ impl StorageEngine {
             let tuple = decode_tuple(&info.heap.fetch(&self.pool, rid)?)?;
             let version = match &mut versions {
                 Some(versions) => versions.resolve(rid, tuple, &answers)?,
-                None => Some(tuple),
+                None => answers(&tuple).then_some(tuple),
             };
             out.extend(version.map(|tuple| (rid, tuple)));
         }

@@ -1,7 +1,9 @@
 //! Engine unit tests: data, catalog and DML paths here; crash,
 //! recovery, steal and free-list scenarios in [`recovery`]; index reads
-//! through a read view in [`snapshot`].
+//! through a read view in [`snapshot`]; texts longer than an index key
+//! in [`prefix_keys`].
 
+mod prefix_keys;
 mod recovery;
 mod snapshot;
 
@@ -194,31 +196,32 @@ fn point_lookup_reads_fewer_pages_than_full_scan() {
 }
 
 #[test]
-fn oversized_index_key_leaves_heap_and_index_consistent() {
-    // Regression: the heap row used to land before index maintenance
-    // failed, leaving scan() and index_lookup() disagreeing forever.
+fn indexed_columns_take_any_value_the_heap_takes() {
+    // A value past the B+-tree key cap is indexed under its cut prefix;
+    // only a record past one page is refused, with or without an index,
+    // and it leaves neither a heap row nor a posting behind.
     let mut eng = StorageEngine::in_memory(8).unwrap();
     eng.create_table("t", &cols(&[("a", ColType::Text)]))
         .unwrap();
     eng.create_index("t", 0).unwrap();
-    let huge = "x".repeat(crate::btree::MAX_KEY_LEN + 50);
+    let long = |tail: &str| format!("{}{tail}", "x".repeat(crate::btree::MAX_KEY_LEN + 50));
+    eng.insert("t", &[Datum::text(&long("1"))]).unwrap();
+    eng.insert("t", &[Datum::text(&long("2"))]).unwrap();
     assert!(matches!(
-        eng.insert("t", &[Datum::text(&huge)]),
+        eng.insert("t", &[Datum::text(&"y".repeat(5000))]),
         Err(StorageError::RecordTooLarge(_))
     ));
-    assert_eq!(eng.row_count("t").unwrap(), 0);
-    assert!(
-        eng.scan("t").unwrap().is_empty(),
-        "heap must not keep the row"
-    );
-    eng.insert("t", &[Datum::text("fine")]).unwrap();
+    assert_eq!(eng.row_count("t").unwrap(), 2);
     assert_eq!(
-        eng.index_lookup("t", 0, &Datum::text("fine"))
-            .unwrap()
-            .len(),
-        1
+        eng.index_lookup("t", 0, &Datum::text(&long("2"))).unwrap(),
+        vec![vec![Datum::text(&long("2"))]],
+        "the shared prefix's other row is re-checked away"
     );
-    assert_eq!(eng.scan("t").unwrap().len(), 1);
+    let all = eng
+        .index_range("t", 0, Bound::Included(&Datum::text("x")), Bound::Unbounded)
+        .unwrap();
+    assert_eq!(all.len(), 2);
+    assert_eq!(eng.scan("t").unwrap().len(), 2);
 }
 
 #[test]

@@ -1,7 +1,10 @@
-//! Backend equivalence: the paged storage engine and the scan-only
-//! oracle (`Database::oracle`, which keeps no indexes) must be
-//! observationally identical through SQL, so every index read the
-//! engine makes is checked against a plain scan.
+//! Index equivalence: an index changes what a statement costs, never
+//! what it answers. Every statement runs on two databases on the paged
+//! engine, one with the workload's indexes and one without
+//! (`CREATE INDEX` is withheld from it), so every index read the first
+//! makes — point and range reads, probe joins, the candidate reads of
+//! UPDATE and DELETE, versioned reads beside a parked writer — is
+//! checked against a plain scan.
 //!
 //! Three layers of evidence:
 //!
@@ -9,29 +12,32 @@
 //!    `tests/rqs_reference.rs` (restrictions with every comparison
 //!    operator, equijoins, theta joins, DISTINCT, UNION, `[NOT] IN`
 //!    subqueries, DELETE/reload, index creation mid-stream) executed on
-//!    both backends with a buffer pool far smaller than the data
+//!    both databases with a buffer pool far smaller than the data
 //!    (16 frames by default; `RQS_TEST_POOL_FRAMES` pins CI's
-//!    pool-pressure run to the 8-frame floor, forcing steals) —
+//!    pool-pressure run to the 8-frame floor, forcing steals on both) —
 //!    comparing results statement by statement;
 //! 2. randomly generated data + conjunctive queries over the same `r`/`s`
 //!    schema, with and without indexes, comparing result multisets;
 //! 3. the paper's own workload from `tests/paper_examples.rs` run through
-//!    two complete Prolog-front-end sessions, one per backend, comparing
-//!    answers (and checking the paged session actually touched pages) —
-//!    on the one-page spy firm, where every join step scans and hashes,
-//!    and on a generated ~850-employee firm, where the paged planner
-//!    joins through the key and foreign-key indexes (probe joins, also
-//!    beside a parked writer).
+//!    a complete Prolog-front-end session and compared with a plain
+//!    Prolog engine holding the firm's tuples as facts (checking the
+//!    session actually touched pages) — on the one-page spy firm, where
+//!    every join step scans and hashes, and on a generated ~850-employee
+//!    firm, where the planner joins through the key and foreign-key
+//!    indexes (probe joins, also beside a parked writer).
 
-use prolog_front_end::coupling::workload::{Firm, FirmParams};
-use prolog_front_end::pfe_core::{views, Coupler, Session};
+use prolog_front_end::coupling::workload::{Department, Employee, Firm, FirmParams};
+use prolog_front_end::pfe_core::{views, Session};
 use proptest::test_runner::TestRng;
 use rqs::{Database, QueryMetrics};
 
-/// Buffer-pool frames for the paged backend: a comfortable 16 by
-/// default, overridden by `RQS_TEST_POOL_FRAMES` — CI's pool-pressure
-/// step pins the engine's 8-frame floor so every whole-table statement
-/// in the corpus exercises the steal (undo-logging) eviction path.
+mod common;
+use common::prolog_answers;
+
+/// Buffer-pool frames of both databases: a comfortable 16 by default,
+/// overridden by `RQS_TEST_POOL_FRAMES` — CI's pool-pressure step pins
+/// the engine's 8-frame floor so every whole-table statement in the
+/// corpus exercises the steal (undo-logging) eviction path.
 fn pool_frames() -> usize {
     std::env::var("RQS_TEST_POOL_FRAMES")
         .ok()
@@ -39,19 +45,44 @@ fn pool_frames() -> usize {
         .unwrap_or(16)
 }
 
-fn make_backends() -> Vec<(&'static str, Database)> {
-    vec![
-        ("oracle", Database::oracle()),
-        (
-            "paged",
-            Database::paged(pool_frames()).expect("paged database"),
-        ),
-    ]
+/// A statement's outcome, rendered comparably: Ok(columns + sorted rows
+/// + affected) or the error class.
+type Outcome = Result<(Vec<String>, Vec<String>, usize), String>;
+
+/// The two databases every statement runs on: `indexed` runs all of
+/// them, `scanned` every one but `CREATE INDEX`, so it keeps no index
+/// and reads every table by full scans.
+struct Twins {
+    indexed: Database,
+    scanned: Database,
+}
+
+impl Twins {
+    fn new() -> Twins {
+        let db = || Database::paged(pool_frames()).expect("paged database");
+        Twins {
+            indexed: db(),
+            scanned: db(),
+        }
+    }
+
+    /// Runs `sql` on both databases (`CREATE INDEX` on `indexed` only)
+    /// and asserts they agree, naming `context` if they do not.
+    fn agree(&mut self, sql: &str, context: &str) {
+        let indexed = outcome(&mut self.indexed, sql);
+        if !sql.starts_with("CREATE INDEX") {
+            let scanned = outcome(&mut self.scanned, sql);
+            assert_eq!(
+                indexed, scanned,
+                "{context}indexed vs scanned diverged on: {sql}"
+            );
+        }
+    }
 }
 
 /// Renders an execution outcome comparably: Ok(columns + sorted rows +
 /// affected) or the error class.
-fn outcome(db: &mut Database, sql: &str) -> Result<(Vec<String>, Vec<String>, usize), String> {
+fn outcome(db: &mut Database, sql: &str) -> Outcome {
     match db.execute(sql) {
         Ok(result) => {
             let mut rows: Vec<String> = result
@@ -67,7 +98,7 @@ fn outcome(db: &mut Database, sql: &str) -> Result<(Vec<String>, Vec<String>, us
             rows.sort();
             Ok((result.columns, rows, result.affected))
         }
-        // Compare by error kind, not message (messages may name backends).
+        // Compare by error kind, not message.
         Err(e) => Err(format!("{e:?}").split('(').next().unwrap_or("?").to_owned()),
     }
 }
@@ -116,7 +147,7 @@ fn sql_corpus_agrees_across_backends() {
             "SELECT v1.zzz FROM r v1", // unknown column
             "SELECT v1.a FROM nosuch v1", // unknown table
             // Index creation mid-stream: later point queries take the
-            // B+-tree path on the paged backend.
+            // B+-tree path on the indexed database.
             "CREATE INDEX ON r (a)",
             "SELECT v1.c FROM r v1 WHERE v1.a = 7",
             "SELECT v1.c FROM r v1 WHERE v1.a = 7 AND v1.b < 4",
@@ -129,52 +160,44 @@ fn sql_corpus_agrees_across_backends() {
         ]
         .map(String::from),
     );
-    // A tuple larger than one 4 KiB page: both backends must reject it
-    // with the same error class (record-size cap parity).
+    // A tuple larger than one 4 KiB page: both databases must reject it
+    // with the same error class, with or without an index.
     corpus.push(format!(
         "INSERT INTO r VALUES (1, 2, '{}')",
         "w".repeat(5000)
     ));
     corpus.push("SELECT v1.a FROM r v1 WHERE v1.b = 2".into());
 
-    let mut backends = make_backends();
+    let mut twins = Twins::new();
     for sql in &corpus {
-        let mut results = Vec::new();
-        for (name, db) in backends.iter_mut() {
-            results.push((name, outcome(db, sql)));
-        }
-        let (first_name, first) = &results[0];
-        for (name, other) in &results[1..] {
-            assert_eq!(first, other, "{first_name} vs {name} diverged on: {sql}");
-        }
+        twins.agree(sql, "");
     }
 }
 
-/// Versioned index reads against the oracle. A parked transaction on
-/// the paged side pins the GC horizon, so every write after it leaves
+/// Versioned index reads against scans. A parked transaction on the
+/// indexed database pins the GC horizon, so every write after it leaves
 /// version metadata on `acct` and every indexed read — the SELECTs'
 /// and the UPDATE/DELETE candidate reads alike — resolves its postings
-/// through a view instead of reading the bare tree. Two oracles:
+/// through a view instead of reading the bare tree. Two references:
 ///
 /// * *latest state*: after each churn statement, indexed point and
 ///   range queries (and their forced-scan twins on the unindexed
-///   `twin` column) must match the oracle, which has no
-///   versions at all;
+///   `twin` column) must match the scanned database, which has no
+///   index and no parked transaction keeping versions;
 /// * *old snapshot*: the parked transaction re-asks the same questions
-///   and must keep getting what the oracle answered before
+///   and must keep getting what the scanned database answered before
 ///   the churn began.
 #[test]
 fn versioned_index_reads_agree_with_the_oracle_in_both_snapshots() {
-    let mut backends = make_backends();
+    let mut twins = Twins::new();
     let pad = "p".repeat(400);
-    for (_, db) in backends.iter_mut() {
-        db.execute("CREATE TABLE acct (k INT, twin INT, v INT, pad TEXT)")
-            .unwrap();
-        db.execute("CREATE INDEX ON acct (k)").unwrap();
-        for k in 0..120 {
-            db.execute(&format!("INSERT INTO acct VALUES ({k}, {k}, 0, '{pad}')"))
-                .unwrap();
-        }
+    twins.agree("CREATE TABLE acct (k INT, twin INT, v INT, pad TEXT)", "");
+    twins.agree("CREATE INDEX ON acct (k)", "");
+    for k in 0..120 {
+        twins.agree(
+            &format!("INSERT INTO acct VALUES ({k}, {k}, 0, '{pad}')"),
+            "",
+        );
     }
     let probes: Vec<String> = ["k", "twin"]
         .iter()
@@ -190,17 +213,15 @@ fn versioned_index_reads_agree_with_the_oracle_in_both_snapshots() {
                 ])
         })
         .collect();
-    let (oracle, paged) = {
-        let mut it = backends.iter_mut().map(|(_, db)| db);
-        (it.next().unwrap(), it.next().unwrap())
-    };
-    let engine_reads = |db: &Database| {
-        let paged = db.backend().as_paged().expect("paged backend");
-        paged.engine().metrics().versioned_index_reads
-    };
-    let old: Vec<_> = probes.iter().map(|sql| outcome(oracle, sql)).collect();
-    let pin = paged.begin_session_txn().unwrap();
-    assert_eq!(engine_reads(paged), 0, "nothing versioned before the churn");
+    let Twins { indexed, scanned } = &mut twins;
+    let engine_reads = |db: &Database| db.engine().metrics().versioned_index_reads;
+    let old: Vec<_> = probes.iter().map(|sql| outcome(scanned, sql)).collect();
+    let pin = indexed.begin_session_txn().unwrap();
+    assert_eq!(
+        engine_reads(indexed),
+        0,
+        "nothing versioned before the churn"
+    );
 
     let grown = "G".repeat(3000);
     let churn = [
@@ -222,28 +243,28 @@ fn versioned_index_reads_agree_with_the_oracle_in_both_snapshots() {
         "UPDATE acct SET v = v + 1 WHERE k = 60".to_owned(),
     ];
     for stmt in &churn {
-        assert_eq!(outcome(oracle, stmt), outcome(paged, stmt), "on: {stmt}");
+        assert_eq!(outcome(scanned, stmt), outcome(indexed, stmt), "on: {stmt}");
         for (sql, old) in probes.iter().zip(&old) {
             assert_eq!(
-                outcome(oracle, sql),
-                outcome(paged, sql),
+                outcome(scanned, sql),
+                outcome(indexed, sql),
                 "after {stmt}: {sql}"
             );
-            paged.resume_session_txn(pin).unwrap();
-            let seen = outcome(paged, sql);
-            paged.suspend_session_txn();
+            indexed.resume_session_txn(pin).unwrap();
+            let seen = outcome(indexed, sql);
+            indexed.suspend_session_txn();
             assert_eq!(&seen, old, "old snapshot moved after {stmt}: {sql}");
         }
     }
     assert!(
-        engine_reads(paged) > probes.len() as u64,
+        engine_reads(indexed) > probes.len() as u64,
         "the indexed probes went through the versioned reader"
     );
-    paged.commit_session_txn(pin).unwrap();
+    indexed.commit_session_txn(pin).unwrap();
     for sql in &probes {
         assert_eq!(
-            outcome(oracle, sql),
-            outcome(paged, sql),
+            outcome(scanned, sql),
+            outcome(indexed, sql),
             "quiescent: {sql}"
         );
     }
@@ -285,7 +306,7 @@ fn update_and_predicated_delete_corpus_agrees_across_backends() {
     ];
     let dml = [
         // Inverted and empty ranges on the indexed `sal`, read while
-        // the table is large enough for an index path on both backends:
+        // the table is large enough for an index path:
         // the index read yields nothing instead of panicking on the range.
         "SELECT v.eno FROM empl v WHERE v.sal > 30000 AND v.sal < 20000",
         "UPDATE empl SET sal = 25000 WHERE sal > 30000 AND sal < 20000",
@@ -331,9 +352,10 @@ fn update_and_predicated_delete_corpus_agrees_across_backends() {
         "DELETE FROM empl",
         "SELECT v.eno FROM empl v",
     ];
-    // Size-cap parity: a value assigned to an indexed column must fit a
-    // B+-tree node, and a rewritten tuple must fit one 4 KiB page —
-    // both backends reject with the same error class, state untouched.
+    // Size limits: a value assigned to an indexed column may be far
+    // longer than a B+-tree key (it is indexed under its prefix), but
+    // a rewritten tuple must fit one 4 KiB page — past that both
+    // databases reject with the same error class, state untouched.
     corpus.push("CREATE INDEX ON empl (nam)".into());
     corpus.push(format!(
         "UPDATE empl SET nam = '{}' WHERE eno = 30",
@@ -347,12 +369,9 @@ fn update_and_predicated_delete_corpus_agrees_across_backends() {
         corpus.push(stmt.into());
         corpus.extend(probes.iter().map(|p| p.to_string()));
     }
-    // A table far wider than the default 8-frame pool (~15 pages of
-    // padded rows): the whole-table rewrite used to be the one pinned
-    // parity exception (paged failed pool-exhausted where the oracle
-    // succeeded). With steal/undo logging both backends succeed
-    // identically — and the statement now exercises the steal path on
-    // every differential run.
+    // A table far wider than the 8-frame pool (~15 pages of padded
+    // rows): the whole-table rewrite exercises the steal path on every
+    // pool-pressure run.
     corpus.push("CREATE TABLE wide (k INT, pad TEXT)".into());
     for chunk in 0..4 {
         let rows: Vec<String> = (0..40)
@@ -368,9 +387,9 @@ fn update_and_predicated_delete_corpus_agrees_across_backends() {
         "x".repeat(20)
     ));
     corpus.push("SELECT v.k, v.pad FROM wide v".into());
-    // Bare DELETE (truncation) now carries restrict semantics: a parent
-    // that referencing children still point at refuses to truncate on
-    // both backends; the child truncates freely, then the parent does.
+    // Bare DELETE (truncation) carries restrict semantics: a parent
+    // that referencing children still point at refuses to truncate; the
+    // child truncates freely, then the parent does.
     // (empl was truncated by the dml block above, so re-reference dept
     // first.)
     corpus.push("INSERT INTO dept VALUES (7, 'annex')".into());
@@ -382,28 +401,21 @@ fn update_and_predicated_delete_corpus_agrees_across_backends() {
     corpus.push("SELECT v.dno FROM dept v".into());
     corpus.push("SELECT v.eno FROM empl v".into());
 
-    let mut backends = make_backends();
+    let mut twins = Twins::new();
     for sql in &corpus {
-        let mut results = Vec::new();
-        for (name, db) in backends.iter_mut() {
-            results.push((name, outcome(db, sql)));
-        }
-        let (first_name, first) = &results[0];
-        for (name, other) in &results[1..] {
-            assert_eq!(first, other, "{first_name} vs {name} diverged on: {sql}");
-        }
+        twins.agree(sql, "");
     }
 }
 
 /// Generated DML mixed with inserts: every statement (and a full-state
-/// probe after each DML) must agree across backends, indexes on or off.
+/// probe after each DML) must agree with and without the indexes.
 #[test]
 fn generated_update_delete_statements_agree_across_backends() {
     let mut rng = TestRng::deterministic("backend_differential_dml");
     let ops = ["=", "<>", "<", ">", "<=", ">="];
     let letters = ["x", "y", "z"];
     for case in 0..120 {
-        let mut backends = make_backends();
+        let mut twins = Twins::new();
         let mut statements: Vec<String> = vec![
             "CREATE TABLE r (a INT, b INT, c TEXT)".into(),
             "CREATE TABLE s (b INT, d TEXT)".into(),
@@ -476,17 +488,7 @@ fn generated_update_delete_statements_agree_across_backends() {
         }
 
         for sql in &statements {
-            let mut results = Vec::new();
-            for (name, db) in backends.iter_mut() {
-                results.push((name, outcome(db, sql)));
-            }
-            let (first_name, first) = &results[0];
-            for (name, other) in &results[1..] {
-                assert_eq!(
-                    first, other,
-                    "case {case}: {first_name} vs {name} diverged on: {sql}"
-                );
-            }
+            twins.agree(sql, &format!("case {case}: "));
         }
     }
 }
@@ -496,7 +498,7 @@ fn generated_queries_agree_across_backends() {
     let mut rng = TestRng::deterministic("backend_differential");
     let ops = ["=", "<>", "<", ">", "<=", ">="];
     for case in 0..150 {
-        let mut backends = make_backends();
+        let mut twins = Twins::new();
         let mut statements: Vec<String> = vec![
             "CREATE TABLE r (a INT, b INT, c TEXT)".into(),
             "CREATE TABLE s (b INT, d TEXT)".into(),
@@ -540,70 +542,85 @@ fn generated_queries_agree_across_backends() {
         ));
 
         for sql in &statements {
-            let mut results = Vec::new();
-            for (name, db) in backends.iter_mut() {
-                results.push((name, outcome(db, sql)));
-            }
-            let (first_name, first) = &results[0];
-            for (name, other) in &results[1..] {
-                assert_eq!(
-                    first, other,
-                    "case {case}: {first_name} vs {name} diverged on: {sql}"
-                );
-            }
+            twins.agree(sql, &format!("case {case}: "));
         }
     }
 }
 
-/// The spy-firm fixture of `tests/paper_examples.rs`, on a given session.
-fn load_spy(mut s: Session) -> Session {
-    s.load_empl(&[
-        (1, "control", 80_000, 10),
-        (2, "smiley", 60_000, 10),
-        (3, "jones", 30_000, 20),
-        (4, "miller", 25_000, 20),
-        (5, "leamas", 35_000, 20),
-    ])
-    .expect("fixture loads");
-    s.load_dept(&[(10, "hq", 1), (20, "field", 2)])
-        .expect("fixture loads");
-    s.check_integrity().expect("fixture is consistent");
-    s.consult(views::WORKS_DIR_FOR).expect("views parse");
-    s.consult(views::SAME_MANAGER).expect("views parse");
+/// The spy firm of `tests/paper_examples.rs`.
+fn spy_firm() -> Firm {
+    let employee = |eno, nam: &str, sal, dno, level| Employee {
+        eno,
+        nam: nam.to_owned(),
+        sal,
+        dno,
+        level,
+    };
+    let department = |dno, fct: &str, mgr| Department {
+        dno,
+        fct: fct.to_owned(),
+        mgr,
+    };
+    Firm {
+        params: FirmParams::default(),
+        employees: vec![
+            employee(1, "control", 80_000, 10, 0),
+            employee(2, "smiley", 60_000, 10, 1),
+            employee(3, "jones", 30_000, 20, 2),
+            employee(4, "miller", 25_000, 20, 2),
+            employee(5, "leamas", 35_000, 20, 2),
+        ],
+        departments: vec![department(10, "hq", 1), department(20, "field", 2)],
+    }
+}
+
+/// `same_manager` beside `works_for` (whose source defines
+/// `works_dir_for`).
+const SAME_MANAGER: &str =
+    "same_manager(X, Y) :- works_dir_for(X, M), works_dir_for(Y, M), neq(X, Y).";
+
+/// The same relations for the plain Prolog engine, its body goals
+/// ordered for a top-down proof with the second argument bound, and its
+/// `works_for` walking down from the boss. The head of each firm manages
+/// their own department; without the `neq` that recursion would loop
+/// there, and a self-step adds nothing to a closure.
+const PROLOG_VIEWS: &str = "
+    works_dir_for(X, Y) :- empl(M, Y, _, _), dept(D, _, M), empl(_, X, _, D).
+    works_for(L, H) :- works_dir_for(L, H).
+    works_for(L, H) :- works_dir_for(M, H), neq(M, H), works_for(L, M).
+    same_manager(X, Y) :- works_dir_for(Y, M), works_dir_for(X, M), neq(X, Y).
+";
+
+/// A session on a `pool`-frame engine over `firm`, with the paper's
+/// `works_for` and `same_manager` views.
+fn firm_session(pool: usize, firm: &Firm) -> Session {
+    let mut s = Session::empdep_paged(pool);
+    s.consult(views::WORKS_FOR).expect("views parse");
+    s.consult(SAME_MANAGER).expect("views parse");
+    firm.load_into(s.coupler_mut())
+        .expect("the firm is consistent");
+    s.config_mut().cache = false;
     s
 }
 
-/// Runs every goal through both sessions' full pipelines, asserting equal
-/// answer sets and zero page I/O on the oracle's side; returns the
-/// paged side's summed work counters.
-fn pipelines_agree(mem: &mut Session, paged: &mut Session, goals: &[String]) -> QueryMetrics {
-    let answers = |run: &prolog_front_end::pfe_core::QueryRun| {
-        let mut v: Vec<String> = run
-            .answers
-            .iter()
-            .map(|ans| {
-                ans.iter()
-                    .map(|(k, d)| format!("{k}={d}"))
-                    .collect::<Vec<_>>()
-                    .join(";")
-            })
-            .collect();
-        v.sort();
-        v
-    };
-    let mut paged_total = QueryMetrics::default();
+/// Runs every goal through the session's full pipeline and asserts its
+/// answers are a plain Prolog engine's over the firm's tuples; returns
+/// the session's summed work counters.
+fn pipeline_agrees_with_prolog(s: &mut Session, firm: &Firm, goals: &[String]) -> QueryMetrics {
+    let mut total = QueryMetrics::default();
     for goal in goals {
-        let a = mem.query(goal, "q").expect("oracle pipeline runs");
-        let b = paged.query(goal, "q").expect("paged pipeline runs");
-        assert_eq!(answers(&a), answers(&b), "goal: {goal}");
+        let run = s.query(goal, "q").expect("the pipeline runs");
+        let mut got: Vec<String> = run.answers.iter().map(|a| a["X"].to_string()).collect();
+        got.sort();
+        got.dedup();
         assert_eq!(
-            (a.total_metrics().page_reads, a.total_metrics().buffer_hits),
-            (0, 0),
-            "the oracle must report zero page I/O"
+            got,
+            prolog_answers(firm, PROLOG_VIEWS, goal, "X"),
+            "goal: {goal}"
         );
-        paged_total.absorb(&b.total_metrics());
+        total.absorb(&run.total_metrics());
     }
-    paged_total
+    total
 }
 
 /// The five goal classes of the paper workload about employee `e`.
@@ -617,39 +634,19 @@ fn goal_classes(e: &str) -> Vec<String> {
     ]
 }
 
-/// The paper's empdep session over the oracle.
-fn oracle_session() -> Session {
-    Session::from(Coupler::empdep_over(Database::oracle()))
-}
-
-/// A session over a generated firm: its tables span many pages, so the
-/// paged planner joins through the key and foreign-key indexes.
-fn firm_session(mut s: Session, firm: &Firm) -> Session {
-    s.consult(views::WORKS_FOR).expect("views parse");
-    s.consult("same_manager(X, Y) :- works_dir_for(X, M), works_dir_for(Y, M), neq(X, Y).")
-        .expect("views parse");
-    firm.load_into(s.coupler_mut())
-        .expect("generated data is consistent");
-    s.config_mut().cache = false;
-    s
-}
-
 #[test]
 fn paper_pipeline_agrees_across_backends() {
     // The spy firm: one page per table, so every step scans and hashes.
-    let mut mem = load_spy(oracle_session());
-    let mut paged = load_spy(Session::empdep_paged(8));
-    let goals = [
-        "works_dir_for(t_X, smiley)",
-        "same_manager(t_X, jones)",
-        "works_dir_for(t_X, smiley), empl(E, t_X, S, D), less(S, 40000)",
-        "works_dir_for(t_X, smiley), empl(E, t_X, S, D), less(S, 2000)",
-    ]
-    .map(String::from);
-    let m = pipelines_agree(&mut mem, &mut paged, &goals);
+    let spy = spy_firm();
+    let mut paged = firm_session(8, &spy);
+    let goals: Vec<String> = ["smiley", "jones", "control"]
+        .iter()
+        .flat_map(|e| goal_classes(e))
+        .collect();
+    let m = pipeline_agrees_with_prolog(&mut paged, &spy, &goals);
     assert!(
         m.page_reads + m.buffer_hits > 0,
-        "paged backend reported no page activity across the whole workload"
+        "the session reported no page activity across the whole workload"
     );
     assert_eq!(
         m.index_probes, 0,
@@ -658,15 +655,14 @@ fn paper_pipeline_agrees_across_backends() {
 
     // A generated firm of ~850 employees: every goal class, about a
     // bottom-level manager, a top-level one and a staff member, with
-    // both join methods in play on the paged side.
+    // both join methods in play.
     let firm = Firm::generate(FirmParams {
         depth: 4,
         branching: 3,
         staff_per_dept: 6,
         seed: 1,
     });
-    let mut mem_firm = firm_session(oracle_session(), &firm);
-    let mut paged_firm = firm_session(Session::empdep_paged(pool_frames()), &firm);
+    let mut paged_firm = firm_session(pool_frames(), &firm);
     let name = |eno: i64| firm.employees[eno as usize - 1].nam.clone();
     let subjects = [
         name(firm.departments.last().expect("departments").mgr),
@@ -674,35 +670,33 @@ fn paper_pipeline_agrees_across_backends() {
         firm.deepest_employee().to_owned(),
     ];
     let goals: Vec<String> = subjects.iter().flat_map(|e| goal_classes(e)).collect();
-    let m = pipelines_agree(&mut mem_firm, &mut paged_firm, &goals);
+    let m = pipeline_agrees_with_prolog(&mut paged_firm, &firm, &goals);
     assert!(m.index_probes > 0, "no join step probed an index: {m:?}");
     assert!(m.page_reads + m.buffer_hits > 0);
 
     // The snapshot case: a probe join beside a parked, uncommitted
     // `UPDATE empl` that moves a department's staff elsewhere.
-    probe_join_sees_its_snapshot(&firm, &mut mem_firm, &mut paged_firm);
+    probe_join_sees_its_snapshot(&firm, &mut paged_firm);
 
-    // DML through the coupling layer also agrees — including the new
-    // truncation restrict rule: `dept.mgr` references `empl.eno` and
-    // `empl.dno` references `dept.dno`, so the bare DELETE of either
-    // table is refused identically on both backends while the other
-    // still points at it.
+    // DML through the coupling layer, including the truncation
+    // restrict rule: `dept.mgr` references `empl.eno` and `empl.dno`
+    // references `dept.dno`, so the bare DELETE of either table is
+    // refused while the other still points at it.
     for table in ["empl", "dept"] {
         let sql = format!("DELETE FROM {table}");
-        let del_mem = mem.coupler_mut().rqs.execute(&sql);
-        let del_paged = paged.coupler_mut().rqs.execute(&sql);
         assert!(
-            del_mem.is_err() && del_paged.is_err(),
-            "truncating referenced {table} must be refused on both backends"
+            paged.coupler_mut().rqs.execute(&sql).is_err(),
+            "truncating referenced {table} must be refused"
         );
     }
-    // Unreferenced rows still delete identically through a predicate
-    // (dept.mgr points at empl 1 and 2 only).
-    let sql = "DELETE FROM empl WHERE eno > 2";
-    let del_mem = mem.coupler_mut().rqs.execute(sql).unwrap();
-    let del_paged = paged.coupler_mut().rqs.execute(sql).unwrap();
-    assert_eq!(del_mem.affected, del_paged.affected);
-    assert_eq!(del_mem.affected, 3);
+    // Unreferenced rows still delete through a predicate (dept.mgr
+    // points at empl 1 and 2 only).
+    let deleted = paged
+        .coupler_mut()
+        .rqs
+        .execute("DELETE FROM empl WHERE eno > 2")
+        .unwrap();
+    assert_eq!(deleted.affected, 3);
 }
 
 /// Sorted first-column answers of one SELECT, with its work counters.
@@ -739,16 +733,14 @@ fn both_ways(db: &mut Database, boss: &str) -> (Vec<String>, QueryMetrics) {
 
 /// A probe join reads through its statement's snapshot: beside a parked
 /// transaction that has moved one department's staff (uncommitted), it
-/// returns the pre-write answer — the oracle's — while the writer sees
-/// its own move, both ways.
-fn probe_join_sees_its_snapshot(firm: &Firm, mem: &mut Session, paged: &mut Session) {
+/// returns the pre-write answer — the engine's own quiescent one — while
+/// the writer sees its own move, both ways.
+fn probe_join_sees_its_snapshot(firm: &Firm, paged: &mut Session) {
     let dept = firm.departments.last().expect("departments");
     let boss = firm.employees[dept.mgr as usize - 1].nam.clone();
-    let (oracle, _) = both_ways(&mut mem.coupler_mut().rqs, &boss);
-    assert!(!oracle.is_empty(), "{boss} manages staff");
     let db = &mut paged.coupler_mut().rqs;
     let (quiet, m) = both_ways(db, &boss);
-    assert_eq!(quiet, oracle);
+    assert!(!quiet.is_empty(), "{boss} manages staff");
     assert!(m.index_probes > 0, "the join must probe: {m:?}");
 
     let pin = db.begin_session_txn().unwrap();
@@ -756,17 +748,14 @@ fn probe_join_sees_its_snapshot(firm: &Firm, mem: &mut Session, paged: &mut Sess
     let moved = db
         .execute(&format!("UPDATE empl SET dno = 1 WHERE dno = {}", dept.dno))
         .unwrap();
-    assert_eq!(moved.affected, oracle.len());
+    assert_eq!(moved.affected, quiet.len());
     assert_eq!(both_ways(db, &boss).0, Vec::<String>::new(), "own write");
     db.suspend_session_txn();
 
-    let versioned = |db: &Database| {
-        let engine = db.backend().as_paged().expect("paged").engine();
-        engine.metrics().versioned_index_reads
-    };
+    let versioned = |db: &Database| db.engine().metrics().versioned_index_reads;
     let before = versioned(db);
     let (beside, m) = both_ways(db, &boss);
-    assert_eq!(beside, oracle, "a probe join read the parked write");
+    assert_eq!(beside, quiet, "a probe join read the parked write");
     assert!(m.index_probes > 0, "still a probe join beside the writer");
     assert!(
         versioned(db) > before,
@@ -774,5 +763,5 @@ fn probe_join_sees_its_snapshot(firm: &Firm, mem: &mut Session, paged: &mut Sess
     );
 
     db.abort_session_txn(pin);
-    assert_eq!(both_ways(db, &boss).0, oracle);
+    assert_eq!(both_ways(db, &boss).0, quiet);
 }

@@ -11,8 +11,8 @@
 //!    are still enforced without re-issuing DDL.
 //!
 //! The expected state is computed by replaying the committed prefix of
-//! the same statements on `Database::oracle` — the scan-only reference
-//! `tests/backend_differential.rs` already holds the engine to.
+//! the same statements on a fresh `Database::new()` that never crashes:
+//! the committed-state model.
 
 use proptest::prelude::*;
 use rqs::value::Tuple;
@@ -213,7 +213,7 @@ fn assert_constraints_still_enforced(db: &mut Database) {
 }
 
 /// Tentpole scenario: for every crash point in the scripted workload,
-/// the reopened database equals the oracle's replay of exactly the
+/// the reopened database equals the model's replay of exactly the
 /// committed prefix, with heap/index agreement and live constraints.
 #[test]
 fn every_crash_point_recovers_the_committed_prefix() {
@@ -222,10 +222,10 @@ fn every_crash_point_recovers_the_committed_prefix() {
     for crash_at in 0..=script.len() {
         let path = temp_db("script");
         let mut db = Database::open_paged(&path, pool).unwrap();
-        let mut oracle = Database::oracle();
+        let mut model = Database::new();
         for stmt in &script[..crash_at] {
             let a = db.execute(stmt).expect("scripted statement succeeds");
-            let b = oracle.execute(stmt).expect("oracle statement succeeds");
+            let b = model.execute(stmt).expect("model statement succeeds");
             assert_eq!(a.affected, b.affected, "affected rows diverged on {stmt}");
         }
         // Crash: buffered pages are lost, only the WAL survives.
@@ -233,7 +233,7 @@ fn every_crash_point_recovers_the_committed_prefix() {
         let mut recovered = Database::open_paged(&path, pool).unwrap();
         assert_eq!(
             full_state(&recovered),
-            full_state(&oracle),
+            full_state(&model),
             "state diverged after crash at statement {crash_at}"
         );
         assert_heap_index_agree(&recovered, "empl", &[1, 3]);
@@ -693,7 +693,7 @@ fn op_strategy() -> impl Strategy<Value = String> {
         1 => (0i64..6, "[a-z]{1,4}").prop_map(|(b, d)| format!(
             "UPDATE s SET d = '{d}' WHERE b <= {b}"
         )),
-        // Key rewrites on u may collide — the paged run and the oracle
+        // Key rewrites on u may collide — the crashed run and the model
         // must then agree on the ConstraintViolation.
         1 => (0i64..10, 0i64..10).prop_map(|(k, k2)| format!(
             "UPDATE u SET k = {k2} WHERE k = {k}"
@@ -723,7 +723,7 @@ proptest! {
 
     /// Random statement sequences with a random crash point: the
     /// recovered database equals the committed prefix replayed on the
-    /// oracle, statement for statement (errors included —
+    /// model, statement for statement (errors included —
     /// e.g. duplicate-key inserts into `u` must fail on both).
     #[test]
     fn random_workloads_recover_committed_prefix(
@@ -739,14 +739,14 @@ proptest! {
         let crash_at = crash_at.min(ops.len());
         let path = temp_db("prop");
         let mut db = Database::open_paged(&path, pool_frames(12)).unwrap();
-        let mut oracle = Database::oracle();
+        let mut model = Database::new();
         for stmt in setup.iter().map(|s| s.to_string()).chain(ops[..crash_at].iter().cloned()) {
             let a = db.execute(&stmt);
-            let b = oracle.execute(&stmt);
+            let b = model.execute(&stmt);
             prop_assert_eq!(
                 a.is_ok(),
                 b.is_ok(),
-                "backends disagreed on {}: paged {:?} vs mem {:?}",
+                "the crashed run and the model disagreed on {}: {:?} vs {:?}",
                 stmt, a.err().map(|e| e.to_string()), b.err().map(|e| e.to_string())
             );
             if let (Ok(ra), Ok(rb)) = (a, b) {
@@ -755,7 +755,7 @@ proptest! {
         }
         db.crash();
         let recovered = Database::open_paged(&path, pool_frames(12)).unwrap();
-        prop_assert_eq!(full_state(&recovered), full_state(&oracle));
+        prop_assert_eq!(full_state(&recovered), full_state(&model));
         assert_heap_index_agree(&recovered, "r", &[0, 1, 2]);
         assert_heap_index_agree(&recovered, "s", &[0, 1]);
         // The key constraint on u still bites after recovery.

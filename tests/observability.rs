@@ -84,13 +84,13 @@ fn load_rows(db: &mut Database, n: i64) {
 fn a_full_scan_fetches_each_heap_page_once() {
     let mut db = Database::paged(8).unwrap();
     load_rows(&mut db, 1000);
-    let engine = db.backend().as_paged().unwrap().engine();
+    let engine = db.engine();
     let heap_pages = engine.heap_pages("empl").unwrap() as u64;
     assert!(heap_pages > 8, "the table must spill the 8-frame pool");
     let before = engine.metrics();
     // Unrestricted and unindexed: one fetch per page of the chain.
     let r = db.execute("SELECT v.sal FROM empl v").unwrap();
-    let after = db.backend().as_paged().unwrap().engine().metrics();
+    let after = db.engine().metrics();
     assert_eq!(r.rows.len(), 1000);
     let fetches = (after.fault_ins - before.fault_ins) + (after.buffer_hits - before.buffer_hits);
     assert!(
@@ -129,7 +129,7 @@ fn wal_counters_match_the_file_on_disk() {
         db.execute("UPDATE t SET b = 'rewritten' WHERE a >= 40")
             .unwrap();
         db.execute("DELETE FROM t WHERE a < 5").unwrap();
-        let snap = db.backend().as_paged().unwrap().engine().metrics();
+        let snap = db.engine().metrics();
         assert!(snap.wal_appends > 0, "DML must log");
         assert!(snap.wal_fsyncs > 0, "commits must force the log");
         // Registry vs. the bytes actually on disk: every committed
@@ -156,7 +156,7 @@ fn recovery_counts_its_replay_and_its_checkpoint() {
     assert_eq!(db.query("SELECT v.a FROM t v").unwrap().rows.len(), 3);
     // Recovery ran with the database's registry attached: it counts the
     // images it replayed and the checkpoint it ends with.
-    let snap = db.backend().as_paged().unwrap().engine().metrics();
+    let snap = db.engine().metrics();
     assert!(snap.recovery_redo_frames > 0, "{snap:?}");
     assert_eq!(snap.wal_checkpoints, 1, "recovery ends in one checkpoint");
     drop(db);
@@ -674,8 +674,8 @@ fn fsync_histogram_count_matches_the_counter() {
             db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
         }
         db.execute("UPDATE t SET a = 99 WHERE a < 5").unwrap();
-        let snap = db.backend().as_paged().unwrap().engine().metrics();
-        let hist = db.backend().as_paged().unwrap().engine().histograms();
+        let snap = db.engine().metrics();
+        let hist = db.engine().histograms();
         // Same events, two reductions: every fsync bumps the counter
         // and records one histogram sample, at the same call site.
         assert!(snap.wal_fsyncs > 0, "commits must force the log");

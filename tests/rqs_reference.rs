@@ -6,7 +6,10 @@
 //! the result. The reference here evaluates the same SELECT by enumerating
 //! the full cross product and filtering — obviously correct, obviously
 //! slow — over randomly generated tables and conjunctive queries, on the
-//! paged engine.
+//! paged engine. Single-table UPDATE and DELETE are held to a plain
+//! `Vec<Vec<Datum>>` model of the table the same way, with and without
+//! indexes on the predicated columns: the engine-independent reference
+//! for DML.
 
 use proptest::prelude::*;
 use rqs::{Database, Datum};
@@ -71,17 +74,6 @@ impl Cond {
     }
 
     fn eval(&self, r: &(i64, i64, String), s: &(i64, String)) -> bool {
-        fn cmp(op: &str, x: i64, y: i64) -> bool {
-            match op {
-                "=" => x == y,
-                "<>" => x != y,
-                "<" => x < y,
-                ">" => x > y,
-                "<=" => x <= y,
-                ">=" => x >= y,
-                _ => unreachable!("generator emits known ops"),
-            }
-        }
         match self {
             Cond::RestrictA(op, k) => cmp(op, r.0, *k),
             Cond::Join => r.1 == s.0,
@@ -91,15 +83,19 @@ impl Cond {
     }
 }
 
-fn cond_strategy() -> impl Strategy<Value = Cond> {
-    let ops = prop_oneof![
+fn op_strategy() -> impl Strategy<Value = &'static str> + Clone {
+    prop_oneof![
         Just("="),
         Just("<>"),
         Just("<"),
         Just(">"),
         Just("<="),
         Just(">=")
-    ];
+    ]
+}
+
+fn cond_strategy() -> impl Strategy<Value = Cond> {
+    let ops = op_strategy();
     prop_oneof![
         (ops.clone(), 0i64..6).prop_map(|(op, k)| Cond::RestrictA(op, k)),
         Just(Cond::Join),
@@ -116,6 +112,102 @@ fn data_strategy() -> impl Strategy<Value = TestData> {
         proptest::collection::vec(s_row, 0..8),
     )
         .prop_map(|(r_rows, s_rows)| TestData { r_rows, s_rows })
+}
+
+fn cmp(op: &str, x: i64, y: i64) -> bool {
+    match op {
+        "=" => x == y,
+        "<>" => x != y,
+        "<" => x < y,
+        ">" => x > y,
+        "<=" => x <= y,
+        ">=" => x >= y,
+        _ => unreachable!("generator emits known ops"),
+    }
+}
+
+/// `col OP k` on column `col` (0 = `a`, 1 = `b`) of the DML table.
+#[derive(Debug, Clone)]
+struct Pred(usize, &'static str, i64);
+
+/// One single-table DML statement on `t (a INT, b INT, pad TEXT)`.
+#[derive(Debug, Clone)]
+enum Dml {
+    /// `UPDATE t SET a = k WHERE …`
+    SetA(i64, Vec<Pred>),
+    /// `UPDATE t SET b = b + k WHERE …` (`b - |k|` for a negative `k`)
+    AddB(i64, Vec<Pred>),
+    /// `DELETE FROM t WHERE …`
+    Delete(Vec<Pred>),
+}
+
+const DML_COLS: [&str; 2] = ["a", "b"];
+
+impl Dml {
+    fn sql(&self) -> String {
+        let filter = |preds: &[Pred]| {
+            let conds: Vec<String> = preds
+                .iter()
+                .map(|Pred(col, op, k)| format!("{} {op} {k}", DML_COLS[*col]))
+                .collect();
+            format!("WHERE {}", conds.join(" AND "))
+        };
+        match self {
+            Dml::SetA(k, preds) => format!("UPDATE t SET a = {k} {}", filter(preds)),
+            Dml::AddB(k, preds) if *k < 0 => {
+                format!("UPDATE t SET b = b - {} {}", -k, filter(preds))
+            }
+            Dml::AddB(k, preds) => format!("UPDATE t SET b = b + {k} {}", filter(preds)),
+            Dml::Delete(preds) => format!("DELETE FROM t {}", filter(preds)),
+        }
+    }
+
+    /// Applies the statement to the model, returning the rows affected.
+    fn apply(&self, model: &mut Vec<Vec<Datum>>) -> usize {
+        match self {
+            Dml::SetA(k, preds) => update(model, preds, 0, |_| *k),
+            Dml::AddB(k, preds) => update(model, preds, 1, |b| b + k),
+            Dml::Delete(preds) => {
+                let before = model.len();
+                model.retain(|row| !satisfies(row, preds));
+                before - model.len()
+            }
+        }
+    }
+}
+
+fn int(d: &Datum) -> i64 {
+    d.as_int().expect("int column")
+}
+
+fn satisfies(row: &[Datum], preds: &[Pred]) -> bool {
+    preds
+        .iter()
+        .all(|Pred(col, op, k)| cmp(op, int(&row[*col]), *k))
+}
+
+/// Rewrites `col` of every model row satisfying `preds` with `f` of its
+/// old value, returning how many rows that was.
+fn update(model: &mut [Vec<Datum>], preds: &[Pred], col: usize, f: impl Fn(i64) -> i64) -> usize {
+    let mut affected = 0;
+    for row in model.iter_mut().filter(|row| satisfies(row, preds)) {
+        row[col] = datum_int(f(int(&row[col])));
+        affected += 1;
+    }
+    affected
+}
+
+fn preds_strategy() -> impl Strategy<Value = Vec<Pred>> {
+    let pred = (0usize..2, op_strategy(), 0i64..6).prop_map(|(col, op, k)| Pred(col, op, k));
+    proptest::collection::vec(pred, 1..3)
+}
+
+fn dml_strategy() -> impl Strategy<Value = Dml> {
+    prop_oneof![
+        (0i64..6, preds_strategy()).prop_map(|(k, p)| Dml::SetA(k, p)),
+        (-2i64..3, preds_strategy()).prop_map(|(k, p)| Dml::AddB(k, p)),
+        preds_strategy().prop_map(Dml::Delete),
+    ]
 }
 
 proptest! {
@@ -215,5 +307,42 @@ proptest! {
         got_rows.sort();
         expected.sort();
         prop_assert_eq!(got_rows, expected, "query: {}", sql);
+    }
+
+    /// UPDATE and DELETE ≡ the same statements applied to a plain
+    /// `Vec<Vec<Datum>>` model, statement by statement: the rows each
+    /// one affected and the whole table after it. The padded rows span
+    /// several pages, so a predicate on an indexed column is read
+    /// through the index.
+    #[test]
+    fn update_delete_match_reference(
+        rows in proptest::collection::vec((0i64..6, 0i64..6), 20..60),
+        index_a in proptest::bool::ANY,
+        index_b in proptest::bool::ANY,
+        statements in proptest::collection::vec(dml_strategy(), 1..8),
+    ) {
+        let pad = "p".repeat(300);
+        let mut db = Database::paged(pool_frames()).expect("paged database");
+        db.execute("CREATE TABLE t (a INT, b INT, pad TEXT)").unwrap();
+        let mut model: Vec<Vec<Datum>> = Vec::new();
+        for (a, b) in &rows {
+            db.execute(&format!("INSERT INTO t VALUES ({a}, {b}, '{pad}')")).unwrap();
+            model.push(vec![datum_int(*a), datum_int(*b), Datum::text(&pad)]);
+        }
+        for (col, on) in [("a", index_a), ("b", index_b)] {
+            if on {
+                db.execute(&format!("CREATE INDEX ON t ({col})")).unwrap();
+            }
+        }
+        for dml in &statements {
+            let sql = dml.sql();
+            let got = db.execute(&sql).unwrap();
+            prop_assert_eq!(got.affected, dml.apply(&mut model), "affected by {}", sql);
+            let mut table = db.execute("SELECT v.a, v.b, v.pad FROM t v").unwrap().rows;
+            table.sort();
+            let mut expected = model.clone();
+            expected.sort();
+            prop_assert_eq!(table, expected, "table after {}", sql);
+        }
     }
 }
