@@ -124,7 +124,7 @@ fn main() {
 }
 
 /// E6-2 — Example 6-2 ("four out of five join operations have been
-/// avoided") through the whole pipeline on the paged backend, direct
+/// avoided") through the whole pipeline on the paged engine, direct
 /// translation vs optimized, for every sweep firm.
 fn e6_2_simplification() -> JsonObj {
     let mut out = JsonObj::default().u("pool_pages", POOL_PAGES as u64);

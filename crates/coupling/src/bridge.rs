@@ -4,9 +4,9 @@
 //! is SQL text or result tuples, exactly as in the paper.
 
 use crate::{Answer, CouplingError, Result};
-use dbcl::{AttrType, ConstraintSet, DatabaseDef, DbclQuery, Entry, Value};
-use prolog::Term;
-use rqs::{Datum, QueryResult};
+use dbcl::{AttrType, Constraint, ConstraintSet, DatabaseDef, DbclQuery, Entry, Value};
+use prolog::{Atom, Term};
+use rqs::{Datum, QueryResult, StorageEngine, TableConstraint};
 
 /// Generates the DDL that stands up the external database: one
 /// `CREATE TABLE` per relation with keys, bounds and foreign keys derived
@@ -73,6 +73,59 @@ pub fn ddl_statements(db: &DatabaseDef, constraints: &ConstraintSet) -> Vec<Stri
     out
 }
 
+/// Refuses a constraint set the store does not enforce. The §6
+/// optimizer is sound only for constraints the data must satisfy, so
+/// each one has to be implied by the typed constraints the engine's
+/// catalog holds once [`ddl_statements`] ran:
+/// - a value bound by a stored bound on the same column that is no
+///   wider;
+/// - an FD by a stored key contained in its left-hand side;
+/// - a refint by a stored foreign key on the same columns.
+///
+/// The error names the first constraint that is not.
+pub fn check_enforced(engine: &StorageEngine, constraints: &ConstraintSet) -> Result<()> {
+    let stored = |rel: Atom| -> Result<&[TableConstraint]> {
+        let table = engine.table(rel.as_str()).map_err(rqs::RqsError::from)?;
+        Ok(&table.constraints)
+    };
+    let names = |attrs: &[Atom]| -> Vec<String> { attrs.iter().map(|a| a.to_string()).collect() };
+    let refuse = |c: Constraint| -> Result<()> {
+        Err(CouplingError(format!(
+            "the store does not enforce {c}, so the optimizer may not assume it"
+        )))
+    };
+    for b in &constraints.bounds {
+        let implied = stored(b.rel)?.iter().any(|s| {
+            matches!(s, TableConstraint::ValueBound { column, lo, hi }
+                if column == b.attr.as_str() && *lo >= b.lo && *hi <= b.hi)
+        });
+        if !implied {
+            return refuse(Constraint::ValueBound(b.clone()));
+        }
+    }
+    for fd in &constraints.fds {
+        let implied = stored(fd.rel)?.iter().any(|s| {
+            matches!(s, TableConstraint::Key { columns }
+                if columns.iter().all(|c| fd.lhs.iter().any(|a| a.as_str() == c)))
+        });
+        if !implied {
+            return refuse(Constraint::FuncDep(fd.clone()));
+        }
+    }
+    for r in &constraints.refints {
+        let implied = stored(r.from_rel)?.iter().any(|s| {
+            matches!(s, TableConstraint::ForeignKey { columns, parent_table, parent_columns }
+                if *columns == names(&r.from_attrs)
+                    && parent_table == r.to_rel.as_str()
+                    && *parent_columns == names(&r.to_attrs))
+        });
+        if !implied {
+            return refuse(Constraint::RefInt(r.clone()));
+        }
+    }
+    Ok(())
+}
+
 /// DBCL constant → RQS cell value.
 pub fn value_to_datum(value: &Value) -> Datum {
     match value {
@@ -126,6 +179,44 @@ mod tests {
     use super::*;
     use dbcl::{ConstraintSet, DatabaseDef};
 
+    /// Each kind of constraint is checked against what the store holds:
+    /// a bound only by one no wider, an FD only by a key inside its
+    /// left-hand side, a refint only by a foreign key on its columns.
+    #[test]
+    fn only_constraints_the_store_holds_are_enforced() {
+        let mut rqs = rqs::Database::new();
+        rqs.execute("CREATE TABLE d (k INT, PRIMARY KEY (k))")
+            .unwrap();
+        rqs.execute(
+            "CREATE TABLE e (k INT, s INT, j INT, PRIMARY KEY (k), \
+             CHECK (s BETWEEN 0 AND 100), FOREIGN KEY (j) REFERENCES d (k))",
+        )
+        .unwrap();
+        let check = |source: &str| {
+            let set = ConstraintSet::parse(source).unwrap();
+            check_enforced(rqs.engine(), &set).map_err(|e| e.0)
+        };
+        for implied in [
+            "valuebound(e, s, 0, 100).",
+            "valuebound(e, s, -5, 200).",
+            "funcdep(e, [k], [s, j]).",
+            "funcdep(e, [j, k], [s]).",
+            "refint(e, [j], d, [k]).",
+        ] {
+            assert_eq!(check(implied), Ok(()), "{implied}");
+        }
+        for refused in [
+            "valuebound(e, s, 10, 50).",
+            "valuebound(e, j, 0, 100).",
+            "funcdep(e, [j], [s]).",
+            "refint(e, [s], d, [k]).",
+            "refint(d, [k], e, [k]).",
+        ] {
+            let err = check(refused).unwrap_err();
+            assert!(err.contains(refused.trim_end_matches('.')), "{err}");
+        }
+    }
+
     #[test]
     fn empdep_ddl_shape() {
         let ddl = ddl_statements(&DatabaseDef::empdep(), &ConstraintSet::empdep());
@@ -153,8 +244,8 @@ mod tests {
         for stmt in ddl_statements(&DatabaseDef::empdep(), &ConstraintSet::empdep()) {
             db.execute(&stmt).unwrap();
         }
-        assert!(db.catalog().has_table("empl"));
-        assert!(db.catalog().has_table("dept"));
+        assert!(db.engine().has_table("empl"));
+        assert!(db.engine().has_table("dept"));
     }
 
     #[test]

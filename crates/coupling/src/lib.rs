@@ -34,7 +34,9 @@ pub mod recursion;
 pub mod stepwise;
 pub mod workload;
 
-pub use bridge::{answers_from_result, datum_to_term, ddl_statements, value_to_datum};
+pub use bridge::{
+    answers_from_result, check_enforced, datum_to_term, ddl_statements, value_to_datum,
+};
 pub use cache::QueryCache;
 
 use dbcl::{ConstraintSet, DatabaseDef, DbclQuery, Entry};
@@ -176,7 +178,8 @@ impl Coupler {
 
     /// Couples the Prolog engine to `rqs`: sets up the external database
     /// schema (tables, keys, bounds, foreign keys) from the shared
-    /// definition.
+    /// definition, then refuses any constraint the store does not
+    /// enforce ([`check_enforced`]).
     fn over(
         mut rqs: rqs::Database,
         db: DatabaseDef,
@@ -186,6 +189,7 @@ impl Coupler {
         for ddl in ddl_statements(&db, &constraints) {
             rqs.execute(&ddl)?;
         }
+        check_enforced(rqs.engine(), &constraints)?;
         Ok(Coupler {
             engine: prolog::Engine::new(),
             rqs,
@@ -691,6 +695,26 @@ mod tests {
             .unwrap();
         assert_eq!(names(&run.answers, "N"), ["jones", "leamas", "miller"]);
         assert!(c.engine.query_all("staff(X).").unwrap().is_empty());
+    }
+
+    /// The probe of ROADMAP finding 8: `funcdep(emp, [dno], [sal])` is
+    /// no key, so the store does not enforce it, and an optimizer
+    /// trusting it proves a join over two salaries of one department
+    /// empty while the data answers it. The coupler refuses it instead.
+    #[test]
+    fn an_unenforced_fd_is_refused_at_construction() {
+        use dbcl::AttrType::{Int, Text};
+        let mut db = DatabaseDef::new("firm");
+        db.add_relation_typed(
+            "emp",
+            &[("eno", Int), ("nam", Text), ("sal", Int), ("dno", Int)],
+        );
+        let mut constraints = ConstraintSet::new();
+        constraints.add_fd("emp", &["eno"], &["nam", "sal", "dno"]);
+        assert!(Coupler::new(db.clone(), constraints.clone()).is_ok());
+        constraints.add_fd("emp", &["dno"], &["sal"]);
+        let err = Coupler::new(db, constraints).err().expect("refused");
+        assert!(err.0.contains("funcdep(emp, [dno], [sal])"), "{err}");
     }
 
     #[test]

@@ -332,7 +332,7 @@ pub fn eval_intermediate_mismatched(
 }
 
 fn ensure_intermediate(coupler: &mut Coupler, table: &str, ty: AttrType) -> Result<()> {
-    if coupler.rqs.catalog().has_table(table) {
+    if coupler.rqs.engine().has_table(table) {
         coupler.rqs.execute(&format!("DELETE FROM {table}"))?;
     } else {
         let sql_ty = match ty {
@@ -556,12 +556,12 @@ mod tests {
         // fails after the DELETE ran, and both roll back together.
         let oversized = Datum::text(&"x".repeat(8192));
         assert!(set_intermediate(&mut c, "intermediate", &[oversized]).is_err());
-        let mut rows = c.rqs.backend().scan("intermediate").unwrap();
+        let mut rows = c.rqs.engine().scan("intermediate").unwrap();
         rows.sort();
         assert_eq!(rows, frontier.map(|v| vec![v]));
         // The database is usable afterwards: no transaction was left open.
         set_intermediate(&mut c, "intermediate", &[]).unwrap();
-        assert!(c.rqs.backend().scan("intermediate").unwrap().is_empty());
+        assert!(c.rqs.engine().scan("intermediate").unwrap().is_empty());
     }
 
     #[test]

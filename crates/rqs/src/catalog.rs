@@ -1,203 +1,45 @@
-//! Catalog: table schemas and integrity-constraint enforcement.
+//! Integrity-constraint enforcement over the engine's catalog.
 //!
 //! The paper assumes "the use of an existing database system" that already
 //! maintains value bounds, keys and referential integrity — the semantic
-//! knowledge its optimizer exploits. This module holds that system's
-//! *logical* layer: schemas and constraints. Physical row storage lives
-//! in [`crate::backend::PagedBackend`]; the constraint checkers here read
-//! through it.
+//! knowledge its optimizer exploits. The storage engine's catalog is the
+//! one record of every schema and its typed [`TableConstraint`]s; this
+//! module holds the checks that enforce them: the type check, value
+//! bounds, keys and foreign keys on insert, and `validate_all` after
+//! a bulk load.
 
-use crate::backend::{AccessPath, PagedBackend};
+use crate::access::{self, AccessPath};
 use crate::error::{RqsError, RqsResult};
 use crate::value::{Datum, Tuple};
-use std::collections::BTreeMap;
-use std::fmt;
+use storage::{ColType, StorageEngine, TableConstraint, TableInfo};
 
-/// Column type.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ColumnType {
-    Int,
-    Text,
-}
-
-impl fmt::Display for ColumnType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ColumnType::Int => f.write_str("INT"),
-            ColumnType::Text => f.write_str("TEXT"),
-        }
+/// Type-checks a tuple against the table's schema.
+pub(crate) fn typecheck(table: &TableInfo, tuple: &Tuple) -> RqsResult<()> {
+    if tuple.len() != table.columns.len() {
+        return Err(RqsError::Type(format!(
+            "{} expects {} values, got {}",
+            table.name,
+            table.columns.len(),
+            tuple.len()
+        )));
     }
-}
-
-/// A column: name and type.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Column {
-    pub name: String,
-    pub ty: ColumnType,
-}
-
-/// Table-level integrity constraints, enforced on insert.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum TableConstraint {
-    /// Values of the column must lie within `[lo, hi]`.
-    ValueBound { column: String, lo: i64, hi: i64 },
-    /// The column set is a key (no two rows agree on all of them).
-    Key { columns: Vec<String> },
-    /// Values of `columns` must appear as `parent_columns` values in
-    /// `parent_table` (referential integrity).
-    ForeignKey {
-        columns: Vec<String>,
-        parent_table: String,
-        parent_columns: Vec<String>,
-    },
-}
-
-impl TableConstraint {
-    /// Serializes the constraint to the compact text spec persisted in
-    /// the paged engine's `system_constraints` catalog. Column names
-    /// are SQL identifiers (no spaces or commas), so space- and
-    /// comma-separated fields are unambiguous.
-    pub fn to_spec(&self) -> String {
-        match self {
-            TableConstraint::ValueBound { column, lo, hi } => format!("bound {column} {lo} {hi}"),
-            TableConstraint::Key { columns } => format!("key {}", columns.join(",")),
-            TableConstraint::ForeignKey {
-                columns,
-                parent_table,
-                parent_columns,
-            } => format!(
-                "fk {} {parent_table} {}",
-                columns.join(","),
-                parent_columns.join(",")
-            ),
-        }
-    }
-
-    /// Parses a spec produced by [`TableConstraint::to_spec`].
-    pub fn parse_spec(spec: &str) -> RqsResult<TableConstraint> {
-        let corrupt = || RqsError::Internal(format!("malformed constraint spec: {spec:?}"));
-        let fields: Vec<&str> = spec.split(' ').collect();
-        let split_cols = |s: &str| -> Vec<String> { s.split(',').map(str::to_owned).collect() };
-        match fields.as_slice() {
-            ["bound", column, lo, hi] => Ok(TableConstraint::ValueBound {
-                column: (*column).to_owned(),
-                lo: lo.parse().map_err(|_| corrupt())?,
-                hi: hi.parse().map_err(|_| corrupt())?,
-            }),
-            ["key", columns] => Ok(TableConstraint::Key {
-                columns: split_cols(columns),
-            }),
-            ["fk", columns, parent, parent_columns] => Ok(TableConstraint::ForeignKey {
-                columns: split_cols(columns),
-                parent_table: (*parent).to_owned(),
-                parent_columns: split_cols(parent_columns),
-            }),
-            _ => Err(corrupt()),
-        }
-    }
-}
-
-/// A table schema: name, typed columns, constraints. Rows live in the
-/// storage backend.
-#[derive(Clone, Debug)]
-pub struct Table {
-    pub name: String,
-    pub columns: Vec<Column>,
-    pub constraints: Vec<TableConstraint>,
-}
-
-impl Table {
-    pub fn new(name: &str, columns: Vec<Column>) -> Table {
-        Table {
-            name: name.to_owned(),
-            columns,
-            constraints: Vec::new(),
-        }
-    }
-
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
-
-    pub fn arity(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// Type-checks a tuple against the schema.
-    pub fn typecheck(&self, tuple: &Tuple) -> RqsResult<()> {
-        if tuple.len() != self.columns.len() {
+    for ((name, ty), value) in table.columns.iter().zip(tuple) {
+        let ok = matches!(
+            (ty, value),
+            (ColType::Int, Datum::Int(_)) | (ColType::Text, Datum::Text(_))
+        );
+        if !ok {
             return Err(RqsError::Type(format!(
-                "{} expects {} values, got {}",
-                self.name,
-                self.columns.len(),
-                tuple.len()
+                "column {}.{name} is {ty}, got {value}",
+                table.name
             )));
         }
-        for (col, value) in self.columns.iter().zip(tuple) {
-            let ok = matches!(
-                (col.ty, value),
-                (ColumnType::Int, Datum::Int(_)) | (ColumnType::Text, Datum::Text(_))
-            );
-            if !ok {
-                return Err(RqsError::Type(format!(
-                    "column {}.{} is {}, got {value}",
-                    self.name, col.name, col.ty
-                )));
-            }
-        }
-        Ok(())
     }
-}
-
-/// The catalog of all table schemas.
-#[derive(Clone, Debug, Default)]
-pub struct Catalog {
-    tables: BTreeMap<String, Table>,
-}
-
-impl Catalog {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn create_table(&mut self, table: Table) -> RqsResult<()> {
-        if self.tables.contains_key(&table.name) {
-            return Err(RqsError::DuplicateTable(table.name));
-        }
-        self.tables.insert(table.name.clone(), table);
-        Ok(())
-    }
-
-    pub fn drop_table(&mut self, name: &str) -> RqsResult<()> {
-        self.tables
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| RqsError::UnknownTable(name.to_owned()))
-    }
-
-    pub fn table(&self, name: &str) -> RqsResult<&Table> {
-        self.tables
-            .get(name)
-            .ok_or_else(|| RqsError::UnknownTable(name.to_owned()))
-    }
-
-    pub fn table_mut(&mut self, name: &str) -> RqsResult<&mut Table> {
-        self.tables
-            .get_mut(name)
-            .ok_or_else(|| RqsError::UnknownTable(name.to_owned()))
-    }
-
-    pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(name)
-    }
-
-    pub fn table_names(&self) -> impl Iterator<Item = &str> {
-        self.tables.keys().map(String::as_str)
-    }
+    Ok(())
 }
 
 pub(crate) fn resolve_columns(
-    table: &Table,
+    table: &TableInfo,
     names: &[String],
     what: &str,
 ) -> RqsResult<Vec<usize>> {
@@ -212,7 +54,7 @@ pub(crate) fn resolve_columns(
 }
 
 pub(crate) fn check_value_bound(
-    table: &Table,
+    table: &TableInfo,
     tuple: &Tuple,
     column: &str,
     lo: i64,
@@ -237,36 +79,35 @@ pub(crate) fn check_value_bound(
 /// index when one covers a single-column probe, visiting every match
 /// (in probe mode each one is judged), else with an early-exit scan.
 fn row_exists(
-    backend: &PagedBackend,
+    engine: &StorageEngine,
     table: &str,
     cols: &[usize],
     values: &[Datum],
 ) -> RqsResult<bool> {
     if let ([col], [value]) = (cols, values) {
-        if backend.has_index(table, *col) {
+        if engine.has_index(table, *col) {
             let mut found = false;
             let key = AccessPath::KeyEq(*col, value.clone());
-            backend.read(table, &key, &mut |_, _| {
+            access::read(engine, table, &key, &mut |_, _| {
                 found = true;
                 true
             })?;
             return Ok(found);
         }
     }
-    backend.contains(table, cols, values)
+    Ok(engine.contains(table, cols, values)?)
 }
 
 /// Checks every constraint of `table_name` against one candidate tuple,
-/// reading existing rows through the backend. Called before every
+/// reading existing rows through the engine. Called before every
 /// checked insert.
 pub(crate) fn check_insert(
-    catalog: &Catalog,
-    backend: &PagedBackend,
+    engine: &StorageEngine,
     table_name: &str,
     tuple: &Tuple,
 ) -> RqsResult<()> {
-    let table = catalog.table(table_name)?;
-    table.typecheck(tuple)?;
+    let table = engine.table(table_name)?;
+    typecheck(table, tuple)?;
     for c in &table.constraints {
         match c {
             TableConstraint::ValueBound { column, lo, hi } => {
@@ -275,7 +116,7 @@ pub(crate) fn check_insert(
             TableConstraint::Key { columns } => {
                 let cols = resolve_columns(table, columns, "key")?;
                 let values: Vec<Datum> = cols.iter().map(|&c| tuple[c].clone()).collect();
-                if row_exists(backend, table_name, &cols, &values)? {
+                if row_exists(engine, table_name, &cols, &values)? {
                     return Err(RqsError::ConstraintViolation(format!(
                         "duplicate key {columns:?} in {table_name}"
                     )));
@@ -287,10 +128,10 @@ pub(crate) fn check_insert(
                 parent_columns,
             } => {
                 let child_cols = resolve_columns(table, columns, "fk")?;
-                let parent = catalog.table(parent_table)?;
+                let parent = engine.table(parent_table)?;
                 let parent_cols = resolve_columns(parent, parent_columns, "fk")?;
                 let values: Vec<Datum> = child_cols.iter().map(|&c| tuple[c].clone()).collect();
-                if !row_exists(backend, parent_table, &parent_cols, &values)? {
+                if !row_exists(engine, parent_table, &parent_cols, &values)? {
                     return Err(RqsError::ConstraintViolation(format!(
                         "{table_name}{columns:?} -> {parent_table}{parent_columns:?}: \
                          no parent for {:?}",
@@ -311,12 +152,13 @@ pub(crate) fn check_insert(
 /// exist because cyclic foreign keys (the paper's `empdep` has
 /// `empl.dno → dept.dno` *and* `dept.mgr → empl.eno`) make strict
 /// insert-time checking impossible.
-pub(crate) fn validate_all(catalog: &Catalog, backend: &PagedBackend) -> RqsResult<()> {
-    for table in catalog.tables.values() {
+pub(crate) fn validate_all(engine: &StorageEngine) -> RqsResult<()> {
+    for name in engine.table_names() {
+        let table = engine.table(name)?;
         if table.constraints.is_empty() {
             continue;
         }
-        let rows = backend.scan(&table.name)?;
+        let rows = engine.scan(name)?;
         for c in &table.constraints {
             match c {
                 TableConstraint::ValueBound { column, lo, hi } => {
@@ -343,9 +185,9 @@ pub(crate) fn validate_all(catalog: &Catalog, backend: &PagedBackend) -> RqsResu
                     parent_columns,
                 } => {
                     let child_cols = resolve_columns(table, columns, "fk")?;
-                    let parent = catalog.table(parent_table)?;
+                    let parent = engine.table(parent_table)?;
                     let parent_cols = resolve_columns(parent, parent_columns, "fk")?;
-                    let parent_rows = backend.scan(parent_table)?;
+                    let parent_rows = engine.scan(parent_table)?;
                     let parent_keys: std::collections::HashSet<Vec<&Datum>> = parent_rows
                         .iter()
                         .map(|r| parent_cols.iter().map(|&c| &r[c]).collect())
@@ -371,37 +213,43 @@ pub(crate) fn validate_all(catalog: &Catalog, backend: &PagedBackend) -> RqsResu
 mod tests {
     use super::*;
 
-    fn empl_table() -> Table {
-        let mut t = Table::new(
-            "empl",
-            vec![
-                Column {
-                    name: "eno".into(),
-                    ty: ColumnType::Int,
-                },
-                Column {
-                    name: "nam".into(),
-                    ty: ColumnType::Text,
-                },
-                Column {
-                    name: "sal".into(),
-                    ty: ColumnType::Int,
-                },
-                Column {
-                    name: "dno".into(),
-                    ty: ColumnType::Int,
-                },
-            ],
-        );
-        t.constraints.push(TableConstraint::Key {
-            columns: vec!["eno".into()],
-        });
-        t.constraints.push(TableConstraint::ValueBound {
-            column: "sal".into(),
-            lo: 10_000,
-            hi: 90_000,
-        });
-        t
+    fn cols(spec: &[(&str, ColType)]) -> Vec<(String, ColType)> {
+        spec.iter().map(|(n, t)| (n.to_string(), *t)).collect()
+    }
+
+    fn key(columns: &[&str]) -> TableConstraint {
+        TableConstraint::Key {
+            columns: columns.iter().map(|c| c.to_string()).collect(),
+        }
+    }
+
+    fn fk(column: &str, parent_table: &str, parent_column: &str) -> TableConstraint {
+        TableConstraint::ForeignKey {
+            columns: vec![column.into()],
+            parent_table: parent_table.into(),
+            parent_columns: vec![parent_column.into()],
+        }
+    }
+
+    /// Creates `empl` with its key on `eno`, the salary bound, and any
+    /// `extra` constraints.
+    fn create_empl(engine: &mut StorageEngine, extra: &[TableConstraint]) -> RqsResult<()> {
+        let columns = cols(&[
+            ("eno", ColType::Int),
+            ("nam", ColType::Text),
+            ("sal", ColType::Int),
+            ("dno", ColType::Int),
+        ]);
+        let mut constraints = vec![
+            key(&["eno"]),
+            TableConstraint::ValueBound {
+                column: "sal".into(),
+                lo: 10_000,
+                hi: 90_000,
+            },
+        ];
+        constraints.extend_from_slice(extra);
+        Ok(engine.create_table("empl", &columns, &constraints)?)
     }
 
     fn row(eno: i64, nam: &str, sal: i64, dno: i64) -> Tuple {
@@ -413,47 +261,40 @@ mod tests {
         ]
     }
 
-    /// Catalog + backend pair with `empl` registered in both.
-    fn setup() -> (Catalog, PagedBackend) {
-        let mut cat = Catalog::new();
-        let table = empl_table();
-        let mut backend = PagedBackend::in_memory(8).unwrap();
-        backend.create_table("empl", &table.columns).unwrap();
-        cat.create_table(table).unwrap();
-        (cat, backend)
+    /// An engine holding `empl` with its constraints.
+    fn setup() -> StorageEngine {
+        let mut engine = StorageEngine::in_memory(8).unwrap();
+        create_empl(&mut engine, &[]).unwrap();
+        engine
     }
 
-    fn insert_checked(
-        cat: &Catalog,
-        backend: &mut PagedBackend,
-        table: &str,
-        tuple: Tuple,
-    ) -> RqsResult<()> {
-        check_insert(cat, backend, table, &tuple)?;
-        backend.insert(table, tuple)
+    fn insert_checked(engine: &mut StorageEngine, table: &str, tuple: Tuple) -> RqsResult<()> {
+        check_insert(engine, table, &tuple)?;
+        engine.insert(table, &tuple)?;
+        Ok(())
     }
 
     #[test]
     fn insert_and_scan() {
-        let (cat, mut backend) = setup();
-        insert_checked(&cat, &mut backend, "empl", row(1, "smiley", 50_000, 10)).unwrap();
-        insert_checked(&cat, &mut backend, "empl", row(2, "jones", 30_000, 10)).unwrap();
-        assert_eq!(backend.table_size("empl").unwrap().rows, 2);
+        let mut engine = setup();
+        insert_checked(&mut engine, "empl", row(1, "smiley", 50_000, 10)).unwrap();
+        insert_checked(&mut engine, "empl", row(2, "jones", 30_000, 10)).unwrap();
+        assert_eq!(engine.row_count("empl").unwrap(), 2);
+        assert_eq!(engine.scan("empl").unwrap().len(), 2);
     }
 
     #[test]
     fn duplicate_table_rejected() {
-        let mut cat = Catalog::new();
-        cat.create_table(empl_table()).unwrap();
+        let mut engine = setup();
         assert!(matches!(
-            cat.create_table(empl_table()),
+            create_empl(&mut engine, &[]),
             Err(RqsError::DuplicateTable(_))
         ));
     }
 
     #[test]
     fn type_mismatch_rejected() {
-        let (cat, mut backend) = setup();
+        let mut engine = setup();
         let bad = vec![
             Datum::text("x"),
             Datum::text("y"),
@@ -461,134 +302,82 @@ mod tests {
             Datum::Int(1),
         ];
         assert!(matches!(
-            insert_checked(&cat, &mut backend, "empl", bad),
+            insert_checked(&mut engine, "empl", bad),
             Err(RqsError::Type(_))
         ));
         let short = vec![Datum::Int(1)];
         assert!(matches!(
-            insert_checked(&cat, &mut backend, "empl", short),
+            insert_checked(&mut engine, "empl", short),
             Err(RqsError::Type(_))
         ));
     }
 
     #[test]
     fn value_bound_enforced() {
-        let (cat, mut backend) = setup();
+        let mut engine = setup();
         assert!(matches!(
-            insert_checked(&cat, &mut backend, "empl", row(1, "cheap", 5_000, 10)),
+            insert_checked(&mut engine, "empl", row(1, "cheap", 5_000, 10)),
             Err(RqsError::ConstraintViolation(_))
         ));
         assert!(matches!(
-            insert_checked(&cat, &mut backend, "empl", row(1, "rich", 95_000, 10)),
+            insert_checked(&mut engine, "empl", row(1, "rich", 95_000, 10)),
             Err(RqsError::ConstraintViolation(_))
         ));
     }
 
     #[test]
     fn key_enforced() {
-        let (cat, mut backend) = setup();
-        insert_checked(&cat, &mut backend, "empl", row(1, "smiley", 50_000, 10)).unwrap();
+        let mut engine = setup();
+        insert_checked(&mut engine, "empl", row(1, "smiley", 50_000, 10)).unwrap();
         assert!(matches!(
-            insert_checked(&cat, &mut backend, "empl", row(1, "other", 40_000, 11)),
+            insert_checked(&mut engine, "empl", row(1, "other", 40_000, 11)),
             Err(RqsError::ConstraintViolation(_))
         ));
     }
 
     #[test]
     fn key_enforced_through_index_too() {
-        let (cat, mut backend) = setup();
-        backend.create_index("empl", 0).unwrap();
-        insert_checked(&cat, &mut backend, "empl", row(1, "smiley", 50_000, 10)).unwrap();
-        assert!(insert_checked(&cat, &mut backend, "empl", row(1, "dup", 40_000, 10)).is_err());
-        insert_checked(&cat, &mut backend, "empl", row(2, "fine", 40_000, 10)).unwrap();
+        let mut engine = setup();
+        engine.create_index("empl", 0).unwrap();
+        insert_checked(&mut engine, "empl", row(1, "smiley", 50_000, 10)).unwrap();
+        assert!(insert_checked(&mut engine, "empl", row(1, "dup", 40_000, 10)).is_err());
+        insert_checked(&mut engine, "empl", row(2, "fine", 40_000, 10)).unwrap();
     }
 
     #[test]
     fn foreign_key_enforced() {
-        let (mut cat, mut backend) = setup();
-        let mut dept = Table::new(
-            "dept",
-            vec![
-                Column {
-                    name: "dno".into(),
-                    ty: ColumnType::Int,
-                },
-                Column {
-                    name: "fct".into(),
-                    ty: ColumnType::Text,
-                },
-            ],
-        );
-        dept.constraints.push(TableConstraint::Key {
-            columns: vec!["dno".into()],
-        });
-        backend.create_table("dept", &dept.columns).unwrap();
-        cat.create_table(dept).unwrap();
-        cat.table_mut("empl")
-            .unwrap()
-            .constraints
-            .push(TableConstraint::ForeignKey {
-                columns: vec!["dno".into()],
-                parent_table: "dept".into(),
-                parent_columns: vec!["dno".into()],
-            });
+        let mut engine = StorageEngine::in_memory(8).unwrap();
+        let dept = cols(&[("dno", ColType::Int), ("fct", ColType::Text)]);
+        engine
+            .create_table("dept", &dept, &[key(&["dno"])])
+            .unwrap();
+        create_empl(&mut engine, &[fk("dno", "dept", "dno")]).unwrap();
         assert!(matches!(
-            insert_checked(&cat, &mut backend, "empl", row(1, "orphan", 20_000, 99)),
+            insert_checked(&mut engine, "empl", row(1, "orphan", 20_000, 99)),
             Err(RqsError::ConstraintViolation(_))
         ));
         insert_checked(
-            &cat,
-            &mut backend,
+            &mut engine,
             "dept",
             vec![Datum::Int(99), Datum::text("spying")],
         )
         .unwrap();
-        insert_checked(&cat, &mut backend, "empl", row(1, "fine", 20_000, 99)).unwrap();
-    }
-
-    #[test]
-    fn constraint_specs_round_trip() {
-        let constraints = [
-            TableConstraint::ValueBound {
-                column: "sal".into(),
-                lo: -10,
-                hi: 90_000,
-            },
-            TableConstraint::Key {
-                columns: vec!["eno".into()],
-            },
-            TableConstraint::Key {
-                columns: vec!["a".into(), "b".into()],
-            },
-            TableConstraint::ForeignKey {
-                columns: vec!["dno".into()],
-                parent_table: "dept".into(),
-                parent_columns: vec!["dno".into()],
-            },
-            TableConstraint::ForeignKey {
-                columns: vec!["x".into(), "y".into()],
-                parent_table: "p".into(),
-                parent_columns: vec!["u".into(), "v".into()],
-            },
-        ];
-        for c in &constraints {
-            assert_eq!(&TableConstraint::parse_spec(&c.to_spec()).unwrap(), c);
-        }
-        for bad in ["", "nope", "bound a b c", "key", "fk a b"] {
-            assert!(
-                TableConstraint::parse_spec(bad).is_err(),
-                "{bad:?} must not parse"
-            );
-        }
+        insert_checked(&mut engine, "empl", row(1, "fine", 20_000, 99)).unwrap();
     }
 
     #[test]
     fn drop_table() {
-        let mut cat = Catalog::new();
-        cat.create_table(empl_table()).unwrap();
-        cat.drop_table("empl").unwrap();
-        assert!(!cat.has_table("empl"));
-        assert!(cat.drop_table("empl").is_err());
+        let mut engine = setup();
+        engine.drop_table("empl").unwrap();
+        assert!(!engine.has_table("empl"));
+        assert!(matches!(
+            engine.drop_table("empl").map_err(RqsError::from),
+            Err(RqsError::UnknownTable(_))
+        ));
+        assert!(matches!(
+            check_insert(&engine, "empl", &row(1, "gone", 20_000, 1)),
+            Err(RqsError::UnknownTable(_))
+        ));
     }
 
     mod validate_all_tests {
@@ -596,98 +385,59 @@ mod tests {
 
         /// empdep's cyclic foreign keys: empl.dno → dept.dno, dept.mgr →
         /// empl.eno.
-        fn cyclic_setup() -> (Catalog, PagedBackend) {
-            let mut cat = Catalog::new();
-            let mut backend = PagedBackend::in_memory(8).unwrap();
-            let mut empl = Table::new(
-                "empl",
-                vec![
-                    Column {
-                        name: "eno".into(),
-                        ty: ColumnType::Int,
-                    },
-                    Column {
-                        name: "dno".into(),
-                        ty: ColumnType::Int,
-                    },
-                ],
-            );
-            empl.constraints.push(TableConstraint::Key {
-                columns: vec!["eno".into()],
-            });
-            empl.constraints.push(TableConstraint::ForeignKey {
-                columns: vec!["dno".into()],
-                parent_table: "dept".into(),
-                parent_columns: vec!["dno".into()],
-            });
-            let mut dept = Table::new(
-                "dept",
-                vec![
-                    Column {
-                        name: "dno".into(),
-                        ty: ColumnType::Int,
-                    },
-                    Column {
-                        name: "mgr".into(),
-                        ty: ColumnType::Int,
-                    },
-                ],
-            );
-            dept.constraints.push(TableConstraint::Key {
-                columns: vec!["dno".into()],
-            });
-            dept.constraints.push(TableConstraint::ForeignKey {
-                columns: vec!["mgr".into()],
-                parent_table: "empl".into(),
-                parent_columns: vec!["eno".into()],
-            });
-            backend.create_table("empl", &empl.columns).unwrap();
-            backend.create_table("dept", &dept.columns).unwrap();
-            cat.create_table(empl).unwrap();
-            cat.create_table(dept).unwrap();
-            (cat, backend)
+        fn cyclic_setup() -> StorageEngine {
+            let mut engine = StorageEngine::in_memory(8).unwrap();
+            let empl = cols(&[("eno", ColType::Int), ("dno", ColType::Int)]);
+            let dept = cols(&[("dno", ColType::Int), ("mgr", ColType::Int)]);
+            engine
+                .create_table("empl", &empl, &[key(&["eno"]), fk("dno", "dept", "dno")])
+                .unwrap();
+            engine
+                .create_table("dept", &dept, &[key(&["dno"]), fk("mgr", "empl", "eno")])
+                .unwrap();
+            engine
         }
 
         #[test]
         fn cyclic_fk_bulk_load_validates() {
-            let (cat, mut backend) = cyclic_setup();
-            backend
-                .insert("empl", vec![Datum::Int(1), Datum::Int(10)])
+            let mut engine = cyclic_setup();
+            engine
+                .insert("empl", &[Datum::Int(1), Datum::Int(10)])
                 .unwrap();
-            backend
-                .insert("dept", vec![Datum::Int(10), Datum::Int(1)])
+            engine
+                .insert("dept", &[Datum::Int(10), Datum::Int(1)])
                 .unwrap();
-            validate_all(&cat, &backend).unwrap();
+            validate_all(&engine).unwrap();
         }
 
         #[test]
         fn validate_all_catches_broken_fk() {
-            let (cat, mut backend) = cyclic_setup();
-            backend
-                .insert("empl", vec![Datum::Int(1), Datum::Int(99)])
+            let mut engine = cyclic_setup();
+            engine
+                .insert("empl", &[Datum::Int(1), Datum::Int(99)])
                 .unwrap();
-            backend
-                .insert("dept", vec![Datum::Int(10), Datum::Int(1)])
+            engine
+                .insert("dept", &[Datum::Int(10), Datum::Int(1)])
                 .unwrap();
             assert!(matches!(
-                validate_all(&cat, &backend),
+                validate_all(&engine),
                 Err(RqsError::ConstraintViolation(_))
             ));
         }
 
         #[test]
         fn validate_all_catches_duplicate_key() {
-            let (cat, mut backend) = cyclic_setup();
-            backend
-                .insert("dept", vec![Datum::Int(10), Datum::Int(1)])
+            let mut engine = cyclic_setup();
+            engine
+                .insert("dept", &[Datum::Int(10), Datum::Int(1)])
                 .unwrap();
-            backend
-                .insert("empl", vec![Datum::Int(1), Datum::Int(10)])
+            engine
+                .insert("empl", &[Datum::Int(1), Datum::Int(10)])
                 .unwrap();
-            backend
-                .insert("empl", vec![Datum::Int(1), Datum::Int(10)])
+            engine
+                .insert("empl", &[Datum::Int(1), Datum::Int(10)])
                 .unwrap();
-            assert!(validate_all(&cat, &backend).is_err());
+            assert!(validate_all(&engine).is_err());
         }
     }
 }

@@ -1,13 +1,14 @@
 //! The public facade: a database accepting SQL text.
 
-use crate::backend::{PagedBackend, Snapshot};
-use crate::catalog::{self, Catalog, Column, Table};
+use crate::catalog;
+use crate::dml;
 use crate::error::{RqsError, RqsResult};
 use crate::exec::{self, QueryMetrics};
 use crate::plan;
 use crate::sql::{self, SelectStmt, Statement};
 use crate::value::Tuple;
 use std::path::Path;
+use storage::{Fault, StorageEngine};
 
 /// Result of executing a statement.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -51,9 +52,9 @@ pub struct Trace {
     pub elapsed_nanos: u64,
 }
 
-/// What the backend-commit half of [`run_txn`] measured, handed back to
+/// What the engine-commit half of [`run_txn`] measured, handed back to
 /// [`Database::finish`] through a thread-local: `run_txn` sees only the
-/// backend, several layers below the `Database` that assembles the
+/// engine, several layers below the `Database` that assembles the
 /// trace.
 #[derive(Clone, Copy, Debug, Default)]
 struct CommitProbe {
@@ -79,7 +80,7 @@ struct Account {
     autocommit: bool,
 }
 
-/// Runs `f` as one backend transaction: begin, mutate, commit —
+/// Runs `f` as one engine transaction: begin, mutate, commit —
 /// aborting (and rolling back pages + engine catalog) if any step
 /// fails. This is what makes a multi-row INSERT, a predicated UPDATE
 /// mid-index-maintenance, or a DML statement interrupted by an I/O
@@ -90,20 +91,20 @@ struct Account {
 /// the session owns commit/abort, and an error making it out of here
 /// tells the session to abort the whole transaction.
 pub(crate) fn run_txn<T>(
-    backend: &mut PagedBackend,
-    f: impl FnOnce(&mut PagedBackend) -> RqsResult<T>,
+    engine: &mut StorageEngine,
+    f: impl FnOnce(&mut StorageEngine) -> RqsResult<T>,
 ) -> RqsResult<T> {
-    if backend.in_txn() {
-        return f(backend);
+    if engine.in_txn() {
+        return f(engine);
     }
-    backend.begin()?;
-    match f(backend) {
+    engine.begin()?;
+    match f(engine) {
         Ok(v) => {
-            let io_before = backend.metrics();
+            let io_before = engine.metrics();
             let started = std::time::Instant::now();
-            match backend.commit() {
+            match engine.commit() {
                 Ok(()) => {
-                    let io_after = backend.metrics();
+                    let io_after = engine.metrics();
                     LAST_COMMIT.set(Some(CommitProbe {
                         nanos: started.elapsed().as_nanos() as u64,
                         page_reads: io_after.fault_ins - io_before.fault_ins,
@@ -113,13 +114,13 @@ pub(crate) fn run_txn<T>(
                     Ok(v)
                 }
                 Err(e) => {
-                    backend.abort();
-                    Err(e)
+                    engine.abort();
+                    Err(e.into())
                 }
             }
         }
         Err(e) => {
-            backend.abort();
+            engine.abort();
             Err(e)
         }
     }
@@ -129,25 +130,28 @@ pub(crate) fn run_txn<T>(
 /// committed state plus the writer's own rows, and conflicts retryably
 /// on a concurrent writer's pending rows instead of reporting a
 /// violation against data that may roll back.
-pub(crate) fn probing<T>(backend: &PagedBackend, check: impl FnOnce() -> T) -> T {
-    backend.engine().set_constraint_probe(true);
+pub(crate) fn probing<T>(engine: &StorageEngine, check: impl FnOnce() -> T) -> T {
+    engine.set_constraint_probe(true);
     let out = check();
-    backend.engine().set_constraint_probe(false);
+    engine.set_constraint_probe(false);
     out
 }
 
 /// A relational database addressed through SQL.
 ///
-/// The schema lives in the [`Catalog`]; rows live in the paged engine
-/// ([`PagedBackend`]: slotted heap pages behind a buffer pool, B+-tree
-/// indexes): [`Database::new`] over anonymous in-memory pages with a
-/// fixed pool, [`Database::paged`] with a chosen pool, and
-/// [`Database::open_paged`] over a file whose catalog is bootstrapped
-/// back from the `system_tables`/`system_columns`/`system_indexes`
-/// pages on reopen.
+/// Schemas, constraints and rows all live in one [`StorageEngine`]
+/// (slotted heap pages behind a buffer pool, B+-tree indexes, and a
+/// catalog a transaction rolls back): [`Database::new`] over anonymous
+/// in-memory pages with a fixed pool, [`Database::paged`] with a chosen
+/// pool, and [`Database::open_paged`] over a file whose catalog is
+/// bootstrapped back from its system pages on reopen.
+///
+/// It is `Send + Sync`, so one database can be owned by the shared
+/// server, handed between session threads, and read through `&self` by
+/// many snapshot SELECTs at once (mutating statements still execute one
+/// at a time, under the server's statement latch).
 pub struct Database {
-    catalog: Catalog,
-    backend: PagedBackend,
+    engine: StorageEngine,
     /// Work counters of the most recent `execute` call. Unlike the copy
     /// in [`QueryResult`], this is filled even when the statement
     /// returned an error — pages it touched before failing were real
@@ -158,6 +162,11 @@ pub struct Database {
     last_trace: Trace,
 }
 
+const _: fn() = || {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Database>();
+};
+
 impl Default for Database {
     fn default() -> Self {
         Self::new()
@@ -167,7 +176,7 @@ impl Default for Database {
 impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Database")
-            .field("tables", &self.catalog.table_names().collect::<Vec<_>>())
+            .field("tables", &self.engine.table_names().collect::<Vec<_>>())
             .finish()
     }
 }
@@ -188,16 +197,12 @@ impl Database {
     /// A database on the paged storage engine with a `pool_pages`-frame
     /// buffer pool, backed by anonymous in-memory pages.
     pub fn paged(pool_pages: usize) -> RqsResult<Self> {
-        Ok(Self::over(
-            Catalog::new(),
-            PagedBackend::in_memory(pool_pages)?,
-        ))
+        Ok(Self::over(StorageEngine::in_memory(pool_pages)?))
     }
 
-    fn over(catalog: Catalog, backend: PagedBackend) -> Self {
+    fn over(engine: StorageEngine) -> Self {
         Database {
-            catalog,
-            backend,
+            engine,
             last_metrics: QueryMetrics::default(),
             last_trace: Trace::default(),
         }
@@ -214,87 +219,54 @@ impl Database {
     /// a lost flush only costs recovery time on the next open. Call
     /// [`Database::checkpoint`] to fold the log into the database file.
     pub fn open_paged(path: &Path, pool_pages: usize) -> RqsResult<Self> {
-        Self::from_paged_backend(PagedBackend::open(path, pool_pages)?)
+        Ok(Self::over(StorageEngine::open(path, pool_pages)?))
     }
 
-    /// Builds a database over an already-opened paged backend,
-    /// bootstrapping schemas and constraints from its system catalog
-    /// (the tail of [`Database::open_paged`]; public so the
-    /// crash-recovery harness can wire in fault-injecting backends).
-    pub fn from_paged_backend(backend: PagedBackend) -> RqsResult<Self> {
-        let mut catalog = Catalog::new();
-        let engine = backend.engine();
-        let names: Vec<String> = engine.table_names().map(str::to_owned).collect();
-        for name in names {
-            let info = engine.table(&name).map_err(RqsError::from)?;
-            let columns: Vec<Column> = info
-                .columns
-                .iter()
-                .map(|(col_name, ty)| Column {
-                    name: col_name.clone(),
-                    ty: crate::backend::from_col_type(*ty),
-                })
-                .collect();
-            let mut table = Table::new(&name, columns);
-            table.constraints = backend.stored_constraints(&name)?;
-            catalog.create_table(table)?;
-        }
-        Ok(Self::over(catalog, backend))
+    /// [`Database::open_paged`] whose durable writes are charged against
+    /// `fault` — the crash-recovery test harness.
+    pub fn open_with_fault(path: &Path, pool_pages: usize, fault: Fault) -> RqsResult<Self> {
+        Ok(Self::over(StorageEngine::open_with_fault(
+            path, pool_pages, fault,
+        )?))
     }
 
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
-    /// The storage backend behind this database.
-    pub fn backend(&self) -> &PagedBackend {
-        &self.backend
-    }
-
-    /// The storage engine itself: metrics and histograms, heap pages,
-    /// flush and checkpoint.
-    pub fn engine(&self) -> &storage::StorageEngine {
-        self.backend.engine()
-    }
-
-    /// A read view over schema + storage for the planner/executor.
-    pub fn snapshot(&self) -> Snapshot<'_> {
-        Snapshot {
-            catalog: &self.catalog,
-            backend: &self.backend,
-        }
+    /// The storage engine itself: schemas and constraints, rows, metrics
+    /// and histograms, flush and checkpoint.
+    pub fn engine(&self) -> &StorageEngine {
+        &self.engine
     }
 
     /// Inserts without constraint checks (bulk loads of pre-validated
     /// data; cyclic foreign keys make insert-time checking impossible).
     /// Call [`Database::validate_all`] afterwards.
     pub fn insert_unchecked(&mut self, table_name: &str, tuple: Tuple) -> RqsResult<()> {
-        self.catalog.table(table_name)?.typecheck(&tuple)?;
-        self.backend.insert(table_name, tuple)
+        catalog::typecheck(self.engine.table(table_name)?, &tuple)?;
+        self.engine.insert(table_name, &tuple)?;
+        Ok(())
     }
 
     /// Re-validates every constraint of every table against stored data.
     pub fn validate_all(&self) -> RqsResult<()> {
-        catalog::validate_all(&self.catalog, &self.backend)
+        catalog::validate_all(&self.engine)
     }
 
     /// Writes dirty pages back to the pager. The WAL is left alone; see
     /// [`Database::checkpoint`].
     pub fn flush(&self) -> RqsResult<()> {
-        Ok(self.engine().flush()?)
+        Ok(self.engine.flush()?)
     }
 
     /// Checkpoint: write dirty pages back *and* truncate the WAL, so
     /// the database file alone carries the whole state.
     pub fn checkpoint(&self) -> RqsResult<()> {
-        Ok(self.engine().checkpoint()?)
+        Ok(self.engine.checkpoint()?)
     }
 
     /// Test/ops helper simulating a crash: drops the database without
     /// flushing buffered pages. Committed statements are recovered from
     /// the WAL on the next [`Database::open_paged`].
     pub fn crash(mut self) {
-        self.backend.crash();
+        self.engine.simulate_crash();
     }
 
     // -----------------------------------------------------------------
@@ -303,31 +275,33 @@ impl Database {
 
     /// Opens a session-scoped transaction spanning several `execute`
     /// calls and returns its id (suspended; resume it per statement).
-    /// DDL is not supported inside session transactions — the schema
-    /// registry has no per-transaction rollback (the server enforces
-    /// this before executing).
+    /// Any number may be open; one is active at a time. Its statements,
+    /// DDL included, commit or roll back together: the engine's catalog
+    /// is transactional.
     pub fn begin_session_txn(&mut self) -> RqsResult<u64> {
-        self.backend.begin_session()
+        let id = self.engine.begin()?;
+        self.engine.suspend();
+        Ok(id)
     }
 
     /// Makes an open session transaction active for the next statement.
     pub fn resume_session_txn(&mut self, id: u64) -> RqsResult<()> {
-        self.backend.resume_session(id)
+        Ok(self.engine.resume(id)?)
     }
 
     /// Suspends the active session transaction after a statement.
     pub fn suspend_session_txn(&mut self) {
-        self.backend.suspend_session();
+        self.engine.suspend();
     }
 
-    /// Commits an open session transaction.
+    /// Commits an open session transaction. On error it is rolled back.
     pub fn commit_session_txn(&mut self, id: u64) -> RqsResult<()> {
-        self.backend.commit_session(id)
+        Ok(self.engine.commit_txn(id)?)
     }
 
     /// Rolls an open session transaction back.
     pub fn abort_session_txn(&mut self, id: u64) {
-        self.backend.abort_session(id);
+        self.engine.abort_txn(id);
     }
 
     /// Opens (`true`) or closes (`false`) the statement-scoped read
@@ -381,9 +355,9 @@ impl Database {
     /// in autocommit, opens the statement snapshot.
     fn start(&self, parse_nanos: u64) -> Account {
         let started = std::time::Instant::now();
-        let io_before = self.backend.metrics();
+        let io_before = self.engine.metrics();
         LAST_COMMIT.set(None);
-        let autocommit = !self.backend.in_txn();
+        let autocommit = !self.engine.in_txn();
         if autocommit {
             self.statement_snapshot(true);
         }
@@ -410,7 +384,7 @@ impl Database {
             self.statement_snapshot(false);
         }
         let exec_nanos = account.started.elapsed().as_nanos() as u64;
-        let io_after = self.backend.metrics();
+        let io_after = self.engine.metrics();
         let before = account.io_before;
         let mut failed = QueryMetrics::default();
         let metrics = match outcome {
@@ -430,7 +404,7 @@ impl Database {
 
     /// Assembles the span breakdown of one statement. `parse` and
     /// `plan` are pure CPU; `commit` carries what [`run_txn`] probed
-    /// around `backend.commit()` (absent for queries and statements
+    /// around `engine.commit()` (absent for queries and statements
     /// joining a session transaction); `exec` is everything else, so
     /// the spans partition the statement.
     fn build_trace(metrics: &QueryMetrics, commit: Option<CommitProbe>) -> Trace {
@@ -503,45 +477,31 @@ impl Database {
                 columns,
                 constraints,
             } => {
-                if self.catalog.has_table(&name) {
-                    return Err(RqsError::DuplicateTable(name));
-                }
-                let cols: Vec<Column> = columns
-                    .into_iter()
-                    .map(|(name, ty)| Column { name, ty })
-                    .collect();
-                let mut table = Table::new(&name, cols);
-                table.constraints = constraints;
-                run_txn(&mut self.backend, |b| {
-                    b.create_table(&name, &table.columns)?;
-                    b.persist_constraints(&name, &table.constraints)
+                run_txn(&mut self.engine, |e| {
+                    Ok(e.create_table(&name, &columns, &constraints)?)
                 })?;
-                // Only after the backend committed: the schema entry can
-                // no longer end up pointing at rolled-back storage.
-                self.catalog.create_table(table)?;
                 Ok(QueryResult::default())
             }
             Statement::CreateIndex { table, column } => {
                 let col = self
-                    .catalog
+                    .engine
                     .table(&table)?
                     .column_index(&column)
                     .ok_or_else(|| RqsError::UnknownColumn(format!("{table}.{column}")))?;
                 // Not wrapped in a transaction: the engine bulk-
                 // builds the tree unlogged and transacts only the
                 // catalog registration (see StorageEngine::create_index).
-                self.backend.create_index(&table, col)?;
+                self.engine.create_index(&table, col)?;
                 Ok(QueryResult::default())
             }
             Statement::Insert { table, rows } => {
                 let affected = rows.len();
-                let catalog = &self.catalog;
-                run_txn(&mut self.backend, |b| {
+                run_txn(&mut self.engine, |e| {
                     for row in rows {
                         // Probed inside the transaction, so the check
                         // also sees this statement's own earlier rows.
-                        probing(b, || catalog::check_insert(catalog, b, &table, &row))?;
-                        b.insert(&table, row)?;
+                        probing(e, || catalog::check_insert(e, &table, &row))?;
+                        e.insert(&table, &row)?;
                     }
                     Ok(())
                 })?;
@@ -555,15 +515,19 @@ impl Database {
                 filter: None,
             } => {
                 // Truncation fast path (the front-end resetting a whole
-                // intermediate relation): still a single backend
+                // intermediate relation): still a single engine
                 // truncate, but no longer *unchecked* — a parent table
                 // that referencing children still point at refuses to
                 // vanish, matching predicated DELETE's restrict rule.
-                self.catalog.table(&table)?;
-                probing(&self.backend, || {
-                    crate::dml::check_truncate_constraints(&self.catalog, &self.backend, &table)
+                self.engine.table(&table)?;
+                probing(&self.engine, || {
+                    dml::check_truncate_constraints(&self.engine, &table)
                 })?;
-                let affected = run_txn(&mut self.backend, |b| b.truncate(&table))?;
+                let affected = run_txn(&mut self.engine, |e| {
+                    let removed = e.row_count(&table)?;
+                    e.truncate(&table)?;
+                    Ok(removed)
+                })?;
                 Ok(QueryResult {
                     affected,
                     ..Default::default()
@@ -573,8 +537,7 @@ impl Database {
                 table,
                 filter: Some(conds),
             } => {
-                let affected =
-                    crate::dml::execute_delete(&self.catalog, &mut self.backend, &table, &conds)?;
+                let affected = dml::execute_delete(&mut self.engine, &table, &conds)?;
                 Ok(QueryResult {
                     affected,
                     ..Default::default()
@@ -585,24 +548,14 @@ impl Database {
                 sets,
                 filter,
             } => {
-                let affected = crate::dml::execute_update(
-                    &self.catalog,
-                    &mut self.backend,
-                    &table,
-                    &sets,
-                    &filter,
-                )?;
+                let affected = dml::execute_update(&mut self.engine, &table, &sets, &filter)?;
                 Ok(QueryResult {
                     affected,
                     ..Default::default()
                 })
             }
             Statement::DropTable { name } => {
-                self.catalog.table(&name)?;
-                run_txn(&mut self.backend, |b| b.drop_table(&name))?;
-                // After the backend committed the drop, unregister the
-                // schema; a failed/aborted drop leaves both sides intact.
-                self.catalog.drop_table(&name)?;
+                run_txn(&mut self.engine, |e| Ok(e.drop_table(&name)?))?;
                 Ok(QueryResult::default())
             }
             Statement::Select(select) => self.run_select(&select, &mut |_, _| {}),
@@ -619,12 +572,12 @@ impl Database {
             // The plans that ran — each step annotated with the method
             // it actually used, its probes and the rows it read.
             (true, Statement::Select(select)) => self.analyze(String::new(), |db, text| {
-                let backend = &db.backend;
+                let engine = &db.engine;
                 let result = db.run_select(&select, &mut |plan, runs| {
                     if !text.is_empty() {
                         text.push_str("UNION\n");
                     }
-                    text.push_str(&plan.explain(backend, Some(runs)));
+                    text.push_str(&plan.explain(engine, Some(runs)));
                 })?;
                 Ok((result.rows.len(), Some(result.metrics)))
             })?,
@@ -668,11 +621,11 @@ impl Database {
         mut text: String,
         run: impl FnOnce(&mut Self, &mut String) -> RqsResult<(usize, Option<QueryMetrics>)>,
     ) -> RqsResult<String> {
-        let io_before = self.backend.metrics();
+        let io_before = self.engine.metrics();
         let started = std::time::Instant::now();
         let (rows, counters) = run(self, &mut text)?;
         let elapsed_us = started.elapsed().as_micros();
-        let io_after = self.backend.metrics();
+        let io_after = self.engine.metrics();
         let counters = match counters {
             Some(m) => format!(
                 "rows_scanned={} scans={} index_probes={}",
@@ -692,7 +645,7 @@ impl Database {
     /// Executes a SELECT without requiring `&mut self` — the parallel
     /// read path. Many threads may call this at once on a shared
     /// database: each opens its own statement snapshot and reads the
-    /// backend through `&self`, so SELECTs scale across cores instead
+    /// engine through `&self`, so SELECTs scale across cores instead
     /// of queueing on the statement latch. Timings land in the returned
     /// metrics; [`Database::query_select`] also returns the trace.
     pub fn query(&self, sql_text: &str) -> RqsResult<QueryResult> {
@@ -731,7 +684,7 @@ impl Database {
         observe: &mut exec::PlanObserver,
     ) -> RqsResult<QueryResult> {
         let mut metrics = QueryMetrics::default();
-        let rel = exec::run_select_observed(&self.snapshot(), select, &mut metrics, observe)?;
+        let rel = exec::run_select_observed(&self.engine, select, &mut metrics, observe)?;
         Ok(QueryResult {
             columns: rel.columns,
             rows: rel.rows,
@@ -748,11 +701,10 @@ impl Database {
 
     /// Plain `EXPLAIN` of a parsed statement: nothing runs.
     fn render_plan(&self, stmt: &Statement) -> RqsResult<String> {
-        let (catalog, backend) = (&self.catalog, &self.backend);
+        let engine = &self.engine;
         match stmt {
             Statement::Select(select) => {
                 let mut out = String::new();
-                let snap = self.snapshot();
                 for (i, core) in std::iter::once(&select.core)
                     .chain(&select.unions)
                     .enumerate()
@@ -760,24 +712,24 @@ impl Database {
                     if i > 0 {
                         out.push_str("UNION\n");
                     }
-                    let resolved = plan::resolve(&snap, core)?;
-                    out.push_str(&plan::plan(resolved, backend).explain(backend, None));
+                    let resolved = plan::resolve(engine, core)?;
+                    out.push_str(&plan::plan(resolved, engine).explain(engine, None));
                 }
                 Ok(out)
             }
             Statement::Update { table, filter, .. } => {
-                crate::dml::explain_dml(catalog, backend, "Update", table, filter)
+                dml::explain_dml(engine, "Update", table, filter)
             }
             Statement::Delete {
                 table,
                 filter: Some(conds),
-            } => crate::dml::explain_dml(catalog, backend, "Delete", table, conds),
+            } => dml::explain_dml(engine, "Delete", table, conds),
             Statement::Delete {
                 table,
                 filter: None,
             } => {
-                // The truncation fast path never scans: one backend call.
-                catalog.table(table)?;
+                // The truncation fast path never scans: one engine call.
+                engine.table(table)?;
                 Ok(format!("Delete {table} [unfiltered]\n  Truncate\n"))
             }
             _ => Err(RqsError::Syntax(
@@ -795,13 +747,12 @@ mod tests {
     /// Rows the index on `t.a` holds under key `k`.
     fn postings(db: &Database, k: i64) -> usize {
         let mut n = 0;
-        let key = crate::backend::AccessPath::KeyEq(0, Datum::Int(k));
-        db.backend()
-            .read("t", &key, &mut |_, _| {
-                n += 1;
-                true
-            })
-            .unwrap();
+        let key = crate::AccessPath::KeyEq(0, Datum::Int(k));
+        crate::access::read(db.engine(), "t", &key, &mut |_, _| {
+            n += 1;
+            true
+        })
+        .unwrap();
         n
     }
 
@@ -924,7 +875,7 @@ mod tests {
     }
 
     #[test]
-    fn oversized_update_is_atomic_across_backends() {
+    fn oversized_update_is_atomic_with_and_without_an_index() {
         // A row's one size limit is the page, the same with and without
         // an index on the column: past it, INSERT and UPDATE fail as a
         // constraint violation and nothing sticks; short of it, a value
@@ -1140,7 +1091,7 @@ mod tests {
         }
         let db = Database::open_paged(&path, 8).unwrap();
         assert!(
-            db.backend().table_size("t").unwrap().pages > 2,
+            db.engine().heap_pages("t").unwrap() > 2,
             "reopen counts the heap chain"
         );
         let r = db.query("SELECT v.a FROM t v").unwrap();
@@ -1150,6 +1101,53 @@ mod tests {
         let r = db.query("SELECT v.b FROM t v WHERE v.a = 7").unwrap();
         assert_eq!(r.rows, vec![vec![Datum::text("kept")]]);
         assert_eq!(r.metrics.rows_scanned, 1, "index survives the DML + reopen");
+        std::fs::remove_file(&path).unwrap();
+        let _ = std::fs::remove_file(storage::engine::wal_path(&path));
+    }
+
+    /// DDL inside a session transaction rolls back with it, after an
+    /// abort and after a commit that fails alike: the engine's catalog
+    /// is the only schema registry, so no second record of the table
+    /// outlives the transaction.
+    #[test]
+    fn ddl_in_an_aborted_session_transaction_leaves_no_trace() {
+        let dir = std::env::temp_dir().join(format!("rqs-db-ddl-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ddl.rqs");
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(storage::engine::wal_path(&path));
+        let fault = Fault::new();
+        let mut db = Database::open_with_fault(&path, 8, fault.clone()).unwrap();
+        db.execute("CREATE TABLE u (a INT)").unwrap();
+        db.execute("INSERT INTO u VALUES (7)").unwrap();
+        for ddl in ["CREATE TABLE t (a INT)", "DROP TABLE u"] {
+            for failed_commit in [false, true] {
+                let id = db.begin_session_txn().unwrap();
+                db.resume_session_txn(id).unwrap();
+                db.execute(ddl).unwrap();
+                db.suspend_session_txn();
+                if failed_commit {
+                    fault.fail_after_writes(0);
+                    assert!(db.commit_session_txn(id).is_err(), "{ddl}");
+                    fault.heal();
+                } else {
+                    db.abort_session_txn(id);
+                }
+                let case = format!("{ddl}, failed commit: {failed_commit}");
+                assert!(
+                    matches!(
+                        db.execute("SELECT v.a FROM t v"),
+                        Err(RqsError::UnknownTable(_))
+                    ),
+                    "{case}"
+                );
+                let u = db.execute("SELECT v.a FROM u v").unwrap();
+                assert_eq!(u.rows, vec![vec![Datum::Int(7)]], "{case}");
+                db.execute("CREATE TABLE t (a INT)").unwrap();
+                db.execute("DROP TABLE t").unwrap();
+            }
+        }
+        drop(db);
         std::fs::remove_file(&path).unwrap();
         let _ = std::fs::remove_file(storage::engine::wal_path(&path));
     }
@@ -1402,7 +1400,7 @@ mod tests {
             db.flush().unwrap();
         }
         let db = Database::open_paged(&path, 8).unwrap();
-        assert!(db.catalog().has_table("empl"));
+        assert!(db.engine().has_table("empl"));
         let r = db
             .query("SELECT v.eno FROM empl v WHERE v.nam = 'e250'")
             .unwrap();

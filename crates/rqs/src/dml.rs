@@ -6,8 +6,8 @@
 //! and indexed predicates ride an index read instead of a heap scan.
 //! Execution then has three phases:
 //!
-//! 1. **read** — one [`PagedBackend::read`] of the chosen access path
-//!    collects the matching rows with their [`RowId`]s (the predicate
+//! 1. **read** — one [`access::read`] of the chosen access path
+//!    collects the matching rows with their [`Rid`]s (the predicate
 //!    is a pure function of the tuple, so every access path selects the
 //!    same multiset). This phase sees only committed-at-snapshot rows
 //!    (plus the transaction's own writes), never a concurrent writer's
@@ -24,8 +24,8 @@
 //!    retryably when a probed table carries another transaction's
 //!    uncommitted writes — a verdict against data that may roll back
 //!    would be a guess either way;
-//! 3. **mutate** — one backend transaction around
-//!    [`PagedBackend::update_rows`]/[`PagedBackend::delete_rows`]
+//! 3. **mutate** — one engine transaction around
+//!    [`StorageEngine::update_rows`]/[`StorageEngine::delete_rows`]
 //!    over the ids phase 1 found: the rows are not walked again. The
 //!    whole statement commits (and crash-recovers) atomically through
 //!    the WAL. This is also where each row's write
@@ -40,8 +40,8 @@
 //!    serialized per row, not per statement, and a race on one row is
 //!    a retryable conflict instead of a silent overwrite.
 
-use crate::backend::{AccessPath, PagedBackend, RowId, Snapshot};
-use crate::catalog::{self, Catalog, ColumnType, Table, TableConstraint};
+use crate::access::{self, AccessPath};
+use crate::catalog;
 use crate::database::{probing, run_txn};
 use crate::error::{RqsError, RqsResult};
 use crate::exec;
@@ -49,6 +49,8 @@ use crate::plan::{self, JoinCond, Restriction};
 use crate::sql::ast::{ArithOp, Condition, SelectCore, SetExpr, SetOperand};
 use crate::value::{Datum, Tuple};
 use std::collections::HashSet;
+use storage::heap::Rid;
+use storage::{ColType, StorageEngine, TableConstraint, TableInfo};
 
 /// One resolved `SET col = expr` assignment.
 struct ResolvedSet {
@@ -76,7 +78,7 @@ impl ResolvedOperand {
 }
 
 /// Resolves and statically type-checks the SET list against the schema.
-fn resolve_sets(table: &Table, sets: &[(String, SetExpr)]) -> RqsResult<Vec<ResolvedSet>> {
+fn resolve_sets(table: &TableInfo, sets: &[(String, SetExpr)]) -> RqsResult<Vec<ResolvedSet>> {
     let mut out: Vec<ResolvedSet> = Vec::with_capacity(sets.len());
     for (name, expr) in sets {
         let col = table
@@ -85,23 +87,23 @@ fn resolve_sets(table: &Table, sets: &[(String, SetExpr)]) -> RqsResult<Vec<Reso
         if out.iter().any(|s| s.col == col) {
             return Err(RqsError::Syntax(format!("column {name} assigned twice")));
         }
-        let operand = |op: &SetOperand| -> RqsResult<(ResolvedOperand, ColumnType)> {
+        let operand = |op: &SetOperand| -> RqsResult<(ResolvedOperand, ColType)> {
             match op {
                 SetOperand::Column(c) => {
                     let i = table
                         .column_index(c)
                         .ok_or_else(|| RqsError::UnknownColumn(format!("{}.{c}", table.name)))?;
-                    Ok((ResolvedOperand::Col(i), table.columns[i].ty))
+                    Ok((ResolvedOperand::Col(i), table.columns[i].1))
                 }
                 SetOperand::Literal(d @ Datum::Int(_)) => {
-                    Ok((ResolvedOperand::Lit(d.clone()), ColumnType::Int))
+                    Ok((ResolvedOperand::Lit(d.clone()), ColType::Int))
                 }
                 SetOperand::Literal(d @ Datum::Text(_)) => {
-                    Ok((ResolvedOperand::Lit(d.clone()), ColumnType::Text))
+                    Ok((ResolvedOperand::Lit(d.clone()), ColType::Text))
                 }
             }
         };
-        let target_ty = table.columns[col].ty;
+        let target_ty = table.columns[col].1;
         let resolved = match expr {
             SetExpr::Value(v) => {
                 let (v, ty) = operand(v)?;
@@ -116,8 +118,7 @@ fn resolve_sets(table: &Table, sets: &[(String, SetExpr)]) -> RqsResult<Vec<Reso
             SetExpr::Arith { lhs, op, rhs } => {
                 let (lhs, lty) = operand(lhs)?;
                 let (rhs, rty) = operand(rhs)?;
-                if lty != ColumnType::Int || rty != ColumnType::Int || target_ty != ColumnType::Int
-                {
+                if lty != ColType::Int || rty != ColType::Int || target_ty != ColType::Int {
                     return Err(RqsError::Type(format!(
                         "arithmetic in SET needs INT operands and an INT target ({}.{name})",
                         table.name
@@ -162,27 +163,21 @@ struct Filter {
 /// Resolves a DML WHERE clause through the SELECT resolver over a
 /// synthetic single-variable core and picks its access path with the
 /// same [`exec::choose_access`] call a SELECT scan makes.
-fn resolve_filter(
-    catalog: &Catalog,
-    backend: &PagedBackend,
-    table: &str,
-    filter: &[Condition],
-) -> RqsResult<Filter> {
+fn resolve_filter(engine: &StorageEngine, table: &str, filter: &[Condition]) -> RqsResult<Filter> {
     let core = SelectCore {
         distinct: false,
         items: Vec::new(),
         from: vec![(table.to_owned(), table.to_owned())],
         conds: filter.to_vec(),
     };
-    let snap = Snapshot { catalog, backend };
-    let resolved = plan::resolve(&snap, &core)?;
+    let resolved = plan::resolve(engine, &core)?;
     if !resolved.subqueries.is_empty() {
         return Err(RqsError::Syntax(
             "subqueries are not supported in DML predicates".into(),
         ));
     }
     let access = exec::choose_access(
-        backend,
+        engine,
         table,
         resolved.vars[0].pages,
         &resolved.restrictions_of(0),
@@ -212,26 +207,26 @@ fn predicate<'a>(
 }
 
 /// Read phase: the rows the statement will touch, with the ids the
-/// mutate phase hands back to the backend.
+/// mutate phase hands back to the engine.
 fn matched_rows(
-    backend: &PagedBackend,
+    engine: &StorageEngine,
     table: &str,
     access: &AccessPath,
     pred: &mut dyn FnMut(&Tuple) -> bool,
-) -> RqsResult<Vec<(RowId, Tuple)>> {
+) -> RqsResult<Vec<(Rid, Tuple)>> {
     let mut out = Vec::new();
-    backend.read(table, access, &mut |id, row| {
+    access::read(engine, table, access, &mut |rid, row| {
         if pred(row) {
-            out.push((id, row.clone()));
+            out.push((rid, row.clone()));
         }
         true
     })?;
     Ok(out)
 }
 
-/// Visits every row of `table` (a full-scan [`PagedBackend::read`]).
-fn each_row(backend: &PagedBackend, table: &str, f: &mut dyn FnMut(&Tuple)) -> RqsResult<()> {
-    backend.read(table, &AccessPath::FullScan, &mut |_, row| {
+/// Visits every row of `table` (a full-scan [`access::read`]).
+fn each_row(engine: &StorageEngine, table: &str, f: &mut dyn FnMut(&Tuple)) -> RqsResult<()> {
+    access::read(engine, table, &AccessPath::FullScan, &mut |_, row| {
         f(row);
         true
     })
@@ -239,12 +234,12 @@ fn each_row(backend: &PagedBackend, table: &str, f: &mut dyn FnMut(&Tuple)) -> R
 
 /// The rows the statement leaves untouched (everything failing `pred`).
 fn untouched_rows(
-    backend: &PagedBackend,
+    engine: &StorageEngine,
     table: &str,
     pred: &mut dyn FnMut(&Tuple) -> bool,
 ) -> RqsResult<Vec<Tuple>> {
     let mut out = Vec::new();
-    each_row(backend, table, &mut |row| {
+    each_row(engine, table, &mut |row| {
         if !pred(row) {
             out.push(row.clone());
         }
@@ -258,31 +253,15 @@ fn key_of(row: &Tuple, cols: &[usize]) -> Vec<Datum> {
 
 /// One foreign-key edge into a parent table: the child's schema, its
 /// fk column indices, and the parent's referenced column indices.
-type FkEdge<'a> = (&'a Table, Vec<usize>, Vec<usize>);
-
-/// Names of every table holding a foreign key into `parent`. Public so
-/// the server's lock planner reads exactly the tables the restrict
-/// checks here will read — one enumeration, no drift. Lookup failures
-/// (unknown parent, corrupt constraint) yield an empty list; the
-/// statement itself will surface them.
-pub fn referencing_table_names(catalog: &Catalog, parent: &str) -> Vec<String> {
-    referencing_edges(catalog, parent)
-        .map(|edges| {
-            edges
-                .iter()
-                .map(|(child, _, _)| child.name.clone())
-                .collect()
-        })
-        .unwrap_or_default()
-}
+type FkEdge<'a> = (&'a TableInfo, Vec<usize>, Vec<usize>);
 
 /// Every [`FkEdge`] whose parent is `name` — the edges restrict
 /// semantics must re-check.
-fn referencing_edges<'a>(catalog: &'a Catalog, name: &str) -> RqsResult<Vec<FkEdge<'a>>> {
-    let parent = catalog.table(name)?;
+fn referencing_edges<'a>(engine: &'a StorageEngine, name: &str) -> RqsResult<Vec<FkEdge<'a>>> {
+    let parent = engine.table(name)?;
     let mut out = Vec::new();
-    for child_name in catalog.table_names() {
-        let child = catalog.table(child_name)?;
+    for child_name in engine.table_names() {
+        let child = engine.table(child_name)?;
         for c in &child.constraints {
             let TableConstraint::ForeignKey {
                 columns,
@@ -308,14 +287,13 @@ fn referencing_edges<'a>(catalog: &'a Catalog, name: &str) -> RqsResult<Vec<FkEd
 /// updated rows' own foreign keys, and children still referencing a
 /// rewritten parent key.
 fn check_update_constraints(
-    catalog: &Catalog,
-    backend: &PagedBackend,
+    engine: &StorageEngine,
     name: &str,
     new_rows: &[Tuple],
     changed: &HashSet<usize>,
     pred: &mut dyn FnMut(&Tuple) -> bool,
 ) -> RqsResult<()> {
-    let table = catalog.table(name)?;
+    let table = engine.table(name)?;
     for c in &table.constraints {
         if let TableConstraint::ValueBound { column, lo, hi } = c {
             let col = table
@@ -329,7 +307,7 @@ fn check_update_constraints(
         }
     }
 
-    let edges = referencing_edges(catalog, name)?;
+    let edges = referencing_edges(engine, name)?;
     let parent_key_rewritten = edges
         .iter()
         .any(|(_, _, parent_cols)| parent_cols.iter().any(|c| changed.contains(c)));
@@ -349,7 +327,7 @@ fn check_update_constraints(
             TableConstraint::ValueBound { .. } => false,
         });
     let untouched = if needs_final {
-        untouched_rows(backend, name, pred)?
+        untouched_rows(engine, name, pred)?
     } else {
         Vec::new()
     };
@@ -390,7 +368,7 @@ fn check_update_constraints(
         if !child_cols.iter().any(|c| changed.contains(c)) {
             continue;
         }
-        let parent = catalog.table(parent_table)?;
+        let parent = engine.table(parent_table)?;
         let parent_cols = catalog::resolve_columns(parent, parent_columns, "fk")?;
         let parent_keys: HashSet<Vec<Datum>> = if parent_table == name {
             untouched
@@ -400,7 +378,7 @@ fn check_update_constraints(
                 .collect()
         } else {
             let mut keys = HashSet::new();
-            each_row(backend, parent_table, &mut |row| {
+            each_row(engine, parent_table, &mut |row| {
                 keys.insert(key_of(row, &parent_cols));
             })?;
             keys
@@ -438,7 +416,7 @@ fn check_update_constraints(
                 check(row);
             }
         } else {
-            each_row(backend, &child.name, &mut check)?;
+            each_row(engine, &child.name, &mut check)?;
         }
         if let Some(key) = orphan {
             return Err(RqsError::ConstraintViolation(format!(
@@ -453,16 +431,15 @@ fn check_update_constraints(
 /// Restrict semantics for DELETE: every child row must keep a parent
 /// among the surviving rows.
 fn check_delete_constraints(
-    catalog: &Catalog,
-    backend: &PagedBackend,
+    engine: &StorageEngine,
     name: &str,
     pred: &mut dyn FnMut(&Tuple) -> bool,
 ) -> RqsResult<()> {
-    let edges = referencing_edges(catalog, name)?;
+    let edges = referencing_edges(engine, name)?;
     if edges.is_empty() {
         return Ok(());
     }
-    let remaining = untouched_rows(backend, name, pred)?;
+    let remaining = untouched_rows(engine, name, pred)?;
     for (child, child_cols, parent_cols) in &edges {
         let remaining_keys: HashSet<Vec<Datum>> =
             remaining.iter().map(|r| key_of(r, parent_cols)).collect();
@@ -478,7 +455,7 @@ fn check_delete_constraints(
                 check(row);
             }
         } else {
-            each_row(backend, &child.name, &mut check)?;
+            each_row(engine, &child.name, &mut check)?;
         }
         if let Some(key) = orphan {
             return Err(RqsError::ConstraintViolation(format!(
@@ -495,14 +472,13 @@ fn check_delete_constraints(
 /// same predicate (they share `resolve_filter`),
 /// without mutating anything.
 pub(crate) fn explain_dml(
-    catalog: &Catalog,
-    backend: &PagedBackend,
+    engine: &StorageEngine,
     verb: &str,
     table_name: &str,
     filter: &[Condition],
 ) -> RqsResult<String> {
-    catalog.table(table_name)?;
-    let f = resolve_filter(catalog, backend, table_name, filter)?;
+    engine.table(table_name)?;
+    let f = resolve_filter(engine, table_name, filter)?;
     Ok(format!(
         "{verb} {table_name} [{} restriction(s), {} self cond(s)]\n  {}\n",
         f.restrictions.len(),
@@ -513,39 +489,36 @@ pub(crate) fn explain_dml(
 
 /// Executes `UPDATE table SET … [WHERE …]`, returning the row count.
 pub(crate) fn execute_update(
-    catalog: &Catalog,
-    backend: &mut PagedBackend,
+    engine: &mut StorageEngine,
     table_name: &str,
     sets: &[(String, SetExpr)],
     filter: &[Condition],
 ) -> RqsResult<usize> {
-    let table = catalog.table(table_name)?;
+    let table = engine.table(table_name)?;
     let sets = resolve_sets(table, sets)?;
     let changed: HashSet<usize> = sets.iter().map(|s| s.col).collect();
     let Filter {
         restrictions,
         self_conds,
         access,
-    } = resolve_filter(catalog, &*backend, table_name, filter)?;
+    } = resolve_filter(engine, table_name, filter)?;
     let mut pred = predicate(&restrictions, &self_conds);
-    let matched = matched_rows(&*backend, table_name, &access, &mut pred)?;
+    let matched = matched_rows(engine, table_name, &access, &mut pred)?;
     if matched.is_empty() {
         return Ok(0);
     }
-    let (ids, new_rows): (Vec<RowId>, Vec<Tuple>) = matched
+    let (rids, new_rows): (Vec<Rid>, Vec<Tuple>) = matched
         .iter()
-        .map(|(id, row)| (*id, apply_sets(&sets, row)))
+        .map(|(rid, row)| (*rid, apply_sets(&sets, row)))
         .unzip();
     // Constraint re-checks run in probe mode: latest committed state
     // plus this transaction's own rows, conflicting retryably when the
     // probed tables carry another transaction's uncommitted writes.
-    probing(&*backend, || {
-        check_update_constraints(
-            catalog, &*backend, table_name, &new_rows, &changed, &mut pred,
-        )
+    probing(engine, || {
+        check_update_constraints(engine, table_name, &new_rows, &changed, &mut pred)
     })?;
-    let updates: Vec<(RowId, Tuple)> = ids.into_iter().zip(new_rows).collect();
-    run_txn(backend, |b| b.update_rows(table_name, &updates))
+    let updates: Vec<(Rid, Tuple)> = rids.into_iter().zip(new_rows).collect();
+    run_txn(engine, |e| Ok(e.update_rows(table_name, &updates)?))
 }
 
 /// Restrict semantics for the bare `DELETE FROM t` truncation fast
@@ -554,36 +527,31 @@ pub(crate) fn execute_update(
 /// predicated-DELETE rule with an always-true predicate (the surviving
 /// key set is empty). A self-referential table passes trivially: its
 /// own rows vanish with it.
-pub(crate) fn check_truncate_constraints(
-    catalog: &Catalog,
-    backend: &PagedBackend,
-    name: &str,
-) -> RqsResult<()> {
-    check_delete_constraints(catalog, backend, name, &mut |_| true)
+pub(crate) fn check_truncate_constraints(engine: &StorageEngine, name: &str) -> RqsResult<()> {
+    check_delete_constraints(engine, name, &mut |_| true)
 }
 
 /// Executes `DELETE FROM table WHERE …`, returning the row count.
 pub(crate) fn execute_delete(
-    catalog: &Catalog,
-    backend: &mut PagedBackend,
+    engine: &mut StorageEngine,
     table_name: &str,
     filter: &[Condition],
 ) -> RqsResult<usize> {
-    catalog.table(table_name)?;
+    engine.table(table_name)?;
     let Filter {
         restrictions,
         self_conds,
         access,
-    } = resolve_filter(catalog, &*backend, table_name, filter)?;
+    } = resolve_filter(engine, table_name, filter)?;
     let mut pred = predicate(&restrictions, &self_conds);
-    let matched = matched_rows(&*backend, table_name, &access, &mut pred)?;
+    let matched = matched_rows(engine, table_name, &access, &mut pred)?;
     if matched.is_empty() {
         return Ok(0);
     }
     // Probe mode for the restrict re-check (see `execute_update`).
-    probing(&*backend, || {
-        check_delete_constraints(catalog, &*backend, table_name, &mut pred)
+    probing(engine, || {
+        check_delete_constraints(engine, table_name, &mut pred)
     })?;
-    let ids: Vec<RowId> = matched.into_iter().map(|(id, _)| id).collect();
-    run_txn(backend, |b| b.delete_rows(table_name, &ids))
+    let rids: Vec<Rid> = matched.into_iter().map(|(rid, _)| rid).collect();
+    run_txn(engine, |e| Ok(e.delete_rows(table_name, &rids)?))
 }

@@ -46,6 +46,24 @@ impl fmt::Display for RqsError {
 
 impl std::error::Error for RqsError {}
 
+impl From<storage::StorageError> for RqsError {
+    fn from(e: storage::StorageError) -> RqsError {
+        use storage::StorageError;
+        match e {
+            StorageError::UnknownTable(t) => RqsError::UnknownTable(t),
+            StorageError::DuplicateTable(t) => RqsError::DuplicateTable(t),
+            StorageError::Conflict(m) => RqsError::Conflict(m),
+            // A table's one size limit, the same with or without an
+            // index: a row is stored on one page.
+            StorageError::RecordTooLarge(n) => RqsError::ConstraintViolation(format!(
+                "row of {n} bytes exceeds the {}-byte page limit",
+                storage::page::Page::max_record_len()
+            )),
+            other => RqsError::Internal(other.to_string()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

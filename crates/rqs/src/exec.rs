@@ -5,7 +5,7 @@
 //! these counters to show how many joins and scanned tuples the §6
 //! simplification saves, independently of wall-clock noise.
 
-use crate::backend::{AccessPath, PagedBackend, Snapshot};
+use crate::access::{self, AccessPath};
 use crate::error::{RqsError, RqsResult};
 use crate::plan::{self, JoinCond, JoinMethod, PhysicalPlan, Restriction};
 use crate::sql::ast::{SelectCore, SelectStmt};
@@ -13,6 +13,7 @@ use crate::value::{Datum, Tuple};
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, Hasher};
+use storage::StorageEngine;
 
 /// Work counters accumulated over a statement (including subqueries and
 /// every UNION arm).
@@ -116,24 +117,24 @@ pub type PlanObserver<'a> = dyn FnMut(&PhysicalPlan, &[StepRun]) + 'a;
 /// Runs a full SELECT (with UNION arms); rows are deduplicated across arms
 /// per SQL UNION semantics.
 pub fn run_select(
-    snap: &Snapshot,
+    engine: &StorageEngine,
     stmt: &SelectStmt,
     metrics: &mut QueryMetrics,
 ) -> RqsResult<Relation> {
-    run_select_observed(snap, stmt, metrics, &mut |_, _| {})
+    run_select_observed(engine, stmt, metrics, &mut |_, _| {})
 }
 
 /// [`run_select`], handing every top-level core's executed plan and step
 /// reports to `observe` (`EXPLAIN ANALYZE`).
 pub fn run_select_observed(
-    snap: &Snapshot,
+    engine: &StorageEngine,
     stmt: &SelectStmt,
     metrics: &mut QueryMetrics,
     observe: &mut PlanObserver,
 ) -> RqsResult<Relation> {
-    let mut first = run_core(snap, &stmt.core, metrics, observe)?;
+    let mut first = run_core(engine, &stmt.core, metrics, observe)?;
     for arm in &stmt.unions {
-        let rel = run_core(snap, arm, metrics, observe)?;
+        let rel = run_core(engine, arm, metrics, observe)?;
         if rel.columns.len() != first.columns.len() {
             return Err(RqsError::Type(format!(
                 "UNION arms have {} vs {} columns",
@@ -164,23 +165,23 @@ fn dedup_rows(rows: &mut Vec<Tuple>) {
 
 /// Runs one SELECT core through resolve → plan → pipeline.
 fn run_core(
-    snap: &Snapshot,
+    engine: &StorageEngine,
     core: &SelectCore,
     metrics: &mut QueryMetrics,
     observe: &mut PlanObserver,
 ) -> RqsResult<Relation> {
     let planning = std::time::Instant::now();
-    let resolved = plan::resolve(snap, core)?;
-    let physical = plan::plan(resolved, snap.backend);
+    let resolved = plan::resolve(engine, core)?;
+    let physical = plan::plan(resolved, engine);
     metrics.plan_nanos += planning.elapsed().as_nanos() as u64;
-    let (relation, runs) = run_physical(snap, &physical, metrics)?;
+    let (relation, runs) = run_physical(engine, &physical, metrics)?;
     observe(&physical, &runs);
     Ok(relation)
 }
 
 /// Executes a physical plan, reporting what each step did.
 pub fn run_physical(
-    snap: &Snapshot,
+    engine: &StorageEngine,
     physical: &PhysicalPlan,
     metrics: &mut QueryMetrics,
 ) -> RqsResult<(Relation, Vec<StepRun>)> {
@@ -235,7 +236,7 @@ pub fn run_physical(
                 .iter()
                 .filter(|j| j.lvar == step.var && j.rvar == step.var)
                 .collect();
-            visit_var(snap, core, step.var, metrics, |row| {
+            visit_var(engine, core, step.var, metrics, |row| {
                 if self_conds.iter().all(|j| eval_join(j, row, &[])) {
                     current.push(row.clone());
                 }
@@ -263,7 +264,7 @@ pub fn run_physical(
                 for left_row in &current {
                     metrics.join_comparisons += 1;
                     let probe = AccessPath::KeyEq(*col, left_row[key_at].clone());
-                    snap.backend.read(table, &probe, &mut |_, right| {
+                    access::read(engine, table, &probe, &mut |_, right| {
                         metrics.rows_scanned += 1;
                         if check(right)
                             && eq
@@ -311,7 +312,7 @@ pub fn run_physical(
                 }
                 metrics.join_comparisons += current.len() as u64;
                 let mut matched: Vec<(usize, Tuple)> = Vec::new();
-                visit_var(snap, core, step.var, metrics, |right| {
+                visit_var(engine, core, step.var, metrics, |right| {
                     let Some(lefts) = buckets.get(&key_hash(right, &right_cols)) else {
                         return;
                     };
@@ -336,7 +337,7 @@ pub fn run_physical(
             JoinMethod::NestedLoop { conds } => {
                 run.method = "NestedLoop";
                 let mut scanned: Vec<Tuple> = Vec::new();
-                visit_var(snap, core, step.var, metrics, |row| {
+                visit_var(engine, core, step.var, metrics, |row| {
                     scanned.push(row.clone())
                 })?;
                 for left_row in &current {
@@ -358,7 +359,7 @@ pub fn run_physical(
     // Subquery filters.
     for sq in &core.subqueries {
         metrics.subqueries += 1;
-        let sub = run_select(snap, &sq.stmt, metrics)?;
+        let sub = run_select(engine, &sq.stmt, metrics)?;
         let set: HashSet<Datum> = sub
             .rows
             .into_iter()
@@ -380,8 +381,8 @@ pub fn run_physical(
         .iter()
         .map(|&(var, col)| {
             let v = &core.vars[var];
-            let table = snap.catalog.table(&v.table).expect("resolved table");
-            format!("{}.{}", v.alias, table.columns[col].name)
+            let table = engine.table(&v.table).expect("resolved table");
+            format!("{}.{}", v.alias, table.columns[col].0)
         })
         .collect();
     let mut rows: Vec<Tuple> = current
@@ -444,7 +445,7 @@ pub fn probes_beat_scan(probes: usize, heap_pages: usize) -> bool {
 /// predicated UPDATE/DELETE so DML rides exactly the same index
 /// machinery as SELECT scans.
 pub fn choose_access(
-    backend: &PagedBackend,
+    engine: &StorageEngine,
     table: &str,
     heap_pages: usize,
     restrictions: &[&Restriction],
@@ -459,13 +460,13 @@ pub fn choose_access(
         return AccessPath::FullScan;
     }
     for r in restrictions {
-        if matches!(r.op, CmpOp::Eq) && backend.has_index(table, r.col) {
+        if matches!(r.op, CmpOp::Eq) && engine.has_index(table, r.col) {
             return AccessPath::KeyEq(r.col, r.value.clone());
         }
     }
     for r in restrictions {
         if !matches!(r.op, CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge)
-            || !backend.has_index(table, r.col)
+            || !engine.has_index(table, r.col)
         {
             continue;
         }
@@ -491,7 +492,7 @@ pub fn choose_access(
 /// restrictions. Every row read counts in `rows_scanned`; the caller
 /// clones only what it keeps.
 fn visit_var(
-    snap: &Snapshot,
+    engine: &StorageEngine,
     core: &plan::ResolvedCore,
     var: usize,
     metrics: &mut QueryMetrics,
@@ -500,9 +501,9 @@ fn visit_var(
     let info = &core.vars[var];
     metrics.scans += 1;
     let restrictions = core.restrictions_of(var);
-    let access = choose_access(snap.backend, &info.table, info.pages, &restrictions);
+    let access = choose_access(engine, &info.table, info.pages, &restrictions);
     let check = restriction_check(restrictions);
-    snap.backend.read(&info.table, &access, &mut |_, row| {
+    access::read(engine, &info.table, &access, &mut |_, row| {
         metrics.rows_scanned += 1;
         if check(row) {
             f(row);
@@ -770,7 +771,7 @@ mod tests {
         let rows: Vec<String> = (10..110).map(|k| format!("({k}, '{pad}')")).collect();
         db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", ")))
             .unwrap();
-        let pages = db.backend().table_size("t").unwrap().pages as u64;
+        let pages = db.engine().heap_pages("t").unwrap() as u64;
         assert!(pages > PROBE_PAGES as u64, "{pages} pages");
         assert!(db.explain(q).unwrap().contains("via IndexEq col#0 = 2"));
         let large = db.execute(q).unwrap();
@@ -811,8 +812,8 @@ mod tests {
         let step = text.iter().find(|l| l.contains("r v2")).unwrap();
         assert!(step.contains("ran=HashJoin"), "{text:#?}");
         let (left, right) = (
-            db.backend().scan("l").unwrap(),
-            db.backend().scan("r").unwrap(),
+            db.engine().scan("l").unwrap(),
+            db.engine().scan("r").unwrap(),
         );
         let expected: Vec<Tuple> = left
             .iter()

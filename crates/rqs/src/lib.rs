@@ -4,10 +4,9 @@
 //! accessible through SQL" and deliberately treats it as an independent
 //! black box. This crate is that black box, built from scratch:
 //!
-//! * a [`catalog`] of tables with typed columns, tuple storage and
-//!   secondary indexes;
-//! * enforcement of the three integrity-constraint families the paper
-//!   relies on (value bounds, keys/functional dependencies, foreign keys);
+//! * enforcement, in [`catalog`], of the three integrity-constraint
+//!   families the paper relies on (value bounds, keys/functional
+//!   dependencies, foreign keys), read from the storage engine's catalog;
 //! * a [`sql`] front: lexer, parser and AST for the conjunctive
 //!   `SELECT … FROM … WHERE` dialect the front-end generates, plus
 //!   `CREATE TABLE`, `INSERT`, `UNION`, and `NOT IN` subqueries;
@@ -25,10 +24,10 @@
 //!
 //! # Storage architecture
 //!
-//! Rows live in one store, [`PagedBackend`] — the `storage` crate's
-//! engine; the [`Catalog`] holds only schemas and constraints, and the
-//! planner/executor read rows through a [`backend::Snapshot`] pairing
-//! the two. [`Database::new`], [`Database::paged`] and
+//! Schemas, constraints and rows live in one store, the `storage`
+//! crate's [`StorageEngine`]: its catalog is the only schema registry,
+//! and the planner, executor and DML read rows through one visitor,
+//! [`access::read`]. [`Database::new`], [`Database::paged`] and
 //! [`Database::open_paged`] differ only in pool size and pager: tuples
 //! are serialized onto fixed-size (4 KiB) slotted heap pages, fetched
 //! through a pinned/unpinned buffer pool with clock eviction over an
@@ -52,7 +51,7 @@
 //! paper's actual cost model — and DML statements additionally report
 //! [`exec::QueryMetrics::wal_appends`]/[`exec::QueryMetrics::wal_bytes`],
 //! the price of durability. An index changes only what a statement
-//! costs, never what it answers: `tests/backend_differential.rs` runs
+//! costs, never what it answers: `tests/index_differential.rs` runs
 //! every statement on a database with its indexes and on one without.
 //! The engine supports any number of open session-scoped transactions
 //! (one active at a time), which is what the `server` crate builds its
@@ -76,7 +75,7 @@
 //! assert_eq!(result.rows[0][0].to_string(), "'jones'");
 //! ```
 
-pub mod backend;
+pub mod access;
 pub mod catalog;
 pub mod database;
 pub mod dml;
@@ -86,9 +85,9 @@ pub mod plan;
 pub mod sql;
 pub mod value;
 
-pub use backend::{AccessPath, PagedBackend, Snapshot, TableSize};
-pub use catalog::{Catalog, Column, ColumnType, Table, TableConstraint};
+pub use access::AccessPath;
 pub use database::{Database, QueryResult, Trace, TraceSpan};
 pub use error::{RqsError, RqsResult};
 pub use exec::QueryMetrics;
+pub use storage::{StorageEngine, TableConstraint};
 pub use value::Datum;

@@ -8,11 +8,12 @@
 //! those is exactly the front-end optimizer's job, which is what the
 //! benchmarks measure.
 
-use crate::backend::{AccessPath, PagedBackend, Snapshot, TableSize};
+use crate::access::AccessPath;
 use crate::error::{RqsError, RqsResult};
 use crate::exec::StepRun;
 use crate::sql::ast::{CmpOp, ColumnRef, Condition, Scalar, SelectCore, SelectStmt};
 use crate::value::Datum;
+use storage::StorageEngine;
 
 /// A resolved range variable of the FROM clause.
 #[derive(Clone, Debug, PartialEq)]
@@ -21,7 +22,7 @@ pub struct VarInfo {
     pub table: String,
     pub width: usize,
     pub cardinality: usize,
-    /// Pages one scan of the table reads (see [`TableSize`]).
+    /// Pages one scan of the table reads: the exact heap chain length.
     pub pages: usize,
 }
 
@@ -116,23 +117,24 @@ impl PhysicalPlan {
     }
 }
 
-/// Resolves a SELECT core against the catalog and storage snapshot.
-pub fn resolve(snap: &Snapshot, core: &SelectCore) -> RqsResult<ResolvedCore> {
+/// Resolves a SELECT core against the engine's catalog. Row counts
+/// and heap pages are the planner's two exact inputs: join order weighs
+/// the first, index probes are weighed against the second.
+pub fn resolve(engine: &StorageEngine, core: &SelectCore) -> RqsResult<ResolvedCore> {
     let mut vars = Vec::new();
     for (table_name, alias) in &core.from {
-        let table = snap.catalog.table(table_name)?;
+        let table = engine.table(table_name)?;
         if vars.iter().any(|v: &VarInfo| &v.alias == alias) {
             return Err(RqsError::Syntax(format!(
                 "duplicate range variable {alias}"
             )));
         }
-        let TableSize { rows, pages } = snap.backend.table_size(table_name)?;
         vars.push(VarInfo {
             alias: alias.clone(),
             table: table_name.clone(),
-            width: table.arity(),
-            cardinality: rows,
-            pages,
+            width: table.columns.len(),
+            cardinality: engine.row_count(table_name)?,
+            pages: engine.heap_pages(table_name)?,
         });
     }
     let lookup = |cref: &ColumnRef| -> RqsResult<(usize, usize)> {
@@ -140,8 +142,8 @@ pub fn resolve(snap: &Snapshot, core: &SelectCore) -> RqsResult<ResolvedCore> {
             .iter()
             .position(|v| v.alias == cref.var)
             .ok_or_else(|| RqsError::UnknownColumn(format!("{cref} (unknown variable)")))?;
-        let table = snap.catalog.table(&vars[var].table)?;
-        let col = table
+        let col = engine
+            .table(&vars[var].table)?
             .column_index(&cref.column)
             .ok_or_else(|| RqsError::UnknownColumn(cref.to_string()))?;
         Ok((var, col))
@@ -253,7 +255,7 @@ fn estimate(core: &ResolvedCore, var: usize) -> usize {
 /// graph is disconnected. An equijoin step whose new variable has an
 /// index on its side of one of the equalities — and no cheaper access
 /// path of its own — may probe that index ([`JoinMethod::IndexProbe`]).
-pub fn plan(core: ResolvedCore, backend: &PagedBackend) -> PhysicalPlan {
+pub fn plan(core: ResolvedCore, engine: &StorageEngine) -> PhysicalPlan {
     let n = core.vars.len();
     let mut remaining: Vec<usize> = (0..n).collect();
     let mut chosen: Vec<usize> = Vec::new();
@@ -311,7 +313,7 @@ pub fn plan(core: ResolvedCore, backend: &PagedBackend) -> PhysicalPlan {
             if eq.is_empty() {
                 JoinMethod::NestedLoop { conds: extra }
             } else {
-                match probe_column(&core, backend, pick, &eq) {
+                match probe_column(&core, engine, pick, &eq) {
                     Some((col, key)) => JoinMethod::IndexProbe {
                         col,
                         key,
@@ -335,13 +337,13 @@ pub fn plan(core: ResolvedCore, backend: &PagedBackend) -> PhysicalPlan {
 /// narrow to an index read (or to nothing) is read once and hashed.
 fn probe_column(
     core: &ResolvedCore,
-    backend: &PagedBackend,
+    engine: &StorageEngine,
     var: usize,
     eq: &[JoinCond],
 ) -> Option<(usize, (usize, usize))> {
     let info = &core.vars[var];
     let restrictions = core.restrictions_of(var);
-    if crate::exec::choose_access(backend, &info.table, info.pages, &restrictions)
+    if crate::exec::choose_access(engine, &info.table, info.pages, &restrictions)
         != AccessPath::FullScan
     {
         return None;
@@ -352,7 +354,7 @@ fn probe_column(
         } else {
             (j.rcol, (j.lvar, j.lcol))
         };
-        backend.has_index(&info.table, col).then_some((col, key))
+        engine.has_index(&info.table, col).then_some((col, key))
     })
 }
 
@@ -365,13 +367,13 @@ impl ResolvedCore {
 
 impl PhysicalPlan {
     /// EXPLAIN's rendering: the join pipeline, each step with the access
-    /// path its scan takes on `backend` — the same
+    /// path its scan takes on `engine` — the same
     /// [`crate::exec::choose_access`] call the executor makes, so the
     /// path printed is the path that runs — and, for an
     /// [`JoinMethod::IndexProbe`] step, the column it can probe. Under
     /// `EXPLAIN ANALYZE`, `runs` holds what each step actually did (one
     /// per step, in step order) and every line says which method ran.
-    pub fn explain(&self, backend: &PagedBackend, runs: Option<&[StepRun]>) -> String {
+    pub fn explain(&self, engine: &StorageEngine, runs: Option<&[StepRun]>) -> String {
         let mut out = format!(
             "Project [{} item(s)]{}\n",
             self.core.items.len(),
@@ -404,7 +406,7 @@ impl PhysicalPlan {
                     format!("NestedLoop {table} {alias} [{} cond(s)]", conds.len())
                 }
             };
-            let access = crate::exec::choose_access(backend, table, v.pages, &restrictions);
+            let access = crate::exec::choose_access(engine, table, v.pages, &restrictions);
             out += &format!("{indent}{head} [{restr} restriction(s)] via {access}");
             if let Some(run) = runs.and_then(|runs| runs.get(depth)) {
                 out += &format!(" -> {run}");
@@ -435,7 +437,7 @@ mod tests {
         let Statement::Select(s) = parse_statement(sql).unwrap() else {
             panic!("not a select")
         };
-        resolve(&db.snapshot(), &s.core)
+        resolve(db.engine(), &s.core)
     }
 
     #[test]
@@ -486,7 +488,7 @@ mod tests {
              WHERE (v1.dno = v2.dno) AND (v2.mgr = v3.eno)",
         )
         .unwrap();
-        let plan = plan(core, db.backend());
+        let plan = plan(core, db.engine());
         assert_eq!(plan.steps.len(), 3);
         assert_eq!(plan.join_count(), 2);
         assert!(matches!(plan.steps[0].method, JoinMethod::Initial));
@@ -500,7 +502,7 @@ mod tests {
     fn disconnected_vars_become_products() {
         let db = db_with_empdep();
         let core = resolve_select(&db, "SELECT v1.nam FROM empl v1, dept v2").unwrap();
-        let plan = plan(core, db.backend());
+        let plan = plan(core, db.engine());
         assert!(matches!(
             plan.steps[1].method,
             JoinMethod::NestedLoop { ref conds } if conds.is_empty()
@@ -515,7 +517,7 @@ mod tests {
             "SELECT v1.nam FROM empl v1, empl v2 WHERE v1.sal < v2.sal",
         )
         .unwrap();
-        let plan = plan(core, db.backend());
+        let plan = plan(core, db.engine());
         assert!(
             matches!(plan.steps[1].method, JoinMethod::NestedLoop { ref conds } if conds.len() == 1)
         );
@@ -529,7 +531,7 @@ mod tests {
             "SELECT v1.nam FROM empl v1, dept v2 WHERE v1.dno = v2.dno",
         )
         .unwrap();
-        let text = plan(core, db.backend()).explain(db.backend(), None);
+        let text = plan(core, db.engine()).explain(db.engine(), None);
         assert!(text.contains("Scan"));
         assert!(text.contains("HashJoin"));
         assert!(text.contains("via FullScan"));
@@ -544,10 +546,10 @@ mod tests {
         db.execute(&format!("INSERT INTO empl VALUES {}", rows.join(", ")))
             .unwrap();
         let sql = "SELECT v1.nam FROM empl v1, dept v2 WHERE v1.dno = v2.dno";
-        let hashed = plan(resolve_select(&db, sql).unwrap(), db.backend());
+        let hashed = plan(resolve_select(&db, sql).unwrap(), db.engine());
         assert!(matches!(hashed.steps[1].method, JoinMethod::Hash { .. }));
         db.execute("CREATE INDEX ON empl (dno)").unwrap();
-        let probing = plan(resolve_select(&db, sql).unwrap(), db.backend());
+        let probing = plan(resolve_select(&db, sql).unwrap(), db.engine());
         assert_eq!(probing.core.vars[probing.steps[1].var].alias, "v1");
         assert!(matches!(
             probing.steps[1].method,
@@ -557,7 +559,7 @@ mod tests {
                 ..
             }
         ));
-        let text = probing.explain(db.backend(), None);
+        let text = probing.explain(db.engine(), None);
         assert!(
             text.contains("IndexProbe empl v1 col#3 = v2.col#0"),
             "{text}"
@@ -567,7 +569,7 @@ mod tests {
         db.execute("CREATE INDEX ON empl (nam)").unwrap();
         let restricted = plan(
             resolve_select(&db, &format!("{sql} AND v1.nam = 'e7'")).unwrap(),
-            db.backend(),
+            db.engine(),
         );
         assert!(restricted
             .steps

@@ -1,8 +1,8 @@
 //! SQL abstract syntax.
 
-use crate::catalog::{ColumnType, TableConstraint};
 use crate::value::Datum;
 use std::fmt;
+use storage::{ColType, TableConstraint};
 
 /// A qualified column reference `var.column`.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -241,7 +241,7 @@ impl fmt::Display for SetExpr {
 pub enum Statement {
     CreateTable {
         name: String,
-        columns: Vec<(String, ColumnType)>,
+        columns: Vec<(String, ColType)>,
         constraints: Vec<TableConstraint>,
     },
     CreateIndex {
@@ -254,7 +254,7 @@ pub enum Statement {
     },
     /// `DELETE FROM t [WHERE pred]`. Without WHERE this is the
     /// truncation fast path the front-end uses to reset whole
-    /// intermediate relations — still a single backend truncate, but
+    /// intermediate relations — still a single engine truncate, but
     /// subject to the same restrict rule as predicated DELETE: a parent
     /// that referencing children still point at refuses to truncate.
     /// With WHERE it is row-level DML: the predicate is a conjunction

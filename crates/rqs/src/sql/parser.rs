@@ -1,10 +1,10 @@
 //! Recursive-descent SQL parser.
 
-use crate::catalog::{ColumnType, TableConstraint};
 use crate::error::{RqsError, RqsResult};
 use crate::sql::ast::*;
 use crate::sql::lexer::{tokenize, Tok};
 use crate::value::Datum;
+use storage::{ColType, TableConstraint};
 
 struct Parser {
     toks: Vec<Tok>,
@@ -199,8 +199,8 @@ impl Parser {
                 let col_name = self.ident()?;
                 let ty_word = self.ident()?;
                 let ty = match ty_word.to_ascii_uppercase().as_str() {
-                    "INT" | "INTEGER" => ColumnType::Int,
-                    "TEXT" | "CHAR" | "VARCHAR" | "STRING" => ColumnType::Text,
+                    "INT" | "INTEGER" => ColType::Int,
+                    "TEXT" | "CHAR" | "VARCHAR" | "STRING" => ColType::Text,
                     other => return Err(self.err(format!("unknown type {other}"))),
                 };
                 columns.push((col_name, ty));

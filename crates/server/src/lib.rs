@@ -97,7 +97,8 @@
 //! conflict, I/O failure) aborts the *whole* transaction — the session
 //! reports [`ServerError::RolledBack`] so the client knows to restart
 //! it. DDL inside an explicit transaction is rejected up front: the
-//! relational schema registry has no per-transaction rollback.
+//! engine's catalog is one shared map with no versions, so an
+//! uncommitted schema would be visible to other sessions.
 //!
 //! # Threading (the [`net`] module)
 //!
@@ -376,7 +377,7 @@ pub struct ServerSession {
     shared: Arc<Shared>,
     /// Stable id reported by the slow log.
     id: u64,
-    /// The backend id of the session's open explicit transaction.
+    /// The engine id of the session's open explicit transaction.
     txn: Option<u64>,
     stats: SessionStats,
     /// Span breakdown of the last SQL statement this session ran (the
@@ -576,7 +577,7 @@ impl ServerSession {
         };
         let mut slot = db_write(&self.shared.db);
         let db = slot.as_mut().ok_or(ServerError::Closed)?;
-        // The backend rolled the transaction back before erroring.
+        // The engine rolled the transaction back before erroring.
         db.commit_session_txn(txn)
             .map_err(ServerError::RolledBack)?;
         Ok(QueryResult::default())
@@ -604,6 +605,10 @@ impl ServerSession {
                 | Statement::DropTable { .. }
                 | Statement::CreateIndex { .. }
         );
+        // The engine's catalog rolls DDL back with its transaction, but
+        // it is one shared map with no versions: a table created inside
+        // an open transaction would be visible to every other session
+        // before it commits.
         if ddl && self.txn.is_some() {
             return Err(ServerError::Session(
                 "DDL is not allowed inside an explicit transaction".into(),

@@ -1,6 +1,7 @@
-//! The system catalog: bootstrap from the four system heaps, DDL
-//! (create/drop table, constraint specs, index registration), and the
-//! catalog-page rewrites DDL and root moves trigger.
+//! The system catalog: the typed integrity constraints it persists,
+//! bootstrap from the four system heaps, DDL (create/drop table, index
+//! registration), and the catalog-page rewrites DDL and root moves
+//! trigger.
 
 use super::{
     ColType, IndexInfo, StorageEngine, TableInfo, FIRST_USER_TABLE_ID, META_PAGE,
@@ -15,6 +16,70 @@ use crate::page::{PageId, PageKind};
 use crate::value::{Datum, Tuple};
 use crate::{StorageError, StorageResult};
 use std::collections::{BTreeMap, HashMap};
+
+/// A table-level integrity constraint, persisted with its table in
+/// `system_constraints` and enforced by the relational layer on every
+/// write: the value bounds, keys and foreign keys the paper's optimizer
+/// reasons from.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum TableConstraint {
+    /// Values of the column must lie within `[lo, hi]`.
+    ValueBound { column: String, lo: i64, hi: i64 },
+    /// The column set is a key (no two rows agree on all of them).
+    Key { columns: Vec<String> },
+    /// Values of `columns` must appear as `parent_columns` values in
+    /// `parent_table` (referential integrity).
+    ForeignKey {
+        columns: Vec<String>,
+        parent_table: String,
+        parent_columns: Vec<String>,
+    },
+}
+
+impl TableConstraint {
+    /// The compact text spec one `system_constraints` row stores. Column
+    /// names are SQL identifiers (no spaces or commas), so space- and
+    /// comma-separated fields are unambiguous.
+    pub fn to_spec(&self) -> String {
+        match self {
+            TableConstraint::ValueBound { column, lo, hi } => format!("bound {column} {lo} {hi}"),
+            TableConstraint::Key { columns } => format!("key {}", columns.join(",")),
+            TableConstraint::ForeignKey {
+                columns,
+                parent_table,
+                parent_columns,
+            } => format!(
+                "fk {} {parent_table} {}",
+                columns.join(","),
+                parent_columns.join(",")
+            ),
+        }
+    }
+
+    /// Parses a spec produced by [`TableConstraint::to_spec`]; anything
+    /// else is a corrupt catalog row.
+    pub fn parse_spec(spec: &str) -> StorageResult<TableConstraint> {
+        let corrupt = || StorageError::Corrupt(format!("malformed constraint spec: {spec:?}"));
+        let fields: Vec<&str> = spec.split(' ').collect();
+        let split_cols = |s: &str| -> Vec<String> { s.split(',').map(str::to_owned).collect() };
+        match fields.as_slice() {
+            ["bound", column, lo, hi] => Ok(TableConstraint::ValueBound {
+                column: (*column).to_owned(),
+                lo: lo.parse().map_err(|_| corrupt())?,
+                hi: hi.parse().map_err(|_| corrupt())?,
+            }),
+            ["key", columns] => Ok(TableConstraint::Key {
+                columns: split_cols(columns),
+            }),
+            ["fk", columns, parent, parent_columns] => Ok(TableConstraint::ForeignKey {
+                columns: split_cols(columns),
+                parent_table: (*parent).to_owned(),
+                parent_columns: split_cols(parent_columns),
+            }),
+            _ => Err(corrupt()),
+        }
+    }
+}
 
 impl StorageEngine {
     /// Rebuilds the in-memory catalog from the four system heaps.
@@ -93,7 +158,7 @@ impl StorageEngine {
         sys_constraints.scan(&pool, |_, rec| {
             con_rows.push(decode_tuple(rec).unwrap_or_default())
         })?;
-        let mut con_by_table: BTreeMap<i64, Vec<(i64, String)>> = BTreeMap::new();
+        let mut con_by_table: BTreeMap<i64, Vec<(i64, TableConstraint)>> = BTreeMap::new();
         for row in con_rows {
             let [Datum::Int(tid), Datum::Int(seq), Datum::Text(spec)] = row.as_slice() else {
                 return Err(StorageError::Corrupt("bad system_constraints row".into()));
@@ -101,7 +166,7 @@ impl StorageEngine {
             con_by_table
                 .entry(*tid)
                 .or_default()
-                .push((*seq, spec.to_string()));
+                .push((*seq, TableConstraint::parse_spec(spec)?));
         }
         for (tid, mut specs) in con_by_table {
             let name = by_id.get(&tid).ok_or_else(|| {
@@ -162,8 +227,14 @@ impl StorageEngine {
             .ok_or_else(|| StorageError::UnknownTable(name.to_owned()))
     }
 
-    /// Creates a table and persists its schema in the system catalog.
-    pub fn create_table(&mut self, name: &str, columns: &[(String, ColType)]) -> StorageResult<()> {
+    /// Creates a table and persists its schema and its constraints in
+    /// the system catalog, all in one transaction.
+    pub fn create_table(
+        &mut self,
+        name: &str,
+        columns: &[(String, ColType)],
+        constraints: &[TableConstraint],
+    ) -> StorageResult<()> {
         if self.tables.contains_key(name) {
             return Err(StorageError::DuplicateTable(name.to_owned()));
         }
@@ -193,40 +264,29 @@ impl StorageEngine {
                     ]),
                 )?;
             }
+            for (seq, constraint) in constraints.iter().enumerate() {
+                eng.sys_constraints.insert(
+                    &eng.pool,
+                    &encode_tuple(&[
+                        Datum::Int(id),
+                        Datum::Int(seq as i64),
+                        Datum::text(&constraint.to_spec()),
+                    ]),
+                )?;
+            }
             eng.tables.insert(
                 name.to_owned(),
                 TableInfo {
                     id,
                     name: name.to_owned(),
                     columns: columns.to_vec(),
-                    constraints: Vec::new(),
+                    constraints: constraints.to_vec(),
                     heap,
                     row_count: 0,
                 },
             );
             Ok(())
         })
-    }
-
-    /// Replaces the persisted constraint specs of a table. The specs
-    /// are opaque strings owned by the relational layer; the engine
-    /// stores and returns them verbatim.
-    pub fn set_constraints(&mut self, name: &str, specs: &[String]) -> StorageResult<()> {
-        if !self.tables.contains_key(name) {
-            return Err(StorageError::UnknownTable(name.to_owned()));
-        }
-        self.autocommit(|eng| {
-            eng.touch_meta();
-            eng.touch_table(name);
-            let info = eng.tables.get_mut(name).expect("checked above");
-            info.constraints = specs.to_vec();
-            eng.rewrite_system_constraints()
-        })
-    }
-
-    /// The persisted constraint specs of a table.
-    pub fn constraints(&self, name: &str) -> StorageResult<&[String]> {
-        Ok(&self.table(name)?.constraints)
     }
 
     /// Drops a table — its heap chain and index trees go onto the
@@ -360,13 +420,13 @@ impl StorageEngine {
         self.reclaim_sys_tail(self.sys_constraints)?;
         self.sys_constraints.truncate(&self.pool)?;
         for info in self.tables.values() {
-            for (seq, spec) in info.constraints.iter().enumerate() {
+            for (seq, constraint) in info.constraints.iter().enumerate() {
                 self.sys_constraints.insert(
                     &self.pool,
                     &encode_tuple(&[
                         Datum::Int(info.id),
                         Datum::Int(seq as i64),
-                        Datum::text(spec),
+                        Datum::text(&constraint.to_spec()),
                     ]),
                 )?;
             }
@@ -402,5 +462,65 @@ impl StorageEngine {
         }
         self.rewrite_system_constraints()?;
         self.rewrite_system_indexes()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::TableConstraint;
+
+    /// The spec strings are the on-disk format of `system_constraints`:
+    /// a file written by an earlier build must keep parsing, so each
+    /// kind's exact text is pinned here.
+    #[test]
+    fn constraint_specs_round_trip() {
+        let pinned = [
+            (
+                TableConstraint::ValueBound {
+                    column: "sal".into(),
+                    lo: -10,
+                    hi: 90_000,
+                },
+                "bound sal -10 90000",
+            ),
+            (
+                TableConstraint::Key {
+                    columns: vec!["eno".into()],
+                },
+                "key eno",
+            ),
+            (
+                TableConstraint::Key {
+                    columns: vec!["a".into(), "b".into()],
+                },
+                "key a,b",
+            ),
+            (
+                TableConstraint::ForeignKey {
+                    columns: vec!["dno".into()],
+                    parent_table: "dept".into(),
+                    parent_columns: vec!["dno".into()],
+                },
+                "fk dno dept dno",
+            ),
+            (
+                TableConstraint::ForeignKey {
+                    columns: vec!["x".into(), "y".into()],
+                    parent_table: "p".into(),
+                    parent_columns: vec!["u".into(), "v".into()],
+                },
+                "fk x,y p u,v",
+            ),
+        ];
+        for (constraint, spec) in &pinned {
+            assert_eq!(constraint.to_spec(), *spec);
+            assert_eq!(&TableConstraint::parse_spec(spec).unwrap(), constraint);
+        }
+        for bad in ["", "nope", "bound a b c", "key", "fk a b"] {
+            assert!(
+                TableConstraint::parse_spec(bad).is_err(),
+                "{bad:?} must not parse"
+            );
+        }
     }
 }

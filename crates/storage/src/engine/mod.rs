@@ -7,14 +7,16 @@
 //! * `system_columns` (page 1): `(table id, column index, name, type)`;
 //! * `system_indexes` (page 2): `(table id, column index, root page)`;
 //! * `system_constraints` (page 3): `(table id, sequence, spec text)` —
-//!   opaque constraint specs owned by the relational layer, persisted
-//!   so integrity constraints survive reopen.
+//!   each a [`TableConstraint`] in its [`TableConstraint::to_spec`]
+//!   form, so integrity constraints survive reopen.
 //!
 //! Opening an existing database therefore needs no side files: the
 //! engine first lets the WAL replay committed transactions into the
 //! pager ([`crate::wal::Wal::recover`]), then reads the four well-known
-//! heaps and reconstructs every table, column, B+-tree root and
-//! constraint spec from them.
+//! heaps and reconstructs every table, column, B+-tree root and typed
+//! constraint from them. This catalog is the only schema registry: the
+//! relational layer reads every schema and constraint from it, so a
+//! transaction's DDL rolls back with the transaction.
 //!
 //! Every mutating operation runs inside a WAL transaction. Callers may
 //! group several operations with [`StorageEngine::begin`] /
@@ -61,6 +63,7 @@ mod dml;
 mod read;
 mod txn;
 
+pub use catalog::TableConstraint;
 pub use read::IndexProbe;
 
 use crate::btree::BPlusTree;
@@ -115,17 +118,34 @@ impl ColType {
     }
 }
 
-/// In-memory image of one stored table.
+impl std::fmt::Display for ColType {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            ColType::Int => "INT",
+            ColType::Text => "TEXT",
+        })
+    }
+}
+
+/// In-memory image of one stored table: its schema, its integrity
+/// constraints (parsed once, at bootstrap or `CREATE TABLE`), and where
+/// its rows live. Rolled back with the transaction that changed it.
 #[derive(Clone, Debug)]
 pub struct TableInfo {
     pub id: i64,
     pub name: String,
     pub columns: Vec<(String, ColType)>,
-    /// Opaque constraint specs (the relational layer's serialization),
-    /// persisted in `system_constraints`.
-    pub constraints: Vec<String>,
+    /// Persisted in `system_constraints`, one row per constraint.
+    pub constraints: Vec<TableConstraint>,
     heap: HeapFile,
     row_count: usize,
+}
+
+impl TableInfo {
+    /// The position of the column called `name`.
+    pub fn column_index(&self, name: &str) -> Option<usize> {
+        self.columns.iter().position(|(c, _)| c == name)
+    }
 }
 
 #[derive(Clone, Copy, Debug)]

@@ -52,6 +52,7 @@ fn engine_with_empl(pool_pages: usize, rows: usize) -> StorageEngine {
             ("sal", ColType::Int),
             ("dno", ColType::Int),
         ]),
+        &[],
     )
     .unwrap();
     for i in 0..rows as i64 {
@@ -90,7 +91,7 @@ fn create_insert_scan() {
 fn duplicate_table_rejected() {
     let mut eng = engine_with_empl(8, 0);
     assert!(matches!(
-        eng.create_table("empl", &cols(&[("x", ColType::Int)])),
+        eng.create_table("empl", &cols(&[("x", ColType::Int)]), &[]),
         Err(StorageError::DuplicateTable(_))
     ));
 }
@@ -156,7 +157,7 @@ fn drop_table_removes_everything() {
     assert!(!eng.has_table("empl"));
     assert!(eng.drop_table("empl").is_err());
     // Name is reusable with a different shape.
-    eng.create_table("empl", &cols(&[("only", ColType::Text)]))
+    eng.create_table("empl", &cols(&[("only", ColType::Text)]), &[])
         .unwrap();
     eng.insert("empl", &[Datum::text("x")]).unwrap();
     assert_eq!(eng.scan("empl").unwrap().len(), 1);
@@ -201,7 +202,7 @@ fn indexed_columns_take_any_value_the_heap_takes() {
     // only a record past one page is refused, with or without an index,
     // and it leaves neither a heap row nor a posting behind.
     let mut eng = StorageEngine::in_memory(8).unwrap();
-    eng.create_table("t", &cols(&[("a", ColType::Text)]))
+    eng.create_table("t", &cols(&[("a", ColType::Text)]), &[])
         .unwrap();
     eng.create_index("t", 0).unwrap();
     let long = |tail: &str| format!("{}{tail}", "x".repeat(crate::btree::MAX_KEY_LEN + 50));
@@ -229,7 +230,7 @@ fn corrupt_page_file_errors_instead_of_panicking() {
     let path = temp_db("corrupt");
     {
         let mut eng = StorageEngine::open(&path, 8).unwrap();
-        eng.create_table("t", &cols(&[("a", ColType::Int)]))
+        eng.create_table("t", &cols(&[("a", ColType::Int)]), &[])
             .unwrap();
         eng.insert("t", &[Datum::Int(1)]).unwrap();
         // Checkpoint so recovery has nothing to replay: the corrupt
@@ -289,7 +290,7 @@ fn drop_without_flush_still_persists() {
     let path = temp_db("dropflush");
     {
         let mut eng = StorageEngine::open(&path, 8).unwrap();
-        eng.create_table("t", &cols(&[("a", ColType::Int)]))
+        eng.create_table("t", &cols(&[("a", ColType::Int)]), &[])
             .unwrap();
         eng.insert("t", &[Datum::Int(42)]).unwrap();
         // No flush(): the Drop impl must write the dirty pages back.
@@ -312,11 +313,13 @@ fn reopen_bootstraps_catalog_from_system_pages() {
                 ("sal", ColType::Int),
                 ("dno", ColType::Int),
             ]),
+            &[],
         )
         .unwrap();
         eng.create_table(
             "dept",
             &cols(&[("dno", ColType::Int), ("fct", ColType::Text)]),
+            &[],
         )
         .unwrap();
         eng.create_index("empl", 1).unwrap();
@@ -353,9 +356,9 @@ fn reopen_after_drop_does_not_resurrect() {
     let path = temp_db("drop");
     {
         let mut eng = StorageEngine::open(&path, 8).unwrap();
-        eng.create_table("keep", &cols(&[("a", ColType::Int)]))
+        eng.create_table("keep", &cols(&[("a", ColType::Int)]), &[])
             .unwrap();
-        eng.create_table("gone", &cols(&[("b", ColType::Int)]))
+        eng.create_table("gone", &cols(&[("b", ColType::Int)]), &[])
             .unwrap();
         eng.drop_table("gone").unwrap();
         eng.flush().unwrap();
@@ -413,8 +416,12 @@ fn update_rows_rewrites_in_place_and_maintains_indexes() {
 #[test]
 fn update_rows_relocates_grown_records_and_reposts_rids() {
     let mut eng = StorageEngine::in_memory(16).unwrap();
-    eng.create_table("t", &cols(&[("k", ColType::Int), ("pad", ColType::Text)]))
-        .unwrap();
+    eng.create_table(
+        "t",
+        &cols(&[("k", ColType::Int), ("pad", ColType::Text)]),
+        &[],
+    )
+    .unwrap();
     eng.create_index("t", 0).unwrap();
     // Fill pages tightly so growth must relocate.
     for i in 0..40i64 {
@@ -507,8 +514,12 @@ fn heap_pages_track_the_chain_through_abort_truncate_and_reopen() {
     let path = temp_db("heappages");
     let committed = {
         let mut eng = StorageEngine::open(&path, 8).unwrap();
-        eng.create_table("t", &cols(&[("k", ColType::Int), ("pad", ColType::Text)]))
-            .unwrap();
+        eng.create_table(
+            "t",
+            &cols(&[("k", ColType::Int), ("pad", ColType::Text)]),
+            &[],
+        )
+        .unwrap();
         assert_eq!(eng.heap_pages("t").unwrap(), 1);
         let pad = "p".repeat(500);
         for k in 0..40 {
@@ -546,8 +557,12 @@ fn updates_and_deletes_survive_crash_recovery() {
     let path = temp_db("dml");
     {
         let mut eng = StorageEngine::open(&path, 16).unwrap();
-        eng.create_table("t", &cols(&[("a", ColType::Int), ("b", ColType::Text)]))
-            .unwrap();
+        eng.create_table(
+            "t",
+            &cols(&[("a", ColType::Int), ("b", ColType::Text)]),
+            &[],
+        )
+        .unwrap();
         eng.create_index("t", 0).unwrap();
         for i in 0..60i64 {
             eng.insert("t", &[Datum::Int(i), Datum::text("v")]).unwrap();

@@ -110,7 +110,7 @@ proptest! {
         let path = temp_db("prefix-keys");
         {
             let mut eng = StorageEngine::open(&path, 16).unwrap();
-            eng.create_table("t", &cols(&[("k", ColType::Text), ("n", ColType::Int)]))
+            eng.create_table("t", &cols(&[("k", ColType::Text), ("n", ColType::Int)]), &[])
                 .unwrap();
             eng.create_index("t", 0).unwrap();
             for (n, v) in values.iter().enumerate() {

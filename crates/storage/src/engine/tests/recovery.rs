@@ -8,7 +8,7 @@ fn explicit_abort_rolls_back_rows_and_catalog() {
     eng.create_index("empl", 0).unwrap();
     eng.begin().unwrap();
     eng.insert("empl", &empl_row(100, "doomed", 1, 1)).unwrap();
-    eng.create_table("tmp", &cols(&[("x", ColType::Int)]))
+    eng.create_table("tmp", &cols(&[("x", ColType::Int)]), &[])
         .unwrap();
     assert!(eng.has_table("tmp"));
     assert_eq!(eng.row_count("empl").unwrap(), 4);
@@ -31,8 +31,12 @@ fn committed_statements_survive_a_crash_without_flush() {
     let path = temp_db("crash");
     {
         let mut eng = StorageEngine::open(&path, 16).unwrap();
-        eng.create_table("t", &cols(&[("a", ColType::Int), ("b", ColType::Text)]))
-            .unwrap();
+        eng.create_table(
+            "t",
+            &cols(&[("a", ColType::Int), ("b", ColType::Text)]),
+            &[],
+        )
+        .unwrap();
         eng.create_index("t", 0).unwrap();
         for i in 0..50 {
             eng.insert("t", &[Datum::Int(i), Datum::text(&format!("v{i}"))])
@@ -58,8 +62,12 @@ fn pager_fault_mid_statement_leaves_no_stranded_row() {
     let path = temp_db("fault-strand");
     let fault = Fault::new();
     let mut eng = StorageEngine::open_with_fault(&path, 8, fault.clone()).unwrap();
-    eng.create_table("t", &cols(&[("a", ColType::Int), ("pad", ColType::Text)]))
-        .unwrap();
+    eng.create_table(
+        "t",
+        &cols(&[("a", ColType::Int), ("pad", ColType::Text)]),
+        &[],
+    )
+    .unwrap();
     eng.create_index("t", 0).unwrap();
     let pad = "p".repeat(200);
     // Seed enough data that statements allocate pages and evict
@@ -117,7 +125,7 @@ fn failed_commit_sync_leaves_no_zombie_after_crash() {
     let fault = Fault::new();
     {
         let mut eng = StorageEngine::open_with_fault(&path, 16, fault.clone()).unwrap();
-        eng.create_table("t", &cols(&[("a", ColType::Int)]))
+        eng.create_table("t", &cols(&[("a", ColType::Int)]), &[])
             .unwrap();
         for i in 0..3 {
             eng.insert("t", &[Datum::Int(i)]).unwrap();
@@ -146,32 +154,70 @@ fn failed_commit_sync_leaves_no_zombie_after_crash() {
 
 #[test]
 fn constraints_persist_across_reopen() {
-    let path = temp_db("constraints");
+    let t_constraints = [
+        TableConstraint::Key {
+            columns: vec!["a".into()],
+        },
+        TableConstraint::ValueBound {
+            column: "a".into(),
+            lo: 0,
+            hi: 100,
+        },
+        TableConstraint::ForeignKey {
+            columns: vec!["a".into()],
+            parent_table: "u".into(),
+            parent_columns: vec!["b".into()],
+        },
+    ];
+    let u_constraints = [TableConstraint::Key {
+        columns: vec!["b".into()],
+    }];
+    for crash in [true, false] {
+        let path = temp_db("constraints");
+        {
+            let mut eng = StorageEngine::open(&path, 8).unwrap();
+            eng.create_table("u", &cols(&[("b", ColType::Int)]), &u_constraints)
+                .unwrap();
+            eng.create_table("t", &cols(&[("a", ColType::Int)]), &t_constraints)
+                .unwrap();
+            if crash {
+                eng.simulate_crash(); // recovered from the WAL alone
+            }
+        }
+        let mut eng = StorageEngine::open(&path, 8).unwrap();
+        assert_eq!(eng.table("t").unwrap().constraints, t_constraints);
+        assert_eq!(eng.table("u").unwrap().constraints, u_constraints);
+        // Dropping a table drops its constraint rows too.
+        eng.drop_table("t").unwrap();
+        eng.flush().unwrap();
+        drop(eng);
+        let eng = StorageEngine::open(&path, 8).unwrap();
+        assert!(eng.table("t").is_err());
+        assert_eq!(eng.table("u").unwrap().constraints, u_constraints);
+        cleanup(&path);
+    }
+}
+
+#[test]
+fn a_malformed_constraint_row_is_corrupt_at_bootstrap() {
+    let path = temp_db("bad-constraint");
     {
         let mut eng = StorageEngine::open(&path, 8).unwrap();
-        eng.create_table("t", &cols(&[("a", ColType::Int)]))
+        eng.create_table("t", &cols(&[("a", ColType::Int)]), &[])
             .unwrap();
-        eng.set_constraints("t", &["key a".to_string(), "bound a 0 100".to_string()])
+        let id = eng.table("t").unwrap().id;
+        let row = [Datum::Int(id), Datum::Int(0), Datum::text("key")];
+        eng.sys_constraints
+            .insert(&eng.pool, &crate::codec::encode_tuple(&row))
             .unwrap();
-        eng.create_table("u", &cols(&[("b", ColType::Int)]))
-            .unwrap();
-        eng.set_constraints("u", &["key b".to_string()]).unwrap();
-        eng.simulate_crash(); // even without a flush
+        // A checkpoint, so WAL replay cannot restore the page as the
+        // last commit left it.
+        eng.checkpoint().unwrap();
     }
-    let eng = StorageEngine::open(&path, 8).unwrap();
-    assert_eq!(
-        eng.constraints("t").unwrap(),
-        ["key a".to_string(), "bound a 0 100".to_string()]
-    );
-    assert_eq!(eng.constraints("u").unwrap(), ["key b".to_string()]);
-    // Dropping a table drops its constraint rows too.
-    let mut eng = eng;
-    eng.drop_table("t").unwrap();
-    eng.flush().unwrap();
-    drop(eng);
-    let eng = StorageEngine::open(&path, 8).unwrap();
-    assert!(eng.constraints("t").is_err());
-    assert_eq!(eng.constraints("u").unwrap(), ["key b".to_string()]);
+    assert!(matches!(
+        StorageEngine::open(&path, 8),
+        Err(StorageError::Corrupt(_))
+    ));
     cleanup(&path);
 }
 
@@ -180,7 +226,7 @@ fn checkpoint_truncates_wal_and_preserves_state() {
     let path = temp_db("checkpoint");
     {
         let mut eng = StorageEngine::open(&path, 16).unwrap();
-        eng.create_table("t", &cols(&[("a", ColType::Int)]))
+        eng.create_table("t", &cols(&[("a", ColType::Int)]), &[])
             .unwrap();
         for i in 0..100 {
             eng.insert("t", &[Datum::Int(i)]).unwrap();
@@ -208,7 +254,7 @@ fn checkpoint_is_refused_during_a_transaction() {
     // resurrecting the failed statement on recovery.
     let path = temp_db("ckpt-txn");
     let mut eng = StorageEngine::open(&path, 16).unwrap();
-    eng.create_table("t", &cols(&[("a", ColType::Int)]))
+    eng.create_table("t", &cols(&[("a", ColType::Int)]), &[])
         .unwrap();
     eng.begin().unwrap();
     eng.insert("t", &[Datum::Int(1)]).unwrap();
@@ -227,8 +273,12 @@ fn truncate_reclaims_pages_and_the_free_list_survives_reopen() {
     let path = temp_db("freelist");
     {
         let mut eng = StorageEngine::open(&path, 16).unwrap();
-        eng.create_table("t", &cols(&[("a", ColType::Int), ("pad", ColType::Text)]))
-            .unwrap();
+        eng.create_table(
+            "t",
+            &cols(&[("a", ColType::Int), ("pad", ColType::Text)]),
+            &[],
+        )
+        .unwrap();
         eng.create_index("t", 0).unwrap();
         let pad = "p".repeat(400);
         for i in 0..200 {
@@ -259,7 +309,7 @@ fn truncate_reclaims_pages_and_the_free_list_survives_reopen() {
     let freed = eng.free_page_count().unwrap();
     assert!(freed > 10, "free list must work after reopen: {freed}");
     let pages_before = eng.pool.page_count();
-    eng.create_table("u", &cols(&[("x", ColType::Int)]))
+    eng.create_table("u", &cols(&[("x", ColType::Int)]), &[])
         .unwrap();
     eng.insert("u", &[Datum::Int(1)]).unwrap();
     assert_eq!(eng.pool.page_count(), pages_before);
@@ -269,8 +319,12 @@ fn truncate_reclaims_pages_and_the_free_list_survives_reopen() {
 #[test]
 fn drop_table_reclaims_heap_and_index_pages() {
     let mut eng = StorageEngine::in_memory(16).unwrap();
-    eng.create_table("t", &cols(&[("a", ColType::Int), ("pad", ColType::Text)]))
-        .unwrap();
+    eng.create_table(
+        "t",
+        &cols(&[("a", ColType::Int), ("pad", ColType::Text)]),
+        &[],
+    )
+    .unwrap();
     eng.create_index("t", 0).unwrap();
     let pad = "x".repeat(300);
     for i in 0..300 {
@@ -282,8 +336,12 @@ fn drop_table_reclaims_heap_and_index_pages() {
     assert!(freed > 20, "heap chain and tree must be reclaimed: {freed}");
     // A new table's growth consumes the reclaimed pages first.
     let pages_before = eng.pool.page_count();
-    eng.create_table("u", &cols(&[("a", ColType::Int), ("pad", ColType::Text)]))
-        .unwrap();
+    eng.create_table(
+        "u",
+        &cols(&[("a", ColType::Int), ("pad", ColType::Text)]),
+        &[],
+    )
+    .unwrap();
     for i in 0..300 {
         eng.insert("u", &[Datum::Int(i), Datum::text(&pad)])
             .unwrap();
@@ -293,23 +351,33 @@ fn drop_table_reclaims_heap_and_index_pages() {
 
 #[test]
 fn catalog_churn_reuses_system_heap_pages() {
-    // Regression: rewrite_system_constraints truncates the
-    // sys_constraints heap; once the spec list spans several pages,
-    // every rewrite used to abandon the old tail chain for good.
+    // Regression: a DDL rewrite truncates the sys_constraints heap; once
+    // the constraint rows span several pages, every rewrite used to
+    // abandon the old tail chain for good.
     let mut eng = StorageEngine::in_memory(32).unwrap();
-    eng.create_table("t", &cols(&[("a", ColType::Int)]))
-        .unwrap();
-    let specs: Vec<String> = (0..300)
-        .map(|i| format!("bound column_{i:04} 0 {i}"))
+    let bounds: Vec<TableConstraint> = (0..300)
+        .map(|i| TableConstraint::ValueBound {
+            column: format!("column_{i:04}"),
+            lo: 0,
+            hi: i,
+        })
         .collect();
-    // Warm up: the first rewrites grow the heap and prime the free
-    // list (reclamation lands after each commit).
+    eng.create_table("u", &cols(&[("a", ColType::Int)]), &bounds)
+        .unwrap();
+    // Each DROP TABLE rewrites the whole catalog, `u`'s 300 rows
+    // included. Warm up: the first rewrites grow the heap and prime the
+    // free list (reclamation lands after each commit).
+    let churn = |eng: &mut StorageEngine| {
+        eng.create_table("t", &cols(&[("a", ColType::Int)]), &[])
+            .unwrap();
+        eng.drop_table("t").unwrap();
+    };
     for _ in 0..3 {
-        eng.set_constraints("t", &specs).unwrap();
+        churn(&mut eng);
     }
     let pages = eng.pool.page_count();
     for _ in 0..20 {
-        eng.set_constraints("t", &specs).unwrap();
+        churn(&mut eng);
     }
     assert_eq!(
         eng.pool.page_count(),
@@ -321,8 +389,12 @@ fn catalog_churn_reuses_system_heap_pages() {
 #[test]
 fn aborted_allocations_are_recycled_not_leaked() {
     let mut eng = StorageEngine::in_memory(32).unwrap();
-    eng.create_table("t", &cols(&[("a", ColType::Int), ("pad", ColType::Text)]))
-        .unwrap();
+    eng.create_table(
+        "t",
+        &cols(&[("a", ColType::Int), ("pad", ColType::Text)]),
+        &[],
+    )
+    .unwrap();
     let pad = "y".repeat(1500);
     eng.begin().unwrap();
     for i in 0..20 {
@@ -347,9 +419,9 @@ fn aborted_allocations_are_recycled_not_leaked() {
 #[test]
 fn suspended_transactions_interleave_with_per_txn_rollback() {
     let mut eng = StorageEngine::in_memory(32).unwrap();
-    eng.create_table("ta", &cols(&[("a", ColType::Int)]))
+    eng.create_table("ta", &cols(&[("a", ColType::Int)]), &[])
         .unwrap();
-    eng.create_table("tb", &cols(&[("b", ColType::Int)]))
+    eng.create_table("tb", &cols(&[("b", ColType::Int)]), &[])
         .unwrap();
 
     let txn_a = eng.begin().unwrap();
@@ -372,7 +444,7 @@ fn suspended_transactions_interleave_with_per_txn_rollback() {
     // Touch-based rollback also covers DDL: an aborted CREATE TABLE
     // disappears while concurrent state stays.
     let txn_c = eng.begin().unwrap();
-    eng.create_table("tc", &cols(&[("c", ColType::Int)]))
+    eng.create_table("tc", &cols(&[("c", ColType::Int)]), &[])
         .unwrap();
     assert!(eng.has_table("tc"));
     eng.abort_txn(txn_c);
@@ -385,9 +457,9 @@ fn committed_suspended_transactions_both_survive_a_crash() {
     let path = temp_db("two-inflight");
     {
         let mut eng = StorageEngine::open(&path, 32).unwrap();
-        eng.create_table("ta", &cols(&[("a", ColType::Int)]))
+        eng.create_table("ta", &cols(&[("a", ColType::Int)]), &[])
             .unwrap();
-        eng.create_table("tb", &cols(&[("b", ColType::Int)]))
+        eng.create_table("tb", &cols(&[("b", ColType::Int)]), &[])
             .unwrap();
         // Two in-flight transactions; exactly one commits before the
         // crash.
@@ -473,8 +545,12 @@ fn crash_between_steal_and_commit_recovers_the_pre_statement_state() {
     let path = temp_db("steal-crash");
     {
         let mut eng = StorageEngine::open(&path, 8).unwrap();
-        eng.create_table("t", &cols(&[("a", ColType::Int), ("pad", ColType::Text)]))
-            .unwrap();
+        eng.create_table(
+            "t",
+            &cols(&[("a", ColType::Int), ("pad", ColType::Text)]),
+            &[],
+        )
+        .unwrap();
         let pad = "p".repeat(400);
         for i in 0..500i64 {
             eng.insert("t", &[Datum::Int(i), Datum::text(&pad)])
@@ -513,8 +589,12 @@ fn index_built_after_aborted_stolen_inserts_survives_recovery() {
     let path = temp_db("steal-recycle");
     {
         let mut eng = StorageEngine::open(&path, 8).unwrap();
-        eng.create_table("t", &cols(&[("a", ColType::Int), ("pad", ColType::Text)]))
-            .unwrap();
+        eng.create_table(
+            "t",
+            &cols(&[("a", ColType::Int), ("pad", ColType::Text)]),
+            &[],
+        )
+        .unwrap();
         let pad = "s".repeat(400);
         for i in 0..100i64 {
             eng.insert("t", &[Datum::Int(i), Datum::text(&pad)])
@@ -547,8 +627,12 @@ fn crash_mid_recovery_undo_is_repeatable() {
     let path = temp_db("mid-undo");
     {
         let mut eng = StorageEngine::open(&path, 8).unwrap();
-        eng.create_table("t", &cols(&[("a", ColType::Int), ("pad", ColType::Text)]))
-            .unwrap();
+        eng.create_table(
+            "t",
+            &cols(&[("a", ColType::Int), ("pad", ColType::Text)]),
+            &[],
+        )
+        .unwrap();
         let pad = "q".repeat(400);
         for i in 0..300i64 {
             eng.insert("t", &[Datum::Int(i), Datum::text(&pad)])

@@ -199,6 +199,7 @@ fn relocated_row_is_emitted_once_under_its_old_rid() {
     eng.create_table(
         "empl",
         &cols(&[("k", ColType::Int), ("pad", ColType::Text)]),
+        &[],
     )
     .unwrap();
     eng.create_index("empl", 0).unwrap();

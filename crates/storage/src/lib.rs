@@ -82,7 +82,7 @@ pub mod value;
 pub mod wal;
 
 pub use buffer::{BufferPool, TxnId};
-pub use engine::{ColType, StorageEngine};
+pub use engine::{ColType, StorageEngine, TableConstraint, TableInfo};
 pub use metrics::{
     HistogramSnapshot, HistogramsSnapshot, LatencyHistogram, MetricsSnapshot, StorageHistograms,
     StorageMetrics,

@@ -2,7 +2,7 @@
 //!
 //! The paper treats the DBMS as a black box whose payoff is ultimately
 //! *pages touched*. This example runs the relational query system on the
-//! paged backend — slotted 4 KiB heap pages behind an 8-frame buffer
+//! paged engine — slotted 4 KiB heap pages behind an 8-frame buffer
 //! pool with clock eviction, plus B+-tree secondary indexes — and shows:
 //!
 //! 1. a full scan faulting most of the table through the tiny pool;

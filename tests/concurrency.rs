@@ -29,7 +29,7 @@
 //! what committed.
 
 use rqs::value::Tuple;
-use rqs::{AccessPath, Database, Datum, PagedBackend};
+use rqs::{access, AccessPath, Database, Datum};
 use server::net::{Client, Server};
 use server::{ServerError, SharedDatabase};
 use std::collections::BTreeSet;
@@ -88,19 +88,18 @@ fn retry<T>(mut f: impl FnMut() -> Result<T, ServerError>) -> T {
 /// suite uses).
 fn assert_heap_index_agree(db: &SharedDatabase, table: &str, col: usize) {
     db.with_db(|db| {
-        let rows = db.backend().scan(table).unwrap();
-        if !db.backend().has_index(table, col) {
+        let rows = db.engine().scan(table).unwrap();
+        if !db.engine().has_index(table, col) {
             return;
         }
         for row in &rows {
             let mut hits = 0;
             let key = AccessPath::KeyEq(col, row[col].clone());
-            db.backend()
-                .read(table, &key, &mut |_, _| {
-                    hits += 1;
-                    true
-                })
-                .unwrap();
+            access::read(db.engine(), table, &key, &mut |_, _| {
+                hits += 1;
+                true
+            })
+            .unwrap();
             let expect = rows.iter().filter(|r| r[col] == row[col]).count();
             assert_eq!(hits, expect, "{table}.{col} postings disagree");
         }
@@ -111,7 +110,7 @@ fn assert_heap_index_agree(db: &SharedDatabase, table: &str, col: usize) {
 #[test]
 fn paged_backend_and_server_handles_are_send() {
     fn assert_send<T: Send>() {}
-    assert_send::<PagedBackend>();
+    assert_send::<Database>();
     assert_send::<SharedDatabase>();
     assert_send::<server::ServerSession>();
 }
@@ -785,11 +784,11 @@ fn crash_with_two_inflight_transactions_keeps_exactly_the_committed_one() {
     }
     let recovered = Database::open_paged(&path, 32).unwrap();
     assert_eq!(
-        recovered.backend().scan("ta").unwrap(),
+        recovered.engine().scan("ta").unwrap(),
         Vec::<Tuple>::new(),
         "uncommitted transaction must leave no trace"
     );
-    let mut tb = recovered.backend().scan("tb").unwrap();
+    let mut tb = recovered.engine().scan("tb").unwrap();
     tb.sort();
     assert_eq!(
         tb,
@@ -808,8 +807,9 @@ fn fault_injected_commit_failure_during_concurrent_sessions() {
     let path = temp_db("fault-commit");
     let fault = Fault::new();
     {
-        let backend = PagedBackend::open_with_fault(&path, 32, fault.clone()).unwrap();
-        let db = SharedDatabase::from_database(Database::from_paged_backend(backend).unwrap());
+        let db = SharedDatabase::from_database(
+            Database::open_with_fault(&path, 32, fault.clone()).unwrap(),
+        );
         {
             let mut setup = db.session();
             setup.execute("CREATE TABLE ok (a INT)").unwrap();
@@ -837,9 +837,9 @@ fn fault_injected_commit_failure_during_concurrent_sessions() {
         db.crash().unwrap();
     }
     let recovered = Database::open_paged(&path, 32).unwrap();
-    assert_eq!(recovered.backend().scan("ok").unwrap().len(), 1);
+    assert_eq!(recovered.engine().scan("ok").unwrap().len(), 1);
     assert_eq!(
-        recovered.backend().scan("doomed").unwrap(),
+        recovered.engine().scan("doomed").unwrap(),
         Vec::<Tuple>::new(),
         "a failed commit must never resurrect"
     );
@@ -998,17 +998,20 @@ fn same_row_writers_conflict_first_updater_wins() {
     assert_eq!(r.rows, vec![vec![Datum::Int(111)]]);
 }
 
-/// `(k, page)` of every row of `table`, page taken from the row id
-/// (the rid key holds the page above 16 bits of slot).
+/// `(k, page)` of every row of `table`, page taken from the row id.
 fn row_pages(db: &SharedDatabase, table: &str) -> Vec<(i64, u64)> {
     db.with_db(|db| {
         let mut out = Vec::new();
-        db.backend()
-            .read(table, &AccessPath::FullScan, &mut |id, row| {
-                out.push((row[0].as_int().unwrap(), id >> 16));
+        access::read(
+            db.engine(),
+            table,
+            &AccessPath::FullScan,
+            &mut |rid, row| {
+                out.push((row[0].as_int().unwrap(), u64::from(rid.page)));
                 true
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         out
     })
     .unwrap()
@@ -1182,7 +1185,7 @@ fn mid_statement_conflict_inside_begin_rolls_back_the_transaction() {
 
 /// Whether `acct.v` is indexed, per the engine.
 fn v_is_indexed(db: &SharedDatabase) -> bool {
-    db.with_db(|db| db.backend().has_index("acct", 1)).unwrap()
+    db.with_db(|db| db.engine().has_index("acct", 1)).unwrap()
 }
 
 /// Whole-table writes beside an open writer of the table: with a

@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use rqs::value::Tuple;
-use rqs::{AccessPath, Database, Datum, PagedBackend};
+use rqs::{access, AccessPath, Database, Datum, TableConstraint};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -71,8 +71,8 @@ fn wide_fill(table: &str, rows: usize, fill: &str) -> Vec<String> {
 /// Sorted rows of every table, keyed by table name.
 fn full_state(db: &Database) -> BTreeMap<String, Vec<Tuple>> {
     let mut out = BTreeMap::new();
-    for name in db.catalog().table_names() {
-        let mut rows = db.backend().scan(name).unwrap();
+    for name in db.engine().table_names() {
+        let mut rows = db.engine().scan(name).unwrap();
         rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
         out.insert(name.to_owned(), rows);
     }
@@ -83,12 +83,12 @@ fn full_state(db: &Database) -> BTreeMap<String, Vec<Tuple>> {
 /// each stored row is found through the index, and the index returns
 /// nothing extra.
 fn assert_heap_index_agree(db: &Database, table: &str, cols: &[usize]) {
-    if !db.catalog().has_table(table) {
+    if !db.engine().has_table(table) {
         return; // crashed before the table's DDL committed
     }
-    let rows = db.backend().scan(table).unwrap();
+    let rows = db.engine().scan(table).unwrap();
     for &col in cols {
-        if !db.backend().has_index(table, col) {
+        if !db.engine().has_index(table, col) {
             continue;
         }
         let mut by_key: BTreeMap<String, usize> = BTreeMap::new();
@@ -98,12 +98,11 @@ fn assert_heap_index_agree(db: &Database, table: &str, cols: &[usize]) {
         for row in &rows {
             let mut hits: Vec<Tuple> = Vec::new();
             let key = AccessPath::KeyEq(col, row[col].clone());
-            db.backend()
-                .read(table, &key, &mut |_, hit| {
-                    hits.push(hit.clone());
-                    true
-                })
-                .unwrap();
+            access::read(db.engine(), table, &key, &mut |_, hit| {
+                hits.push(hit.clone());
+                true
+            })
+            .unwrap();
             assert_eq!(
                 hits.len(),
                 by_key[&format!("{:?}", row[col])],
@@ -178,11 +177,11 @@ fn scripted_workload() -> Vec<String> {
 /// After reopening a database whose script prefix reached past the
 /// `empl` DDL, the constraints must still bite without re-issuing DDL.
 fn assert_constraints_still_enforced(db: &mut Database) {
-    if !db.catalog().has_table("empl") {
+    if !db.engine().has_table("empl") {
         return;
     }
     assert!(
-        !db.catalog().table("empl").unwrap().constraints.is_empty(),
+        !db.engine().table("empl").unwrap().constraints.is_empty(),
         "constraints must be bootstrapped from the system catalog"
     );
     // CHECK violation.
@@ -197,7 +196,7 @@ fn assert_constraints_still_enforced(db: &mut Database) {
             .is_err(),
         "foreign key must survive reopen"
     );
-    if let Some(row) = db.backend().scan("empl").unwrap().first().cloned() {
+    if let Some(row) = db.engine().scan("empl").unwrap().first().cloned() {
         // Key violation against a row that actually exists.
         let Datum::Int(eno) = row[0] else {
             panic!("empl.eno is INT")
@@ -264,7 +263,7 @@ fn torn_final_frame_drops_only_the_last_transaction() {
     drop(file);
 
     let db = Database::open_paged(&path, 16).unwrap();
-    let rows = db.backend().scan("t").unwrap();
+    let rows = db.engine().scan("t").unwrap();
     assert_eq!(rows.len(), 4, "exactly the torn statement must be gone");
     for i in 0..4i64 {
         assert!(rows.iter().any(|r| r[0] == Datum::Int(i)));
@@ -290,7 +289,7 @@ fn trailing_garbage_after_last_frame_is_ignored() {
     std::fs::write(&wal, &bytes).unwrap();
 
     let db = Database::open_paged(&path, 16).unwrap();
-    assert_eq!(db.backend().scan("t").unwrap().len(), 5);
+    assert_eq!(db.engine().scan("t").unwrap().len(), 5);
     cleanup(&path);
 }
 
@@ -301,8 +300,7 @@ fn trailing_garbage_after_last_frame_is_ignored() {
 fn write_fault_mid_statement_strands_nothing() {
     let path = temp_db("fault");
     let fault = Fault::new();
-    let backend = PagedBackend::open_with_fault(&path, 8, fault.clone()).unwrap();
-    let mut db = Database::from_paged_backend(backend).unwrap();
+    let mut db = Database::open_with_fault(&path, 8, fault.clone()).unwrap();
     db.execute("CREATE TABLE t (a INT, pad TEXT)").unwrap();
     db.execute("CREATE INDEX ON t (a)").unwrap();
     let pad = "p".repeat(300);
@@ -326,13 +324,13 @@ fn write_fault_mid_statement_strands_nothing() {
         }
     }
     assert!(failures > 0, "fault injection never fired");
-    let rows = db.backend().scan("t").unwrap();
+    let rows = db.engine().scan("t").unwrap();
     assert_eq!(rows.len(), committed as usize, "no stranded or lost rows");
     assert_heap_index_agree(&db, "t", &[0]);
     // Committed statements survive a crash on top of it all.
     db.crash();
     let db = Database::open_paged(&path, 8).unwrap();
-    assert_eq!(db.backend().scan("t").unwrap().len(), committed as usize);
+    assert_eq!(db.engine().scan("t").unwrap().len(), committed as usize);
     assert_heap_index_agree(&db, "t", &[0]);
     cleanup(&path);
 }
@@ -344,8 +342,7 @@ fn write_fault_mid_statement_strands_nothing() {
 fn power_cut_mid_checkpoint_recovers_everything() {
     let path = temp_db("ckpt");
     let fault = Fault::new();
-    let backend = PagedBackend::open_with_fault(&path, 16, fault.clone()).unwrap();
-    let mut db = Database::from_paged_backend(backend).unwrap();
+    let mut db = Database::open_with_fault(&path, 16, fault.clone()).unwrap();
     db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
     db.execute("CREATE INDEX ON t (b)").unwrap();
     for i in 0..60 {
@@ -358,14 +355,14 @@ fn power_cut_mid_checkpoint_recovers_everything() {
     db.crash();
 
     let db = Database::open_paged(&path, 16).unwrap();
-    assert_eq!(db.backend().scan("t").unwrap().len(), 60);
+    assert_eq!(db.engine().scan("t").unwrap().len(), 60);
     assert_heap_index_agree(&db, "t", &[1]);
     // A completed checkpoint afterwards leaves a self-contained file.
     db.checkpoint().unwrap();
     assert_eq!(std::fs::metadata(wal_path(&path)).unwrap().len(), 8);
     db.crash();
     let db = Database::open_paged(&path, 16).unwrap();
-    assert_eq!(db.backend().scan("t").unwrap().len(), 60);
+    assert_eq!(db.engine().scan("t").unwrap().len(), 60);
     cleanup(&path);
 }
 
@@ -397,12 +394,30 @@ fn constraints_survive_reopen_without_ddl() {
             }
         }
         let mut db = Database::open_paged(&path, 16).unwrap();
-        assert_eq!(db.catalog().table("empl").unwrap().constraints.len(), 3);
+        // One constraint of each kind, bootstrapped typed.
+        assert_eq!(
+            db.engine().table("empl").unwrap().constraints,
+            [
+                TableConstraint::Key {
+                    columns: vec!["eno".into()]
+                },
+                TableConstraint::ValueBound {
+                    column: "sal".into(),
+                    lo: 10000,
+                    hi: 90000
+                },
+                TableConstraint::ForeignKey {
+                    columns: vec!["dno".into()],
+                    parent_table: "dept".into(),
+                    parent_columns: vec!["dno".into()]
+                },
+            ]
+        );
         assert_constraints_still_enforced(&mut db);
         // And valid traffic still flows.
         db.execute("INSERT INTO empl VALUES (2, 'jones', 30000, 1)")
             .unwrap();
-        assert_eq!(db.backend().scan("empl").unwrap().len(), 2, "crash={crash}");
+        assert_eq!(db.engine().scan("empl").unwrap().len(), 2, "crash={crash}");
         cleanup(&path);
     }
 }
@@ -443,7 +458,7 @@ fn crash_between_steal_and_commit_rolls_stolen_pages_back() {
             drop(s);
         }
         let db = Database::open_paged(&path, 8).unwrap();
-        let rows = db.backend().scan("t").unwrap();
+        let rows = db.engine().scan("t").unwrap();
         assert_eq!(rows.len(), 160, "commit_first={commit_first}");
         let want = if commit_first { 'N' } else { 'o' };
         assert!(
@@ -469,9 +484,9 @@ fn crash_mid_rollback_of_stolen_transaction_recovers() {
     let path = temp_db("mid-undo");
     let fault = Fault::new();
     {
-        let backend = PagedBackend::open_with_fault(&path, 8, fault.clone()).unwrap();
-        let shared =
-            server::SharedDatabase::from_database(Database::from_paged_backend(backend).unwrap());
+        let shared = server::SharedDatabase::from_database(
+            Database::open_with_fault(&path, 8, fault.clone()).unwrap(),
+        );
         {
             let mut setup = shared.session();
             setup.execute("CREATE TABLE t (k INT, pad TEXT)").unwrap();
@@ -492,7 +507,7 @@ fn crash_mid_rollback_of_stolen_transaction_recovers() {
         drop(s);
     }
     let db = Database::open_paged(&path, 8).unwrap();
-    let rows = db.backend().scan("t").unwrap();
+    let rows = db.engine().scan("t").unwrap();
     assert_eq!(rows.len(), 160);
     assert!(
         rows.iter()
@@ -657,8 +672,8 @@ fn server_sessions_interleave_and_recover_committed_prefix() {
         drop((a, b));
     }
     let db = Database::open_paged(&path, 32).unwrap();
-    assert_eq!(db.backend().scan("t").unwrap().len(), 10, "A committed");
-    assert_eq!(db.backend().scan("u").unwrap().len(), 0, "B in flight");
+    assert_eq!(db.engine().scan("t").unwrap().len(), 10, "A committed");
+    assert_eq!(db.engine().scan("u").unwrap().len(), 0, "B in flight");
     assert_heap_index_agree(&db, "t", &[0]);
     cleanup(&path);
 }
@@ -760,7 +775,7 @@ proptest! {
         assert_heap_index_agree(&recovered, "s", &[0, 1]);
         // The key constraint on u still bites after recovery.
         let mut recovered = recovered;
-        if let Some(row) = recovered.backend().scan("u").unwrap().first().cloned() {
+        if let Some(row) = recovered.engine().scan("u").unwrap().first().cloned() {
             let Datum::Int(k) = row[0] else { panic!("u.k is INT") };
             prop_assert!(
                 recovered.execute(&format!("INSERT INTO u VALUES ({k})")).is_err(),

@@ -104,12 +104,12 @@ fn outcome(db: &mut Database, sql: &str) -> Outcome {
 }
 
 #[test]
-fn sql_corpus_agrees_across_backends() {
+fn sql_corpus_agrees_with_and_without_indexes() {
     let mut corpus: Vec<String> = vec![
         "CREATE TABLE r (a INT, b INT, c TEXT)".into(),
         "CREATE TABLE s (b INT, d TEXT)".into(),
     ];
-    // Enough rows that the paged backend spans multiple pages and must
+    // Enough rows that each table spans multiple pages and must
     // evict with its 8-frame pool.
     for i in 0..600i64 {
         corpus.push(format!(
@@ -279,7 +279,7 @@ fn versioned_index_reads_agree_with_the_oracle_in_both_snapshots() {
 /// any divergence in state (not just in the statement's own result)
 /// fails the run.
 #[test]
-fn update_and_predicated_delete_corpus_agrees_across_backends() {
+fn update_and_predicated_delete_corpus_agrees_with_and_without_indexes() {
     let mut corpus: Vec<String> = vec![
         "CREATE TABLE dept (dno INT, fct TEXT, PRIMARY KEY (dno))".into(),
         "CREATE TABLE empl (eno INT, nam TEXT, sal INT, dno INT, \
@@ -410,7 +410,7 @@ fn update_and_predicated_delete_corpus_agrees_across_backends() {
 /// Generated DML mixed with inserts: every statement (and a full-state
 /// probe after each DML) must agree with and without the indexes.
 #[test]
-fn generated_update_delete_statements_agree_across_backends() {
+fn generated_update_delete_statements_agree_with_and_without_indexes() {
     let mut rng = TestRng::deterministic("backend_differential_dml");
     let ops = ["=", "<>", "<", ">", "<=", ">="];
     let letters = ["x", "y", "z"];
@@ -494,7 +494,7 @@ fn generated_update_delete_statements_agree_across_backends() {
 }
 
 #[test]
-fn generated_queries_agree_across_backends() {
+fn generated_queries_agree_with_and_without_indexes() {
     let mut rng = TestRng::deterministic("backend_differential");
     let ops = ["=", "<>", "<", ">", "<=", ">="];
     for case in 0..150 {
@@ -635,7 +635,7 @@ fn goal_classes(e: &str) -> Vec<String> {
 }
 
 #[test]
-fn paper_pipeline_agrees_across_backends() {
+fn paper_pipeline_agrees_with_and_without_indexes() {
     // The spy firm: one page per table, so every step scans and hashes.
     let spy = spy_firm();
     let mut paged = firm_session(8, &spy);

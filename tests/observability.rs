@@ -449,7 +449,7 @@ fn probe_step_rows_scanned_equal_the_rows_its_probes_returned() {
     let (method, probes, rows_read) = steps[0].clone();
     assert_eq!(method, "IndexProbe", "{plan:?}");
     assert_eq!(probes, 4, "one probe per left row");
-    let heap = db.backend().scan("item").unwrap();
+    let heap = db.engine().scan("item").unwrap();
     let returned: u64 = [3, 7, 7, 99]
         .iter()
         .map(|&k| heap.iter().filter(|row| row[0] == Datum::Int(k)).count() as u64)

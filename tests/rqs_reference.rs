@@ -26,7 +26,7 @@ fn datum_int(i: i64) -> Datum {
 
 /// Buffer-pool frames of the engine under test: 16 by default, pinned
 /// by `RQS_TEST_POOL_FRAMES` (CI's pool-pressure step sets the 8-frame
-/// floor) — the rule `tests/backend_differential.rs` uses.
+/// floor) — the rule `tests/index_differential.rs` uses.
 fn pool_frames() -> usize {
     std::env::var("RQS_TEST_POOL_FRAMES")
         .ok()
